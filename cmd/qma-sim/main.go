@@ -48,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mmtc := fs.Int("mmtc", 0, "run a multi-cell sharded city with this many devices instead of -topology (one sink per cell, boundary-interference exchange at beacon epochs)")
 	cellsSpec := fs.String("cells", "", "cell grid for -mmtc as XxY, e.g. 8x8 (default 4x4; 1x1 is monolithic-equivalent)")
 	parallel := fs.Int("parallel", 0, "worker pool driving -mmtc cells (0 = all cores; results are byte-identical for every value)")
-	lockstep := fs.Bool("lockstep", false, "drive -mmtc cells with the reference global-barrier scheduler instead of the dependency-driven one (profiling/equivalence; results are byte-identical)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile (after the run, post-GC) to this file")
 	summaryOnly := fs.Bool("summary-only", false, "skip per-node results: O(1) result memory, network totals only (plain and -scale paths)")
@@ -146,13 +145,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		return runMMTC(stdout, stderr, *mmtc, cx, cy, *degree, mk, rate, *duration, *warmup, *seed, *parallel, *lockstep)
+		return runMMTC(stdout, stderr, *mmtc, cx, cy, *degree, mk, rate, *duration, *warmup, *seed, *parallel)
 	}
 	if *cellsSpec != "" {
 		return fail(fmt.Errorf("-cells requires -mmtc"))
-	}
-	if *lockstep {
-		return fail(fmt.Errorf("-lockstep requires -mmtc"))
 	}
 
 	if *scale > 0 {
@@ -349,7 +345,7 @@ func parseCells(s string) (cx, cy int, err error) {
 // runMMTC drives the multi-cell sharded city and reports per-cell delivery
 // plus the network-wide tails, boundary coupling and simulator throughput.
 // Evaluation traffic starts at -warmup, like the -scale path.
-func runMMTC(stdout, stderr io.Writer, nodes, cx, cy int, degree float64, mk qma.MAC, delta, duration, warmup float64, seed uint64, parallel int, lockstep bool) int {
+func runMMTC(stdout, stderr io.Writer, nodes, cx, cy int, degree float64, mk qma.MAC, delta, duration, warmup float64, seed uint64, parallel int) int {
 	sc := &qma.MMTCScenario{
 		Nodes:           nodes,
 		CellsX:          cx,
@@ -361,10 +357,6 @@ func runMMTC(stdout, stderr io.Writer, nodes, cx, cy int, degree float64, mk qma
 		Rate:            delta,
 		StartSeconds:    warmup,
 		Parallel:        parallel,
-		Lockstep:        lockstep,
-	}
-	if lockstep {
-		fmt.Fprintln(stdout, "scheduler       lock-step reference (global epoch barrier)")
 	}
 	runStart := time.Now()
 	res, err := sc.Run()

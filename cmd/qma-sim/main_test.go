@@ -71,7 +71,6 @@ func TestSemanticFlagErrorsExitNonZero(t *testing.T) {
 		{"mmtc with faults", []string{"-mmtc", "100", "-fault-reboot", "0@1", "-duration", "1"}, "-fault-"},
 		{"mmtc warmup past duration", []string{"-mmtc", "100", "-duration", "1", "-warmup", "2"}, "-warmup"},
 		{"mmtc too few nodes per cell", []string{"-mmtc", "10", "-cells", "4x4", "-duration", "1", "-warmup", "0"}, "too small"},
-		{"lockstep without mmtc", []string{"-lockstep", "-duration", "1"}, "-lockstep requires -mmtc"},
 		{"cpuprofile bad path", []string{"-cpuprofile", "/no/such/dir/cpu.out", "-duration", "1"}, "-cpuprofile"},
 		{"memprofile bad path", []string{"-memprofile", "/no/such/dir/mem.out", "-duration", "1"}, "-memprofile"},
 	}
@@ -141,46 +140,6 @@ func TestMMTCFlagRunsShardedCity(t *testing.T) {
 	// Two cell rows: one per cell of the 2x1 grid.
 	if got := strings.Count(out, "\n"); got < 8 {
 		t.Fatalf("suspiciously short output (%d lines):\n%s", got, out)
-	}
-}
-
-// TestLockstepFlagSelectsReferenceScheduler drives -mmtc -lockstep end to
-// end and pins both the scheduler banner and that the two schedulers print
-// the same results (the CLI-level echo of the byte-identity contract).
-func TestLockstepFlagSelectsReferenceScheduler(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration run")
-	}
-	args := []string{
-		"-mmtc", "400", "-cells", "2x1", "-delta", "0.2",
-		"-duration", "8", "-warmup", "2", "-seed", "1",
-	}
-	var dep, lock, stderr bytes.Buffer
-	if code := run(args, &dep, &stderr); code != 0 {
-		t.Fatalf("exit %d; stderr: %s", code, stderr.String())
-	}
-	if code := run(append([]string{"-lockstep"}, args...), &lock, &stderr); code != 0 {
-		t.Fatalf("lockstep exit %d; stderr: %s", code, stderr.String())
-	}
-	out := lock.String()
-	if !strings.Contains(out, "lock-step reference") {
-		t.Fatalf("scheduler banner missing:\n%s", out)
-	}
-	// Strip the banner and the wall-clock-dependent lines; everything else
-	// (per-cell table, PDR, delay tails, event counts) must match exactly.
-	stable := func(s string) string {
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if strings.Contains(line, "scheduler") ||
-				strings.Contains(line, "simulated") || strings.Contains(line, "events/s") {
-				continue
-			}
-			keep = append(keep, line)
-		}
-		return strings.Join(keep, "\n")
-	}
-	if stable(dep.String()) != stable(out) {
-		t.Fatalf("schedulers disagree:\n--- dependency-driven ---\n%s\n--- lock-step ---\n%s", dep.String(), out)
 	}
 }
 

@@ -6,26 +6,26 @@
 // during an epoch are mirrored into the neighbouring shards' busy
 // accounting (radio.Medium.ScheduleForeignBusy) one epoch later.
 //
-// Two schedulers drive the epochs. The default is dependency-driven:
-// persistent workers (stats.RunPool) and a per-cell epoch counter where
-// cell c may run epoch e as soon as each of its grid neighbours finished
-// epoch e−1 — exactly the synchronization the one-epoch mirroring lag
-// licenses — so interior cells run up to an epoch ahead of a slow hot cell
-// instead of idling at a global barrier. Ready cells are dequeued
-// largest-estimated-work-first (estimate = the cell's previous epoch's
-// kernel events) with worker affinity, so the critical path starts early
-// and a cell tends to re-run on the worker whose cache holds its arena.
-// ShardedConfig.Lockstep selects the original scheduler — a global barrier
-// per epoch with a single-threaded exchange — which stays pinned as the
-// reference in the equivalence tests.
+// A run has three phases: buildSharded builds the cells and their edge
+// observers, runShardedDep drives the epochs, collectSharded folds the cells
+// into the result. The scheduler is dependency-driven: persistent workers
+// (stats.RunPool) and a per-cell epoch counter where cell c may run epoch e
+// as soon as each of its grid neighbours finished epoch e−1 — exactly the
+// synchronization the one-epoch mirroring lag licenses — so interior cells
+// run up to an epoch ahead of a slow hot cell instead of idling at a global
+// barrier. Ready cells are dequeued largest-estimated-work-first (estimate =
+// the cell's previous epoch's kernel events) with worker affinity, so the
+// critical path starts early and a cell tends to re-run on the worker whose
+// cache holds its arena.
 //
-// Both schedulers produce byte-identical results for every worker count.
-// Workers only ever touch their own cell's state, and the injections a cell
-// applies at epoch e are deterministic: each pending inbox batch is tagged
-// with its source cell and epoch, only batches tagged e−1 are folded, and
-// they fold sorted by source-cell id (each batch internally in outbox
-// order) — exactly the order the lock-step coordinator's cell-order
-// exchange produces, independent of worker arrival.
+// Results are byte-identical for every worker count. Workers only ever
+// touch their own cell's state, and the injections a cell applies at epoch
+// e are deterministic: each pending inbox batch is tagged with its source
+// cell and epoch, only batches tagged e−1 are folded, and they fold sorted
+// by source-cell id (each batch internally in outbox order) — exactly the
+// order a global barrier followed by a single-threaded cell-order exchange
+// produces, independent of worker arrival. The equivalence tests keep that
+// barrier loop as their reference (sharded_sched_test.go).
 //
 // The one-epoch mirroring lag is the model's fidelity trade: cross-cell
 // energy reaches a neighbour cell's CCA one beacon interval late. It is
@@ -74,21 +74,14 @@ type ShardedConfig struct {
 	// StartAt delays traffic; MaxPackets bounds each source (0 = unbounded).
 	StartAt    sim.Time
 	MaxPackets int
-	// Epoch is the barrier period for the boundary-interference exchange
-	// (0 = one superframe, the beacon interval).
+	// Epoch is the period of the boundary-interference exchange (0 = one
+	// superframe, the beacon interval).
 	Epoch sim.Time
 	// Window is the streaming stats window in simulated time (0 = 1 s).
 	Window sim.Time
 	// Parallel bounds the worker pool driving the cells (0 = GOMAXPROCS,
 	// 1 = sequential). Results are byte-identical for every value.
 	Parallel int
-	// Lockstep selects the reference scheduler: a global barrier per epoch
-	// with a single-threaded boundary exchange. The default (false) is the
-	// dependency-driven scheduler, which produces byte-identical results
-	// without the barrier (the equivalence tests pin the two against each
-	// other); Lockstep exists as the trusted baseline for those tests and
-	// for profiling scheduler overhead.
-	Lockstep bool
 	// Superframe overrides the DSME timing (zero value selects the default).
 	Superframe superframe.Config
 	// EventBudget truncates each cell after this many kernel events when
@@ -144,11 +137,12 @@ type ShardedResult struct {
 	// Cells holds one entry per cell.
 	Cells []CellResult
 	// Duration is the simulated time; EpochLen and Window echo the resolved
-	// barrier and stats periods.
+	// exchange and stats periods.
 	Duration sim.Time
 	EpochLen sim.Time
 	Window   sim.Time
-	// Epochs counts the executed barrier intervals.
+	// Epochs is the largest number of epochs any cell executed (fewer than
+	// the duration covers when every budget ran out early).
 	Epochs int
 	// Events sums the cells' kernel events; Truncated reports any truncated
 	// cell.
@@ -252,29 +246,40 @@ type shardCell struct {
 	delay   stats.Digest
 	windows *stats.Windowed
 	outbox  []edgeTX
-	// inbox is the lock-step scheduler's injection buffer: filled by the
-	// single-threaded exchange, drained at the next epoch's start.
-	inbox []foreignInj
-	// inboxMu guards pending, the dependency-driven scheduler's tagged
-	// batches: neighbours append concurrently as they finish their epochs,
-	// the cell's own job extracts its due batches at epoch start. These are
-	// the only cross-cell writes in that mode.
+	// inboxMu guards pending, the tagged batches neighbours append
+	// concurrently as they finish their epochs; the cell's own job extracts
+	// its due batches at epoch start. These are the only cross-cell writes.
 	inboxMu sync.Mutex
 	pending []inboxBatch
 	// prevEvents remembers the kernel event count at the last epoch end, so
 	// the scheduler prices the next epoch at the previous epoch's work.
 	prevEvents uint64
-	// failed latches a panic inside this cell's epoch job: the kernel state
-	// is unrecoverable, so the retry the worker pool would attempt must
-	// re-panic instead of silently resuming a corrupt simulation.
-	failed  bool
-	failure any
+}
+
+// shardedRun is one sharded simulation between its phases: built cells with
+// their edge observers installed, the result they fill, and the resolved
+// boundary enumeration.
+type shardedRun struct {
+	cfg         ShardedConfig
+	cells       []*shardCell
+	res         *ShardedResult
+	edgeTargets func(cell int, src frame.NodeID) []topo.BoundaryTarget
 }
 
 // RunSharded executes the multi-cell sharded simulation. Like Run it panics
 // on configuration errors and never on simulation behaviour; a panic inside
-// a cell's epoch (a simulator bug) propagates instead of being dropped.
+// a cell's build or epoch (a simulator bug) propagates instead of being
+// dropped, naming the cell, its epoch and its cell seed.
 func RunSharded(cfg ShardedConfig) *ShardedResult {
+	s := buildSharded(cfg)
+	runShardedDep(s)
+	return collectSharded(s)
+}
+
+// buildSharded validates cfg, builds every cell as an independent
+// SummaryOnly sub-simulation and installs the observers that record edge
+// transmissions for the exchange.
+func buildSharded(cfg ShardedConfig) *shardedRun {
 	if cfg.City == nil {
 		panic("scenario: City is required")
 	}
@@ -303,10 +308,15 @@ func RunSharded(cfg ShardedConfig) *ShardedResult {
 
 	city := cfg.City
 	cells := make([]*shardCell, city.NumCells())
+	res := &ShardedResult{
+		Cells:    make([]CellResult, len(cells)),
+		Duration: cfg.Duration,
+		EpochLen: epoch,
+		Window:   window,
+	}
 
-	// Build every cell as an independent SummaryOnly sub-simulation. Builds
-	// are heavy at mMTC scale (engines, CSR arrays), so they run on the
-	// worker pool too; each build writes only its own cell.
+	// Builds are heavy at mMTC scale (engines, CSR arrays), so they run on
+	// the worker pool too; each build writes only its own cell.
 	if errs := stats.ForEachWorker(len(cells), cfg.Parallel, func(_, c int) {
 		sc := &shardCell{windows: stats.NewWindowed(window.Seconds())}
 		net := city.Cells[c]
@@ -347,62 +357,36 @@ func RunSharded(cfg ShardedConfig) *ShardedResult {
 		}
 		sc.routed = len(cellCfg.Traffic)
 		sc.run = build(cellCfg)
-		cells[c] = sc
-	}); errs != nil {
-		panic(fmt.Sprintf("scenario: sharded cell build failed: %v", errs[0]))
-	}
-
-	res := &ShardedResult{
-		Cells:    make([]CellResult, len(cells)),
-		Duration: cfg.Duration,
-		EpochLen: epoch,
-		Window:   window,
-	}
-	for c, sc := range cells {
-		c, sc := c, sc
-		cr := &res.Cells[c]
-		// Record edge-node transmissions for the barrier exchange. The
-		// observer changes no medium state, so interior-only cells (and
-		// 1-cell cities) stay byte-identical to the monolithic run.
+		// Record edge-node transmissions for the exchange. The observer
+		// changes no medium state, so interior-only cells (and 1-cell cities)
+		// stay byte-identical to the monolithic run.
 		sc.run.medium.SetTxObserver(func(src frame.NodeID, channel uint8, start, end sim.Time) {
 			if len(edgeTargets(c, src)) == 0 {
 				return
 			}
 			sc.outbox = append(sc.outbox, edgeTX{src: src, channel: channel, start: start, end: end})
-			cr.EdgeTx++
+			res.Cells[c].EdgeTx++
 		})
+		cells[c] = sc
+	}); errs != nil {
+		c := errs[0].Index
+		panic(fmt.Sprintf("scenario: sharded cell %d (cell seed %d) failed to build: %v\n%s",
+			c, cellSeed(cfg.Seed, c), errs[0].Value, errs[0].Stack))
 	}
+	return &shardedRun{cfg: cfg, cells: cells, res: res, edgeTargets: edgeTargets}
+}
 
-	if cfg.Lockstep {
-		runShardedLockstep(cfg, cells, res, epoch, edgeTargets)
-	} else {
-		neighbors := city.NeighborCells
-		if cfg.edgeTargets != nil {
-			// The boundary enumeration is overridden (tests), so the CSR-derived
-			// adjacency cannot be trusted to match it; fall back to the complete
-			// cell graph, which is conservative — extra dependencies only cost
-			// lookahead, never correctness.
-			all := make([][]int32, len(cells))
-			for c := range all {
-				for o := range cells {
-					if o != c {
-						all[c] = append(all[c], int32(o))
-					}
-				}
-			}
-			neighbors = func(c int) []int32 { return all[c] }
-		}
-		runShardedDep(cfg, cells, res, epoch, neighbors, edgeTargets)
-	}
-
-	for c, sc := range cells {
+// collectSharded folds every cell's streamed aggregates into the result.
+func collectSharded(s *shardedRun) *ShardedResult {
+	res := s.res
+	for c, sc := range s.cells {
 		sc.run.collect()
 		cr := &res.Cells[c]
 		cr.Cell = c
-		cr.Nodes = city.Cells[c].NumNodes()
+		cr.Nodes = s.cfg.City.Cells[c].NumNodes()
 		cr.Routed = sc.routed
-		s := sc.run.result.Summary
-		cr.Generated, cr.Delivered, cr.DelaySum = s.Generated, s.Delivered, s.DelaySum
+		sum := sc.run.result.Summary
+		cr.Generated, cr.Delivered, cr.DelaySum = sum.Generated, sum.Delivered, sum.DelaySum
 		cr.Delay = sc.delay
 		cr.Windows = sc.windows.Windows()
 		for i := 0; i < cr.Nodes; i++ {
@@ -417,81 +401,9 @@ func RunSharded(cfg ShardedConfig) *ShardedResult {
 }
 
 // totalEpochs counts the epoch intervals covering the duration — the epoch
-// budget both schedulers run to (the last interval may be short).
+// budget of a run (the last interval may be short).
 func totalEpochs(duration, epoch sim.Time) int {
 	return int((duration + epoch - 1) / epoch)
-}
-
-// runShardedLockstep drives the cells with the reference scheduler: one
-// global barrier per epoch, then a single-threaded exchange of the recorded
-// edge transmissions in cell order — trivially deterministic for every
-// worker count, and the baseline the dependency-driven scheduler is pinned
-// against. It exits early once every cell has exhausted its event budget
-// (res.Epochs counts only epochs in which some cell could still run, which
-// keeps it equal to the dependency scheduler's max per-cell epoch count).
-func runShardedLockstep(cfg ShardedConfig, cells []*shardCell, res *ShardedResult, epoch sim.Time,
-	edgeTargets func(cell int, src frame.NodeID) []topo.BoundaryTarget) {
-	for now := sim.Time(0); now < cfg.Duration; {
-		allExhausted := true
-		for _, sc := range cells {
-			if !sc.run.kernel.BudgetExhausted() {
-				allExhausted = false
-				break
-			}
-		}
-		if allExhausted {
-			break
-		}
-		end := now + epoch
-		if end > cfg.Duration {
-			end = cfg.Duration
-		}
-		if errs := stats.ForEachWorker(len(cells), cfg.Parallel, func(_, c int) {
-			sc := cells[c]
-			if sc.failed {
-				panic(sc.failure) // poisoned by an earlier panic: do not resume
-			}
-			if sc.run.kernel.BudgetExhausted() {
-				return
-			}
-			defer func() {
-				if v := recover(); v != nil {
-					sc.failed, sc.failure = true, v
-					panic(v)
-				}
-			}()
-			for _, inj := range sc.inbox {
-				sc.run.medium.ScheduleForeignBusy(inj.node, inj.channel, inj.start, inj.end)
-			}
-			res.Cells[c].ForeignBusy += uint64(len(sc.inbox))
-			sc.inbox = sc.inbox[:0]
-			sc.run.kernel.Run(end)
-		}); errs != nil {
-			panic(fmt.Sprintf("scenario: sharded epoch failed: %v", errs[0]))
-		}
-		for c, sc := range cells {
-			for _, tx := range sc.outbox {
-				for _, tgt := range edgeTargets(c, tx.src) {
-					dst := cells[tgt.Cell]
-					if dst.run.kernel.BudgetExhausted() {
-						continue
-					}
-					// Mirrored one epoch late: the earliest possible start
-					// (epoch begin + epoch) is exactly the next barrier, so
-					// the injection is never in the target kernel's past.
-					dst.inbox = append(dst.inbox, foreignInj{
-						node:    tgt.Node,
-						channel: tx.channel,
-						start:   tx.start + epoch,
-						end:     tx.end + epoch,
-					})
-				}
-			}
-			sc.outbox = sc.outbox[:0]
-		}
-		res.Epochs++
-		now = end
-	}
 }
 
 // runShardedDep drives the cells with the dependency-driven scheduler on a
@@ -506,20 +418,34 @@ func runShardedLockstep(cfg ShardedConfig, cells []*shardCell, res *ShardedResul
 // Determinism: the epoch job touches only its own cell's state except for
 // appending one (srcCell, epoch)-tagged batch per neighbouring inbox under
 // that inbox's lock; the fold at epoch start selects exactly the batches
-// tagged e−1 and sorts them by source cell, reproducing the lock-step
-// coordinator's cell-order exchange regardless of arrival order. Budget
-// equivalence: the lock-step exchange skips targets already exhausted at
-// the barrier, while this scheduler always publishes and instead never
-// schedules an exhausted cell again — its pending batches are simply never
-// folded, so per-cell ForeignBusy counts match.
-func runShardedDep(cfg ShardedConfig, cells []*shardCell, res *ShardedResult, epoch sim.Time,
-	neighbors func(cell int) []int32,
-	edgeTargets func(cell int, src frame.NodeID) []topo.BoundaryTarget) {
-	total := totalEpochs(cfg.Duration, epoch)
-	workers := stats.Workers(cfg.Parallel)
-	if workers > len(cells) {
-		workers = len(cells)
+// tagged e−1 and sorts them by source cell, reproducing a global barrier's
+// cell-order exchange regardless of arrival order. Budget equivalence: a
+// barrier exchange skips targets already exhausted, while this scheduler
+// always publishes and instead never schedules an exhausted cell again — its
+// pending batches are simply never folded, so per-cell ForeignBusy counts
+// match.
+//
+// A panicking epoch aborts the pool without a retry (the cell's kernel is
+// mid-epoch and cannot resume) and re-panics naming the cell, the epoch it
+// died in and its cell seed.
+func runShardedDep(s *shardedRun) {
+	cfg, cells, res := s.cfg, s.cells, s.res
+	epoch := res.EpochLen
+	neighbors := cfg.City.NeighborCells
+	if cfg.edgeTargets != nil {
+		// The boundary enumeration is overridden (tests), so the CSR-derived
+		// adjacency cannot be trusted to match it; fall back to the complete
+		// cell graph, which is conservative — extra dependencies only cost
+		// lookahead, never correctness. A cell listing itself is harmless:
+		// the readiness rule never finds a cell behind itself.
+		all := make([]int32, len(cells))
+		for c := range all {
+			all[c] = int32(c)
+		}
+		neighbors = func(int) []int32 { return all }
 	}
+	total := totalEpochs(cfg.Duration, epoch)
+	workers := min(stats.Workers(cfg.Parallel), len(cells))
 
 	// Scheduler state, guarded by schedMu. done[c] counts c's completed
 	// epochs; queued marks a cell with an item pushed but not completed, so
@@ -545,15 +471,6 @@ func runShardedDep(cfg ShardedConfig, cells []*shardCell, res *ShardedResult, ep
 
 	job := func(w, c int) []stats.Item {
 		sc := cells[c]
-		if sc.failed {
-			panic(sc.failure) // poisoned by an earlier panic: do not resume
-		}
-		defer func() {
-			if v := recover(); v != nil {
-				sc.failed, sc.failure = true, v
-				panic(v)
-			}
-		}()
 		schedMu.Lock()
 		e := done[c]
 		schedMu.Unlock()
@@ -582,21 +499,19 @@ func runShardedDep(cfg ShardedConfig, cells []*shardCell, res *ShardedResult, ep
 			}
 		}
 
-		end := sim.Time(e+1) * epoch
-		if end > cfg.Duration {
-			end = cfg.Duration
-		}
-		sc.run.kernel.Run(end)
+		sc.run.kernel.Run(min(sim.Time(e+1)*epoch, cfg.Duration))
 
 		// Publish this epoch's outbox as one tagged batch per target cell,
 		// preserving outbox order within each batch. This runs even when the
-		// budget just ran out — the lock-step exchange also forwards the
-		// exhausting epoch's transmissions.
+		// budget just ran out — a barrier exchange also forwards the
+		// exhausting epoch's transmissions. Windows are mirrored one epoch
+		// late, so the earliest start (this epoch's begin + epoch) is the
+		// target's next epoch start, never in its kernel's past.
 		if len(sc.outbox) > 0 {
 			byDst := map[int32][]foreignInj{}
 			var order []int32
 			for _, tx := range sc.outbox {
-				for _, tgt := range edgeTargets(c, tx.src) {
+				for _, tgt := range s.edgeTargets(c, tx.src) {
 					if _, ok := byDst[tgt.Cell]; !ok {
 						order = append(order, tgt.Cell)
 					}
@@ -630,13 +545,13 @@ func runShardedDep(cfg ShardedConfig, cells []*shardCell, res *ShardedResult, ep
 		lastWorker[c] = w
 		var pushes []stats.Item
 		consider := func(m int) {
-			if queued[m] || exhausted[m] || done[m] >= total || cells[m].failed {
+			if queued[m] || exhausted[m] || done[m] >= total {
 				return
 			}
 			for _, n := range neighbors(m) {
 				// A neighbour that can never reach done[m] epochs (budget ran
 				// out earlier) stops constraining m — it will produce no more
-				// batches, exactly like its empty epochs in lock-step.
+				// batches, exactly like its empty epochs behind a barrier.
 				if done[n] < done[m] && !exhausted[n] {
 					return
 				}
@@ -652,7 +567,11 @@ func runShardedDep(cfg ShardedConfig, cells []*shardCell, res *ShardedResult, ep
 	}
 
 	if errs := stats.RunPool(workers, initial, job); errs != nil {
-		panic(fmt.Sprintf("scenario: sharded epoch failed: %v", errs[0]))
+		// The pool has drained, so done is stable; the failed job never
+		// completed, leaving done[c] at the epoch it died in.
+		c := errs[0].Index
+		panic(fmt.Sprintf("scenario: sharded cell %d failed at epoch %d (cell seed %d): %v\n%s",
+			c, done[c], cellSeed(cfg.Seed, c), errs[0].Value, errs[0].Stack))
 	}
 
 	// The pool drained: every cell must have either run all its epochs or
@@ -662,8 +581,6 @@ func runShardedDep(cfg ShardedConfig, cells []*shardCell, res *ShardedResult, ep
 		if done[c] < total && !exhausted[c] {
 			panic(fmt.Sprintf("scenario: sharded scheduler stalled: cell %d stopped at epoch %d of %d", c, done[c], total))
 		}
-		if done[c] > res.Epochs {
-			res.Epochs = done[c]
-		}
+		res.Epochs = max(res.Epochs, done[c])
 	}
 }

@@ -10,33 +10,29 @@ import (
 
 // BenchmarkRunShardedWorkers measures the end-to-end sharded runner — cell
 // builds, the dependency-driven scheduler, the boundary exchange — on a
-// 9-cell city at 1/2/4 workers, plus the lock-step reference at 1 worker so
-// the scheduler's own overhead stays visible. One op is one complete
-// RunSharded call. On multi-core hardware the workers=N subs are the
-// scaling headline; on a 1-core runner they collapse to the same number and
-// the gate still pins the scheduler against creeping per-epoch overhead.
+// 9-cell city at 1/2/4 workers. One op is one complete RunSharded call. On
+// multi-core hardware the workers=N subs are the scaling headline; on a
+// 1-core runner they collapse to the same number and the gate still pins
+// the scheduler against creeping per-epoch overhead.
 func BenchmarkRunShardedWorkers(b *testing.B) {
 	const nodes = 1800
 	city := topo.NewCity(topo.CityConfig{Nodes: nodes, CellsX: 3, CellsY: 3, Seed: 1})
-	run := func(b *testing.B, workers int, lockstep bool) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res := RunSharded(ShardedConfig{
-				City:     city,
-				Seed:     1,
-				Duration: 2 * sim.Second,
-				Rate:     1.0,
-				StartAt:  sim.Second / 2,
-				Parallel: workers,
-				Lockstep: lockstep,
-			})
-			if res.Events == 0 {
-				b.Fatal("no events processed")
-			}
-		}
-	}
 	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { run(b, workers, false) })
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := RunSharded(ShardedConfig{
+					City:     city,
+					Seed:     1,
+					Duration: 2 * sim.Second,
+					Rate:     1.0,
+					StartAt:  sim.Second / 2,
+					Parallel: workers,
+				})
+				if res.Events == 0 {
+					b.Fatal("no events processed")
+				}
+			}
+		})
 	}
-	b.Run("lockstep=1", func(b *testing.B) { run(b, 1, true) })
 }

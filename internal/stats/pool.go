@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"runtime/debug"
 	"sort"
 	"sync"
 )
@@ -56,12 +55,12 @@ type pool struct {
 // over the whole run). The pool exits when every item completed or after an
 // item failed; it returns nil on full success.
 //
-// Panic semantics match ForEachWorker: a panicking job is retried once on
-// the same worker and, failing again, recorded as a RepError — but because
-// later items may depend on the failed one, the pool then aborts instead of
-// running the remaining items against a broken dependency (pending items
-// are dropped, in-flight items finish). Callers treat a non-nil error slice
-// as fatal for the whole workload.
+// A panicking job is recorded as a RepError (Attempts 1) and aborts the pool:
+// unlike ForEachWorker's independent replications, an item is never retried,
+// because a job that panicked midway may have left state its dependants read
+// half-updated, and later items must not run against a broken dependency
+// (pending items are dropped, in-flight items finish). Callers treat a
+// non-nil error slice as fatal for the whole workload.
 func RunPool(parallel int, initial []Item, job func(w, id int) []Item) []*RepError {
 	if len(initial) == 0 {
 		return nil
@@ -106,7 +105,8 @@ func (p *pool) work(w int, job func(w, id int) []Item) {
 		it := p.take(w)
 		p.mu.Unlock()
 
-		pushes, re := runPoolJob(w, it.ID, job)
+		var pushes []Item
+		re := capturePanic(it.ID, func() { pushes = job(w, it.ID) })
 
 		p.mu.Lock()
 		if re != nil {
@@ -157,30 +157,4 @@ func (p *pool) take(w int) Item {
 	p.ready[best] = p.ready[len(p.ready)-1]
 	p.ready = p.ready[:len(p.ready)-1]
 	return it
-}
-
-// runPoolJob runs job(w, id) under the recover-and-retry barrier (one
-// retry, then a RepError), capturing the pushed items of the successful
-// attempt.
-func runPoolJob(w, id int, job func(w, id int) []Item) (pushes []Item, re *RepError) {
-	var lastValue any
-	var lastStack []byte
-	attempt := func() (panicked bool) {
-		defer func() {
-			if v := recover(); v != nil {
-				panicked = true
-				lastValue = v
-				lastStack = debug.Stack()
-			}
-		}()
-		pushes = job(w, id)
-		return false
-	}
-	const attempts = 2
-	for a := 0; a < attempts; a++ {
-		if !attempt() {
-			return pushes, nil
-		}
-	}
-	return nil, &RepError{Index: id, Value: lastValue, Stack: lastStack, Attempts: attempts}
 }

@@ -107,45 +107,35 @@ func TestRunPoolAffinityPreference(t *testing.T) {
 	}
 }
 
-// TestRunPoolRetriesOnce pins the panic semantics: one panic retries on the
-// same worker and succeeds silently; two panics surface as a RepError and
-// abort the remaining workload.
-func TestRunPoolRetriesOnce(t *testing.T) {
-	var attempts atomic.Int32
-	errs := RunPool(2, []Item{{ID: 7}}, func(_, id int) []Item {
-		if attempts.Add(1) == 1 {
-			panic("transient")
+// TestRunPoolAbortsOnFirstPanic pins the panic semantics: a panicking item
+// runs exactly once — never retried, on one worker or several — surfaces as
+// a one-attempt RepError and aborts the remaining workload.
+func TestRunPoolAbortsOnFirstPanic(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		var panicked, survivors atomic.Int32
+		errs := RunPool(workers, []Item{{ID: 3, Priority: 10}, {ID: 4}}, func(_, id int) []Item {
+			if id == 3 {
+				panicked.Add(1)
+				panic("poisoned")
+			}
+			survivors.Add(1)
+			return nil
+		})
+		if len(errs) != 1 {
+			t.Fatalf("workers=%d: got %d errors, want 1: %v", workers, len(errs), errs)
 		}
-		return nil
-	})
-	if errs != nil {
-		t.Fatalf("single panic should be absorbed by the retry, got %v", errs)
-	}
-	if got := attempts.Load(); got != 2 {
-		t.Fatalf("job attempted %d times, want 2", got)
-	}
-}
-
-func TestRunPoolAbortsAfterDoublePanic(t *testing.T) {
-	var survivors atomic.Int32
-	errs := RunPool(1, []Item{{ID: 3, Priority: 10}, {ID: 4}}, func(_, id int) []Item {
-		if id == 3 {
-			panic("poisoned")
+		e := errs[0]
+		if e.Index != 3 || e.Attempts != 1 || e.Value != "poisoned" {
+			t.Fatalf("workers=%d: RepError = %+v, want index 3, 1 attempt, value %q", workers, e, "poisoned")
 		}
-		survivors.Add(1)
-		return []Item{{ID: id + 100}}
-	})
-	if len(errs) != 1 {
-		t.Fatalf("got %d errors, want 1: %v", len(errs), errs)
-	}
-	e := errs[0]
-	if e.Index != 3 || e.Attempts != 2 || e.Value != "poisoned" {
-		t.Fatalf("RepError = %+v, want index 3, 2 attempts, value %q", e, "poisoned")
-	}
-	// Item 3 has the higher priority, so the single worker runs it first and
-	// the abort must drop item 4 entirely.
-	if got := survivors.Load(); got != 0 {
-		t.Fatalf("%d items ran after the abort, want 0", got)
+		if got := panicked.Load(); got != 1 {
+			t.Fatalf("workers=%d: panicking item ran %d times, want exactly 1", workers, got)
+		}
+		// Item 3 has the higher priority, so a single worker runs it first and
+		// the abort must drop item 4 entirely.
+		if got := survivors.Load(); workers == 1 && got != 0 {
+			t.Fatalf("%d items ran after the abort, want 0", got)
+		}
 	}
 }
 

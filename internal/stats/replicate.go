@@ -23,9 +23,9 @@ import (
 // surviving replications; the RepError carries the exact cell and seed
 // needed to reproduce the crash in a single-threaded run.
 
-// RepError describes one replication that panicked on both attempts. It
-// carries everything needed for a single-threaded repro: the sweep cell, the
-// seed, the recovered panic value and the stack of the final attempt.
+// RepError describes one job that panicked on every attempt. It carries
+// everything needed for a single-threaded repro: the sweep cell, the seed,
+// the recovered panic value and the stack of the final attempt.
 type RepError struct {
 	// Cell is the sweep point (always 0 for non-grid drivers).
 	Cell int
@@ -37,7 +37,8 @@ type RepError struct {
 	Value any
 	// Stack is the goroutine stack captured at the final panic.
 	Stack []byte
-	// Attempts is how many times the job was tried (2: initial + one retry).
+	// Attempts is how many times the job was tried: 2 (initial + one retry)
+	// under ForEachWorker, 1 under RunPool, which never retries.
 	Attempts int
 }
 
@@ -56,30 +57,31 @@ func Workers(parallel int) int {
 	return parallel
 }
 
-// runJob executes job(i) under a recover barrier with one retry. It returns
-// nil on success and a RepError (Index filled, Cell/Seed left for the caller)
-// when both attempts panicked.
-func runJob(w, i int, job func(w, i int)) *RepError {
-	var lastValue any
-	var lastStack []byte
-	attempt := func() (panicked bool) {
-		defer func() {
-			if v := recover(); v != nil {
-				panicked = true
-				lastValue = v
-				lastStack = debug.Stack()
-			}
-		}()
-		job(w, i)
-		return false
-	}
-	const attempts = 2
-	for a := 0; a < attempts; a++ {
-		if !attempt() {
-			return nil
+// capturePanic runs fn under a recover barrier: nil when fn returns, else a
+// one-attempt RepError for job i carrying the panic value and stack (Cell and
+// Seed are left for the caller). It is the one recover path both pools share.
+func capturePanic(i int, fn func()) (re *RepError) {
+	defer func() {
+		if v := recover(); v != nil {
+			re = &RepError{Index: i, Value: v, Stack: debug.Stack(), Attempts: 1}
 		}
+	}()
+	fn()
+	return nil
+}
+
+// runJob executes job(w, i) with one retry: replications are independent, so
+// re-running one cannot disturb another. It returns nil on success and the
+// second attempt's RepError when both attempts panicked.
+func runJob(w, i int, job func(w, i int)) *RepError {
+	if capturePanic(i, func() { job(w, i) }) == nil {
+		return nil
 	}
-	return &RepError{Index: i, Value: lastValue, Stack: lastStack, Attempts: attempts}
+	re := capturePanic(i, func() { job(w, i) })
+	if re != nil {
+		re.Attempts = 2
+	}
+	return re
 }
 
 // ForEach runs job(0..n-1) on up to Workers(parallel) goroutines and waits
@@ -102,41 +104,31 @@ func ForEach(n, parallel int, job func(i int)) []*RepError {
 // results must not depend on that state — each job stays addressed purely by
 // its index i.
 func ForEachWorker(n, parallel int, job func(w, i int)) []*RepError {
-	workers := Workers(parallel)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		var errs []*RepError
-		for i := 0; i < n; i++ {
-			if re := runJob(0, i, job); re != nil {
-				errs = append(errs, re)
-			}
-		}
-		return errs
-	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var errs []*RepError
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if re := runJob(w, i, job); re != nil {
-					mu.Lock()
-					errs = append(errs, re)
-					mu.Unlock()
-				}
+	work := func(w int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			if re := runJob(w, i, job); re != nil {
+				mu.Lock()
+				errs = append(errs, re)
+				mu.Unlock()
 			}
-		}(w)
+		}
 	}
-	wg.Wait()
+	if workers := min(Workers(parallel), n); workers <= 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				work(w)
+			}()
+		}
+		wg.Wait()
+	}
 	sort.Slice(errs, func(a, b int) bool { return errs[a].Index < errs[b].Index })
 	return errs
 }

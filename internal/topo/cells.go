@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -145,6 +146,18 @@ func senseRange(cfg radio.PathLossConfig) float64 {
 // in seconds. It panics on configuration errors: unsupported shadowing, too
 // few nodes, or a cell exceeding the 16-bit local id space (use more cells).
 func NewCity(cfg CityConfig) *City {
+	c, err := BuildCity(cfg)
+	if err != nil {
+		panic(err.Error())
+	}
+	return c
+}
+
+// BuildCity is NewCity returning configuration errors instead of panicking.
+// Callers taking untrusted input need it because no check on the average
+// load can rule out a cell that uniform placement overfilled past the 16-bit
+// local id space.
+func BuildCity(cfg CityConfig) (*City, error) {
 	if cfg.CellsX <= 0 {
 		cfg.CellsX = 1
 	}
@@ -153,7 +166,7 @@ func NewCity(cfg CityConfig) *City {
 	}
 	cells := cfg.CellsX * cfg.CellsY
 	if cfg.Nodes < 2*cells {
-		panic(fmt.Sprintf("topo: City needs at least 2 nodes per cell, got %d for %d cells", cfg.Nodes, cells))
+		return nil, fmt.Errorf("topo: City needs at least 2 nodes per cell, got %d for %d cells", cfg.Nodes, cells)
 	}
 	if cfg.Degree <= 0 {
 		cfg.Degree = 10
@@ -162,16 +175,16 @@ func NewCity(cfg CityConfig) *City {
 		cfg.PathLoss = radio.DefaultPathLossConfig()
 	}
 	if cfg.PathLoss.ShadowSigmaDB != 0 {
-		panic("topo: City requires PathLoss.ShadowSigmaDB = 0 (cross-cell shadowing is undefined)")
+		return nil, errors.New("topo: City requires PathLoss.ShadowSigmaDB = 0 (cross-cell shadowing is undefined)")
 	}
 	if cfg.PathLoss.PathLossExponent <= 0 {
-		panic("topo: City requires a positive PathLossExponent")
+		return nil, errors.New("topo: City requires a positive PathLossExponent")
 	}
 	if cfg.HotspotFraction < 0 || cfg.HotspotFraction >= 1 {
-		panic(fmt.Sprintf("topo: City HotspotFraction must be in [0,1), got %g", cfg.HotspotFraction))
+		return nil, fmt.Errorf("topo: City HotspotFraction must be in [0,1), got %g", cfg.HotspotFraction)
 	}
 	if cfg.HotspotFraction > 0 && (cfg.HotspotCell < 0 || cfg.HotspotCell >= cells) {
-		panic(fmt.Sprintf("topo: City HotspotCell %d out of range for %d cells", cfg.HotspotCell, cells))
+		return nil, fmt.Errorf("topo: City HotspotCell %d out of range for %d cells", cfg.HotspotCell, cells)
 	}
 
 	// Area from the decode range and the target degree, exactly like
@@ -234,7 +247,7 @@ func NewCity(cfg CityConfig) *City {
 	for cell := 0; cell < cells; cell++ {
 		n := len(cellPos[cell])
 		if n > math.MaxInt16 {
-			panic(fmt.Sprintf("topo: City cell %d holds %d nodes but local ids are 16-bit; use more cells", cell, n))
+			return nil, fmt.Errorf("topo: City cell %d holds %d nodes but local ids are 16-bit; use more cells", cell, n)
 		}
 		pt := radio.NewPathLossTopology(cfg.PathLoss, cellPos[cell])
 		c.Cells[cell] = &Network{
@@ -247,7 +260,7 @@ func NewCity(cfg CityConfig) *City {
 	}
 
 	c.buildBoundary(global)
-	return c
+	return c, nil
 }
 
 // placed locates one node for the boundary sweep: position plus its

@@ -45,10 +45,6 @@ type MMTCScenario struct {
 	// Parallel bounds the worker pool driving the cells (0 = GOMAXPROCS).
 	// Results are byte-identical for every value.
 	Parallel int
-	// Lockstep selects the reference barrier scheduler instead of the
-	// default dependency-driven one. Results are byte-identical either way;
-	// the flag exists for equivalence checks and scheduler profiling.
-	Lockstep bool
 	// SummaryOnly is implied: the sharded runner never materializes per-node
 	// results — result memory is O(cells + windows).
 }
@@ -125,13 +121,18 @@ func (s *MMTCScenario) Run() (*MMTCResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	city := topo.NewCity(topo.CityConfig{
+	// Validate bounds only the average cell load; uniform placement can
+	// still overfill one cell, which BuildCity reports as an error.
+	city, err := topo.BuildCity(topo.CityConfig{
 		Nodes:  s.Nodes,
 		CellsX: s.CellsX,
 		CellsY: s.CellsY,
 		Degree: s.Degree,
 		Seed:   s.Seed,
 	})
+	if err != nil {
+		return nil, err
+	}
 	res := scenario.RunSharded(scenario.ShardedConfig{
 		City:       city,
 		MAC:        s.MAC.kind(),
@@ -143,7 +144,6 @@ func (s *MMTCScenario) Run() (*MMTCResult, error) {
 		Epoch:      sim.FromSeconds(s.EpochSeconds),
 		Window:     sim.FromSeconds(s.WindowSeconds),
 		Parallel:   s.Parallel,
-		Lockstep:   s.Lockstep,
 	})
 
 	delay := res.DelayDigest()

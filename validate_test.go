@@ -436,3 +436,23 @@ func TestDynamicsEndToEnd(t *testing.T) {
 		t.Error("identical dynamic scenarios produced different results")
 	}
 }
+
+// TestMMTCRunRejectsOverfilledCell pins that a city Validate accepts — its
+// average load sits exactly at the 16-bit per-cell ceiling — but whose
+// uniform placement overfills one cell comes back from Run as an error
+// instead of a panic.
+func TestMMTCRunRejectsOverfilledCell(t *testing.T) {
+	s := &qma.MMTCScenario{Nodes: 4 * 32767, CellsX: 2, CellsY: 2, DurationSeconds: 1, Rate: 0.1}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("Validate rejected the average-load boundary: %v", err)
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			t.Fatalf("Run panicked: %v", v)
+		}
+	}()
+	res, err := s.Run()
+	if err == nil || !strings.Contains(err.Error(), "16-bit") {
+		t.Fatalf("Run = %v, %v; want an error naming the 16-bit cell limit", res, err)
+	}
+}
