@@ -107,35 +107,58 @@ func TestRunPoolAffinityPreference(t *testing.T) {
 	}
 }
 
-// TestRunPoolAbortsOnFirstPanic pins the panic semantics: a panicking item
-// runs exactly once — never retried, on one worker or several — surfaces as
-// a one-attempt RepError and aborts the remaining workload.
-func TestRunPoolAbortsOnFirstPanic(t *testing.T) {
+// TestRunPoolRetriesOnce pins RunPool's retry policy: unlike ForEachWorker,
+// which retries a replication once, a pool item runs exactly once. A panic
+// on the first attempt — even a transient one — is never retried, on one
+// worker or several, and surfaces as a one-attempt RepError.
+func TestRunPoolRetriesOnce(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		var panicked, survivors atomic.Int32
-		errs := RunPool(workers, []Item{{ID: 3, Priority: 10}, {ID: 4}}, func(_, id int) []Item {
-			if id == 3 {
-				panicked.Add(1)
-				panic("poisoned")
+		var attempts atomic.Int32
+		errs := RunPool(workers, []Item{{ID: 7}}, func(_, id int) []Item {
+			if attempts.Add(1) == 1 {
+				panic("transient")
 			}
-			survivors.Add(1)
 			return nil
 		})
 		if len(errs) != 1 {
 			t.Fatalf("workers=%d: got %d errors, want 1: %v", workers, len(errs), errs)
 		}
-		e := errs[0]
-		if e.Index != 3 || e.Attempts != 1 || e.Value != "poisoned" {
-			t.Fatalf("workers=%d: RepError = %+v, want index 3, 1 attempt, value %q", workers, e, "poisoned")
+		if e := errs[0]; e.Index != 7 || e.Attempts != 1 || e.Value != "transient" {
+			t.Fatalf("workers=%d: RepError = %+v, want index 7, 1 attempt, value %q", workers, e, "transient")
 		}
-		if got := panicked.Load(); got != 1 {
-			t.Fatalf("workers=%d: panicking item ran %d times, want exactly 1", workers, got)
+		if got := attempts.Load(); got != 1 {
+			t.Fatalf("workers=%d: job attempted %d times, want exactly 1", workers, got)
 		}
-		// Item 3 has the higher priority, so a single worker runs it first and
-		// the abort must drop item 4 entirely.
-		if got := survivors.Load(); workers == 1 && got != 0 {
-			t.Fatalf("%d items ran after the abort, want 0", got)
+	}
+}
+
+// TestRunPoolAbortsAfterDoublePanic pins the abort: with two poisoned items
+// queued ahead of a healthy one, the first panic aborts the pool, so neither
+// the second poisoned item nor the healthy one runs.
+func TestRunPoolAbortsAfterDoublePanic(t *testing.T) {
+	var panicked, survivors atomic.Int32
+	errs := RunPool(1, []Item{{ID: 3, Priority: 10}, {ID: 5, Priority: 5}, {ID: 4}}, func(_, id int) []Item {
+		if id == 3 || id == 5 {
+			panicked.Add(1)
+			panic("poisoned")
 		}
+		survivors.Add(1)
+		return []Item{{ID: id + 100}}
+	})
+	if len(errs) != 1 {
+		t.Fatalf("got %d errors, want 1: %v", len(errs), errs)
+	}
+	e := errs[0]
+	if e.Index != 3 || e.Attempts != 1 || e.Value != "poisoned" {
+		t.Fatalf("RepError = %+v, want index 3, 1 attempt, value %q", e, "poisoned")
+	}
+	if got := panicked.Load(); got != 1 {
+		t.Fatalf("%d poisoned items ran, want 1 (the abort must drop the second)", got)
+	}
+	// Item 3 has the highest priority, so the single worker runs it first and
+	// the abort must drop items 5 and 4 entirely.
+	if got := survivors.Load(); got != 0 {
+		t.Fatalf("%d items ran after the abort, want 0", got)
 	}
 }
 
