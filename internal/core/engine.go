@@ -106,12 +106,6 @@ type Engine struct {
 	// calls (Fig. 11 instrumentation).
 	rhoSum   float64
 	rhoCount int
-
-	// actionCounts[s*NumActions+a] counts executed actions per subslot since
-	// the last ResetActionCounts (Fig. 13–15 slot-utilization
-	// instrumentation). Stored flat so it can live in the run arena next to
-	// the node's Q-table.
-	actionCounts []uint64
 }
 
 var _ mac.Engine = (*Engine)(nil)
@@ -159,7 +153,6 @@ func New(cfg Config) *Engine {
 		startupInit:   cfg.StartupSubslots,
 		startupPunish: cfg.StartupPunish,
 		armedSubslot:  -1,
-		actionCounts:  scratch.Uint64s(subslots * NumActions),
 	}
 	e.learner.SetReevalOnDecay(cfg.ReevalOnDecay)
 	cfg.MAC.OnOverhear = e.onOverhear
@@ -208,28 +201,13 @@ func (e *Engine) TakeRhoSample() (mean float64, n int) {
 	return mean, n
 }
 
-// ActionCounts returns a copy of the per-subslot action counters (Fig. 13–15
-// slot utilization).
-func (e *Engine) ActionCounts() [][NumActions]uint64 {
-	out := make([][NumActions]uint64, len(e.actionCounts)/NumActions)
-	for s := range out {
-		copy(out[s][:], e.actionCounts[s*NumActions:(s+1)*NumActions])
-	}
-	return out
-}
-
-// ResetActionCounts clears the per-subslot action counters.
-func (e *Engine) ResetActionCounts() {
-	clear(e.actionCounts)
-}
-
 // Reboot implements mac.Rebooter: a power-cycle fault wipes everything a
 // real node keeps in RAM — the Q-table and policy, the pending reward
 // window, cautious-startup progress and the shared MAC state — and restarts
 // the engine as a freshly joined node (full cautious startup). The
-// instrumentation counters (stats, action counts) survive: they are
-// measurement infrastructure, not node state, and the relearning cost the
-// faults experiments report depends on seeing across the reboot.
+// instrumentation counters (EngineStats) survive: they are measurement
+// infrastructure, not node state, and the relearning cost the faults
+// experiments report depends on seeing across the reboot.
 func (e *Engine) Reboot() {
 	e.base.Reboot()
 	e.armed.Cancel()
@@ -384,7 +362,6 @@ func (e *Engine) decide(m int) {
 // execute performs the selected action.
 func (e *Engine) execute(m int, action Action) {
 	e.stats.ActionCount[action]++
-	e.actionCounts[m*NumActions+int(action)]++
 	switch action {
 	case QBackoff:
 		e.pend = pending{subslot: m, action: QBackoff}

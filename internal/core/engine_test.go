@@ -221,27 +221,16 @@ func TestActionStringAndCounts(t *testing.T) {
 	if QBackoff.String() != "QBackoff" || QCCA.String() != "QCCA" || QSend.String() != "QSend" {
 		t.Error("action names wrong")
 	}
+	// Every Algorithm 1 decision executes exactly one action, so the
+	// per-kind totals add up to the decision count.
 	r := newRig(t, [][2]int{{0, 1}}, 2, nil)
 	for i := 0; i < 30; i++ {
 		r.engines[0].Enqueue(dataTo(1, 0, uint32(i+1)))
 		r.k.Run(r.k.Now() + 300*sim.Millisecond)
 	}
-	counts := r.engines[0].ActionCounts()
-	var total uint64
-	for _, row := range counts {
-		for _, c := range row {
-			total += c
-		}
-	}
 	st := r.engines[0].EngineStats()
-	if total != st.ActionCount[0]+st.ActionCount[1]+st.ActionCount[2] {
-		t.Errorf("per-subslot counts (%d) disagree with totals (%v)", total, st.ActionCount)
-	}
-	r.engines[0].ResetActionCounts()
-	for _, row := range r.engines[0].ActionCounts() {
-		if row != [NumActions]uint64{} {
-			t.Fatal("ResetActionCounts left residue")
-		}
+	if total := st.ActionCount[0] + st.ActionCount[1] + st.ActionCount[2]; total == 0 || total != st.Decisions {
+		t.Errorf("action totals %v sum to %d, want the %d decisions", st.ActionCount, total, st.Decisions)
 	}
 }
 

@@ -180,11 +180,11 @@ type Config struct {
 	// kernel may share a pool; it must not cross kernels.
 	FramePool *frame.Pool
 	// Scratch, when non-nil, slab-allocates this node's hot state (transmit
-	// queue buffer, and — via the engines — Q-table, policy and action
-	// counters) from a shared per-run arena, so the state of neighbouring
-	// nodes is contiguous in memory. All engines of one kernel share one
-	// Scratch; it must not cross kernels, and a run arena may be rewound
-	// (Scratch.Reset) only after every engine of the previous run is dropped.
+	// queue buffer, and — via the engines — Q-table and policy) from a shared
+	// per-run arena, so the state of neighbouring nodes is contiguous in
+	// memory. All engines of one kernel share one Scratch; it must not cross
+	// kernels, and a run arena may be rewound (Scratch.Reset) only after
+	// every engine of the previous run is dropped.
 	Scratch *Scratch
 	// BarringRng drives the node's access-class barring draws
 	// (internal/barring). It must be a deterministic stream private to this
@@ -200,7 +200,10 @@ type Config struct {
 	DropDeadline sim.Time
 }
 
+// neighborLevel is one §4.2 neighbour-table entry: the queue level id last
+// piggybacked and when it was overheard.
 type neighborLevel struct {
+	id    frame.NodeID
 	level uint8
 	at    sim.Time
 }
@@ -210,7 +213,7 @@ type neighborLevel struct {
 type Base struct {
 	cfg Config
 
-	queue *frame.Queue
+	queue frame.Queue
 	stats Stats
 
 	// busyUntil marks the end of the node's current MAC activity
@@ -258,14 +261,18 @@ type Base struct {
 	barUntil   sim.Time
 	barStreak  int
 
-	// neighborQueue holds the most recently overheard queue level per
-	// neighbour (piggybacked in every frame, §4.2) with its reception time.
-	neighborQueue map[frame.NodeID]neighborLevel
+	// neighbors holds the most recently overheard queue level per neighbour
+	// (piggybacked in every frame, §4.2) with its reception time, one entry
+	// per neighbour in no particular order. A flat slice rather than a map:
+	// AvgNeighborQueue walks it on every QMA decision, and a node hears only
+	// its radio neighbourhood.
+	neighbors []neighborLevel
 
 	// lastSeq tracks the highest delivered sequence number per origin for
-	// duplicate rejection.
+	// duplicate rejection; an origin without an entry has delivered nothing
+	// yet. Allocated on the first unicast delivery, so nodes that are never
+	// addressed carry no map.
 	lastSeq map[frame.NodeID]uint32
-	hasSeq  map[frame.NodeID]bool
 
 	// Queue-level time integral for the Fig. 8 metric.
 	qlIntegralStart sim.Time
@@ -300,12 +307,9 @@ func NewBase(cfg Config) *Base {
 		qcap = frame.DefaultQueueCap
 	}
 	b := &Base{
-		cfg:           cfg,
-		queue:         frame.NewQueueOn(qcap, cfg.Scratch.Frames(qcap+1)),
-		barP:          1,
-		neighborQueue: make(map[frame.NodeID]neighborLevel),
-		lastSeq:       make(map[frame.NodeID]uint32),
-		hasSeq:        make(map[frame.NodeID]bool),
+		cfg:   cfg,
+		queue: *frame.NewQueueOn(qcap, cfg.Scratch.Frames(qcap+1)),
+		barP:  1,
 	}
 	b.ackStartFn = func(a any) { b.transmitAck(a.(*frame.Frame)) }
 	b.ackDoneFn = func(a any) { b.cfg.FramePool.Put(a.(*frame.Frame)) }
@@ -326,7 +330,7 @@ func (b *Base) Medium() *radio.Medium { return b.cfg.Medium }
 func (b *Base) Clock() *superframe.Clock { return b.cfg.Clock }
 
 // Queue returns the transmit queue.
-func (b *Base) Queue() *frame.Queue { return b.queue }
+func (b *Base) Queue() *frame.Queue { return &b.queue }
 
 // Stats returns a copy of the counters.
 func (b *Base) Stats() Stats { return b.stats }
@@ -482,9 +486,8 @@ func (b *Base) Reboot() {
 		f := b.queue.Pop()
 		b.signalDone(f, false)
 	}
-	clear(b.neighborQueue)
+	b.neighbors = b.neighbors[:0]
 	clear(b.lastSeq)
-	clear(b.hasSeq)
 	// Barring state is volatile too: a freshly booted node has not heard a
 	// beacon yet, so it starts fully open and re-learns p at the next one.
 	b.barP = 1
@@ -579,20 +582,23 @@ func (b *Base) ResetQueueIntegral() {
 // freeze parameter-based exploration in a saturated network.
 func (b *Base) AvgNeighborQueue() float64 {
 	cutoff := b.cfg.Kernel.Now() - b.cfg.NeighborStaleAfter
+	// The levels are uint8, so the float64 sum is exact and the mean does
+	// not depend on the entry order the swap-removal leaves behind.
 	var sum float64
-	n := 0
-	for id, l := range b.neighborQueue {
-		if l.at < cutoff {
-			delete(b.neighborQueue, id)
+	for i := 0; i < len(b.neighbors); {
+		if b.neighbors[i].at < cutoff {
+			last := len(b.neighbors) - 1
+			b.neighbors[i] = b.neighbors[last]
+			b.neighbors = b.neighbors[:last]
 			continue
 		}
-		sum += float64(l.level)
-		n++
+		sum += float64(b.neighbors[i].level)
+		i++
 	}
-	if n == 0 {
+	if len(b.neighbors) == 0 {
 		return 0
 	}
-	return sum / float64(n)
+	return sum / float64(len(b.neighbors))
 }
 
 // SendFrame transmits f now at the reference (maximum) power and reports
@@ -749,7 +755,7 @@ func (b *Base) Deliver(f *frame.Frame) {
 		b.cfg.OnOverhear(f)
 	}
 	if f.Kind != frame.Ack && f.Src != b.cfg.ID {
-		b.neighborQueue[f.Src] = neighborLevel{level: f.QueueLevel, at: now}
+		b.noteNeighbor(f.Src, f.QueueLevel, now)
 	}
 
 	switch {
@@ -762,6 +768,18 @@ func (b *Base) Deliver(f *frame.Frame) {
 	case f.IsBroadcast():
 		b.handleBroadcast(f)
 	}
+}
+
+// noteNeighbor records the queue level id advertised at now, replacing its
+// previous entry.
+func (b *Base) noteNeighbor(id frame.NodeID, level uint8, now sim.Time) {
+	for i := range b.neighbors {
+		if b.neighbors[i].id == id {
+			b.neighbors[i].level, b.neighbors[i].at = level, now
+			return
+		}
+	}
+	b.neighbors = append(b.neighbors, neighborLevel{id: id, level: level, at: now})
 }
 
 func (b *Base) handleAck(f *frame.Frame) {
@@ -840,10 +858,12 @@ func (b *Base) acceptData(f *frame.Frame) {
 }
 
 func (b *Base) isDuplicate(f *frame.Frame) bool {
-	if b.hasSeq[f.Origin] && f.Seq <= b.lastSeq[f.Origin] {
+	if last, ok := b.lastSeq[f.Origin]; ok && f.Seq <= last {
 		return true
 	}
-	b.hasSeq[f.Origin] = true
+	if b.lastSeq == nil {
+		b.lastSeq = make(map[frame.NodeID]uint32)
+	}
 	b.lastSeq[f.Origin] = f.Seq
 	return false
 }

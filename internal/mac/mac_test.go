@@ -134,24 +134,47 @@ func TestDoneCallbackFiresOnce(t *testing.T) {
 }
 
 func TestDuplicateRejection(t *testing.T) {
-	r := newRig(t, 2, nil)
-	delivered := 0
-	cfg := Config{OnSinkDeliver: func(*frame.Frame) { delivered++ }}
-	r = newRig(t, 2, []Config{{}, cfg})
-	// Same (origin, seq) twice: second is a duplicate but still ACKed.
-	r.bases[1].Deliver(testData(0, 1, 7))
-	r.k.RunAll()
-	r.bases[1].Deliver(testData(0, 1, 7))
-	r.k.RunAll()
-	st := r.bases[1].Stats()
-	if st.Delivered != 1 || st.Duplicates != 1 {
-		t.Errorf("stats: %+v", st)
+	// Each step delivers Data(origin 0, seq) to node 1, after a power cycle
+	// of node 1 when reboot is set. Every copy is ACKed, duplicates included.
+	type step struct {
+		seq    uint32
+		reboot bool
 	}
-	if st.AcksSent != 2 {
-		t.Errorf("AcksSent = %d, want 2 (duplicates are re-ACKed)", st.AcksSent)
-	}
-	if delivered != 1 {
-		t.Errorf("sink deliveries = %d, want 1", delivered)
+	for _, tc := range []struct {
+		name           string
+		steps          []step
+		delivered, dup uint64
+	}{
+		{"same seq twice", []step{{seq: 7}, {seq: 7}}, 1, 1},
+		{"older seq after newer", []step{{seq: 7}, {seq: 3}}, 1, 1},
+		{"newer seq after older", []step{{seq: 3}, {seq: 7}}, 2, 0},
+		// Seq 0 from an origin never heard before is fresh, not a repeat of
+		// a missing entry's zero value.
+		{"first frame seq 0", []step{{seq: 0}}, 1, 0},
+		{"seq 0 repeated", []step{{seq: 0}, {seq: 0}}, 1, 1},
+		{"reboot forgets history", []step{{seq: 0}, {seq: 0, reboot: true}}, 2, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			delivered := uint64(0)
+			r := newRig(t, 2, []Config{{}, {OnSinkDeliver: func(*frame.Frame) { delivered++ }}})
+			for _, st := range tc.steps {
+				if st.reboot {
+					r.bases[1].Reboot()
+				}
+				r.bases[1].Deliver(testData(0, 1, st.seq))
+				r.k.RunAll()
+			}
+			st := r.bases[1].Stats()
+			if st.Delivered != tc.delivered || st.Duplicates != tc.dup {
+				t.Errorf("Delivered/Duplicates = %d/%d, want %d/%d", st.Delivered, st.Duplicates, tc.delivered, tc.dup)
+			}
+			if want := uint64(len(tc.steps)); st.AcksSent != want {
+				t.Errorf("AcksSent = %d, want %d (duplicates are re-ACKed)", st.AcksSent, want)
+			}
+			if delivered != tc.delivered {
+				t.Errorf("sink deliveries = %d, want %d", delivered, tc.delivered)
+			}
+		})
 	}
 }
 
@@ -253,20 +276,80 @@ func TestQueueLevelIntegral(t *testing.T) {
 }
 
 func TestNeighborQueueStaleness(t *testing.T) {
-	r := newRig(t, 2, nil)
-	b := r.bases[0]
-	f := testData(1, 0, 1)
-	f.QueueLevel = 6
-	b.Deliver(f)
-	if got := b.AvgNeighborQueue(); got != 6 {
-		t.Fatalf("AvgNeighborQueue = %v, want 6", got)
+	sf := superframe.DefaultConfig().SuperframeDuration()
+	// overhear delivers a data frame from src that is not addressed to node
+	// 0, so it only feeds the neighbour table.
+	overhear := func(b *Base, src frame.NodeID, level uint8) {
+		f := testData(src, 9, 1)
+		f.QueueLevel = level
+		b.Deliver(f)
 	}
-	// After the staleness window the entry must be gone (the saturation
-	// deadlock guard).
-	r.k.Run(17 * superframe.DefaultConfig().SuperframeDuration())
-	if got := b.AvgNeighborQueue(); got != 0 {
-		t.Fatalf("stale AvgNeighborQueue = %v, want 0", got)
+	for _, tc := range []struct {
+		name string
+		run  func(r *rig, b *Base)
+		want float64
+	}{
+		{"single fresh entry", func(r *rig, b *Base) { overhear(b, 1, 6) }, 6},
+		// After the staleness window the entry must be gone (the saturation
+		// deadlock guard).
+		{"single stale entry", func(r *rig, b *Base) {
+			overhear(b, 1, 6)
+			r.k.Run(17 * sf)
+		}, 0},
+		{"neighbour heard twice counts once at its latest level", func(r *rig, b *Base) {
+			overhear(b, 1, 2)
+			overhear(b, 1, 6)
+		}, 6},
+		{"stale entry dropped, fresh one averaged", func(r *rig, b *Base) {
+			overhear(b, 1, 6)
+			r.k.Run(10 * sf)
+			overhear(b, 2, 2)
+			r.k.Run(17 * sf)
+		}, 2},
+		{"acks and own frames ignored", func(r *rig, b *Base) {
+			b.Deliver(&frame.Frame{Kind: frame.Ack, Src: 1, Dst: 2, Seq: 1, QueueLevel: 8, MPDUBytes: frame.AckMPDUBytes})
+			overhear(b, 0, 8)
+			overhear(b, 2, 3)
+		}, 3},
+		{"reboot forgets everything", func(r *rig, b *Base) {
+			overhear(b, 1, 6)
+			overhear(b, 2, 4)
+			b.Reboot()
+		}, 0},
+		{"relearned after reboot", func(r *rig, b *Base) {
+			overhear(b, 1, 6)
+			b.Reboot()
+			overhear(b, 1, 1)
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 3, nil)
+			b := r.bases[0]
+			tc.run(r, b)
+			if got := b.AvgNeighborQueue(); got != tc.want {
+				t.Errorf("AvgNeighborQueue = %v, want %v", got, tc.want)
+			}
+		})
 	}
+	// The table sits on the per-decision path: averaging it and refreshing
+	// an already known neighbour allocate nothing.
+	t.Run("no allocations", func(t *testing.T) {
+		r := newRig(t, 3, nil)
+		b := r.bases[0]
+		overhear(b, 1, 3)
+		overhear(b, 2, 5)
+		f := testData(1, 9, 1)
+		f.QueueLevel = 3
+		if n := testing.AllocsPerRun(100, func() { b.AvgNeighborQueue() }); n != 0 {
+			t.Errorf("AvgNeighborQueue: %v allocs/op, want 0", n)
+		}
+		if n := testing.AllocsPerRun(100, func() { b.Deliver(f) }); n != 0 {
+			t.Errorf("Deliver from a known neighbour: %v allocs/op, want 0", n)
+		}
+		if got := b.AvgNeighborQueue(); got != 4 {
+			t.Errorf("AvgNeighborQueue = %v, want 4", got)
+		}
+	})
 }
 
 func TestCommandHook(t *testing.T) {

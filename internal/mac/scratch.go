@@ -9,7 +9,7 @@ import "qma/internal/frame"
 const scratchChunk = 16384
 
 // Scratch is a bump arena for the per-node hot state of one simulation run:
-// Q-table backing, policy rows, action counters and transmit-queue buffers.
+// Q-table backing, policy rows and transmit-queue buffers.
 // Handing every node's state out of a few large blocks keeps the data of
 // neighbouring nodes contiguous in memory — the learner's inner loops
 // (MaxQ, Update) walk these rows millions of times per run and are
@@ -25,7 +25,6 @@ type Scratch struct {
 	i16    slab[int16]
 	i8     slab[int8]
 	ints   slab[int]
-	u64    slab[uint64]
 	frames slab[*frame.Frame]
 }
 
@@ -61,14 +60,6 @@ func (s *Scratch) Ints(n int) []int {
 	return s.ints.alloc(n)
 }
 
-// Uint64s returns a zeroed slab slice of n uint64s.
-func (s *Scratch) Uint64s(n int) []uint64 {
-	if s == nil {
-		return make([]uint64, n)
-	}
-	return s.u64.alloc(n)
-}
-
 // Frames returns a zeroed slab slice of n frame pointers (transmit-queue
 // backing).
 func (s *Scratch) Frames(n int) []*frame.Frame {
@@ -90,7 +81,6 @@ func (s *Scratch) Reset() {
 	s.i16.reset()
 	s.i8.reset()
 	s.ints.reset()
-	s.u64.reset()
 	s.frames.reset()
 }
 

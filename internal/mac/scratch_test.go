@@ -22,9 +22,6 @@ func TestScratchNilReceiver(t *testing.T) {
 	if got := s.Ints(6); len(got) != 6 {
 		t.Errorf("nil Ints len = %d", len(got))
 	}
-	if got := s.Uint64s(7); len(got) != 7 {
-		t.Errorf("nil Uint64s len = %d", len(got))
-	}
 	if got := s.Frames(8); len(got) != 8 {
 		t.Errorf("nil Frames len = %d", len(got))
 	}
@@ -117,7 +114,7 @@ func TestScratchTypesIndependent(t *testing.T) {
 	f := s.Float64s(8)
 	i16 := s.Int16s(8)
 	i8 := s.Int8s(8)
-	u := s.Uint64s(8)
+	u := s.Ints(8)
 	for i := 0; i < 8; i++ {
 		f[i] = 1
 		i16[i] = 2

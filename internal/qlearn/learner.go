@@ -66,16 +66,33 @@ func (l *Learner) Observe(s, a int, r float64, next int) float64 {
 	l.updates++
 	stored, improved := l.table.Update(s, a, r, next)
 	if improved || l.reevalOnDecay {
-		best := l.policy[s]
-		bestQ := l.table.Q(s, best)
-		for cand := 0; cand < l.table.Actions(); cand++ {
+		l.reevaluate(s)
+	}
+	return stored
+}
+
+// reevaluate applies Eq. 3 to state s: π(s) moves to the best action whose
+// value strictly exceeds the incumbent's, the smallest index among equals.
+// That is ArgMax(s) whenever MaxQ(s) beats the incumbent, so the common case
+// costs two table reads. The exception is a NaN in the row's first entry,
+// which only a FloatTable can hold (RuleStandard stores NaN for a NaN
+// reward): MaxQ and ArgMax then stop at that entry, so the row is scanned
+// explicitly, skipping NaNs as the strict comparison does everywhere else.
+func (l *Learner) reevaluate(s int) {
+	inc := l.policy[s]
+	incQ := l.table.Q(s, inc)
+	switch maxQ := l.table.MaxQ(s); {
+	case maxQ > incQ:
+		l.policy[s] = l.table.ArgMax(s)
+	case maxQ != maxQ:
+		best, bestQ := inc, incQ
+		for cand, n := 0, l.table.Actions(); cand < n; cand++ {
 			if q := l.table.Q(s, cand); q > bestQ {
 				best, bestQ = cand, q
 			}
 		}
 		l.policy[s] = best
 	}
-	return stored
 }
 
 // CumulativePolicyQ reports Σ_s Q(s, π(s)) — the stability metric plotted in

@@ -306,7 +306,7 @@ func indexedDynDriver(k *sim.Kernel, topo Topology, seed uint64, ge GilbertEllio
 	}
 	return &dynMediumDriver{
 		cca: m.CCA, setTuned: m.SetTuned,
-		startTX: func(id frame.NodeID, f *frame.Frame) sim.Time { return m.StartTX(id, f, 0) },
+		startTX:      func(id frame.NodeID, f *frame.Frame) sim.Time { return m.StartTX(id, f, 0) },
 		transmitting: m.Transmitting, register: m.Attach, stats: m.Stats,
 		move:       m.MoveNode,
 		setPresent: m.SetPresent,
@@ -592,7 +592,7 @@ func TestBusyCountersBalanceUnderChurn(t *testing.T) {
 	script := randomDynScript(rng, n, 800, side, true)
 	drv := &dynMediumDriver{
 		cca: m.CCA, setTuned: m.SetTuned,
-		startTX: func(id frame.NodeID, f *frame.Frame) sim.Time { return m.StartTX(id, f, 0) },
+		startTX:      func(id frame.NodeID, f *frame.Frame) sim.Time { return m.StartTX(id, f, 0) },
 		transmitting: m.Transmitting,
 		register:     func(frame.NodeID, Handler) {},
 		stats:        m.Stats,

@@ -238,11 +238,10 @@ type NodeResult struct {
 	// (reference-power remainder first). Nil unless some node of the run
 	// transmitted at reduced power (see radio.Medium.TxAirtimeByPower).
 	PowerAirtime []radio.PowerAirtime
-	// QMA-only: engine counters, final policy, per-subslot action counts and
-	// sampled series (nil/empty for CSMA nodes or when sampling is off).
-	Engine       core.Stats
-	Policy       []int
-	ActionCounts [][core.NumActions]uint64
+	// QMA-only: engine counters, final policy and sampled series (nil/empty
+	// for CSMA nodes or when sampling is off).
+	Engine core.Stats
+	Policy []int
 	// TableBytes is the Q-table's value-storage footprint in bytes — the
 	// §3.2 resource figure for the selected representation (0 for CSMA
 	// nodes, which hold no table).
@@ -828,7 +827,6 @@ func (r *run) collect() {
 		if q := r.qma[i]; q != nil {
 			node.Engine = q.EngineStats()
 			node.Policy = q.Learner().PolicySnapshot()
-			node.ActionCounts = q.ActionCounts()
 			node.TableBytes = q.Learner().Table().MemoryBytes()
 		}
 	}
