@@ -116,14 +116,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	wantDynamics := *dynamics || *geBad > 0
-	if wantDynamics && (*scale > 0 || *useDSME || *mmtc > 0) {
-		return fail(fmt.Errorf("-dynamics/-ge-bad are only supported on the plain contention path (not -scale, -dsme or -mmtc)"))
-	}
-	if flt.enabled() && (*scale > 0 || *useDSME || *mmtc > 0) {
-		return fail(fmt.Errorf("-fault-* flags are only supported on the plain contention path (not -scale, -dsme or -mmtc)"))
-	}
-	if (*barringPolicy != "" || *dropPolicy != "") && (*scale > 0 || *useDSME || *mmtc > 0) {
-		return fail(fmt.Errorf("-barring/-drop-policy are only supported on the plain contention path (not -scale, -dsme or -mmtc)"))
+	plainOnly := wantDynamics || flt.enabled() || *barringPolicy != "" || *dropPolicy != ""
+	if plainOnly && (*scale > 0 || *useDSME || *mmtc > 0) {
+		return fail(fmt.Errorf("-dynamics/-ge-bad, -fault-* and -barring/-drop-policy are only supported on the plain contention path (not -scale, -dsme or -mmtc)"))
 	}
 	if *loadMult <= 0 {
 		return fail(fmt.Errorf("-load-mult %g must be positive", *loadMult))
@@ -138,23 +133,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(fmt.Errorf("-mac-opt/-capture-db are not supported on the -mmtc path"))
 		case *summaryOnly:
 			return fail(fmt.Errorf("-summary-only is implied by -mmtc (the sharded runner never holds per-node results)"))
-		case *warmup >= *duration:
-			return fail(fmt.Errorf("-warmup %g must be below -duration %g (no time left to measure)", *warmup, *duration))
 		}
+	} else if *cellsSpec != "" {
+		return fail(fmt.Errorf("-cells requires -mmtc"))
+	}
+	if (*mmtc > 0 || *scale > 0) && *warmup >= *duration {
+		return fail(fmt.Errorf("-warmup %g must be below -duration %g (no time left to measure)", *warmup, *duration))
+	}
+
+	if *mmtc > 0 {
 		cx, cy, err := parseCells(*cellsSpec)
 		if err != nil {
 			return fail(err)
 		}
 		return runMMTC(stdout, stderr, *mmtc, cx, cy, *degree, mk, rate, *duration, *warmup, *seed, *parallel)
 	}
-	if *cellsSpec != "" {
-		return fail(fmt.Errorf("-cells requires -mmtc"))
-	}
-
 	if *scale > 0 {
-		if *warmup >= *duration {
-			return fail(fmt.Errorf("-warmup %g must be below -duration %g (no time left to measure)", *warmup, *duration))
-		}
 		return runScale(stdout, stderr, *scale, *degree, mk, macOpts.kv, *captureDB, rate, *duration, *warmup, *seed, *summaryOnly)
 	}
 

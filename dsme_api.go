@@ -1,12 +1,10 @@
 package qma
 
 import (
-	"errors"
 	"fmt"
 
 	"qma/internal/dsme"
 	"qma/internal/markov"
-	"qma/internal/scenario"
 	"qma/internal/sim"
 	"qma/internal/traffic"
 )
@@ -60,36 +58,44 @@ type DSMEResult struct {
 
 // Validate reports the first configuration problem, or nil.
 func (s *DSMEScenario) Validate() error {
-	switch {
-	case s.Topology == nil:
-		return errors.New("qma: DSMEScenario.Topology is required")
-	case s.DurationSeconds <= 0:
-		return errors.New("qma: DSMEScenario.DurationSeconds must be positive")
-	case s.WarmupSeconds < 0 || s.WarmupSeconds >= s.DurationSeconds:
-		return fmt.Errorf("qma: WarmupSeconds=%v out of [0, duration)", s.WarmupSeconds)
-	case s.Table < TableFloat || s.Table > TableQuant:
-		return fmt.Errorf("qma: unknown table kind %d", s.Table)
-	}
-	return s.MAC.validate()
+	_, err := s.config()
+	return err
 }
 
-// Run executes the scenario and returns its metrics.
-func (s *DSMEScenario) Run() (*DSMEResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
+// config converts s to the DSME run config. It checks the MAC name and the
+// int table kind, which the public form owns, and returns
+// dsme.ScenarioConfig.Validate for every rule about the run itself.
+func (s *DSMEScenario) config() (dsme.ScenarioConfig, error) {
 	cfg := dsme.ScenarioConfig{
-		Network:         s.Topology.net,
+		Network:         s.Topology.network(),
 		MAC:             s.MAC.kind(),
 		Seed:            s.Seed,
 		Duration:        sim.FromSeconds(s.DurationSeconds),
 		Warmup:          sim.FromSeconds(s.WarmupSeconds),
 		BroadcastPeriod: sim.FromSeconds(s.BroadcastPeriodSeconds),
 	}
+	if _, err := s.MAC.protocol(); err != nil {
+		return cfg, err
+	}
+	var err error
+	if cfg.QMA.Table, err = s.Table.internal(); err != nil {
+		return cfg, err
+	}
 	cfg.QMA.Learn = s.Learn.internal()
-	cfg.QMA.Table = scenario.TableKind(s.Table)
 	for _, p := range s.Phases {
 		cfg.Phases = append(cfg.Phases, traffic.Phase{Rate: p.Rate, Duration: sim.FromSeconds(p.Seconds)})
+	}
+	if err := cfg.Validate(); err != nil {
+		return cfg, fmt.Errorf("qma: %w", err)
+	}
+	return cfg, nil
+}
+
+// Run executes the scenario and returns its metrics.
+func (s *DSMEScenario) Run() (*DSMEResult, error) {
+	cfg, err := s.config()
+	if err != nil {
+		return nil, err
 	}
 	res := dsme.RunScenario(cfg)
 	return &DSMEResult{

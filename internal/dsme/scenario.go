@@ -1,6 +1,7 @@
 package dsme
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -85,14 +86,34 @@ type ScenarioResult struct {
 	Truncated bool
 }
 
-// RunScenario executes a DSME data-collection run.
+// Validate reports the first configuration problem, or nil. RunScenario
+// panics with its error; the public qma facade returns it.
+func (cfg *ScenarioConfig) Validate() error {
+	switch {
+	case cfg.Network == nil:
+		return errors.New("network topology is required")
+	case cfg.Duration <= 0:
+		return fmt.Errorf("duration %v must be positive", cfg.Duration)
+	case cfg.Warmup < 0 || cfg.Warmup >= cfg.Duration:
+		return fmt.Errorf("warmup %v out of [0, duration)", cfg.Warmup)
+	}
+	if err := cfg.Barring.Validate(); err != nil {
+		return err
+	}
+	p, opts, err := scenario.ResolveMAC(cfg.MAC, cfg.QMA, nil)
+	if err != nil {
+		return err
+	}
+	return p.ValidateOptions(opts)
+}
+
+// RunScenario executes a DSME data-collection run. It panics with the
+// Validate error on a bad configuration.
 func RunScenario(cfg ScenarioConfig) *ScenarioResult {
-	if cfg.Network == nil {
-		panic("dsme: Network is required")
+	if err := cfg.Validate(); err != nil {
+		panic("dsme: " + err.Error())
 	}
-	if cfg.Duration <= 0 {
-		panic("dsme: Duration must be positive")
-	}
+	proto, macOpts, _ := scenario.ResolveMAC(cfg.MAC, cfg.QMA, nil)
 	if cfg.Phases == nil {
 		cfg.Phases = []traffic.Phase{
 			{Rate: 1, Duration: 5 * sim.Second},
@@ -146,7 +167,7 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 		if cfg.Barring.Enabled() {
 			barringRng = sim.NewRandStream(cfg.Seed, 4000+uint64(i))
 		}
-		engine := scenario.BuildEngine(cfg.MAC, scenario.DefaultQMAOptions(cfg.MAC, cfg.QMA), mac.Config{
+		engine := proto.New(mac.Config{
 			ID:         id,
 			Kernel:     kernel,
 			Medium:     medium,
@@ -155,7 +176,7 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 			FramePool:  pool,
 			Scratch:    scratch,
 			BarringRng: barringRng,
-		}, sim.NewRandStream(cfg.Seed, uint64(i)))
+		}, macOpts, sim.NewRandStream(cfg.Seed, uint64(i)))
 		node.AttachCAP(engine)
 		nodes[i] = node
 		medium.Attach(id, node)
@@ -165,9 +186,6 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 	}
 
 	if cfg.Barring.Enabled() {
-		if err := cfg.Barring.Validate(); err != nil {
-			panic(fmt.Sprintf("dsme: %v", err))
-		}
 		// The barring factor rides the beacon: once per beacon interval the
 		// sink folds the congestion it observed on the medium into the
 		// controller and the nodes pick the new factor up with the beacon.

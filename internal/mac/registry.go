@@ -140,14 +140,23 @@ func Build(name string, cfg Config, opts any, rng *sim.Rand) (Engine, error) {
 	if !ok {
 		return nil, fmt.Errorf("mac: unknown protocol %q (registered: %s)", name, RegisteredList())
 	}
-	if p.Validate != nil {
-		if err := p.Validate(opts); err != nil {
-			return nil, err
-		}
-	} else if opts != nil {
-		return nil, fmt.Errorf("mac: protocol %q takes no options, got %T", p.Name, opts)
+	if err := p.ValidateOptions(opts); err != nil {
+		return nil, err
 	}
 	return p.New(cfg, opts, rng), nil
+}
+
+// ValidateOptions checks opts through the protocol's Validate hook; a
+// protocol without one accepts only nil opts. Scenario runners call it once
+// per run and then build every node's engine with New directly.
+func (p *Protocol) ValidateOptions(opts any) error {
+	if p.Validate != nil {
+		return p.Validate(opts)
+	}
+	if opts != nil {
+		return fmt.Errorf("mac: protocol %q takes no options, got %T", p.Name, opts)
+	}
+	return nil
 }
 
 // OptionsError is the conventional complaint for a factory handed options of

@@ -7,6 +7,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -217,6 +218,128 @@ type Config struct {
 	OnEvalDeliver  func(origin frame.NodeID, createdAt, at sim.Time)
 }
 
+// Validate reports the first configuration problem, or nil. It holds every
+// rule about a run: build panics with its error, and the public qma facade
+// returns it after converting its own input, so no rule is written twice.
+func (cfg *Config) Validate() error {
+	switch {
+	case cfg.Network == nil:
+		return errors.New("network topology is required")
+	case cfg.Duration <= 0:
+		return fmt.Errorf("duration %v must be positive", cfg.Duration)
+	case cfg.SummaryOnly && cfg.SamplePeriod > 0:
+		return errors.New("SummaryOnly is incompatible with sampled series (per-node series need per-node results)")
+	case cfg.DropDeadline < 0:
+		return fmt.Errorf("drop deadline %v must not be negative", cfg.DropDeadline)
+	}
+	net := cfg.Network
+	n := net.NumNodes()
+	for _, tr := range cfg.Traffic {
+		switch {
+		case tr.Origin < 0 || int(tr.Origin) >= n:
+			return fmt.Errorf("traffic origin %d out of range [0,%d)", tr.Origin, n)
+		case len(tr.Phases) == 0:
+			return fmt.Errorf("traffic at node %d has no phases", tr.Origin)
+		case tr.Origin == net.Sink:
+			return fmt.Errorf("traffic origin %d is the sink", tr.Origin)
+		}
+		if _, ok := net.NextHop(tr.Origin, net.Sink); !ok {
+			return fmt.Errorf("traffic origin %d has no route to the sink", tr.Origin)
+		}
+	}
+	for _, b := range cfg.Broadcasts {
+		if b.Origin < 0 || int(b.Origin) >= n {
+			return fmt.Errorf("broadcast origin %d out of range [0,%d)", b.Origin, n)
+		}
+		if b.Period <= 0 {
+			return fmt.Errorf("broadcast at node %d needs a positive period", b.Origin)
+		}
+	}
+	if err := cfg.Dynamics.validate(net.Topology); err != nil {
+		return err
+	}
+	if err := cfg.Faults.Validate(n); err != nil {
+		return err
+	}
+	if err := cfg.Barring.Validate(); err != nil {
+		return err
+	}
+	p, opts, err := ResolveMAC(cfg.MAC, cfg.QMA, cfg.MACOptions)
+	if err != nil {
+		return err
+	}
+	return p.ValidateOptions(opts)
+}
+
+// validate checks the scheduled disturbances against the topology. The
+// Gilbert–Elliott messages name the public qma fields, which is where users
+// set the sojourn times.
+func (d *DynamicsConfig) validate(t radio.Topology) error {
+	g := d.Gilbert
+	switch {
+	case g.MeanGood < 0 || g.MeanBad < 0:
+		return errors.New("Gilbert–Elliott sojourn times must not be negative")
+	case (g.MeanGood > 0) != (g.MeanBad > 0):
+		return errors.New("Gilbert–Elliott needs both MeanGoodSeconds and MeanBadSeconds (or neither)")
+	case g.LossGood < 0 || g.LossGood > 1 || g.LossBad < 0 || g.LossBad > 1:
+		return errors.New("Gilbert–Elliott loss probabilities must lie in [0,1]")
+	}
+	n := t.NumNodes()
+	for _, f := range d.Fades {
+		switch {
+		case f.Node < 0 || int(f.Node) >= n:
+			return fmt.Errorf("fade node %d out of range [0,%d)", f.Node, n)
+		case f.At < 0:
+			return fmt.Errorf("fade at node %d scheduled in the past", f.Node)
+		case f.Duration <= 0:
+			return fmt.Errorf("fade at node %d needs a positive duration", f.Node)
+		}
+	}
+	for _, c := range d.Churn {
+		switch {
+		case c.Node < 0 || int(c.Node) >= n:
+			return fmt.Errorf("churn node %d out of range [0,%d)", c.Node, n)
+		case c.At < 0:
+			return fmt.Errorf("churn at node %d scheduled in the past", c.Node)
+		}
+	}
+	if len(d.Moves) > 0 {
+		// build moves a private clone, so the topology must be both.
+		_, mobile := t.(radio.MobileTopology)
+		_, cloneable := t.(radio.CloneableTopology)
+		if !mobile || !cloneable {
+			return errors.New("Dynamics.Moves require a position-based topology (Star17, FactoryHall)")
+		}
+	}
+	for _, m := range d.Moves {
+		switch {
+		case m.Node < 0 || int(m.Node) >= n:
+			return fmt.Errorf("move node %d out of range [0,%d)", m.Node, n)
+		case m.At < 0:
+			return fmt.Errorf("move at node %d scheduled in the past", m.Node)
+		}
+	}
+	return nil
+}
+
+// ResolveMAC looks up the run's protocol ("" selects QMA) and the options
+// its engines are built with: opts when set, else qmaOpts for QMA runs and
+// the protocol's defaults (nil) for everyone else. The DSME scenario shares
+// it, so both evaluation tracks resolve protocols alike.
+func ResolveMAC(kind MACKind, qmaOpts QMAOptions, opts any) (*mac.Protocol, any, error) {
+	if kind == "" {
+		kind = QMA
+	}
+	p, ok := mac.Lookup(string(kind))
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown MAC protocol %q (registered: %s)", kind, mac.RegisteredList())
+	}
+	if opts == nil && p.Name == string(QMA) {
+		opts = qmaOpts
+	}
+	return p, opts, nil
+}
+
 // NodeResult carries everything measured at one node.
 type NodeResult struct {
 	// ID is the dense node id, Label the paper's name for it.
@@ -357,14 +480,16 @@ type run struct {
 	scratch *mac.Scratch
 	clock   *superframe.Clock
 	medium  *radio.Medium
+	proto   *mac.Protocol
+	macOpts any // resolved protocol options, validated once per run
 	engines []mac.Engine
 	qma     []*core.Engine // nil entries for CSMA runs
 	result  *Result
 }
 
-// Run executes the scenario and returns its metrics. It panics on
-// configuration errors (scenario assembly is programmer-controlled) but
-// never on simulation behaviour.
+// Run executes the scenario and returns its metrics. It panics with the
+// Config.Validate error on configuration errors (scenario assembly is
+// programmer-controlled) but never on simulation behaviour.
 func Run(cfg Config) *Result {
 	return RunWithEngines(cfg).Result
 }
@@ -386,12 +511,10 @@ func RunWithEngines(cfg Config) *Output {
 
 // build assembles kernel, medium, engines, traffic and instrumentation.
 func build(cfg Config) *run {
-	if cfg.Network == nil {
-		panic("scenario: Network is required")
+	if err := cfg.Validate(); err != nil {
+		panic("scenario: " + err.Error())
 	}
-	if cfg.Duration <= 0 {
-		panic("scenario: Duration must be positive")
-	}
+	proto, macOpts, _ := ResolveMAC(cfg.MAC, cfg.QMA, cfg.MACOptions)
 	sfCfg := cfg.Superframe
 	if sfCfg == (superframe.Config{}) {
 		sfCfg = superframe.DefaultConfig()
@@ -408,17 +531,8 @@ func build(cfg Config) *run {
 	topology := cfg.Network.Topology
 	if len(cfg.Dynamics.Moves) > 0 {
 		// Moves mutate positions; run on a private clone so the Network
-		// stays shareable across parallel replications. Any mobile topology
-		// must therefore also be cloneable.
-		c, ok := topology.(radio.CloneableTopology)
-		if !ok {
-			panic(fmt.Sprintf("scenario: Dynamics.Moves require a cloneable position-based topology, got %T", topology))
-		}
-		clone := c.CloneTopology()
-		if _, ok := clone.(radio.MobileTopology); !ok {
-			panic(fmt.Sprintf("scenario: Dynamics.Moves require a topology supporting MoveNode, got %T", topology))
-		}
-		topology = clone
+		// stays shareable across parallel replications.
+		topology = topology.(radio.CloneableTopology).CloneTopology()
 	}
 	medium := radio.NewMedium(kernel, topology, sim.NewRandStream(cfg.Seed, 1000))
 	if cfg.CaptureThresholdDB > 0 {
@@ -442,9 +556,6 @@ func build(cfg Config) *run {
 	}
 	result := &Result{Clock: clock, Duration: cfg.Duration}
 	if cfg.SummaryOnly {
-		if cfg.SamplePeriod > 0 {
-			panic("scenario: SummaryOnly is incompatible with SamplePeriod (per-node series need per-node results)")
-		}
 		result.Summary = &Summary{}
 	} else {
 		result.Nodes = make([]NodeResult, n)
@@ -456,6 +567,8 @@ func build(cfg Config) *run {
 		scratch: scratch,
 		clock:   clock,
 		medium:  medium,
+		proto:   proto,
+		macOpts: macOpts,
 		engines: make([]mac.Engine, n),
 		qma:     make([]*core.Engine, n),
 		result:  result,
@@ -476,15 +589,9 @@ func build(cfg Config) *run {
 		r.engines[i].Start()
 	}
 	if cfg.Faults.Enabled() {
-		if err := cfg.Faults.Validate(n); err != nil {
-			panic(fmt.Sprintf("scenario: %v", err))
-		}
 		armFaults(kernel, clock, r.engines, cfg.Faults)
 	}
 	if cfg.Barring.Enabled() {
-		if err := cfg.Barring.Validate(); err != nil {
-			panic(fmt.Sprintf("scenario: %v", err))
-		}
 		r.armBarring()
 	}
 	if cfg.MeasureFrom > 0 {
@@ -675,53 +782,9 @@ func (r *run) macConfig(id frame.NodeID) mac.Config {
 }
 
 func (r *run) buildEngine(id frame.NodeID) mac.Engine {
-	rng := sim.NewRandStream(r.cfg.Seed, uint64(id))
-	opts := r.cfg.MACOptions
-	if opts == nil {
-		opts = DefaultQMAOptions(r.cfg.MAC, r.cfg.QMA)
-	}
-	e := BuildEngine(r.cfg.MAC, opts, r.macConfig(id), rng)
+	e := r.proto.New(r.macConfig(id), r.macOpts, sim.NewRandStream(r.cfg.Seed, uint64(id)))
 	if q, ok := e.(*core.Engine); ok {
 		r.qma[id] = q
-	}
-	return e
-}
-
-// DefaultQMAOptions resolves the Config.QMA convenience fallback: configs
-// carry a QMAOptions value unconditionally, but it only applies when the
-// selected protocol actually is QMA — every other protocol defaults (nil).
-// Keeping the coercion here, at the fallback call sites, lets BuildEngine
-// reject explicitly misconfigured MACOptions loudly instead of masking them.
-func DefaultQMAOptions(kind MACKind, qmaOpts QMAOptions) any {
-	if kind == "" {
-		return qmaOpts
-	}
-	if p, ok := mac.Lookup(string(kind)); ok && p.Name == string(QMA) {
-		return qmaOpts
-	}
-	return nil
-}
-
-// BuildEngine constructs a MAC engine of the requested kind over macCfg by
-// resolving the protocol registry. The DSME scenario builder (internal/dsme)
-// shares it so that both evaluation tracks run byte-identical engines.
-//
-// opts carries protocol-specific options (nil = defaults) and must match the
-// protocol's registered options type — handing e.g. QMAOptions to a CSMA run
-// panics via the protocol's Validate. Callers threading a config-level
-// QMAOptions value unconditionally resolve it through DefaultQMAOptions
-// first.
-//
-// It panics on an unknown protocol or rejected options: scenario assembly is
-// programmer-controlled, and the public qma API validates protocol names
-// before reaching this point.
-func BuildEngine(kind MACKind, opts any, macCfg mac.Config, rng *sim.Rand) mac.Engine {
-	if kind == "" {
-		kind = QMA
-	}
-	e, err := mac.Build(string(kind), macCfg, opts, rng)
-	if err != nil {
-		panic(fmt.Sprintf("scenario: %v", err))
 	}
 	return e
 }
@@ -733,10 +796,7 @@ func (r *run) buildTraffic() {
 		if seqs[spec.Origin] == nil {
 			seqs[spec.Origin] = new(uint32)
 		}
-		firstHop, ok := r.cfg.Network.NextHop(spec.Origin, r.cfg.Network.Sink)
-		if !ok {
-			panic(fmt.Sprintf("scenario: node %d has no route to the sink", spec.Origin))
-		}
+		firstHop, _ := r.cfg.Network.NextHop(spec.Origin, r.cfg.Network.Sink) // Validate checked the route
 		var node *NodeResult
 		if r.result.Summary == nil {
 			node = &r.result.Nodes[spec.Origin]

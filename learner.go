@@ -30,16 +30,17 @@ func NewLearner(states, actions int, p LearnParams, kind TableKind, defaultActio
 	if defaultAction < 0 || defaultAction >= actions {
 		return nil, fmt.Errorf("qma: default action %d out of range [0,%d)", defaultAction, actions)
 	}
+	if _, err := kind.internal(); err != nil {
+		return nil, err
+	}
 	var table qlearn.Table
 	switch kind {
-	case TableFloat:
-		table = qlearn.NewFloatTable(states, actions, p.internal())
 	case TableFixed:
 		table = qlearn.NewFixedTable(states, actions, qlearn.DefaultFixedParams())
 	case TableQuant:
 		table = qlearn.NewQuantTable(states, actions, qlearn.DefaultQuantParams())
 	default:
-		return nil, fmt.Errorf("qma: unknown table kind %d", kind)
+		table = qlearn.NewFloatTable(states, actions, p.internal())
 	}
 	return &Learner{inner: qlearn.NewLearner(table, defaultAction), kind: kind}, nil
 }

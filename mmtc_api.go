@@ -113,7 +113,8 @@ func (s *MMTCScenario) Validate() error {
 	case s.Degree < 0:
 		return errors.New("qma: MMTCScenario.Degree must not be negative")
 	}
-	return s.MAC.validate()
+	_, err := s.MAC.protocol()
+	return err
 }
 
 // Run executes the sharded simulation.

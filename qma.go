@@ -23,6 +23,7 @@ package qma
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"qma/internal/aloha"
 	"qma/internal/bandit"
@@ -81,29 +82,14 @@ func (m MAC) kind() scenario.MACKind {
 	return scenario.MACKind(m)
 }
 
-// canonical resolves aliases to the canonical registry key ("" stays the
-// QMA default), so comparisons against the exported constants hold for
-// aliases like "mab" too. Unregistered values pass through unchanged —
-// Validate rejects them separately.
-func (m MAC) canonical() MAC {
-	if m == "" {
-		return QMA
+// protocol resolves m against the protocol registry ("" selects QMA),
+// reporting unregistered keys as ErrUnknownMAC.
+func (m MAC) protocol() (*mac.Protocol, error) {
+	p, ok := mac.Lookup(string(m.kind()))
+	if !ok {
+		return nil, fmt.Errorf("%w %q (registered: %s)", ErrUnknownMAC, string(m), mac.RegisteredList())
 	}
-	if p, ok := mac.Lookup(string(m)); ok {
-		return MAC(p.Name)
-	}
-	return m
-}
-
-// validate resolves m against the protocol registry ("" selects QMA).
-func (m MAC) validate() error {
-	if m == "" {
-		return nil
-	}
-	if _, ok := mac.Lookup(string(m)); !ok {
-		return fmt.Errorf("%w %q (registered: %s)", ErrUnknownMAC, string(m), mac.RegisteredList())
-	}
-	return nil
+	return p, nil
 }
 
 // MACs lists the registered channel access protocols by canonical key.
@@ -120,13 +106,9 @@ func MACs() []MAC {
 // ("unslotted", "slotted", ...) to its canonical MAC value. The empty
 // string resolves to QMA, mirroring the zero value of the MAC type.
 func ParseMAC(s string) (MAC, error) {
-	if s == "" {
-		return QMA, nil
-	}
-	p, ok := mac.Lookup(s)
-	if !ok {
-		m := MAC(s)
-		return "", m.validate() // composes the ErrUnknownMAC message
+	p, err := MAC(s).protocol()
+	if err != nil {
+		return "", err
 	}
 	return MAC(p.Name), nil
 }
@@ -143,6 +125,16 @@ const (
 	// TableQuant is the saturating 8-bit table (paper §7 future work).
 	TableQuant
 )
+
+// internal converts k to the engine's table kind. The range check guards
+// the narrowing to the 8-bit core.TableKind, which would wrap e.g. 256 onto
+// TableFloat.
+func (k TableKind) internal() (core.TableKind, error) {
+	if k < TableFloat || k > TableQuant {
+		return 0, fmt.Errorf("qma: unknown table kind %d", k)
+	}
+	return core.TableKind(k), nil
+}
 
 // LearnParams are the Q-learning hyperparameters (paper Eq. 5). The zero
 // value selects the paper's α=0.5, γ=0.9, ξ=2, Q₀=−10.
@@ -485,145 +477,8 @@ type Result struct {
 
 // Validate reports the first configuration problem, or nil.
 func (s *Scenario) Validate() error {
-	switch {
-	case s.Topology == nil:
-		return errors.New("qma: Scenario.Topology is required")
-	case s.DurationSeconds <= 0:
-		return errors.New("qma: Scenario.DurationSeconds must be positive")
-	}
-	if err := s.MAC.validate(); err != nil {
-		return err
-	}
-	if s.Table < TableFloat || s.Table > TableQuant {
-		return fmt.Errorf("qma: unknown table kind %d", s.Table)
-	}
-	if s.CaptureThresholdDB < 0 {
-		return fmt.Errorf("qma: CaptureThresholdDB=%g must not be negative (0 disables capture)", s.CaptureThresholdDB)
-	}
-	if s.SummaryOnly && s.SampleSeries {
-		return errors.New("qma: SummaryOnly is incompatible with SampleSeries (series are per-node results)")
-	}
-	if len(s.MACOptions) > 0 {
-		if _, err := s.resolveMACOptions(nil); err != nil {
-			return err
-		}
-	}
-	n := s.Topology.net.NumNodes()
-	for _, tr := range s.Traffic {
-		if tr.Origin < 0 || tr.Origin >= n {
-			return fmt.Errorf("qma: traffic origin %d out of range [0,%d)", tr.Origin, n)
-		}
-		if len(tr.Phases) == 0 {
-			return fmt.Errorf("qma: traffic at node %d has no phases", tr.Origin)
-		}
-		if tr.Origin == int(s.Topology.net.Sink) {
-			return fmt.Errorf("qma: traffic origin %d is the sink", tr.Origin)
-		}
-	}
-	for _, b := range s.Broadcasts {
-		if b.Origin < 0 || b.Origin >= n {
-			return fmt.Errorf("qma: broadcast origin %d out of range [0,%d)", b.Origin, n)
-		}
-		if b.PeriodSeconds <= 0 {
-			return fmt.Errorf("qma: broadcast at node %d needs a positive period", b.Origin)
-		}
-	}
-	if _, err := s.Explorer.internal(); err != nil {
-		return err
-	}
-	if err := s.validateDynamics(); err != nil {
-		return err
-	}
-	if err := s.validateFaults(); err != nil {
-		return err
-	}
-	return s.validateBarring()
-}
-
-// validateBarring checks the Barring block and the drop-policy knobs by
-// converting to the internal forms and running their own validators, so the
-// public and internal layers can never drift apart.
-func (s *Scenario) validateBarring() error {
-	if s.Barring != nil {
-		cfg := s.Barring.internal()
-		if err := cfg.Validate(); err != nil {
-			return fmt.Errorf("qma: %w", err)
-		}
-	}
-	if _, err := mac.ParseDropPolicy(s.DropPolicy); err != nil {
-		return fmt.Errorf("qma: %w", err)
-	}
-	if s.DropDeadlineSeconds < 0 {
-		return fmt.Errorf("qma: DropDeadlineSeconds=%g must not be negative", s.DropDeadlineSeconds)
-	}
-	return nil
-}
-
-// validateDynamics checks the Dynamics block against the topology.
-func (s *Scenario) validateDynamics() error {
-	d := s.Dynamics
-	if d == nil {
-		return nil
-	}
-	n := s.Topology.net.NumNodes()
-	g := d.Channel
-	if g.MeanGoodSeconds < 0 || g.MeanBadSeconds < 0 {
-		return errors.New("qma: Gilbert–Elliott sojourn times must not be negative")
-	}
-	if (g.MeanGoodSeconds > 0) != (g.MeanBadSeconds > 0) {
-		return errors.New("qma: Gilbert–Elliott needs both MeanGoodSeconds and MeanBadSeconds (or neither)")
-	}
-	if g.LossGood < 0 || g.LossGood > 1 || g.LossBad < 0 || g.LossBad > 1 {
-		return errors.New("qma: Gilbert–Elliott loss probabilities must lie in [0,1]")
-	}
-	for _, f := range d.Fades {
-		if f.Node < 0 || f.Node >= n {
-			return fmt.Errorf("qma: fade node %d out of range [0,%d)", f.Node, n)
-		}
-		if f.AtSeconds < 0 {
-			return fmt.Errorf("qma: fade at node %d scheduled in the past", f.Node)
-		}
-		if f.ForSeconds <= 0 {
-			return fmt.Errorf("qma: fade at node %d needs a positive duration", f.Node)
-		}
-	}
-	for _, c := range d.Churn {
-		if c.Node < 0 || c.Node >= n {
-			return fmt.Errorf("qma: churn node %d out of range [0,%d)", c.Node, n)
-		}
-		if c.AtSeconds < 0 {
-			return fmt.Errorf("qma: churn at node %d scheduled in the past", c.Node)
-		}
-	}
-	if len(d.Moves) > 0 {
-		if _, ok := s.Topology.net.Topology.(radio.MobileTopology); !ok {
-			return errors.New("qma: Dynamics.Moves require a position-based topology (Star17, FactoryHall)")
-		}
-	}
-	for _, m := range d.Moves {
-		if m.Node < 0 || m.Node >= n {
-			return fmt.Errorf("qma: move node %d out of range [0,%d)", m.Node, n)
-		}
-		if m.AtSeconds < 0 {
-			return fmt.Errorf("qma: move at node %d scheduled in the past", m.Node)
-		}
-	}
-	return nil
-}
-
-// validateFaults checks the Faults block against the topology by converting
-// to the internal schedule and running its own validator, so the public and
-// scenario layers can never drift apart on what counts as a legal script.
-func (s *Scenario) validateFaults() error {
-	f := s.Faults
-	if f == nil {
-		return nil
-	}
-	sched := f.internal()
-	if err := sched.Validate(s.Topology.net.NumNodes()); err != nil {
-		return fmt.Errorf("qma: %w", err)
-	}
-	return nil
+	_, err := s.config()
+	return err
 }
 
 // internal converts the public faults block to the internal schedule.
@@ -669,83 +524,30 @@ func (d *Dynamics) internal() scenario.DynamicsConfig {
 	}
 	for _, f := range d.Fades {
 		out.Fades = append(out.Fades, scenario.FadeSpec{
-			Node: frame.NodeID(f.Node), At: sim.FromSeconds(f.AtSeconds), Duration: sim.FromSeconds(f.ForSeconds),
+			Node: nodeID(f.Node), At: sim.FromSeconds(f.AtSeconds), Duration: sim.FromSeconds(f.ForSeconds),
 		})
 	}
 	for _, c := range d.Churn {
 		out.Churn = append(out.Churn, scenario.ChurnSpec{
-			Node: frame.NodeID(c.Node), At: sim.FromSeconds(c.AtSeconds), Leave: c.Leave,
+			Node: nodeID(c.Node), At: sim.FromSeconds(c.AtSeconds), Leave: c.Leave,
 		})
 	}
 	for _, m := range d.Moves {
 		out.Moves = append(out.Moves, scenario.MoveSpec{
-			Node: frame.NodeID(m.Node), At: sim.FromSeconds(m.AtSeconds), To: radio.Position{X: m.X, Y: m.Y},
+			Node: nodeID(m.Node), At: sim.FromSeconds(m.AtSeconds), To: radio.Position{X: m.X, Y: m.Y},
 		})
 	}
 	return out
 }
 
-// resolveMACOptions resolves the run's protocol options through the
-// registry: key=value MACOptions are parsed by the protocol's ParseOptions
-// hook when present, otherwise the QMA convenience fields apply (for QMA
-// runs; other protocols default). A scenario-level Explorer flows into any
-// protocol registering an AdoptExplorer hook — the registry capability that
-// replaced the former bandit special case here. The result passes through
-// the protocol's own Validate.
-func (s *Scenario) resolveMACOptions(explorer qlearn.Explorer) (any, error) {
-	kind := s.MAC.kind()
-	p, ok := mac.Lookup(string(kind))
-	if !ok {
-		return nil, s.MAC.validate()
-	}
-	var opts any
-	if len(s.MACOptions) > 0 {
-		if p.ParseOptions == nil {
-			return nil, fmt.Errorf("qma: protocol %q takes no key=value options", p.Name)
-		}
-		parsed, err := p.ParseOptions(s.MACOptions)
-		if err != nil {
-			return nil, fmt.Errorf("qma: %w", err)
-		}
-		opts = parsed
-	} else {
-		opts = scenario.DefaultQMAOptions(kind, scenario.QMAOptions{
-			Learn:           s.Learn.internal(),
-			Table:           scenario.TableKind(s.Table),
-			Explorer:        explorer,
-			StartupSubslots: s.StartupSubslots,
-		})
-	}
-	if explorer != nil && p.AdoptExplorer != nil {
-		opts = p.AdoptExplorer(opts, explorer)
-	}
-	if opts != nil && p.Validate != nil {
-		if err := p.Validate(opts); err != nil {
-			return nil, fmt.Errorf("qma: %w", err)
-		}
-	}
-	return opts, nil
-}
-
-// Run executes the scenario and returns its metrics.
-func (s *Scenario) Run() (*Result, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	explorer, _ := s.Explorer.internal()
-	macOpts, err := s.resolveMACOptions(explorer)
-	if err != nil {
-		return nil, err
-	}
+// config converts s to the scenario layer's run config. It checks only what
+// the public form owns — the MAC name, the int table kind, the explorer
+// kind, the drop-policy string and the key=value options — and returns
+// scenario.Config.Validate for every rule about the run itself.
+func (s *Scenario) config() (scenario.Config, error) {
 	cfg := scenario.Config{
-		Network: s.Topology.net,
-		MAC:     s.MAC.kind(),
-		// MACOptions carries the fully resolved protocol options for every
-		// protocol — for QMA runs resolveMACOptions already folded the
-		// Learn/Table/Explorer/StartupSubslots convenience fields in, so
-		// Config.QMA (the scenario layer's nil-MACOptions fallback) stays
-		// unset here.
-		MACOptions:         macOpts,
+		Network:            s.Topology.network(),
+		MAC:                s.MAC.kind(),
 		CaptureThresholdDB: s.CaptureThresholdDB,
 		Seed:               s.Seed,
 		Duration:           sim.FromSeconds(s.DurationSeconds),
@@ -756,13 +558,24 @@ func (s *Scenario) Run() (*Result, error) {
 		DropDeadline:       sim.FromSeconds(s.DropDeadlineSeconds),
 		SummaryOnly:        s.SummaryOnly,
 	}
-	cfg.DropPolicy, _ = mac.ParseDropPolicy(s.DropPolicy) // validated above
+	// The scenario layer reads any threshold <= 0 as "capture disabled"; the
+	// public contract names 0 as the off switch and rejects negatives.
+	if s.CaptureThresholdDB < 0 {
+		return cfg, fmt.Errorf("qma: CaptureThresholdDB=%g must not be negative (0 disables capture)", s.CaptureThresholdDB)
+	}
+	var err error
+	if cfg.MACOptions, err = s.macOptions(); err != nil {
+		return cfg, err
+	}
+	if cfg.DropPolicy, err = mac.ParseDropPolicy(s.DropPolicy); err != nil {
+		return cfg, fmt.Errorf("qma: %w", err)
+	}
 	if s.SampleSeries {
 		cfg.SamplePeriod = 122880 * sim.Microsecond // one superframe
 	}
 	for _, tr := range s.Traffic {
 		spec := scenario.TrafficSpec{
-			Origin:     frame.NodeID(tr.Origin),
+			Origin:     nodeID(tr.Origin),
 			StartAt:    sim.FromSeconds(tr.StartSeconds),
 			MaxPackets: tr.MaxPackets,
 			MPDUBytes:  tr.FrameBytes,
@@ -777,10 +590,64 @@ func (s *Scenario) Run() (*Result, error) {
 	}
 	for _, b := range s.Broadcasts {
 		cfg.Broadcasts = append(cfg.Broadcasts, scenario.BroadcastSpec{
-			Origin:  frame.NodeID(b.Origin),
+			Origin:  nodeID(b.Origin),
 			Period:  sim.FromSeconds(b.PeriodSeconds),
 			StartAt: sim.FromSeconds(b.StartSeconds),
 		})
+	}
+	if err := cfg.Validate(); err != nil {
+		return cfg, fmt.Errorf("qma: %w", err)
+	}
+	return cfg, nil
+}
+
+// macOptions resolves the run's protocol options: key=value MACOptions
+// through the protocol's ParseOptions hook when present, otherwise the QMA
+// convenience fields (for QMA runs; other protocols default). A
+// scenario-level Explorer flows into any protocol registering an
+// AdoptExplorer hook. scenario.Config.Validate checks the result through the
+// protocol's own Validate.
+func (s *Scenario) macOptions() (any, error) {
+	p, err := s.MAC.protocol()
+	if err != nil {
+		return nil, err
+	}
+	table, err := s.Table.internal()
+	if err != nil {
+		return nil, err
+	}
+	explorer, err := s.Explorer.internal()
+	if err != nil {
+		return nil, err
+	}
+	var opts any
+	switch {
+	case len(s.MACOptions) > 0:
+		if p.ParseOptions == nil {
+			return nil, fmt.Errorf("qma: protocol %q takes no key=value options", p.Name)
+		}
+		if opts, err = p.ParseOptions(s.MACOptions); err != nil {
+			return nil, fmt.Errorf("qma: %w", err)
+		}
+	case p.Name == core.ProtocolName:
+		opts = scenario.QMAOptions{
+			Learn:           s.Learn.internal(),
+			Table:           table,
+			Explorer:        explorer,
+			StartupSubslots: s.StartupSubslots,
+		}
+	}
+	if explorer != nil && p.AdoptExplorer != nil {
+		opts = p.AdoptExplorer(opts, explorer)
+	}
+	return opts, nil
+}
+
+// Run executes the scenario and returns its metrics.
+func (s *Scenario) Run() (*Result, error) {
+	cfg, err := s.config()
+	if err != nil {
+		return nil, err
 	}
 	res := scenario.Run(cfg)
 
@@ -851,6 +718,22 @@ func points(s *stats.Series) []Point {
 // Topology is a network with routing towards a sink.
 type Topology struct {
 	net *topo.Network
+}
+
+// network returns t's network, nil for a nil Topology (the scenario layer
+// reports the missing network).
+func (t *Topology) network() *topo.Network {
+	if t == nil {
+		return nil
+	}
+	return t.net
+}
+
+// nodeID narrows a public node id to the 16-bit frame.NodeID, saturating
+// so an id beyond int16 stays out of range instead of wrapping onto a valid
+// node.
+func nodeID(id int) frame.NodeID {
+	return frame.NodeID(max(math.MinInt16, min(id, math.MaxInt16)))
 }
 
 // NumNodes reports the node count.

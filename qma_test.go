@@ -226,6 +226,11 @@ func TestExplorerAdoptionIsGeneric(t *testing.T) {
 }
 
 func TestScenarioValidation(t *testing.T) {
+	// Node 0 links to the sink 1 but has no routing parent.
+	unrouted, err := qma.NewTopology(3, [][2]int{{0, 1}, {1, 2}}, 1, []int{-1, -1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string]*qma.Scenario{
 		"no topology": {DurationSeconds: 10},
 		"no duration": {Topology: qma.HiddenNode()},
@@ -244,6 +249,10 @@ func TestScenarioValidation(t *testing.T) {
 			MAC: qma.NOMA, MACOptions: map[string]string{"levels": "99"}},
 		"bad broadcast": {Topology: qma.HiddenNode(), DurationSeconds: 10,
 			Broadcasts: []qma.Broadcast{{Origin: 0, PeriodSeconds: 0}}},
+		"unrouted origin": {Topology: unrouted, DurationSeconds: 10,
+			Traffic: []qma.Traffic{{Origin: 0, Phases: []qma.Phase{{Rate: 1}}}}},
+		"summary with series": {Topology: qma.HiddenNode(), DurationSeconds: 10,
+			SummaryOnly: true, SampleSeries: true},
 	}
 	for name, sc := range cases {
 		if err := sc.Validate(); err == nil {
@@ -379,6 +388,10 @@ func TestPublicDSMEScenario(t *testing.T) {
 	if _, err := (&qma.DSMEScenario{Topology: rings, DurationSeconds: 10, Table: qma.TableKind(9)}).Run(); err == nil {
 		t.Error("unknown table kind accepted")
 	}
+	// 256 would wrap onto TableFloat in the engine's 8-bit table kind.
+	if _, err := (&qma.DSMEScenario{Topology: rings, DurationSeconds: 10, Table: qma.TableKind(256)}).Run(); err == nil {
+		t.Error("table kind 256 accepted")
+	}
 }
 
 func TestPublicLearner(t *testing.T) {
@@ -409,6 +422,9 @@ func TestPublicLearner(t *testing.T) {
 	}
 	if _, err := qma.NewLearner(2, 3, qma.LearnParams{}, qma.TableKind(9), 0); err == nil {
 		t.Error("accepted unknown table kind")
+	}
+	if _, err := qma.NewLearner(2, 3, qma.LearnParams{}, qma.TableKind(256), 0); err == nil {
+		t.Error("accepted table kind 256")
 	}
 	if _, err := qma.NewLearner(2, 3, qma.LearnParams{}, qma.TableFloat, 5); err == nil {
 		t.Error("accepted out-of-range default action")

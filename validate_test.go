@@ -27,6 +27,9 @@ func TestScenarioValidateErrorPaths(t *testing.T) {
 		{"negative traffic origin", func(s *qma.Scenario) {
 			s.Traffic[0].Origin = -1
 		}, "out of range"},
+		{"traffic origin beyond the 16-bit node ids", func(s *qma.Scenario) {
+			s.Traffic[0].Origin = 1 << 16 // would wrap onto node 0
+		}, "out of range"},
 		{"broadcast origin range", func(s *qma.Scenario) {
 			s.Broadcasts = []qma.Broadcast{{Origin: 9, PeriodSeconds: 1}}
 		}, "out of range"},
@@ -41,6 +44,9 @@ func TestScenarioValidateErrorPaths(t *testing.T) {
 		}, "unknown table kind"},
 		{"negative table kind", func(s *qma.Scenario) {
 			s.Table = qma.TableKind(-1)
+		}, "unknown table kind"},
+		{"table kind wrapping to float", func(s *qma.Scenario) {
+			s.Table = qma.TableKind(256)
 		}, "unknown table kind"},
 		{"GE negative sojourn", func(s *qma.Scenario) {
 			s.Dynamics = &qma.Dynamics{Channel: qma.GilbertElliott{MeanGoodSeconds: -1, MeanBadSeconds: 1}}
