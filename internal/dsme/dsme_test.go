@@ -1,10 +1,14 @@
 package dsme
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"qma/internal/barring"
+	"qma/internal/mac"
 	"qma/internal/scenario"
 	"qma/internal/sim"
 	"qma/internal/superframe"
@@ -82,7 +86,7 @@ func TestSlotMapPickFreeProperty(t *testing.T) {
 }
 
 // twoNodeConfig wires one child streaming to the sink.
-func twoNodeConfig(mk scenario.MACKind, seed uint64) ScenarioConfig {
+func twoNodeConfig(mk mac.Name, seed uint64) ScenarioConfig {
 	net := topo.HiddenNode() // A and C stream to B over GTS
 	return ScenarioConfig{
 		Network:  net,
@@ -145,7 +149,7 @@ func TestRings7SecondaryTraffic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration run")
 	}
-	run := func(mk scenario.MACKind) *ScenarioResult {
+	run := func(mk mac.Name) *ScenarioResult {
 		return RunScenario(ScenarioConfig{
 			Network:  topo.Rings(1),
 			MAC:      mk,
@@ -244,6 +248,52 @@ func TestScenarioBarring(t *testing.T) {
 	for i, s := range off.CAP {
 		if s.Barred != 0 {
 			t.Errorf("node %d: disabled barring still barred %d attempts", i, s.Barred)
+		}
+	}
+}
+
+// TestScenarioBarringPinned pins the per-node CAP and DSME counters of two
+// barred runs to fixed digests: the fixed-P=0.25 run of TestScenarioBarring
+// and an AIMD run on Rings(1) whose low collision target makes the
+// controller close admission. No golden covers DSME with barring on, so
+// these digests are what hold the barring streams, the sink-side loop and
+// the event order of a DSME run in place.
+func TestScenarioBarringPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration run")
+	}
+	fixed := twoNodeConfig(scenario.QMA, 4)
+	fixed.Duration = 90 * sim.Second
+	fixed.Warmup = 30 * sim.Second
+	fixed.Phases = []traffic.Phase{{Rate: 20}}
+	fixed.Barring = barring.Config{Policy: barring.PolicyFixed, P: 0.25}
+	aimd := ScenarioConfig{
+		Network:  topo.Rings(1),
+		MAC:      scenario.QMA,
+		Seed:     3,
+		Duration: 60 * sim.Second,
+		Warmup:   20 * sim.Second,
+		Barring:  barring.Config{Policy: barring.PolicyAIMD, Target: 0.01},
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  ScenarioConfig
+		want string
+	}{
+		{"fixed", fixed, "22063cf22e4ee24683e42c5a4c7b65e421e7d1149555ba061e8cd117e4666614"},
+		{"aimd", aimd, "4f1a8f44aeb2551f1f21f956d82fc0d84d60f51ab452f15049ee05bc1bd09a0c"},
+	} {
+		res := RunScenario(tc.cfg)
+		var barred uint64
+		for _, s := range res.CAP {
+			barred += s.Barred
+		}
+		if barred == 0 {
+			t.Errorf("%s: barring never barred a CAP attempt", tc.name)
+		}
+		sum := sha256.Sum256([]byte(fmt.Sprintf("%+v\n%+v", res.CAP, res.Nodes)))
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: counter digest %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -1,17 +1,14 @@
 package dsme
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"qma/internal/barring"
 	"qma/internal/frame"
 	"qma/internal/mac"
-	"qma/internal/radio"
 	"qma/internal/scenario"
 	"qma/internal/sim"
-	"qma/internal/superframe"
 	"qma/internal/topo"
 	"qma/internal/traffic"
 )
@@ -25,7 +22,7 @@ type ScenarioConfig struct {
 	// Network is the topology with routing (usually topo.Rings).
 	Network *topo.Network
 	// MAC selects the CAP channel access scheme.
-	MAC scenario.MACKind
+	MAC mac.Name
 	// QMA tunes QMA engines (ignored for CSMA runs).
 	QMA scenario.QMAOptions
 	// Seed selects the random streams.
@@ -60,7 +57,8 @@ type ScenarioConfig struct {
 	// names.
 	EventBudget uint64
 	WallBudget  time.Duration
-	// InvariantChecks arms the kernel and medium runtime self-checks.
+	// InvariantChecks arms the kernel, medium and frame-pool runtime
+	// self-checks.
 	InvariantChecks bool
 	// Arena, when non-nil, recycles the run's frame pool and per-node
 	// hot-state slab across back-to-back runs of one worker (see
@@ -86,25 +84,37 @@ type ScenarioResult struct {
 	Truncated bool
 }
 
+// base is the contention-study config this run shares with the evaluation's
+// other tracks: its Validate holds the network, duration, barring and MAC
+// rules, and scenario.NewSubstrate builds the run's kernel, clock, medium and
+// frame pool from it.
+func (cfg *ScenarioConfig) base() scenario.Config {
+	return scenario.Config{
+		Network:         cfg.Network,
+		MAC:             cfg.MAC,
+		QMA:             cfg.QMA,
+		Seed:            cfg.Seed,
+		Duration:        cfg.Duration,
+		Barring:         cfg.Barring,
+		EventBudget:     cfg.EventBudget,
+		WallBudget:      cfg.WallBudget,
+		InvariantChecks: cfg.InvariantChecks,
+		Arena:           cfg.Arena,
+	}
+}
+
 // Validate reports the first configuration problem, or nil. RunScenario
-// panics with its error; the public qma facade returns it.
+// panics with its error; the public qma facade returns it. Only the warmup
+// rule is DSME's own.
 func (cfg *ScenarioConfig) Validate() error {
-	switch {
-	case cfg.Network == nil:
-		return errors.New("network topology is required")
-	case cfg.Duration <= 0:
-		return fmt.Errorf("duration %v must be positive", cfg.Duration)
-	case cfg.Warmup < 0 || cfg.Warmup >= cfg.Duration:
+	base := cfg.base()
+	if err := base.Validate(); err != nil {
+		return err
+	}
+	if cfg.Warmup < 0 || cfg.Warmup >= cfg.Duration {
 		return fmt.Errorf("warmup %v out of [0, duration)", cfg.Warmup)
 	}
-	if err := cfg.Barring.Validate(); err != nil {
-		return err
-	}
-	p, opts, err := scenario.ResolveMAC(cfg.MAC, cfg.QMA, nil)
-	if err != nil {
-		return err
-	}
-	return p.ValidateOptions(opts)
+	return nil
 }
 
 // RunScenario executes a DSME data-collection run. It panics with the
@@ -127,107 +137,55 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 		cfg.TrafficStart = 5 * sim.Second
 	}
 
-	kernel := sim.NewKernel()
-	clock := superframe.NewClock(superframe.DefaultConfig())
-	medium := radio.NewMedium(kernel, cfg.Network.Topology, sim.NewRandStream(cfg.Seed, 1000))
-	if cfg.EventBudget > 0 || cfg.WallBudget > 0 {
-		kernel.SetBudget(cfg.EventBudget, cfg.WallBudget)
-	}
-	if cfg.InvariantChecks {
-		kernel.SetInvariantChecks(true)
-		medium.SetInvariantChecks(true)
-	}
+	base := cfg.base()
+	sub := scenario.NewSubstrate(&base)
+	kernel := sub.Kernel
 	metrics := &Metrics{}
-	pool := &frame.Pool{}
-	scratch := &mac.Scratch{}
-	if cfg.Arena != nil {
-		pool, scratch = cfg.Arena.Begin()
-	}
 
 	n := cfg.Network.NumNodes()
 	nodes := make([]*Node, n)
+	engines := make([]mac.Engine, n)
 	for i := 0; i < n; i++ {
 		id := frame.NodeID(i)
 		node := NewNode(NodeConfig{
 			ID:         id,
 			Kernel:     kernel,
-			Medium:     medium,
-			Clock:      clock,
+			Medium:     sub.Medium,
+			Clock:      sub.Clock,
 			Parent:     cfg.Network.Parent[i],
 			Sink:       cfg.Network.Sink,
 			Rng:        sim.NewRandStream(cfg.Seed, 5000+uint64(i)),
 			MaxTxSlots: cfg.MaxTxSlots,
 			Metrics:    metrics,
-			FramePool:  pool,
+			FramePool:  sub.Pool,
 		})
-		// Like internal/scenario, the barring RNG stream (4000+id) only
-		// exists when barring is configured, keeping zero-valued configs
-		// byte-identical.
-		var barringRng *sim.Rand
-		if cfg.Barring.Enabled() {
-			barringRng = sim.NewRandStream(cfg.Seed, 4000+uint64(i))
-		}
-		engine := proto.New(mac.Config{
+		engines[i] = proto.New(mac.Config{
 			ID:         id,
 			Kernel:     kernel,
-			Medium:     medium,
-			Clock:      clock,
+			Medium:     sub.Medium,
+			Clock:      sub.Clock,
 			OnCommand:  node.CommandHook(),
-			FramePool:  pool,
-			Scratch:    scratch,
-			BarringRng: barringRng,
+			FramePool:  sub.Pool,
+			Scratch:    sub.Scratch,
+			BarringRng: sub.BarringRng(id),
 		}, macOpts, sim.NewRandStream(cfg.Seed, uint64(i)))
-		node.AttachCAP(engine)
+		node.AttachCAP(engines[i])
 		nodes[i] = node
-		medium.Attach(id, node)
+		sub.Medium.Attach(id, node)
 	}
 	for _, node := range nodes {
 		node.Start()
 	}
-
-	if cfg.Barring.Enabled() {
-		// The barring factor rides the beacon: once per beacon interval the
-		// sink folds the congestion it observed on the medium into the
-		// controller and the nodes pick the new factor up with the beacon.
-		sfd := clock.Config().SuperframeDuration()
-		interval := cfg.Barring.Interval
-		if interval <= 0 {
-			interval = sfd
-		}
-		backoff := cfg.Barring.Backoff
-		if backoff <= 0 {
-			backoff = sfd
-		}
-		ctrl := barring.New(cfg.Barring)
-		sink := cfg.Network.Sink
-		var prev radio.NodeStats
-		var prevAir sim.Time
-		var tick func()
-		tick = func() {
-			cur := medium.Stats(sink)
-			_, air := medium.ChannelLoad()
-			obs := barring.Observation{
-				Delivered:    cur.RxDelivered - prev.RxDelivered,
-				Collided:     cur.RxCollided - prev.RxCollided,
-				Captured:     cur.RxCaptured - prev.RxCaptured,
-				BusyFraction: float64(air-prevAir) / float64(interval),
-			}
-			prev, prevAir = cur, air
-			p := ctrl.Update(obs)
-			for _, node := range nodes {
-				node.CAP().Base().SetBarring(p, backoff)
-			}
-			kernel.Schedule(interval, tick)
-		}
-		kernel.Schedule(interval, tick)
-	}
+	// The barring factor rides the (here: explicit DSME) beacon to the CAP
+	// engines.
+	sub.ArmBarring(engines)
 
 	// Secondary background traffic: periodic route-discovery broadcasts.
 	for i := 0; i < n; i++ {
 		b := &traffic.BroadcastSource{
 			Kernel:  kernel,
 			Rng:     sim.NewRandStream(cfg.Seed, 3000+uint64(i)),
-			Target:  nodes[i].CAP(),
+			Target:  engines[i],
 			Origin:  frame.NodeID(i),
 			Period:  cfg.BroadcastPeriod,
 			StartAt: 2 * sim.Second,

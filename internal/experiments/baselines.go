@@ -67,7 +67,7 @@ func fullHallCase() baselineCase {
 // 2.7M, csma-slotted 3.3M, csma-unslotted 3.6M, noma 2.8M, qma 5.5M) —
 // roughly 1.5–3× the ~2×10⁸ events a healthy replication processes.
 // Protocols without a profile entry get the most conservative budget.
-var fullHallEventBudgets = map[scenario.MACKind]uint64{
+var fullHallEventBudgets = map[mac.Name]uint64{
 	"aloha":          250e6,
 	"bandit":         330e6,
 	"csma-slotted":   400e6,
@@ -86,8 +86,8 @@ const fullHallDefaultBudget uint64 = 250e6
 // capture-less medium, where a power-diverse MAC would only demonstrate that
 // deliberately weak transmissions lose; they get their own capture-enabled
 // family (the `noma` experiment) instead.
-func baselineMACs() []scenario.MACKind {
-	var out []scenario.MACKind
+func baselineMACs() []mac.Name {
+	var out []mac.Name
 	for _, n := range mac.Names() {
 		if p, ok := mac.Lookup(string(n)); ok && p.NeedsCapture {
 			continue
@@ -100,7 +100,7 @@ func baselineMACs() []scenario.MACKind {
 // baselineConfig builds one run of the family: every routed non-sink node
 // streams Poisson(δ) evaluation traffic towards the sink after a low-rate
 // management phase, identically for every protocol under test.
-func baselineConfig(c baselineCase, mk scenario.MACKind, mode Mode, seed uint64) scenario.Config {
+func baselineConfig(c baselineCase, mk mac.Name, mode Mode, seed uint64) scenario.Config {
 	packets, warmup := mode.Packets, mode.Warmup
 	if c.packets > 0 {
 		packets = c.packets

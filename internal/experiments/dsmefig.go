@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"qma/internal/dsme"
+	"qma/internal/mac"
 	"qma/internal/scenario"
 	"qma/internal/topo"
 )
@@ -19,7 +20,7 @@ func init() {
 // §6.3.1.
 func RunDSMEScalability(mode Mode) []*Table {
 	counts := topo.RingNodeCounts()
-	macs := []scenario.MACKind{scenario.QMA, scenario.CSMASlotted, scenario.CSMAUnslotted}
+	macs := []mac.Name{scenario.QMA, scenario.CSMASlotted, scenario.CSMAUnslotted}
 
 	fig21 := &Table{ID: "Fig. 21", Title: "DSME: PDR of secondary traffic during the CAP vs number of nodes",
 		Columns: []string{"nodes"}}

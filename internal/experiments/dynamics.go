@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"qma/internal/frame"
+	"qma/internal/mac"
 	"qma/internal/radio"
 	"qma/internal/scenario"
 	"qma/internal/sim"
@@ -151,14 +152,14 @@ func (d *dynTrace) analyze(evalStart, distStart, distEnd, duration sim.Time) dis
 }
 
 // dynMACs are the channel access schemes the family compares.
-func dynMACs() []scenario.MACKind {
-	return []scenario.MACKind{scenario.QMA, scenario.CSMASlotted, scenario.CSMAUnslotted}
+func dynMACs() []mac.Name {
+	return []mac.Name{scenario.QMA, scenario.CSMASlotted, scenario.CSMAUnslotted}
 }
 
 // burstFadeCase runs the hidden-node scenario with a deep fade at the sink:
 // management traffic from t≈0, δ=10 evaluation traffic from warmup, the
 // sink unreachable for 5 s mid-run.
-func burstFadeCase(arena *scenario.Arena, mk scenario.MACKind, mode Mode, seed uint64) map[string]float64 {
+func burstFadeCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) map[string]float64 {
 	warmup := mode.Warmup
 	fadeStart := warmup + 80*sim.Second
 	fadeLen := 5 * sim.Second
@@ -193,7 +194,7 @@ func burstFadeCase(arena *scenario.Arena, mk scenario.MACKind, mode Mode, seed u
 // relayFailureCase runs the testbed tree with its depth-1 relay (paper node
 // 18, dense id 1) leaving for 10 s and rejoining: two thirds of the origins
 // lose their route while it is away.
-func relayFailureCase(arena *scenario.Arena, mk scenario.MACKind, mode Mode, seed uint64) map[string]float64 {
+func relayFailureCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) map[string]float64 {
 	const delta = 4.0
 	warmup := mode.Warmup + 20*sim.Second
 	leaveAt := warmup + 60*sim.Second
@@ -239,7 +240,7 @@ func relayFailureCase(arena *scenario.Arena, mk scenario.MACKind, mode Mode, see
 // gilbertCase runs the hidden-node scenario over a bursty Gilbert–Elliott
 // channel (mean 8 s good / 0.4 s bad, bad state losing every frame) and
 // reports how much delivery ratio each MAC retains relative to dynamics-off.
-func gilbertCase(arena *scenario.Arena, mk scenario.MACKind, mode Mode, seed uint64, bursty bool) map[string]float64 {
+func gilbertCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64, bursty bool) map[string]float64 {
 	warmup := mode.Warmup
 	duration := warmup + 120*sim.Second
 	cfg := scenario.Config{

@@ -7,6 +7,7 @@ import (
 	"qma/internal/bandit"
 	"qma/internal/faults"
 	"qma/internal/frame"
+	"qma/internal/mac"
 	"qma/internal/scenario"
 	"qma/internal/sim"
 	"qma/internal/topo"
@@ -28,17 +29,17 @@ func init() {
 // faultMACs spans the learning spectrum: QMA (full Q-learning), the slot
 // bandit (stateful but simpler), and two memoryless baselines for which a
 // reboot wipes nothing of value.
-func faultMACs() []scenario.MACKind {
-	return []scenario.MACKind{
+func faultMACs() []mac.Name {
+	return []mac.Name{
 		scenario.QMA, scenario.CSMAUnslotted,
-		scenario.MACKind(aloha.ProtoSlotted), scenario.MACKind(bandit.Proto),
+		aloha.ProtoSlotted, bandit.Proto,
 	}
 }
 
 // faultCaseConfig builds the family's shared hidden-node run: management
 // traffic from t≈0, δ=10 evaluation traffic from warmup, the fault striking
 // at warmup+80 s.
-func faultCaseConfig(mk scenario.MACKind, mode Mode, seed uint64, duration sim.Time) scenario.Config {
+func faultCaseConfig(mk mac.Name, mode Mode, seed uint64, duration sim.Time) scenario.Config {
 	warmup := mode.Warmup
 	return scenario.Config{
 		Network:  topo.HiddenNode(),
@@ -73,7 +74,7 @@ func (d *dynTrace) windowPDR(from, until sim.Time) float64 {
 // senders can neither deliver nor stay synchronized. Everything they
 // generate during the window is lost or queued; the metrics capture how fast
 // each MAC drains the backlog once the sink returns.
-func sinkOutageCase(arena *scenario.Arena, mk scenario.MACKind, mode Mode, seed uint64) map[string]float64 {
+func sinkOutageCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) map[string]float64 {
 	warmup := mode.Warmup
 	at := warmup + 80*sim.Second
 	const dur = 5 * sim.Second
@@ -102,7 +103,7 @@ func sinkOutageCase(arena *scenario.Arena, mk scenario.MACKind, mode Mode, seed 
 // state vanish and it re-enters cautious startup. The lost/recovery columns
 // are the relearning cost — for the memoryless baselines the reboot only
 // drops the queue.
-func rebootCase(arena *scenario.Arena, mk scenario.MACKind, mode Mode, seed uint64) map[string]float64 {
+func rebootCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) map[string]float64 {
 	warmup := mode.Warmup
 	at := warmup + 80*sim.Second
 	duration := at + 60*sim.Second
@@ -122,7 +123,7 @@ func rebootCase(arena *scenario.Arena, mk scenario.MACKind, mode Mode, seed uint
 // ackCorruptionCase corrupts every ACK on the air for 5 s: data still gets
 // through, but every transmitter sees timeouts, retries and (for the
 // learners) punishments for subslots that did nothing wrong.
-func ackCorruptionCase(arena *scenario.Arena, mk scenario.MACKind, mode Mode, seed uint64) map[string]float64 {
+func ackCorruptionCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) map[string]float64 {
 	warmup := mode.Warmup
 	at := warmup + 80*sim.Second
 	const dur = 5 * sim.Second

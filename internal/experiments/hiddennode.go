@@ -6,6 +6,7 @@ import (
 
 	"qma/internal/core"
 	"qma/internal/frame"
+	"qma/internal/mac"
 	"qma/internal/scenario"
 	"qma/internal/sim"
 	"qma/internal/stats"
@@ -29,14 +30,14 @@ func sweepDeltas(mode Mode) []float64 {
 }
 
 // sweepMACs returns the three channel access schemes of §6.1.
-func sweepMACs() []scenario.MACKind {
-	return []scenario.MACKind{scenario.QMA, scenario.CSMASlotted, scenario.CSMAUnslotted}
+func sweepMACs() []mac.Name {
+	return []mac.Name{scenario.QMA, scenario.CSMASlotted, scenario.CSMAUnslotted}
 }
 
 // hiddenNodeConfig builds the §6.1 run: A and C send Poisson(δ) traffic to
 // the sink B; low-rate management traffic from t≈0 stands in for the
 // association phase the paper lets precede data generation.
-func hiddenNodeConfig(mk scenario.MACKind, delta float64, mode Mode, seed uint64) scenario.Config {
+func hiddenNodeConfig(mk mac.Name, delta float64, mode Mode, seed uint64) scenario.Config {
 	gen := sim.FromSeconds(float64(mode.Packets) / delta)
 	return scenario.Config{
 		Network:  topo.HiddenNode(),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"qma/internal/energy"
+	"qma/internal/mac"
 	"qma/internal/noma"
 	"qma/internal/scenario"
 	"qma/internal/sim"
@@ -19,7 +20,7 @@ func init() {
 // single-power reference protocol.
 type nomaRow struct {
 	label     string
-	mk        scenario.MACKind
+	mk        mac.Name
 	opts      any
 	captureDB float64
 }

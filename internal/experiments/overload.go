@@ -5,6 +5,7 @@ import (
 
 	"qma/internal/barring"
 	"qma/internal/frame"
+	"qma/internal/mac"
 	"qma/internal/scenario"
 	"qma/internal/sim"
 	"qma/internal/stats"
@@ -68,7 +69,7 @@ func overloadBarrings() []struct {
 // with the evaluation rate scaled by mult over the same generation window,
 // so higher multipliers offer proportionally more packets into the same
 // measurement interval instead of finishing sooner.
-func overloadConfig(c overloadCase, mk scenario.MACKind, bar barring.Config, mult float64, mode Mode, seed uint64) scenario.Config {
+func overloadConfig(c overloadCase, mk mac.Name, bar barring.Config, mult float64, mode Mode, seed uint64) scenario.Config {
 	gen := sim.FromSeconds(float64(mode.Packets) / c.delta)
 	rate := c.delta * mult
 	perSource := int(float64(mode.Packets)*mult + 0.5)
@@ -113,7 +114,7 @@ func jainIndex(xs []float64) float64 {
 
 // runOverloadCell executes one (topology, protocol, barring, mult) run and
 // condenses it into the family's metrics.
-func runOverloadCell(arena *scenario.Arena, c overloadCase, mk scenario.MACKind, bar barring.Config, mult float64, mode Mode, seed uint64) map[string]float64 {
+func runOverloadCell(arena *scenario.Arena, c overloadCase, mk mac.Name, bar barring.Config, mult float64, mode Mode, seed uint64) map[string]float64 {
 	cfg := overloadConfig(c, mk, bar, mult, mode, seed)
 	cfg.Arena = arena
 	trace := newDynTrace(cfg.Duration)

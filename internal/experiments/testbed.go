@@ -5,6 +5,7 @@ import (
 
 	"qma/internal/energy"
 	"qma/internal/frame"
+	"qma/internal/mac"
 	"qma/internal/scenario"
 	"qma/internal/sim"
 	"qma/internal/superframe"
@@ -29,7 +30,7 @@ func init() {
 // sub-saturation regime the paper's per-node PDRs (0.55–1.0) imply —
 // δ=4 packets/s of 30-byte sensor readings puts the 16-sender star at
 // ≈30% CAP utilization.
-func testbedConfig(net *topo.Network, mk scenario.MACKind, mode Mode, seed uint64) scenario.Config {
+func testbedConfig(net *topo.Network, mk mac.Name, mode Mode, seed uint64) scenario.Config {
 	const delta = 4.0
 	const testbedMPDU = 30
 	gen := sim.FromSeconds(float64(mode.Packets) / delta)
@@ -65,7 +66,7 @@ func runTestbedPDR(mode Mode, net *topo.Network, id, kind string) []*Table {
 		Title:   fmt.Sprintf("per-node PDR in the %s topology (δ=10), FIT IoT-LAB substitute", kind),
 		Columns: []string{"node", "hops", "QMA", "unslotted CSMA/CA"},
 	}
-	macs := []scenario.MACKind{scenario.QMA, scenario.CSMAUnslotted}
+	macs := []mac.Name{scenario.QMA, scenario.CSMAUnslotted}
 	// One grid cell per MAC; per-node PDRs travel through the metric map
 	// (keyed by node id) so each replication writes only its own result
 	// slot — the previous version mutated a shared accumulator from inside
@@ -114,7 +115,7 @@ func RunEnergyParity(mode Mode) []*Table {
 	net := topo.Tree10()
 	profile := energy.AT86RF231()
 	capDuty := float64(superframe.DefaultConfig().CAPDuration()) / float64(superframe.DefaultConfig().SuperframeDuration())
-	macs := []scenario.MACKind{scenario.QMA, scenario.CSMAUnslotted}
+	macs := []mac.Name{scenario.QMA, scenario.CSMAUnslotted}
 	ests, repErrs := runGrid(len(macs), mode.Reps, mode.Parallel,
 		func(arena *scenario.Arena, cell int, seed uint64) map[string]float64 {
 			cfg := testbedConfig(net, macs[cell], mode, seed)

@@ -28,8 +28,9 @@ func NewArena() *Arena { return &Arena{} }
 
 // Begin readies the arena for the next run and exposes its parts: the slab
 // rewinds (every engine of the previous run is gone by now), the frame pool
-// keeps its free list — recycled frames are zeroed on Get. Scenario builders
-// (this package and internal/dsme) call it once per run.
+// keeps its free list — recycled frames are zeroed on Get. NewSubstrate
+// calls it once per run; nothing else does, so Run and the DSME runner share
+// one recycling path.
 func (a *Arena) Begin() (*frame.Pool, *mac.Scratch) {
 	a.scratch.Reset()
 	// Drop any double-release tracking a previous (possibly crashed) checked

@@ -11,7 +11,7 @@ import (
 // barringConfig is a deliberately overloaded hidden-node run for the
 // access-barring tests: δ=25 per sender saturates the pair, invariant checks
 // armed so a miscounted or double-released frame fails loudly.
-func barringConfig(mk MACKind, seed uint64, b barring.Config) Config {
+func barringConfig(mk mac.Name, seed uint64, b barring.Config) Config {
 	cfg := hiddenNodeConfig(mk, 25, seed)
 	cfg.Duration = 100 * sim.Second
 	for i := range cfg.Traffic {
@@ -98,7 +98,7 @@ func FuzzBarringScenario(f *testing.F) {
 	f.Add(uint8(2), uint8(2), uint8(100), uint8(1), uint8(2), uint16(60))
 	f.Add(uint8(3), uint8(1), uint8(0), uint8(30), uint8(1), uint16(1))
 	f.Fuzz(func(t *testing.T, mkRaw, polRaw, pRaw, deltaRaw, dropRaw uint8, deadlineRaw uint16) {
-		macs := []MACKind{QMA, CSMAUnslotted, CSMASlotted}
+		macs := []mac.Name{QMA, CSMAUnslotted, CSMASlotted}
 		mk := macs[int(mkRaw)%len(macs)]
 		policies := []barring.Policy{barring.PolicyFixed, barring.PolicyAIMD, barring.PolicyPID}
 		drops := []mac.DropPolicy{mac.TailDrop, mac.DropOldest, mac.DeadlineDrop}

@@ -5,12 +5,13 @@ import (
 	"time"
 
 	"qma/internal/faults"
+	"qma/internal/mac"
 	"qma/internal/sim"
 )
 
 // faultConfig is a short hidden-node run for the fault tests: evaluation
 // traffic from 10 s, 60 s total, invariant checks armed.
-func faultConfig(mk MACKind, seed uint64, s faults.Schedule) Config {
+func faultConfig(mk mac.Name, seed uint64, s faults.Schedule) Config {
 	cfg := hiddenNodeConfig(mk, 5, seed)
 	cfg.Duration = 60 * sim.Second
 	for i := range cfg.Traffic {
@@ -50,7 +51,7 @@ func TestOutageSuppressesBothDirections(t *testing.T) {
 }
 
 func TestRebootWipesAndRecovers(t *testing.T) {
-	for _, mk := range []MACKind{QMA, CSMAUnslotted} {
+	for _, mk := range []mac.Name{QMA, CSMAUnslotted} {
 		res := Run(faultConfig(mk, 4, faults.Schedule{
 			Reboots: []faults.Reboot{{Node: 0, At: 30 * sim.Second}},
 		}))
@@ -123,7 +124,7 @@ func FuzzFaultSchedule(f *testing.F) {
 	f.Add(uint8(2), uint8(2), uint16(0), uint16(60), uint8(1), uint16(1), true)
 	f.Add(uint8(3), uint8(1), uint16(59), uint16(300), uint8(0), uint16(59), false)
 	f.Fuzz(func(t *testing.T, mkRaw, nodeRaw uint8, atRaw, durRaw uint16, rebootNodeRaw uint8, rebootAtRaw uint16, beacons bool) {
-		macs := []MACKind{QMA, CSMAUnslotted, CSMASlotted}
+		macs := []mac.Name{QMA, CSMAUnslotted, CSMASlotted}
 		mk := macs[int(mkRaw)%len(macs)]
 		node := int(nodeRaw) % 3
 		at := sim.Time(atRaw%60) * sim.Second

@@ -2,8 +2,9 @@ package scenario
 
 // The protocol registry is populated by the protocol packages' init
 // functions. QMA and the CSMA/CA variants are linked through scenario.go's
-// regular imports (their registry keys back the MACKind constants); every
-// further protocol is linked by one blank import below.
+// regular imports (their registry keys back the QMA, CSMASlotted and
+// CSMAUnslotted constants); every further protocol is linked by one blank
+// import below.
 //
 // Adding a MAC protocol therefore touches exactly two places: the protocol's
 // own package (which embeds mac.Base, implements mac.Engine and calls

@@ -25,20 +25,16 @@ import (
 	"qma/internal/traffic"
 )
 
-// MACKind selects the channel access scheme under test by its registry key
-// (see internal/mac's protocol registry). The empty string selects QMA.
-type MACKind = mac.Name
-
 // Registry keys of the protocols every evaluation track compares. Further
 // protocols (internal/aloha, internal/bandit, ...) are addressed by the
 // constants their own packages export.
 const (
 	// QMA is the paper's Q-learning MAC.
-	QMA MACKind = core.ProtocolName
+	QMA mac.Name = core.ProtocolName
 	// CSMAUnslotted is the unslotted CSMA/CA baseline.
-	CSMAUnslotted MACKind = csma.ProtoUnslotted
+	CSMAUnslotted mac.Name = csma.ProtoUnslotted
 	// CSMASlotted is the slotted CSMA/CA baseline.
-	CSMASlotted MACKind = csma.ProtoSlotted
+	CSMASlotted mac.Name = csma.ProtoSlotted
 )
 
 // TableKind selects the Q-value storage for QMA nodes.
@@ -132,7 +128,7 @@ type Config struct {
 	// Network is the topology with routing; required.
 	Network *topo.Network
 	// MAC selects the channel access scheme by registry key ("" = QMA).
-	MAC MACKind
+	MAC mac.Name
 	// QMA tunes QMA engines (ignored for other protocols).
 	QMA QMAOptions
 	// MACOptions carries protocol-specific options for non-QMA protocols
@@ -326,7 +322,7 @@ func (d *DynamicsConfig) validate(t radio.Topology) error {
 // its engines are built with: opts when set, else qmaOpts for QMA runs and
 // the protocol's defaults (nil) for everyone else. The DSME scenario shares
 // it, so both evaluation tracks resolve protocols alike.
-func ResolveMAC(kind MACKind, qmaOpts QMAOptions, opts any) (*mac.Protocol, any, error) {
+func ResolveMAC(kind mac.Name, qmaOpts QMAOptions, opts any) (*mac.Protocol, any, error) {
 	if kind == "" {
 		kind = QMA
 	}
@@ -474,12 +470,8 @@ func (r *Result) MeanQueueLevel(ids ...frame.NodeID) float64 {
 
 // run holds the live objects during a simulation.
 type run struct {
+	*Substrate
 	cfg     Config
-	kernel  *sim.Kernel
-	pool    *frame.Pool
-	scratch *mac.Scratch
-	clock   *superframe.Clock
-	medium  *radio.Medium
 	proto   *mac.Protocol
 	macOpts any // resolved protocol options, validated once per run
 	engines []mac.Engine
@@ -504,7 +496,7 @@ type Output struct {
 // RunWithEngines is Run, additionally exposing the engines.
 func RunWithEngines(cfg Config) *Output {
 	r := build(cfg)
-	r.kernel.Run(cfg.Duration)
+	r.Kernel.Run(cfg.Duration)
 	r.collect()
 	return &Output{Result: r.result, Engines: r.engines}
 }
@@ -515,63 +507,22 @@ func build(cfg Config) *run {
 		panic("scenario: " + err.Error())
 	}
 	proto, macOpts, _ := ResolveMAC(cfg.MAC, cfg.QMA, cfg.MACOptions)
-	sfCfg := cfg.Superframe
-	if sfCfg == (superframe.Config{}) {
-		sfCfg = superframe.DefaultConfig()
-	}
-	clock := superframe.NewClock(sfCfg)
-	kernel := sim.NewKernel()
+	sub := NewSubstrate(&cfg)
 	n := cfg.Network.NumNodes()
-
-	// Stream layout: 0..n-1 engines, 1000 medium, 2000+i traffic,
-	// 3000+i broadcasts, 4000+i access-barring gates (only drawn from when
-	// barring is configured); the Gilbert–Elliott process derives per-link
-	// streams of its own from the seed. Fixed offsets keep every consumer's
-	// stream stable when instrumentation is added or removed.
-	topology := cfg.Network.Topology
-	if len(cfg.Dynamics.Moves) > 0 {
-		// Moves mutate positions; run on a private clone so the Network
-		// stays shareable across parallel replications.
-		topology = topology.(radio.CloneableTopology).CloneTopology()
-	}
-	medium := radio.NewMedium(kernel, topology, sim.NewRandStream(cfg.Seed, 1000))
-	if cfg.CaptureThresholdDB > 0 {
-		medium.SetCaptureThreshold(cfg.CaptureThresholdDB)
-	}
-	if cfg.EventBudget > 0 || cfg.WallBudget > 0 {
-		kernel.SetBudget(cfg.EventBudget, cfg.WallBudget)
-	}
-	if cfg.InvariantChecks {
-		kernel.SetInvariantChecks(true)
-		medium.SetInvariantChecks(true)
-	}
-	if cfg.Dynamics.Enabled() {
-		armDynamics(kernel, medium, cfg.Dynamics, cfg.Seed)
-	}
-
-	pool := &frame.Pool{}
-	scratch := &mac.Scratch{}
-	if cfg.Arena != nil {
-		pool, scratch = cfg.Arena.Begin()
-	}
-	result := &Result{Clock: clock, Duration: cfg.Duration}
+	result := &Result{Clock: sub.Clock, Duration: cfg.Duration}
 	if cfg.SummaryOnly {
 		result.Summary = &Summary{}
 	} else {
 		result.Nodes = make([]NodeResult, n)
 	}
 	r := &run{
-		cfg:     cfg,
-		kernel:  kernel,
-		pool:    pool,
-		scratch: scratch,
-		clock:   clock,
-		medium:  medium,
-		proto:   proto,
-		macOpts: macOpts,
-		engines: make([]mac.Engine, n),
-		qma:     make([]*core.Engine, n),
-		result:  result,
+		Substrate: sub,
+		cfg:       cfg,
+		proto:     proto,
+		macOpts:   macOpts,
+		engines:   make([]mac.Engine, n),
+		qma:       make([]*core.Engine, n),
+		result:    result,
 	}
 
 	for i := 0; i < n; i++ {
@@ -580,22 +531,17 @@ func build(cfg Config) *run {
 			r.result.Nodes[i] = NodeResult{ID: id, Label: cfg.Network.Label(id)}
 		}
 		r.engines[i] = r.buildEngine(id)
-		medium.Attach(id, r.engines[i])
-	}
-	if cfg.InvariantChecks {
-		r.pool.SetChecks(true)
+		r.Medium.Attach(id, r.engines[i])
 	}
 	for i := range r.engines {
 		r.engines[i].Start()
 	}
 	if cfg.Faults.Enabled() {
-		armFaults(kernel, clock, r.engines, cfg.Faults)
+		armFaults(r.Kernel, r.Clock, r.engines, cfg.Faults)
 	}
-	if cfg.Barring.Enabled() {
-		r.armBarring()
-	}
+	r.ArmBarring(r.engines)
 	if cfg.MeasureFrom > 0 {
-		kernel.At(cfg.MeasureFrom, func() {
+		r.Kernel.At(cfg.MeasureFrom, func() {
 			for _, e := range r.engines {
 				e.Base().ResetQueueIntegral()
 			}
@@ -606,28 +552,6 @@ func build(cfg Config) *run {
 		r.armSampler()
 	}
 	return r
-}
-
-// armDynamics installs the burst-error process and schedules the churn,
-// mobility and fade events on the kernel. Events sharing an instant fire in
-// configuration order (the kernel's scheduling order is total).
-func armDynamics(kernel *sim.Kernel, medium *radio.Medium, d DynamicsConfig, seed uint64) {
-	medium.EnableDynamics()
-	if d.Gilbert.Enabled() {
-		medium.SetGilbertElliott(d.Gilbert, seed)
-	}
-	for _, f := range d.Fades {
-		f := f
-		kernel.At(f.At, func() { medium.SetFadeUntil(f.Node, f.At+f.Duration) })
-	}
-	for _, c := range d.Churn {
-		c := c
-		kernel.At(c.At, func() { medium.SetPresent(c.Node, !c.Leave) })
-	}
-	for _, mv := range d.Moves {
-		mv := mv
-		kernel.At(mv.At, func() { medium.MoveNode(mv.Node, mv.To) })
-	}
 }
 
 // armFaults schedules the deterministic fault script on the kernel. Nodes
@@ -690,50 +614,6 @@ func armFaults(kernel *sim.Kernel, clock *superframe.Clock, engines []mac.Engine
 	}
 }
 
-// armBarring installs the sink-side access-class barring loop: once per
-// beacon interval (default: one superframe, matching the simulator's
-// implicit beacon at each superframe start) the sink diffs the congestion
-// counters it observes on the medium — deliveries, collisions, captures and
-// raw channel airtime — into a barring.Observation, runs the configured
-// controller over it, and pushes the resulting barring factor to every
-// node's MAC base as the beacon payload. The loop itself draws no
-// randomness; all barring randomness lives in the nodes' dedicated
-// per-node streams (4000+id).
-func (r *run) armBarring() {
-	cfg := r.cfg.Barring
-	sfd := r.clock.Config().SuperframeDuration()
-	interval := cfg.Interval
-	if interval <= 0 {
-		interval = sfd
-	}
-	backoff := cfg.Backoff
-	if backoff <= 0 {
-		backoff = sfd
-	}
-	ctrl := barring.New(cfg)
-	sink := r.cfg.Network.Sink
-	var prev radio.NodeStats
-	var prevAir sim.Time
-	var tick func()
-	tick = func() {
-		cur := r.medium.Stats(sink)
-		_, air := r.medium.ChannelLoad()
-		obs := barring.Observation{
-			Delivered:    cur.RxDelivered - prev.RxDelivered,
-			Collided:     cur.RxCollided - prev.RxCollided,
-			Captured:     cur.RxCaptured - prev.RxCaptured,
-			BusyFraction: float64(air-prevAir) / float64(interval),
-		}
-		prev, prevAir = cur, air
-		p := ctrl.Update(obs)
-		for _, e := range r.engines {
-			e.Base().SetBarring(p, backoff)
-		}
-		r.kernel.Schedule(interval, tick)
-	}
-	r.kernel.Schedule(interval, tick)
-}
-
 func (r *run) macConfig(id frame.NodeID) mac.Config {
 	retries := r.cfg.MaxRetries
 	switch {
@@ -742,24 +622,17 @@ func (r *run) macConfig(id frame.NodeID) mac.Config {
 	case retries < 0:
 		retries = 0 // disabled
 	}
-	// The barring RNG stream only exists when barring is configured: a
-	// zero-valued Barring config must leave every node's stream set — and
-	// therefore the whole run — byte-identical to a pre-barring build.
-	var barringRng *sim.Rand
-	if r.cfg.Barring.Enabled() {
-		barringRng = sim.NewRandStream(r.cfg.Seed, 4000+uint64(id))
-	}
 	return mac.Config{
 		ID:           id,
-		Kernel:       r.kernel,
-		Medium:       r.medium,
-		Clock:        r.clock,
+		Kernel:       r.Kernel,
+		Medium:       r.Medium,
+		Clock:        r.Clock,
 		QueueCap:     r.cfg.QueueCap,
 		MaxRetries:   retries,
 		Router:       r.cfg.Network,
-		FramePool:    r.pool,
-		Scratch:      r.scratch,
-		BarringRng:   barringRng,
+		FramePool:    r.Pool,
+		Scratch:      r.Scratch,
+		BarringRng:   r.BarringRng(id),
 		Drop:         r.cfg.DropPolicy,
 		DropDeadline: r.cfg.DropDeadline,
 		OnSinkDeliver: func(f *frame.Frame) {
@@ -768,14 +641,14 @@ func (r *run) macConfig(id frame.NodeID) mac.Config {
 			}
 			if s := r.result.Summary; s != nil {
 				s.Delivered++
-				s.DelaySum += r.kernel.Now() - f.CreatedAt
+				s.DelaySum += r.Kernel.Now() - f.CreatedAt
 			} else {
 				origin := &r.result.Nodes[f.Origin]
 				origin.Delivered++
-				origin.DelaySum += r.kernel.Now() - f.CreatedAt
+				origin.DelaySum += r.Kernel.Now() - f.CreatedAt
 			}
 			if r.cfg.OnEvalDeliver != nil {
-				r.cfg.OnEvalDeliver(f.Origin, f.CreatedAt, r.kernel.Now())
+				r.cfg.OnEvalDeliver(f.Origin, f.CreatedAt, r.Kernel.Now())
 			}
 		},
 	}
@@ -802,7 +675,7 @@ func (r *run) buildTraffic() {
 			node = &r.result.Nodes[spec.Origin]
 		}
 		src := &traffic.Source{
-			Kernel:     r.kernel,
+			Kernel:     r.Kernel,
 			Rng:        sim.NewRandStream(r.cfg.Seed, 2000+uint64(spec.Origin)+uint64(spec.Tag)*500),
 			Target:     r.engines[spec.Origin],
 			Origin:     spec.Origin,
@@ -814,7 +687,7 @@ func (r *run) buildTraffic() {
 			MPDUBytes:  spec.MPDUBytes,
 			Tag:        spec.Tag,
 			Seq:        seqs[spec.Origin],
-			Pool:       r.pool,
+			Pool:       r.Pool,
 			OnGenerate: func(f *frame.Frame) {
 				if f.Tag == frame.TagEval {
 					if node != nil {
@@ -823,7 +696,7 @@ func (r *run) buildTraffic() {
 						r.result.Summary.Generated++
 					}
 					if r.cfg.OnEvalGenerate != nil {
-						r.cfg.OnEvalGenerate(f.Origin, r.kernel.Now())
+						r.cfg.OnEvalGenerate(f.Origin, r.Kernel.Now())
 					}
 				}
 			},
@@ -832,13 +705,13 @@ func (r *run) buildTraffic() {
 	}
 	for _, spec := range r.cfg.Broadcasts {
 		b := &traffic.BroadcastSource{
-			Kernel:  r.kernel,
+			Kernel:  r.Kernel,
 			Rng:     sim.NewRandStream(r.cfg.Seed, 3000+uint64(spec.Origin)),
 			Target:  r.engines[spec.Origin],
 			Origin:  spec.Origin,
 			Period:  spec.Period,
 			StartAt: spec.StartAt,
-			Pool:    r.pool,
+			Pool:    r.Pool,
 		}
 		b.Start()
 	}
@@ -855,7 +728,7 @@ func (r *run) armSampler() {
 	}
 	var tick func()
 	tick = func() {
-		now := r.kernel.Now().Seconds()
+		now := r.Kernel.Now().Seconds()
 		for i, e := range r.engines {
 			node := &r.result.Nodes[i]
 			node.QueueSeries.Add(now, float64(e.Base().Queue().Len()))
@@ -865,24 +738,24 @@ func (r *run) armSampler() {
 				node.Rho.Add(now, rho)
 			}
 		}
-		r.kernel.Schedule(r.cfg.SamplePeriod, tick)
+		r.Kernel.Schedule(r.cfg.SamplePeriod, tick)
 	}
-	r.kernel.Schedule(r.cfg.SamplePeriod, tick)
+	r.Kernel.Schedule(r.cfg.SamplePeriod, tick)
 }
 
 // collect copies the end-of-run counters into the result. SummaryOnly runs
 // collect nothing per node — their totals accumulated during the run.
 func (r *run) collect() {
-	r.result.Events = r.kernel.Processed()
-	r.result.Truncated = r.kernel.BudgetExhausted()
+	r.result.Events = r.Kernel.Processed()
+	r.result.Truncated = r.Kernel.BudgetExhausted()
 	if r.result.Summary != nil {
 		return
 	}
 	for i, e := range r.engines {
 		node := &r.result.Nodes[i]
 		node.MAC = e.Base().Stats()
-		node.Radio = r.medium.Stats(frame.NodeID(i))
-		node.PowerAirtime = r.medium.TxAirtimeByPower(frame.NodeID(i))
+		node.Radio = r.Medium.Stats(frame.NodeID(i))
+		node.PowerAirtime = r.Medium.TxAirtimeByPower(frame.NodeID(i))
 		node.AvgQueueLevel = e.Base().AvgQueueLevel()
 		if q := r.qma[i]; q != nil {
 			node.Engine = q.EngineStats()

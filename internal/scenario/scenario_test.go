@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"qma/internal/frame"
+	"qma/internal/mac"
 	"qma/internal/sim"
 	"qma/internal/topo"
 	"qma/internal/traffic"
@@ -12,7 +13,7 @@ import (
 // hiddenNodeConfig reproduces the §6.1 setup at reduced scale: nodes A and C
 // send Poisson traffic to the sink B, with low-rate management traffic from
 // t=0 standing in for the paper's association phase.
-func hiddenNodeConfig(mk MACKind, delta float64, seed uint64) Config {
+func hiddenNodeConfig(mk mac.Name, delta float64, seed uint64) Config {
 	return Config{
 		Network:  topo.HiddenNode(),
 		MAC:      mk,
@@ -61,7 +62,7 @@ func TestHiddenNodeLowRateBothWork(t *testing.T) {
 	}
 	// At δ=1 packet/s both schemes deliver nearly everything (Fig. 7, left
 	// side: the performance difference becomes smaller for lower rates).
-	for _, mk := range []MACKind{QMA, CSMAUnslotted, CSMASlotted} {
+	for _, mk := range []mac.Name{QMA, CSMAUnslotted, CSMASlotted} {
 		res := Run(hiddenNodeConfig(mk, 1, 2))
 		if pdr := res.NetworkPDR(); pdr < 0.9 {
 			t.Errorf("%v: PDR = %.3f at δ=1, want >= 0.9", mk, pdr)

@@ -36,11 +36,15 @@
 package scenario
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
 	"qma/internal/frame"
+	"qma/internal/mac"
 	"qma/internal/radio"
 	"qma/internal/sim"
 	"qma/internal/stats"
@@ -54,13 +58,10 @@ type ShardedConfig struct {
 	// City is the cell-partitioned deployment; required.
 	City *topo.City
 	// MAC selects the channel access scheme by registry key ("" = QMA).
-	MAC MACKind
-	// QMA tunes QMA engines; MACOptions overrides for any protocol.
-	QMA        QMAOptions
+	MAC mac.Name
+	// MACOptions carries the protocol's options (core.Options for QMA); nil
+	// selects the protocol's defaults.
 	MACOptions any
-	// QueueCap and MaxRetries mirror Config.
-	QueueCap   int
-	MaxRetries int
 	// Seed selects the random streams. Cell 0 uses it verbatim; cell c
 	// derives Seed + c·φ (a fixed odd 64-bit constant), so per-cell streams
 	// never collide and a 1-cell run is byte-identical to the monolithic
@@ -82,8 +83,6 @@ type ShardedConfig struct {
 	// Parallel bounds the worker pool driving the cells (0 = GOMAXPROCS,
 	// 1 = sequential). Results are byte-identical for every value.
 	Parallel int
-	// Superframe overrides the DSME timing (zero value selects the default).
-	Superframe superframe.Config
 	// EventBudget truncates each cell after this many kernel events when
 	// positive (a truncated cell stops advancing and marks the result).
 	EventBudget uint64
@@ -266,10 +265,34 @@ type shardedRun struct {
 	edgeTargets func(cell int, src frame.NodeID) []topo.BoundaryTarget
 }
 
+// ErrNoCity is the error ShardedConfig.Validate reports for a missing City.
+var ErrNoCity = errors.New("City is required")
+
+// Validate reports the first configuration problem, or nil. buildSharded
+// panics with its error; the public qma facade returns it. The City is
+// checked last, so a caller that builds the City only after validating (the
+// facade) can check every other rule first and skip ErrNoCity. Per-cell
+// rules stay with the cells: topo.CityConfig.Validate and BuildCity check
+// the partition, and each cell's Config.Validate checks its run.
+func (cfg *ShardedConfig) Validate() error {
+	switch {
+	case cfg.Duration <= 0:
+		return fmt.Errorf("duration %v must be positive", cfg.Duration)
+	case !(cfg.Rate > 0) || math.IsInf(cfg.Rate, 1):
+		return fmt.Errorf("rate %g must be positive and finite", cfg.Rate)
+	case cfg.StartAt < 0 || cfg.Epoch < 0 || cfg.Window < 0:
+		return fmt.Errorf("start %v, epoch %v and window %v must not be negative", cfg.StartAt, cfg.Epoch, cfg.Window)
+	case cfg.City == nil:
+		return ErrNoCity
+	}
+	return nil
+}
+
 // RunSharded executes the multi-cell sharded simulation. Like Run it panics
-// on configuration errors and never on simulation behaviour; a panic inside
-// a cell's build or epoch (a simulator bug) propagates instead of being
-// dropped, naming the cell, its epoch and its cell seed.
+// with the Validate error on configuration errors and never on simulation
+// behaviour; a panic inside a cell's build or epoch (a simulator bug)
+// propagates instead of being dropped, naming the cell, its epoch and its
+// cell seed.
 func RunSharded(cfg ShardedConfig) *ShardedResult {
 	s := buildSharded(cfg)
 	runShardedDep(s)
@@ -280,27 +303,11 @@ func RunSharded(cfg ShardedConfig) *ShardedResult {
 // SummaryOnly sub-simulation and installs the observers that record edge
 // transmissions for the exchange.
 func buildSharded(cfg ShardedConfig) *shardedRun {
-	if cfg.City == nil {
-		panic("scenario: City is required")
+	if err := cfg.Validate(); err != nil {
+		panic("scenario: " + err.Error())
 	}
-	if cfg.Duration <= 0 {
-		panic("scenario: Duration must be positive")
-	}
-	if cfg.Rate <= 0 {
-		panic("scenario: Rate must be positive")
-	}
-	sfCfg := cfg.Superframe
-	if sfCfg == (superframe.Config{}) {
-		sfCfg = superframe.DefaultConfig()
-	}
-	epoch := cfg.Epoch
-	if epoch <= 0 {
-		epoch = sfCfg.SuperframeDuration()
-	}
-	window := cfg.Window
-	if window <= 0 {
-		window = sim.Second
-	}
+	epoch := cmp.Or(cfg.Epoch, superframe.DefaultConfig().SuperframeDuration())
+	window := cmp.Or(cfg.Window, sim.Second)
 	edgeTargets := cfg.edgeTargets
 	if edgeTargets == nil {
 		edgeTargets = cfg.City.EdgeTargets
@@ -323,13 +330,9 @@ func buildSharded(cfg ShardedConfig) *shardedRun {
 		cellCfg := Config{
 			Network:         net,
 			MAC:             cfg.MAC,
-			QMA:             cfg.QMA,
 			MACOptions:      cfg.MACOptions,
-			QueueCap:        cfg.QueueCap,
-			MaxRetries:      cfg.MaxRetries,
 			Seed:            cellSeed(cfg.Seed, c),
 			Duration:        cfg.Duration,
-			Superframe:      cfg.Superframe,
 			EventBudget:     cfg.EventBudget,
 			InvariantChecks: cfg.InvariantChecks,
 			SummaryOnly:     true,
@@ -360,7 +363,7 @@ func buildSharded(cfg ShardedConfig) *shardedRun {
 		// Record edge-node transmissions for the exchange. The observer
 		// changes no medium state, so interior-only cells (and 1-cell cities)
 		// stay byte-identical to the monolithic run.
-		sc.run.medium.SetTxObserver(func(src frame.NodeID, channel uint8, start, end sim.Time) {
+		sc.run.Medium.SetTxObserver(func(src frame.NodeID, channel uint8, start, end sim.Time) {
 			if len(edgeTargets(c, src)) == 0 {
 				return
 			}
@@ -390,7 +393,7 @@ func collectSharded(s *shardedRun) *ShardedResult {
 		cr.Delay = sc.delay
 		cr.Windows = sc.windows.Windows()
 		for i := 0; i < cr.Nodes; i++ {
-			cr.Radio.Accumulate(sc.run.medium.Stats(frame.NodeID(i)))
+			cr.Radio.Accumulate(sc.run.Medium.Stats(frame.NodeID(i)))
 		}
 		cr.Events = sc.run.result.Events
 		cr.Truncated = sc.run.result.Truncated
@@ -493,13 +496,13 @@ func runShardedDep(s *shardedRun) {
 			sort.Slice(fold, func(a, b int) bool { return fold[a].srcCell < fold[b].srcCell })
 			for _, b := range fold {
 				for _, inj := range b.inj {
-					sc.run.medium.ScheduleForeignBusy(inj.node, inj.channel, inj.start, inj.end)
+					sc.run.Medium.ScheduleForeignBusy(inj.node, inj.channel, inj.start, inj.end)
 				}
 				res.Cells[c].ForeignBusy += uint64(len(b.inj))
 			}
 		}
 
-		sc.run.kernel.Run(min(sim.Time(e+1)*epoch, cfg.Duration))
+		sc.run.Kernel.Run(min(sim.Time(e+1)*epoch, cfg.Duration))
 
 		// Publish this epoch's outbox as one tagged batch per target cell,
 		// preserving outbox order within each batch. This runs even when the
@@ -532,7 +535,7 @@ func runShardedDep(s *shardedRun) {
 			sc.outbox = sc.outbox[:0]
 		}
 
-		ev := sc.run.kernel.Processed()
+		ev := sc.run.Kernel.Processed()
 		delta := ev - sc.prevEvents
 		sc.prevEvents = ev
 
@@ -540,7 +543,7 @@ func runShardedDep(s *shardedRun) {
 		defer schedMu.Unlock()
 		done[c] = e + 1
 		queued[c] = false
-		exhausted[c] = sc.run.kernel.BudgetExhausted()
+		exhausted[c] = sc.run.Kernel.BudgetExhausted()
 		prio[c] = delta
 		lastWorker[c] = w
 		var pushes []stats.Item

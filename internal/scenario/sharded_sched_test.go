@@ -24,7 +24,7 @@ func runShardedBarrier(cfg ShardedConfig) *ShardedResult {
 	s := buildSharded(cfg)
 	epoch := s.res.EpochLen
 	inbox := make([][]foreignInj, len(s.cells))
-	exhausted := func(c int) bool { return s.cells[c].run.kernel.BudgetExhausted() }
+	exhausted := func(c int) bool { return s.cells[c].run.Kernel.BudgetExhausted() }
 	for now := sim.Time(0); now < cfg.Duration; now += epoch {
 		live := false
 		for c := range s.cells {
@@ -39,11 +39,11 @@ func runShardedBarrier(cfg ShardedConfig) *ShardedResult {
 				continue
 			}
 			for _, inj := range inbox[c] {
-				sc.run.medium.ScheduleForeignBusy(inj.node, inj.channel, inj.start, inj.end)
+				sc.run.Medium.ScheduleForeignBusy(inj.node, inj.channel, inj.start, inj.end)
 			}
 			s.res.Cells[c].ForeignBusy += uint64(len(inbox[c]))
 			inbox[c] = inbox[c][:0]
-			sc.run.kernel.Run(end)
+			sc.run.Kernel.Run(end)
 		}
 		for c, sc := range s.cells {
 			for _, tx := range sc.outbox {
@@ -82,18 +82,28 @@ func matchBarrier(t *testing.T, cfg ShardedConfig) *ShardedResult {
 
 // TestShardedDependencyMatchesLockstep is the scheduler-equivalence
 // contract on a uniform city: the dependency-driven scheduler must be
-// byte-identical to the barrier reference at every worker count.
+// byte-identical to the barrier reference at every worker count. The
+// runtime self-checks only observe, so arming them in every cell must leave
+// each of those runs byte-identical too.
 func TestShardedDependencyMatchesLockstep(t *testing.T) {
 	city := topo.NewCity(topo.CityConfig{Nodes: 280, CellsX: 2, CellsY: 2, Seed: 21})
-	ref := matchBarrier(t, ShardedConfig{
+	cfg := ShardedConfig{
 		City:     city,
 		Seed:     21,
 		Duration: 2 * sim.Second,
 		Rate:     2.0,
 		StartAt:  sim.Second / 2,
-	})
+	}
+	ref := matchBarrier(t, cfg)
 	if ref.NetworkPDR() <= 0 || ref.Events == 0 {
 		t.Fatalf("degenerate reference run: PDR %v, events %d", ref.NetworkPDR(), ref.Events)
+	}
+	cfg.InvariantChecks = true
+	for _, workers := range []int{1, 2, 4} {
+		cfg.Parallel = workers
+		if got := RunSharded(cfg); !reflect.DeepEqual(got, ref) {
+			t.Errorf("checked run (parallel=%d) differs from the unchecked reference:\n%+v\n%+v", workers, got, ref)
+		}
 	}
 }
 

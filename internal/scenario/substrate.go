@@ -1,0 +1,139 @@
+package scenario
+
+import (
+	"cmp"
+
+	"qma/internal/barring"
+	"qma/internal/frame"
+	"qma/internal/mac"
+	"qma/internal/radio"
+	"qma/internal/sim"
+	"qma/internal/superframe"
+)
+
+// Substrate is what every run stands on: the kernel, the superframe clock,
+// the medium, and the frame pool and per-node slab the engines draw from.
+// Run and the DSME runner both build it with NewSubstrate, so the stream
+// layout, budget, invariant checks, arena and barring loop are written once.
+type Substrate struct {
+	Kernel  *sim.Kernel
+	Clock   *superframe.Clock
+	Medium  *radio.Medium
+	Pool    *frame.Pool
+	Scratch *mac.Scratch
+
+	seed    uint64
+	sink    frame.NodeID
+	barring barring.Config
+}
+
+// NewSubstrate assembles a run's substrate from cfg's Network, Superframe,
+// Seed, CaptureThresholdDB, Dynamics, EventBudget, WallBudget,
+// InvariantChecks, Arena and Barring. cfg must be valid.
+//
+// Stream layout: 0..n-1 engines, 1000 medium, 2000+i traffic, 3000+i
+// broadcasts, 4000+i access-barring gates (only drawn from when barring is
+// configured), 5000+i DSME nodes; the Gilbert–Elliott process derives
+// per-link streams of its own from the seed. Fixed offsets keep every
+// consumer's stream stable when instrumentation is added or removed.
+func NewSubstrate(cfg *Config) *Substrate {
+	s := &Substrate{
+		Kernel:  sim.NewKernel(),
+		Clock:   superframe.NewClock(cmp.Or(cfg.Superframe, superframe.DefaultConfig())),
+		Pool:    &frame.Pool{},
+		Scratch: &mac.Scratch{},
+		seed:    cfg.Seed,
+		sink:    cfg.Network.Sink,
+		barring: cfg.Barring,
+	}
+	topology := cfg.Network.Topology
+	if len(cfg.Dynamics.Moves) > 0 {
+		// Moves mutate positions; run on a private clone so the Network
+		// stays shareable across parallel replications.
+		topology = topology.(radio.CloneableTopology).CloneTopology()
+	}
+	s.Medium = radio.NewMedium(s.Kernel, topology, sim.NewRandStream(cfg.Seed, 1000))
+	if cfg.CaptureThresholdDB > 0 {
+		s.Medium.SetCaptureThreshold(cfg.CaptureThresholdDB)
+	}
+	if cfg.EventBudget > 0 || cfg.WallBudget > 0 {
+		s.Kernel.SetBudget(cfg.EventBudget, cfg.WallBudget)
+	}
+	if cfg.Dynamics.Enabled() {
+		armDynamics(s.Kernel, s.Medium, cfg.Dynamics, cfg.Seed)
+	}
+	if cfg.Arena != nil {
+		s.Pool, s.Scratch = cfg.Arena.Begin()
+	}
+	if cfg.InvariantChecks {
+		s.Kernel.SetInvariantChecks(true)
+		s.Medium.SetInvariantChecks(true)
+		s.Pool.SetChecks(true)
+	}
+	return s
+}
+
+// BarringRng returns node id's access-barring stream, or nil when barring
+// is off: a zero-valued barring config must leave every node's stream set —
+// and therefore the whole run — byte-identical to a pre-barring build.
+func (s *Substrate) BarringRng(id frame.NodeID) *sim.Rand {
+	if !s.barring.Enabled() {
+		return nil
+	}
+	return sim.NewRandStream(s.seed, 4000+uint64(id))
+}
+
+// ArmBarring installs the sink-side access-class barring loop over engines,
+// or nothing when barring is off. Once per beacon interval (default: one
+// superframe, the implicit beacon) the sink diffs the deliveries,
+// collisions, captures and channel airtime it observes on the medium into a
+// barring.Observation, and pushes the controller's barring factor to every
+// engine's MAC base as the beacon payload. The loop draws no randomness.
+func (s *Substrate) ArmBarring(engines []mac.Engine) {
+	cfg := s.barring
+	if !cfg.Enabled() {
+		return
+	}
+	sfd := s.Clock.Config().SuperframeDuration()
+	interval, backoff := cmp.Or(cfg.Interval, sfd), cmp.Or(cfg.Backoff, sfd)
+	ctrl := barring.New(cfg)
+	var prev radio.NodeStats
+	var prevAir sim.Time
+	var tick func()
+	tick = func() {
+		cur := s.Medium.Stats(s.sink)
+		_, air := s.Medium.ChannelLoad()
+		obs := barring.Observation{
+			Delivered:    cur.RxDelivered - prev.RxDelivered,
+			Collided:     cur.RxCollided - prev.RxCollided,
+			Captured:     cur.RxCaptured - prev.RxCaptured,
+			BusyFraction: float64(air-prevAir) / float64(interval),
+		}
+		prev, prevAir = cur, air
+		p := ctrl.Update(obs)
+		for _, e := range engines {
+			e.Base().SetBarring(p, backoff)
+		}
+		s.Kernel.Schedule(interval, tick)
+	}
+	s.Kernel.Schedule(interval, tick)
+}
+
+// armDynamics installs the burst-error process and schedules the churn,
+// mobility and fade events on the kernel. Events sharing an instant fire in
+// configuration order (the kernel's scheduling order is total).
+func armDynamics(kernel *sim.Kernel, medium *radio.Medium, d DynamicsConfig, seed uint64) {
+	medium.EnableDynamics()
+	if d.Gilbert.Enabled() {
+		medium.SetGilbertElliott(d.Gilbert, seed)
+	}
+	for _, f := range d.Fades {
+		kernel.At(f.At, func() { medium.SetFadeUntil(f.Node, f.At+f.Duration) })
+	}
+	for _, c := range d.Churn {
+		kernel.At(c.At, func() { medium.SetPresent(c.Node, !c.Leave) })
+	}
+	for _, mv := range d.Moves {
+		kernel.At(mv.At, func() { medium.MoveNode(mv.Node, mv.To) })
+	}
+}

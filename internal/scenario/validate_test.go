@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -138,5 +139,44 @@ func TestConfigValidateRules(t *testing.T) {
 		Dynamics: DynamicsConfig{Moves: []MoveSpec{{Node: 3, At: sim.Second / 2, To: radio.Position{X: 1}}}}}
 	if err := moves.Validate(); err != nil {
 		t.Fatalf("moves on Star17 rejected: %v", err)
+	}
+}
+
+// TestShardedConfigValidateRules pins every rule of ShardedConfig.Validate
+// the same way: each case breaks one rule, Validate names it and RunSharded
+// panics with exactly that error. A missing City is reported last, as
+// ErrNoCity, so the public facade can validate before it builds the City.
+func TestShardedConfigValidateRules(t *testing.T) {
+	city := topo.NewCity(topo.CityConfig{Nodes: 40, Seed: 1})
+	cases := []struct {
+		name    string
+		mutate  func(*ShardedConfig)
+		wantErr string
+	}{
+		{"zero duration", func(c *ShardedConfig) { c.Duration = 0 }, "must be positive"},
+		{"zero rate", func(c *ShardedConfig) { c.Rate = 0 }, "rate 0 must be positive"},
+		{"NaN rate", func(c *ShardedConfig) { c.Rate = math.NaN() }, "must be positive and finite"},
+		{"infinite rate", func(c *ShardedConfig) { c.Rate = math.Inf(1) }, "must be positive and finite"},
+		{"negative start", func(c *ShardedConfig) { c.StartAt = -1 }, "must not be negative"},
+		{"negative epoch", func(c *ShardedConfig) { c.Epoch = -1 }, "must not be negative"},
+		{"negative window", func(c *ShardedConfig) { c.Window = -1 }, "must not be negative"},
+		{"no city", func(c *ShardedConfig) { c.City = nil }, ErrNoCity.Error()},
+		{"no city and no rate", func(c *ShardedConfig) { c.City, c.Rate = nil, 0 }, "rate 0"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ShardedConfig{City: city, Duration: sim.Second, Rate: 1}
+			tc.mutate(&cfg)
+			err := cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Validate = %v, want an error mentioning %q", err, tc.wantErr)
+			}
+			defer func() {
+				if msg := fmt.Sprint(recover()); msg != "scenario: "+err.Error() {
+					t.Fatalf("RunSharded panicked with %q, want the Validate error %q", msg, err)
+				}
+			}()
+			RunSharded(cfg)
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -25,7 +26,7 @@ type CityConfig struct {
 	// Nodes is the total device count including one sink per cell; required,
 	// at least 2 per cell.
 	Nodes int
-	// CellsX and CellsY shape the cell grid (default 1×1).
+	// CellsX and CellsY shape the cell grid (0 selects 1; negative is an error).
 	CellsX, CellsY int
 	// Degree is the target mean decode degree (default 10); the city area is
 	// sized so a uniform deployment hits it on average, exactly like
@@ -46,6 +47,43 @@ type CityConfig struct {
 	// seeds keep producing byte-identical cities.
 	HotspotCell     int
 	HotspotFraction float64
+}
+
+// withDefaults resolves the zero-valued knobs to their documented defaults.
+func (cfg CityConfig) withDefaults() CityConfig {
+	cfg.CellsX, cfg.CellsY = cmp.Or(cfg.CellsX, 1), cmp.Or(cfg.CellsY, 1)
+	cfg.Degree = cmp.Or(cfg.Degree, 10)
+	cfg.PathLoss = cmp.Or(cfg.PathLoss, radio.DefaultPathLossConfig())
+	return cfg
+}
+
+// Validate reports the first configuration problem, or nil. BuildCity
+// returns its error; the public qma facade returns it before building. It
+// bounds only the average cell load against the 16-bit local id space:
+// uniform placement can still overfill one cell, which BuildCity reports
+// once the nodes are placed.
+func (cfg *CityConfig) Validate() error {
+	c := cfg.withDefaults()
+	cells := c.CellsX * c.CellsY
+	switch {
+	case c.CellsX < 1 || c.CellsY < 1:
+		return fmt.Errorf("topo: City cell grid %dx%d must be at least 1x1", c.CellsX, c.CellsY)
+	case c.Nodes < 2*cells:
+		return fmt.Errorf("topo: City Nodes=%d too small for %dx%d cells (need >= 2 per cell)", c.Nodes, c.CellsX, c.CellsY)
+	case c.Nodes/cells > math.MaxInt16:
+		return fmt.Errorf("topo: %d nodes per cell exceeds the 16-bit per-cell address space; use more cells", c.Nodes/cells)
+	case !(c.Degree > 0) || math.IsInf(c.Degree, 1):
+		return fmt.Errorf("topo: City Degree %g must be positive and finite (0 selects 10)", cfg.Degree)
+	case c.PathLoss.ShadowSigmaDB != 0:
+		return errors.New("topo: City requires PathLoss.ShadowSigmaDB = 0 (cross-cell shadowing is undefined)")
+	case c.PathLoss.PathLossExponent <= 0:
+		return errors.New("topo: City requires a positive PathLossExponent")
+	case c.HotspotFraction < 0 || c.HotspotFraction >= 1:
+		return fmt.Errorf("topo: City HotspotFraction must be in [0,1), got %g", c.HotspotFraction)
+	case c.HotspotFraction > 0 && (c.HotspotCell < 0 || c.HotspotCell >= cells):
+		return fmt.Errorf("topo: City HotspotCell %d out of range for %d cells", c.HotspotCell, cells)
+	}
+	return nil
 }
 
 // BoundaryTarget is the far end of one boundary-interference link: a node
@@ -158,34 +196,11 @@ func NewCity(cfg CityConfig) *City {
 // load can rule out a cell that uniform placement overfilled past the 16-bit
 // local id space.
 func BuildCity(cfg CityConfig) (*City, error) {
-	if cfg.CellsX <= 0 {
-		cfg.CellsX = 1
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.CellsY <= 0 {
-		cfg.CellsY = 1
-	}
+	cfg = cfg.withDefaults()
 	cells := cfg.CellsX * cfg.CellsY
-	if cfg.Nodes < 2*cells {
-		return nil, fmt.Errorf("topo: City needs at least 2 nodes per cell, got %d for %d cells", cfg.Nodes, cells)
-	}
-	if cfg.Degree <= 0 {
-		cfg.Degree = 10
-	}
-	if cfg.PathLoss == (radio.PathLossConfig{}) {
-		cfg.PathLoss = radio.DefaultPathLossConfig()
-	}
-	if cfg.PathLoss.ShadowSigmaDB != 0 {
-		return nil, errors.New("topo: City requires PathLoss.ShadowSigmaDB = 0 (cross-cell shadowing is undefined)")
-	}
-	if cfg.PathLoss.PathLossExponent <= 0 {
-		return nil, errors.New("topo: City requires a positive PathLossExponent")
-	}
-	if cfg.HotspotFraction < 0 || cfg.HotspotFraction >= 1 {
-		return nil, fmt.Errorf("topo: City HotspotFraction must be in [0,1), got %g", cfg.HotspotFraction)
-	}
-	if cfg.HotspotFraction > 0 && (cfg.HotspotCell < 0 || cfg.HotspotCell >= cells) {
-		return nil, fmt.Errorf("topo: City HotspotCell %d out of range for %d cells", cfg.HotspotCell, cells)
-	}
 
 	// Area from the decode range and the target degree, exactly like
 	// FactoryHall; square cells tile it.

@@ -1,7 +1,10 @@
 package topo
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"qma/internal/frame"
@@ -210,26 +213,46 @@ func TestCityHotspot(t *testing.T) {
 }
 
 func TestCityConfigValidation(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		fn()
+	shadowed := CityConfig{Nodes: 100, CellsX: 2, CellsY: 1, PathLoss: radio.DefaultPathLossConfig()}
+	shadowed.PathLoss.ShadowSigmaDB = 2
+	cases := []struct {
+		name    string
+		cfg     CityConfig
+		wantErr string
+	}{
+		{"negative grid", CityConfig{Nodes: 100, CellsX: -2}, "at least 1x1"},
+		{"too few nodes", CityConfig{Nodes: 5, CellsX: 3, CellsY: 1}, "too small for 3x1 cells"},
+		{"average load past 16 bits", CityConfig{Nodes: 2*32767 + 2, CellsX: 2}, "16-bit"},
+		{"negative degree", CityConfig{Nodes: 100, Degree: -1}, "Degree -1"},
+		{"NaN degree", CityConfig{Nodes: 100, Degree: math.NaN()}, "Degree NaN"},
+		{"hotspot fraction", CityConfig{Nodes: 100, CellsX: 2, CellsY: 1, HotspotFraction: 1}, "HotspotFraction"},
+		{"hotspot cell", CityConfig{Nodes: 100, CellsX: 2, CellsY: 1, HotspotCell: 2, HotspotFraction: 0.5}, "HotspotCell 2"},
+		{"shadowing", shadowed, "ShadowSigmaDB"},
 	}
-	mustPanic("too few nodes", func() { NewCity(CityConfig{Nodes: 5, CellsX: 3, CellsY: 1}) })
-	mustPanic("hotspot fraction", func() {
-		NewCity(CityConfig{Nodes: 100, CellsX: 2, CellsY: 1, HotspotFraction: 1})
-	})
-	mustPanic("hotspot cell", func() {
-		NewCity(CityConfig{Nodes: 100, CellsX: 2, CellsY: 1, HotspotCell: 2, HotspotFraction: 0.5})
-	})
-	mustPanic("shadowing", func() {
-		cfg := CityConfig{Nodes: 100, CellsX: 2, CellsY: 1}
-		cfg.PathLoss = radio.DefaultPathLossConfig()
-		cfg.PathLoss.ShadowSigmaDB = 2
-		NewCity(cfg)
-	})
+	// Each case breaks one rule: Validate names it, BuildCity returns exactly
+	// that error before placing a node, and NewCity panics with it.
+	for _, tc := range cases {
+		err := tc.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: Validate = %v, want an error mentioning %q", tc.name, err, tc.wantErr)
+			continue
+		}
+		if c, berr := BuildCity(tc.cfg); c != nil || berr == nil || berr.Error() != err.Error() {
+			t.Errorf("%s: BuildCity = %v, %v; want the Validate error %q", tc.name, c, berr, err)
+		}
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); msg != err.Error() {
+					t.Errorf("%s: NewCity panicked with %q, want %q", tc.name, msg, err)
+				}
+			}()
+			NewCity(tc.cfg)
+		}()
+	}
+	// Average load exactly at the ceiling passes: only placement can tell
+	// whether a cell overflows.
+	edge := CityConfig{Nodes: 2 * 32767, CellsX: 2}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("average-load boundary rejected: %v", err)
+	}
 }

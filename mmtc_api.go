@@ -90,52 +90,24 @@ type MMTCResult struct {
 
 // Validate reports the first configuration problem, or nil.
 func (s *MMTCScenario) Validate() error {
-	cx, cy := s.CellsX, s.CellsY
-	if cx == 0 {
-		cx = 1
-	}
-	if cy == 0 {
-		cy = 1
-	}
-	switch {
-	case cx < 1 || cy < 1:
-		return errors.New("qma: MMTCScenario cell grid must be at least 1x1")
-	case s.Nodes < 2*cx*cy:
-		return fmt.Errorf("qma: MMTCScenario.Nodes=%d too small for %dx%d cells (need >= 2 per cell)", s.Nodes, cx, cy)
-	case s.Nodes/(cx*cy) > 32767:
-		return fmt.Errorf("qma: %d nodes per cell exceeds the 16-bit per-cell address space; use more cells", s.Nodes/(cx*cy))
-	case s.DurationSeconds <= 0:
-		return errors.New("qma: MMTCScenario.DurationSeconds must be positive")
-	case s.Rate <= 0:
-		return errors.New("qma: MMTCScenario.Rate must be positive")
-	case s.StartSeconds < 0 || s.EpochSeconds < 0 || s.WindowSeconds < 0:
-		return errors.New("qma: MMTCScenario time knobs must not be negative")
-	case s.Degree < 0:
-		return errors.New("qma: MMTCScenario.Degree must not be negative")
-	}
-	_, err := s.MAC.protocol()
+	_, _, err := s.config()
 	return err
 }
 
-// Run executes the sharded simulation.
-func (s *MMTCScenario) Run() (*MMTCResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	// Validate bounds only the average cell load; uniform placement can
-	// still overfill one cell, which BuildCity reports as an error.
-	city, err := topo.BuildCity(topo.CityConfig{
+// config converts s to the city and sharded-run configs. It checks the MAC
+// name, which the public form owns, and returns topo.CityConfig.Validate and
+// scenario.ShardedConfig.Validate for every rule about the city and the run.
+// The run's City is left for Run to build, so ErrNoCity is the one rule
+// skipped here.
+func (s *MMTCScenario) config() (topo.CityConfig, scenario.ShardedConfig, error) {
+	city := topo.CityConfig{
 		Nodes:  s.Nodes,
 		CellsX: s.CellsX,
 		CellsY: s.CellsY,
 		Degree: s.Degree,
 		Seed:   s.Seed,
-	})
-	if err != nil {
-		return nil, err
 	}
-	res := scenario.RunSharded(scenario.ShardedConfig{
-		City:       city,
+	run := scenario.ShardedConfig{
 		MAC:        s.MAC.kind(),
 		Seed:       s.Seed,
 		Duration:   sim.FromSeconds(s.DurationSeconds),
@@ -145,7 +117,33 @@ func (s *MMTCScenario) Run() (*MMTCResult, error) {
 		Epoch:      sim.FromSeconds(s.EpochSeconds),
 		Window:     sim.FromSeconds(s.WindowSeconds),
 		Parallel:   s.Parallel,
-	})
+	}
+	if _, err := s.MAC.protocol(); err != nil {
+		return city, run, err
+	}
+	if err := city.Validate(); err != nil {
+		return city, run, fmt.Errorf("qma: %w", err)
+	}
+	if err := run.Validate(); err != nil && !errors.Is(err, scenario.ErrNoCity) {
+		return city, run, fmt.Errorf("qma: %w", err)
+	}
+	return city, run, nil
+}
+
+// Run executes the sharded simulation.
+func (s *MMTCScenario) Run() (*MMTCResult, error) {
+	cityCfg, run, err := s.config()
+	if err != nil {
+		return nil, err
+	}
+	// Validate bounds only the average cell load; uniform placement can
+	// still overfill one cell, which BuildCity reports as an error.
+	city, err := topo.BuildCity(cityCfg)
+	if err != nil {
+		return nil, fmt.Errorf("qma: %w", err)
+	}
+	run.City = city
+	res := scenario.RunSharded(run)
 
 	delay := res.DelayDigest()
 	out := &MMTCResult{

@@ -75,11 +75,11 @@ var ErrUnknownMAC = errors.New("qma: unknown MAC protocol")
 // String implements fmt.Stringer with the protocol's display name.
 func (m MAC) String() string { return m.kind().String() }
 
-func (m MAC) kind() scenario.MACKind {
+func (m MAC) kind() mac.Name {
 	if m == "" {
 		return scenario.QMA
 	}
-	return scenario.MACKind(m)
+	return mac.Name(m)
 }
 
 // protocol resolves m against the protocol registry ("" selects QMA),

@@ -2,6 +2,7 @@ package qma_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"qma"
@@ -99,28 +100,68 @@ func FuzzScenarioValidateRun(f *testing.F) {
 			}
 		}
 
-		verr := sc.Validate()
-		res, rerr := runRecovered(sc)
-		switch {
-		case verr != nil && rerr == nil:
-			t.Fatalf("Validate rejected the scenario (%v) but Run succeeded: %+v", verr, sc)
-		case verr != nil && rerr.Error() != verr.Error():
-			t.Fatalf("Run error %q differs from the Validate error %q", rerr, verr)
-		case verr == nil && rerr != nil:
-			t.Fatalf("Validate accepted the scenario but Run failed: %v\n%+v", rerr, sc)
-		case verr == nil && res == nil:
-			t.Fatal("Run returned neither a result nor an error")
-		}
+		res, err := runRecovered(sc.Run)
+		checkValidateRun(t, sc.Validate(), err, res != nil, sc)
 	})
 }
 
-// runRecovered runs sc, converting a panic into an error naming it so the
+// FuzzMMTCValidateRun pins the same contract for the sharded city: the
+// inputs span the device count, the cell grid, the duration in µs (down to
+// sub-µs values that round to zero simulated time), the per-device rate,
+// the epoch and window lengths and the MAC name, on ≤400-device cities run
+// for ≤2 s.
+func FuzzMMTCValidateRun(f *testing.F) {
+	// nodes, cellsX, cellsY, durUs, rateTenths, epochMs, windowMs, mac
+	f.Add(uint16(120), int8(2), int8(1), float64(500000), int8(5), int16(0), int16(0), "qma")
+	// Rejected inputs, one rule each: a sub-µs duration, a zero rate, a
+	// negative epoch, 10 devices on 4x4 cells and an unknown MAC.
+	f.Add(uint16(40), int8(0), int8(0), float64(0.1), int8(1), int16(0), int16(0), "")
+	f.Add(uint16(40), int8(1), int8(1), float64(100000), int8(0), int16(0), int16(0), "")
+	f.Add(uint16(40), int8(1), int8(1), float64(100000), int8(1), int16(-5), int16(0), "")
+	f.Add(uint16(10), int8(4), int8(4), float64(100000), int8(1), int16(0), int16(0), "")
+	f.Add(uint16(40), int8(1), int8(1), float64(100000), int8(1), int16(0), int16(0), "carrier-pigeon")
+	f.Fuzz(func(t *testing.T, nodes uint16, cellsX, cellsY int8, durUs float64, rateTenths int8,
+		epochMs, windowMs int16, macName string) {
+		sc := &qma.MMTCScenario{
+			Nodes:           int(nodes % 401),
+			CellsX:          int(cellsX),
+			CellsY:          int(cellsY),
+			MAC:             qma.MAC(macName),
+			Seed:            uint64(nodes),
+			DurationSeconds: math.Mod(durUs, 2e6) / 1e6,
+			Rate:            float64(rateTenths) / 10,
+			EpochSeconds:    float64(epochMs) / 1000,
+			WindowSeconds:   float64(windowMs) / 1000,
+			Parallel:        1,
+		}
+		res, err := runRecovered(sc.Run)
+		checkValidateRun(t, sc.Validate(), err, res != nil, sc)
+	})
+}
+
+// checkValidateRun asserts the Validate/Run contract on one input: verr is
+// Validate's error, rerr and ok Run's error and whether it returned a result.
+func checkValidateRun(t *testing.T, verr, rerr error, ok bool, sc any) {
+	t.Helper()
+	switch {
+	case verr != nil && rerr == nil:
+		t.Fatalf("Validate rejected the scenario (%v) but Run succeeded: %+v", verr, sc)
+	case verr != nil && rerr.Error() != verr.Error():
+		t.Fatalf("Run error %q differs from the Validate error %q", rerr, verr)
+	case verr == nil && rerr != nil:
+		t.Fatalf("Validate accepted the scenario but Run failed: %v\n%+v", rerr, sc)
+	case verr == nil && !ok:
+		t.Fatal("Run returned neither a result nor an error")
+	}
+}
+
+// runRecovered calls run, converting a panic into an error naming it so the
 // fuzz property reports it instead of crashing the harness.
-func runRecovered(sc *qma.Scenario) (res *qma.Result, err error) {
+func runRecovered[R any](run func() (*R, error)) (res *R, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, fmt.Errorf("Run panicked: %v", v)
 		}
 	}()
-	return sc.Run()
+	return run()
 }
