@@ -92,7 +92,7 @@ type Stats struct {
 
 // Engine is one node's ALOHA MAC.
 type Engine struct {
-	base *mac.Base
+	base mac.Base
 	cfg  Config
 
 	stats Stats
@@ -126,12 +126,12 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{cfg: cfg}
 	cfg.MAC.OnAccept = e.kick
-	e.base = mac.NewBase(cfg.MAC)
+	e.base.Init(cfg.MAC)
 	return e
 }
 
 // Base implements mac.Engine.
-func (e *Engine) Base() *mac.Base { return e.base }
+func (e *Engine) Base() *mac.Base { return &e.base }
 
 // Deliver implements radio.Handler by delegating to the shared receive path.
 func (e *Engine) Deliver(f *frame.Frame) { e.base.Deliver(f) }

@@ -99,7 +99,7 @@ type Stats struct {
 
 // Engine is one node's bandit MAC.
 type Engine struct {
-	base *mac.Base
+	base mac.Base
 	cfg  Config
 
 	// value and count hold the per-slot sample-mean reward estimates.
@@ -148,12 +148,12 @@ func New(cfg Config) *Engine {
 		e.value[i] = 1
 	}
 	cfg.MAC.OnAccept = e.kick
-	e.base = mac.NewBase(cfg.MAC)
+	e.base.Init(cfg.MAC)
 	return e
 }
 
 // Base implements mac.Engine.
-func (e *Engine) Base() *mac.Base { return e.base }
+func (e *Engine) Base() *mac.Base { return &e.base }
 
 // Deliver implements radio.Handler by delegating to the shared receive path.
 func (e *Engine) Deliver(f *frame.Frame) { e.base.Deliver(f) }

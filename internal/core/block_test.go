@@ -1,0 +1,111 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"qma/internal/frame"
+	"qma/internal/mac"
+	"qma/internal/qlearn"
+	"qma/internal/radio"
+	"qma/internal/sim"
+	"qma/internal/superframe"
+)
+
+// blockMACConfig returns the MAC wiring of node id over n unconnected nodes
+// sharing one kernel, clock and run arena.
+func blockMACConfig(n int, scratch *mac.Scratch) func(id int) mac.Config {
+	k := sim.NewKernel()
+	m := radio.NewMedium(k, radio.NewGraphTopology(n), sim.NewRand(1))
+	clock := superframe.NewClock(superframe.DefaultConfig())
+	return func(id int) mac.Config {
+		return mac.Config{ID: frame.NodeID(id), Kernel: k, Medium: m, Clock: clock, Scratch: scratch}
+	}
+}
+
+// TestNewFromOptionsHeapObjects pins what one QMA node costs the heap on a
+// warmed run arena. The five objects are the engine block itself, the two
+// MAC hooks it installs (OnOverhear, OnAccept) and the two immediate-ACK
+// callbacks of its mac.Base. The MAC base, learner, float64 table header
+// and RNG live inside the block; the Q row, π and the queue buffer come
+// from the arena; the default explorer is shared by every engine.
+func TestNewFromOptionsHeapObjects(t *testing.T) {
+	const want = 5
+	scratch := &mac.Scratch{}
+	cfg := blockMACConfig(1, scratch)(0)
+	rng := sim.NewRand(1)
+	// AllocsPerRun's warm-up call carves the arena's blocks.
+	got := testing.AllocsPerRun(50, func() {
+		scratch.Reset()
+		NewFromOptions(Options{}, cfg, rng)
+	})
+	if got != want {
+		t.Errorf("NewFromOptions allocates %v heap objects, want %d", got, want)
+	}
+}
+
+// TestRebootKeepsBlockPointers checks that a power-cycle fault resets the
+// node's learner and MAC base in place: the pointers handed out before the
+// reboot stay valid and see the fresh state.
+func TestRebootKeepsBlockPointers(t *testing.T) {
+	r := newRig(t, [][2]int{{0, 1}}, 2, nil)
+	e := r.engines[0]
+	l, b := e.Learner(), e.Base()
+	for i := 0; i < 20; i++ {
+		e.Enqueue(dataTo(1, 0, uint32(i+1)))
+		r.k.Run(r.k.Now() + 100*sim.Millisecond)
+	}
+	if l.Updates() == 0 {
+		t.Fatal("setup: no Q-updates before the reboot")
+	}
+	e.Reboot()
+	if e.Learner() != l || e.Base() != b {
+		t.Fatal("Reboot replaced the learner or MAC base instead of resetting it in place")
+	}
+	if l.Updates() != 0 || l.CumulativePolicyQ() != -10*float64(l.Table().States()) {
+		t.Errorf("learner not reset in place: updates=%d ΣQ=%v", l.Updates(), l.CumulativePolicyQ())
+	}
+	if b.Stats().Reboots != 1 || !b.Queue().Empty() {
+		t.Errorf("MAC base not reset in place: reboots=%d queue=%d", b.Stats().Reboots, b.Queue().Len())
+	}
+}
+
+// BenchmarkEngineTick measures the MAC engine layer on its own. tickEngines
+// QMA engines share one kernel, each holding one queued frame, and every
+// subslot boundary runs one idle tick per engine: a policy decision that
+// backs off, then the evaluation of that backoff. That is the regime that
+// dominates the sharded city's profile. The Fig. 4 explorer runs with an
+// all-zero table, so no tick transmits and the loop must not allocate. One
+// op is one tick.
+func BenchmarkEngineTick(b *testing.B) {
+	const tickEngines = 5000
+	cfg := blockMACConfig(tickEngines, &mac.Scratch{})
+	quiet := &qlearn.ParameterBased{Rho: make([]float64, len(qlearn.DefaultRhoTable()))}
+	k, clock := cfg(0).Kernel, cfg(0).Clock
+	for i := 0; i < tickEngines; i++ {
+		c := cfg(i)
+		e := NewFromOptions(Options{Explorer: quiet, StartupSubslots: -1}, c, sim.NewRandStream(1, uint64(i)))
+		c.Medium.Attach(c.ID, e)
+		e.Enqueue(dataTo(0, c.ID, 1))
+		e.Start()
+	}
+	// run fires whole subslot boundaries until at least ticks events ran.
+	run := func(ticks uint64) {
+		for target := k.Processed() + ticks; k.Processed() < target; {
+			k.Run(clock.NextSubslotStart(k.Now() + 1))
+		}
+	}
+	run(uint64(2 * clock.Config().Subslots * tickEngines)) // warm the kernel over two superframes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := k.Processed()
+	b.ResetTimer()
+	run(uint64(b.N))
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	ticks := k.Processed() - start
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ticks), "ns/tick")
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		b.Errorf("%d heap objects allocated over %d ticks, want 0", n, ticks)
+	}
+}

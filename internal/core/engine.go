@@ -22,9 +22,12 @@ type Config struct {
 	// selects qlearn.DefaultParams).
 	Learn qlearn.Params
 	// Explorer decides the exploration rate ρ. Nil selects the paper's
-	// parameter-based strategy (Fig. 4 table).
+	// parameter-based strategy (Fig. 4 table), one value shared by every
+	// engine (qlearn.DefaultExplorer).
 	Explorer qlearn.Explorer
-	// Rng drives exploration decisions; required.
+	// Rng drives exploration decisions; required. New takes ownership of
+	// the stream: the engine copies its state into its own block, so the
+	// caller must pass a fresh stream and not draw from it afterwards.
 	Rng *sim.Rand
 	// StartupSubslots is Δ, the number of subslots of cautious startup
 	// (§4.3). Negative selects the default of two full frames; 0 disables
@@ -63,12 +66,24 @@ type pending struct {
 
 // Engine is one node's QMA MAC. It is driven entirely by its kernel; after
 // Start it needs no external calls besides Enqueue.
+//
+// An Engine is one memory block per node. It holds by value:
+//   - the shared MAC state (mac.Base: configuration, transmit-queue header,
+//     ACK wait, barring and neighbour-level state);
+//   - the learner (qlearn.Learner: the Table reference and π's slice header)
+//     and, for the default float64 table, the table header;
+//   - the exploration RNG (sim.Rand);
+//   - the subslot ticker, pending-reward and statistics fields below.
+//
+// Only the Q row, π and the transmit-queue buffer live outside it, carved
+// from the run's mac.Scratch, and the default explorer is one shared value.
+// A subslot tick therefore touches this block plus the node's rows. The
+// engine's own fields come first and the larger, mostly cold mac.Base last,
+// so an idle tick touches few of the block's cache lines.
 type Engine struct {
-	base *mac.Base
-
-	learner  *qlearn.Learner
+	learner  qlearn.Learner
 	explorer qlearn.Explorer
-	rng      *sim.Rand
+	rng      sim.Rand
 
 	startupLeft   int
 	startupInit   int
@@ -106,6 +121,12 @@ type Engine struct {
 	// calls (Fig. 11 instrumentation).
 	rhoSum   float64
 	rhoCount int
+
+	// floatTable is the learner's table when Config.Table is nil, the
+	// default float64 case: its header lives in the block too.
+	floatTable qlearn.FloatTable
+
+	base mac.Base
 }
 
 var _ mac.Engine = (*Engine)(nil)
@@ -124,51 +145,51 @@ func New(cfg Config) *Engine {
 	}
 	subslots := cfg.MAC.Clock.Config().Subslots
 	scratch := cfg.MAC.Scratch
-	table := cfg.Table
-	if table == nil {
-		p := cfg.Learn
-		if p == (qlearn.Params{}) {
-			p = qlearn.DefaultParams()
-		}
-		table = qlearn.NewFloatTableOn(subslots, NumActions, p,
-			scratch.Float64s(subslots*NumActions))
-	}
-	if table.States() != subslots || table.Actions() != NumActions {
-		panic(fmt.Sprintf("core: table dimensions %dx%d, want %dx%d",
-			table.States(), table.Actions(), subslots, NumActions))
-	}
 	explorer := cfg.Explorer
 	if explorer == nil {
-		explorer = qlearn.NewParameterBased()
+		explorer = qlearn.DefaultExplorer()
 	}
 	if cfg.StartupSubslots < 0 {
 		cfg.StartupSubslots = 2 * subslots
 	}
 
 	e := &Engine{
-		learner:       qlearn.NewLearnerOn(table, int(QBackoff), scratch.Ints(subslots)),
 		explorer:      explorer,
-		rng:           cfg.Rng,
+		rng:           *cfg.Rng,
 		startupLeft:   cfg.StartupSubslots,
 		startupInit:   cfg.StartupSubslots,
 		startupPunish: cfg.StartupPunish,
 		armedSubslot:  -1,
 	}
+	table := cfg.Table
+	if table == nil {
+		p := cfg.Learn
+		if p == (qlearn.Params{}) {
+			p = qlearn.DefaultParams()
+		}
+		e.floatTable.Init(subslots, NumActions, p, scratch.Float64s(subslots*NumActions))
+		table = &e.floatTable
+	}
+	if table.States() != subslots || table.Actions() != NumActions {
+		panic(fmt.Sprintf("core: table dimensions %dx%d, want %dx%d",
+			table.States(), table.Actions(), subslots, NumActions))
+	}
+	e.learner.Init(table, int(QBackoff), scratch.Uint8s(subslots))
 	e.learner.SetReevalOnDecay(cfg.ReevalOnDecay)
 	cfg.MAC.OnOverhear = e.onOverhear
 	cfg.MAC.OnAccept = e.arm
-	e.base = mac.NewBase(cfg.MAC)
+	e.base.Init(cfg.MAC)
 	return e
 }
 
 // Learner exposes the Q-learning state for instrumentation and tests.
-func (e *Engine) Learner() *qlearn.Learner { return e.learner }
+func (e *Engine) Learner() *qlearn.Learner { return &e.learner }
 
 // EngineStats returns a copy of the QMA-specific counters.
 func (e *Engine) EngineStats() Stats { return e.stats }
 
 // Base implements mac.Engine.
-func (e *Engine) Base() *mac.Base { return e.base }
+func (e *Engine) Base() *mac.Base { return &e.base }
 
 // Deliver implements radio.Handler by delegating to the shared receive path.
 func (e *Engine) Deliver(f *frame.Frame) { e.base.Deliver(f) }

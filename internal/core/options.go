@@ -111,6 +111,8 @@ func validateOptions(opts any) error {
 // = disabled) before delegating to New.
 func NewFromOptions(opts Options, macCfg mac.Config, rng *sim.Rand) *Engine {
 	subslots := macCfg.Clock.Config().Subslots
+	// TableFloat leaves table nil, so New builds the float64 table from learn
+	// inside the engine's own block.
 	var table qlearn.Table
 	learn := opts.Learn
 	if learn == (qlearn.Params{}) {
@@ -124,9 +126,6 @@ func NewFromOptions(opts Options, macCfg mac.Config, rng *sim.Rand) *Engine {
 	case TableQuant:
 		table = qlearn.NewQuantTableOn(subslots, NumActions, qlearn.DefaultQuantParams(),
 			scratch.Int8s(subslots*NumActions))
-	default:
-		table = qlearn.NewFloatTableOn(subslots, NumActions, learn,
-			scratch.Float64s(subslots*NumActions))
 	}
 	startup := opts.StartupSubslots
 	switch {

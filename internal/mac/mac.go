@@ -211,15 +211,24 @@ type neighborLevel struct {
 // Base is the shared MAC state machine. It is bound to one kernel and not
 // safe for concurrent use.
 type Base struct {
+	// The fields a QMA subslot tick reads come first (configuration, queue
+	// header, busyUntil, neighbours), so an idle tick touches few cache
+	// lines of the engine block that embeds this Base.
 	cfg Config
 
 	queue frame.Queue
-	stats Stats
 
 	// busyUntil marks the end of the node's current MAC activity
 	// (transmission, CCA, ACK wait or pending immediate ACK). Engines must
 	// not start new activity before it passes.
 	busyUntil sim.Time
+
+	// neighbors holds the most recently overheard queue level per neighbour
+	// (piggybacked in every frame, §4.2) with its reception time, one entry
+	// per neighbour in no particular order. A flat slice rather than a map:
+	// AvgNeighborQueue walks it on every QMA decision, and a node hears only
+	// its radio neighbourhood.
+	neighbors []neighborLevel
 
 	// The pending ACK wait, inlined: a node has at most one unicast in
 	// flight, so the state lives directly in the Base instead of a
@@ -261,18 +270,14 @@ type Base struct {
 	barUntil   sim.Time
 	barStreak  int
 
-	// neighbors holds the most recently overheard queue level per neighbour
-	// (piggybacked in every frame, §4.2) with its reception time, one entry
-	// per neighbour in no particular order. A flat slice rather than a map:
-	// AvgNeighborQueue walks it on every QMA decision, and a node hears only
-	// its radio neighbourhood.
-	neighbors []neighborLevel
-
 	// lastSeq tracks the highest delivered sequence number per origin for
 	// duplicate rejection; an origin without an entry has delivered nothing
 	// yet. Allocated on the first unicast delivery, so nodes that are never
 	// addressed carry no map.
 	lastSeq map[frame.NodeID]uint32
+
+	// stats are the counters behind Stats.
+	stats Stats
 
 	// Queue-level time integral for the Fig. 8 metric.
 	qlIntegralStart sim.Time
@@ -288,8 +293,10 @@ type Base struct {
 	ackTimeoutFn func(any)
 }
 
-// NewBase validates cfg and returns a Base.
-func NewBase(cfg Config) *Base {
+// Init validates cfg and initialises b in place. Engines embed Base by
+// value and call Init once from their constructor, so a node's MAC state
+// shares one allocation with the engine that drives it.
+func (b *Base) Init(cfg Config) {
 	if cfg.Kernel == nil || cfg.Medium == nil || cfg.Clock == nil {
 		panic("mac: Kernel, Medium and Clock are required")
 	}
@@ -306,7 +313,7 @@ func NewBase(cfg Config) *Base {
 	if qcap <= 0 {
 		qcap = frame.DefaultQueueCap
 	}
-	b := &Base{
+	*b = Base{
 		cfg:   cfg,
 		queue: *frame.NewQueueOn(qcap, cfg.Scratch.Frames(qcap+1)),
 		barP:  1,
@@ -314,7 +321,6 @@ func NewBase(cfg Config) *Base {
 	b.ackStartFn = func(a any) { b.transmitAck(a.(*frame.Frame)) }
 	b.ackDoneFn = func(a any) { b.cfg.FramePool.Put(a.(*frame.Frame)) }
 	b.ackTimeoutFn = func(a any) { a.(*Base).ackTimeout() }
-	return b
 }
 
 // ID reports the node address.

@@ -34,7 +34,8 @@ func newRig(t *testing.T, n int, cfgs []Config) *rig {
 			c.ID, c.Kernel, c.Medium, c.Clock, c.MaxRetries = frame.NodeID(i), k, m, clock, -1
 			cfg = c
 		}
-		b := NewBase(cfg)
+		b := new(Base)
+		b.Init(cfg)
 		r.bases = append(r.bases, b)
 		m.Attach(frame.NodeID(i), b)
 	}

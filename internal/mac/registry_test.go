@@ -12,9 +12,16 @@ import (
 // nullEngine is a minimal Engine for registry tests. The mac package itself
 // imports no protocol package (they import it), so the registry in this test
 // binary contains exactly what the tests register.
-type nullEngine struct{ base *Base }
+type nullEngine struct{ base Base }
 
-func (e *nullEngine) Base() *Base            { return e.base }
+// newNullEngine builds a nullEngine the way every engine embeds its Base.
+func newNullEngine(cfg Config) *nullEngine {
+	e := &nullEngine{}
+	e.base.Init(cfg)
+	return e
+}
+
+func (e *nullEngine) Base() *Base            { return &e.base }
 func (e *nullEngine) Deliver(f *frame.Frame) { e.base.Deliver(f) }
 func (e *nullEngine) Start()                 {}
 func (e *nullEngine) Enqueue(f *frame.Frame) bool {
@@ -42,13 +49,13 @@ func init() {
 			return nil
 		},
 		New: func(cfg Config, opts any, rng *sim.Rand) Engine {
-			return &nullEngine{base: NewBase(cfg)}
+			return newNullEngine(cfg)
 		},
 	})
 	Register(Protocol{
 		Name: "test-bare",
 		New: func(cfg Config, opts any, rng *sim.Rand) Engine {
-			return &nullEngine{base: NewBase(cfg)}
+			return newNullEngine(cfg)
 		},
 	})
 }

@@ -9,7 +9,7 @@ import "qma/internal/frame"
 const scratchChunk = 16384
 
 // Scratch is a bump arena for the per-node hot state of one simulation run:
-// Q-table backing, policy rows and transmit-queue buffers.
+// Q-table backing, byte-wide policy rows and transmit-queue buffers.
 // Handing every node's state out of a few large blocks keeps the data of
 // neighbouring nodes contiguous in memory — the learner's inner loops
 // (MaxQ, Update) walk these rows millions of times per run and are
@@ -24,7 +24,7 @@ type Scratch struct {
 	f64    slab[float64]
 	i16    slab[int16]
 	i8     slab[int8]
-	ints   slab[int]
+	u8     slab[uint8]
 	frames slab[*frame.Frame]
 }
 
@@ -52,12 +52,12 @@ func (s *Scratch) Int8s(n int) []int8 {
 	return s.i8.alloc(n)
 }
 
-// Ints returns a zeroed slab slice of n ints.
-func (s *Scratch) Ints(n int) []int {
+// Uint8s returns a zeroed slab slice of n uint8s (policy rows).
+func (s *Scratch) Uint8s(n int) []uint8 {
 	if s == nil {
-		return make([]int, n)
+		return make([]uint8, n)
 	}
-	return s.ints.alloc(n)
+	return s.u8.alloc(n)
 }
 
 // Frames returns a zeroed slab slice of n frame pointers (transmit-queue
@@ -80,7 +80,7 @@ func (s *Scratch) Reset() {
 	s.f64.reset()
 	s.i16.reset()
 	s.i8.reset()
-	s.ints.reset()
+	s.u8.reset()
 	s.frames.reset()
 }
 

@@ -19,8 +19,8 @@ func TestScratchNilReceiver(t *testing.T) {
 	if got := s.Int8s(5); len(got) != 5 {
 		t.Errorf("nil Int8s len = %d", len(got))
 	}
-	if got := s.Ints(6); len(got) != 6 {
-		t.Errorf("nil Ints len = %d", len(got))
+	if got := s.Uint8s(6); len(got) != 6 {
+		t.Errorf("nil Uint8s len = %d", len(got))
 	}
 	if got := s.Frames(8); len(got) != 8 {
 		t.Errorf("nil Frames len = %d", len(got))
@@ -81,24 +81,24 @@ func TestScratchResetReservesSameMemory(t *testing.T) {
 // gets its own block, and the pattern repeats exactly after a reset.
 func TestScratchBlockBoundaries(t *testing.T) {
 	s := &Scratch{}
-	first := s.Ints(scratchChunk - 10) // leaves a 10-element tail
-	tail := s.Ints(20)                 // does not fit: new block
+	first := s.Uint8s(scratchChunk - 10) // leaves a 10-element tail
+	tail := s.Uint8s(20)                 // does not fit: new block
 	if len(first) != scratchChunk-10 || len(tail) != 20 {
 		t.Fatal("carve lengths wrong")
 	}
-	big := s.Ints(3 * scratchChunk) // oversized: dedicated block
+	big := s.Uint8s(3 * scratchChunk) // oversized: dedicated block
 	if len(big) != 3*scratchChunk {
 		t.Fatalf("oversized carve len = %d", len(big))
 	}
 	big[0] = 42
 	s.Reset()
-	if got := s.Ints(scratchChunk - 10); &got[0] != &first[0] {
+	if got := s.Uint8s(scratchChunk - 10); &got[0] != &first[0] {
 		t.Error("first block not re-served after reset")
 	}
-	if got := s.Ints(20); &got[0] != &tail[0] {
+	if got := s.Uint8s(20); &got[0] != &tail[0] {
 		t.Error("second block not re-served after reset")
 	}
-	got := s.Ints(3 * scratchChunk)
+	got := s.Uint8s(3 * scratchChunk)
 	if &got[0] != &big[0] {
 		t.Error("oversized block not re-served after reset")
 	}
@@ -114,7 +114,7 @@ func TestScratchTypesIndependent(t *testing.T) {
 	f := s.Float64s(8)
 	i16 := s.Int16s(8)
 	i8 := s.Int8s(8)
-	u := s.Ints(8)
+	u := s.Uint8s(8)
 	for i := 0; i < 8; i++ {
 		f[i] = 1
 		i16[i] = 2

@@ -124,7 +124,8 @@ type Config struct {
 	// selects qlearn.DefaultParams).
 	Learn qlearn.Params
 	// Explorer decides the exploration rate ρ. Nil selects the paper's
-	// parameter-based strategy.
+	// parameter-based strategy, shared by every engine
+	// (qlearn.DefaultExplorer).
 	Explorer qlearn.Explorer
 	// Rng drives exploration decisions; required.
 	Rng *sim.Rand
@@ -167,9 +168,9 @@ type pending struct {
 
 // Engine is one node's NOMA power-level Q-learning MAC.
 type Engine struct {
-	base *mac.Base
+	base mac.Base
 
-	learner  *qlearn.Learner
+	learner  qlearn.Learner
 	explorer qlearn.Explorer
 	rng      *sim.Rand
 
@@ -240,14 +241,13 @@ func New(cfg Config) *Engine {
 	}
 	explorer := cfg.Explorer
 	if explorer == nil {
-		explorer = qlearn.NewParameterBased()
+		explorer = qlearn.DefaultExplorer()
 	}
 	if cfg.StartupSubslots < 0 {
 		cfg.StartupSubslots = 2 * subslots
 	}
 
 	e := &Engine{
-		learner:       qlearn.NewLearnerOn(table, e0BackoffAction, cfg.MAC.Scratch.Ints(subslots)),
 		explorer:      explorer,
 		rng:           cfg.Rng,
 		levels:        cfg.Levels,
@@ -257,11 +257,12 @@ func New(cfg Config) *Engine {
 		startupInit:   cfg.StartupSubslots,
 		startupPunish: cfg.StartupPunish,
 	}
+	e.learner.Init(table, e0BackoffAction, cfg.MAC.Scratch.Uint8s(subslots))
 	e.stats.LevelCount = make([]uint64, cfg.Levels)
 	e.stats.SuccessByLevel = make([]uint64, cfg.Levels)
 	cfg.MAC.OnOverhear = e.onOverhear
 	cfg.MAC.OnAccept = e.arm
-	e.base = mac.NewBase(cfg.MAC)
+	e.base.Init(cfg.MAC)
 	return e
 }
 
@@ -281,7 +282,7 @@ func (e *Engine) ReduceDB(level int) float64 { return float64(level) * e.stepDB 
 func (e *Engine) Levels() int { return e.levels }
 
 // Learner exposes the Q-learning state for instrumentation and tests.
-func (e *Engine) Learner() *qlearn.Learner { return e.learner }
+func (e *Engine) Learner() *qlearn.Learner { return &e.learner }
 
 // EngineStats returns a copy of the NOMA-specific counters.
 func (e *Engine) EngineStats() Stats {
@@ -292,7 +293,7 @@ func (e *Engine) EngineStats() Stats {
 }
 
 // Base implements mac.Engine.
-func (e *Engine) Base() *mac.Base { return e.base }
+func (e *Engine) Base() *mac.Base { return &e.base }
 
 // Deliver implements radio.Handler by delegating to the shared receive path.
 func (e *Engine) Deliver(f *frame.Frame) { e.base.Deliver(f) }

@@ -54,6 +54,15 @@ func NewParameterBased() *ParameterBased {
 	return &ParameterBased{Rho: DefaultRhoTable()}
 }
 
+// paperExplorer is the one shared Fig. 4 strategy behind DefaultExplorer.
+var paperExplorer Explorer = NewParameterBased()
+
+// DefaultExplorer returns the paper's parameter-based strategy (Fig. 4) as
+// one shared, immutable value: Rate only reads it, so every engine that has
+// no explorer configured uses this one instead of carrying its own copy of
+// the table.
+func DefaultExplorer() Explorer { return paperExplorer }
+
 // Rate implements Explorer.
 func (p *ParameterBased) Rate(ctx ExploreContext) float64 {
 	diff := float64(ctx.QueueLevel) - ctx.AvgNeighborQueue

@@ -2,14 +2,23 @@ package qlearn
 
 import "fmt"
 
+// MaxActions is the most actions a Learner supports: π stores one action
+// index per state in a byte, as an embedded node would.
+const MaxActions = 256
+
 // Learner couples a value Table with the separate policy table π of Eq. 3.
 // Lauer/Riedmiller show that storing only Q-values lets cooperating agents
 // disagree when several action combinations are optimal (Tbl. 2); the policy
 // table fixes this by switching actions only when a strictly greater Q-value
 // is found, so all agents keep the policy that reached the optimum first.
+//
+// The zero value is not usable; build one with NewLearner, or embed it by
+// value and call Init.
 type Learner struct {
-	table  Table
-	policy []int
+	table Table
+	// policy is π, one action index per state. A byte per entry is the
+	// paper's §3.2 footprint and lets Init reject tables wider than that.
+	policy []uint8
 	// reevalOnDecay also re-evaluates the policy when an update lowered a
 	// value (e.g. through the ξ penalty). The paper's Algorithm 1 gates the
 	// policy update on improvement only; this switch exists for the ablation
@@ -23,32 +32,43 @@ type Learner struct {
 // defaultAction in every state (QMA initializes π(mt) to QBackoff,
 // Algorithm 1).
 func NewLearner(table Table, defaultAction int) *Learner {
-	return NewLearnerOn(table, defaultAction, nil)
+	l := new(Learner)
+	l.Init(table, defaultAction, make([]uint8, table.States()))
+	return l
 }
 
-// NewLearnerOn is NewLearner placing the policy table in backing, which must
-// hold exactly table.States() elements. nil backing allocates privately.
-func NewLearnerOn(table Table, defaultAction int, backing []int) *Learner {
-	if defaultAction < 0 || defaultAction >= table.Actions() {
-		panic(fmt.Sprintf("qlearn: default action %d out of range [0,%d)", defaultAction, table.Actions()))
+// Init initialises l in place over table, placing π in policy, which must
+// hold exactly table.States() entries, and setting every entry to
+// defaultAction. It panics when the table has more than 256 actions, the
+// most a byte-wide policy entry can name. Engines embed a Learner by value
+// and carve policy from their run's scratch arena.
+func (l *Learner) Init(table Table, defaultAction int, policy []uint8) {
+	if n := table.Actions(); n > MaxActions {
+		panic(fmt.Sprintf("qlearn: %d actions exceed the byte-wide policy's %d", n, MaxActions))
 	}
-	if backing == nil {
-		backing = make([]int, table.States())
-	} else if len(backing) != table.States() {
-		panic(fmt.Sprintf("qlearn: policy backing holds %d entries, want %d", len(backing), table.States()))
+	if len(policy) != table.States() {
+		panic(fmt.Sprintf("qlearn: policy backing holds %d entries, want %d", len(policy), table.States()))
 	}
-	l := &Learner{table: table, policy: backing}
+	*l = Learner{table: table, policy: policy}
+	l.fillPolicy(defaultAction)
+}
+
+// fillPolicy sets every policy entry to defaultAction after checking that
+// the table has such an action.
+func (l *Learner) fillPolicy(defaultAction int) {
+	if defaultAction < 0 || defaultAction >= l.table.Actions() {
+		panic(fmt.Sprintf("qlearn: default action %d out of range [0,%d)", defaultAction, l.table.Actions()))
+	}
 	for s := range l.policy {
-		l.policy[s] = defaultAction
+		l.policy[s] = uint8(defaultAction)
 	}
-	return l
 }
 
 // Table returns the underlying value storage.
 func (l *Learner) Table() Table { return l.table }
 
 // Policy reports π(s).
-func (l *Learner) Policy(s int) int { return l.policy[s] }
+func (l *Learner) Policy(s int) int { return int(l.policy[s]) }
 
 // SetReevalOnDecay toggles the ablation behaviour described on Learner.
 func (l *Learner) SetReevalOnDecay(v bool) { l.reevalOnDecay = v }
@@ -79,11 +99,11 @@ func (l *Learner) Observe(s, a int, r float64, next int) float64 {
 // reward): MaxQ and ArgMax then stop at that entry, so the row is scanned
 // explicitly, skipping NaNs as the strict comparison does everywhere else.
 func (l *Learner) reevaluate(s int) {
-	inc := l.policy[s]
+	inc := int(l.policy[s])
 	incQ := l.table.Q(s, inc)
 	switch maxQ := l.table.MaxQ(s); {
 	case maxQ > incQ:
-		l.policy[s] = l.table.ArgMax(s)
+		l.policy[s] = uint8(l.table.ArgMax(s))
 	case maxQ != maxQ:
 		best, bestQ := inc, incQ
 		for cand, n := 0, l.table.Actions(); cand < n; cand++ {
@@ -91,7 +111,7 @@ func (l *Learner) reevaluate(s int) {
 				best, bestQ = cand, q
 			}
 		}
-		l.policy[s] = best
+		l.policy[s] = uint8(best)
 	}
 }
 
@@ -101,7 +121,7 @@ func (l *Learner) reevaluate(s int) {
 func (l *Learner) CumulativePolicyQ() float64 {
 	var sum float64
 	for s, a := range l.policy {
-		sum += l.table.Q(s, a)
+		sum += l.table.Q(s, int(a))
 	}
 	return sum
 }
@@ -109,18 +129,17 @@ func (l *Learner) CumulativePolicyQ() float64 {
 // Reset restores the value table and sets every policy entry to
 // defaultAction.
 func (l *Learner) Reset(defaultAction int) {
-	if defaultAction < 0 || defaultAction >= l.table.Actions() {
-		panic(fmt.Sprintf("qlearn: default action %d out of range [0,%d)", defaultAction, l.table.Actions()))
-	}
+	l.fillPolicy(defaultAction)
 	l.table.Reset()
-	for s := range l.policy {
-		l.policy[s] = defaultAction
-	}
 	l.updates = 0
 }
 
 // PolicySnapshot returns a copy of π, for slot-utilization reports
 // (Fig. 13–15).
 func (l *Learner) PolicySnapshot() []int {
-	return append([]int(nil), l.policy...)
+	out := make([]int, len(l.policy))
+	for s, a := range l.policy {
+		out[s] = int(a)
+	}
+	return out
 }

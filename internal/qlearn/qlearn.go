@@ -134,6 +134,14 @@ func NewFloatTable(states, actions int, p Params) *FloatTable {
 // hold exactly states × actions elements (a slab slice from a run arena).
 // nil backing allocates privately.
 func NewFloatTableOn(states, actions int, p Params, backing []float64) *FloatTable {
+	t := new(FloatTable)
+	t.Init(states, actions, p, backing)
+	return t
+}
+
+// Init initialises t in place with NewFloatTableOn's contract, so an engine
+// can hold its table header by value next to the learner that uses it.
+func (t *FloatTable) Init(states, actions int, p Params, backing []float64) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
@@ -145,9 +153,8 @@ func NewFloatTableOn(states, actions int, p Params, backing []float64) *FloatTab
 	} else if len(backing) != states*actions {
 		panic(fmt.Sprintf("qlearn: backing holds %d values, want %d", len(backing), states*actions))
 	}
-	t := &FloatTable{p: p, states: states, actions: actions, q: backing}
+	*t = FloatTable{p: p, states: states, actions: actions, q: backing}
 	t.Reset()
-	return t
 }
 
 // Params returns the table's hyperparameters.

@@ -197,6 +197,23 @@ func TestLearnerResetAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestLearnerInitRejectsWideTables pins the byte-wide policy's limit: a
+// table with 256 actions fits, one with 257 panics naming both counts.
+func TestLearnerInitRejectsWideTables(t *testing.T) {
+	var l Learner
+	l.Init(NewFloatTable(2, MaxActions, DefaultParams()), MaxActions-1, make([]uint8, 2))
+	if got := l.Policy(1); got != MaxActions-1 {
+		t.Fatalf("π(1) = %d, want %d", got, MaxActions-1)
+	}
+	defer func() {
+		const want = "qlearn: 257 actions exceed the byte-wide policy's 256"
+		if r := recover(); r != want {
+			t.Fatalf("panic = %v, want %q", r, want)
+		}
+	}()
+	l.Init(NewFloatTable(2, MaxActions+1, DefaultParams()), 0, make([]uint8, 2))
+}
+
 // Action indices for the Fig. 5 replay, ordered as in the figure's rows.
 const (
 	figB = 0

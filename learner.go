@@ -22,10 +22,14 @@ type Learner struct {
 // NewLearner builds an agent over a states × actions table. defaultAction
 // seeds the policy in every state (QMA uses its backoff action). The zero
 // LearnParams value selects the paper's hyperparameters. TableFixed and
-// TableQuant use integer-only arithmetic with γ quantized to 230/256.
+// TableQuant use integer-only arithmetic with γ quantized to 230/256. At
+// most 256 actions are supported: the policy stores one byte per state.
 func NewLearner(states, actions int, p LearnParams, kind TableKind, defaultAction int) (*Learner, error) {
 	if states <= 0 || actions <= 0 {
 		return nil, fmt.Errorf("qma: learner dimensions %dx%d must be positive", states, actions)
+	}
+	if actions > qlearn.MaxActions {
+		return nil, fmt.Errorf("qma: %d actions exceed the learner's %d (π stores one byte per state)", actions, qlearn.MaxActions)
 	}
 	if defaultAction < 0 || defaultAction >= actions {
 		return nil, fmt.Errorf("qma: default action %d out of range [0,%d)", defaultAction, actions)
@@ -73,7 +77,7 @@ func (l *Learner) Reset(defaultAction int) { l.inner.Reset(defaultAction) }
 // (Fig. 4) for a local queue level and the mean of recently overheard
 // neighbour queue levels.
 func ExplorationRate(queueLevel int, avgNeighborQueue float64) float64 {
-	return qlearn.NewParameterBased().Rate(qlearn.ExploreContext{
+	return qlearn.DefaultExplorer().Rate(qlearn.ExploreContext{
 		QueueLevel:       queueLevel,
 		AvgNeighborQueue: avgNeighborQueue,
 	})

@@ -175,7 +175,7 @@ func (e *Explorer) internal() (qlearn.Explorer, error) {
 	}
 	switch e.Kind {
 	case "", "parameter":
-		return qlearn.NewParameterBased(), nil
+		return qlearn.DefaultExplorer(), nil
 	case "epsilon":
 		return &qlearn.EpsilonGreedy{Eps0: e.Eps0, HalfLife: sim.FromSeconds(e.HalfLifeSeconds), Min: e.Min}, nil
 	case "constant":

@@ -429,6 +429,13 @@ func TestPublicLearner(t *testing.T) {
 	if _, err := qma.NewLearner(2, 3, qma.LearnParams{}, qma.TableFloat, 5); err == nil {
 		t.Error("accepted out-of-range default action")
 	}
+	// π stores one byte per state, so 256 actions is the widest table.
+	if _, err := qma.NewLearner(2, 256, qma.LearnParams{}, qma.TableFloat, 255); err != nil {
+		t.Errorf("rejected 256 actions: %v", err)
+	}
+	if _, err := qma.NewLearner(2, 257, qma.LearnParams{}, qma.TableFloat, 0); err == nil || !strings.HasPrefix(err.Error(), "qma: ") {
+		t.Errorf("257 actions: err = %v, want a qma: error", err)
+	}
 }
 
 func TestPublicExplorationRate(t *testing.T) {
@@ -437,6 +444,10 @@ func TestPublicExplorationRate(t *testing.T) {
 	}
 	if got := qma.ExplorationRate(2, 5); got != 0 {
 		t.Errorf("rho(2,5) = %v, want 0", got)
+	}
+	// The rate reads the shared Fig. 4 table instead of building one.
+	if n := testing.AllocsPerRun(100, func() { qma.ExplorationRate(3, 1) }); n != 0 {
+		t.Errorf("ExplorationRate allocates %v objects per call, want 0", n)
 	}
 }
 
