@@ -4,6 +4,12 @@
 // It embeds the shared MAC base (internal/mac), so everything except the
 // access discipline — queues, ACKs, retries, forwarding — is identical
 // between QMA and the CSMA/CA baselines.
+//
+// The same engine optionally learns over K transmit power levels
+// (Config.Levels): each of the three action kinds is crossed with the
+// levels, and the reward gains the power-aware shaping of RewardCapturedOver
+// and LevelSuccessBonus. The NOMA protocol (internal/noma) is this engine
+// with K levels; at K=1 it is exactly QMA.
 package core
 
 import "fmt"
@@ -20,9 +26,16 @@ const (
 	// QSend transmits immediately without assessing the channel (the
 	// high-risk, high-reward priority action).
 	QSend
-	// NumActions is the size of the action space.
+	// NumActions is the number of action kinds, and the size of the action
+	// space at one power level. With K levels the learner's actions are
+	// flattened kind-major, kind·K + level, NumActions·K in all.
 	NumActions = 3
 )
+
+// MaxLevels bounds the number of transmit power levels an engine learns
+// over: with a 6 dB step, 4 levels span 18 dB — about the programmable range
+// of the AT86RF231 (+3 to −17 dBm).
+const MaxLevels = 4
 
 // String implements fmt.Stringer.
 func (a Action) String() string {
@@ -59,7 +72,23 @@ const (
 	RewardSendFail = -3
 	// StartupPunishCCA and StartupPunishSend are the §4.3 cautious-startup
 	// punishments recorded for subslots in which foreign traffic was
-	// overheard.
+	// overheard (at every power level).
 	StartupPunishCCA  = -2
 	StartupPunishSend = -3
+)
+
+// Power-aware reward shaping of a multi-level engine (arXiv:2301.05196).
+const (
+	// RewardCapturedOver replaces the Eq. 7/8 failure punishment when
+	// Config.CapturedOver is set and an ACK addressed to another node was
+	// overheard during the ACK wait: the subslot completed a transaction for
+	// someone (SINR capture), so the failure is contention lost, not a
+	// destroyed subslot, and the subslot stays worth contesting at another
+	// power level.
+	RewardCapturedOver = -1
+	// LevelSuccessBonus is added per power level on success: succeeding ℓ
+	// levels below the reference power earns ℓ·LevelSuccessBonus extra
+	// (less energy spent, more headroom under the capture threshold for a
+	// neighbour). It is 0 at the single level of QMA.
+	LevelSuccessBonus = 0.5
 )

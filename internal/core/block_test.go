@@ -71,20 +71,29 @@ func TestRebootKeepsBlockPointers(t *testing.T) {
 }
 
 // BenchmarkEngineTick measures the MAC engine layer on its own. tickEngines
-// QMA engines share one kernel, each holding one queued frame, and every
-// subslot boundary runs one idle tick per engine: a policy decision that
-// backs off, then the evaluation of that backoff. That is the regime that
-// dominates the sharded city's profile. The Fig. 4 explorer runs with an
-// all-zero table, so no tick transmits and the loop must not allocate. One
-// op is one tick.
+// engines share one kernel, each holding one queued frame, and every subslot
+// boundary runs one idle tick per engine: a policy decision that backs off,
+// then the evaluation of that backoff. That is the regime that dominates the
+// sharded city's profile. The Fig. 4 explorer runs with an all-zero table,
+// so no tick transmits and the loop must not allocate. One op is one tick.
+// The cases are QMA and the NOMA configuration with K=2 power levels.
 func BenchmarkEngineTick(b *testing.B) {
+	b.Run("qma", func(b *testing.B) { benchEngineTick(b, 1) })
+	b.Run("noma-K=2", func(b *testing.B) { benchEngineTick(b, 2) })
+}
+
+func benchEngineTick(b *testing.B, levels int) {
 	const tickEngines = 5000
 	cfg := blockMACConfig(tickEngines, &mac.Scratch{})
 	quiet := &qlearn.ParameterBased{Rho: make([]float64, len(qlearn.DefaultRhoTable()))}
 	k, clock := cfg(0).Kernel, cfg(0).Clock
 	for i := 0; i < tickEngines; i++ {
 		c := cfg(i)
-		e := NewFromOptions(Options{Explorer: quiet, StartupSubslots: -1}, c, sim.NewRandStream(1, uint64(i)))
+		ec := Options{Explorer: quiet, StartupSubslots: -1}.Config(c, sim.NewRandStream(1, uint64(i)))
+		if levels > 1 {
+			ec.Levels, ec.LevelStepDB, ec.CapturedOver = levels, 6, true
+		}
+		e := New(ec)
 		c.Medium.Attach(c.ID, e)
 		e.Enqueue(dataTo(0, c.ID, 1))
 		e.Start()
@@ -96,6 +105,12 @@ func BenchmarkEngineTick(b *testing.B) {
 		}
 	}
 	run(uint64(2 * clock.Config().Subslots * tickEngines)) // warm the kernel over two superframes
+	// The heap counters are process-wide, so the loop runs after a
+	// collection and on one P, as in testing.AllocsPerRun: an allocation by
+	// the runtime or the testing harness inside the window would otherwise
+	// be charged to the ticks.
+	runtime.GC()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := k.Processed()

@@ -9,7 +9,8 @@ import (
 	"qma/internal/sim"
 )
 
-// Config assembles a QMA engine.
+// Config assembles a QMA engine. The zero values of the power-level fields
+// (Levels, LevelStepDB, CapturedOver) give the paper's QMA.
 type Config struct {
 	// MAC configures the shared MAC base (node id, kernel, medium, clock,
 	// queue, routing). Config.OnOverhear is owned by the engine and must be
@@ -38,11 +39,23 @@ type Config struct {
 	StartupPunish bool
 	// ReevalOnDecay is the ablation switch forwarded to the learner.
 	ReevalOnDecay bool
+	// Levels is K, the number of transmit power levels in the action space
+	// (at most MaxLevels); 0 or 1 is a single level at reference power.
+	// Table, when set, must hold NumActions·K actions.
+	Levels int
+	// LevelStepDB is the power reduction per level: level ℓ transmits
+	// ℓ·LevelStepDB dB below the reference power. It must not be negative.
+	LevelStepDB float64
+	// CapturedOver turns on the captured-over reward shaping: a failed
+	// transmission during whose ACK wait a foreign ACK was overheard earns
+	// RewardCapturedOver instead of the full failure punishment.
+	CapturedOver bool
 }
 
 // Stats aggregates QMA-specific counters on top of the shared mac.Stats.
 type Stats struct {
-	// ActionCount counts executed actions by type (exploration and policy).
+	// ActionCount counts executed actions by kind (exploration and policy),
+	// summed over the power levels.
 	ActionCount [NumActions]uint64
 	// Explorations counts randomly selected actions.
 	Explorations uint64
@@ -54,18 +67,27 @@ type Stats struct {
 	Deferrals uint64
 	// StartupObservations counts cautious-startup subslot observations.
 	StartupObservations uint64
+	// LevelCount counts executed QCCA/QSend actions by power level.
+	LevelCount [MaxLevels]uint64
+	// SuccessByLevel counts acknowledged transmissions by power level.
+	SuccessByLevel [MaxLevels]uint64
+	// CapturedOver counts failed transmissions whose punishment was
+	// softened to RewardCapturedOver (Config.CapturedOver).
+	CapturedOver uint64
 }
 
 // pending tracks an action whose reward is not yet known (the paper saves
-// state and action until the outcome is observable, §4).
+// state and action until the outcome is observable, §4). action is the
+// flattened index: a multi-level engine learns backoff at each level apart.
 type pending struct {
 	subslot int
-	action  Action
+	action  uint8
 	startup bool
 }
 
-// Engine is one node's QMA MAC. It is driven entirely by its kernel; after
-// Start it needs no external calls besides Enqueue.
+// Engine is one node's QMA MAC, and with Config.Levels > 1 the NOMA
+// power-level MAC too. It is driven entirely by its kernel; after Start it
+// needs no external calls besides Enqueue.
 //
 // An Engine is one memory block per node. It holds by value:
 //   - the shared MAC state (mac.Base: configuration, transmit-queue header,
@@ -78,8 +100,9 @@ type pending struct {
 // Only the Q row, π and the transmit-queue buffer live outside it, carved
 // from the run's mac.Scratch, and the default explorer is one shared value.
 // A subslot tick therefore touches this block plus the node's rows. The
-// engine's own fields come first and the larger, mostly cold mac.Base last,
-// so an idle tick touches few of the block's cache lines.
+// engine's tick-read fields come first, then mac.Base (whose tick-read
+// fields lead it) and the statistics last, so an idle tick touches few of
+// the block's cache lines.
 type Engine struct {
 	learner  qlearn.Learner
 	explorer qlearn.Explorer
@@ -103,10 +126,21 @@ type Engine struct {
 	hasPend  bool
 	overhear bool
 
+	// levels is K (at least 1); the flattened action index is kind·K+level.
+	// captureShaping is Config.CapturedOver. txWaiting/foreignAck implement
+	// its detection: foreignAck records whether an ACK addressed to another
+	// node was overheard while this node's own ACK wait was open.
+	levels         uint8
+	captureShaping bool
+	txWaiting      bool
+	foreignAck     bool
+
 	// In-flight CCA state, inlined for the same reason: a node runs at most
 	// one CCA at a time (it is busy for the whole window and the completion
-	// fires strictly before the next boundary), so the subslot/epoch live in
-	// the engine and the kernel callback is the long-lived engineCCA.
+	// fires strictly before the next boundary), so the subslot, action and
+	// epoch live in the engine and the kernel callback is the long-lived
+	// engineCCA.
+	ccaAction  uint8
 	ccaSubslot int
 	ccaEpoch   uint32
 
@@ -114,8 +148,6 @@ type Engine struct {
 	// outlive a reboot — the CCA completion — record the epoch they were
 	// scheduled under and become no-ops when it has moved on.
 	epoch uint32
-
-	stats Stats
 
 	// rhoSum/rhoCount accumulate exploration rates between TakeRhoSample
 	// calls (Fig. 11 instrumentation).
@@ -127,6 +159,15 @@ type Engine struct {
 	floatTable qlearn.FloatTable
 
 	base mac.Base
+
+	// stepDB is Config.LevelStepDB, read once per transmission.
+	stepDB float64
+
+	// stats comes last, behind the MAC base, with the per-kind and decision
+	// counters a decision writes sharing one cache line: placed before the
+	// base, its per-level tail would push the base's tick-read fields onto
+	// further lines.
+	stats Stats
 }
 
 var _ mac.Engine = (*Engine)(nil)
@@ -152,14 +193,25 @@ func New(cfg Config) *Engine {
 	if cfg.StartupSubslots < 0 {
 		cfg.StartupSubslots = 2 * subslots
 	}
+	if cfg.Levels < 0 || cfg.Levels > MaxLevels {
+		panic(fmt.Sprintf("core: Levels=%d out of [0,%d]", cfg.Levels, MaxLevels))
+	}
+	if cfg.LevelStepDB < 0 {
+		panic(fmt.Sprintf("core: LevelStepDB=%v must not be negative", cfg.LevelStepDB))
+	}
+	levels := max(cfg.Levels, 1)
+	actions := NumActions * levels
 
 	e := &Engine{
-		explorer:      explorer,
-		rng:           *cfg.Rng,
-		startupLeft:   cfg.StartupSubslots,
-		startupInit:   cfg.StartupSubslots,
-		startupPunish: cfg.StartupPunish,
-		armedSubslot:  -1,
+		explorer:       explorer,
+		rng:            *cfg.Rng,
+		startupLeft:    cfg.StartupSubslots,
+		startupInit:    cfg.StartupSubslots,
+		startupPunish:  cfg.StartupPunish,
+		armedSubslot:   -1,
+		levels:         uint8(levels),
+		captureShaping: cfg.CapturedOver,
+		stepDB:         cfg.LevelStepDB,
 	}
 	table := cfg.Table
 	if table == nil {
@@ -167,12 +219,12 @@ func New(cfg Config) *Engine {
 		if p == (qlearn.Params{}) {
 			p = qlearn.DefaultParams()
 		}
-		e.floatTable.Init(subslots, NumActions, p, scratch.Float64s(subslots*NumActions))
+		e.floatTable.Init(subslots, actions, p, scratch.Float64s(subslots*actions))
 		table = &e.floatTable
 	}
-	if table.States() != subslots || table.Actions() != NumActions {
+	if table.States() != subslots || table.Actions() != actions {
 		panic(fmt.Sprintf("core: table dimensions %dx%d, want %dx%d",
-			table.States(), table.Actions(), subslots, NumActions))
+			table.States(), table.Actions(), subslots, actions))
 	}
 	e.learner.Init(table, int(QBackoff), scratch.Uint8s(subslots))
 	e.learner.SetReevalOnDecay(cfg.ReevalOnDecay)
@@ -187,6 +239,30 @@ func (e *Engine) Learner() *qlearn.Learner { return &e.learner }
 
 // EngineStats returns a copy of the QMA-specific counters.
 func (e *Engine) EngineStats() Stats { return e.stats }
+
+// PolicyKinds reports the policy π as one action kind (QBackoff, QCCA or
+// QSend) per subslot, dropping the power level of a multi-level engine.
+func (e *Engine) PolicyKinds() []int {
+	policy := e.learner.PolicySnapshot()
+	for m, a := range policy {
+		kind, _ := e.split(a)
+		policy[m] = int(kind)
+	}
+	return policy
+}
+
+// split decomposes a flattened action index kind·K + level. Comparing
+// against K and 2K keeps a division off the decision path.
+func (e *Engine) split(a int) (kind Action, level int) {
+	k := int(e.levels)
+	switch {
+	case a < k:
+		return QBackoff, a
+	case a < 2*k:
+		return QCCA, a - k
+	}
+	return QSend, a - 2*k
+}
 
 // Base implements mac.Engine.
 func (e *Engine) Base() *mac.Base { return &e.base }
@@ -237,6 +313,8 @@ func (e *Engine) Reboot() {
 	e.armedSubslot = -1
 	e.hasPend = false
 	e.overhear = false
+	e.txWaiting = false
+	e.foreignAck = false
 	e.startupLeft = e.startupInit
 	e.learner.Reset(int(QBackoff))
 	e.rhoSum, e.rhoCount = 0, 0
@@ -340,12 +418,15 @@ func (e *Engine) evaluateBackoff(nextSubslot int) {
 	if e.overhear {
 		reward = RewardBackoffOverhear
 	}
-	e.learner.Observe(p.subslot, int(QBackoff), reward, nextSubslot)
+	e.learner.Observe(p.subslot, int(p.action), reward, nextSubslot)
 	if p.startup && e.startupPunish && e.overhear {
 		// Mark the subslot as foreign-owned in the QCCA and QSend rows too,
-		// biasing the node against claiming it (§4.3).
-		e.learner.Observe(p.subslot, int(QCCA), StartupPunishCCA, nextSubslot)
-		e.learner.Observe(p.subslot, int(QSend), StartupPunishSend, nextSubslot)
+		// at every power level, biasing the node against claiming it (§4.3).
+		k := int(e.levels)
+		for level := 0; level < k; level++ {
+			e.learner.Observe(p.subslot, k+level, StartupPunishCCA, nextSubslot)
+			e.learner.Observe(p.subslot, 2*k+level, StartupPunishSend, nextSubslot)
+		}
 	}
 	e.overhear = false
 }
@@ -354,12 +435,14 @@ func (e *Engine) evaluateBackoff(nextSubslot int) {
 func (e *Engine) startupObserve(m int) {
 	e.startupLeft--
 	e.stats.StartupObservations++
-	e.pend = pending{subslot: m, action: QBackoff, startup: true}
+	e.pend = pending{subslot: m, action: uint8(QBackoff), startup: true}
 	e.hasPend = true
 	e.overhear = false
 }
 
-// decide runs one Algorithm 1 step at subslot m.
+// decide runs one Algorithm 1 step at subslot m. Exploration draws
+// uniformly over the kind × level cross product, which keeps each kind's
+// probability at 1/3 for every K.
 func (e *Engine) decide(m int) {
 	e.stats.Decisions++
 	rho := e.explorer.Rate(qlearn.ExploreContext{
@@ -370,39 +453,44 @@ func (e *Engine) decide(m int) {
 	e.rhoSum += rho
 	e.rhoCount++
 
-	var action Action
+	var action int
 	if e.rng.Float64() < rho {
-		action = Action(e.rng.Intn(NumActions))
+		action = e.rng.Intn(NumActions * int(e.levels))
 		e.stats.Explorations++
 	} else {
-		action = Action(e.learner.Policy(m))
+		action = e.learner.Policy(m)
 	}
 	e.execute(m, action)
 }
 
-// execute performs the selected action.
-func (e *Engine) execute(m int, action Action) {
-	e.stats.ActionCount[action]++
-	switch action {
+// execute performs the selected (flattened) action.
+func (e *Engine) execute(m, action int) {
+	kind, level := e.split(action)
+	e.stats.ActionCount[kind]++
+	switch kind {
 	case QBackoff:
-		e.pend = pending{subslot: m, action: QBackoff}
+		e.pend = pending{subslot: m, action: uint8(action)}
 		e.hasPend = true
 		e.overhear = false
 	case QCCA:
-		e.startCCA(m)
+		e.stats.LevelCount[level]++
+		e.startCCA(m, action)
 	case QSend:
-		e.startTX(m, QSend)
+		e.stats.LevelCount[level]++
+		e.startTX(m, action)
 	}
 }
 
 // startCCA samples the channel at the end of the 8-symbol CCA window, so
 // that a QSend started at the same boundary is visible to it. At most one
 // CCA is in flight per node (the node is busy for the window), so its
-// context lives inline in the engine.
-func (e *Engine) startCCA(m int) {
+// context lives inline in the engine. The CCA listens at full sensitivity
+// whatever level the node intends to transmit at.
+func (e *Engine) startCCA(m, action int) {
 	now := e.base.Kernel().Now()
 	e.base.ExtendBusy(now + frame.CCADuration)
 	e.ccaSubslot = m
+	e.ccaAction = uint8(action)
 	e.ccaEpoch = e.epoch
 	e.base.Kernel().AtCall(now+frame.CCADuration, engineCCA, e)
 }
@@ -418,15 +506,16 @@ func (e *Engine) ccaDone() {
 		// Channel busy: reward 1 and back off to the next subslot
 		// (Eq. 7, the QCCA(fail) edge of Fig. 3).
 		next := e.nextDecisionSubslot()
-		e.learner.Observe(e.ccaSubslot, int(QCCA), RewardCCABusy, next)
+		e.learner.Observe(e.ccaSubslot, int(e.ccaAction), RewardCCABusy, next)
 		return
 	}
-	e.startTX(e.ccaSubslot, QCCA)
+	e.startTX(e.ccaSubslot, int(e.ccaAction))
 }
 
-// startTX transmits the queue head (for QCCA the CCA window has already
-// elapsed, so the transmission starts 8 symbols into the subslot).
-func (e *Engine) startTX(m int, action Action) {
+// startTX transmits the queue head at the action's power level (for QCCA
+// the CCA window has already elapsed, so the transmission starts 8 symbols
+// into the subslot).
+func (e *Engine) startTX(m, action int) {
 	f := e.base.Queue().Head()
 	if f == nil {
 		// The queue drained while the CCA ran (cannot currently happen: the
@@ -451,30 +540,42 @@ func (e *Engine) startTX(m int, action Action) {
 	// previous outcome fires, so the (m, action, f) context must be frozen
 	// per call. Transmissions are orders of magnitude rarer than ticks — the
 	// allocation is off the hot path.
-	e.base.SendFrame(f, func(success bool) {
+	_, level := e.split(action)
+	e.txWaiting = e.captureShaping
+	e.foreignAck = false
+	e.base.SendFrameAt(f, float64(level)*e.stepDB, func(success bool) {
 		e.finishTX(m, action, f, success)
 	})
 }
 
-// finishTX applies the Eq. 7/8 reward once the outcome of a transmission is
-// known, then lets the retry policy decide the frame's fate.
-func (e *Engine) finishTX(m int, action Action, f *frame.Frame, success bool) {
+// finishTX applies the Eq. 7/8 reward, with the power-aware shaping of a
+// multi-level engine, once the outcome of a transmission is known, then lets
+// the retry policy decide the frame's fate.
+func (e *Engine) finishTX(m, action int, f *frame.Frame, success bool) {
+	kind, level := e.split(action)
+	capturedOver := e.foreignAck && !success
+	e.txWaiting = false
+	e.foreignAck = false
+
 	var reward float64
-	if action == QSend {
-		if success {
+	switch {
+	case success:
+		reward = RewardCCASuccessTx
+		if kind == QSend {
 			reward = RewardSendSuccess
-		} else {
-			reward = RewardSendFail
 		}
-	} else {
-		if success {
-			reward = RewardCCASuccessTx
-		} else {
-			reward = RewardCCAFailedTx
-		}
+		reward += float64(level) * LevelSuccessBonus
+		e.stats.SuccessByLevel[level]++
+	case capturedOver:
+		reward = RewardCapturedOver
+		e.stats.CapturedOver++
+	case kind == QSend:
+		reward = RewardSendFail
+	default:
+		reward = RewardCCAFailedTx
 	}
 	next := e.nextDecisionSubslot()
-	e.learner.Observe(m, int(action), reward, next)
+	e.learner.Observe(m, action, reward, next)
 	e.base.FinishFrame(f, success)
 	e.armIfNeeded()
 }
@@ -487,12 +588,18 @@ func (e *Engine) nextDecisionSubslot() int {
 
 // onOverhear is installed as the MAC overhear hook: any decoded DATA, ACK or
 // command frame marks the current backoff window as "subslot in use"
-// (Eq. 6). Beacons are infrastructure and do not count.
+// (Eq. 6). Beacons are infrastructure and do not count. With captured-over
+// shaping, an ACK addressed to another node during this node's own ACK wait
+// is the transmitter-side evidence that the subslot carried a captured
+// transaction rather than a mutual kill.
 func (e *Engine) onOverhear(f *frame.Frame) {
 	if f.Kind == frame.Beacon {
 		return
 	}
 	if e.hasPend {
 		e.overhear = true
+	}
+	if e.txWaiting && f.Kind == frame.Ack && f.Dst != e.base.ID() {
+		e.foreignAck = true
 	}
 }

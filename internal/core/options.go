@@ -33,8 +33,8 @@ type Options struct {
 	Table TableKind
 	// Explorer decides ρ; nil selects parameter-based exploration (Fig. 4).
 	Explorer qlearn.Explorer
-	// StartupSubslots is Δ; negative selects the engine default, 0 disables
-	// cautious startup.
+	// StartupSubslots is Δ; 0 selects the engine default of two full
+	// frames, a negative value disables cautious startup.
 	StartupSubslots int
 	// DisableStartupPunish turns off the §4.3 QCCA/QSend punishments.
 	DisableStartupPunish bool
@@ -105,11 +105,16 @@ func validateOptions(opts any) error {
 	return nil
 }
 
-// NewFromOptions builds a QMA engine over macCfg from scenario-level options:
-// it resolves the table representation, the default hyperparameters and the
-// cautious-startup convention (scenario zero value = engine default, negative
-// = disabled) before delegating to New.
+// NewFromOptions builds a QMA engine over macCfg from scenario-level options.
 func NewFromOptions(opts Options, macCfg mac.Config, rng *sim.Rand) *Engine {
+	return New(opts.Config(macCfg, rng))
+}
+
+// Config resolves scenario-level options into an engine Config over macCfg:
+// the table representation, the default hyperparameters and the
+// cautious-startup convention (scenario zero value = engine default, negative
+// = disabled). The power-level fields stay zero, which is QMA.
+func (opts Options) Config(macCfg mac.Config, rng *sim.Rand) Config {
 	subslots := macCfg.Clock.Config().Subslots
 	// TableFloat leaves table nil, so New builds the float64 table from learn
 	// inside the engine's own block.
@@ -136,7 +141,7 @@ func NewFromOptions(opts Options, macCfg mac.Config, rng *sim.Rand) *Engine {
 	case startup < 0:
 		startup = 0
 	}
-	return New(Config{
+	return Config{
 		MAC:             macCfg,
 		Table:           table,
 		Learn:           learn,
@@ -145,5 +150,5 @@ func NewFromOptions(opts Options, macCfg mac.Config, rng *sim.Rand) *Engine {
 		StartupSubslots: startup,
 		StartupPunish:   !opts.DisableStartupPunish,
 		ReevalOnDecay:   opts.ReevalOnDecay,
-	})
+	}
 }

@@ -619,9 +619,10 @@ func (b *Base) SendFrame(f *frame.Frame, cb func(success bool)) sim.Time {
 
 // SendFrameAt is SendFrame with an explicit transmit power: reduceDB is the
 // power reduction below the topology's reference power in dB (0 = reference
-// power, the SendFrame default). Power-diverse engines (internal/noma) pick
-// the level per transmission; the returning ACK is always sent at reference
-// power by the receiver's own Base.
+// power, the SendFrame default). A power-level engine (core.Engine with
+// Config.Levels > 1, the noma protocol) picks the level per transmission;
+// the returning ACK is always sent at reference power by the receiver's own
+// Base.
 func (b *Base) SendFrameAt(f *frame.Frame, reduceDB float64, cb func(success bool)) sim.Time {
 	if b.waiting {
 		panic(fmt.Sprintf("mac: node %d sends while awaiting an ACK", b.cfg.ID))

@@ -2,11 +2,20 @@ package mac
 
 import "qma/internal/frame"
 
-// scratchChunk is the number of elements per slab block. One FactoryHall
-// node needs states×actions table entries plus a policy row, so a block
-// this size covers on the order of a hundred nodes per type before the
-// next block is carved.
+// scratchChunk is the number of elements per slab block once a slab has
+// grown. One FactoryHall node needs states×actions table entries plus a
+// policy row, so a block this size covers on the order of a hundred nodes
+// per type before the next block is carved.
 const scratchChunk = 16384
+
+// A slab's first block holds firstScratchChunk elements and each further
+// one doubles, reaching scratchChunk after scratchDoublings blocks. A
+// few-node run (the paper's hidden-node pair) thus carves a few KB per type
+// instead of a full block.
+const (
+	scratchDoublings  = 4
+	firstScratchChunk = scratchChunk >> scratchDoublings
+)
 
 // Scratch is a bump arena for the per-node hot state of one simulation run:
 // Q-table backing, byte-wide policy rows and transmit-queue buffers.
@@ -110,10 +119,10 @@ func (s *slab[T]) alloc(n int) []T {
 			continue
 		}
 		size := scratchChunk
-		if n > size {
-			size = n
+		if k := len(s.blocks); k < scratchDoublings {
+			size = firstScratchChunk << k
 		}
-		s.blocks = append(s.blocks, make([]T, size))
+		s.blocks = append(s.blocks, make([]T, max(size, n)))
 	}
 }
 

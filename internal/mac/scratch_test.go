@@ -81,9 +81,9 @@ func TestScratchResetReservesSameMemory(t *testing.T) {
 // gets its own block, and the pattern repeats exactly after a reset.
 func TestScratchBlockBoundaries(t *testing.T) {
 	s := &Scratch{}
-	first := s.Uint8s(scratchChunk - 10) // leaves a 10-element tail
-	tail := s.Uint8s(20)                 // does not fit: new block
-	if len(first) != scratchChunk-10 || len(tail) != 20 {
+	first := s.Uint8s(firstScratchChunk - 10) // leaves a 10-element tail
+	tail := s.Uint8s(20)                      // does not fit: new block
+	if len(first) != firstScratchChunk-10 || len(tail) != 20 {
 		t.Fatal("carve lengths wrong")
 	}
 	big := s.Uint8s(3 * scratchChunk) // oversized: dedicated block
@@ -92,7 +92,7 @@ func TestScratchBlockBoundaries(t *testing.T) {
 	}
 	big[0] = 42
 	s.Reset()
-	if got := s.Uint8s(scratchChunk - 10); &got[0] != &first[0] {
+	if got := s.Uint8s(firstScratchChunk - 10); &got[0] != &first[0] {
 		t.Error("first block not re-served after reset")
 	}
 	if got := s.Uint8s(20); &got[0] != &tail[0] {

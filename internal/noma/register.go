@@ -1,8 +1,10 @@
 package noma
 
 import (
+	"cmp"
 	"fmt"
 
+	"qma/internal/core"
 	"qma/internal/mac"
 	"qma/internal/qlearn"
 	"qma/internal/sim"
@@ -106,24 +108,17 @@ func adoptExplorer(opts any, explorer qlearn.Explorer) any {
 }
 
 // NewFromOptions builds a NOMA engine over macCfg from scenario-level
-// options, resolving the cautious-startup convention (0 = engine default,
-// negative = disabled) like core.NewFromOptions does for QMA.
-func NewFromOptions(opts Options, macCfg mac.Config, rng *sim.Rand) *Engine {
-	startup := opts.StartupSubslots
-	switch {
-	case startup == 0:
-		startup = -1
-	case startup < 0:
-		startup = 0
-	}
-	return New(Config{
-		MAC:             macCfg,
-		Levels:          opts.Levels,
-		LevelStepDB:     opts.LevelStepDB,
-		Learn:           opts.Learn,
-		Explorer:        opts.Explorer,
-		Rng:             rng,
-		StartupSubslots: startup,
-		StartupPunish:   !opts.DisableStartupPunish,
-	})
+// options: the QMA engine resolved from the shared options by
+// core.Options.Config, with K power levels and captured-over shaping on.
+func NewFromOptions(opts Options, macCfg mac.Config, rng *sim.Rand) *core.Engine {
+	cfg := core.Options{
+		Learn:                opts.Learn,
+		Explorer:             opts.Explorer,
+		StartupSubslots:      opts.StartupSubslots,
+		DisableStartupPunish: opts.DisableStartupPunish,
+	}.Config(macCfg, rng)
+	cfg.Levels = cmp.Or(opts.Levels, DefaultLevels)
+	cfg.LevelStepDB = cmp.Or(opts.LevelStepDB, DefaultLevelStepDB)
+	cfg.CapturedOver = true
+	return core.New(cfg)
 }

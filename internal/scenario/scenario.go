@@ -357,8 +357,10 @@ type NodeResult struct {
 	// (reference-power remainder first). Nil unless some node of the run
 	// transmitted at reduced power (see radio.Medium.TxAirtimeByPower).
 	PowerAirtime []radio.PowerAirtime
-	// QMA-only: engine counters, final policy and sampled series (nil/empty
-	// for CSMA nodes or when sampling is off).
+	// Q-learning nodes only (QMA and NOMA, both core.Engine): engine
+	// counters, the final policy as one action kind per subslot
+	// (Engine.PolicyKinds) and sampled series (nil/empty for the other MACs
+	// or when sampling is off).
 	Engine core.Stats
 	Policy []int
 	// TableBytes is the Q-table's value-storage footprint in bytes — the
@@ -475,7 +477,7 @@ type run struct {
 	proto   *mac.Protocol
 	macOpts any // resolved protocol options, validated once per run
 	engines []mac.Engine
-	qma     []*core.Engine // nil entries for CSMA runs
+	qma     []*core.Engine // nil entries for non-Q-learning MACs
 	result  *Result
 }
 
@@ -759,7 +761,7 @@ func (r *run) collect() {
 		node.AvgQueueLevel = e.Base().AvgQueueLevel()
 		if q := r.qma[i]; q != nil {
 			node.Engine = q.EngineStats()
-			node.Policy = q.Learner().PolicySnapshot()
+			node.Policy = q.PolicyKinds()
 			node.TableBytes = q.Learner().Table().MemoryBytes()
 		}
 	}

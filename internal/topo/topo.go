@@ -71,7 +71,7 @@ func (n *Network) Depth(id frame.NodeID) int {
 
 // Label reports the paper's name for a node, falling back to its dense id.
 func (n *Network) Label(id frame.NodeID) string {
-	if int(id) < len(n.Labels) && n.Labels[id] != "" {
+	if id >= 0 && int(id) < len(n.Labels) && n.Labels[id] != "" {
 		return n.Labels[id]
 	}
 	return fmt.Sprintf("%d", id)

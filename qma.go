@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"qma/internal/aloha"
 	"qma/internal/bandit"
@@ -62,10 +63,10 @@ const (
 	SlottedAloha MAC = aloha.ProtoSlotted
 	// Bandit is the per-subslot multi-armed-bandit learning baseline.
 	Bandit MAC = bandit.Proto
-	// NOMA is the power-level Q-learning MAC: QMA's action space crossed
-	// with K transmit power levels, designed for capture-enabled runs
-	// (Scenario.CaptureThresholdDB > 0) where two deliberate power levels
-	// can share a subslot.
+	// NOMA is the power-level Q-learning MAC: QMA's engine with its action
+	// space crossed with K transmit power levels, designed for
+	// capture-enabled runs (Scenario.CaptureThresholdDB > 0) where two
+	// deliberate power levels can share a subslot.
 	NOMA MAC = noma.Proto
 )
 
@@ -449,16 +450,18 @@ type NodeResult struct {
 	// another transmission overlapped them — SINR capture resolved the
 	// collision in their favour. Always 0 unless CaptureThresholdDB is set.
 	Captured uint64
-	// Policy is the final per-subslot policy for QMA nodes ("." = QBackoff,
-	// "C" = QCCA, "S" = QSend); empty for CSMA nodes.
+	// Policy is the final per-subslot policy of a Q-learning node (QMA or
+	// NOMA) as one action kind per subslot ("." = QBackoff, "C" = QCCA,
+	// "S" = QSend; a NOMA node's power level is not shown); empty for the
+	// other MACs.
 	Policy string
-	// TableBytes is the Q-table's value-storage footprint in bytes for QMA
-	// nodes — the paper's §3.2 resource figure for the selected Table kind
-	// (648 float64, 324 fixed Q8.8, 162 quant 8-bit at 54×3). 0 for CSMA
-	// nodes.
+	// TableBytes is the Q-table's value-storage footprint in bytes for
+	// Q-learning nodes — the paper's §3.2 resource figure for the selected
+	// Table kind (648 float64, 324 fixed Q8.8, 162 quant 8-bit at 54×3; a
+	// NOMA node holds 54×3K float64 values). 0 for the other MACs.
 	TableBytes int
 	// CumulativeQ, ExplorationRate and QueueLevel are sampled series when
-	// SampleSeries was set (QMA nodes only for the first two).
+	// SampleSeries was set (Q-learning nodes only for the first two).
 	CumulativeQ, ExplorationRate, QueueLevel []Point
 }
 
@@ -742,8 +745,14 @@ func (t *Topology) NumNodes() int { return t.net.NumNodes() }
 // Sink reports the data-collection root.
 func (t *Topology) Sink() int { return int(t.net.Sink) }
 
-// Label reports the display name of a node.
-func (t *Topology) Label(id int) string { return t.net.Label(frame.NodeID(id)) }
+// Label reports the display name of a node; an id outside the network
+// reports its decimal string.
+func (t *Topology) Label(id int) string {
+	if id < 0 || id >= t.net.NumNodes() {
+		return strconv.Itoa(id)
+	}
+	return t.net.Label(frame.NodeID(id))
+}
 
 // HiddenNode returns the paper's Fig. 6 scenario: A(0) and C(2) both reach
 // the sink B(1) but not each other.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"qma"
 )
@@ -155,6 +156,40 @@ func TestNomaCaptureSharing(t *testing.T) {
 	}
 	if got := captured(run(0)); got != 0 {
 		t.Errorf("capture-disabled run reports %d captured deliveries, want 0", got)
+	}
+}
+
+// TestNomaReportsKindPolicy pins what a NOMA node reports through the
+// public API: it runs on QMA's engine, so it has a policy string with one
+// action kind per subslot — never a raw power-level action index — and the
+// footprint of its 54×(3·K) float64 Q-table.
+func TestNomaReportsKindPolicy(t *testing.T) {
+	sc := &qma.Scenario{
+		Topology:           qma.HiddenNode(),
+		MAC:                qma.NOMA,
+		MACOptions:         map[string]string{"levels": "2"},
+		CaptureThresholdDB: 6,
+		Seed:               1,
+		DurationSeconds:    20,
+		Traffic: []qma.Traffic{
+			{Origin: 0, Phases: []qma.Phase{{Rate: 10}}, StartSeconds: 1},
+			{Origin: 2, Phases: []qma.Phase{{Rate: 10}}, StartSeconds: 1},
+		},
+	}
+	res, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range res.Nodes {
+		if got := utf8.RuneCountInString(n.Policy); got != 54 {
+			t.Errorf("node %s: policy %q has %d runes, want 54", n.Label, n.Policy, got)
+		}
+		if strings.Trim(n.Policy, ".CS") != "" {
+			t.Errorf("node %s: policy %q holds runes outside .CS", n.Label, n.Policy)
+		}
+		if n.TableBytes != 54*6*8 {
+			t.Errorf("node %s: TableBytes = %d, want %d", n.Label, n.TableBytes, 54*6*8)
+		}
 	}
 }
 
@@ -471,6 +506,12 @@ func TestTopologyConstructors(t *testing.T) {
 	}
 	if _, err := qma.Rings(0); err == nil {
 		t.Error("Rings(0) accepted")
+	}
+	hn := qma.HiddenNode()
+	for id, want := range map[int]string{0: "A", 2: "C", -1: "-1", 3: "3", 32768: "32768", 65536: "65536"} {
+		if got := hn.Label(id); got != want {
+			t.Errorf("HiddenNode().Label(%d) = %q, want %q", id, got, want)
+		}
 	}
 	custom, err := qma.NewTopology(3, [][2]int{{0, 1}, {1, 2}}, 1, []int{1, -1, 1})
 	if err != nil || custom.NumNodes() != 3 || custom.Sink() != 1 {
