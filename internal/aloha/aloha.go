@@ -90,6 +90,21 @@ type Stats struct {
 	BusyWaits uint64
 }
 
+// step names the continuation an ALOHA transaction is waiting for.
+type step uint8
+
+const (
+	// stepRetry re-attempts access once an access-class barring backoff has
+	// passed.
+	stepRetry step = iota
+	// stepSend retries the pure-ALOHA transmit path after a busy wait, a
+	// deferral or a retransmission backoff.
+	stepSend
+	// stepSlot attempts the slotted-ALOHA transmission on a subslot
+	// boundary.
+	stepSlot
+)
+
 // Engine is one node's ALOHA MAC.
 type Engine struct {
 	base mac.Base
@@ -100,8 +115,11 @@ type Engine struct {
 	// inTransaction guards against starting two concurrent transactions.
 	inTransaction bool
 
-	// epoch counts power-cycle faults (mac.Rebooter); see at().
-	epoch uint32
+	// f and step are the running transaction's context: its frame and the
+	// step the engine waits for, which next schedules through alohaResume.
+	f    *frame.Frame
+	step step
+	next mac.Continuation
 }
 
 var _ mac.Engine = (*Engine)(nil)
@@ -127,6 +145,7 @@ func New(cfg Config) *Engine {
 	e := &Engine{cfg: cfg}
 	cfg.MAC.OnAccept = e.kick
 	e.base.Init(cfg.MAC)
+	e.next.Init(cfg.MAC.Kernel, alohaResume, e)
 	return e
 }
 
@@ -152,12 +171,13 @@ func (e *Engine) Enqueue(f *frame.Frame) bool {
 }
 
 // Reboot implements mac.Rebooter: wipe the shared MAC state and the
-// transaction flag (backoff progress lives only in cancelled closures),
-// then resume with whatever traffic arrives next.
+// transaction flag, orphan the step in flight (it still fires, as a no-op,
+// so event counts do not depend on the reboot) and resume with whatever
+// traffic arrives next.
 func (e *Engine) Reboot() {
 	e.base.Reboot()
 	e.inTransaction = false
-	e.epoch++
+	e.next.Orphan()
 	e.kick()
 }
 
@@ -170,34 +190,39 @@ func (e *Engine) kick() {
 		// Access-class barring: hold the transaction slot and retry once the
 		// barring backoff has passed (a fresh Bernoulli draw happens then).
 		e.inTransaction = true
-		e.at(retryAt, func() {
-			e.inTransaction = false
-			e.kick()
-		})
+		e.await(retryAt, stepRetry)
 		return
 	}
 	e.inTransaction = true
-	f := e.base.Queue().Head()
+	e.f = e.base.Queue().Head()
 	if e.cfg.Variant == Slotted {
-		e.armSlot(f)
+		e.armSlot()
 	} else {
-		e.send(f)
+		e.send()
 	}
 }
 
-// at schedules fn at the absolute instant t, bound to the engine's current
-// reboot epoch: a power-cycle fault (mac.Rebooter) bumps the epoch, turning
-// every in-flight continuation — backoff expiries, CCA completions, slot
-// boundaries — into a no-op instead of letting it operate on a flushed
-// queue. Without faults the epoch never changes and the guard is a single
-// always-true comparison.
-func (e *Engine) at(t sim.Time, fn func()) {
-	ep := e.epoch
-	e.base.Kernel().At(t, func() {
-		if e.epoch == ep {
-			fn()
-		}
-	})
+// alohaResume is the long-lived kernel callback behind every ALOHA step.
+func alohaResume(a any) { a.(*Engine).resume() }
+
+// await schedules step s of the running transaction at the absolute
+// instant t.
+func (e *Engine) await(t sim.Time, s step) {
+	e.step = s
+	e.next.At(t)
+}
+
+// resume runs the step the transaction was waiting for.
+func (e *Engine) resume() {
+	switch e.step {
+	case stepRetry:
+		e.inTransaction = false
+		e.kick()
+	case stepSend:
+		e.send()
+	case stepSlot:
+		e.fireSlot()
+	}
 }
 
 // transactionCost is the CAP time one attempt occupies: the frame itself
@@ -224,42 +249,41 @@ func (e *Engine) nextCAPStart(now sim.Time) sim.Time {
 
 // send is the pure-ALOHA transmit path: transmit now unless the node is
 // mid-activity or the transaction does not fit into the remaining CAP.
-func (e *Engine) send(f *frame.Frame) {
+func (e *Engine) send() {
 	now := e.base.Kernel().Now()
 	if e.base.Busy() {
 		e.stats.BusyWaits++
-		e.at(e.base.BusyUntil(), func() { e.send(f) })
+		e.await(e.base.BusyUntil(), stepSend)
 		return
 	}
-	if !e.base.Clock().FitsInCAP(now, e.transactionCost(f)) {
+	if !e.base.Clock().FitsInCAP(now, e.transactionCost(e.f)) {
 		e.stats.Deferrals++
-		e.at(e.nextCAPStart(now), func() { e.send(f) })
+		e.await(e.nextCAPStart(now), stepSend)
 		return
 	}
-	e.transmit(f)
+	e.transmit(e.f)
 }
 
 // armSlot schedules the slotted-ALOHA transmit attempt for the next subslot
 // boundary (rolling into the next CAP automatically).
-func (e *Engine) armSlot(f *frame.Frame) {
-	t := e.base.Clock().NextSubslotStart(e.base.Kernel().Now())
-	e.at(t, func() { e.fireSlot(f) })
+func (e *Engine) armSlot() {
+	e.await(e.base.Clock().NextSubslotStart(e.base.Kernel().Now()), stepSlot)
 }
 
 // fireSlot attempts a transmission exactly on a subslot boundary.
-func (e *Engine) fireSlot(f *frame.Frame) {
+func (e *Engine) fireSlot() {
 	now := e.base.Kernel().Now()
 	if e.base.Busy() {
 		e.stats.BusyWaits++
-		e.armSlot(f)
+		e.armSlot()
 		return
 	}
-	if !e.base.Clock().FitsInCAP(now, e.transactionCost(f)) {
+	if !e.base.Clock().FitsInCAP(now, e.transactionCost(e.f)) {
 		e.stats.Deferrals++
-		e.armSlot(f)
+		e.armSlot()
 		return
 	}
-	e.transmit(f)
+	e.transmit(e.f)
 }
 
 // transmit puts f on the air and routes the outcome through the shared retry
@@ -272,16 +296,17 @@ func (e *Engine) transmit(f *frame.Frame) {
 			e.kick()
 			return
 		}
-		e.backoff(f)
+		e.backoff()
 	})
 }
 
-// backoff delays the retransmission of f. The exponent grows with the
-// frame's retry count from MinBE to MaxBE; the delay is at least one unit so
-// a collision is never replayed verbatim at the same instant.
-func (e *Engine) backoff(f *frame.Frame) {
+// backoff delays the retransmission of the transaction's frame. The
+// exponent grows with the frame's retry count from MinBE to MaxBE; the
+// delay is at least one unit so a collision is never replayed verbatim at
+// the same instant.
+func (e *Engine) backoff() {
 	e.stats.Backoffs++
-	be := e.cfg.MinBE + int(f.Retries) - 1
+	be := e.cfg.MinBE + int(e.f.Retries) - 1
 	if be > e.cfg.MaxBE {
 		be = e.cfg.MaxBE
 	}
@@ -293,8 +318,8 @@ func (e *Engine) backoff(f *frame.Frame) {
 		for i := sim.Time(0); i < units; i++ {
 			target = e.base.Clock().NextSubslotStart(target)
 		}
-		e.at(target, func() { e.fireSlot(f) })
+		e.await(target, stepSlot)
 		return
 	}
-	e.at(e.base.Kernel().Now()+units*UnitBackoffPeriod, func() { e.send(f) })
+	e.await(e.base.Kernel().Now()+units*UnitBackoffPeriod, stepSend)
 }

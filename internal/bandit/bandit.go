@@ -115,8 +115,10 @@ type Engine struct {
 	// pulling guards against two concurrent scheduled attempts.
 	pulling bool
 
-	// epoch counts power-cycle faults (mac.Rebooter); see at().
-	epoch uint32
+	// arm is the pending pull's arm, or barringRetry; next schedules the
+	// pull through banditResume.
+	arm  int
+	next mac.Continuation
 }
 
 var _ mac.Engine = (*Engine)(nil)
@@ -149,6 +151,7 @@ func New(cfg Config) *Engine {
 	}
 	cfg.MAC.OnAccept = e.kick
 	e.base.Init(cfg.MAC)
+	e.next.Init(cfg.MAC.Kernel, banditResume, e)
 	return e
 }
 
@@ -183,8 +186,10 @@ func (e *Engine) Enqueue(f *frame.Frame) bool {
 }
 
 // Reboot implements mac.Rebooter: wipe the per-slot reward estimates back
-// to their optimistic prior along with the shared MAC state, then resume
-// with whatever traffic arrives next — the bandit relearns from scratch.
+// to their optimistic prior along with the shared MAC state, orphan the
+// pending pull (it still fires, as a no-op, so event counts do not depend
+// on the reboot), then resume with whatever traffic arrives next — the
+// bandit relearns from scratch.
 func (e *Engine) Reboot() {
 	e.base.Reboot()
 	for i := range e.value {
@@ -193,7 +198,7 @@ func (e *Engine) Reboot() {
 	}
 	e.total = 0
 	e.pulling = false
-	e.epoch++
+	e.next.Orphan()
 	e.kick()
 }
 
@@ -206,30 +211,35 @@ func (e *Engine) kick() {
 		// Access-class barring: hold the pull and retry once the barring
 		// backoff has passed (a fresh Bernoulli draw happens then).
 		e.pulling = true
-		e.at(retryAt, func() {
-			e.pulling = false
-			e.kick()
-		})
+		e.arm = barringRetry
+		e.next.At(retryAt)
 		return
 	}
 	e.pulling = true
-	m := e.pick()
-	e.at(e.nextSlotStart(m), func() { e.fire(m) })
+	e.pull(e.pick())
 }
 
-// at schedules fn at the absolute instant t, bound to the engine's current
-// reboot epoch: a power-cycle fault (mac.Rebooter) bumps the epoch, turning
-// every in-flight continuation — backoff expiries, CCA completions, slot
-// boundaries — into a no-op instead of letting it operate on a flushed
-// queue. Without faults the epoch never changes and the guard is a single
-// always-true comparison.
-func (e *Engine) at(t sim.Time, fn func()) {
-	ep := e.epoch
-	e.base.Kernel().At(t, func() {
-		if e.epoch == ep {
-			fn()
-		}
-	})
+// banditResume is the long-lived kernel callback behind every pull.
+func banditResume(a any) { a.(*Engine).resume() }
+
+// barringRetry marks a pending pull that re-attempts access once an
+// access-class barring backoff has passed.
+const barringRetry = -1
+
+// resume runs the pending pull: a barring retry or the arm's slot.
+func (e *Engine) resume() {
+	if e.arm == barringRetry {
+		e.pulling = false
+		e.kick()
+		return
+	}
+	e.fire()
+}
+
+// pull schedules arm m for its next slot start.
+func (e *Engine) pull(m int) {
+	e.arm = m
+	e.next.At(e.nextSlotStart(m))
 }
 
 // nextSlotStart reports the first strictly future start of subslot m.
@@ -295,8 +305,9 @@ func (e *Engine) update(m int, reward float64) {
 	e.value[m] += (reward - e.value[m]) / float64(e.count[m])
 }
 
-// fire attempts a transmission at the start of the chosen subslot.
-func (e *Engine) fire(m int) {
+// fire attempts a transmission at the start of the pulled arm's subslot.
+func (e *Engine) fire() {
+	m := e.arm
 	f := e.base.Queue().Head()
 	if f == nil {
 		// The queue drained (frame dropped elsewhere); no reward.
@@ -309,7 +320,7 @@ func (e *Engine) fire(m int) {
 		// Mid-activity (ACK duty): retry the same arm next superframe
 		// without charging it a reward — the slot was never tried.
 		e.stats.BusyWaits++
-		e.at(e.nextSlotStart(m), func() { e.fire(m) })
+		e.pull(m)
 		return
 	}
 	cost := f.Duration()

@@ -71,6 +71,33 @@ type Stats struct {
 	Deferrals uint64
 }
 
+// step names the continuation a CSMA/CA transaction is waiting for.
+type step uint8
+
+const (
+	// stepRetry re-attempts access once an access-class barring backoff has
+	// passed.
+	stepRetry step = iota
+	// stepCCA starts a CCA window: after a backoff, after a deferral into
+	// the next CAP or, in the slotted variant, on the boundary of the
+	// second CCA.
+	stepCCA
+	// stepCCADone evaluates a CCA window that has just closed.
+	stepCCADone
+	// stepTransmit sends the frame on the boundary after the last clear CCA
+	// (slotted variant).
+	stepTransmit
+)
+
+// txn is the context of the transaction in flight: the frame, the
+// 802.15.4 backoff counters NB and BE, the slotted variant's contention
+// window CW and the step the engine waits for.
+type txn struct {
+	f          *frame.Frame
+	nb, be, cw int
+	step       step
+}
+
 // Engine is one node's CSMA/CA MAC.
 type Engine struct {
 	base mac.Base
@@ -81,8 +108,10 @@ type Engine struct {
 	// inTransaction guards against starting two concurrent transactions.
 	inTransaction bool
 
-	// epoch counts power-cycle faults (mac.Rebooter); see at().
-	epoch uint32
+	// tx is the running transaction's context and next schedules its steps
+	// through csmaResume.
+	tx   txn
+	next mac.Continuation
 }
 
 var _ mac.Engine = (*Engine)(nil)
@@ -110,6 +139,7 @@ func New(cfg Config) *Engine {
 	e := &Engine{cfg: cfg}
 	cfg.MAC.OnAccept = e.kick
 	e.base.Init(cfg.MAC)
+	e.next.Init(cfg.MAC.Kernel, csmaResume, e)
 	return e
 }
 
@@ -135,12 +165,13 @@ func (e *Engine) Enqueue(f *frame.Frame) bool {
 }
 
 // Reboot implements mac.Rebooter: wipe the shared MAC state and the
-// transaction flag (backoff exponent and NB live only in cancelled
-// closures), then resume with whatever traffic arrives next.
+// transaction flag, orphan the step in flight (it still fires, as a no-op,
+// so event counts do not depend on the reboot) and resume with whatever
+// traffic arrives next. The next transaction starts with fresh NB and BE.
 func (e *Engine) Reboot() {
 	e.base.Reboot()
 	e.inTransaction = false
-	e.epoch++
+	e.next.Orphan()
 	e.kick()
 }
 
@@ -152,13 +183,10 @@ func (e *Engine) kick() {
 	if barred, retryAt := e.base.AccessBarred(); barred {
 		// Access-class barring: hold the transaction slot and retry once the
 		// barring backoff has passed (a fresh Bernoulli draw happens then).
-		// The reboot-epoch guard in at() keeps a power cycle from re-kicking
-		// into a flushed queue.
+		// A reboot orphans the retry, so a power cycle cannot re-kick into
+		// a flushed queue.
 		e.inTransaction = true
-		e.at(retryAt, func() {
-			e.inTransaction = false
-			e.kick()
-		})
+		e.await(retryAt, stepRetry)
 		return
 	}
 	e.inTransaction = true
@@ -173,11 +201,8 @@ func (e *Engine) beginTransaction() {
 		e.inTransaction = false
 		return
 	}
-	if e.cfg.Variant == Slotted {
-		e.slottedBackoff(f, 0, e.cfg.MinBE)
-	} else {
-		e.unslottedBackoff(f, 0, e.cfg.MinBE)
-	}
+	e.tx = txn{f: f, be: e.cfg.MinBE}
+	e.backoff()
 }
 
 // transactionCost is the CAP time one attempt needs from the CCA start:
@@ -190,62 +215,108 @@ func (e *Engine) transactionCost(f *frame.Frame, ccas int) sim.Time {
 	return cost
 }
 
-// at schedules fn at the absolute instant t, bound to the engine's current
-// reboot epoch: a power-cycle fault (mac.Rebooter) bumps the epoch, turning
-// every in-flight continuation — backoff expiries, CCA completions, slot
-// boundaries — into a no-op instead of letting it operate on a flushed
-// queue. Without faults the epoch never changes and the guard is a single
-// always-true comparison.
-func (e *Engine) at(t sim.Time, fn func()) {
-	ep := e.epoch
-	e.base.Kernel().At(t, func() {
-		if e.epoch == ep {
-			fn()
+// csmaResume is the long-lived kernel callback behind every CSMA/CA step.
+func csmaResume(a any) { a.(*Engine).resume() }
+
+// await schedules step s of the running transaction at the absolute
+// instant t.
+func (e *Engine) await(t sim.Time, s step) {
+	e.tx.step = s
+	e.next.At(t)
+}
+
+// resume runs the step the transaction was waiting for.
+func (e *Engine) resume() {
+	switch e.tx.step {
+	case stepRetry:
+		e.inTransaction = false
+		e.kick()
+	case stepCCA:
+		if e.cfg.Variant == Slotted {
+			e.slottedCCA()
+		} else {
+			e.unslottedCCA()
 		}
-	})
+	case stepCCADone:
+		e.ccaDone()
+	case stepTransmit:
+		e.transmit(e.tx.f)
+	}
+}
+
+// backoff starts a random backoff round of the configured variant.
+func (e *Engine) backoff() {
+	if e.cfg.Variant == Slotted {
+		e.slottedBackoff()
+	} else {
+		e.unslottedBackoff()
+	}
+}
+
+// startCCA opens a CCA window now; ccaDone evaluates it.
+func (e *Engine) startCCA(now sim.Time) {
+	e.base.ExtendBusy(now + frame.CCADuration)
+	e.await(now+frame.CCADuration, stepCCADone)
+}
+
+// ccaDone evaluates the CCA window that just closed. A busy channel (or a
+// node gone busy with an ACK duty) increments NB and BE and backs off
+// again, or abandons the transaction after MaxBackoffs. A clear channel
+// transmits (unslotted) or, in the slotted variant, repeats the CCA on the
+// next backoff boundary until CW clear CCAs have passed, then transmits on
+// the boundary after the last one.
+func (e *Engine) ccaDone() {
+	e.stats.CCAAttempts++
+	if !e.base.Medium().CCA(e.base.ID()) || e.base.Busy() {
+		e.stats.CCABusy++
+		e.tx.nb++
+		if e.tx.be < e.cfg.MaxBE {
+			e.tx.be++
+		}
+		if e.tx.nb > e.cfg.MaxBackoffs {
+			e.accessFailure(e.tx.f)
+			return
+		}
+		e.backoff()
+		return
+	}
+	if e.cfg.Variant != Slotted {
+		e.transmit(e.tx.f)
+		return
+	}
+	next := e.nextBoundary(e.base.Kernel().Now() + 1)
+	if e.tx.cw > 1 {
+		e.tx.cw--
+		e.await(next, stepCCA)
+		return
+	}
+	e.await(next, stepTransmit)
 }
 
 // ---- Unslotted variant -------------------------------------------------
 
-func (e *Engine) unslottedBackoff(f *frame.Frame, nb, be int) {
+func (e *Engine) unslottedBackoff() {
 	e.stats.Backoffs++
-	delay := sim.Time(e.cfg.Rng.Intn(1<<uint(be))) * UnitBackoffPeriod
-	e.at(e.base.Kernel().Now()+delay, func() { e.unslottedCCA(f, nb, be) })
+	delay := sim.Time(e.cfg.Rng.Intn(1<<uint(e.tx.be))) * UnitBackoffPeriod
+	e.await(e.base.Kernel().Now()+delay, stepCCA)
 }
 
 // unslottedCCA samples the channel at the end of one CCA window, deferring
 // into the next CAP when the transaction no longer fits (802.15.4: a CAP
 // transaction must complete before the CFP begins).
-func (e *Engine) unslottedCCA(f *frame.Frame, nb, be int) {
+func (e *Engine) unslottedCCA() {
 	now := e.base.Kernel().Now()
 	clk := e.base.Clock()
-	if !clk.FitsInCAP(now, e.transactionCost(f, 1)) {
+	if !clk.FitsInCAP(now, e.transactionCost(e.tx.f, 1)) {
 		e.stats.Deferrals++
 		next := clk.CAPEnd(now) - clk.Config().CAPDuration() // CAP start of this superframe
 		if now >= next {
 			next = clk.SuperframeStart(now) + clk.Config().SuperframeDuration() + clk.Config().CAPStartOffset()
 		}
-		e.at(next, func() { e.unslottedCCA(f, nb, be) })
+		e.await(next, stepCCA)
 		return
 	}
-	e.base.ExtendBusy(now + frame.CCADuration)
-	e.at(now+frame.CCADuration, func() {
-		e.stats.CCAAttempts++
-		if e.base.Medium().CCA(e.base.ID()) && !e.base.Busy() {
-			e.transmit(f)
-			return
-		}
-		e.stats.CCABusy++
-		nb++
-		if be < e.cfg.MaxBE {
-			be++
-		}
-		if nb > e.cfg.MaxBackoffs {
-			e.accessFailure(f)
-			return
-		}
-		e.unslottedBackoff(f, nb, be)
-	})
+	e.startCCA(now)
 }
 
 // ---- Slotted variant ----------------------------------------------------
@@ -273,9 +344,12 @@ func (e *Engine) nextBoundary(t sim.Time) sim.Time {
 	return b
 }
 
-func (e *Engine) slottedBackoff(f *frame.Frame, nb, be int) {
+// slottedBackoff counts a random number of backoff periods down from the
+// next boundary and arms the first CCA (CW = 2) on the boundary where the
+// countdown ends.
+func (e *Engine) slottedBackoff() {
 	e.stats.Backoffs++
-	periods := e.cfg.Rng.Intn(1 << uint(be))
+	periods := e.cfg.Rng.Intn(1 << uint(e.tx.be))
 	start := e.nextBoundary(e.base.Kernel().Now())
 	target := start + sim.Time(periods)*UnitBackoffPeriod
 	if !e.base.Clock().InCAP(target) || target >= e.base.Clock().CAPEnd(start) {
@@ -288,51 +362,31 @@ func (e *Engine) slottedBackoff(f *frame.Frame, nb, be int) {
 			e.base.Clock().Config().CAPStartOffset()
 		target = nextCAP + remaining*UnitBackoffPeriod
 	}
-	e.at(target, func() { e.slottedCCA(f, nb, be, 2) })
+	e.tx.cw = 2
+	e.await(target, stepCCA)
 }
 
-// slottedCCA performs the CW-counted CCA sequence on backoff boundaries.
-func (e *Engine) slottedCCA(f *frame.Frame, nb, be, cw int) {
+// slottedCCA performs one CCA of the CW-counted sequence on a backoff
+// boundary.
+func (e *Engine) slottedCCA() {
 	now := e.base.Kernel().Now()
 	clk := e.base.Clock()
 	// The remaining CCA boundaries plus the frame and ACK must fit before
 	// the CAP ends, otherwise the transaction is paused until the next CAP
 	// (CW resets). Each remaining CCA occupies a full backoff period because
 	// the transmission starts on the boundary after the last CCA.
-	cost := sim.Time(cw)*UnitBackoffPeriod + f.Duration()
+	f := e.tx.f
+	cost := sim.Time(e.tx.cw)*UnitBackoffPeriod + f.Duration()
 	if !f.IsBroadcast() {
 		cost += frame.AckWait
 	}
 	if !clk.FitsInCAP(now, cost) {
 		e.stats.Deferrals++
-		next := clk.SuperframeStart(now) + clk.Config().SuperframeDuration() + clk.Config().CAPStartOffset()
-		e.at(next, func() { e.slottedCCA(f, nb, be, 2) })
+		e.tx.cw = 2
+		e.await(clk.SuperframeStart(now)+clk.Config().SuperframeDuration()+clk.Config().CAPStartOffset(), stepCCA)
 		return
 	}
-	e.base.ExtendBusy(now + frame.CCADuration)
-	e.at(now+frame.CCADuration, func() {
-		e.stats.CCAAttempts++
-		if !e.base.Medium().CCA(e.base.ID()) || e.base.Busy() {
-			e.stats.CCABusy++
-			nb++
-			if be < e.cfg.MaxBE {
-				be++
-			}
-			if nb > e.cfg.MaxBackoffs {
-				e.accessFailure(f)
-				return
-			}
-			e.slottedBackoff(f, nb, be)
-			return
-		}
-		if cw > 1 {
-			// First CCA clear: repeat on the next backoff boundary.
-			e.at(e.nextBoundary(e.base.Kernel().Now()+1), func() { e.slottedCCA(f, nb, be, cw-1) })
-			return
-		}
-		// Second CCA clear: transmit on the next boundary.
-		e.at(e.nextBoundary(e.base.Kernel().Now()+1), func() { e.transmit(f) })
-	})
+	e.startCCA(now)
 }
 
 // ---- Shared tail --------------------------------------------------------

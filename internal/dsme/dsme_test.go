@@ -33,8 +33,11 @@ func TestSlotMapStates(t *testing.T) {
 	if m.State(g) != SlotTX {
 		t.Fatalf("MarkNeighbor overwrote owned slot: %v", m.State(g))
 	}
-	if m.Count(SlotTX) != 1 || len(m.Owned(SlotTX)) != 1 || m.Owned(SlotTX)[0] != g {
-		t.Fatalf("Count/Owned inconsistent")
+	if first, ok := m.Nth(SlotTX, 0); m.Count(SlotTX) != 1 || !ok || first != g {
+		t.Fatalf("Count/Nth inconsistent")
+	}
+	if _, ok := m.Nth(SlotTX, 1); ok {
+		t.Fatalf("Nth(SlotTX, 1) found a second slot")
 	}
 	m.Clear(g)
 	if m.State(g) != SlotFree || m.Peer(g) != -1 {

@@ -90,13 +90,31 @@ type responderPending struct {
 	timer     sim.EventID
 }
 
-// gtsAckWait tracks an outstanding GTS data acknowledgement.
-type gtsAckWait struct {
-	peer  frame.NodeID
-	seq   uint32
-	frame *frame.Frame
-	gts   superframe.GTS
-	timer sim.EventID
+// hsKey names a handshake at its responder. Handshake IDs are numbered per
+// requester, so only the pair is unique.
+type hsKey struct {
+	requester frame.NodeID
+	id        uint32
+}
+
+// gtsSlot is the record of one GTS this node has owned. It carries the
+// slot's scheduled start and, for a TX slot, the data transmission awaiting
+// its acknowledgement, so the slot start, slot end, GTS transmit and ACK
+// timeout events all schedule through AtCall with the record as argument.
+// Records are created when a slot is first armed and reused whenever the
+// node owns the slot again.
+type gtsSlot struct {
+	n     *Node
+	g     superframe.GTS
+	ch    uint8
+	start sim.EventID
+
+	// The data frame sent in this slot's latest occurrence, the peer and
+	// sequence number its ACK must carry, and the ACK deadline.
+	ackFrame *frame.Frame
+	ackPeer  frame.NodeID
+	ackSeq   uint32
+	ackTimer sim.EventID
 }
 
 // Node is one DSME device: it owns the primary (GTS) data path and drives
@@ -107,16 +125,19 @@ type Node struct {
 	cfg NodeConfig
 	cap mac.Engine
 
-	slots      *SlotMap
-	slotEvents map[int]sim.EventID
+	slots *SlotMap
+	// slotRecs holds the record of every slot the node has armed, by grid
+	// index.
+	slotRecs map[int]*gtsSlot
 
 	primary *frame.Queue
 	seq     uint32
 	hsSeq   uint32
 
-	hs       *handshake
-	pending  map[uint32]*responderPending
-	ackWait  *gtsAckWait
+	hs      *handshake
+	pending map[hsKey]*responderPending
+	// ackWait is the slot whose data transmission awaits its ACK.
+	ackWait  *gtsSlot
 	lastSeq  map[frame.NodeID]uint32
 	hasSeq   map[frame.NodeID]bool
 	arrivals int
@@ -170,14 +191,14 @@ func NewNode(cfg NodeConfig) *Node {
 		cfg.NeighborExpiry = 64 * sf.SuperframeDuration()
 	}
 	n := &Node{
-		cfg:        cfg,
-		slots:      NewSlotMap(sf),
-		slotEvents: make(map[int]sim.EventID),
-		primary:    frame.NewQueue(cfg.PrimaryQueueCap),
-		pending:    make(map[uint32]*responderPending),
-		slotFails:  make(map[int]int),
-		lastSeq:    make(map[frame.NodeID]uint32),
-		hasSeq:     make(map[frame.NodeID]bool),
+		cfg:       cfg,
+		slots:     NewSlotMap(sf),
+		slotRecs:  make(map[int]*gtsSlot),
+		primary:   frame.NewQueue(cfg.PrimaryQueueCap),
+		pending:   make(map[hsKey]*responderPending),
+		slotFails: make(map[int]int),
+		lastSeq:   make(map[frame.NodeID]uint32),
+		hasSeq:    make(map[frame.NodeID]bool),
 	}
 	n.ackStartFn = func(a any) { n.transmitGTSAck(a.(*frame.Frame)) }
 	n.ackDoneFn = func(a any) { n.cfg.FramePool.Put(a.(*frame.Frame)) }
@@ -213,7 +234,7 @@ func (n *Node) Start() {
 	if n.cfg.Parent >= 0 {
 		// Desynchronize controllers across nodes.
 		first := n.cfg.ControlPeriod + sim.Time(n.cfg.Rng.Intn(int(n.cfg.ControlPeriod)))
-		n.cfg.Kernel.At(first, n.controlTick)
+		n.cfg.Kernel.AtCall(first, nodeControlTick, n)
 	}
 }
 
@@ -258,13 +279,13 @@ func (n *Node) deliverGTS(f *frame.Frame) {
 	switch {
 	case f.Kind == frame.Ack && f.Dst == n.cfg.ID:
 		w := n.ackWait
-		if w == nil || w.peer != f.Src || w.seq != f.Seq {
+		if w == nil || w.ackPeer != f.Src || w.ackSeq != f.Seq {
 			return
 		}
 		n.ackWait = nil
-		w.timer.Cancel()
-		n.noteSlotOutcome(w.gts, true)
-		n.finishGTSData(w.frame, true)
+		w.ackTimer.Cancel()
+		n.noteSlotOutcome(w.g, true)
+		n.finishGTSData(w.ackFrame, true)
 	case f.Kind == frame.Data && f.Dst == n.cfg.ID:
 		n.ackGTSData(f)
 		if n.isDuplicate(f) {
@@ -325,49 +346,70 @@ func (n *Node) transmitGTSAck(ack *frame.Frame) {
 	n.cfg.Kernel.AtCall(txEnd, n.ackDoneFn, ack)
 }
 
+// gtsSlotStart, gtsSlotEnd, gtsSlotTransmit and gtsAckTimeout are the
+// long-lived kernel callbacks of the GTS path; the slot record is the event
+// argument.
+func gtsSlotStart(a any)    { r := a.(*gtsSlot); r.n.slotStart(r) }
+func gtsSlotEnd(a any)      { r := a.(*gtsSlot); r.n.slotEnd(r) }
+func gtsSlotTransmit(a any) { r := a.(*gtsSlot); r.n.gtsTransmit(r) }
+func gtsAckTimeout(a any)   { r := a.(*gtsSlot); r.n.gtsAckTimeout(r) }
+
 // armSlot schedules the next occurrence of an owned slot.
 func (n *Node) armSlot(g superframe.GTS) {
 	idx := g.Index(n.cfg.Clock.Config())
-	n.slotEvents[idx].Cancel()
-	at := n.cfg.Clock.NextGTSStart(n.cfg.Kernel.Now(), g)
-	n.slotEvents[idx] = n.cfg.Kernel.At(at, func() { n.slotStart(g) })
+	r := n.slotRecs[idx]
+	if r == nil {
+		r = &gtsSlot{n: n, g: g, ch: gtsChannel(g)}
+		n.slotRecs[idx] = r
+	}
+	n.rearm(r)
+}
+
+// rearm schedules r's next occurrence, replacing a pending one.
+func (n *Node) rearm(r *gtsSlot) {
+	r.start.Cancel()
+	at := n.cfg.Clock.NextGTSStart(n.cfg.Kernel.Now(), r.g)
+	r.start = n.cfg.Kernel.AtCall(at, gtsSlotStart, r)
 }
 
 // disarmSlot cancels the pending occurrence of a slot.
 func (n *Node) disarmSlot(g superframe.GTS) {
-	idx := g.Index(n.cfg.Clock.Config())
-	n.slotEvents[idx].Cancel()
-	delete(n.slotEvents, idx)
+	if r := n.slotRecs[g.Index(n.cfg.Clock.Config())]; r != nil {
+		r.start.Cancel()
+	}
 }
 
 // slotStart runs at the beginning of an owned GTS occurrence.
-func (n *Node) slotStart(g superframe.GTS) {
-	st := n.slots.State(g)
+func (n *Node) slotStart(r *gtsSlot) {
+	st := n.slots.State(r.g)
 	if st != SlotTX && st != SlotRX {
 		return // ownership was lost; the chain dies here
 	}
-	ch := gtsChannel(g)
-	n.cfg.Medium.SetTuned(n.cfg.ID, ch)
-	end := n.cfg.Kernel.Now() + n.cfg.Clock.GTSDuration()
-	n.cfg.Kernel.At(end, func() {
-		if n.cfg.Medium.Tuned(n.cfg.ID) == ch {
-			n.cfg.Medium.SetTuned(n.cfg.ID, capChannel)
-		}
-		if s := n.slots.State(g); s == SlotTX || s == SlotRX {
-			n.armSlot(g)
-		}
-	})
+	n.cfg.Medium.SetTuned(n.cfg.ID, r.ch)
+	now := n.cfg.Kernel.Now()
+	n.cfg.Kernel.AtCall(now+n.cfg.Clock.GTSDuration(), gtsSlotEnd, r)
 	if st == SlotTX {
 		// Transmit after a turnaround-sized guard so that the receiver's
 		// tuning event at the same slot boundary has settled.
-		n.cfg.Kernel.Schedule(frame.TurnaroundTime, func() { n.gtsTransmit(g, ch) })
+		n.cfg.Kernel.AtCall(now+frame.TurnaroundTime, gtsSlotTransmit, r)
+	}
+}
+
+// slotEnd retunes to the CAP channel at the end of an owned GTS occurrence
+// and arms the next one while the node still owns the slot.
+func (n *Node) slotEnd(r *gtsSlot) {
+	if n.cfg.Medium.Tuned(n.cfg.ID) == r.ch {
+		n.cfg.Medium.SetTuned(n.cfg.ID, capChannel)
+	}
+	if s := n.slots.State(r.g); s == SlotTX || s == SlotRX {
+		n.rearm(r)
 	}
 }
 
 // gtsTransmit sends the primary queue head in the owned slot ("a single
 // packet is transmitted per GTS", §6.3).
-func (n *Node) gtsTransmit(g superframe.GTS, ch uint8) {
-	if n.slots.State(g) != SlotTX {
+func (n *Node) gtsTransmit(r *gtsSlot) {
+	if n.slots.State(r.g) != SlotTX {
 		return
 	}
 	f := n.primary.Head()
@@ -375,17 +417,20 @@ func (n *Node) gtsTransmit(g superframe.GTS, ch uint8) {
 		n.stats.GTSIdle++
 		return
 	}
-	f.Channel = ch
+	f.Channel = r.ch
 	n.stats.GTSTxAttempts++
 	txEnd := n.cfg.Medium.StartTX(n.cfg.ID, f, 0)
-	deadline := txEnd + frame.AckWait
-	w := &gtsAckWait{peer: f.Dst, seq: f.Seq, frame: f, gts: g}
-	w.timer = n.cfg.Kernel.At(deadline, func() {
-		n.ackWait = nil
-		n.noteSlotOutcome(g, false)
-		n.finishGTSData(f, false)
-	})
-	n.ackWait = w
+	r.ackFrame, r.ackPeer, r.ackSeq = f, f.Dst, f.Seq
+	r.ackTimer = n.cfg.Kernel.AtCall(txEnd+frame.AckWait, gtsAckTimeout, r)
+	n.ackWait = r
+}
+
+// gtsAckTimeout fails the data transmission of r's latest occurrence when
+// its ACK deadline passes unanswered.
+func (n *Node) gtsAckTimeout(r *gtsSlot) {
+	n.ackWait = nil
+	n.noteSlotOutcome(r.g, false)
+	n.finishGTSData(r.ackFrame, false)
 }
 
 func (n *Node) finishGTSData(f *frame.Frame, success bool) {
@@ -427,6 +472,9 @@ func (n *Node) noteSlotOutcome(g superframe.GTS, success bool) {
 
 // ---- Slot controller ------------------------------------------------------
 
+// nodeControlTick is the long-lived kernel callback of the slot controller.
+func nodeControlTick(a any) { a.(*Node).controlTick() }
+
 // controlTick evaluates slot demand once per control period and starts at
 // most one handshake. Demand follows an EWMA of arrivals per
 // multi-superframe with a 30% provisioning margin, plus an extra slot while
@@ -434,7 +482,7 @@ func (n *Node) noteSlotOutcome(g superframe.GTS, success bool) {
 // continuous stream of (de)allocations, the paper's secondary-traffic
 // workload.
 func (n *Node) controlTick() {
-	n.cfg.Kernel.Schedule(n.cfg.ControlPeriod, n.controlTick)
+	n.cfg.Kernel.AtCall(n.cfg.Kernel.Now()+n.cfg.ControlPeriod, nodeControlTick, n)
 	n.slots.ExpireNeighbors(n.cfg.Kernel.Now() - n.cfg.NeighborExpiry)
 
 	perMSF := float64(n.arrivals) * float64(n.cfg.Clock.Config().MultiframeDuration()) / float64(n.cfg.ControlPeriod)
@@ -463,24 +511,15 @@ func (n *Node) controlTick() {
 		// Oversupplied by more than the hysteresis slack and drained: give a
 		// slot back. The slack keeps steady-state traffic from thrashing
 		// between allocate and deallocate on Poisson noise.
-		slots := n.slots.Owned(SlotTX)
-		n.startDeallocation(slots[n.cfg.Rng.Intn(len(slots))])
+		g, _ := n.slots.Nth(SlotTX, n.cfg.Rng.Intn(own))
+		n.startDeallocation(g)
 	}
 }
 
 // timeConflict reports whether the node already holds or negotiates a slot
 // at the same (superframe, slot) time coordinate — one radio cannot serve
 // two channels at once.
-func (n *Node) timeConflict(g superframe.GTS) bool {
-	for _, st := range []SlotState{SlotTX, SlotRX, SlotPending} {
-		for _, o := range n.slots.Owned(st) {
-			if o.Superframe == g.Superframe && o.Slot == g.Slot {
-				return true
-			}
-		}
-	}
-	return false
-}
+func (n *Node) timeConflict(g superframe.GTS) bool { return n.slots.TimeTaken(g) }
 
 // pickFreeSlot draws a random free, time-conflict-free slot.
 func (n *Node) pickFreeSlot() (superframe.GTS, bool) {
@@ -498,9 +537,11 @@ func (n *Node) pickFreeSlot() (superframe.GTS, bool) {
 
 func (n *Node) nextSeq() uint32 { n.seq++; return n.seq }
 
+// nextHsID numbers this node's handshakes. The numbers are unique per
+// requester only; responders key them by (requester, id).
 func (n *Node) nextHsID() uint32 {
 	n.hsSeq++
-	return uint32(n.cfg.ID)<<20 | n.hsSeq
+	return n.hsSeq
 }
 
 // startAllocation begins the 3-way handshake for a fresh slot (Fig. 24).
@@ -543,26 +584,25 @@ func (n *Node) sendRequest(hs *handshake) {
 			return
 		}
 		if !acked {
-			n.requesterFail(hs, false)
+			n.requesterFail(hs)
 			return
 		}
 		n.cfg.Metrics.noteRequestAcked()
 		// The request arrived; wait for the broadcast response.
 		hs.timer = n.cfg.Kernel.Schedule(n.cfg.ResponseTimeout, func() {
 			if n.hs == hs {
-				n.requesterFail(hs, true)
+				n.requesterFail(hs)
 			}
 		})
 	}
 	if !n.cap.Enqueue(req) {
 		req.Done = nil
-		n.requesterFail(hs, false)
+		n.requesterFail(hs)
 	}
 }
 
 // requesterFail rolls the requester side back.
-func (n *Node) requesterFail(hs *handshake, counted bool) {
-	_ = counted
+func (n *Node) requesterFail(hs *handshake) {
 	hs.timer.Cancel()
 	if !hs.deallocate && n.slots.State(hs.gts) == SlotPending {
 		n.slots.Clear(hs.gts)
@@ -603,16 +643,17 @@ func (n *Node) handleRequest(from frame.NodeID, req Request) {
 			approved = false
 		} else {
 			n.slots.Set(req.GTS, SlotPending, from)
+			key := hsKey{requester: from, id: req.ID}
 			pend := &responderPending{gts: req.GTS, requester: from}
 			pend.timer = n.cfg.Kernel.Schedule(n.cfg.NotifyTimeout, func() {
-				if n.pending[req.ID] == pend {
-					delete(n.pending, req.ID)
+				if n.pending[key] == pend {
+					delete(n.pending, key)
 					if n.slots.State(req.GTS) == SlotPending {
 						n.slots.Clear(req.GTS)
 					}
 				}
 			})
-			n.pending[req.ID] = pend
+			n.pending[key] = pend
 		}
 	}
 	resp := &frame.Frame{
@@ -697,10 +738,11 @@ func (n *Node) sendNotifyAbort(hs *handshake, responder frame.NodeID) {
 // handleNotify finalizes the responder side and updates overhearers.
 func (n *Node) handleNotify(nf Notify) {
 	if nf.Responder == n.cfg.ID {
-		pend := n.pending[nf.ID]
+		key := hsKey{requester: nf.Requester, id: nf.ID}
+		pend := n.pending[key]
 		if pend != nil {
 			pend.timer.Cancel()
-			delete(n.pending, nf.ID)
+			delete(n.pending, key)
 			if nf.Deallocate {
 				if n.slots.State(pend.gts) == SlotPending {
 					n.slots.Clear(pend.gts)

@@ -79,6 +79,8 @@ type ScenarioResult struct {
 	CAP []mac.Stats
 	// SlotsOwned is the final number of TX slots per node.
 	SlotsOwned []int
+	// Events is the number of kernel events the run processed.
+	Events uint64
 	// Truncated reports that the run was cut short by EventBudget or
 	// WallBudget before reaching Duration.
 	Truncated bool
@@ -233,6 +235,7 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 		Nodes:      make([]NodeStats, n),
 		CAP:        make([]mac.Stats, n),
 		SlotsOwned: make([]int, n),
+		Events:     kernel.Processed(),
 		Truncated:  kernel.BudgetExhausted(),
 	}
 	var completed uint64

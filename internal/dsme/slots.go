@@ -135,15 +135,32 @@ func (m *SlotMap) Count(s SlotState) int {
 	return n
 }
 
-// Owned returns the slots in state s (SlotTX or SlotRX), in grid order.
-func (m *SlotMap) Owned(s SlotState) []superframe.GTS {
-	var out []superframe.GTS
+// Nth returns the k-th slot (counting from 0, in grid order) in state s,
+// and false when fewer than k+1 slots are in that state.
+func (m *SlotMap) Nth(s SlotState, k int) (superframe.GTS, bool) {
 	for i, st := range m.states {
-		if st == s {
-			out = append(out, superframe.GTSFromIndex(m.cfg, i))
+		if st != s {
+			continue
+		}
+		if k == 0 {
+			return superframe.GTSFromIndex(m.cfg, i), true
+		}
+		k--
+	}
+	return superframe.GTS{}, false
+}
+
+// TimeTaken reports whether any channel at g's time coordinate (superframe
+// and slot) is owned (SlotTX, SlotRX) or under negotiation (SlotPending):
+// one radio cannot serve two channels at once.
+func (m *SlotMap) TimeTaken(g superframe.GTS) bool {
+	for ch := 0; ch < superframe.NumChannels; ch++ {
+		switch m.State(superframe.GTS{Superframe: g.Superframe, Slot: g.Slot, Channel: ch}) {
+		case SlotTX, SlotRX, SlotPending:
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // PickFree returns the n-th free slot in grid order (n wraps around the free

@@ -10,7 +10,7 @@ import (
 
 // These tests cover the slots.go edges the scenario-level integration runs
 // never pin directly: hearsay refresh/expiry, MarkNeighbor precedence over
-// every owned state, Owned ordering and the state stringer.
+// every owned state, Nth ordering, time conflicts and the state stringer.
 
 func TestSlotMapMarkNeighborRefreshAndExpiry(t *testing.T) {
 	cfg := superframe.DefaultConfig()
@@ -74,12 +74,17 @@ func TestSlotMapOwnedOrderAndKinds(t *testing.T) {
 	m.Set(tx2, SlotTX, 2)
 	m.Set(rx, SlotRX, 3)
 
-	owned := m.Owned(SlotTX)
-	if len(owned) != 2 || owned[0] != tx2 || owned[1] != tx1 {
-		t.Fatalf("Owned(SlotTX) = %v, want grid order [%v %v]", owned, tx2, tx1)
+	// Nth walks the slots of one state in grid order.
+	first, ok0 := m.Nth(SlotTX, 0)
+	second, ok1 := m.Nth(SlotTX, 1)
+	if _, ok2 := m.Nth(SlotTX, 2); !ok0 || !ok1 || ok2 || first != tx2 || second != tx1 {
+		t.Fatalf("Nth(SlotTX, 0..2) = %v %v, want grid order [%v %v] and no third", first, second, tx2, tx1)
 	}
-	if got := m.Owned(SlotRX); len(got) != 1 || got[0] != rx {
-		t.Fatalf("Owned(SlotRX) = %v", got)
+	if got, ok := m.Nth(SlotRX, 0); !ok || got != rx {
+		t.Fatalf("Nth(SlotRX, 0) = %v/%v, want %v", got, ok, rx)
+	}
+	if _, ok := m.Nth(SlotRX, 1); ok {
+		t.Fatalf("Nth(SlotRX, 1) found a second rx slot")
 	}
 	if m.Count(SlotTX) != 2 || m.Count(SlotRX) != 1 {
 		t.Fatalf("Count: tx=%d rx=%d", m.Count(SlotTX), m.Count(SlotRX))
@@ -125,5 +130,27 @@ func TestSlotStateString(t *testing.T) {
 	}
 	if got := SlotState(99).String(); !strings.Contains(got, "99") {
 		t.Fatalf("unknown state stringer = %q", got)
+	}
+}
+
+// TestSlotMapTimeTaken pins the one-radio rule: a slot's time coordinate is
+// taken when any channel at the same (superframe, slot) is owned or pending,
+// and hearsay or a different slot time never blocks it.
+func TestSlotMapTimeTaken(t *testing.T) {
+	cfg := superframe.DefaultConfig()
+	g := superframe.GTS{Superframe: 1, Slot: 4, Channel: 3}
+	for _, st := range []SlotState{SlotTX, SlotRX, SlotPending} {
+		m := NewSlotMap(cfg)
+		m.Set(superframe.GTS{Superframe: 1, Slot: 4, Channel: 15}, st, 2)
+		if !m.TimeTaken(g) {
+			t.Errorf("%v on another channel at the same time does not take %v", st, g)
+		}
+	}
+	m := NewSlotMap(cfg)
+	m.Set(superframe.GTS{Superframe: 1, Slot: 4, Channel: 0}, SlotNeighbor, -1)
+	m.Set(superframe.GTS{Superframe: 1, Slot: 5, Channel: 3}, SlotTX, 2)
+	m.Set(superframe.GTS{Superframe: 0, Slot: 4, Channel: 3}, SlotRX, 2)
+	if m.TimeTaken(g) {
+		t.Errorf("hearsay or another slot time takes %v", g)
 	}
 }

@@ -87,7 +87,20 @@ func (s *Source) Start() {
 	}
 	s.phase = 0
 	s.phaseEnds = s.StartAt + s.Phases[0].Duration
-	s.Kernel.At(s.StartAt, s.scheduleNext)
+	s.Kernel.AtCall(s.StartAt, sourceDraw, s)
+}
+
+// sourceDraw and sourceArrive are the long-lived kernel callbacks of every
+// Source: a fresh inter-arrival draw (at the start and at phase
+// boundaries) and a packet arrival followed by the next draw. The source
+// itself is the event argument, so generating traffic allocates no
+// closure.
+func sourceDraw(a any) { a.(*Source).scheduleNext() }
+
+func sourceArrive(a any) {
+	s := a.(*Source)
+	s.emit()
+	s.scheduleNext()
 }
 
 // CurrentRate reports the rate of the active phase at the current kernel
@@ -115,20 +128,17 @@ func (s *Source) scheduleNext() {
 		if s.Phases[s.phase].Duration == 0 {
 			return // permanently silent
 		}
-		s.Kernel.At(s.phaseEnds, s.scheduleNext)
+		s.Kernel.AtCall(s.phaseEnds, sourceDraw, s)
 		return
 	}
 	gap := s.Rng.ExpTime(sim.Time(float64(sim.Second) / rate))
 	if s.Phases[s.phase].Duration > 0 && s.Kernel.Now()+gap >= s.phaseEnds {
 		// The draw crosses the phase boundary: re-draw there with the next
 		// phase's rate (exact for exponential gaps, by memorylessness).
-		s.Kernel.At(s.phaseEnds, s.scheduleNext)
+		s.Kernel.AtCall(s.phaseEnds, sourceDraw, s)
 		return
 	}
-	s.Kernel.Schedule(gap, func() {
-		s.emit()
-		s.scheduleNext()
-	})
+	s.Kernel.AtCall(s.Kernel.Now()+gap, sourceArrive, s)
 }
 
 func (s *Source) emit() {
@@ -207,8 +217,11 @@ func (b *BroadcastSource) Start() {
 		b.Jitter = b.Period / 4
 	}
 	first := b.StartAt + sim.Time(b.Rng.Float64()*float64(b.Period))
-	b.Kernel.At(first, b.tick)
+	b.Kernel.AtCall(first, broadcastTick, b)
 }
+
+// broadcastTick is the long-lived kernel callback of every BroadcastSource.
+func broadcastTick(a any) { a.(*BroadcastSource).tick() }
 
 func (b *BroadcastSource) tick() {
 	b.emit()
@@ -219,7 +232,7 @@ func (b *BroadcastSource) tick() {
 	if gap < sim.Millisecond {
 		gap = sim.Millisecond
 	}
-	b.Kernel.Schedule(gap, b.tick)
+	b.Kernel.AtCall(b.Kernel.Now()+gap, broadcastTick, b)
 }
 
 func (b *BroadcastSource) emit() {

@@ -163,3 +163,34 @@ func TestOnGenerateSeesRejectedFrames(t *testing.T) {
 		t.Fatalf("OnGenerate fired %d times, want 10 (drops still count as offered load)", gen)
 	}
 }
+
+// TestSourcesSteadyStateDoNotAllocate pins that generating traffic costs no
+// heap allocation once the kernel and the frame pool are warm: arrivals,
+// phase-boundary re-draws and broadcast ticks all schedule through
+// long-lived kernel callbacks.
+func TestSourcesSteadyStateDoNotAllocate(t *testing.T) {
+	k := sim.NewKernel()
+	pool := &frame.Pool{}
+	sink := &collector{reject: true} // rejected frames go straight back to the pool
+	src := &Source{
+		Kernel: k, Rng: sim.NewRand(4), Target: sink, Pool: pool,
+		Phases: []Phase{
+			{Rate: 50, Duration: 300 * sim.Millisecond},
+			{Rate: 0, Duration: 200 * sim.Millisecond},
+		},
+	}
+	hello := &BroadcastSource{
+		Kernel: k, Rng: sim.NewRand(5), Target: sink, Pool: pool,
+		Period: 20 * sim.Millisecond,
+	}
+	src.Start()
+	hello.Start()
+	k.Run(2 * sim.Second)
+	allocs := testing.AllocsPerRun(20, func() { k.Run(k.Now() + sim.Second) })
+	if allocs != 0 {
+		t.Errorf("one simulated second of traffic allocates %.1f objects, want 0", allocs)
+	}
+	if src.Generated() == 0 || hello.Generated() == 0 {
+		t.Fatalf("no traffic generated: %d data, %d broadcasts", src.Generated(), hello.Generated())
+	}
+}
