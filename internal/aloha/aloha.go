@@ -170,7 +170,7 @@ func (e *Engine) Enqueue(f *frame.Frame) bool {
 	return ok
 }
 
-// Reboot implements mac.Rebooter: wipe the shared MAC state and the
+// Reboot implements mac.Engine: wipe the shared MAC state and the
 // transaction flag, orphan the step in flight (it still fires, as a no-op,
 // so event counts do not depend on the reboot) and resume with whatever
 // traffic arrives next.

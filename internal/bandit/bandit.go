@@ -185,7 +185,7 @@ func (e *Engine) Enqueue(f *frame.Frame) bool {
 	return ok
 }
 
-// Reboot implements mac.Rebooter: wipe the per-slot reward estimates back
+// Reboot implements mac.Engine: wipe the per-slot reward estimates back
 // to their optimistic prior along with the shared MAC state, orphan the
 // pending pull (it still fires, as a no-op, so event counts do not depend
 // on the reboot), then resume with whatever traffic arrives next — the

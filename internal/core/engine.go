@@ -144,9 +144,9 @@ type Engine struct {
 	ccaSubslot int
 	ccaEpoch   uint32
 
-	// epoch counts power-cycle faults (mac.Rebooter). Kernel callbacks that
-	// outlive a reboot — the CCA completion — record the epoch they were
-	// scheduled under and become no-ops when it has moved on.
+	// epoch counts power-cycle faults (mac.Engine.Reboot). Kernel callbacks
+	// that outlive a reboot — the CCA completion — record the epoch they
+	// were scheduled under and become no-ops when it has moved on.
 	epoch uint32
 
 	// rhoSum/rhoCount accumulate exploration rates between TakeRhoSample
@@ -298,7 +298,7 @@ func (e *Engine) TakeRhoSample() (mean float64, n int) {
 	return mean, n
 }
 
-// Reboot implements mac.Rebooter: a power-cycle fault wipes everything a
+// Reboot implements mac.Engine: a power-cycle fault wipes everything a
 // real node keeps in RAM — the Q-table and policy, the pending reward
 // window, cautious-startup progress and the shared MAC state — and restarts
 // the engine as a freshly joined node (full cautious startup). The

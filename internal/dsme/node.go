@@ -139,7 +139,6 @@ type Node struct {
 	// ackWait is the slot whose data transmission awaits its ACK.
 	ackWait  *gtsSlot
 	lastSeq  map[frame.NodeID]uint32
-	hasSeq   map[frame.NodeID]bool
 	arrivals int
 	demand   float64
 	// slotFails counts consecutive failed data transmissions per owned TX
@@ -198,7 +197,6 @@ func NewNode(cfg NodeConfig) *Node {
 		pending:   make(map[hsKey]*responderPending),
 		slotFails: make(map[int]int),
 		lastSeq:   make(map[frame.NodeID]uint32),
-		hasSeq:    make(map[frame.NodeID]bool),
 	}
 	n.ackStartFn = func(a any) { n.transmitGTSAck(a.(*frame.Frame)) }
 	n.ackDoneFn = func(a any) { n.cfg.FramePool.Put(a.(*frame.Frame)) }
@@ -314,10 +312,9 @@ func (n *Node) deliverGTS(f *frame.Frame) {
 }
 
 func (n *Node) isDuplicate(f *frame.Frame) bool {
-	if n.hasSeq[f.Origin] && f.Seq <= n.lastSeq[f.Origin] {
+	if last, ok := n.lastSeq[f.Origin]; ok && f.Seq <= last {
 		return true
 	}
-	n.hasSeq[f.Origin] = true
 	n.lastSeq[f.Origin] = f.Seq
 	return false
 }

@@ -13,7 +13,7 @@ import (
 // comes next) lives inline in the engine, and every step fires through one
 // long-lived kernel callback that calls the engine's resume function.
 //
-// A power-cycle fault (Rebooter) must not let a step scheduled before the
+// A power-cycle fault (Engine.Reboot) must not let a step scheduled before the
 // reboot operate on the flushed queue, yet the step must still fire: kernel
 // event counts and event budgets stay the same whether or not a node
 // reboots mid-step. Orphan therefore detaches a pending step instead of

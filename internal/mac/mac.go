@@ -42,6 +42,11 @@ type Engine interface {
 	Enqueue(f *frame.Frame) bool
 	// Base exposes the shared state for statistics collection.
 	Base() *Base
+	// Reboot applies the power-cycle fault of internal/faults: it wipes all
+	// volatile protocol state — learning tables, backoff progress,
+	// transaction flags — on top of Base.Reboot, then re-enters the
+	// engine's startup behaviour.
+	Reboot()
 }
 
 // Stats aggregates the per-node MAC counters the evaluation reports.
@@ -453,26 +458,17 @@ func (b *Base) Down() bool { return b.downUntil > b.cfg.Kernel.Now() }
 // Desynced reports whether the node has lost beacon synchronization.
 func (b *Base) Desynced() bool { return b.desyncUntil > b.cfg.Kernel.Now() }
 
-// Rebooter is implemented by engines that support the power-cycle fault of
-// internal/faults. Reboot must wipe all volatile protocol state — learning
-// tables, backoff progress, transaction flags — on top of Base.Reboot, then
-// re-enter the engine's startup behaviour. Engines that don't implement it
-// still get their shared Base state wiped.
-type Rebooter interface {
-	Reboot()
-}
-
 // Reboot wipes the Base's volatile state as a power cycle would: the
 // transmit queue, the pending ACK wait, scheduled immediate ACKs, the
 // pending broadcast completion, the neighbour table and the
 // duplicate-rejection history. Cancelled outcome callbacks are never
-// invoked — the engine above resets its own transaction state in the same
-// instant (mac.Rebooter). busyUntil is intentionally preserved: the PHY
-// finishes an in-air symbol regardless of what the MCU does. Flushed frames
-// are not returned to the frame pool, because the medium or a cancelled
-// closure may still reference them; they leak to the garbage collector,
-// which is the price of a mid-transaction power cycle, not a steady-state
-// cost.
+// invoked — every Engine.Reboot calls this and resets the engine's own
+// transaction state in the same instant. busyUntil is intentionally
+// preserved: the PHY finishes an in-air symbol regardless of what the MCU
+// does. Flushed frames are not returned to the frame pool, because the
+// medium or a cancelled closure may still reference them; they leak to the
+// garbage collector, which is the price of a mid-transaction power cycle,
+// not a steady-state cost.
 func (b *Base) Reboot() {
 	if b.waiting {
 		b.waitTimer.Cancel()
@@ -633,11 +629,17 @@ func (b *Base) SendFrameAt(f *frame.Frame, reduceDB float64, cb func(success boo
 	}
 	f.QueueLevel = uint8(ql)
 	b.stats.TxAttempts++
-	now := b.cfg.Kernel.Now()
-	if b.downUntil > now || b.desyncUntil > now {
-		return b.suppressTX(f, cb)
+	var txEnd sim.Time
+	if now := b.cfg.Kernel.Now(); b.downUntil > now || b.desyncUntil > now {
+		// The node is down or has lost beacon synchronization: nothing goes
+		// on the air, but the transmission keeps its exact timing, so the
+		// engine above sees the ordinary failed-unicast (or completed-
+		// broadcast) sequence and runs its unmodified retry logic.
+		b.stats.FaultTxSuppressed++
+		txEnd = now + f.Duration()
+	} else {
+		txEnd = b.cfg.Medium.StartTX(b.cfg.ID, f, reduceDB)
 	}
-	txEnd := b.cfg.Medium.StartTX(b.cfg.ID, f, reduceDB)
 	if f.IsBroadcast() {
 		b.ExtendBusy(txEnd)
 		// Broadcast completions keep a per-call closure: a node may start its
@@ -666,30 +668,6 @@ func (b *Base) ackTimeout() {
 	b.waitCb = nil
 	b.stats.TxFail++
 	cb(false)
-}
-
-// suppressTX mimics the exact timing of a transmission whose frame reached
-// nobody, without touching the medium: the node is down or has lost beacon
-// synchronization, so nothing goes on the air, but the engine above sees
-// the ordinary failed-unicast (or completed-broadcast) sequence and runs
-// its unmodified retry logic.
-func (b *Base) suppressTX(f *frame.Frame, cb func(success bool)) sim.Time {
-	b.stats.FaultTxSuppressed++
-	txEnd := b.cfg.Kernel.Now() + f.Duration()
-	if f.IsBroadcast() {
-		b.ExtendBusy(txEnd)
-		b.txDone = b.cfg.Kernel.At(txEnd, func() {
-			b.stats.TxSuccess++
-			cb(true)
-		})
-		return txEnd
-	}
-	deadline := txEnd + frame.AckWait
-	b.ExtendBusy(deadline)
-	b.waiting = true
-	b.waitFrom, b.waitSeq, b.waitCb = f.Dst, f.Seq, cb
-	b.waitTimer = b.cfg.Kernel.AtCall(deadline, b.ackTimeoutFn, b)
-	return deadline
 }
 
 // FinishFrame applies the retry policy after a unicast data outcome: on

@@ -24,6 +24,7 @@ func newNullEngine(cfg Config) *nullEngine {
 func (e *nullEngine) Base() *Base            { return &e.base }
 func (e *nullEngine) Deliver(f *frame.Frame) { e.base.Deliver(f) }
 func (e *nullEngine) Start()                 {}
+func (e *nullEngine) Reboot()                { e.base.Reboot() }
 func (e *nullEngine) Enqueue(f *frame.Frame) bool {
 	return e.base.Enqueue(f)
 }

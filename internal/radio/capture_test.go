@@ -315,8 +315,8 @@ func TestTxAirtimeByPower(t *testing.T) {
 	}
 }
 
-// TestStartTXPowerValidation pins the API contract: negative reductions and
-// reduced power without a PowerModel panic loudly.
+// TestStartTXPowerValidation pins the API contract: a negative reduction
+// (transmitting above the reference power) panics loudly.
 func TestStartTXPowerValidation(t *testing.T) {
 	r := newRig(t, 2, [][2]int{{0, 1}})
 	mustPanic(t, "negative reduction", func() { r.m.StartTX(0, dataFrame(0, 0), -1) })

@@ -438,6 +438,7 @@ func TestPathLossTopologyMatchesDenseMatrix(t *testing.T) {
 				if got := pt.CanSense(si, sj); got != wantSense {
 					t.Fatalf("trial %d: CanSense(%d,%d) = %v, dense %v", trial, i, j, got, wantSense)
 				}
+				checkLinkAgreement(t, fmt.Sprintf("trial %d", trial), pt, si, sj)
 			}
 			// The grid enumeration must contain every decodable/sensable dst.
 			links := pt.AppendLinks(frame.NodeID(i), nil)
@@ -455,6 +456,22 @@ func TestPathLossTopologyMatchesDenseMatrix(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkLinkAgreement fails unless ClassifyLink and LinkSignal's margins at
+// delta 0 agree with CanDecode/CanSense on the ordered pair (src, dst) —
+// the Topology contract the Medium's link build and its reduced-power
+// filter rely on.
+func checkLinkAgreement(t *testing.T, label string, topo Topology, src, dst frame.NodeID) {
+	t.Helper()
+	decode, sense := topo.CanDecode(src, dst), topo.CanSense(src, dst)
+	if d, s := topo.ClassifyLink(src, dst); d != decode || s != sense {
+		t.Fatalf("%s: ClassifyLink(%d,%d) = (%v,%v), predicates (%v,%v)", label, src, dst, d, s, decode, sense)
+	}
+	if _, dm, sm := topo.LinkSignal(src, dst); (dm >= 0) != decode || (sm >= 0) != sense {
+		t.Fatalf("%s: LinkSignal(%d,%d) margins (%v,%v) disagree with predicates (%v,%v) at delta 0",
+			label, src, dst, dm, sm, decode, sense)
 	}
 }
 

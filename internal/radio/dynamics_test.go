@@ -326,8 +326,8 @@ func naiveDynDriver(k *sim.Kernel, topo Topology, seed uint64, ge GilbertElliott
 		register:     func(id frame.NodeID, h Handler) { m.handlers[id] = h },
 		stats:        func(id frame.NodeID) NodeStats { return m.stats[id] },
 		move: func(id frame.NodeID, p Position) {
-			if mob, ok := topo.(MobileTopology); ok {
-				mob.MoveNode(id, p)
+			if pt, ok := topo.(*PathLossTopology); ok {
+				pt.MoveNode(id, p)
 			}
 		},
 		setPresent: func(id frame.NodeID, present bool) { m.present[id] = present },

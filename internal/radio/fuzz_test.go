@@ -9,11 +9,11 @@ import (
 
 // FuzzGraphTopologyLinks fuzzes the link layer's structural invariants: an
 // arbitrary byte string becomes a graph (AddLink calls, including loops and
-// duplicates), and the test asserts that AppendLinks and ClassifyLink agree
-// exactly with CanDecode/CanSense, that enumeration is sorted/unique/
-// self-free and symmetric, and — using the remaining bytes as a churn
-// script — that a Medium's incrementally maintained rows keep matching a
-// naive per-event re-classification. Committed seeds live in testdata/fuzz.
+// duplicates), and the test asserts that AppendLinks, ClassifyLink and
+// LinkSignal's margins at delta 0 agree exactly with CanDecode/CanSense,
+// that enumeration is sorted/unique/self-free and symmetric, and — using
+// the remaining bytes as a churn script — that a Medium's incrementally
+// maintained rows keep matching a naive per-event re-classification. Committed seeds live in testdata/fuzz.
 func FuzzGraphTopologyLinks(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 1, 2, 2, 3, 3, 0, 0, 0, 1, 2})
 	f.Add([]byte{3, 0, 1, 0, 2, 1, 2, 9, 9})
@@ -48,11 +48,7 @@ func FuzzGraphTopologyLinks(f *testing.F) {
 			}
 			for dst := 0; dst < n; dst++ {
 				d := frame.NodeID(dst)
-				decode, sense := g.ClassifyLink(s, d)
-				if decode != g.CanDecode(s, d) || sense != g.CanSense(s, d) {
-					t.Fatalf("ClassifyLink(%d,%d) = (%v,%v), predicates (%v,%v)",
-						src, dst, decode, sense, g.CanDecode(s, d), g.CanSense(s, d))
-				}
+				checkLinkAgreement(t, "graph", g, s, d)
 				if g.CanDecode(s, d) != g.CanDecode(d, s) {
 					t.Fatalf("CanDecode(%d,%d) asymmetric", src, dst)
 				}

@@ -129,19 +129,6 @@ type Medium struct {
 	// detects. Inner slices grow to the highest channel actually used at i.
 	busy [][]int32
 
-	// classify answers both link predicates for one ordered pair; enum is
-	// the topology's candidate enumerator (nil when the topology only
-	// supports N² probing). Both are captured at construction so the
-	// dynamic re-classification paths share the static build's logic.
-	classify func(src, dst frame.NodeID) (decode, sense bool)
-	enum     LinkEnumerator
-
-	// power is the topology's PowerModel (nil when it implements none); it
-	// backs per-transmission power deltas and SINR capture. The CSR link
-	// arrays above are computed at the reference (maximum) power; a
-	// reduced-power transmission filters its receiver and sensed sets
-	// through the per-link margins at StartTX.
-	power PowerModel
 	// captureDB is the receiver-side SINR capture threshold in dB; <= 0
 	// disables capture, in which case any overlap corrupts every involved
 	// reception exactly as the pre-capture medium did.
@@ -205,9 +192,11 @@ type Medium struct {
 // NewMedium builds a medium over the given topology. rng drives
 // probabilistic link loss and must be private to this medium.
 //
-// When topo implements LinkEnumerator (both built-in topologies do),
-// construction enumerates each node's candidate links directly and runs in
-// O(N + E); otherwise it falls back to probing all N² ordered pairs.
+// Construction enumerates each node's candidate links through
+// Topology.AppendLinks and classifies them with Topology.ClassifyLink, so it
+// runs in O(N + E). The link arrays are computed at the reference (maximum)
+// power; a reduced-power transmission filters its receiver and sensed sets
+// through Topology.LinkSignal's margins at StartTX.
 func NewMedium(k *sim.Kernel, topo Topology, rng *sim.Rand) *Medium {
 	n := topo.NumNodes()
 	m := &Medium{
@@ -224,26 +213,11 @@ func NewMedium(k *sim.Kernel, topo Topology, rng *sim.Rand) *Medium {
 		senseOff:  make([]int32, n+1),
 		busy:      make([][]int32, n),
 	}
-	// classify answers both predicates; the LinkClassifier fast path pays a
-	// single RSSI computation per candidate pair.
-	m.classify = func(src, dst frame.NodeID) (bool, bool) {
-		return topo.CanDecode(src, dst), topo.CanSense(src, dst)
-	}
-	if cl, ok := topo.(LinkClassifier); ok {
-		m.classify = cl.ClassifyLink
-	}
-	if enum, ok := topo.(LinkEnumerator); ok {
-		m.enum = enum
-	}
-	if pm, ok := topo.(PowerModel); ok {
-		m.power = pm
-	}
-	appendLinks := func(src frame.NodeID, candidates []frame.NodeID) {
-		for _, dst := range candidates {
-			if dst == src {
-				continue
-			}
-			decode, sense := m.classify(src, dst)
+	var buf []frame.NodeID
+	for src := frame.NodeID(0); int(src) < n; src++ {
+		buf = topo.AppendLinks(src, buf[:0])
+		for _, dst := range buf {
+			decode, sense := topo.ClassifyLink(src, dst)
 			if decode {
 				m.decodeArr = append(m.decodeArr, dst)
 			}
@@ -253,21 +227,6 @@ func NewMedium(k *sim.Kernel, topo Topology, rng *sim.Rand) *Medium {
 		}
 		m.decodeOff[src+1] = int32(len(m.decodeArr))
 		m.senseOff[src+1] = int32(len(m.senseArr))
-	}
-	if m.enum != nil {
-		var buf []frame.NodeID
-		for src := 0; src < n; src++ {
-			buf = m.enum.AppendLinks(frame.NodeID(src), buf[:0])
-			appendLinks(frame.NodeID(src), buf)
-		}
-	} else {
-		all := make([]frame.NodeID, n)
-		for i := range all {
-			all[i] = frame.NodeID(i)
-		}
-		for src := 0; src < n; src++ {
-			appendLinks(frame.NodeID(src), all)
-		}
 	}
 	m.endTXFn = func(a any) { m.endTX(a.(*transmission)) }
 	m.busyEndFn = func(a any) { m.busyEnd(a.(*transmission)) }
@@ -330,11 +289,11 @@ func (m *Medium) CCA(id frame.NodeID) bool {
 // the transmission end time. reduceDB is the transmit power reduction below
 // the topology's reference (maximum) power in dB: 0 transmits at reference
 // power and reproduces the pre-power medium exactly; a positive reduction
-// shrinks the receiver and sensed sets to the links whose PowerModel margins
+// shrinks the receiver and sensed sets to the links whose LinkSignal margins
 // tolerate the delta. The caller (MAC) is responsible for scheduling its own
 // post-TX logic (ACK waits etc). Panics if src is already transmitting — MAC
-// engines must serialize their own transmissions — or on a reduced power
-// over a topology without a PowerModel. Cost is O(degree of src).
+// engines must serialize their own transmissions — or on a negative
+// reduction. Cost is O(degree of src).
 func (m *Medium) StartTX(src frame.NodeID, f *frame.Frame, reduceDB float64) sim.Time {
 	now := m.k.Now()
 	if m.txUntil[src] > now {
@@ -342,9 +301,6 @@ func (m *Medium) StartTX(src frame.NodeID, f *frame.Frame, reduceDB float64) sim
 	}
 	if reduceDB < 0 {
 		panic(fmt.Sprintf("radio: node %d transmits above the reference power (reduceDB=%v)", src, reduceDB))
-	}
-	if reduceDB > 0 && m.power == nil {
-		panic(fmt.Sprintf("radio: topology %T has no PowerModel; reduced-power TX is unsupported", m.topo))
 	}
 	dur := f.Duration()
 	end := now + dur
@@ -372,7 +328,7 @@ func (m *Medium) StartTX(src frame.NodeID, f *frame.Frame, reduceDB float64) sim
 	capture := m.captureDB > 0
 	for _, r := range m.decodeRow(src) {
 		if reduceDB > 0 {
-			if _, decodeMargin, _ := m.power.LinkSignal(src, r); decodeMargin < reduceDB {
+			if _, decodeMargin, _ := m.topo.LinkSignal(src, r); decodeMargin < reduceDB {
 				continue
 			}
 		}
@@ -393,7 +349,7 @@ func (m *Medium) StartTX(src frame.NodeID, f *frame.Frame, reduceDB float64) sim
 	// the sense links whose margin is smaller than the reduction.
 	for _, r := range m.senseRow(src) {
 		if reduceDB > 0 {
-			if _, _, senseMargin := m.power.LinkSignal(src, r); senseMargin < reduceDB {
+			if _, _, senseMargin := m.topo.LinkSignal(src, r); senseMargin < reduceDB {
 				continue
 			}
 		}
@@ -436,12 +392,8 @@ func (m *Medium) StartTX(src frame.NodeID, f *frame.Frame, reduceDB float64) sim
 // overlap at a receiver, the strongest frame still decodes iff its power
 // exceeds the sum of all overlapping interferers by at least thresholdDB;
 // ties and below-threshold overlaps corrupt every involved reception exactly
-// as without capture. thresholdDB <= 0 disables capture (the default). The
-// topology must implement PowerModel.
+// as without capture. thresholdDB <= 0 disables capture (the default).
 func (m *Medium) SetCaptureThreshold(thresholdDB float64) {
-	if thresholdDB > 0 && m.power == nil {
-		panic(fmt.Sprintf("radio: topology %T has no PowerModel; capture is unsupported", m.topo))
-	}
 	m.captureDB = thresholdDB
 }
 
@@ -458,7 +410,7 @@ const captureEpsilonDB = 1e-9
 // topology state, combining the link's reference-power signal with the
 // transmission's own power reduction.
 func (m *Medium) rxPowerDBmAt(t *transmission, r frame.NodeID) float64 {
-	rx, _, _ := m.power.LinkSignal(t.src, r)
+	rx, _, _ := m.topo.LinkSignal(t.src, r)
 	return rx - t.powerDB
 }
 
@@ -757,20 +709,6 @@ func (m *Medium) Present(id frame.NodeID) bool {
 	return m.present == nil || m.present[id]
 }
 
-// appendCandidates returns the ids that may share a link with id under the
-// current topology state (a superset; ascending, id excluded).
-func (m *Medium) appendCandidates(id frame.NodeID, buf []frame.NodeID) []frame.NodeID {
-	if m.enum != nil {
-		return m.enum.AppendLinks(id, buf)
-	}
-	for i := 0; i < len(m.handlers); i++ {
-		if frame.NodeID(i) != id {
-			buf = append(buf, frame.NodeID(i))
-		}
-	}
-	return buf
-}
-
 // SetPresent removes node id from the network (present == false) or rejoins
 // it. Departure clears the node's link rows and removes it from every
 // neighbour's rows; rejoining re-classifies the node's links against the
@@ -784,7 +722,7 @@ func (m *Medium) SetPresent(id frame.NodeID, present bool) {
 		return
 	}
 	m.present[id] = present
-	m.moveBufA = m.appendCandidates(id, m.moveBufA[:0])
+	m.moveBufA = m.topo.AppendLinks(id, m.moveBufA[:0])
 	if !present {
 		for _, y := range m.moveBufA {
 			m.dynDecode[y] = sortedRemove(m.dynDecode[y], id)
@@ -802,19 +740,19 @@ func (m *Medium) SetPresent(id frame.NodeID, present bool) {
 	}
 }
 
-// MoveNode updates node id's position (the topology must implement
-// MobileTopology) and incrementally re-classifies the affected links: the
+// MoveNode updates node id's position (the topology must be a
+// *PathLossTopology) and incrementally re-classifies the affected links: the
 // union of the node's link candidates before and after the move, O(degree)
 // pairs, each updated in both directions — no full medium rebuild.
 func (m *Medium) MoveNode(id frame.NodeID, p Position) {
-	mob, ok := m.topo.(MobileTopology)
+	pt, ok := m.topo.(*PathLossTopology)
 	if !ok {
 		panic(fmt.Sprintf("radio: topology %T does not support MoveNode", m.topo))
 	}
 	m.EnableDynamics()
-	m.moveBufA = m.appendCandidates(id, m.moveBufA[:0])
-	mob.MoveNode(id, p)
-	m.moveBufB = m.appendCandidates(id, m.moveBufB[:0])
+	m.moveBufA = pt.AppendLinks(id, m.moveBufA[:0])
+	pt.MoveNode(id, p)
+	m.moveBufB = pt.AppendLinks(id, m.moveBufB[:0])
 	if !m.present[id] {
 		return // rows rebuilt against the new position on rejoin
 	}
@@ -841,10 +779,10 @@ func (m *Medium) MoveNode(id frame.NodeID, p Position) {
 // the current topology and updates the overlay rows to match. Both nodes
 // must be present.
 func (m *Medium) reclassifyPair(x, y frame.NodeID) {
-	decode, sense := m.classify(x, y)
+	decode, sense := m.topo.ClassifyLink(x, y)
 	m.dynDecode[x] = sortedSet(m.dynDecode[x], y, decode)
 	m.dynSense[x] = sortedSet(m.dynSense[x], y, sense)
-	decode, sense = m.classify(y, x)
+	decode, sense = m.topo.ClassifyLink(y, x)
 	m.dynDecode[y] = sortedSet(m.dynDecode[y], x, decode)
 	m.dynSense[y] = sortedSet(m.dynSense[y], x, sense)
 }

@@ -14,7 +14,10 @@ import (
 )
 
 // Topology answers connectivity questions for a fixed set of nodes,
-// identified by dense ids [0, NumNodes).
+// identified by dense ids [0, NumNodes). Both built-in topologies
+// (GraphTopology, PathLossTopology) implement every method; topologies are
+// stateless under queries, so one instance may be shared by the goroutines
+// of the parallel replication engine.
 type Topology interface {
 	// NumNodes reports how many nodes exist.
 	NumNodes() int
@@ -28,66 +31,30 @@ type Topology interface {
 	// DeliveryProb is the probability a collision-free frame from src is
 	// decoded by dst (models fading; 1 for ideal links).
 	DeliveryProb(src, dst frame.NodeID) float64
-}
-
-// LinkEnumerator is implemented by topologies that can enumerate a node's
-// potential links directly instead of being probed over all N² ordered
-// pairs. AppendLinks appends every dst (ascending, src excluded) for which
-// CanDecode(src, dst) or CanSense(src, dst) may hold to buf and returns the
-// extended slice; consumers filter the candidates through the exact
-// predicates, so a superset is permitted. The buffer is caller-owned
-// (callers pass buf[:0] to reuse it across nodes), which keeps the topology
-// itself stateless and therefore safe to share across the goroutines of the
-// parallel replication engine. Both built-in topologies implement the
-// interface, which is what keeps Medium construction (and memory) O(N + E).
-type LinkEnumerator interface {
+	// AppendLinks appends every dst (ascending, src excluded) for which
+	// CanDecode(src, dst) or CanSense(src, dst) may hold to buf and returns
+	// the extended slice, so the Medium enumerates a node's links directly
+	// instead of probing all N² ordered pairs — which keeps its construction
+	// (and memory) O(N + E). Consumers filter the candidates through the
+	// exact predicates, so a superset is permitted. The buffer is
+	// caller-owned (callers pass buf[:0] to reuse it across nodes).
 	AppendLinks(src frame.NodeID, buf []frame.NodeID) []frame.NodeID
-}
-
-// MobileTopology is implemented by topologies whose nodes can move at
-// runtime. MoveNode updates one node's position and the topology's own
-// spatial index; it does NOT touch any Medium built over the topology —
-// callers go through Medium.MoveNode, which re-classifies the affected
-// links incrementally. A topology being mutated is no longer safe to share
-// across goroutines; scenario runners clone it per run.
-type MobileTopology interface {
-	Topology
-	MoveNode(id frame.NodeID, p Position)
-}
-
-// CloneableTopology is implemented by topologies that can produce an
-// independent deep copy. Scenario runners clone a topology before mutating
-// it (e.g. scheduled MoveNode calls) so the original stays shareable across
-// parallel replications.
-type CloneableTopology interface {
-	Topology
-	// CloneTopology returns an independent copy; mutating the copy must not
-	// affect the receiver.
-	CloneTopology() Topology
-}
-
-// LinkClassifier is an optional fast path next to LinkEnumerator: one call
-// evaluates both link predicates, letting consumers that need decode and
-// sense classification (the Medium's CSR build) pay one RSSI computation
-// per candidate pair instead of two. Implementations must agree exactly
-// with CanDecode/CanSense.
-type LinkClassifier interface {
+	// ClassifyLink evaluates both link predicates in one call, agreeing
+	// exactly with CanDecode/CanSense, so the Medium's link build pays one
+	// link computation per candidate pair instead of two.
 	ClassifyLink(src, dst frame.NodeID) (decode, sense bool)
-}
-
-// PowerModel is the optional topology extension behind per-transmission
-// power and SINR capture. LinkSignal reports, for the directed link
-// src→dst, the received power of a reference-power transmission (dBm, or
-// any scale consistent across the topology — capture only compares powers
-// and their ratios) together with the dB margins the link keeps over the
-// decode and sense thresholds: a transmission power-reduced by delta dB
-// below the reference still decodes (is sensed) at dst iff
-// delta <= decodeMarginDB (senseMarginDB). The margins must agree with
-// CanDecode/CanSense at delta 0; both built-in topologies implement the
-// interface. Topologies without an inherent power notion (GraphTopology)
-// report equal received powers and unbounded margins, so reducing power
-// never breaks a graph link and equal-power frames never capture.
-type PowerModel interface {
+	// LinkSignal backs per-transmission power and SINR capture. It reports,
+	// for the directed link src→dst, the received power of a reference-power
+	// transmission (dBm, or any scale consistent across the topology —
+	// capture only compares powers and their ratios) together with the dB
+	// margins the link keeps over the decode and sense thresholds: a
+	// transmission power-reduced by delta dB below the reference still
+	// decodes (is sensed) at dst iff delta <= decodeMarginDB
+	// (senseMarginDB). The margins agree with CanDecode/CanSense at delta 0,
+	// self-links included: src == dst reports −Inf throughout. Topologies
+	// without an inherent power notion (GraphTopology) report equal received
+	// powers and unbounded margins, so reducing power never breaks a graph
+	// link and equal-power frames never capture.
 	LinkSignal(src, dst frame.NodeID) (rxPowerDBm, decodeMarginDB, senseMarginDB float64)
 }
 
@@ -104,10 +71,7 @@ type GraphTopology struct {
 	LossProb float64
 }
 
-var (
-	_ Topology       = (*GraphTopology)(nil)
-	_ LinkEnumerator = (*GraphTopology)(nil)
-)
+var _ Topology = (*GraphTopology)(nil)
 
 // NewGraphTopology returns a graph over n nodes with no edges.
 func NewGraphTopology(n int) *GraphTopology {
@@ -161,18 +125,18 @@ func (g *GraphTopology) Neighbors(id frame.NodeID) []frame.NodeID {
 	return g.adj[id]
 }
 
-// AppendLinks implements LinkEnumerator (decode and sense sets coincide).
+// AppendLinks implements Topology (decode and sense sets coincide).
 func (g *GraphTopology) AppendLinks(src frame.NodeID, buf []frame.NodeID) []frame.NodeID {
 	return append(buf, g.adj[src]...)
 }
 
-// ClassifyLink implements LinkClassifier with a single adjacency lookup.
+// ClassifyLink implements Topology with a single adjacency lookup.
 func (g *GraphTopology) ClassifyLink(src, dst frame.NodeID) (decode, sense bool) {
 	d := g.CanDecode(src, dst)
 	return d, d
 }
 
-// LinkSignal implements PowerModel. Graph links carry no path-loss notion:
+// LinkSignal implements Topology. Graph links carry no path-loss notion:
 // every link delivers the transmit power unattenuated (0 dB reference), so
 // two same-power frames always tie (no capture) and deliberate power deltas
 // translate 1:1 into receiver-side power gaps. Margins are unbounded —
@@ -275,16 +239,7 @@ type PathLossTopology struct {
 	dynOutside []frame.NodeID
 }
 
-var (
-	_ Topology          = (*PathLossTopology)(nil)
-	_ LinkEnumerator    = (*PathLossTopology)(nil)
-	_ LinkClassifier    = (*PathLossTopology)(nil)
-	_ MobileTopology    = (*PathLossTopology)(nil)
-	_ CloneableTopology = (*PathLossTopology)(nil)
-	_ PowerModel        = (*PathLossTopology)(nil)
-	_ LinkClassifier    = (*GraphTopology)(nil)
-	_ PowerModel        = (*GraphTopology)(nil)
-)
+var _ Topology = (*PathLossTopology)(nil)
 
 // NewPathLossTopology indexes the given positions for neighbor queries.
 // Unlike the original dense implementation it allocates O(N), not O(N²):
@@ -389,7 +344,7 @@ func (t *PathLossTopology) cellIndex(p Position) int {
 	return cy*t.nx + cx
 }
 
-// AppendLinks implements LinkEnumerator: all nodes within maxRange of src,
+// AppendLinks implements Topology: all nodes within maxRange of src,
 // found by scanning the grid cells that can intersect the range disk,
 // appended to buf in ascending id order. The topology holds no scratch of
 // its own, so concurrent calls (parallel replications sharing one topology)
@@ -514,10 +469,12 @@ func (t *PathLossTopology) enableDynamicGrid() {
 	}
 }
 
-// MoveNode implements MobileTopology: it updates id's position and its slot
-// in the dynamic cell index (O(cell occupancy)). The first call converts
-// the index; after that the topology must no longer be shared across
-// goroutines.
+// MoveNode updates id's position and its slot in the dynamic cell index
+// (O(cell occupancy)). It does NOT touch any Medium built over the
+// topology — callers go through Medium.MoveNode, which re-classifies the
+// affected links incrementally. The first call converts the index; after
+// that the topology must no longer be shared across goroutines, which is
+// why scenario runners move nodes on a Clone.
 func (t *PathLossTopology) MoveNode(id frame.NodeID, p Position) {
 	t.enableDynamicGrid()
 	if c, ok := t.storageCell(t.pos[id]); ok {
@@ -552,10 +509,7 @@ func (t *PathLossTopology) Clone() *PathLossTopology {
 	return NewPathLossTopology(t.cfg, slices.Clone(t.pos))
 }
 
-// CloneTopology implements CloneableTopology.
-func (t *PathLossTopology) CloneTopology() Topology { return t.Clone() }
-
-// ClassifyLink implements LinkClassifier: one RSSI computation answers both
+// ClassifyLink implements Topology: one RSSI computation answers both
 // predicates (identical comparisons to CanDecode/CanSense).
 func (t *PathLossTopology) ClassifyLink(src, dst frame.NodeID) (decode, sense bool) {
 	if src == dst {
@@ -565,11 +519,15 @@ func (t *PathLossTopology) ClassifyLink(src, dst frame.NodeID) (decode, sense bo
 	return rssi >= t.cfg.SensitivityDBm, rssi >= t.cfg.SensitivityDBm+t.cfg.CCAMarginDB
 }
 
-// LinkSignal implements PowerModel: the received power is the on-demand
+// LinkSignal implements Topology: the received power is the on-demand
 // RSSI at the configured (reference) TX power, and the margins are its
 // headroom over the sensitivity and energy-detection thresholds. At delta 0
-// the margin comparisons reduce to exactly CanDecode/CanSense.
+// the margin comparisons reduce to exactly CanDecode/CanSense; a self-link
+// reports −Inf like every undecodable link.
 func (t *PathLossTopology) LinkSignal(src, dst frame.NodeID) (rxPowerDBm, decodeMarginDB, senseMarginDB float64) {
+	if src == dst {
+		return math.Inf(-1), math.Inf(-1), math.Inf(-1)
+	}
 	rssi := t.RSSI(src, dst)
 	return rssi, rssi - t.cfg.SensitivityDBm, rssi - (t.cfg.SensitivityDBm + t.cfg.CCAMarginDB)
 }

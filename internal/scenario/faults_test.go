@@ -50,17 +50,29 @@ func TestOutageSuppressesBothDirections(t *testing.T) {
 	}
 }
 
+// TestRebootWipesAndRecovers reboots a sender mid-run under every
+// registered protocol, so each engine's mac.Engine.Reboot runs, and pins
+// that the node counts the reboot and delivers again afterwards.
 func TestRebootWipesAndRecovers(t *testing.T) {
-	for _, mk := range []mac.Name{QMA, CSMAUnslotted} {
-		res := Run(faultConfig(mk, 4, faults.Schedule{
-			Reboots: []faults.Reboot{{Node: 0, At: 30 * sim.Second}},
-		}))
-		if got := res.Nodes[0].MAC.Reboots; got != 1 {
-			t.Errorf("%v: node 0 counted %d reboots, want 1", mk, got)
-		}
-		if res.Nodes[0].Delivered == 0 {
-			t.Errorf("%v: rebooted node never delivered again", mk)
-		}
+	for _, mk := range mac.Names() {
+		t.Run(string(mk), func(t *testing.T) {
+			cfg := faultConfig(mk, 4, faults.Schedule{
+				Reboots: []faults.Reboot{{Node: 0, At: 30 * sim.Second}},
+			})
+			if p, _ := mac.Lookup(string(mk)); p.NeedsCapture {
+				cfg.CaptureThresholdDB = 6
+			}
+			if mk == "panic-test" {
+				cfg.MACOptions = faultyOptions{Node: -1} // arm no panic
+			}
+			res := Run(cfg)
+			if got := res.Nodes[0].MAC.Reboots; got != 1 {
+				t.Errorf("node 0 counted %d reboots, want 1", got)
+			}
+			if res.Nodes[0].Delivered == 0 {
+				t.Error("rebooted node never delivered again")
+			}
+		})
 	}
 }
 

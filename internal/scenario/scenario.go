@@ -96,7 +96,7 @@ type ChurnSpec struct {
 }
 
 // MoveSpec schedules a waypoint position update. Moves require a
-// position-based topology (radio.MobileTopology); the run operates on a
+// position-based topology (*radio.PathLossTopology); the run operates on a
 // private clone so the shared Network stays immutable across replications.
 type MoveSpec struct {
 	Node frame.NodeID
@@ -299,13 +299,8 @@ func (d *DynamicsConfig) validate(t radio.Topology) error {
 			return fmt.Errorf("churn at node %d scheduled in the past", c.Node)
 		}
 	}
-	if len(d.Moves) > 0 {
-		// build moves a private clone, so the topology must be both.
-		_, mobile := t.(radio.MobileTopology)
-		_, cloneable := t.(radio.CloneableTopology)
-		if !mobile || !cloneable {
-			return errors.New("Dynamics.Moves require a position-based topology (Star17, FactoryHall)")
-		}
+	if _, ok := t.(*radio.PathLossTopology); len(d.Moves) > 0 && !ok {
+		return errors.New("Dynamics.Moves require a position-based topology (Star17, FactoryHall)")
 	}
 	for _, m := range d.Moves {
 		switch {
@@ -557,9 +552,9 @@ func build(cfg Config) *run {
 }
 
 // armFaults schedules the deterministic fault script on the kernel. Nodes
-// are addressed through their shared mac.Base; reboots go through the
-// mac.Rebooter interface when the engine implements it (all registered
-// protocols do), falling back to wiping just the Base otherwise. Beacon
+// are addressed through their shared mac.Base; reboots go through
+// mac.Engine.Reboot, which wipes the engine's own protocol state on top of
+// the Base's. Beacon
 // semantics: beacons are implicit in this simulator — every node
 // synchronizes through the shared superframe clock, with a notional beacon
 // at each superframe start — so losing beacons becomes a channel-access
@@ -588,14 +583,7 @@ func armFaults(kernel *sim.Kernel, clock *superframe.Clock, engines []mac.Engine
 		}
 	}
 	for _, rb := range s.Reboots {
-		rb := rb
-		kernel.At(rb.At, func() {
-			if r, ok := engines[rb.Node].(mac.Rebooter); ok {
-				r.Reboot()
-			} else {
-				engines[rb.Node].Base().Reboot()
-			}
-		})
+		kernel.At(rb.At, engines[rb.Node].Reboot)
 	}
 	for _, w := range s.AckCorruption {
 		w := w

@@ -324,7 +324,7 @@ func buildSharded(cfg ShardedConfig) *shardedRun {
 
 	// Builds are heavy at mMTC scale (engines, CSR arrays), so they run on
 	// the worker pool too; each build writes only its own cell.
-	if errs := stats.ForEachWorker(len(cells), cfg.Parallel, func(_, c int) {
+	if errs := stats.ForEach(len(cells), cfg.Parallel, func(c int) {
 		sc := &shardCell{windows: stats.NewWindowed(window.Seconds())}
 		net := city.Cells[c]
 		cellCfg := Config{

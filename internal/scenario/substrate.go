@@ -50,7 +50,7 @@ func NewSubstrate(cfg *Config) *Substrate {
 	if len(cfg.Dynamics.Moves) > 0 {
 		// Moves mutate positions; run on a private clone so the Network
 		// stays shareable across parallel replications.
-		topology = topology.(radio.CloneableTopology).CloneTopology()
+		topology = topology.(*radio.PathLossTopology).Clone()
 	}
 	s.Medium = radio.NewMedium(s.Kernel, topology, sim.NewRandStream(cfg.Seed, 1000))
 	if cfg.CaptureThresholdDB > 0 {

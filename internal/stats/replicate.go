@@ -27,9 +27,10 @@ import (
 // everything needed for a single-threaded repro: the sweep cell, the seed,
 // the recovered panic value and the stack of the final attempt.
 type RepError struct {
-	// Cell is the sweep point (always 0 for non-grid drivers).
+	// Cell is the sweep point (set by ReplicateGridWorker; 0 under the
+	// plain pools, whose callers address jobs by Index).
 	Cell int
-	// Seed is the replication seed (equal to Index for non-grid drivers).
+	// Seed is the replication seed (set by ReplicateGridWorker, like Cell).
 	Seed uint64
 	// Index is the flat job index the driver dispatched.
 	Index int
@@ -133,53 +134,20 @@ func ForEachWorker(n, parallel int, job func(w, i int)) []*RepError {
 	return errs
 }
 
-// Replicate runs fn for seeds 0..n-1, each invocation independent, sharded
-// over the worker pool, and returns the per-seed results in seed order.
-// Every figure of the evaluation aggregates such replications; determinism
-// comes from fn deriving all randomness from the seed. A replication that
-// panicked twice leaves zero in its slot and is reported in the error slice.
-func Replicate(n, parallel int, fn func(seed uint64) float64) ([]float64, []*RepError) {
-	out := make([]float64, n)
-	errs := ForEach(n, parallel, func(i int) { out[i] = fn(uint64(i)) })
-	for _, e := range errs {
-		e.Seed = uint64(e.Index)
-	}
-	return out, errs
-}
-
-// ReplicateMany is Replicate for functions returning several named metrics;
-// it returns one Estimate per metric name, accumulated in seed order. Failed
-// replications contribute nothing — each Estimate's N reports how many
-// replications actually survived.
-func ReplicateMany(n, parallel int, fn func(seed uint64) map[string]float64) (map[string]Estimate, []*RepError) {
-	results := make([]map[string]float64, n)
-	errs := ForEach(n, parallel, func(i int) { results[i] = fn(uint64(i)) })
-	for _, e := range errs {
-		e.Seed = uint64(e.Index)
-	}
-	return mergeRuns(results), errs
-}
-
-// ReplicateGrid shards a whole sweep — cells independent experiment points,
-// reps replications each — across one worker pool, so parallelism is not
-// throttled by the replication count of a single point (Quick mode runs only
-// 3 replications per point, far fewer than a modern machine has cores).
-// fn(cell, seed) must be independent across all (cell, seed) pairs; the
-// result is one Estimate per metric name per cell, merged in seed order.
+// ReplicateGridWorker shards a whole sweep — cells independent experiment
+// points, reps replications each — across one worker pool, so parallelism
+// is not throttled by the replication count of a single point (Quick mode
+// runs only 3 replications per point, far fewer than a modern machine has
+// cores). fn(w, cell, seed) must be independent across all (cell, seed)
+// pairs; w is the worker executing the replication (see ForEachWorker), so
+// a sweep can reuse one arena per worker across its runs. The result is one
+// Estimate per metric name per cell, merged in seed order, and must not
+// depend on the worker assignment.
 //
 // A replication that panicked twice is excluded from its cell's merge (the
 // cell's Estimates simply average one fewer run) and reported in the error
 // slice with its exact cell and seed, so the sweep of every other point
 // completes and the crash stays reproducible single-threaded.
-func ReplicateGrid(cells, reps, parallel int, fn func(cell int, seed uint64) map[string]float64) ([]map[string]Estimate, []*RepError) {
-	return ReplicateGridWorker(cells, reps, parallel,
-		func(_, cell int, seed uint64) map[string]float64 { return fn(cell, seed) })
-}
-
-// ReplicateGridWorker is ReplicateGrid handing fn the worker index executing
-// the replication (see ForEachWorker), so a sweep can reuse one arena per
-// worker across its runs. The merged Estimates must not depend on the worker
-// assignment.
 func ReplicateGridWorker(cells, reps, parallel int, fn func(w, cell int, seed uint64) map[string]float64) ([]map[string]Estimate, []*RepError) {
 	results := make([]map[string]float64, cells*reps)
 	errs := ForEachWorker(cells*reps, parallel, func(w, i int) {

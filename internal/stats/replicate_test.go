@@ -29,8 +29,18 @@ func TestForEachEmptyAndSingle(t *testing.T) {
 	}
 }
 
+// replicateGrid runs ReplicateGridWorker for an fn that ignores the worker
+// identity, the shape of every sweep without per-worker state.
+func replicateGrid(cells, reps, parallel int, fn func(cell int, seed uint64) map[string]float64) ([]map[string]Estimate, []*RepError) {
+	return ReplicateGridWorker(cells, reps, parallel,
+		func(_, cell int, seed uint64) map[string]float64 { return fn(cell, seed) })
+}
+
+// TestReplicateSeedOrder pins that per-seed results land in seed order when
+// replications are sharded: job i writes slot i, whatever worker ran it.
 func TestReplicateSeedOrder(t *testing.T) {
-	got, errs := Replicate(8, 3, func(seed uint64) float64 { return float64(seed * seed) })
+	got := make([]float64, 8)
+	errs := ForEach(len(got), 3, func(i int) { got[i] = float64(i * i) })
 	if len(errs) != 0 {
 		t.Fatalf("unexpected replication errors: %v", errs)
 	}
@@ -42,15 +52,15 @@ func TestReplicateSeedOrder(t *testing.T) {
 }
 
 func TestReplicateManyDeterministicAcrossParallelism(t *testing.T) {
-	fn := func(seed uint64) map[string]float64 {
+	fn := func(_ int, seed uint64) map[string]float64 {
 		return map[string]float64{
 			"a": math.Sin(float64(seed)),
 			"b": float64(seed) / 7,
 		}
 	}
-	want, _ := ReplicateMany(13, 1, fn)
+	want, _ := replicateGrid(1, 13, 1, fn)
 	for _, parallel := range []int{2, 5, 0} {
-		got, _ := ReplicateMany(13, parallel, fn)
+		got, _ := replicateGrid(1, 13, parallel, fn)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("parallel=%d: estimates differ: %v vs %v", parallel, got, want)
 		}
@@ -61,9 +71,9 @@ func TestReplicateGridDeterministicAcrossParallelism(t *testing.T) {
 	fn := func(cell int, seed uint64) map[string]float64 {
 		return map[string]float64{"v": float64(cell)*100 + math.Cos(float64(seed))}
 	}
-	want, _ := ReplicateGrid(5, 4, 1, fn)
+	want, _ := replicateGrid(5, 4, 1, fn)
 	for _, parallel := range []int{3, 16, 0} {
-		got, _ := ReplicateGrid(5, 4, parallel, fn)
+		got, _ := replicateGrid(5, 4, parallel, fn)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("parallel=%d: grid estimates differ", parallel)
 		}
@@ -88,7 +98,7 @@ func TestReplicateGridDeterministicAcrossParallelism(t *testing.T) {
 func TestReplicateGridSurvivesPanickingReplication(t *testing.T) {
 	const cells, reps = 10, 10
 	for _, parallel := range []int{1, 4, 0} {
-		est, errs := ReplicateGrid(cells, reps, parallel, func(cell int, seed uint64) map[string]float64 {
+		est, errs := replicateGrid(cells, reps, parallel, func(cell int, seed uint64) map[string]float64 {
 			if cell == 7 && seed == 3 {
 				panic("protocol stub exploded")
 			}

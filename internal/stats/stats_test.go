@@ -178,18 +178,22 @@ func TestSeriesQuantile(t *testing.T) {
 }
 
 func TestReplicateOrderAndParallelism(t *testing.T) {
-	out, _ := Replicate(8, 3, func(seed uint64) float64 { return float64(seed * seed) })
-	for i, v := range out {
-		if v != float64(i*i) {
-			t.Fatalf("out[%d] = %v", i, v)
+	for _, parallel := range []int{1, 3, 0} {
+		out := make([]float64, 8)
+		ForEach(len(out), parallel, func(i int) { out[i] = float64(i * i) })
+		for i, v := range out {
+			if v != float64(i*i) {
+				t.Fatalf("parallel=%d: out[%d] = %v", parallel, i, v)
+			}
 		}
 	}
 }
 
 func TestReplicateMany(t *testing.T) {
-	est, _ := ReplicateMany(4, 0, func(seed uint64) map[string]float64 {
+	grid, _ := replicateGrid(1, 4, 0, func(_ int, seed uint64) map[string]float64 {
 		return map[string]float64{"a": float64(seed), "b": 2}
 	})
+	est := grid[0]
 	if est["a"].Mean != 1.5 || est["a"].N != 4 {
 		t.Errorf("a = %+v", est["a"])
 	}
