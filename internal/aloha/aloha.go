@@ -144,7 +144,7 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{cfg: cfg}
 	cfg.MAC.OnAccept = e.kick
-	e.base.Init(cfg.MAC)
+	e.base.Init(cfg.MAC, e)
 	e.next.Init(cfg.MAC.Kernel, alohaResume, e)
 	return e
 }
@@ -286,18 +286,19 @@ func (e *Engine) fireSlot() {
 	e.transmit(e.f)
 }
 
-// transmit puts f on the air and routes the outcome through the shared retry
-// policy: a failed unicast retransmits after a random binary exponential
-// backoff until NR is exhausted.
-func (e *Engine) transmit(f *frame.Frame) {
-	e.base.SendFrame(f, func(success bool) {
-		if e.base.FinishFrame(f, success) {
-			e.inTransaction = false
-			e.kick()
-			return
-		}
-		e.backoff()
-	})
+// transmit puts f on the air; TxDone routes the outcome through the shared
+// retry policy.
+func (e *Engine) transmit(f *frame.Frame) { e.base.SendFrame(f) }
+
+// TxDone implements mac.Engine: a failed unicast retransmits after a random
+// binary exponential backoff until NR is exhausted.
+func (e *Engine) TxDone(f *frame.Frame, _ uint32, success bool) {
+	if e.base.FinishFrame(f, success) {
+		e.inTransaction = false
+		e.kick()
+		return
+	}
+	e.backoff()
 }
 
 // backoff delays the retransmission of the transaction's frame. The

@@ -150,7 +150,7 @@ func New(cfg Config) *Engine {
 		e.value[i] = 1
 	}
 	cfg.MAC.OnAccept = e.kick
-	e.base.Init(cfg.MAC)
+	e.base.Init(cfg.MAC, e)
 	e.next.Init(cfg.MAC.Kernel, banditResume, e)
 	return e
 }
@@ -337,14 +337,18 @@ func (e *Engine) fire() {
 		e.kick()
 		return
 	}
-	e.base.SendFrame(f, func(success bool) {
-		reward := 0.0
-		if success {
-			reward = 1
-		}
-		e.update(m, reward)
-		e.base.FinishFrame(f, success)
-		e.pulling = false
-		e.kick()
-	})
+	e.base.SendFrameAt(f, 0, uint32(m))
+}
+
+// TxDone implements mac.Engine: the transmission's outcome is the pulled
+// arm's reward.
+func (e *Engine) TxDone(f *frame.Frame, m uint32, success bool) {
+	reward := 0.0
+	if success {
+		reward = 1
+	}
+	e.update(int(m), reward)
+	e.base.FinishFrame(f, success)
+	e.pulling = false
+	e.kick()
 }

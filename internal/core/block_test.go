@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"qma/internal/frame"
 	"qma/internal/mac"
@@ -41,6 +42,15 @@ func TestNewFromOptionsHeapObjects(t *testing.T) {
 	})
 	if got != want {
 		t.Errorf("NewFromOptions allocates %v heap objects, want %d", got, want)
+	}
+}
+
+// TestEngineBlockSizeClass pins the engine block to the runtime's
+// 1024-byte allocation size class: the next class is 1152 bytes, which
+// would add 128 bytes to every node of a 20k-device city.
+func TestEngineBlockSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Engine{}); size > 1024 {
+		t.Errorf("core.Engine is %d bytes, want at most 1024", size)
 	}
 }
 

@@ -230,7 +230,7 @@ func New(cfg Config) *Engine {
 	e.learner.SetReevalOnDecay(cfg.ReevalOnDecay)
 	cfg.MAC.OnOverhear = e.onOverhear
 	cfg.MAC.OnAccept = e.arm
-	e.base.Init(cfg.MAC)
+	e.base.Init(cfg.MAC, e)
 	return e
 }
 
@@ -534,24 +534,23 @@ func (e *Engine) startTX(m, action int) {
 		e.stats.Deferrals++
 		return
 	}
-	// The outcome callback keeps a per-transmission closure: when a
-	// transmission ends exactly on a subslot boundary whose tick precedes the
-	// completion event, the engine can start the next transaction before the
-	// previous outcome fires, so the (m, action, f) context must be frozen
-	// per call. Transmissions are orders of magnitude rarer than ticks — the
-	// allocation is off the hot path.
+	// The (m, action) context rides with the transmission as its context
+	// word: when a transmission ends exactly on a subslot boundary whose
+	// tick precedes the completion event, the engine can start the next
+	// transaction before the previous outcome fires, so the context must be
+	// frozen per transmission rather than kept in the engine.
 	_, level := e.split(action)
 	e.txWaiting = e.captureShaping
 	e.foreignAck = false
-	e.base.SendFrameAt(f, float64(level)*e.stepDB, func(success bool) {
-		e.finishTX(m, action, f, success)
-	})
+	e.base.SendFrameAt(f, float64(level)*e.stepDB, uint32(m)<<8|uint32(action))
 }
 
-// finishTX applies the Eq. 7/8 reward, with the power-aware shaping of a
-// multi-level engine, once the outcome of a transmission is known, then lets
-// the retry policy decide the frame's fate.
-func (e *Engine) finishTX(m, action int, f *frame.Frame, success bool) {
+// TxDone implements mac.Engine: it applies the Eq. 7/8 reward, with the
+// power-aware shaping of a multi-level engine, to the transmission's
+// (m, action) context once its outcome is known, then lets the retry policy
+// decide the frame's fate.
+func (e *Engine) TxDone(f *frame.Frame, ctx uint32, success bool) {
+	m, action := int(ctx>>8), int(ctx&0xff)
 	kind, level := e.split(action)
 	capturedOver := e.foreignAck && !success
 	e.txWaiting = false

@@ -138,7 +138,7 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{cfg: cfg}
 	cfg.MAC.OnAccept = e.kick
-	e.base.Init(cfg.MAC)
+	e.base.Init(cfg.MAC, e)
 	e.next.Init(cfg.MAC.Kernel, csmaResume, e)
 	return e
 }
@@ -391,15 +391,16 @@ func (e *Engine) slottedCCA() {
 
 // ---- Shared tail --------------------------------------------------------
 
-// transmit puts f on the air and routes the outcome through the retry
-// policy: a failed unicast restarts the whole CSMA algorithm (fresh NB/BE)
-// until mac's MaxRetries is exhausted.
-func (e *Engine) transmit(f *frame.Frame) {
-	e.base.SendFrame(f, func(success bool) {
-		e.base.FinishFrame(f, success)
-		e.inTransaction = false
-		e.kick()
-	})
+// transmit puts f on the air; TxDone routes the outcome through the retry
+// policy.
+func (e *Engine) transmit(f *frame.Frame) { e.base.SendFrame(f) }
+
+// TxDone implements mac.Engine: a failed unicast restarts the whole CSMA
+// algorithm (fresh NB/BE) until mac's MaxRetries is exhausted.
+func (e *Engine) TxDone(f *frame.Frame, _ uint32, success bool) {
+	e.base.FinishFrame(f, success)
+	e.inTransaction = false
+	e.kick()
 }
 
 // accessFailure abandons the transaction after MaxBackoffs busy CCAs.

@@ -1,0 +1,89 @@
+package dsme
+
+import (
+	"runtime"
+	"testing"
+
+	"qma/internal/mac"
+	"qma/internal/scenario"
+	"qma/internal/sim"
+	"qma/internal/topo"
+)
+
+// maxMallocsPerSimSecond bounds the steady-state heap allocations of a
+// 91-node DSME ring run per simulated second. Set-up allocates in
+// proportion to the node count, not to the duration, so the difference
+// between a 60 s and a 30 s run isolates what the running network
+// allocates. The GTS path, the handshakes and the CAP engines recycle their
+// frames, records and events; what remains is high-water growth that
+// saturates: a node's first use of a GTS grid coordinate (its slot record),
+// map and free-list growth, and the frame pool reaching its peak. That is
+// about 65 objects per simulated second with QMA and 55 with slotted
+// CSMA/CA, against some 35 000 kernel events; a per-transmission or
+// per-handshake allocation would add thousands.
+const maxMallocsPerSimSecond = 150
+
+// TestDSMERingsAllocationCeiling pins that a DSME run allocates (almost)
+// nothing per transmission or handshake: the extra 30 simulated seconds of
+// a 60 s run over a 30 s run, with QMA and with slotted CSMA/CA in the CAP,
+// stay under maxMallocsPerSimSecond heap objects per simulated second.
+func TestDSMERingsAllocationCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration run")
+	}
+	net := topo.RingsForCount(91)
+	mallocs := func(mk mac.Name, d sim.Time) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		RunScenario(ScenarioConfig{Network: net, MAC: mk, Seed: 1, Duration: d, Warmup: 10 * sim.Second})
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for _, mk := range []mac.Name{scenario.QMA, scenario.CSMASlotted} {
+		short, long := mallocs(mk, 30*sim.Second), mallocs(mk, 60*sim.Second)
+		perSec := (float64(long) - float64(short)) / 30
+		t.Logf("%s: %d mallocs in 30 s, %d in 60 s: %.1f per simulated second", mk, short, long, perSec)
+		if perSec > maxMallocsPerSimSecond {
+			t.Errorf("%s: %.1f mallocs per simulated second, want <= %d", mk, perSec, maxMallocsPerSimSecond)
+		}
+	}
+}
+
+// TestScenarioFramePoolStaysBalanced pins the frame pool's symmetry: every
+// frame the DSME layer or its CAP engines return to the pool came from it.
+// Identical runs on one arena ask the pool for the same frames, so once the
+// first run has grown it to its peak the idle count must stop growing; a
+// single path that returns frames it did not take from the pool (say, a
+// heap-allocated command frame recycled by the CAP MAC) grows it by that
+// path's frame count on every run. InvariantChecks arms the pool's
+// double-release detector, which panics if a frame is returned twice.
+func TestScenarioFramePoolStaysBalanced(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration run")
+	}
+	for _, mk := range []mac.Name{scenario.QMA, scenario.CSMASlotted} {
+		arena := scenario.NewArena()
+		cfg := ScenarioConfig{
+			Network:         topo.RingsForCount(43),
+			MAC:             mk,
+			Seed:            2,
+			Duration:        40 * sim.Second,
+			Warmup:          10 * sim.Second,
+			InvariantChecks: true,
+			Arena:           arena,
+		}
+		var idle [3]int
+		for i := range idle {
+			RunScenario(cfg)
+			// Begin is what the next run calls first; the pool it hands out
+			// is the one the finished run left behind.
+			pool, _ := arena.Begin()
+			idle[i] = pool.Size()
+		}
+		t.Logf("%s: idle frames after each run %v", mk, idle)
+		if idle[2] > idle[1] {
+			t.Errorf("%s: the frame pool grew from %d to %d idle frames between identical runs", mk, idle[1], idle[2])
+		}
+	}
+}

@@ -16,10 +16,11 @@ type capRecorder struct{ sent []*frame.Frame }
 
 var _ mac.Engine = (*capRecorder)(nil)
 
-func (c *capRecorder) Deliver(*frame.Frame) {}
-func (c *capRecorder) Start()               {}
-func (c *capRecorder) Base() *mac.Base      { return nil }
-func (c *capRecorder) Reboot()              {}
+func (c *capRecorder) Deliver(*frame.Frame)              {}
+func (c *capRecorder) Start()                            {}
+func (c *capRecorder) Base() *mac.Base                   { return nil }
+func (c *capRecorder) Reboot()                           {}
+func (c *capRecorder) TxDone(*frame.Frame, uint32, bool) {}
 func (c *capRecorder) Enqueue(f *frame.Frame) bool {
 	c.sent = append(c.sent, f)
 	return true

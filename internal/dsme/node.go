@@ -51,8 +51,11 @@ type NodeConfig struct {
 	NeighborExpiry sim.Time
 	// Metrics aggregates network-wide counters; required.
 	Metrics *Metrics
-	// FramePool, when non-nil, recycles the node's immediate GTS ACKs. It
-	// may be shared with the CAP engines of the same kernel.
+	// FramePool, when non-nil, recycles the node's frames: its immediate GTS
+	// ACKs, its handshake commands, the GTS data frames it forwards and the
+	// primary frames it finishes. The pool must stay symmetric, so the
+	// traffic source feeding the node's primary queue must draw from the
+	// same pool. It may be shared with the CAP engines of the same kernel.
 	FramePool *frame.Pool
 }
 
@@ -75,19 +78,27 @@ type NodeStats struct {
 	Starved uint64
 }
 
-// handshake is the requester-side state (one at a time per node).
+// handshake is the requester-side state (one at a time per node). The node
+// keeps one record and reuses it for every handshake.
 type handshake struct {
 	id         uint32
 	gts        superframe.GTS
 	deallocate bool
-	timer      sim.EventID
+	// req is the request frame while the CAP MAC still holds it; its fate
+	// reaches the node through the OnFrameFinished hook.
+	req   *frame.Frame
+	timer sim.EventID
 }
 
-// responderPending is the responder-side state awaiting a notify.
+// responderPending is the responder-side state awaiting a notify, keyed in
+// Node.pending. The notify-timeout event carries the record as its
+// argument; records are recycled through the node's free list once that
+// event has fired or been cancelled.
 type responderPending struct {
-	gts       superframe.GTS
-	requester frame.NodeID
-	timer     sim.EventID
+	n     *Node
+	key   hsKey
+	gts   superframe.GTS
+	timer sim.EventID
 }
 
 // hsKey names a handshake at its responder. Handshake IDs are numbered per
@@ -134,8 +145,11 @@ type Node struct {
 	seq     uint32
 	hsSeq   uint32
 
-	hs      *handshake
-	pending map[hsKey]*responderPending
+	// hs is the running handshake (&hsRec), nil when none runs.
+	hs       *handshake
+	hsRec    handshake
+	pending  map[hsKey]*responderPending
+	pendFree []*responderPending
 	// ackWait is the slot whose data transmission awaits its ACK.
 	ackWait  *gtsSlot
 	lastSeq  map[frame.NodeID]uint32
@@ -293,20 +307,20 @@ func (n *Node) deliverGTS(f *frame.Frame) {
 			n.cfg.Metrics.notePrimaryDelivered(f, n.cfg.Kernel.Now())
 			return
 		}
-		fwd := &frame.Frame{
-			Kind:      frame.Data,
-			Src:       n.cfg.ID,
-			Dst:       n.cfg.Parent,
-			Origin:    f.Origin,
-			Sink:      f.Sink,
-			Seq:       f.Seq,
-			MPDUBytes: f.MPDUBytes,
-			Tag:       f.Tag,
-			CreatedAt: f.CreatedAt,
-		}
+		fwd := n.cfg.FramePool.Get()
+		fwd.Kind = frame.Data
+		fwd.Src = n.cfg.ID
+		fwd.Dst = n.cfg.Parent
+		fwd.Origin = f.Origin
+		fwd.Sink = f.Sink
+		fwd.Seq = f.Seq
+		fwd.MPDUBytes = f.MPDUBytes
+		fwd.Tag = f.Tag
+		fwd.CreatedAt = f.CreatedAt
 		n.arrivals++
 		if !n.primary.Push(fwd) {
 			n.stats.PrimaryQueueDrops++
+			n.cfg.FramePool.Put(fwd)
 		}
 	}
 }
@@ -430,6 +444,8 @@ func (n *Node) gtsAckTimeout(r *gtsSlot) {
 	n.finishGTSData(r.ackFrame, false)
 }
 
+// finishGTSData applies the retry policy to the primary queue head. A frame
+// that leaves the queue, delivered or dropped, returns to the frame pool.
 func (n *Node) finishGTSData(f *frame.Frame, success bool) {
 	if n.primary.Head() != f {
 		return
@@ -437,12 +453,14 @@ func (n *Node) finishGTSData(f *frame.Frame, success bool) {
 	if success {
 		n.stats.GTSTxSuccess++
 		n.primary.Pop()
+		n.cfg.FramePool.Put(f)
 		return
 	}
 	f.Retries++
 	if int(f.Retries) > n.cfg.MaxRetries {
 		n.primary.Pop()
 		n.stats.GTSRetryDrops++
+		n.cfg.FramePool.Put(f)
 	}
 }
 
@@ -548,8 +566,7 @@ func (n *Node) startAllocation() {
 		n.stats.Starved++
 		return
 	}
-	hs := &handshake{id: n.nextHsID(), gts: g}
-	n.hs = hs
+	hs := n.beginHandshake(g, false)
 	n.stats.AllocStarted++
 	n.slots.Set(g, SlotPending, n.cfg.Parent)
 	n.sendRequest(hs)
@@ -558,44 +575,92 @@ func (n *Node) startAllocation() {
 // startDeallocation begins the 3-way handshake that returns a slot ("GTS
 // deallocation is rolled back using the same 3-way handshake", App. A).
 func (n *Node) startDeallocation(g superframe.GTS) {
-	hs := &handshake{id: n.nextHsID(), gts: g, deallocate: true}
-	n.hs = hs
+	hs := n.beginHandshake(g, true)
 	n.stats.DeallocStarted++
 	n.sendRequest(hs)
 }
 
+// beginHandshake resets the node's handshake record for a fresh handshake
+// over g and makes it the running one.
+func (n *Node) beginHandshake(g superframe.GTS, deallocate bool) *handshake {
+	n.hsRec = handshake{id: n.nextHsID(), gts: g, deallocate: deallocate}
+	n.hs = &n.hsRec
+	return n.hs
+}
+
+// command takes a pooled frame and fills in a broadcast or unicast GTS
+// command from this node.
+func (n *Node) command(kind frame.Kind, dst frame.NodeID, mpdu int, cmd frame.Command) *frame.Frame {
+	f := n.cfg.FramePool.Get()
+	f.Kind = kind
+	f.Src = n.cfg.ID
+	f.Dst = dst
+	f.Origin = n.cfg.ID
+	f.Sink = dst
+	f.Seq = n.nextSeq()
+	f.MPDUBytes = mpdu
+	f.Cmd = cmd
+	return f
+}
+
+// enqueueCommand hands a command frame to the CAP MAC, returning it to the
+// pool when the transmit queue rejects it.
+func (n *Node) enqueueCommand(f *frame.Frame) bool {
+	if n.cap.Enqueue(f) {
+		return true
+	}
+	n.cfg.FramePool.Put(f)
+	return false
+}
+
 func (n *Node) sendRequest(hs *handshake) {
-	req := &frame.Frame{
-		Kind:      frame.GTSRequest,
-		Src:       n.cfg.ID,
-		Dst:       n.cfg.Parent,
-		Origin:    n.cfg.ID,
-		Sink:      n.cfg.Parent,
-		Seq:       n.nextSeq(),
-		MPDUBytes: RequestMPDU,
-		Payload:   Request{ID: hs.id, GTS: hs.gts, Deallocate: hs.deallocate},
-	}
+	hs.req = n.command(frame.GTSRequest, n.cfg.Parent, RequestMPDU,
+		frame.Command{ID: hs.id, GTS: hs.gts, Deallocate: hs.deallocate})
 	n.cfg.Metrics.noteRequestSent()
-	req.Done = func(acked bool) {
-		if n.hs != hs {
-			return
-		}
-		if !acked {
-			n.requesterFail(hs)
-			return
-		}
-		n.cfg.Metrics.noteRequestAcked()
-		// The request arrived; wait for the broadcast response.
-		hs.timer = n.cfg.Kernel.Schedule(n.cfg.ResponseTimeout, func() {
-			if n.hs == hs {
-				n.requesterFail(hs)
-			}
-		})
-	}
-	if !n.cap.Enqueue(req) {
-		req.Done = nil
+	if !n.enqueueCommand(hs.req) {
+		hs.req = nil
 		n.requesterFail(hs)
 	}
+}
+
+// capFrameFinished is the OnFrameFinished hook RunScenario installs into
+// the node's CAP engine. Only the running handshake's request matters:
+// acknowledged, the node waits for the broadcast response; dropped, the
+// handshake fails.
+func (n *Node) capFrameFinished(f *frame.Frame, acked bool) {
+	hs := n.hs
+	if hs == nil || hs.req != f {
+		return
+	}
+	hs.req = nil
+	if !acked {
+		n.requesterFail(hs)
+		return
+	}
+	n.cfg.Metrics.noteRequestAcked()
+	hs.timer = n.cfg.Kernel.AtCall(n.cfg.Kernel.Now()+n.cfg.ResponseTimeout, responseTimeout, n)
+}
+
+// responseTimeout and notifyTimeout are the static kernel callbacks of the
+// handshake deadlines. Every path that ends a handshake cancels its
+// deadline, so a deadline that fires still belongs to the running one.
+func responseTimeout(a any) {
+	if n := a.(*Node); n.hs != nil {
+		n.requesterFail(n.hs)
+	}
+}
+
+func notifyTimeout(a any) {
+	p := a.(*responderPending)
+	n := p.n
+	if n.pending[p.key] != p {
+		return // superseded by a later request under the same key
+	}
+	delete(n.pending, p.key)
+	if n.slots.State(p.gts) == SlotPending {
+		n.slots.Clear(p.gts)
+	}
+	n.pendFree = append(n.pendFree, p)
 }
 
 // requesterFail rolls the requester side back.
@@ -615,20 +680,20 @@ func (n *Node) requesterFail(hs *handshake) {
 // ---- Command handling (CAP side) -----------------------------------------
 
 func (n *Node) handleCommand(f *frame.Frame) {
-	switch p := f.Payload.(type) {
-	case Request:
+	switch f.Kind {
+	case frame.GTSRequest:
 		if f.Dst == n.cfg.ID {
-			n.handleRequest(f.Src, p)
+			n.handleRequest(f.Src, f.Cmd)
 		}
-	case Response:
-		n.handleResponse(p)
-	case Notify:
-		n.handleNotify(p)
+	case frame.GTSResponse:
+		n.handleResponse(f.Cmd)
+	case frame.GTSNotify:
+		n.handleNotify(f.Cmd)
 	}
 }
 
 // handleRequest is the responder side of the handshake.
-func (n *Node) handleRequest(from frame.NodeID, req Request) {
+func (n *Node) handleRequest(from frame.NodeID, req frame.Command) {
 	approved := true
 	if req.Deallocate {
 		if n.slots.State(req.GTS) == SlotRX && n.slots.Peer(req.GTS) == from {
@@ -640,40 +705,35 @@ func (n *Node) handleRequest(from frame.NodeID, req Request) {
 			approved = false
 		} else {
 			n.slots.Set(req.GTS, SlotPending, from)
-			key := hsKey{requester: from, id: req.ID}
-			pend := &responderPending{gts: req.GTS, requester: from}
-			pend.timer = n.cfg.Kernel.Schedule(n.cfg.NotifyTimeout, func() {
-				if n.pending[key] == pend {
-					delete(n.pending, key)
-					if n.slots.State(req.GTS) == SlotPending {
-						n.slots.Clear(req.GTS)
-					}
-				}
-			})
-			n.pending[key] = pend
+			pend := n.newPending()
+			pend.key = hsKey{requester: from, id: req.ID}
+			pend.gts = req.GTS
+			pend.timer = n.cfg.Kernel.AtCall(n.cfg.Kernel.Now()+n.cfg.NotifyTimeout, notifyTimeout, pend)
+			n.pending[pend.key] = pend
 		}
 	}
-	resp := &frame.Frame{
-		Kind:      frame.GTSResponse,
-		Src:       n.cfg.ID,
-		Dst:       frame.Broadcast,
-		Origin:    n.cfg.ID,
-		Sink:      frame.Broadcast,
-		Seq:       n.nextSeq(),
-		MPDUBytes: ResponseMPDU,
-		Payload: Response{
-			ID: req.ID, GTS: req.GTS,
-			Requester: from, Responder: n.cfg.ID,
-			Approved: approved, Deallocate: req.Deallocate,
-		},
-	}
+	resp := n.command(frame.GTSResponse, frame.Broadcast, ResponseMPDU, frame.Command{
+		ID: req.ID, GTS: req.GTS,
+		Requester: from, Responder: n.cfg.ID,
+		Approved: approved, Deallocate: req.Deallocate,
+	})
 	n.cfg.Metrics.noteBroadcastSent()
-	n.cap.Enqueue(resp)
+	n.enqueueCommand(resp)
+}
+
+// newPending takes a responder record from the free list, or allocates one.
+func (n *Node) newPending() *responderPending {
+	if k := len(n.pendFree); k > 0 {
+		p := n.pendFree[k-1]
+		n.pendFree = n.pendFree[:k-1]
+		return p
+	}
+	return &responderPending{n: n}
 }
 
 // handleResponse serves both the requester (continue the handshake) and
 // overhearing neighbours (update the slot map, detect duplicates).
-func (n *Node) handleResponse(resp Response) {
+func (n *Node) handleResponse(resp frame.Command) {
 	if resp.Requester == n.cfg.ID {
 		hs := n.hs
 		if hs == nil || hs.id != resp.ID {
@@ -686,7 +746,10 @@ func (n *Node) handleResponse(resp Response) {
 			n.slots.Set(hs.gts, SlotNeighbor, -1)
 			n.stats.AllocFailed++
 			n.hs = nil
-			n.sendNotifyAbort(hs, resp.Responder)
+			// Close the disapproved handshake so the responder's
+			// neighbourhood releases the tentatively marked slot: a
+			// deallocate-notify for the same id.
+			n.sendNotify(hs.id, hs.gts, true, resp.Responder)
 			return
 		}
 		if hs.deallocate {
@@ -699,41 +762,24 @@ func (n *Node) handleResponse(resp Response) {
 			n.stats.AllocCompleted++
 		}
 		n.hs = nil
-		n.sendNotify(hs, resp.Responder)
+		n.sendNotify(hs.id, hs.gts, hs.deallocate, resp.Responder)
 		return
 	}
 	n.observeForeign(resp.GTS, resp.Approved && !resp.Deallocate, resp.Deallocate)
 }
 
-func (n *Node) sendNotify(hs *handshake, responder frame.NodeID) {
-	nf := &frame.Frame{
-		Kind:      frame.GTSNotify,
-		Src:       n.cfg.ID,
-		Dst:       frame.Broadcast,
-		Origin:    n.cfg.ID,
-		Sink:      frame.Broadcast,
-		Seq:       n.nextSeq(),
-		MPDUBytes: NotifyMPDU,
-		Payload: Notify{
-			ID: hs.id, GTS: hs.gts,
-			Requester: n.cfg.ID, Responder: responder,
-			Deallocate: hs.deallocate,
-		},
-	}
+func (n *Node) sendNotify(id uint32, g superframe.GTS, deallocate bool, responder frame.NodeID) {
+	nf := n.command(frame.GTSNotify, frame.Broadcast, NotifyMPDU, frame.Command{
+		ID: id, GTS: g,
+		Requester: n.cfg.ID, Responder: responder,
+		Deallocate: deallocate,
+	})
 	n.cfg.Metrics.noteBroadcastSent()
-	n.cap.Enqueue(nf)
-}
-
-// sendNotifyAbort closes a disapproved handshake so the responder's
-// neighbourhood releases the tentatively marked slot. Modelled as a
-// deallocate-notify for the same id.
-func (n *Node) sendNotifyAbort(hs *handshake, responder frame.NodeID) {
-	abort := &handshake{id: hs.id, gts: hs.gts, deallocate: true}
-	n.sendNotify(abort, responder)
+	n.enqueueCommand(nf)
 }
 
 // handleNotify finalizes the responder side and updates overhearers.
-func (n *Node) handleNotify(nf Notify) {
+func (n *Node) handleNotify(nf frame.Command) {
 	if nf.Responder == n.cfg.ID {
 		key := hsKey{requester: nf.Requester, id: nf.ID}
 		pend := n.pending[key]
@@ -745,9 +791,10 @@ func (n *Node) handleNotify(nf Notify) {
 					n.slots.Clear(pend.gts)
 				}
 			} else if n.slots.State(pend.gts) == SlotPending {
-				n.slots.Set(pend.gts, SlotRX, pend.requester)
+				n.slots.Set(pend.gts, SlotRX, key.requester)
 				n.armSlot(pend.gts)
 			}
+			n.pendFree = append(n.pendFree, pend)
 		}
 		return
 	}

@@ -162,14 +162,15 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 			FramePool:  sub.Pool,
 		})
 		engines[i] = proto.New(mac.Config{
-			ID:         id,
-			Kernel:     kernel,
-			Medium:     sub.Medium,
-			Clock:      sub.Clock,
-			OnCommand:  node.CommandHook(),
-			FramePool:  sub.Pool,
-			Scratch:    sub.Scratch,
-			BarringRng: sub.BarringRng(id),
+			ID:              id,
+			Kernel:          kernel,
+			Medium:          sub.Medium,
+			Clock:           sub.Clock,
+			OnCommand:       node.CommandHook(),
+			OnFrameFinished: node.capFrameFinished,
+			FramePool:       sub.Pool,
+			Scratch:         sub.Scratch,
+			BarringRng:      sub.BarringRng(id),
 		}, macOpts, sim.NewRandStream(cfg.Seed, uint64(i)))
 		node.AttachCAP(engines[i])
 		nodes[i] = node
@@ -191,6 +192,7 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 			Origin:  frame.NodeID(i),
 			Period:  cfg.BroadcastPeriod,
 			StartAt: 2 * sim.Second,
+			Pool:    sub.Pool,
 			OnGenerate: func(f *frame.Frame) {
 				metrics.noteBroadcastSent()
 			},
@@ -215,6 +217,7 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 			Phases:   cfg.Phases,
 			StartAt:  cfg.TrafficStart,
 			Tag:      frame.TagEval,
+			Pool:     sub.Pool,
 		}
 		src.Start()
 	}

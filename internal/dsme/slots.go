@@ -192,50 +192,6 @@ func (m *SlotMap) PickFree(n int) (superframe.GTS, bool) {
 	return superframe.GTS{}, false
 }
 
-// Handshake payloads carried inside GTS command frames. They model the
-// content of the 802.15.4 DSME-GTS request/response/notify commands at the
-// granularity the evaluation needs.
-
-// Request asks the receiver to allocate (or deallocate) a specific GTS with
-// the sender as transmitter.
-type Request struct {
-	// ID pairs the handshake's three messages.
-	ID uint32
-	// GTS is the coordinate under negotiation.
-	GTS superframe.GTS
-	// Deallocate inverts the handshake's meaning.
-	Deallocate bool
-}
-
-// Response is broadcast by the responder so its whole neighbourhood learns
-// about the (de)allocation.
-type Response struct {
-	// ID pairs the handshake's three messages.
-	ID uint32
-	// GTS is the coordinate under negotiation.
-	GTS superframe.GTS
-	// Requester and Responder identify the pair.
-	Requester, Responder frame.NodeID
-	// Approved is false when the responder's map already shows the slot as
-	// taken (duplicate allocation).
-	Approved bool
-	// Deallocate inverts the handshake's meaning.
-	Deallocate bool
-}
-
-// Notify is broadcast by the requester to close the handshake and inform its
-// neighbourhood.
-type Notify struct {
-	// ID pairs the handshake's three messages.
-	ID uint32
-	// GTS is the coordinate under negotiation.
-	GTS superframe.GTS
-	// Requester and Responder identify the pair.
-	Requester, Responder frame.NodeID
-	// Deallocate inverts the handshake's meaning.
-	Deallocate bool
-}
-
 // Command frame MPDU lengths (header + DSME-GTS management content).
 const (
 	// RequestMPDU is the GTS-request length in bytes.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"qma/internal/sim"
+	"qma/internal/superframe"
 )
 
 // NodeID identifies a network node. IDs are dense small integers assigned by
@@ -95,6 +96,8 @@ func AirTime(mpduBytes int) sim.Time {
 
 // Frame is one MAC frame in flight or in a queue. Frames are created once by
 // the origin and passed by pointer; retransmissions reuse the same Frame.
+// The one-byte fields sit together so that a frame, command included, fits
+// an 80-byte allocation.
 type Frame struct {
 	Kind Kind
 	// Src and Dst are the hop source and destination (Dst == Broadcast for
@@ -105,29 +108,42 @@ type Frame struct {
 	// Seq is the origin-scoped sequence number (for duplicate detection and
 	// PDR accounting).
 	Seq uint32
-	// MPDUBytes is the MAC frame length; determines air time.
-	MPDUBytes int
 	// QueueLevel piggybacks the sender's queue occupancy (§4.2).
 	QueueLevel uint8
 	// Channel is the radio channel the frame is transmitted on (0 is the
 	// common CAP channel; GTS traffic uses the slot's channel offset).
 	Channel uint8
-	// CreatedAt is the generation instant of the payload (for end-to-end
-	// delay measurement); preserved across hops.
-	CreatedAt sim.Time
 	// Retries is MAC scratch state: how many retransmissions this frame has
 	// already used on the current hop.
 	Retries uint8
 	// Tag classifies the frame for accounting (evaluation traffic vs
 	// management traffic); it does not affect MAC behaviour.
 	Tag Tag
-	// Done, when non-nil, is invoked exactly once when the MAC finishes with
-	// the frame: true after an acknowledged unicast or a sent broadcast,
-	// false when the frame is dropped (retries or channel access exhausted).
-	// The DSME layer uses it to drive handshake timers.
-	Done func(success bool)
-	// Payload carries protocol-specific content (e.g. dsme handshake info).
-	Payload any
+	// MPDUBytes is the MAC frame length; determines air time.
+	MPDUBytes int
+	// CreatedAt is the generation instant of the payload (for end-to-end
+	// delay measurement); preserved across hops.
+	CreatedAt sim.Time
+	// Cmd is the content of a GTS command frame (GTSRequest, GTSResponse,
+	// GTSNotify); zero for every other kind.
+	Cmd Command
+}
+
+// Command is the DSME-GTS management content of a GTS command frame, at the
+// granularity the evaluation needs. The frame holds it by value, so a
+// command frame carries its content without an allocation of its own.
+type Command struct {
+	// ID pairs the handshake's three messages.
+	ID uint32
+	// GTS is the coordinate under negotiation.
+	GTS superframe.GTS
+	// Requester and Responder identify the pair (responses and notifies).
+	Requester, Responder NodeID
+	// Approved is false when the responder's map already shows the slot as
+	// taken (responses only).
+	Approved bool
+	// Deallocate inverts the handshake's meaning.
+	Deallocate bool
 }
 
 // Tag classifies traffic for statistics purposes.

@@ -3,6 +3,7 @@ package frame
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"qma/internal/sim"
 )
@@ -202,5 +203,13 @@ func TestQueueFIFOProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFrameSizeClass pins a frame, command included, to the runtime's
+// 80-byte allocation size class; the next class is 96 bytes.
+func TestFrameSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Frame{}); size > 80 {
+		t.Errorf("Frame is %d bytes, want at most 80", size)
 	}
 }

@@ -47,6 +47,12 @@ type Engine interface {
 	// transaction flags — on top of Base.Reboot, then re-enters the
 	// engine's startup behaviour.
 	Reboot()
+	// TxDone reports the outcome of one transmission the engine started with
+	// Base.SendFrame or Base.SendFrameAt: true after an acknowledged unicast
+	// or a sent broadcast, false after an ACK timeout. ctx is the word the
+	// engine passed to SendFrameAt, frozen per transmission. The Base calls
+	// it exactly once per transmission, unless a Reboot cancels it first.
+	TxDone(f *frame.Frame, ctx uint32, success bool)
 }
 
 // Stats aggregates the per-node MAC counters the evaluation reports.
@@ -167,6 +173,13 @@ type Config struct {
 	// node (after duplicate rejection). The dsme package installs it. May be
 	// nil.
 	OnCommand func(f *frame.Frame)
+	// OnFrameFinished is invoked exactly once for every frame that
+	// permanently leaves the transmit queue, before the frame returns to the
+	// pool: true after an acknowledged unicast or a sent broadcast, false
+	// when the frame is dropped (retries or channel access exhausted,
+	// evicted, or flushed by a reboot). The dsme package installs it to
+	// drive its handshake timers. May be nil.
+	OnFrameFinished func(f *frame.Frame, success bool)
 	// OnOverhear is invoked for every decoded frame regardless of
 	// destination, before any other processing. The QMA engine installs it
 	// to drive the QBackoff reward (Eq. 6). May be nil.
@@ -235,19 +248,32 @@ type Base struct {
 	// its radio neighbourhood.
 	neighbors []neighborLevel
 
+	// owner is the engine that embeds this Base; it receives every
+	// transmission outcome (Engine.TxDone).
+	owner Engine
+
 	// The pending ACK wait, inlined: a node has at most one unicast in
 	// flight, so the state lives directly in the Base instead of a
-	// per-transmission allocation. waiting guards the other four fields.
-	waiting   bool
-	waitFrom  frame.NodeID
-	waitSeq   uint32
+	// per-transmission allocation. waiting guards the other three fields.
+	// (Here and below the small fields sit together, so the engine block
+	// that embeds the Base stays within its allocation size class.)
+	waitFrame *frame.Frame
 	waitTimer sim.EventID
-	waitCb    func(success bool)
+	waitCtx   uint32
+	waiting   bool
 
-	// txDone is the pending broadcast-completion event. A node transmits at
-	// most one frame at a time, so a single handle suffices; Reboot cancels
-	// it so a stale completion cannot fire into a flushed queue.
-	txDone sim.EventID
+	// The pending broadcast completions, a two-slot FIFO whose oldest
+	// entry is bcastHead; a slot is pending while its frame is non-nil. A
+	// completion fires at the broadcast's end, and a boundary tick at that
+	// very instant may start the node's next transmission first, so two
+	// can be pending at once but never three, and they fire in the order
+	// the broadcasts started. Each slot freezes its frame and the engine's
+	// context word. Reboot cancels both so a stale completion cannot fire
+	// into a flushed queue.
+	bcastHead  uint8
+	bcastCtx   [2]uint32
+	bcastFrame [2]*frame.Frame
+	bcastEv    [2]sim.EventID
 
 	// ackEvents are the scheduled-but-not-yet-transmitted immediate ACKs,
 	// tracked so Reboot can cancel them. Pruned lazily on every sendAck, the
@@ -291,19 +317,18 @@ type Base struct {
 
 	// ackStartFn/ackDoneFn are long-lived callbacks for the immediate-ACK
 	// path, scheduled via Kernel.AtCall so acknowledging costs no closure
-	// allocations. ackTimeoutFn plays the same role for the unicast ACK-wait
-	// deadline.
-	ackStartFn   func(any)
-	ackDoneFn    func(any)
-	ackTimeoutFn func(any)
+	// allocations.
+	ackStartFn func(any)
+	ackDoneFn  func(any)
 }
 
 // Init validates cfg and initialises b in place. Engines embed Base by
-// value and call Init once from their constructor, so a node's MAC state
-// shares one allocation with the engine that drives it.
-func (b *Base) Init(cfg Config) {
-	if cfg.Kernel == nil || cfg.Medium == nil || cfg.Clock == nil {
-		panic("mac: Kernel, Medium and Clock are required")
+// value and call Init once from their constructor, passing themselves as
+// owner: a node's MAC state shares one allocation with the engine that
+// drives it, and the owner receives every transmission outcome.
+func (b *Base) Init(cfg Config, owner Engine) {
+	if cfg.Kernel == nil || cfg.Medium == nil || cfg.Clock == nil || owner == nil {
+		panic("mac: Kernel, Medium, Clock and owner are required")
 	}
 	if cfg.MaxRetries < 0 {
 		cfg.MaxRetries = DefaultMaxRetries
@@ -321,11 +346,11 @@ func (b *Base) Init(cfg Config) {
 	*b = Base{
 		cfg:   cfg,
 		queue: *frame.NewQueueOn(qcap, cfg.Scratch.Frames(qcap+1)),
+		owner: owner,
 		barP:  1,
 	}
 	b.ackStartFn = func(a any) { b.transmitAck(a.(*frame.Frame)) }
 	b.ackDoneFn = func(a any) { b.cfg.FramePool.Put(a.(*frame.Frame)) }
-	b.ackTimeoutFn = func(a any) { a.(*Base).ackTimeout() }
 }
 
 // ID reports the node address.
@@ -460,33 +485,36 @@ func (b *Base) Desynced() bool { return b.desyncUntil > b.cfg.Kernel.Now() }
 
 // Reboot wipes the Base's volatile state as a power cycle would: the
 // transmit queue, the pending ACK wait, scheduled immediate ACKs, the
-// pending broadcast completion, the neighbour table and the
-// duplicate-rejection history. Cancelled outcome callbacks are never
-// invoked — every Engine.Reboot calls this and resets the engine's own
-// transaction state in the same instant. busyUntil is intentionally
+// pending broadcast completions, the neighbour table and the
+// duplicate-rejection history. The cancelled outcomes never reach
+// Engine.TxDone — every Engine.Reboot calls this and resets the engine's
+// own transaction state in the same instant. busyUntil is intentionally
 // preserved: the PHY finishes an in-air symbol regardless of what the MCU
 // does. Flushed frames are not returned to the frame pool, because the
-// medium or a cancelled closure may still reference them; they leak to the
-// garbage collector, which is the price of a mid-transaction power cycle,
-// not a steady-state cost.
+// medium may still be delivering one of them; they leak to the garbage
+// collector, which is the price of a mid-transaction power cycle, not a
+// steady-state cost.
 func (b *Base) Reboot() {
 	if b.waiting {
 		b.waitTimer.Cancel()
 		b.waiting = false
-		b.waitCb = nil
+		b.waitFrame = nil
 	}
-	b.txDone.Cancel()
-	b.txDone = sim.EventID{}
+	for i := range b.bcastEv {
+		b.bcastEv[i].Cancel()
+	}
+	b.bcastFrame, b.bcastEv, b.bcastHead = [2]*frame.Frame{}, [2]sim.EventID{}, 0
 	for _, ev := range b.ackEvents {
 		ev.Cancel()
 	}
 	b.ackEvents = b.ackEvents[:0]
 	b.noteQueueChange()
-	// Drain by count: a Done callback may legitimately enqueue a fresh
-	// frame (e.g. a retried handshake), which the post-reboot node keeps.
+	// Drain by count: the OnFrameFinished hook may legitimately enqueue a
+	// fresh frame (e.g. a retried handshake), which the post-reboot node
+	// keeps.
 	for n := b.queue.Len(); n > 0; n-- {
 		f := b.queue.Pop()
-		b.signalDone(f, false)
+		b.frameFinished(f, false)
 	}
 	b.neighbors = b.neighbors[:0]
 	clear(b.lastSeq)
@@ -523,7 +551,7 @@ func (b *Base) Enqueue(f *frame.Frame) bool {
 // makeRoom applies the DropOldest/DeadlineDrop eviction to a full queue.
 // Index 0 — the in-service head an engine may be transmitting right now — is
 // never evicted, so a queue of capacity 1 degrades to tail-drop. Evicted
-// frames leave the MAC permanently: their Done callback fires with failure
+// frames leave the MAC permanently: the OnFrameFinished hook sees them fail
 // and they return to the frame pool exactly once, like any other drop.
 func (b *Base) makeRoom() {
 	switch b.cfg.Drop {
@@ -546,7 +574,7 @@ func (b *Base) makeRoom() {
 
 func (b *Base) evict(i int) {
 	f := b.queue.RemoveAt(i)
-	b.signalDone(f, false)
+	b.frameFinished(f, false)
 	b.cfg.FramePool.Put(f)
 }
 
@@ -604,22 +632,24 @@ func (b *Base) AvgNeighborQueue() float64 {
 }
 
 // SendFrame transmits f now at the reference (maximum) power and reports
-// the outcome through cb exactly once: immediately after the transmission
-// for broadcasts (optimistic, no ACK exists — DESIGN.md §6 deviation 1), or
-// after the ACK / ACK timeout for unicasts. It returns the instant the node
-// becomes idle again. The caller must ensure the node is not busy and the
-// transaction fits in the CAP.
-func (b *Base) SendFrame(f *frame.Frame, cb func(success bool)) sim.Time {
-	return b.SendFrameAt(f, 0, cb)
+// the outcome to the owner's Engine.TxDone exactly once: immediately after
+// the transmission for broadcasts (optimistic, no ACK exists — DESIGN.md §6
+// deviation 1), or after the ACK / ACK timeout for unicasts. It returns the
+// instant the node becomes idle again. The caller must ensure the node is
+// not busy and the transaction fits in the CAP.
+func (b *Base) SendFrame(f *frame.Frame) sim.Time {
+	return b.SendFrameAt(f, 0, 0)
 }
 
-// SendFrameAt is SendFrame with an explicit transmit power: reduceDB is the
-// power reduction below the topology's reference power in dB (0 = reference
-// power, the SendFrame default). A power-level engine (core.Engine with
-// Config.Levels > 1, the noma protocol) picks the level per transmission;
-// the returning ACK is always sent at reference power by the receiver's own
-// Base.
-func (b *Base) SendFrameAt(f *frame.Frame, reduceDB float64, cb func(success bool)) sim.Time {
+// SendFrameAt is SendFrame with an explicit transmit power and context
+// word. reduceDB is the power reduction below the topology's reference
+// power in dB (0 = reference power, the SendFrame default): a power-level
+// engine (core.Engine with Config.Levels > 1, the noma protocol) picks the
+// level per transmission, and the returning ACK is always sent at reference
+// power by the receiver's own Base. ctx is handed back unchanged with the
+// outcome, so an engine whose next transmission may start before the
+// previous outcome fires keeps that outcome's context without allocating.
+func (b *Base) SendFrameAt(f *frame.Frame, reduceDB float64, ctx uint32) sim.Time {
 	if b.waiting {
 		panic(fmt.Sprintf("mac: node %d sends while awaiting an ACK", b.cfg.ID))
 	}
@@ -642,32 +672,52 @@ func (b *Base) SendFrameAt(f *frame.Frame, reduceDB float64, cb func(success boo
 	}
 	if f.IsBroadcast() {
 		b.ExtendBusy(txEnd)
-		// Broadcast completions keep a per-call closure: a node may start its
-		// next transmission at the very instant a broadcast ends (the tick
-		// fires first at that boundary), so the callback context must be
-		// frozen per transmission. Broadcasts are rare (beacons, GTS control)
-		// — the allocation is off the hot path.
-		b.txDone = b.cfg.Kernel.At(txEnd, func() {
-			b.stats.TxSuccess++
-			cb(true)
-		})
+		i := b.bcastHead
+		if b.bcastFrame[i] != nil {
+			i ^= 1
+			if b.bcastFrame[i] != nil {
+				panic(fmt.Sprintf("mac: node %d starts a third overlapping broadcast", b.cfg.ID))
+			}
+		}
+		b.bcastFrame[i], b.bcastCtx[i] = f, ctx
+		b.bcastEv[i] = b.cfg.Kernel.AtCall(txEnd, broadcastDone, b)
 		return txEnd
 	}
 	deadline := txEnd + frame.AckWait
 	b.ExtendBusy(deadline)
 	b.waiting = true
-	b.waitFrom, b.waitSeq, b.waitCb = f.Dst, f.Seq, cb
-	b.waitTimer = b.cfg.Kernel.AtCall(deadline, b.ackTimeoutFn, b)
+	b.waitFrame, b.waitCtx = f, ctx
+	b.waitTimer = b.cfg.Kernel.AtCall(deadline, ackTimeout, b)
 	return deadline
 }
 
-// ackTimeout fires when a unicast's ACK-wait deadline passes unanswered.
-func (b *Base) ackTimeout() {
-	cb := b.waitCb
+// broadcastDone and ackTimeout are the static kernel callbacks of the
+// transmission outcomes.
+func broadcastDone(a any) { a.(*Base).broadcastDone() }
+func ackTimeout(a any)    { a.(*Base).endWait(false) }
+
+// broadcastDone reports the oldest pending broadcast to the owner.
+func (b *Base) broadcastDone() {
+	i := b.bcastHead
+	f := b.bcastFrame[i]
+	b.bcastFrame[i] = nil
+	b.bcastHead ^= 1
+	b.stats.TxSuccess++
+	b.owner.TxDone(f, b.bcastCtx[i], true)
+}
+
+// endWait closes the pending ACK wait — acknowledged, or timed out — and
+// reports the outcome to the owner.
+func (b *Base) endWait(success bool) {
+	f := b.waitFrame
 	b.waiting = false
-	b.waitCb = nil
-	b.stats.TxFail++
-	cb(false)
+	b.waitFrame = nil
+	if success {
+		b.stats.TxSuccess++
+	} else {
+		b.stats.TxFail++
+	}
+	b.owner.TxDone(f, b.waitCtx, success)
 }
 
 // FinishFrame applies the retry policy after a unicast data outcome: on
@@ -681,7 +731,7 @@ func (b *Base) FinishFrame(f *frame.Frame, success bool) (done bool) {
 	if success {
 		b.noteQueueChange()
 		b.queue.Pop()
-		b.signalDone(f, true)
+		b.frameFinished(f, true)
 		b.cfg.FramePool.Put(f)
 		return true
 	}
@@ -690,18 +740,16 @@ func (b *Base) FinishFrame(f *frame.Frame, success bool) (done bool) {
 		b.noteQueueChange()
 		b.queue.Pop()
 		b.stats.RetryDrops++
-		b.signalDone(f, false)
+		b.frameFinished(f, false)
 		b.cfg.FramePool.Put(f)
 		return true
 	}
 	return false
 }
 
-func (b *Base) signalDone(f *frame.Frame, success bool) {
-	if f.Done != nil {
-		cb := f.Done
-		f.Done = nil
-		cb(success)
+func (b *Base) frameFinished(f *frame.Frame, success bool) {
+	if b.cfg.OnFrameFinished != nil {
+		b.cfg.OnFrameFinished(f, success)
 	}
 }
 
@@ -714,7 +762,7 @@ func (b *Base) DropCSMAFailure(f *frame.Frame) {
 	b.noteQueueChange()
 	b.queue.Pop()
 	b.stats.CSMAFails++
-	b.signalDone(f, false)
+	b.frameFinished(f, false)
 	b.cfg.FramePool.Put(f)
 }
 
@@ -768,15 +816,11 @@ func (b *Base) noteNeighbor(id frame.NodeID, level uint8, now sim.Time) {
 }
 
 func (b *Base) handleAck(f *frame.Frame) {
-	if !b.waiting || b.waitFrom != f.Src || b.waitSeq != f.Seq {
+	if !b.waiting || b.waitFrame.Dst != f.Src || b.waitFrame.Seq != f.Seq {
 		return
 	}
-	cb := b.waitCb
-	b.waiting = false
-	b.waitCb = nil
 	b.waitTimer.Cancel()
-	b.stats.TxSuccess++
-	cb(true)
+	b.endWait(true)
 }
 
 func (b *Base) handleUnicast(f *frame.Frame) {

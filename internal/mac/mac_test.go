@@ -10,11 +10,19 @@ import (
 )
 
 // rig wires two Bases over a 2-node link (plus an optional third hidden
-// node) for direct MAC-layer tests.
+// node) for direct MAC-layer tests. Each Base is owned by a nullEngine that
+// hands the transmission outcomes to the test.
 type rig struct {
-	k     *sim.Kernel
-	m     *radio.Medium
-	bases []*Base
+	k       *sim.Kernel
+	m       *radio.Medium
+	engines []*nullEngine
+	bases   []*Base
+}
+
+// send transmits f from node i and routes its outcome to done.
+func (r *rig) send(i int, f *frame.Frame, done func(success bool)) {
+	r.engines[i].onTx = func(_ *frame.Frame, _ uint32, success bool) { done(success) }
+	r.bases[i].SendFrame(f)
 }
 
 func newRig(t *testing.T, n int, cfgs []Config) *rig {
@@ -34,8 +42,9 @@ func newRig(t *testing.T, n int, cfgs []Config) *rig {
 			c.ID, c.Kernel, c.Medium, c.Clock, c.MaxRetries = frame.NodeID(i), k, m, clock, -1
 			cfg = c
 		}
-		b := new(Base)
-		b.Init(cfg)
+		e := newNullEngine(cfg)
+		b := &e.base
+		r.engines = append(r.engines, e)
 		r.bases = append(r.bases, b)
 		m.Attach(frame.NodeID(i), b)
 	}
@@ -51,7 +60,7 @@ func TestUnicastIsAcknowledged(t *testing.T) {
 	f := testData(0, 1, 1)
 	var outcome *bool
 	r.bases[0].Enqueue(f)
-	r.bases[0].SendFrame(f, func(ok bool) { outcome = &ok })
+	r.send(0, f, func(ok bool) { outcome = &ok })
 	r.k.RunAll()
 	if outcome == nil || !*outcome {
 		t.Fatalf("unicast outcome = %v, want success", outcome)
@@ -71,7 +80,7 @@ func TestUnicastWithoutReceiverTimesOut(t *testing.T) {
 	var outcome *bool
 	r.bases[0].Enqueue(f)
 	at := r.k.Now()
-	r.bases[0].SendFrame(f, func(ok bool) { outcome = &ok })
+	r.send(0, f, func(ok bool) { outcome = &ok })
 	r.k.RunAll()
 	if outcome == nil || *outcome {
 		t.Fatalf("outcome = %v, want failure", outcome)
@@ -87,13 +96,45 @@ func TestBroadcastSucceedsWithoutAck(t *testing.T) {
 	f := &frame.Frame{Kind: frame.RouteDiscovery, Src: 0, Dst: frame.Broadcast, Origin: 0, Sink: frame.Broadcast, Seq: 1, MPDUBytes: 30}
 	var outcome *bool
 	r.bases[0].Enqueue(f)
-	r.bases[0].SendFrame(f, func(ok bool) { outcome = &ok })
+	r.send(0, f, func(ok bool) { outcome = &ok })
 	r.k.RunAll()
 	if outcome == nil || !*outcome {
 		t.Fatalf("broadcast outcome = %v, want optimistic success", outcome)
 	}
 	if r.bases[1].Stats().AcksSent != 0 {
 		t.Error("broadcast was acknowledged")
+	}
+}
+
+// TestBroadcastOutcomesKeepTheirContext starts a second broadcast at the
+// very instant the first one ends, before the first one's completion
+// fires (the boundary-tick case core.Engine.startTX describes). Each
+// outcome must reach TxDone with its own frame and context word, in the
+// order the broadcasts started.
+func TestBroadcastOutcomesKeepTheirContext(t *testing.T) {
+	r := newRig(t, 2, nil)
+	bcast := func(seq uint32) *frame.Frame {
+		return &frame.Frame{Kind: frame.RouteDiscovery, Src: 0, Dst: frame.Broadcast, Origin: 0, Sink: frame.Broadcast, Seq: seq, MPDUBytes: 30}
+	}
+	a, b := bcast(1), bcast(2)
+	type outcome struct {
+		f   *frame.Frame
+		ctx uint32
+		ok  bool
+	}
+	var got []outcome
+	r.engines[0].onTx = func(f *frame.Frame, ctx uint32, ok bool) { got = append(got, outcome{f, ctx, ok}) }
+	// Scheduled before a goes on the air, this event precedes a's
+	// completion at a's end.
+	r.k.At(a.Duration(), func() { r.bases[0].SendFrameAt(b, 0, 22) })
+	r.bases[0].SendFrameAt(a, 0, 11)
+	r.k.RunAll()
+	want := []outcome{{a, 11, true}, {b, 22, true}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("outcomes = %+v, want %+v", got, want)
+	}
+	if st := r.bases[0].Stats(); st.TxSuccess != 2 {
+		t.Errorf("TxSuccess = %d, want 2", st.TxSuccess)
 	}
 }
 
@@ -120,17 +161,16 @@ func TestFinishFrameRetryPolicy(t *testing.T) {
 }
 
 func TestDoneCallbackFiresOnce(t *testing.T) {
-	r := newRig(t, 2, nil)
+	calls, lastOK := 0, true
+	r := newRig(t, 2, []Config{{OnFrameFinished: func(_ *frame.Frame, ok bool) { calls++; lastOK = ok }}})
 	b := r.bases[0]
 	f := testData(0, 1, 1)
-	calls, lastOK := 0, true
-	f.Done = func(ok bool) { calls++; lastOK = ok }
 	b.Enqueue(f)
 	for i := 0; i < 4; i++ {
 		b.FinishFrame(f, false)
 	}
 	if calls != 1 || lastOK {
-		t.Errorf("Done fired %d times (ok=%v), want once with false", calls, lastOK)
+		t.Errorf("OnFrameFinished fired %d times (ok=%v), want once with false", calls, lastOK)
 	}
 }
 
@@ -196,7 +236,7 @@ func TestDuplicateRejectionUnderRetransmission(t *testing.T) {
 	outcomes := []bool{}
 	var send func()
 	send = func() {
-		sender.SendFrame(f, func(success bool) {
+		r.send(0, f, func(success bool) {
 			outcomes = append(outcomes, success)
 			if sender.FinishFrame(f, success) {
 				return
@@ -408,12 +448,16 @@ func TestForwardingFullQueueDropsOnce(t *testing.T) {
 func TestDropOldestEvictsBehindHead(t *testing.T) {
 	pool := &frame.Pool{}
 	pool.SetChecks(true)
-	r := newRig(t, 1, []Config{{FramePool: pool, QueueCap: 2, Drop: DropOldest}})
-	b := r.bases[0]
 	var doneOld *bool
 	f1, f2, f3 := testData(0, 0, 1), pool.Get(), testData(0, 0, 3)
 	*f2 = *testData(0, 0, 2)
-	f2.Done = func(ok bool) { doneOld = &ok }
+	r := newRig(t, 1, []Config{{FramePool: pool, QueueCap: 2, Drop: DropOldest,
+		OnFrameFinished: func(f *frame.Frame, ok bool) {
+			if f == f2 {
+				doneOld = &ok
+			}
+		}}})
+	b := r.bases[0]
 	b.Enqueue(f1)
 	b.Enqueue(f2)
 	if !b.Enqueue(f3) {
@@ -424,7 +468,7 @@ func TestDropOldestEvictsBehindHead(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 queue drop and 3 enqueued", st)
 	}
 	if doneOld == nil || *doneOld {
-		t.Errorf("evicted frame's Done = %v, want failure", doneOld)
+		t.Errorf("evicted frame's OnFrameFinished = %v, want failure", doneOld)
 	}
 	// The in-service head must never be evicted; the arrival sits behind it.
 	if h := b.Queue().Head(); h == nil || h.Seq != 1 {

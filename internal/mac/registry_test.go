@@ -9,15 +9,19 @@ import (
 	"qma/internal/sim"
 )
 
-// nullEngine is a minimal Engine for registry tests. The mac package itself
-// imports no protocol package (they import it), so the registry in this test
-// binary contains exactly what the tests register.
-type nullEngine struct{ base Base }
+// nullEngine is a minimal Engine for registry and Base tests. The mac
+// package itself imports no protocol package (they import it), so the
+// registry in this test binary contains exactly what the tests register.
+type nullEngine struct {
+	base Base
+	// onTx, when set, receives every transmission outcome.
+	onTx func(f *frame.Frame, ctx uint32, success bool)
+}
 
 // newNullEngine builds a nullEngine the way every engine embeds its Base.
 func newNullEngine(cfg Config) *nullEngine {
 	e := &nullEngine{}
-	e.base.Init(cfg)
+	e.base.Init(cfg, e)
 	return e
 }
 
@@ -25,6 +29,11 @@ func (e *nullEngine) Base() *Base            { return &e.base }
 func (e *nullEngine) Deliver(f *frame.Frame) { e.base.Deliver(f) }
 func (e *nullEngine) Start()                 {}
 func (e *nullEngine) Reboot()                { e.base.Reboot() }
+func (e *nullEngine) TxDone(f *frame.Frame, ctx uint32, success bool) {
+	if e.onTx != nil {
+		e.onTx(f, ctx, success)
+	}
+}
 func (e *nullEngine) Enqueue(f *frame.Frame) bool {
 	return e.base.Enqueue(f)
 }

@@ -716,21 +716,24 @@ func (r *run) armSampler() {
 			node.Rho = &stats.Series{}
 		}
 	}
-	var tick func()
-	tick = func() {
-		now := r.Kernel.Now().Seconds()
-		for i, e := range r.engines {
-			node := &r.result.Nodes[i]
-			node.QueueSeries.Add(now, float64(e.Base().Queue().Len()))
-			if q := r.qma[i]; q != nil {
-				node.CumQ.Add(now, q.CumulativePolicyQ())
-				rho, _ := q.TakeRhoSample()
-				node.Rho.Add(now, rho)
-			}
+	r.Kernel.AtCall(r.Kernel.Now()+r.cfg.SamplePeriod, runSample, r)
+}
+
+// runSample is the sampler's static kernel callback: it records one sample
+// per node and re-arms itself one SamplePeriod later.
+func runSample(a any) {
+	r := a.(*run)
+	now := r.Kernel.Now().Seconds()
+	for i, e := range r.engines {
+		node := &r.result.Nodes[i]
+		node.QueueSeries.Add(now, float64(e.Base().Queue().Len()))
+		if q := r.qma[i]; q != nil {
+			node.CumQ.Add(now, q.CumulativePolicyQ())
+			rho, _ := q.TakeRhoSample()
+			node.Rho.Add(now, rho)
 		}
-		r.Kernel.Schedule(r.cfg.SamplePeriod, tick)
 	}
-	r.Kernel.Schedule(r.cfg.SamplePeriod, tick)
+	r.Kernel.AtCall(r.Kernel.Now()+r.cfg.SamplePeriod, runSample, r)
 }
 
 // collect copies the end-of-run counters into the result. SummaryOnly runs

@@ -95,28 +95,45 @@ func (s *Substrate) ArmBarring(engines []mac.Engine) {
 		return
 	}
 	sfd := s.Clock.Config().SuperframeDuration()
-	interval, backoff := cmp.Or(cfg.Interval, sfd), cmp.Or(cfg.Backoff, sfd)
-	ctrl := barring.New(cfg)
-	var prev radio.NodeStats
-	var prevAir sim.Time
-	var tick func()
-	tick = func() {
-		cur := s.Medium.Stats(s.sink)
-		_, air := s.Medium.ChannelLoad()
-		obs := barring.Observation{
-			Delivered:    cur.RxDelivered - prev.RxDelivered,
-			Collided:     cur.RxCollided - prev.RxCollided,
-			Captured:     cur.RxCaptured - prev.RxCaptured,
-			BusyFraction: float64(air-prevAir) / float64(interval),
-		}
-		prev, prevAir = cur, air
-		p := ctrl.Update(obs)
-		for _, e := range engines {
-			e.Base().SetBarring(p, backoff)
-		}
-		s.Kernel.Schedule(interval, tick)
+	l := &barringLoop{
+		s:        s,
+		engines:  engines,
+		ctrl:     barring.New(cfg),
+		interval: cmp.Or(cfg.Interval, sfd),
+		backoff:  cmp.Or(cfg.Backoff, sfd),
 	}
-	s.Kernel.Schedule(interval, tick)
+	s.Kernel.AtCall(s.Kernel.Now()+l.interval, barringBeacon, l)
+}
+
+// barringLoop is the state of the sink-side barring loop between beacons.
+type barringLoop struct {
+	s                 *Substrate
+	engines           []mac.Engine
+	ctrl              barring.Controller
+	interval, backoff sim.Time
+	prev              radio.NodeStats
+	prevAir           sim.Time
+}
+
+// barringBeacon is the loop's static kernel callback: one beacon interval's
+// observation in, the new barring factor out to every engine, and the next
+// beacon armed.
+func barringBeacon(a any) {
+	l := a.(*barringLoop)
+	cur := l.s.Medium.Stats(l.s.sink)
+	_, air := l.s.Medium.ChannelLoad()
+	obs := barring.Observation{
+		Delivered:    cur.RxDelivered - l.prev.RxDelivered,
+		Collided:     cur.RxCollided - l.prev.RxCollided,
+		Captured:     cur.RxCaptured - l.prev.RxCaptured,
+		BusyFraction: float64(air-l.prevAir) / float64(l.interval),
+	}
+	l.prev, l.prevAir = cur, air
+	p := l.ctrl.Update(obs)
+	for _, e := range l.engines {
+		e.Base().SetBarring(p, l.backoff)
+	}
+	l.s.Kernel.AtCall(l.s.Kernel.Now()+l.interval, barringBeacon, l)
 }
 
 // armDynamics installs the burst-error process and schedules the churn,

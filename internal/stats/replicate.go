@@ -32,7 +32,8 @@ type RepError struct {
 	Cell int
 	// Seed is the replication seed (set by ReplicateGridWorker, like Cell).
 	Seed uint64
-	// Index is the flat job index the driver dispatched.
+	// Index is the flat job index: the dispatch index under the plain
+	// pools, cell·reps + seed under ReplicateGridWorker.
 	Index int
 	// Value is the recovered panic value.
 	Value any
@@ -144,19 +145,30 @@ func ForEachWorker(n, parallel int, job func(w, i int)) []*RepError {
 // Estimate per metric name per cell, merged in seed order, and must not
 // depend on the worker assignment.
 //
+// Cells are dispatched from the last one down, each in seed order. Sweeps
+// list their points from small to large, so the most expensive cells start
+// first and the cheap ones fill in behind them, instead of one large cell
+// starting last and running alone.
+//
 // A replication that panicked twice is excluded from its cell's merge (the
 // cell's Estimates simply average one fewer run) and reported in the error
 // slice with its exact cell and seed, so the sweep of every other point
-// completes and the crash stays reproducible single-threaded.
+// completes and the crash stays reproducible single-threaded. Index is then
+// the cell-major flat index cell·reps + seed.
 func ReplicateGridWorker(cells, reps, parallel int, fn func(w, cell int, seed uint64) map[string]float64) ([]map[string]Estimate, []*RepError) {
 	results := make([]map[string]float64, cells*reps)
-	errs := ForEachWorker(cells*reps, parallel, func(w, i int) {
+	// flat maps dispatch position j to the cell-major result index.
+	flat := func(j int) int { return (cells-1-j/reps)*reps + j%reps }
+	errs := ForEachWorker(cells*reps, parallel, func(w, j int) {
+		i := flat(j)
 		results[i] = fn(w, i/reps, uint64(i%reps))
 	})
 	for _, e := range errs {
+		e.Index = flat(e.Index)
 		e.Cell = e.Index / reps
 		e.Seed = uint64(e.Index % reps)
 	}
+	sort.Slice(errs, func(a, b int) bool { return errs[a].Index < errs[b].Index })
 	out := make([]map[string]Estimate, cells)
 	for c := 0; c < cells; c++ {
 		out[c] = mergeRuns(results[c*reps : (c+1)*reps])

@@ -90,6 +90,30 @@ func TestReplicateGridDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestReplicateGridDispatchesLargestCellsFirst pins the dispatch order on
+// one worker: sweeps list their points from small to large, so the grid
+// hands out the last cell first and works down, each cell's seeds in order.
+func TestReplicateGridDispatchesLargestCellsFirst(t *testing.T) {
+	var order [][2]int
+	est, errs := replicateGrid(3, 2, 1, func(cell int, seed uint64) map[string]float64 {
+		order = append(order, [2]int{cell, int(seed)})
+		return map[string]float64{"cell": float64(cell)}
+	})
+	if len(errs) != 0 {
+		t.Fatalf("unexpected replication errors: %v", errs)
+	}
+	want := [][2]int{{2, 0}, {2, 1}, {1, 0}, {1, 1}, {0, 0}, {0, 1}}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("dispatch order = %v, want %v", order, want)
+	}
+	// Results still land in their own cells.
+	for c, m := range est {
+		if m["cell"].Mean != float64(c) || m["cell"].N != 2 {
+			t.Fatalf("cell %d merged %+v", c, m["cell"])
+		}
+	}
+}
+
 // TestReplicateGridSurvivesPanickingReplication pins the hardened-pool
 // contract: one replication panicking on both attempts must not kill the
 // sweep — the other 99 replications merge normally and the failure comes
