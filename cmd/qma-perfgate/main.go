@@ -1,297 +1,294 @@
-// Command qma-perfgate is the CI performance gate: it re-runs the stable
-// microbenchmarks with the iteration counts pinned to the committed
-// BENCH_<date>.json snapshot (see README "Benchmark snapshots") and fails
-// when any of them regressed by more than the tolerance in ns/op.
-//
-// Pinning the iteration count removes one source of run-to-run variance —
-// both measurements average over the same number of iterations — but shared
-// CI hardware still jitters, which is why the gate watches the
-// allocation-free, CPU-bound microbenchmarks (kernel event dispatch, Q-table
-// updates, learner observations, medium transmit, the handshake matrix
-// solve, the sharded medium epoch) plus one deliberately short end-to-end
-// benchmark, the sharded-scheduler runner (BenchmarkRunShardedWorkers, ~100
-// ms/op — long enough to average out noise, short enough to rerun), and not
-// the long events/s benchmarks, whose variance exceeds any usable
-// tolerance. Those numbers stay visible in the CI logs via plain
-// benchtime=1x smoke steps.
-//
-// Usage:
-//
-//	qma-perfgate [-snapshot BENCH_x.json] [-tolerance 20] [-v]
-//
-// Exit status 1 means at least one benchmark exceeded the tolerance (or the
-// snapshot is unusable). A slow-but-within-tolerance run prints the ratios
-// and exits 0. Skip the whole gate for a knowingly perf-neutral commit by
-// putting [skip-perf] in the commit message (the CI job checks the tag).
+// Command qma-perfgate is the performance gate. From the repository root,
+// `qma-perfgate -base <rev>` measures the working tree against rev on the
+// same host in 10 alternating pairs. Each pair runs the gated
+// microbenchmarks, at the iteration counts of their first base run, and
+// every workload of the base's BENCHMARK.json. The change fails when a
+// row's median is worse than the base's by more than the row's bound,
+// nsBound for ns/op, the BENCHMARK.json bound for an end-to-end metric and 0
+// for a workload's share of failed operations, or when that share or
+// tx_success_ratio differs between runs of one tree. A table goes to
+// stderr, one JSON report to stdout, and exit status 1 means a regression.
 package main
 
 import (
-	"bufio"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log"
+	"maps"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// gated lists the benchmarks the gate compares, per package. Top-level names
-// only — sub-benchmarks found under them in the snapshot are compared
-// individually.
+const (
+	pairs   = 10
+	nsBound = 0.20 // the largest ns/op regression a microbenchmark may show
+)
+
+// gated lists the gated microbenchmark rows per package.
 var gated = map[string][]string{
-	".": {
-		"BenchmarkKernelEvent",
-		"BenchmarkQTableUpdate",
-		"BenchmarkLearnerObserve",
-		"BenchmarkMediumTransmit",
-		"BenchmarkHandshakeMatrix",
-	},
-	"./internal/radio": {
-		"BenchmarkShardedMediumCells",
-	},
-	"./internal/scenario": {
-		"BenchmarkRunShardedWorkers",
-	},
+	"qma": {"BenchmarkKernelEvent", "BenchmarkQTableUpdate/float64", "BenchmarkQTableUpdate/fixedQ8.8",
+		"BenchmarkQTableUpdate/quant8bit", "BenchmarkLearnerObserve", "BenchmarkMediumTransmit",
+		"BenchmarkHandshakeMatrix"},
+	"qma/internal/radio": {"BenchmarkShardedMediumCells/C=1", "BenchmarkShardedMediumCells/C=4",
+		"BenchmarkShardedMediumCells/C=16"},
+	"qma/internal/scenario": {"BenchmarkRunShardedWorkers/workers=1", "BenchmarkRunShardedWorkers/workers=2",
+		"BenchmarkRunShardedWorkers/workers=4"},
 }
 
-// result is one benchmark measurement: the iteration count and ns/op of a
-// `go test -json` benchmark output line.
+// spec is the part of BENCHMARK.json the gate reads.
+type spec struct {
+	Command    []string
+	RunSeconds float64 `json:"run_seconds"`
+	Workloads  []struct{ Name string }
+	EndToEnd   []metric `json:"end_to_end"`
+}
+
+// metric is a gated row: which way is better, and by how much (a fraction
+// of the base's median) the change may be worse.
+type metric struct {
+	Name, Unit, Better string
+	Bound              float64
+}
+
 type result struct {
 	Iters int
 	NsOp  float64
 }
 
+// report is the JSON document the gate prints, and a committed
+// BENCH_<date>.json.
+type report struct {
+	Base, Head, Host string
+	Pairs            int
+	Rows             []row
+	Failures         []string
+}
+
+// row holds each side's q1, median and q3, how much worse the change's
+// median is (a fraction of the base's, or the difference when that is 0),
+// and the pairs the change won.
+type row struct {
+	metric
+	Base, Head [3]float64
+	Worse      float64
+	Wins       int
+}
+
 func main() {
-	snapshot := flag.String("snapshot", "", "BENCH_*.json snapshot to compare against (default: newest in cwd)")
-	tolerance := flag.Float64("tolerance", 20, "maximum allowed ns/op regression in percent")
-	verbose := flag.Bool("v", false, "print the go test invocations")
+	log.SetFlags(0)
+	base := flag.String("base", "", "git revision to compare the working tree against")
 	flag.Parse()
-
-	path := *snapshot
-	if path == "" {
-		var err error
-		path, err = newestSnapshot(".")
-		if err != nil {
-			fatal("%v", err)
-		}
+	if *base == "" || flag.NArg() > 0 {
+		log.Fatal("usage: qma-perfgate -base <rev>")
 	}
-	f, err := os.Open(path)
+	rep, err := gateRevision(*base)
 	if err != nil {
-		fatal("%v", err)
+		log.Fatalf("qma-perfgate: %v", err)
 	}
-	base, err := parseStream(f)
-	f.Close()
-	if err != nil {
-		fatal("parse %s: %v", path, err)
+	fmt.Fprintf(os.Stderr, "%-44s %12s %12s %8s %5s %5s\n", "row", "base median", "change", "worse", "wins", "bound")
+	for _, r := range rep.Rows {
+		fmt.Fprintf(os.Stderr, "%-44s %12.4g %12.4g %+7.1f%% %2d/%-2d %4.0f%%\n",
+			r.Name, r.Base[1], r.Head[1], 100*r.Worse, r.Wins, rep.Pairs, 100*r.Bound)
 	}
-	fmt.Printf("perf gate vs %s (tolerance %.0f%%)\n", path, *tolerance)
-
-	runner := func(pkg, name string, iters int) (map[string]result, error) {
-		return runBenchmark(pkg, name, iters, *verbose)
+	for _, f := range rep.Failures {
+		fmt.Fprintln(os.Stderr, "FAIL:", f)
 	}
-	compared, failed, err := gate(os.Stdout, base, *tolerance, runner)
-	if err != nil {
-		fatal("%v (snapshot %s)", err, path)
+	b, _ := json.MarshalIndent(rep, "", "  ") // compare keeps every value finite
+	fmt.Println(string(b))
+	if len(rep.Failures) > 0 {
+		os.Exit(1)
 	}
-	if compared == 0 {
-		fatal("nothing compared — empty snapshot?")
-	}
-	if failed > 0 {
-		fatal("%d of %d benchmarks regressed beyond %.0f%% vs %s", failed, compared, *tolerance, path)
-	}
-	fmt.Printf("all %d benchmarks within tolerance\n", compared)
 }
 
-// gate compares every gated benchmark against the snapshot measurements in
-// base, invoking runner to collect fresh numbers, and returns how many
-// sub-benchmarks it compared and how many exceeded the tolerance (percent).
-func gate(w interface{ Write([]byte) (int, error) }, base map[string]result, tolerance float64,
-	runner func(pkg, name string, iters int) (map[string]result, error)) (compared, failed int, err error) {
-	for _, pkg := range sortedKeys(gated) {
+// prepare extracts the base into $OUT/base, builds the test binaries of the
+// base into $OUT/bin0 and of the working tree into $OUT/bin1, and prints the
+// base commit, the working tree, the host and the base's BENCHMARK.json.
+const prepare = `set -euo pipefail
+git rev-parse --verify "$BASE^{commit}"
+git describe --always --dirty --abbrev=40
+echo "$(awk -F': ' '/^model name/ {print $2; exit}' /proc/cpuinfo), nproc $(nproc), $(go version), $(date -u +%FT%TZ)"
+mkdir "$OUT/base"
+git archive "$BASE" | tar -x -C "$OUT/base"
+(cd "$OUT/base" && go test -c -o "$OUT/bin0/" "$@")
+go test -c -o "$OUT/bin1/" "$@"
+cat "$OUT/base/BENCHMARK.json"`
+
+// gateRevision prepares both trees and gates the working tree against rev.
+func gateRevision(rev string) (report, error) {
+	tmp, err := os.MkdirTemp("", "qma-perfgate-")
+	if err != nil {
+		return report{}, err
+	}
+	defer os.RemoveAll(tmp)
+	cmd := exec.Command("bash", append([]string{"-c", prepare, "prepare"}, sortedKeys(gated)...)...)
+	cmd.Env, cmd.Stderr = append(os.Environ(), "BASE="+rev, "OUT="+tmp), os.Stderr
+	out, err := cmd.Output()
+	lines := strings.SplitN(string(out), "\n", 4)
+	var s spec
+	if err != nil || len(lines) != 4 || json.Unmarshal([]byte(lines[3]), &s) != nil {
+		return report{}, fmt.Errorf("prepare %s: %v, or no BENCHMARK.json", rev, err)
+	}
+	benchtime := map[string]string{} // row -> -test.benchtime, pinned to its first run
+	rep, err := gate(func(side int, job string) (map[string]float64, error) {
+		tree, out := [2]string{filepath.Join(tmp, "base"), "."}[side], map[string]float64{}
+		for _, name := range gated[job] {
+			bin := filepath.Join(tmp, fmt.Sprint("bin", side), filepath.Base(job)+".test")
+			res, err := runBenchmark(bin, filepath.Join(tree, strings.TrimPrefix(job, "qma")), name, cmp.Or(benchtime[name], "1s"))
+			if _, ok := res[name]; err == nil && !ok {
+				err = fmt.Errorf("%s: no result", name)
+			}
+			if err != nil {
+				return nil, err
+			}
+			benchtime[name], out[name] = fmt.Sprintf("%dx", res[name].Iters), res[name].NsOp
+		}
+		if _, micro := gated[job]; micro {
+			return out, nil
+		}
+		return runWorkload(s, tree, job)
+	}, s)
+	rep.Base, rep.Head, rep.Host = rev+" = "+lines[0], "working tree at "+lines[1], lines[2]
+	return rep, err
+}
+
+// gate runs the pairs, the first side flipping every pair, and compares the
+// sides. measure runs one job, a gated package or a BENCHMARK.json
+// workload, once on side 0 (the base) or 1 and returns one sample per row;
+// every job runs first on the base.
+func gate(measure func(side int, job string) (map[string]float64, error), s spec) (report, error) {
+	var rows []metric
+	jobs := sortedKeys(gated)
+	for _, pkg := range jobs {
 		for _, name := range gated[pkg] {
-			subs := subBenchmarks(base, name)
-			if len(subs) == 0 {
-				return 0, 0, fmt.Errorf("benchmark %s not in snapshot — refresh it (README recipe)", name)
-			}
-			// One run per top-level benchmark, iterations pinned to the
-			// slowest sub so every sub gets at least its snapshot sample
-			// size.
-			iters := 0
-			for _, sub := range subs {
-				if base[sub].Iters > iters {
-					iters = base[sub].Iters
+			rows = append(rows, metric{name, "ns/op", "lower", nsBound})
+		}
+	}
+	for _, w := range s.Workloads {
+		jobs = append(jobs, w.Name)
+		for _, m := range append(s.EndToEnd, metric{"failed_share", "ratio", "lower", 0}) {
+			m.Name = w.Name + " " + m.Name
+			rows = append(rows, m)
+		}
+	}
+	samples := [2]map[string][]float64{{}, {}}
+	for p := 0; p < pairs; p++ {
+		fmt.Fprintf(os.Stderr, "qma-perfgate: pair %d/%d\n", p+1, pairs)
+		for _, job := range jobs {
+			for _, i := range [2]int{p % 2, 1 - p%2} {
+				out, err := measure(i, job)
+				if err != nil {
+					return report{}, fmt.Errorf("%s on the %s: %v", job, [2]string{"base", "change"}[i], err)
+				}
+				for name, v := range out {
+					samples[i][name] = append(samples[i][name], v)
 				}
 			}
-			// Best-of-3: a single run on shared CI hardware jitters well
-			// past any usable tolerance, so a benchmark only fails after
-			// exceeding it in three consecutive runs (the minimum ns/op
-			// across runs is compared — transient load slows a run down,
-			// nothing speeds one up).
-			best := make(map[string]float64)
-			for attempt := 0; attempt < 3; attempt++ {
-				cur, rerr := runner(pkg, name, iters)
-				if rerr != nil {
-					return 0, 0, fmt.Errorf("run %s: %v", name, rerr)
-				}
-				over := false
-				for _, sub := range subs {
-					now, ok := cur[sub]
-					if !ok {
-						return 0, 0, fmt.Errorf("benchmark %s vanished from the tree but is in the snapshot", sub)
-					}
-					if b, ok := best[sub]; !ok || now.NsOp < b {
-						best[sub] = now.NsOp
-					}
-					if best[sub] > base[sub].NsOp*(1+tolerance/100) {
-						over = true
-					}
-				}
-				if !over {
-					break
-				}
-			}
-			for _, sub := range subs {
-				was := base[sub]
-				ratio := best[sub] / was.NsOp
-				compared++
-				status := "ok"
-				if ratio > 1+tolerance/100 {
-					status = "FAIL"
-					failed++
-				}
-				fmt.Fprintf(w, "  %-44s %10.2f -> %10.2f ns/op  (%+6.1f%%)  %s\n",
-					sub, was.NsOp, best[sub], (ratio-1)*100, status)
+		}
+	}
+	return compare(rows, samples)
+}
+
+// compare applies the gate's rules to the samples of both sides.
+func compare(rows []metric, samples [2]map[string][]float64) (report, error) {
+	rep := report{Pairs: pairs, Failures: []string{}}
+	fail := func(format string, args ...any) { rep.Failures = append(rep.Failures, fmt.Sprintf(format, args...)) }
+	for _, m := range rows {
+		b, h := samples[0][m.Name], samples[1][m.Name]
+		sign := map[string]float64{"lower": 1, "higher": -1}[m.Better]
+		if len(b) != pairs || len(h) != pairs || sign == 0 {
+			return rep, fmt.Errorf("row %s (better %q) has %d and %d runs, want %d", m.Name, m.Better, len(b), len(h), pairs)
+		}
+		r := row{metric: m, Base: quartiles(b), Head: quartiles(h)}
+		if r.Worse = sign * (r.Head[1] - r.Base[1]); r.Base[1] != 0 {
+			r.Worse /= math.Abs(r.Base[1]) // relative, or absolute from a median of 0
+		}
+		for i := range b {
+			if sign*(h[i]-b[i]) < 0 {
+				r.Wins++
 			}
 		}
+		if r.Worse > m.Bound {
+			fail("%s: median %+.1f%% worse, bound %.0f%%", m.Name, 100*r.Worse, 100*m.Bound)
+		}
+		exact := strings.HasSuffix(m.Name, " tx_success_ratio") || strings.HasSuffix(m.Name, " failed_share")
+		if exact && (slices.Min(b) != slices.Max(b) || slices.Min(h) != slices.Max(h)) {
+			fail("%s differs between runs of one tree", m.Name)
+		}
+		rep.Rows = append(rep.Rows, r)
 	}
-	return compared, failed, nil
+	return rep, nil
 }
 
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "qma-perfgate: "+format+"\n", args...)
-	os.Exit(1)
+// quartiles returns q1, the median and q3, interpolating linearly.
+func quartiles(v []float64) [3]float64 {
+	s := slices.Sorted(slices.Values(v))
+	at := func(p float64) float64 {
+		i, f := math.Modf(p * float64(len(s)-1))
+		return s[int(i)] + f*(s[min(int(i)+1, len(s)-1)]-s[int(i)])
+	}
+	return [3]float64{at(0.25), at(0.5), at(0.75)}
 }
 
-// newestSnapshot picks the lexically last BENCH_*.json in dir — the naming
-// convention is BENCH_<ISO-date>.json, so lexical order is date order.
-func newestSnapshot(dir string) (string, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		return "", err
+// runWorkload runs the BENCHMARK.json command in tree and reads the last
+// line it prints. A failing run that still prints a result counts through
+// its failed operations.
+func runWorkload(s spec, tree, name string) (map[string]float64, error) {
+	cmd := exec.Command(s.Command[0], append(slices.Clone(s.Command[1:]), "--workload", name, "--seconds", fmt.Sprint(s.RunSeconds))...)
+	cmd.Dir, cmd.Stderr = tree, os.Stderr
+	stdout, err := cmd.Output()
+	lines := strings.Split(strings.TrimSpace(string(stdout)), "\n")
+	var res struct {
+		Attempted, Failed int
+		Metrics           map[string]struct{ Value float64 }
 	}
-	if len(paths) == 0 {
-		return "", fmt.Errorf("no BENCH_*.json snapshot in %s", dir)
+	if json.Unmarshal([]byte(lines[len(lines)-1]), &res) != nil || res.Attempted == 0 {
+		return nil, fmt.Errorf("no result line (%v)", err)
 	}
-	sort.Strings(paths)
-	return paths[len(paths)-1], nil
-}
-
-// event is the subset of the test2json schema the gate reads.
-type event struct {
-	Action string `json:"Action"`
-	Test   string `json:"Test"`
-	Output string `json:"Output"`
-}
-
-// benchLine matches "<iterations>\t  <ns> ns/op" anywhere in a benchmark's
-// accumulated output. go test wraps long benchmark names, so the name and
-// the numbers may arrive in separate output events; accumulating per Test
-// first makes the split irrelevant.
-var benchLine = regexp.MustCompile(`(\d+)\t\s*([0-9.]+) ns/op`)
-
-// parseStream reads a `go test -json` stream and returns ns/op per full
-// benchmark name (e.g. "BenchmarkQTableUpdate/float64").
-func parseStream(r interface{ Read([]byte) (int, error) }) (map[string]result, error) {
-	acc := make(map[string]*strings.Builder)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var ev event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			return nil, fmt.Errorf("not a go-test-json event: %q: %v", line, err)
-		}
-		if ev.Action != "output" || ev.Test == "" {
-			continue
-		}
-		b := acc[ev.Test]
-		if b == nil {
-			b = &strings.Builder{}
-			acc[ev.Test] = b
-		}
-		b.WriteString(ev.Output)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	out := make(map[string]result)
-	for name, b := range acc {
-		m := benchLine.FindStringSubmatch(b.String())
-		if m == nil {
-			continue // a container like BenchmarkQTableUpdate itself, or a non-bench test
-		}
-		iters, err := strconv.Atoi(m[1])
-		if err != nil {
-			return nil, fmt.Errorf("%s: bad iteration count %q", name, m[1])
-		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("%s: bad ns/op %q", name, m[2])
-		}
-		out[name] = result{Iters: iters, NsOp: ns}
+	out := map[string]float64{name + " failed_share": float64(res.Failed) / float64(res.Attempted)}
+	for m, v := range res.Metrics {
+		out[name+" "+m] = v.Value
 	}
 	return out, nil
 }
 
-// subBenchmarks returns the full names under top (top itself when it has a
-// measurement, else its sub-benchmarks), sorted.
-func subBenchmarks(results map[string]result, top string) []string {
-	var out []string
-	for name := range results {
-		if name == top || strings.HasPrefix(name, top+"/") {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// runBenchmark executes one top-level benchmark with a pinned iteration
-// count and returns its measurements keyed by full name.
-func runBenchmark(pkg, name string, iters int, verbose bool) (map[string]result, error) {
-	args := []string{"test", "-run", "^$", "-bench", "^" + regexp.QuoteMeta(name) + "$",
-		"-benchtime", fmt.Sprintf("%dx", iters), "-count", "1", "-json", pkg}
-	if verbose {
-		fmt.Printf("  $ go %s\n", strings.Join(args, " "))
-	}
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
+// runBenchmark runs exactly the benchmark name from a test binary in its
+// package directory.
+func runBenchmark(bin, dir, name, benchtime string) (map[string]result, error) {
+	cmd := exec.Command(bin, "-test.run=^$", "-test.count=1", "-test.timeout=10m", "-test.benchtime="+benchtime,
+		"-test.bench=^"+strings.ReplaceAll(regexp.QuoteMeta(name), "/", "$/^")+"$")
+	cmd.Dir = dir
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %v: %s", filepath.Base(bin), err, out)
 	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	res, perr := parseStream(out)
-	if err := cmd.Wait(); err != nil {
-		return nil, fmt.Errorf("go test: %v", err)
-	}
-	return res, perr
+	return parseStream(string(out))
 }
 
-func sortedKeys(m map[string][]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// benchLine matches a result line; the name carries a -GOMAXPROCS suffix
+// unless GOMAXPROCS is 1.
+var benchLine = regexp.MustCompile(`(?m)^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op`)
+
+// parseStream reads a benchmark binary's output and returns the result per
+// full benchmark name (e.g. "BenchmarkQTableUpdate/float64").
+func parseStream(output string) (map[string]result, error) {
+	out := make(map[string]result)
+	for _, m := range benchLine.FindAllStringSubmatch(output, -1) {
+		iters, _ := strconv.Atoi(m[2]) // a run of over 2^63 iterations never ends
+		ns, err := strconv.ParseFloat(m[3], 64)
+		if _, dup := out[m[1]]; dup || err != nil {
+			return nil, fmt.Errorf("bad or repeated result line %q", m[0])
+		}
+		out[m[1]] = result{iters, ns}
 	}
-	sort.Strings(out)
-	return out
+	return out, nil
 }
+
+func sortedKeys(m map[string][]string) []string { return slices.Sorted(maps.Keys(m)) }

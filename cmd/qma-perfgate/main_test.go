@@ -1,259 +1,59 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// sample is a minimal go-test-json stream with a split benchmark output
-// line (name in one event, numbers in the next — go test wraps long names
-// like that) and a sub-benchmark.
-const sample = `{"Time":"2026-08-08T00:00:00Z","Action":"run","Package":"qma","Test":"BenchmarkKernelEvent"}
-{"Time":"2026-08-08T00:00:01Z","Action":"output","Package":"qma","Test":"BenchmarkKernelEvent","Output":"BenchmarkKernelEvent     \t"}
-{"Time":"2026-08-08T00:00:01Z","Action":"output","Package":"qma","Test":"BenchmarkKernelEvent","Output":"62343048\t        19.29 ns/op\t       0 B/op\t       0 allocs/op\n"}
-{"Time":"2026-08-08T00:00:02Z","Action":"run","Package":"qma","Test":"BenchmarkQTableUpdate/float64"}
-{"Time":"2026-08-08T00:00:03Z","Action":"output","Package":"qma","Test":"BenchmarkQTableUpdate/float64","Output":"BenchmarkQTableUpdate/float64         \t151073012\t         7.943 ns/op\t       0 B/op\t       0 allocs/op\n"}
-{"Time":"2026-08-08T00:00:04Z","Action":"output","Package":"qma","Output":"PASS\n"}
+// sample is a benchmark binary's output: GOMAXPROCS suffixes, a
+// sub-benchmark whose name ends in digits, and a run at GOMAXPROCS=1.
+const sample = `goos: linux
+goarch: amd64
+pkg: qma
+BenchmarkKernelEvent-2     	62343048	        19.29 ns/op	       0 B/op	       0 allocs/op
+BenchmarkQTableUpdate/float64-2         	151073012	         7.943 ns/op
+BenchmarkShardedMediumCells/C=16-2   	    1000	     12345 ns/op
+BenchmarkLearnerObserve   	 100	  50 ns/op
+PASS
+ok  	qma	3.2s
 `
 
 func TestParseStream(t *testing.T) {
-	res, err := parseStream(strings.NewReader(sample))
+	res, err := parseStream(sample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ke, ok := res["BenchmarkKernelEvent"]
-	if !ok {
-		t.Fatal("BenchmarkKernelEvent missing despite split output lines")
+	want := map[string]result{
+		"BenchmarkKernelEvent":             {62343048, 19.29},
+		"BenchmarkQTableUpdate/float64":    {151073012, 7.943},
+		"BenchmarkShardedMediumCells/C=16": {1000, 12345},
+		"BenchmarkLearnerObserve":          {100, 50},
 	}
-	if ke.Iters != 62343048 || ke.NsOp != 19.29 {
-		t.Errorf("KernelEvent = %+v, want 62343048 iters / 19.29 ns/op", ke)
+	if len(res) != len(want) {
+		t.Errorf("got %v, want %v", res, want)
 	}
-	qt, ok := res["BenchmarkQTableUpdate/float64"]
-	if !ok {
-		t.Fatal("sub-benchmark missing")
-	}
-	if qt.NsOp != 7.943 {
-		t.Errorf("QTableUpdate/float64 = %+v", qt)
-	}
-}
-
-func TestSubBenchmarks(t *testing.T) {
-	res, err := parseStream(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := subBenchmarks(res, "BenchmarkKernelEvent"); len(got) != 1 || got[0] != "BenchmarkKernelEvent" {
-		t.Errorf("top-level: %v", got)
-	}
-	if got := subBenchmarks(res, "BenchmarkQTableUpdate"); len(got) != 1 || got[0] != "BenchmarkQTableUpdate/float64" {
-		t.Errorf("subs: %v", got)
-	}
-	if got := subBenchmarks(res, "BenchmarkMissing"); len(got) != 0 {
-		t.Errorf("missing: %v", got)
+	for name, w := range want {
+		if res[name] != w {
+			t.Errorf("%s = %+v, want %+v", name, res[name], w)
+		}
 	}
 }
 
 func TestParseStreamRejectsGarbage(t *testing.T) {
-	if _, err := parseStream(strings.NewReader("not json\n")); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
-// fakeBase builds a snapshot with one measurement per gated benchmark (and a
-// sub-benchmark under BenchmarkQTableUpdate) at 100 ns/op.
-func fakeBase() map[string]result {
-	base := make(map[string]result)
-	for _, names := range gated {
-		for _, name := range names {
-			if name == "BenchmarkQTableUpdate" {
-				base[name+"/float64"] = result{Iters: 1000, NsOp: 100}
-				base[name+"/fixedQ8.8"] = result{Iters: 2000, NsOp: 100}
-				continue
-			}
-			base[name] = result{Iters: 500, NsOp: 100}
+	for _, out := range []string{
+		"BenchmarkKernelEvent-2 \t 10 \t 1.2.3 ns/op\n",
+		"BenchmarkKernelEvent-2 \t 10 \t 12 ns/op\nBenchmarkKernelEvent-2 \t 10 \t 13 ns/op\n",
+	} {
+		if _, err := parseStream(out); err == nil {
+			t.Errorf("accepted %q", out)
 		}
-	}
-	return base
-}
-
-// scaledRunner returns the snapshot numbers multiplied by factor, recording
-// how often each benchmark was run and asserting the pinned iteration count
-// is the max across the snapshot's subs.
-func scaledRunner(t *testing.T, base map[string]result, factor float64, runs map[string]int) func(string, string, int) (map[string]result, error) {
-	return func(pkg, name string, iters int) (map[string]result, error) {
-		runs[name]++
-		want := 0
-		out := make(map[string]result)
-		for _, sub := range subBenchmarks(base, name) {
-			if base[sub].Iters > want {
-				want = base[sub].Iters
-			}
-			out[sub] = result{Iters: iters, NsOp: base[sub].NsOp * factor}
-		}
-		if iters != want {
-			t.Errorf("%s: pinned %d iterations, want max-of-subs %d", name, iters, want)
-		}
-		return out, nil
-	}
-}
-
-func TestGatePassesWithinTolerance(t *testing.T) {
-	base := fakeBase()
-	runs := make(map[string]int)
-	var out strings.Builder
-	compared, failed, err := gate(&out, base, 20, scaledRunner(t, base, 1.1, runs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed != 0 {
-		t.Errorf("failed = %d with +10%% vs 20%% tolerance\n%s", failed, out.String())
-	}
-	if want := len(fakeBase()); compared != want {
-		t.Errorf("compared = %d, want %d", compared, want)
-	}
-	for name, n := range runs {
-		if n != 1 {
-			t.Errorf("%s run %d times, want 1 (within tolerance on the first run)", name, n)
-		}
-	}
-	if !strings.Contains(out.String(), "ok") || strings.Contains(out.String(), "FAIL") {
-		t.Errorf("report:\n%s", out.String())
-	}
-}
-
-func TestGateFailsAfterThreeSlowRuns(t *testing.T) {
-	base := fakeBase()
-	runs := make(map[string]int)
-	var out strings.Builder
-	compared, failed, err := gate(&out, base, 20, scaledRunner(t, base, 1.5, runs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed != compared {
-		t.Errorf("failed = %d of %d with +50%% vs 20%% tolerance\n%s", failed, compared, out.String())
-	}
-	for name, n := range runs {
-		if n != 3 {
-			t.Errorf("%s run %d times, want 3 (best-of-3 before failing)", name, n)
-		}
-	}
-	if !strings.Contains(out.String(), "FAIL") {
-		t.Errorf("report:\n%s", out.String())
-	}
-}
-
-func TestGateRecoversOnRetry(t *testing.T) {
-	// First run slow (transient load), second run clean: the gate must
-	// retry and pass with the second run's numbers.
-	base := fakeBase()
-	calls := make(map[string]int)
-	runner := func(pkg, name string, iters int) (map[string]result, error) {
-		calls[name]++
-		factor := 2.0
-		if calls[name] > 1 {
-			factor = 1.0
-		}
-		out := make(map[string]result)
-		for _, sub := range subBenchmarks(base, name) {
-			out[sub] = result{Iters: iters, NsOp: base[sub].NsOp * factor}
-		}
-		return out, nil
-	}
-	var out strings.Builder
-	_, failed, err := gate(&out, base, 20, runner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed != 0 {
-		t.Errorf("failed = %d, want 0 after the retry came back clean\n%s", failed, out.String())
-	}
-	for name, n := range calls {
-		if n != 2 {
-			t.Errorf("%s run %d times, want 2", name, n)
-		}
-	}
-}
-
-func TestGateErrorsOnIncompleteSnapshot(t *testing.T) {
-	base := fakeBase()
-	delete(base, "BenchmarkKernelEvent")
-	var out strings.Builder
-	if _, _, err := gate(&out, base, 20, scaledRunner(t, base, 1, make(map[string]int))); err == nil {
-		t.Error("snapshot missing a gated benchmark accepted")
-	}
-}
-
-func TestGateErrorsOnVanishedBenchmark(t *testing.T) {
-	base := fakeBase()
-	runner := func(pkg, name string, iters int) (map[string]result, error) {
-		return map[string]result{}, nil // benchmark no longer in the tree
-	}
-	var out strings.Builder
-	if _, _, err := gate(&out, base, 20, runner); err == nil {
-		t.Error("vanished benchmark accepted")
-	}
-}
-
-func TestGateErrorsOnRunnerFailure(t *testing.T) {
-	base := fakeBase()
-	runner := func(pkg, name string, iters int) (map[string]result, error) {
-		return nil, fmt.Errorf("compile error")
-	}
-	var out strings.Builder
-	if _, _, err := gate(&out, base, 20, runner); err == nil {
-		t.Error("runner failure swallowed")
-	}
-}
-
-func TestNewestSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{"BENCH_2026-07-29.json", "BENCH_2026-08-08.json", "other.json"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := newestSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(got) != "BENCH_2026-08-08.json" {
-		t.Errorf("newestSnapshot = %s", got)
-	}
-	if _, err := newestSnapshot(t.TempDir()); err == nil {
-		t.Error("empty dir accepted")
-	}
-}
-
-// TestRunBenchmarkRealExec executes one tiny real benchmark through the
-// production exec path (pinned 10 iterations against the repo root package).
-func TestRunBenchmarkRealExec(t *testing.T) {
-	if testing.Short() {
-		t.Skip("execs go test")
-	}
-	// cmd/qma-perfgate runs with its own directory as cwd; the gated
-	// packages are addressed relative to the repo root.
-	if err := os.Chdir("../.."); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir("cmd/qma-perfgate")
-	res, err := runBenchmark(".", "BenchmarkKernelEvent", 10, testing.Verbose())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := res["BenchmarkKernelEvent"]
-	if !ok {
-		t.Fatalf("BenchmarkKernelEvent missing from %v", res)
-	}
-	if got.Iters != 10 || got.NsOp <= 0 {
-		t.Errorf("result = %+v, want 10 pinned iterations and positive ns/op", got)
-	}
-	if _, err := runBenchmark(".", "BenchmarkNoSuchBenchmark", 10, false); err != nil {
-		// go test exits 0 when a -bench pattern matches nothing; either
-		// outcome (empty result or error) is acceptable, just must not hang.
-		t.Logf("no-match run: %v", err)
 	}
 }
 
@@ -261,5 +61,286 @@ func TestSortedKeys(t *testing.T) {
 	got := sortedKeys(map[string][]string{"b": nil, "a": nil, "c": nil})
 	if strings.Join(got, ",") != "a,b,c" {
 		t.Errorf("sortedKeys = %v", got)
+	}
+}
+
+func TestQuartiles(t *testing.T) {
+	if got := quartiles([]float64{10, 1, 9, 2, 8, 3, 7, 4, 6, 5}); got != [3]float64{3.25, 5.5, 7.75} {
+		t.Errorf("quartiles(1..10) = %v", got)
+	}
+	if got := quartiles([]float64{4}); got != [3]float64{4, 4, 4} {
+		t.Errorf("quartiles(4) = %v", got)
+	}
+}
+
+// testSpec gates one workload, w, on one metric of each direction and on
+// tx_success_ratio.
+var testSpec = spec{
+	Workloads: []struct{ Name string }{{"w"}},
+	EndToEnd: []metric{
+		{"wall_s", "s", "lower", 0.25},
+		{"events_per_s", "1/s", "higher", 0.25},
+		{"tx_success_ratio", "ratio", "higher", 0.05},
+	},
+}
+
+// fakeMeasure measures every row at 100 on both sides, and failed_share at
+// 0, passing each sample through tweak with the side, the run's index on
+// that side and the row. It logs each call as "side job".
+func fakeMeasure(calls *[]string, tweak func(side, run int, row string, v float64) float64) func(int, string) (map[string]float64, error) {
+	runs := map[string]int{}
+	return func(side int, job string) (map[string]float64, error) {
+		key := fmt.Sprint(side, " ", job)
+		*calls = append(*calls, key)
+		run := runs[key]
+		runs[key]++
+		names := gated[job]
+		if names == nil {
+			names = []string{job + " failed_share"}
+			for _, m := range testSpec.EndToEnd {
+				names = append(names, job+" "+m.Name)
+			}
+		}
+		out := map[string]float64{}
+		for _, name := range names {
+			v := 100.0
+			if strings.HasSuffix(name, " failed_share") {
+				v = 0
+			}
+			out[name] = tweak(side, run, name, v)
+		}
+		return out, nil
+	}
+}
+
+// scaleChange multiplies the change's samples of the rows matching name.
+func scaleChange(name string, factor float64) func(int, int, string, float64) float64 {
+	return func(side, _ int, row string, v float64) float64 {
+		if side == 1 && strings.Contains(row, name) {
+			return v * factor
+		}
+		return v
+	}
+}
+
+func runGate(t *testing.T, tweak func(int, int, string, float64) float64) report {
+	t.Helper()
+	var calls []string
+	rep, err := gate(fakeMeasure(&calls, tweak), testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+func TestGatePassesWithinTolerance(t *testing.T) {
+	var calls []string
+	rep, err := gate(fakeMeasure(&calls, scaleChange("Benchmark", 1.1)), testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Failures) != 0 {
+		t.Errorf("failures with every ns/op row 10%% slower: %v", rep.Failures)
+	}
+	if want := 13 + len(testSpec.EndToEnd) + 1; len(rep.Rows) != want {
+		t.Errorf("%d rows, want 13 microbenchmarks and %d workload rows", len(rep.Rows), want-13)
+	}
+	for _, r := range rep.Rows {
+		if strings.HasPrefix(r.Name, "Benchmark") && (r.Bound != 0.20 || r.Wins != 0 || fmt.Sprintf("%.3f", r.Worse) != "0.100") {
+			t.Errorf("row %+v, want bound 0.20, 0 wins and 10%% worse", r)
+		}
+	}
+	// Four jobs (three packages, one workload) per pair, the first side
+	// flipping every pair.
+	if len(calls) != 2*4*pairs {
+		t.Fatalf("%d calls, want %d", len(calls), 2*4*pairs)
+	}
+	for p := 0; p < pairs; p++ {
+		for j := 0; j < 4; j++ {
+			first := calls[8*p+2*j]
+			if want := fmt.Sprint(p % 2); !strings.HasPrefix(first, want+" ") {
+				t.Fatalf("pair %d job %d ran %q first, want side %s", p, j, first, want)
+			}
+		}
+	}
+}
+
+func TestGateFailsOnSlowRow(t *testing.T) {
+	rep := runGate(t, scaleChange("BenchmarkKernelEvent", 1.25))
+	if len(rep.Failures) != 1 || !strings.HasPrefix(rep.Failures[0], "BenchmarkKernelEvent:") {
+		t.Errorf("failures = %v, want BenchmarkKernelEvent alone", rep.Failures)
+	}
+}
+
+func TestGateHonoursBetter(t *testing.T) {
+	for _, tc := range []struct {
+		row    string
+		factor float64
+		fail   bool
+	}{
+		{"w wall_s", 1.3, true},
+		{"w wall_s", 0.7, false},
+		{"w wall_s", 1.2, false},
+		{"w events_per_s", 0.7, true},
+		{"w events_per_s", 1.3, false},
+		{"w events_per_s", 0.8, false},
+	} {
+		rep := runGate(t, scaleChange(tc.row, tc.factor))
+		if failed := len(rep.Failures) > 0; failed != tc.fail {
+			t.Errorf("%s ×%v: failures %v, want failing %v", tc.row, tc.factor, rep.Failures, tc.fail)
+		}
+		for _, r := range rep.Rows {
+			if better := tc.factor < 1 == (r.Better == "lower"); r.Name == tc.row && better && r.Wins != pairs {
+				t.Errorf("%s ×%v: %d wins, want %d", tc.row, tc.factor, r.Wins, pairs)
+			}
+		}
+	}
+}
+
+// dropping removes row from side's samples.
+func dropping(measure func(int, string) (map[string]float64, error), side int, row string) func(int, string) (map[string]float64, error) {
+	return func(s int, job string) (map[string]float64, error) {
+		out, err := measure(s, job)
+		if s == side {
+			delete(out, row)
+		}
+		return out, err
+	}
+}
+
+func TestGateErrorsOnVanishedBenchmark(t *testing.T) {
+	var calls []string
+	measure := dropping(fakeMeasure(&calls, scaleChange("", 1)), 1, "BenchmarkMediumTransmit")
+	if _, err := gate(measure, testSpec); err == nil || !strings.Contains(err.Error(), "BenchmarkMediumTransmit") {
+		t.Errorf("err = %v, want the vanished row named", err)
+	}
+}
+
+func TestGateErrorsOnRowMissingFromBase(t *testing.T) {
+	var calls []string
+	measure := dropping(fakeMeasure(&calls, scaleChange("", 1)), 0, "w events_per_s")
+	if _, err := gate(measure, testSpec); err == nil || !strings.Contains(err.Error(), "w events_per_s") {
+		t.Errorf("err = %v, want the missing row named", err)
+	}
+}
+
+func TestGateFailsOnRisingFailedShare(t *testing.T) {
+	for _, failing := range []int{1, pairs} { // runs of the change where a tenth fails
+		rep := runGate(t, func(side, run int, row string, v float64) float64 {
+			if side == 1 && run < failing && row == "w failed_share" {
+				return 0.1
+			}
+			return v
+		})
+		if len(rep.Failures) == 0 || !strings.HasPrefix(rep.Failures[0], "w failed_share") {
+			t.Errorf("%d failing runs: failures = %v, want w failed_share", failing, rep.Failures)
+		}
+	}
+}
+
+func TestGateFailsOnVaryingTxSuccessRatio(t *testing.T) {
+	for side := range 2 {
+		rep := runGate(t, func(s, run int, row string, v float64) float64 {
+			if s == side && run == 4 && row == "w tx_success_ratio" {
+				return v * 0.999 // well inside the 5% bound
+			}
+			return v
+		})
+		if len(rep.Failures) != 1 || !strings.Contains(rep.Failures[0], "differs between runs") {
+			t.Errorf("side %d: failures = %v, want tx_success_ratio differing", side, rep.Failures)
+		}
+	}
+}
+
+func TestGateErrorsOnRunnerFailure(t *testing.T) {
+	measure := func(int, string) (map[string]float64, error) { return nil, fmt.Errorf("compile error") }
+	if _, err := gate(measure, testSpec); err == nil {
+		t.Error("runner failure swallowed")
+	}
+}
+
+// TestRunBenchmarkRealExec builds the root package's test binary and runs
+// single benchmarks through the production exec path.
+func TestRunBenchmarkRealExec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs a test binary")
+	}
+	bin := filepath.Join(t.TempDir(), "qma.test")
+	if out, err := exec.Command("go", "test", "-c", "-o", bin, "../..").CombinedOutput(); err != nil {
+		t.Fatalf("go test -c: %v\n%s", err, out)
+	}
+	res, err := runBenchmark(bin, "../..", "BenchmarkQTableUpdate/float64", "10x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res["BenchmarkQTableUpdate/float64"]; len(res) != 1 || got.Iters != 10 || got.NsOp <= 0 {
+		t.Errorf("results = %+v, want one row at 10 pinned iterations", res)
+	}
+	if res, err := runBenchmark(bin, "../..", "BenchmarkNoSuchBenchmark", "10x"); err != nil || len(res) != 0 {
+		t.Errorf("no-match run = %v, %v, want no results and no error", res, err)
+	}
+}
+
+// TestRunWorkloadReadsLastLine runs a stand-in for the BENCHMARK.json
+// command that prints a provenance line before its result.
+func TestRunWorkloadReadsLastLine(t *testing.T) {
+	for _, tc := range []struct {
+		script string
+		want   map[string]float64 // nil: an error
+	}{
+		{`echo '{"provenance":{}}'; echo '{"correct":true,"attempted":4,"failed":0,"metrics":{"wall_s":{"value":1.5,"unit":"s"}}}'`,
+			map[string]float64{"w wall_s": 1.5, "w failed_share": 0}},
+		{`echo '{"correct":false,"attempted":4,"failed":1,"metrics":{}}'; exit 1`,
+			map[string]float64{"w failed_share": 0.25}},
+		{`echo '{"provenance":{}}'; exit 2`, nil},
+	} {
+		s := spec{Command: []string{"bash", "-c", tc.script, "stand-in"}, RunSeconds: 1}
+		got, err := runWorkload(s, ".", "w")
+		if tc.want == nil && err == nil || tc.want != nil && (err != nil || !maps.Equal(got, tc.want)) {
+			t.Errorf("%s: got %v, %v, want %v", tc.script, got, err, tc.want)
+		}
+	}
+}
+
+// TestBenchRecordsAreWellFormed decodes every committed BENCH_*.json as a
+// gate report, so a truncated or hand-edited record fails.
+func TestBenchRecordsAreWellFormed(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no BENCH_*.json record in the repository root (%v)", err)
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			dec := json.NewDecoder(f)
+			dec.DisallowUnknownFields()
+			var rep report
+			if err := dec.Decode(&rep); err != nil {
+				t.Fatal(err)
+			}
+			if dec.More() {
+				t.Fatal("trailing data after the report")
+			}
+			if rep.Base == "" || rep.Head == "" || rep.Host == "" || rep.Pairs != pairs {
+				t.Errorf("provenance %q / %q / %q, %d pairs", rep.Base, rep.Head, rep.Host, rep.Pairs)
+			}
+			for _, r := range rep.Rows {
+				failed := slices.ContainsFunc(rep.Failures, func(f string) bool { return strings.HasPrefix(f, r.Name+":") })
+				if !slices.IsSorted(r.Base[:]) || !slices.IsSorted(r.Head[:]) || r.Wins > rep.Pairs || failed != (r.Worse > r.Bound) {
+					t.Errorf("inconsistent row %+v", r)
+				}
+			}
+			for _, rows := range gated {
+				for _, name := range rows {
+					if !slices.ContainsFunc(rep.Rows, func(r row) bool { return r.Name == name }) {
+						t.Errorf("gated row %s missing", name)
+					}
+				}
+			}
+		})
 	}
 }

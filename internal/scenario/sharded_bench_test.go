@@ -10,10 +10,10 @@ import (
 
 // BenchmarkRunShardedWorkers measures the end-to-end sharded runner — cell
 // builds, the dependency-driven scheduler, the boundary exchange — on a
-// 9-cell city at 1/2/4 workers. One op is one complete RunSharded call. On
-// multi-core hardware the workers=N subs are the scaling headline; on a
-// 1-core runner they collapse to the same number and the gate still pins
-// the scheduler against creeping per-epoch overhead.
+// 9-cell city at 1/2/4 workers. One op is one complete RunSharded call. The
+// workers=N subs give the speedup across cores, up to the host's core count,
+// and the perf gate holds each against its parent, so per-epoch scheduling
+// overhead cannot creep in at any worker count.
 func BenchmarkRunShardedWorkers(b *testing.B) {
 	const nodes = 1800
 	city := topo.NewCity(topo.CityConfig{Nodes: nodes, CellsX: 3, CellsY: 3, Seed: 1})
