@@ -78,7 +78,7 @@ func TestScenarioFramePoolStaysBalanced(t *testing.T) {
 			RunScenario(cfg)
 			// Begin is what the next run calls first; the pool it hands out
 			// is the one the finished run left behind.
-			pool, _ := arena.Begin()
+			_, pool, _ := arena.Begin()
 			idle[i] = pool.Size()
 		}
 		t.Logf("%s: idle frames after each run %v", mk, idle)

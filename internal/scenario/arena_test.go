@@ -53,6 +53,10 @@ func TestArenaRunsAreByteIdentical(t *testing.T) {
 			t.Errorf("node %d: arena vs no arena differ:\n%+v\n%+v", i, na, nc)
 		}
 	}
+	// The kernel's storage is recycled too; its event counts must agree.
+	if a.Events != b.Events || a.Events != bare.Events {
+		t.Errorf("kernel events: cold %d, warm %d, no arena %d", a.Events, b.Events, bare.Events)
+	}
 	if a.NetworkPDR() != bare.NetworkPDR() {
 		t.Errorf("network PDR differs: %v vs %v", a.NetworkPDR(), bare.NetworkPDR())
 	}

@@ -38,13 +38,15 @@ type Substrate struct {
 // consumer's stream stable when instrumentation is added or removed.
 func NewSubstrate(cfg *Config) *Substrate {
 	s := &Substrate{
-		Kernel:  sim.NewKernel(),
 		Clock:   superframe.NewClock(cmp.Or(cfg.Superframe, superframe.DefaultConfig())),
-		Pool:    &frame.Pool{},
-		Scratch: &mac.Scratch{},
 		seed:    cfg.Seed,
 		sink:    cfg.Network.Sink,
 		barring: cfg.Barring,
+	}
+	if cfg.Arena != nil {
+		s.Kernel, s.Pool, s.Scratch = cfg.Arena.Begin()
+	} else {
+		s.Kernel, s.Pool, s.Scratch = sim.NewKernel(), &frame.Pool{}, &mac.Scratch{}
 	}
 	topology := cfg.Network.Topology
 	if len(cfg.Dynamics.Moves) > 0 {
@@ -61,9 +63,6 @@ func NewSubstrate(cfg *Config) *Substrate {
 	}
 	if cfg.Dynamics.Enabled() {
 		armDynamics(s.Kernel, s.Medium, cfg.Dynamics, cfg.Seed)
-	}
-	if cfg.Arena != nil {
-		s.Pool, s.Scratch = cfg.Arena.Begin()
 	}
 	if cfg.InvariantChecks {
 		s.Kernel.SetInvariantChecks(true)

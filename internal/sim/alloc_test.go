@@ -75,6 +75,34 @@ func TestAtCallEarlySteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// Events a page or more ahead travel through the coarse ring, and events
+// beyond its horizon through the overflow heap, before they cascade into a
+// fine bucket; once capacity is warm, neither level may allocate.
+func TestWheelLevelsSteadyStateDoNotAllocate(t *testing.T) {
+	for _, level := range []struct {
+		name string
+		d    Time
+	}{{"coarse", 5 * Millisecond}, {"overflow", 10 * Second}} {
+		k := NewKernel()
+		fn := func(any) {}
+		k.AtCall(k.Now()+level.d, fn, nil)
+		k.AtCallEarly(k.Now()+level.d, fn, nil)
+		k.RunAll()
+		allocs := testing.AllocsPerRun(1000, func() {
+			k.AtCall(k.Now()+level.d, fn, nil)
+			k.AtCallEarly(k.Now()+level.d, fn, nil)
+			k.RunAll()
+		})
+		if allocs != 0 {
+			t.Errorf("%s level: steady-state schedule+fire allocates %.1f objects per round, want 0", level.name, allocs)
+		}
+		// Two events per round: ours, AllocsPerRun's warm-up and its 1000.
+		if want := uint64(2 * 1002); k.Processed() != want {
+			t.Errorf("%s level: processed %d events, want %d", level.name, k.Processed(), want)
+		}
+	}
+}
+
 func TestExpectedHandshakeMessagesDoesNotAllocate(t *testing.T) {
 	// The Eq. 12 solve runs on a pooled workspace; a sweep over p (the
 	// Fig. 26 curve, BenchmarkHandshakeMatrix) must not allocate per point.

@@ -46,8 +46,14 @@ type fuzzQueue interface {
 	run()
 }
 
-// realQueue adapts Kernel.
-type realQueue struct{ k *Kernel }
+// realQueue adapts Kernel; reach, when set, records the wheel levels and
+// compactions the program touched.
+type realQueue struct {
+	k     *Kernel
+	reach *wheelReach
+}
+
+type wheelReach struct{ coarse, far, compacted bool }
 
 func (q realQueue) schedule(at Time, early bool, fn func()) func() {
 	wrap := func(any) { fn() }
@@ -57,10 +63,22 @@ func (q realQueue) schedule(at Time, early bool, fn func()) func() {
 	} else {
 		id = q.k.At(at, fn)
 	}
+	if r := q.reach; r != nil {
+		r.coarse = r.coarse || q.k.coarseOcc.sum != 0
+		r.far = r.far || len(q.k.far) > 0
+		return func() {
+			before := q.k.Pending()
+			id.Cancel()
+			r.compacted = r.compacted || q.k.Pending() < before
+		}
+	}
 	return id.Cancel
 }
-func (q realQueue) now() Time { return q.k.Now() }
-func (q realQueue) run()      { q.k.RunAll() }
+func (q realQueue) now() Time               { return q.k.Now() }
+func (q realQueue) run()                    { q.k.RunAll() }
+func (q realQueue) runUntil(until Time)     { q.k.Run(until) }
+func (q realQueue) stop()                   { q.k.Stop() }
+func (q realQueue) setBudget(events uint64) { q.k.SetBudget(events, 0) }
 
 // naiveEvent and naiveQueue are the reference implementation: an append-only
 // slice scanned linearly for the minimum of (at, early-first, seq).
@@ -74,9 +92,12 @@ type naiveEvent struct {
 }
 
 type naiveQueue struct {
-	events []*naiveEvent
-	seq    uint64
-	t      Time
+	events    []*naiveEvent
+	seq       uint64
+	t         Time
+	stopped   bool
+	budget    uint64 // lifetime event budget, 0 = unlimited
+	processed uint64
 }
 
 func (q *naiveQueue) schedule(at Time, early bool, fn func()) func() {
@@ -88,25 +109,45 @@ func (q *naiveQueue) schedule(at Time, early bool, fn func()) func() {
 
 func (q *naiveQueue) now() Time { return q.t }
 
-func (q *naiveQueue) run() {
-	for {
-		var best *naiveEvent
-		for _, e := range q.events {
-			if e.fired || e.canceled {
-				continue
-			}
-			if best == nil || e.at < best.at ||
-				(e.at == best.at && e.early && !best.early) ||
-				(e.at == best.at && e.early == best.early && e.seq < best.seq) {
-				best = e
-			}
+func (q *naiveQueue) run()                    { q.runUntil(Never) }
+func (q *naiveQueue) stop()                   { q.stopped = true }
+func (q *naiveQueue) setBudget(events uint64) { q.budget = events }
+
+// next returns the earliest live event by (at, early-first, seq), or nil.
+func (q *naiveQueue) next() *naiveEvent {
+	var best *naiveEvent
+	for _, e := range q.events {
+		if e.fired || e.canceled {
+			continue
 		}
-		if best == nil {
-			return
+		if best == nil || e.at < best.at ||
+			(e.at == best.at && e.early && !best.early) ||
+			(e.at == best.at && e.early == best.early && e.seq < best.seq) {
+			best = e
+		}
+	}
+	return best
+}
+
+// runUntil is the reference for Kernel.Run: fire in order while the budget
+// lasts and nobody stopped, then move the clock to until unless a live
+// event at or before until remains.
+func (q *naiveQueue) runUntil(until Time) {
+	q.stopped = false
+	for !q.stopped && (q.budget == 0 || q.processed < q.budget) {
+		best := q.next()
+		if best == nil || best.at > until {
+			break
 		}
 		best.fired = true
 		q.t = best.at
+		q.processed++
 		best.fn()
+	}
+	if until != Never && q.t < until {
+		if e := q.next(); e == nil || e.at > until {
+			q.t = until
+		}
 	}
 }
 
@@ -171,4 +212,187 @@ func FuzzKernelScheduleCancel(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzKernelHorizons is FuzzKernelScheduleCancel across every level of the
+// timing wheel. Schedule distances are log-uniform from 0 to 2^27 µs, so
+// programs reach the fine ring, the coarse ring and the overflow heap; and
+// the program steps the clock with Run(until), scheduling between steps as
+// the sharded runner's foreign-busy exchange does, stops mid-instant, runs
+// under an event budget and mass-cancels into compaction. The clock after
+// every step is part of the trace.
+//
+// Input: byte 0 is the event budget (0 = none, else 4 events per unit),
+// then 6-byte ops: kind, distance bit length, 24 distance bits, extra.
+func FuzzKernelHorizons(f *testing.F) {
+	for _, seed := range horizonSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		k := NewKernel()
+		k.SetInvariantChecks(true)
+		real := runHorizonProgram(data, realQueue{k: k})
+		naive := runHorizonProgram(data, &naiveQueue{})
+		if len(real) != len(naive) {
+			t.Fatalf("trace length: kernel %d, reference %d", len(real), len(naive))
+		}
+		for i := range real {
+			if real[i] != naive[i] {
+				t.Fatalf("trace entry %d: kernel %+v, reference %+v", i, real[i], naive[i])
+			}
+		}
+	})
+}
+
+// Horizon program op kinds.
+const (
+	hSchedule          = iota // normal event at now+distance
+	hEarly                    // early event at now+distance
+	hCancel                   // cancel event extra % created
+	hFireSchedule             // its firing schedules a child at now+distance (early if extra is odd)
+	hFireCancel               // its firing cancels event extra % created
+	hStep                     // Run(now+distance), then the clock goes into the trace
+	hFireStop                 // its firing calls Stop
+	hBurstOrMassCancel        // extra < 128: extra%32+1 events, extra>>5 µs apart; else cancel 3 of every 4 events
+	hKinds
+)
+
+// hOp encodes one horizon program op.
+func hOp(kind, bitLen byte, dist uint32, extra byte) []byte {
+	return []byte{kind, bitLen, byte(dist >> 16), byte(dist >> 8), byte(dist), extra}
+}
+
+// horizonSeeds are FuzzKernelHorizons' committed seeds.
+func horizonSeeds() [][]byte {
+	cat := func(budget byte, ops ...[]byte) []byte {
+		b := []byte{budget}
+		for _, op := range ops {
+			b = append(b, op...)
+		}
+		return b
+	}
+	all := uint32(1<<24 - 1)
+	return [][]byte{
+		// Every level: the same page, the coarse ring, the overflow heap,
+		// early and normal, with cancels, stepped out to past the horizon.
+		cat(0, hOp(hSchedule, 5, all, 0), hOp(hEarly, 14, all, 0), hOp(hSchedule, 20, all, 0),
+			hOp(hEarly, 26, all, 0), hOp(hSchedule, 27, all, 0), hOp(hSchedule, 27, all, 0),
+			hOp(hCancel, 0, 0, 2), hOp(hFireSchedule, 23, all/3, 1), hOp(hStep, 24, all, 0),
+			hOp(hEarly, 0, 0, 0), hOp(hSchedule, 0, 0, 0), hOp(hStep, 27, all, 0)),
+		// Stepped runs with schedules at the clock between steps (the
+		// foreign-busy pattern), including early events at the step's end.
+		cat(0, hOp(hSchedule, 16, all, 0), hOp(hSchedule, 13, 5000, 0), hOp(hStep, 12, 4095, 0),
+			hOp(hEarly, 0, 0, 0), hOp(hSchedule, 1, 1, 0), hOp(hStep, 13, 8191, 0),
+			hOp(hEarly, 12, 100, 0), hOp(hFireSchedule, 12, 100, 0), hOp(hStep, 16, all, 0),
+			hOp(hEarly, 3, 7, 0), hOp(hStep, 0, 0, 0)),
+		// Stop mid-instant: a burst at one instant with a stopping event in
+		// the middle, then a step and a resume.
+		cat(0, hOp(hBurstOrMassCancel, 12, 777, 3), hOp(hFireStop, 12, 777, 0),
+			hOp(hBurstOrMassCancel, 12, 777, 4), hOp(hEarly, 12, 777, 0), hOp(hStep, 20, all, 0),
+			hOp(hSchedule, 0, 0, 0), hOp(hStep, 20, all, 0)),
+		// Budget and compaction: four bursts across pages, three quarters
+		// cancelled, under a 60-event budget, stepped twice.
+		cat(15, hOp(hBurstOrMassCancel, 12, 4000, 31+32), hOp(hBurstOrMassCancel, 18, all, 31+64),
+			hOp(hBurstOrMassCancel, 25, all, 31+96), hOp(hBurstOrMassCancel, 0, 0, 31),
+			hOp(hBurstOrMassCancel, 0, 0, 200), hOp(hStep, 19, all, 0), hOp(hSchedule, 2, 3, 0),
+			hOp(hStep, 27, all, 0)),
+		// The re-base trap: the next event lies pages beyond until, then a
+		// schedule arrives at until+1.
+		cat(0, hOp(hSchedule, 20, all, 0), hOp(hSchedule, 27, all, 0), hOp(hStep, 7, 100, 0),
+			hOp(hSchedule, 1, 1, 0), hOp(hEarly, 1, 1, 0), hOp(hStep, 0, 0, 0)),
+	}
+}
+
+// maxHorizonEvents bounds a program's events, keeping the quadratic
+// reference fast.
+const maxHorizonEvents = 1000
+
+// stepQueue is a fuzzQueue that also runs to a bound, stops and budgets.
+type stepQueue interface {
+	fuzzQueue
+	runUntil(until Time)
+	stop()
+	setBudget(events uint64)
+}
+
+// runHorizonProgram executes a horizon program against one implementation
+// and returns the firing trace, with the clock after each step recorded as
+// idx -1.
+func runHorizonProgram(data []byte, q stepQueue) []fireRec {
+	var trace []fireRec
+	if len(data) == 0 {
+		return nil
+	}
+	if data[0] > 0 {
+		q.setBudget(4 * uint64(data[0]))
+	}
+	var cancels []func()
+	cancel := func(i int) {
+		if len(cancels) > 0 {
+			cancels[i%len(cancels)]()
+		}
+	}
+	var create func(kind byte, at Time, dist Time, extra byte)
+	create = func(kind byte, at Time, dist Time, extra byte) {
+		if len(cancels) >= maxHorizonEvents {
+			return
+		}
+		idx := len(cancels)
+		fire := func() {
+			trace = append(trace, fireRec{idx: idx, at: q.now()})
+			switch kind {
+			case hFireSchedule:
+				create(hSchedule+extra&1, q.now()+dist, 0, 0)
+			case hFireCancel:
+				cancel(int(extra))
+			case hFireStop:
+				q.stop()
+			}
+		}
+		cancels = append(cancels, q.schedule(at, kind == hEarly, fire))
+	}
+	ops := 0
+	for i := 1; i+5 < len(data) && ops < 200; i, ops = i+6, ops+1 {
+		kind, extra := data[i]%hKinds, data[i+5]
+		dist := Time((uint64(data[i+2])<<16 | uint64(data[i+3])<<8 | uint64(data[i+4])) << 3 >> (27 - data[i+1]%28))
+		at := q.now() + dist
+		switch kind {
+		case hCancel:
+			cancel(int(extra))
+		case hStep:
+			q.runUntil(at)
+			trace = append(trace, fireRec{idx: -1, at: q.now()})
+		case hBurstOrMassCancel:
+			if extra >= 128 {
+				for j := range cancels {
+					if j%4 != 0 {
+						cancels[j]()
+					}
+				}
+				continue
+			}
+			for j := 0; j <= int(extra%32); j++ {
+				create(hSchedule, at+Time(j)*Time(extra>>5), 0, 0)
+			}
+		default:
+			create(kind, at, dist, extra)
+		}
+	}
+	q.runUntil(Never)
+	return append(trace, fireRec{idx: -1, at: q.now()})
+}
+
+// The committed seeds must exercise what FuzzKernelHorizons exists for: at
+// least one reaches the coarse ring, one the overflow heap, and one
+// triggers compaction.
+func TestKernelHorizonSeedsReachEveryLevel(t *testing.T) {
+	var reach wheelReach
+	for _, seed := range horizonSeeds() {
+		k := NewKernel()
+		k.SetInvariantChecks(true)
+		runHorizonProgram(seed, realQueue{k: k, reach: &reach})
+	}
+	if !reach.coarse || !reach.far || !reach.compacted {
+		t.Fatalf("seeds reach coarse=%v far=%v compaction=%v, want all", reach.coarse, reach.far, reach.compacted)
+	}
 }

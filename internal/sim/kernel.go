@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 	"time"
 )
 
@@ -11,7 +11,8 @@ import (
 // a pointer into the kernel's event storage), so the kernel is free to
 // recycle the underlying slot after the event fires or is compacted away:
 // a stale handle becomes inert rather than aliasing a newer event. The zero
-// value is inert.
+// value is inert, and so is every handle of a kernel whose storage was
+// handed on by Recycle.
 type EventID struct {
 	k   *Kernel
 	idx uint32
@@ -21,7 +22,7 @@ type EventID struct {
 // live reports whether the handle still refers to its original, un-fired
 // occupant of the slot.
 func (e EventID) live() bool {
-	return e.k != nil && e.k.slots[e.idx].gen == e.gen
+	return e.k != nil && int(e.idx) < len(e.k.slots) && e.k.slots[e.idx].gen == e.gen
 }
 
 // At reports the instant the event is scheduled for, or 0 when the event
@@ -63,7 +64,7 @@ func (e EventID) Cancel() {
 // the kernel recycles the slot for a newer event the answer degrades to
 // false (the handle is stale and carries no history).
 func (e EventID) Canceled() bool {
-	if e.k == nil {
+	if e.k == nil || int(e.idx) >= len(e.k.slots) {
 		return false
 	}
 	s := &e.k.slots[e.idx]
@@ -84,9 +85,8 @@ type eventSlot struct {
 	fn    func()
 	fnArg func(any)
 	arg   any
-	// next links slots scheduled for the same instant into a FIFO chain
-	// (stored as idx+1; 0 terminates). Only the chain head sits in the heap,
-	// so the heap tracks distinct timestamps rather than individual events.
+	// next links the slot into its wheel bucket or coarse page (stored as
+	// idx+1; 0 terminates).
 	next     uint32
 	gen      uint32
 	canceled bool
@@ -95,56 +95,106 @@ type eventSlot struct {
 	early bool
 }
 
-// tcacheSize is the number of recently appended-to chains the kernel
-// remembers (power of two). A cache hit turns scheduling at an already
-// queued instant into a pointer append — no heap traffic at all.
-const tcacheSize = 4
+// The timing wheel's geometry. A page is fineSize consecutive µs instants;
+// the fine ring holds the current page with one bucket per instant, the
+// coarse ring holds the next coarseSize-1 pages as unsorted FIFO lists, and
+// anything later waits in the overflow heap. Each level has at most 64
+// occupancy words, so one summary word indexes it.
+const (
+	fineBits   = 12
+	fineSize   = 1 << fineBits // 4.096 ms of instants
+	fineMask   = fineSize - 1
+	coarseSize = 1 << 10 // pages: a 4.19 s horizon
+	coarseMask = coarseSize - 1
+)
 
-// tcacheEntry remembers the tail of a queued chain so that another event
-// for the same instant can be appended in O(1). tail is idx+1; 0 = empty.
-type tcacheEntry struct {
-	at   Time
-	tail uint32
+// occupancy is a two-level bitmap over up to 4096 positions: bit i of
+// words[i/64] is set while position i holds events, and bit w of sum while
+// words[w] is non-zero.
+type occupancy struct {
+	sum   uint64
+	words [64]uint64
+}
+
+func (o *occupancy) set(i int) {
+	w := i >> 6
+	o.words[w] |= 1 << (i & 63)
+	o.sum |= 1 << w
+}
+
+func (o *occupancy) unset(i int) {
+	w := i >> 6
+	o.words[w] &^= 1 << (i & 63)
+	if o.words[w] == 0 {
+		o.sum &^= 1 << w
+	}
+}
+
+// first returns the lowest set position, or -1.
+func (o *occupancy) first() int {
+	if o.sum == 0 {
+		return -1
+	}
+	w := bits.TrailingZeros64(o.sum)
+	return w<<6 | bits.TrailingZeros64(o.words[w])
+}
+
+// firstFrom returns the lowest set position >= i, or -1.
+func (o *occupancy) firstFrom(i int) int {
+	w := i >> 6
+	if m := o.words[w] & (^uint64(0) << (i & 63)); m != 0 {
+		return w<<6 | bits.TrailingZeros64(m)
+	}
+	s := o.sum & (^uint64(0) << (w + 1))
+	if s == 0 {
+		return -1
+	}
+	w = bits.TrailingZeros64(s)
+	return w<<6 | bits.TrailingZeros64(o.words[w])
+}
+
+// bucket is one instant of the fine ring: a FIFO chain whose early events
+// form a prefix, each part in sequence order. head, tail and early (the last
+// early event) are idx+1; 0 = none.
+type bucket struct {
+	head, tail, early uint32
+}
+
+// chain is one page of the coarse ring: its events in scheduling order.
+type chain struct {
+	head, tail uint32
 }
 
 // Kernel is a sequential discrete event simulator. It is not safe for
 // concurrent use; replicated runs each own a private Kernel.
 //
-// Events live in a kernel-owned arena. Same-instant events are linked into
-// FIFO chains, an index-based 4-ary min-heap orders the chain heads by
-// time, and Run drains one instant at a time into a reusable batch buffer,
-// restores the exact (early, seq) order with one sort, and dispatches
-// sequentially — so the per-event cost in same-instant bursts is an append
-// and a compare, not a heap sift. Steady state performs no allocations.
+// Events live in a kernel-owned arena and are ordered by one two-level
+// timing wheel. The fine ring has a bucket per µs instant of the current
+// page; Run dispatches straight from the earliest occupied bucket, found
+// with two TrailingZeros64 over the occupancy bitmap. Later pages wait in
+// the coarse ring and are cascaded into the fine ring when their page comes
+// up; events beyond the coarse horizon wait in a binary heap. Firing order
+// is exactly (time, early first, scheduling order), because a page receives
+// its overflow events, then its coarse events, before anything can be
+// scheduled into it directly. Steady state performs no allocations.
 type Kernel struct {
 	slots []eventSlot
 	free  []uint32 // freelist of recycled slot indices
-	heap  []uint32 // 4-ary min-heap of chain-head slot indices, ordered by (at, seq)
 
-	// batch holds the instant currently being dispatched, in firing order;
-	// batchPos is the next entry to dispatch. The buffer is reused across
-	// instants. batchAt is the batch's timestamp while dispatching is true;
-	// events scheduled for exactly that instant from inside a callback are
-	// spliced into the batch instead of touching the heap.
-	batch       []uint32
-	batchPos    int
-	batchAt     Time
-	dispatching bool
-
-	// tcache maps a few recent instants to their chain tails for O(1)
-	// same-time appends. Entries are invalidated when their instant drains,
-	// and wholesale on compaction.
-	tcache [tcacheSize]tcacheEntry
-
-	// batchCmp is the (early, seq) comparator for sorting a drained batch,
-	// built once so sorting stays allocation-free.
-	batchCmp func(a, b uint32) int
+	// page is the page number (time >> fineBits) the fine ring holds. It
+	// never exceeds the clock's page, so every schedule lands on or after it.
+	page      Time
+	fine      []bucket // fineSize buckets, indexed by time & fineMask
+	coarse    []chain  // coarseSize pages, indexed by page & coarseMask
+	far       []uint32 // binary min-heap by (at, seq) beyond the coarse horizon
+	fineOcc   occupancy
+	coarseOcc occupancy
 
 	now     Time
 	seq     uint64
 	stopped bool
 	// queued counts events that are scheduled but have not yet fired or
-	// been dropped (chained, heaped or sitting in the live batch).
+	// been dropped, cancelled ones included.
 	queued int
 	// canceledQueued counts cancelled events still occupying queue entries;
 	// when they dominate the queue it is compacted.
@@ -166,25 +216,32 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at zero and an empty queue.
 func NewKernel() *Kernel {
-	k := &Kernel{
-		slots: make([]eventSlot, 0, 1024),
-		heap:  make([]uint32, 0, 64),
-		batch: make([]uint32, 0, 256),
+	return &Kernel{
+		slots:  make([]eventSlot, 0, 1024),
+		fine:   make([]bucket, fineSize),
+		coarse: make([]chain, coarseSize),
 	}
-	k.batchCmp = func(a, b uint32) int {
-		sa, sb := &k.slots[a], &k.slots[b]
-		if sa.early != sb.early {
-			if sa.early {
-				return -1
-			}
-			return 1
-		}
-		if sa.seq < sb.seq {
-			return -1
-		}
-		return 1
+}
+
+// Recycle returns a new kernel, clock at zero and queue empty, that takes
+// over k's event arena and wheel arrays, so back-to-back runs do not
+// allocate them afresh. k keeps its clock and counters for reading (Now,
+// Processed, BudgetExhausted), its handles go inert, and it must not
+// schedule or run again. The new kernel behaves exactly like NewKernel's.
+func (k *Kernel) Recycle() *Kernel {
+	clear(k.slots) // drop every callback the old run still references
+	clear(k.fine)
+	clear(k.coarse)
+	n := &Kernel{
+		slots:  k.slots[:0],
+		free:   k.free[:0],
+		fine:   k.fine,
+		coarse: k.coarse,
+		far:    k.far[:0],
 	}
-	return k
+	k.slots, k.free, k.fine, k.coarse, k.far = nil, nil, nil, nil, nil
+	k.queued, k.canceledQueued = 0, 0
+	return n
 }
 
 // Now reports the current virtual time.
@@ -220,8 +277,9 @@ func (k *Kernel) SetBudget(maxEvents uint64, maxWall time.Duration) {
 func (k *Kernel) BudgetExhausted() bool { return k.budgetHit }
 
 // SetInvariantChecks toggles the kernel's opt-in runtime self-checks
-// (currently: dispatched events must never travel back in time). Tests and
-// the fuzzing harnesses enable them; production sweeps leave them off.
+// (dispatched events must never travel back in time, and must sit in the
+// bucket of their own instant). Tests and the fuzzing harnesses enable
+// them; production sweeps leave them off.
 func (k *Kernel) SetInvariantChecks(on bool) { k.invariantChecks = on }
 
 // ctx renders the kernel's position for panic messages, so a post-mortem
@@ -327,61 +385,119 @@ func (k *Kernel) release(idx uint32) {
 	k.free = append(k.free, idx)
 }
 
-// tcacheSlot hashes an instant into the chain-tail cache.
-func tcacheSlot(t Time) int {
-	return int((uint64(t) * 0x9E3779B97F4A7C15) >> 62)
-}
-
-// enqueue routes a freshly allocated slot to its queue position: spliced
-// into the live batch when a callback schedules for the instant currently
-// dispatching, appended to a cached chain on a tail-cache hit, or pushed as
-// a new chain head otherwise.
+// enqueue files a freshly allocated slot into the wheel. An empty queue
+// lets the fine ring jump to the clock's page first, so a kernel that idled
+// across pages schedules straight into fine buckets again.
 func (k *Kernel) enqueue(idx uint32, t Time, early bool) {
+	if k.queued == 0 {
+		k.page = k.now >> fineBits
+	}
 	k.queued++
-	if k.dispatching && t == k.batchAt {
-		k.batchInsert(idx, early)
-		return
-	}
-	h := tcacheSlot(t)
-	if e := &k.tcache[h]; e.tail != 0 && e.at == t {
-		k.slots[e.tail-1].next = idx + 1
-		e.tail = idx + 1
-		return
-	}
-	k.heapPush(idx)
-	k.tcache[h] = tcacheEntry{at: t, tail: idx + 1}
+	k.place(idx, t, early)
 }
 
-// batchInsert splices an event scheduled for the instant currently being
-// dispatched into the batch. It carries the highest sequence number seen so
-// far, so a normal event goes last; an early event goes after the remaining
-// early events but before every remaining normal one — exactly where the
-// (at, early, seq) order puts it.
-func (k *Kernel) batchInsert(idx uint32, early bool) {
-	if !early {
-		k.batch = append(k.batch, idx)
-		return
-	}
-	// Binary search the undispatched tail for the first normal event.
-	lo, hi := k.batchPos, len(k.batch)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if k.slots[k.batch[mid]].early {
-			lo = mid + 1
+// place files a slot by its page's distance from the fine ring: into its
+// instant's bucket, onto its coarse page, or into the overflow heap.
+func (k *Kernel) place(idx uint32, t Time, early bool) {
+	p := t >> fineBits
+	switch d := p - k.page; {
+	case d == 0:
+		k.fineAdd(idx, int(t&fineMask), early)
+	case d < coarseSize:
+		i := int(p & coarseMask)
+		c := &k.coarse[i]
+		if c.head == 0 {
+			c.head = idx + 1
+			k.coarseOcc.set(i)
 		} else {
-			hi = mid
+			k.slots[c.tail-1].next = idx + 1
+		}
+		c.tail = idx + 1
+	default:
+		k.farPush(idx)
+	}
+}
+
+// fineAdd appends a slot to bucket i: a normal event at the tail, an early
+// one after the bucket's last early event. Slots arrive in sequence order
+// (see advance), so both parts stay in sequence order.
+func (k *Kernel) fineAdd(idx uint32, i int, early bool) {
+	b := &k.fine[i]
+	n := idx + 1
+	switch {
+	case b.head == 0:
+		b.head, b.tail = n, n
+		k.fineOcc.set(i)
+	case !early:
+		k.slots[b.tail-1].next = n
+		b.tail = n
+		return
+	case b.early == 0:
+		k.slots[idx].next = b.head
+		b.head = n
+	default:
+		last := &k.slots[b.early-1]
+		k.slots[idx].next = last.next
+		last.next = n
+		if b.tail == b.early {
+			b.tail = n
 		}
 	}
-	k.batch = append(k.batch, 0)
-	copy(k.batch[lo+1:], k.batch[lo:])
-	k.batch[lo] = idx
+	if early {
+		b.early = n
+	}
 }
 
-// less orders two chain heads by (time, sequence). Only distinct instants
-// compete in the heap — exact same-instant ordering is restored by the
-// batch sort — but the sequence tiebreak keeps the layout deterministic
-// when cache misses produce several chains for one instant.
-func (k *Kernel) less(a, b uint32) bool {
+// advance moves the fine ring to the next occupied page and cascades that
+// page's events into their buckets: overflow events first, then the coarse
+// list. Every overflow event for a page was scheduled before the page came
+// within the coarse horizon, hence before any coarse event for it, and both
+// come before anything scheduled into the page directly; so the buckets end
+// up in sequence order. advance refuses, returning false, when the page
+// starts after until: the ring must never pass the clock Run leaves behind,
+// or a later schedule between the two would land behind the ring.
+func (k *Kernel) advance(until Time) bool {
+	next := Never
+	start := int((k.page + 1) & coarseMask)
+	ci := k.coarseOcc.firstFrom(start)
+	if ci < 0 {
+		ci = k.coarseOcc.first()
+	}
+	if ci >= 0 {
+		next = k.page + 1 + Time((ci-start)&coarseMask)
+	}
+	if len(k.far) > 0 {
+		if p := k.slots[k.far[0]].at >> fineBits; p < next {
+			next = p
+		}
+	}
+	if next == Never || next<<fineBits > until {
+		return false
+	}
+	k.page = next
+	for len(k.far) > 0 && k.slots[k.far[0]].at>>fineBits == next {
+		idx := k.farPop()
+		s := &k.slots[idx]
+		s.next = 0
+		k.fineAdd(idx, int(s.at&fineMask), s.early)
+	}
+	if ci >= 0 && int(next&coarseMask) == ci {
+		c := &k.coarse[ci]
+		for n := c.head; n != 0; {
+			s := &k.slots[n-1]
+			idx := n - 1
+			n = s.next
+			s.next = 0
+			k.fineAdd(idx, int(s.at&fineMask), s.early)
+		}
+		*c = chain{}
+		k.coarseOcc.unset(ci)
+	}
+	return true
+}
+
+// farLess orders overflow events by (time, sequence).
+func (k *Kernel) farLess(a, b uint32) bool {
 	sa, sb := &k.slots[a], &k.slots[b]
 	if sa.at != sb.at {
 		return sa.at < sb.at
@@ -389,52 +505,45 @@ func (k *Kernel) less(a, b uint32) bool {
 	return sa.seq < sb.seq
 }
 
-// heapPush appends idx and sifts it up the 4-ary heap.
-func (k *Kernel) heapPush(idx uint32) {
-	k.heap = append(k.heap, idx)
-	i := len(k.heap) - 1
+// farPush appends idx to the overflow heap and sifts it up.
+func (k *Kernel) farPush(idx uint32) {
+	k.far = append(k.far, idx)
+	i := len(k.far) - 1
 	for i > 0 {
-		p := (i - 1) / 4
-		if !k.less(k.heap[i], k.heap[p]) {
+		p := (i - 1) / 2
+		if !k.farLess(k.far[i], k.far[p]) {
 			break
 		}
-		k.heap[i], k.heap[p] = k.heap[p], k.heap[i]
+		k.far[i], k.far[p] = k.far[p], k.far[i]
 		i = p
 	}
 }
 
-// heapPop removes the minimum (heap[0]).
-func (k *Kernel) heapPop() {
-	n := len(k.heap) - 1
-	k.heap[0] = k.heap[n]
-	k.heap = k.heap[:n]
-	if n > 0 {
-		k.siftDown(0)
-	}
+// farPop removes and returns the overflow heap's minimum.
+func (k *Kernel) farPop() uint32 {
+	top := k.far[0]
+	n := len(k.far) - 1
+	k.far[0] = k.far[n]
+	k.far = k.far[:n]
+	k.farDown(0)
+	return top
 }
 
-func (k *Kernel) siftDown(i int) {
-	n := len(k.heap)
+func (k *Kernel) farDown(i int) {
+	n := len(k.far)
 	for {
-		first := 4*i + 1
-		if first >= n {
+		c := 2*i + 1
+		if c >= n {
 			return
 		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
+		if c+1 < n && k.farLess(k.far[c+1], k.far[c]) {
+			c++
 		}
-		for c := first + 1; c < last; c++ {
-			if k.less(k.heap[c], k.heap[best]) {
-				best = c
-			}
-		}
-		if !k.less(k.heap[best], k.heap[i]) {
+		if !k.farLess(k.far[c], k.far[i]) {
 			return
 		}
-		k.heap[i], k.heap[best] = k.heap[best], k.heap[i]
-		i = best
+		k.far[i], k.far[c] = k.far[c], k.far[i]
+		i = c
 	}
 }
 
@@ -446,97 +555,107 @@ const compactThreshold = 64
 // up more than half of it. Cancellation is otherwise lazy (entries of
 // cancelled events are dropped when their instant dispatches), so a
 // workload that cancels almost everything it schedules — e.g. ACK timers —
-// cannot grow the queue without bound. Cancelled events sitting in the live
-// batch are skipped at dispatch instead; the counter is adjusted per entry
-// actually removed, so their accounting survives a compaction.
+// cannot grow the queue without bound. It may run from inside a callback:
+// Run looks up the earliest bucket afresh for every event.
 func (k *Kernel) maybeCompact() {
 	if k.canceledQueued <= compactThreshold || k.canceledQueued*2 <= k.queued {
 		return
 	}
 	removed := 0
-	kept := k.heap[:0]
-	for _, head := range k.heap {
-		newHead := uint32(0) // idx+1; 0 = chain fully cancelled
-		tail := uint32(0)
-		cur := head
-		for {
-			next := k.slots[cur].next
-			if k.slots[cur].canceled {
-				k.release(cur)
-				removed++
-			} else {
-				k.slots[cur].next = 0
-				if newHead == 0 {
-					newHead = cur + 1
-				} else {
-					k.slots[tail-1].next = cur + 1
-				}
-				tail = cur + 1
+	for ws := k.fineOcc.sum; ws != 0; ws &= ws - 1 {
+		w := bits.TrailingZeros64(ws)
+		for m := k.fineOcc.words[w]; m != 0; m &= m - 1 {
+			i := w<<6 | bits.TrailingZeros64(m)
+			b := &k.fine[i]
+			b.head, b.tail, b.early = k.compactChain(b.head, &removed)
+			if b.head == 0 {
+				k.fineOcc.unset(i)
 			}
-			if next == 0 {
-				break
-			}
-			cur = next - 1
-		}
-		if newHead != 0 {
-			kept = append(kept, newHead-1)
 		}
 	}
-	k.heap = kept
+	for ws := k.coarseOcc.sum; ws != 0; ws &= ws - 1 {
+		w := bits.TrailingZeros64(ws)
+		for m := k.coarseOcc.words[w]; m != 0; m &= m - 1 {
+			i := w<<6 | bits.TrailingZeros64(m)
+			c := &k.coarse[i]
+			c.head, c.tail, _ = k.compactChain(c.head, &removed)
+			if c.head == 0 {
+				k.coarseOcc.unset(i)
+			}
+		}
+	}
+	kept := k.far[:0]
+	for _, idx := range k.far {
+		if k.slots[idx].canceled {
+			k.release(idx)
+			removed++
+		} else {
+			kept = append(kept, idx)
+		}
+	}
+	k.far = kept
+	for i := len(k.far)/2 - 1; i >= 0; i-- {
+		k.farDown(i)
+	}
 	k.canceledQueued -= removed
 	k.queued -= removed
-	for i := (len(k.heap) - 2) / 4; i >= 0; i-- {
-		k.siftDown(i)
-	}
-	// Chain tails may have been unlinked or rechained; drop every cached tail.
-	for i := range k.tcache {
-		k.tcache[i].tail = 0
-	}
 }
 
-// drain pops every chain scheduled for instant t off the heap into the
-// batch buffer and restores the exact (early, seq) firing order with one
-// sort. Chains are already seq-ordered, so for the common single-chain,
-// no-early instant the sort's presorted check is a single linear pass.
-func (k *Kernel) drain(t Time) {
-	k.batchAt = t
-	for len(k.heap) > 0 {
-		idx := k.heap[0]
-		if k.slots[idx].at != t {
-			break
-		}
-		k.heapPop()
-		for {
-			k.batch = append(k.batch, idx)
-			next := k.slots[idx].next
-			k.slots[idx].next = 0
-			if next == 0 {
-				break
+// compactChain unlinks and releases the cancelled slots of the chain
+// starting at head (idx+1), counting them into removed, and returns the
+// surviving chain's head, tail and last early slot.
+func (k *Kernel) compactChain(head uint32, removed *int) (newHead, tail, early uint32) {
+	for n := head; n != 0; {
+		s := &k.slots[n-1]
+		next := s.next
+		if s.canceled {
+			k.release(n - 1)
+			*removed++
+		} else {
+			s.next = 0
+			if newHead == 0 {
+				newHead = n
+			} else {
+				k.slots[tail-1].next = n
 			}
-			idx = next - 1
+			tail = n
+			if s.early {
+				early = n
+			}
 		}
+		n = next
 	}
-	for i := range k.tcache {
-		if k.tcache[i].tail != 0 && k.tcache[i].at == t {
-			k.tcache[i].tail = 0
-		}
-	}
-	if len(k.batch) > 1 {
-		slices.SortFunc(k.batch, k.batchCmp)
-	}
-	k.dispatching = true
+	return newHead, tail, early
 }
 
-// requeueBatch pushes the undispatched remainder of the batch back onto the
-// heap (as singleton chains) when Stop or a budget cuts a Run short
-// mid-instant; their sequence numbers restore the order on the next drain.
-func (k *Kernel) requeueBatch() {
-	for _, idx := range k.batch[k.batchPos:] {
-		k.heapPush(idx)
+// liveBy reports whether a live (not cancelled) event is queued at or
+// before until. Only a Run cut short by Stop or a budget asks, so a plain
+// scan of the whole wheel is affordable.
+func (k *Kernel) liveBy(until Time) bool {
+	live := func(n uint32) bool {
+		for ; n != 0; n = k.slots[n-1].next {
+			if s := &k.slots[n-1]; !s.canceled && s.at <= until {
+				return true
+			}
+		}
+		return false
 	}
-	k.batch = k.batch[:0]
-	k.batchPos = 0
-	k.dispatching = false
+	for _, b := range k.fine {
+		if live(b.head) {
+			return true
+		}
+	}
+	for _, c := range k.coarse {
+		if live(c.head) {
+			return true
+		}
+	}
+	for _, idx := range k.far {
+		if s := &k.slots[idx]; !s.canceled && s.at <= until {
+			return true
+		}
+	}
+	return false
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -544,8 +663,9 @@ func (k *Kernel) Stop() { k.stopped = true }
 
 // Run executes events in timestamp order until the queue is empty or the
 // next event lies strictly after `until`. The clock is left at the time of
-// the last executed event (or at `until` if nothing remained to execute
-// before it).
+// the last executed event, or at `until` once nothing queued remains at or
+// before it, so a Run cut short by Stop or a budget never moves the clock
+// past a live queued event.
 func (k *Kernel) Run(until Time) {
 	k.stopped = false
 	fired := uint64(0)
@@ -553,70 +673,65 @@ func (k *Kernel) Run(until Time) {
 	if k.budgetWall > 0 {
 		wallStart = time.Now()
 	}
-	for {
-		if k.batchPos < len(k.batch) {
-			if k.stopped {
-				k.requeueBatch()
-				break
-			}
-			if k.budgetEvents > 0 && k.processed >= k.budgetEvents {
-				k.budgetHit = true
-				k.requeueBatch()
-				break
-			}
-			if k.budgetWall > 0 && fired&4095 == 4095 && time.Since(wallStart) > k.budgetWall {
-				k.budgetHit = true
-				k.requeueBatch()
-				break
-			}
-			idx := k.batch[k.batchPos]
-			k.batchPos++
-			s := &k.slots[idx]
-			k.queued--
-			if s.canceled {
-				k.canceledQueued--
-				k.release(idx)
-				continue
-			}
-			if k.invariantChecks && s.at < k.now {
-				panic(fmt.Sprintf("sim: heap order violated: popped at=%v (%s)", s.at, k.ctx()))
-			}
-			fired++
-			// Copy out before releasing: the slot is recycled before the
-			// callback runs, so the callback may reuse it (and may grow the
-			// arena, invalidating s).
-			at, fn, fnArg, arg := s.at, s.fn, s.fnArg, s.arg
-			k.release(idx)
-			k.now = at
-			k.processed++
-			if fn != nil {
-				fn()
-			} else {
-				fnArg(arg)
-			}
-			continue
-		}
-		k.batch = k.batch[:0]
-		k.batchPos = 0
-		k.dispatching = false
-		if len(k.heap) == 0 || k.stopped {
+	cut := false
+	for !k.stopped {
+		if k.queued == 0 {
 			break
 		}
-		if k.budgetEvents > 0 && k.processed >= k.budgetEvents {
+		if k.budgetEvents > 0 && k.processed >= k.budgetEvents ||
+			k.budgetWall > 0 && fired&4095 == 4095 && time.Since(wallStart) > k.budgetWall {
 			k.budgetHit = true
+			cut = true
 			break
 		}
-		if k.budgetWall > 0 && fired&4095 == 4095 && time.Since(wallStart) > k.budgetWall {
-			k.budgetHit = true
-			break
+		i := k.fineOcc.first()
+		if i < 0 {
+			if !k.advance(until) {
+				break
+			}
+			i = k.fineOcc.first()
 		}
-		t := k.slots[k.heap[0]].at
+		t := k.page<<fineBits | Time(i)
 		if t > until {
 			break
 		}
-		k.drain(t)
+		b := &k.fine[i]
+		idx := b.head - 1
+		s := &k.slots[idx]
+		b.head = s.next
+		if b.early == idx+1 {
+			b.early = 0
+		}
+		if b.head == 0 {
+			b.tail = 0
+			k.fineOcc.unset(i)
+		}
+		k.queued--
+		if s.canceled {
+			k.canceledQueued--
+			k.release(idx)
+			continue
+		}
+		if k.invariantChecks && (s.at < k.now || s.at != t) {
+			panic(fmt.Sprintf("sim: event order violated: popped at=%v from the bucket of %v (%s)", s.at, t, k.ctx()))
+		}
+		fired++
+		// Copy out before releasing: the slot is recycled before the
+		// callback runs, so the callback may reuse it (and may grow the
+		// arena, invalidating s).
+		fn, fnArg, arg := s.fn, s.fnArg, s.arg
+		k.release(idx)
+		k.now = t
+		k.processed++
+		if fn != nil {
+			fn()
+		} else {
+			fnArg(arg)
+		}
 	}
-	if until != Never && k.now < until {
+	// A Run that ended on its own has fired everything up to until; one cut
+	// short must not pass a live event it left behind.
+	if until != Never && k.now < until && (!cut && !k.stopped || !k.liveBy(until)) {
 		k.now = until
 	}
 }

@@ -528,3 +528,146 @@ func TestKernelAtCallEarlyCancel(t *testing.T) {
 		t.Errorf("Processed() = %d, want 0", k.Processed())
 	}
 }
+
+// A Run cut short by Stop or by the event budget must leave the clock at the
+// last fired event while later events at or before `until` are still
+// queued; only a Run that fired everything up to `until` advances to it.
+// With invariant checks on, resuming would otherwise panic on an event
+// behind the clock.
+func TestKernelStopOrBudgetKeepsClockBeforeQueuedEvents(t *testing.T) {
+	for _, cut := range []string{"stop", "budget"} {
+		t.Run(cut, func(t *testing.T) {
+			k := NewKernel()
+			k.SetInvariantChecks(true)
+			var fired []Time
+			for _, at := range []Time{10, 20, 30, 40, 50} {
+				k.At(at, func() {
+					fired = append(fired, k.Now())
+					if cut == "stop" && k.Now() == 20 {
+						k.Stop()
+					}
+				})
+			}
+			if cut == "budget" {
+				k.SetBudget(2, 0)
+			}
+			k.Run(100)
+			if len(fired) != 2 || k.Now() != 20 {
+				t.Fatalf("cut Run(100): fired %v, now %v; want 2 events and now=20", fired, k.Now())
+			}
+			k.SetBudget(0, 0)
+			k.Run(100)
+			if len(fired) != 5 || k.Now() != 100 {
+				t.Fatalf("resumed Run(100): fired %v, now %v; want 5 events and now=100", fired, k.Now())
+			}
+		})
+	}
+	// A Stop from the last live event at or before until, with only a
+	// cancelled entry and a later event left, still reaches until.
+	k := NewKernel()
+	k.SetInvariantChecks(true)
+	k.At(10, k.Stop)
+	k.At(20, func() {}).Cancel()
+	k.At(200, func() {})
+	k.Run(100)
+	if k.Now() != 100 {
+		t.Fatalf("Stop with nothing live left before until: now %v, want 100", k.Now())
+	}
+}
+
+// The re-base trap: with the fine ring empty, the next event lay on a later
+// page beyond until. Moving the ring to that page would put a schedule at
+// until+1 behind the ring. The ring must stay put, for a next event on the
+// coarse ring and for one in the overflow heap alike.
+func TestKernelRunDoesNotRebasePastUntil(t *testing.T) {
+	for _, far := range []Time{3*fineSize + 5, 2*coarseSize*fineSize + 5} {
+		k := NewKernel()
+		k.SetInvariantChecks(true)
+		var fired []Time
+		record := func() { fired = append(fired, k.Now()) }
+		k.At(1, record)
+		k.At(far, record)
+		const until = 100
+		k.Run(until)
+		if k.Now() != until {
+			t.Fatalf("far=%v: Run(%v) left the clock at %v", far, until, k.Now())
+		}
+		k.At(until+1, record)
+		k.AtCallEarly(until+1, func(any) { record() }, nil)
+		k.RunAll()
+		want := []Time{1, until + 1, until + 1, far}
+		if len(fired) != len(want) {
+			t.Fatalf("far=%v: fired %v, want %v", far, fired, want)
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("far=%v: fired %v, want %v", far, fired, want)
+			}
+		}
+	}
+}
+
+// Each level of the wheel routes and fires: an instant of the current page
+// lands in its fine bucket, a later page within the horizon on the coarse
+// ring, anything beyond in the overflow heap; and a page receives its
+// overflow and coarse events before direct schedules, keeping (at, early,
+// seq) order across all three.
+func TestKernelWheelLevels(t *testing.T) {
+	k := NewKernel()
+	k.SetInvariantChecks(true)
+	var got []string
+	rec := func(s string) func(any) { return func(any) { got = append(got, s) } }
+	horizon := Time(coarseSize * fineSize)
+	target := horizon + 7 // beyond the horizon from page 0
+	k.AtCall(5, rec("fine"), nil)
+	k.AtCall(fineSize+5, rec("coarse"), nil)
+	k.AtCall(target, rec("far-normal"), nil)
+	k.AtCallEarly(target, rec("far-early"), nil)
+	if k.fineOcc.first() < 0 || k.coarseOcc.first() < 0 || len(k.far) != 2 {
+		t.Fatalf("levels: fine %d, coarse %d, far %d", k.fineOcc.first(), k.coarseOcc.first(), len(k.far))
+	}
+	// Step to the coarse event's page: target's page is now within the
+	// horizon, so the next schedules for it go to the coarse ring.
+	k.Run(fineSize + 5)
+	k.AtCall(target, rec("coarse-normal"), nil)
+	k.AtCallEarly(target, rec("coarse-early"), nil)
+	if len(k.far) != 2 {
+		t.Fatalf("a schedule within the horizon went to the overflow heap")
+	}
+	// Once target's page is the fine ring's, direct schedules come last.
+	k.Run(target - 1)
+	k.AtCall(target, rec("fine-normal"), nil)
+	k.AtCallEarly(target, rec("fine-early"), nil)
+	k.RunAll()
+	want := []string{"fine", "coarse", "far-early", "coarse-early", "fine-early", "far-normal", "coarse-normal", "fine-normal"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// Recycle hands the storage on: the old kernel keeps its counters, its
+// handles go inert, and the new kernel runs like a fresh one.
+func TestKernelRecycle(t *testing.T) {
+	old := NewKernel()
+	for _, at := range []Time{3, 5000, 3 * Second, 30 * Second} {
+		old.At(at, func() {})
+	}
+	stale := old.At(7, func() {})
+	old.Run(4 * Second)
+	k := old.Recycle()
+	if old.Processed() != 4 || old.Now() != 4*Second {
+		t.Fatalf("old kernel: processed %d, now %v", old.Processed(), old.Now())
+	}
+	stale.Cancel()
+	if stale.Pending() || stale.Canceled() {
+		t.Fatal("a recycled kernel's handle is not inert")
+	}
+	var fired []Time
+	for _, at := range []Time{9, 9000, 40 * Second} {
+		k.At(at, func() { fired = append(fired, k.Now()) })
+	}
+	k.RunAll()
+	if k.Now() != 40*Second || len(fired) != 3 || k.Processed() != 3 || k.Pending() != 0 {
+		t.Fatalf("recycled kernel: fired %v, now %v, processed %d, pending %d", fired, k.Now(), k.Processed(), k.Pending())
+	}
+}
