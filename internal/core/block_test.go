@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -51,6 +52,66 @@ func TestNewFromOptionsHeapObjects(t *testing.T) {
 func TestEngineBlockSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Engine{}); size > 1024 {
 		t.Errorf("core.Engine is %d bytes, want at most 1024", size)
+	}
+}
+
+// TestTickFieldsInPrefetchedPrefix pins the engine block's layout to the
+// kernel's same-instant prefetch: every field a subslot tick without a
+// transmission reads or writes must end within the first
+// sim.ContextPrefetchBytes of the block, which the kernel loads while the
+// previous tick of the same boundary runs. (The barring gate's state beyond
+// cfg.BarringRng is read only when barring is on, and stays out.) A block in
+// the 1024-byte size class starts on a cache line, so the prefix is exactly
+// ContextPrefetchBytes/64 lines.
+func TestTickFieldsInPrefetchedPrefix(t *testing.T) {
+	var e Engine
+	var c mac.Config
+	type field struct {
+		name     string
+		off, len uintptr
+	}
+	fields := []field{
+		{"learner", unsafe.Offsetof(e.learner), unsafe.Sizeof(e.learner)},
+		{"explorer", unsafe.Offsetof(e.explorer), unsafe.Sizeof(e.explorer)},
+		{"rng", unsafe.Offsetof(e.rng), unsafe.Sizeof(e.rng)},
+		{"startupLeft", unsafe.Offsetof(e.startupLeft), unsafe.Sizeof(e.startupLeft)},
+		{"armed", unsafe.Offsetof(e.armed), unsafe.Sizeof(e.armed)},
+		{"armedAt", unsafe.Offsetof(e.armedAt), unsafe.Sizeof(e.armedAt)},
+		{"armedSubslot", unsafe.Offsetof(e.armedSubslot), unsafe.Sizeof(e.armedSubslot)},
+		{"pend", unsafe.Offsetof(e.pend), unsafe.Sizeof(e.pend)},
+		{"rhoSum", unsafe.Offsetof(e.rhoSum), unsafe.Sizeof(e.rhoSum)},
+		{"rhoCount", unsafe.Offsetof(e.rhoCount), unsafe.Sizeof(e.rhoCount)},
+		{"ticks", unsafe.Offsetof(e.ticks), unsafe.Sizeof(e.ticks)},
+		{"floatTable", unsafe.Offsetof(e.floatTable), unsafe.Sizeof(e.floatTable)},
+		{"hasPend", unsafe.Offsetof(e.hasPend), unsafe.Sizeof(e.hasPend)},
+		{"overhear", unsafe.Offsetof(e.overhear), unsafe.Sizeof(e.overhear)},
+		{"startupPunish", unsafe.Offsetof(e.startupPunish), unsafe.Sizeof(e.startupPunish)},
+		{"levels", unsafe.Offsetof(e.levels), unsafe.Sizeof(e.levels)},
+	}
+	// mac.Base's fields are unexported, so their offsets come from reflect.
+	base := reflect.TypeOf(e.base)
+	for _, name := range []string{"busyUntil", "neighbors", "queue"} {
+		f, ok := base.FieldByName(name)
+		if !ok {
+			t.Fatalf("mac.Base has no field %s", name)
+		}
+		fields = append(fields, field{"base." + name, unsafe.Offsetof(e.base) + f.Offset, f.Type.Size()})
+	}
+	cfg, ok := base.FieldByName("cfg")
+	if !ok {
+		t.Fatal("mac.Base has no field cfg")
+	}
+	at := unsafe.Offsetof(e.base) + cfg.Offset
+	fields = append(fields,
+		field{"base.cfg.Kernel", at + unsafe.Offsetof(c.Kernel), unsafe.Sizeof(c.Kernel)},
+		field{"base.cfg.Clock", at + unsafe.Offsetof(c.Clock), unsafe.Sizeof(c.Clock)},
+		field{"base.cfg.NeighborStaleAfter", at + unsafe.Offsetof(c.NeighborStaleAfter), unsafe.Sizeof(c.NeighborStaleAfter)},
+		field{"base.cfg.BarringRng", at + unsafe.Offsetof(c.BarringRng), unsafe.Sizeof(c.BarringRng)},
+	)
+	for _, f := range fields {
+		if end := f.off + f.len; end > sim.ContextPrefetchBytes {
+			t.Errorf("tick field %s ends at byte %d, beyond the %d-byte prefetched prefix", f.name, end, sim.ContextPrefetchBytes)
+		}
 	}
 }
 

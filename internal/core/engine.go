@@ -99,18 +99,20 @@ type pending struct {
 //
 // Only the Q row, π and the transmit-queue buffer live outside it, carved
 // from the run's mac.Scratch, and the default explorer is one shared value.
-// A subslot tick therefore touches this block plus the node's rows. The
-// engine's tick-read fields come first, then mac.Base (whose tick-read
-// fields lead it) and the statistics last, so an idle tick touches few of
-// the block's cache lines.
+// A subslot tick therefore touches this block plus the node's rows. At a
+// subslot boundary thousands of queued nodes tick at the same instant, and
+// the kernel prefetches the first sim.ContextPrefetchBytes of the next
+// tick's engine while the current one runs. So every field a tick without
+// a transmission reads or writes sits in one prefix of that size: the
+// engine's own tick fields, then mac.Base, whose tick-read fields lead it
+// (TestTickFieldsInPrefetchedPrefix pins this). The transmission, CCA and
+// reboot state and the remaining statistics follow the base.
 type Engine struct {
 	learner  qlearn.Learner
 	explorer qlearn.Explorer
 	rng      sim.Rand
 
-	startupLeft   int
-	startupInit   int
-	startupPunish bool
+	startupLeft int
 
 	armed sim.EventID
 	// armedAt/armedSubslot remember the boundary the ticker is armed for, so
@@ -122,24 +124,42 @@ type Engine struct {
 
 	// pend is the action whose reward window is open; hasPend guards it.
 	// Inlined so a backoff decision costs no allocation.
-	pend     pending
-	hasPend  bool
-	overhear bool
+	pend pending
 
+	// rhoSum/rhoCount accumulate exploration rates between TakeRhoSample
+	// calls (Fig. 11 instrumentation).
+	rhoSum   float64
+	rhoCount int
+
+	// ticks are the Stats counters a tick writes.
+	ticks tickCounters
+
+	// floatTable is the learner's table when Config.Table is nil, the
+	// default float64 case: its header lives in the block too.
+	floatTable qlearn.FloatTable
+
+	// hasPend guards pend; overhear records that a frame was overheard in
+	// its reward window (Eq. 6). startupPunish is Config.StartupPunish.
+	hasPend       bool
+	overhear      bool
+	startupPunish bool
 	// levels is K (at least 1); the flattened action index is kind·K+level.
+	levels uint8
+
+	base mac.Base
+
 	// captureShaping is Config.CapturedOver. txWaiting/foreignAck implement
 	// its detection: foreignAck records whether an ACK addressed to another
 	// node was overheard while this node's own ACK wait was open.
-	levels         uint8
 	captureShaping bool
 	txWaiting      bool
 	foreignAck     bool
 
-	// In-flight CCA state, inlined for the same reason: a node runs at most
-	// one CCA at a time (it is busy for the whole window and the completion
-	// fires strictly before the next boundary), so the subslot, action and
-	// epoch live in the engine and the kernel callback is the long-lived
-	// engineCCA.
+	// In-flight CCA state, inlined for the same reason as pend: a node runs
+	// at most one CCA at a time (it is busy for the whole window and the
+	// completion fires strictly before the next boundary), so the subslot,
+	// action and epoch live in the engine and the kernel callback is the
+	// long-lived engineCCA.
 	ccaAction  uint8
 	ccaSubslot int
 	ccaEpoch   uint32
@@ -149,25 +169,25 @@ type Engine struct {
 	// were scheduled under and become no-ops when it has moved on.
 	epoch uint32
 
-	// rhoSum/rhoCount accumulate exploration rates between TakeRhoSample
-	// calls (Fig. 11 instrumentation).
-	rhoSum   float64
-	rhoCount int
-
-	// floatTable is the learner's table when Config.Table is nil, the
-	// default float64 case: its header lives in the block too.
-	floatTable qlearn.FloatTable
-
-	base mac.Base
+	startupInit int
 
 	// stepDB is Config.LevelStepDB, read once per transmission.
 	stepDB float64
 
-	// stats comes last, behind the MAC base, with the per-kind and decision
-	// counters a decision writes sharing one cache line: placed before the
-	// base, its per-level tail would push the base's tick-read fields onto
-	// further lines.
-	stats Stats
+	// The Stats counters no tick writes (see ticks for the others).
+	deferrals      uint64
+	levelCount     [MaxLevels]uint64
+	successByLevel [MaxLevels]uint64
+	capturedOver   uint64
+}
+
+// tickCounters are the Stats counters a subslot tick writes, kept in the
+// engine block's prefetched prefix apart from the others.
+type tickCounters struct {
+	actions             [NumActions]uint64
+	explorations        uint64
+	decisions           uint64
+	startupObservations uint64
 }
 
 var _ mac.Engine = (*Engine)(nil)
@@ -238,7 +258,18 @@ func New(cfg Config) *Engine {
 func (e *Engine) Learner() *qlearn.Learner { return &e.learner }
 
 // EngineStats returns a copy of the QMA-specific counters.
-func (e *Engine) EngineStats() Stats { return e.stats }
+func (e *Engine) EngineStats() Stats {
+	return Stats{
+		ActionCount:         e.ticks.actions,
+		Explorations:        e.ticks.explorations,
+		Decisions:           e.ticks.decisions,
+		Deferrals:           e.deferrals,
+		StartupObservations: e.ticks.startupObservations,
+		LevelCount:          e.levelCount,
+		SuccessByLevel:      e.successByLevel,
+		CapturedOver:        e.capturedOver,
+	}
+}
 
 // PolicyKinds reports the policy π as one action kind (QBackoff, QCCA or
 // QSend) per subslot, dropping the power level of a multi-level engine.
@@ -434,7 +465,7 @@ func (e *Engine) evaluateBackoff(nextSubslot int) {
 // startupObserve performs one cautious-startup subslot: QBackoff only.
 func (e *Engine) startupObserve(m int) {
 	e.startupLeft--
-	e.stats.StartupObservations++
+	e.ticks.startupObservations++
 	e.pend = pending{subslot: m, action: uint8(QBackoff), startup: true}
 	e.hasPend = true
 	e.overhear = false
@@ -444,7 +475,7 @@ func (e *Engine) startupObserve(m int) {
 // uniformly over the kind × level cross product, which keeps each kind's
 // probability at 1/3 for every K.
 func (e *Engine) decide(m int) {
-	e.stats.Decisions++
+	e.ticks.decisions++
 	rho := e.explorer.Rate(qlearn.ExploreContext{
 		Now:              e.base.Kernel().Now(),
 		QueueLevel:       e.base.Queue().Len(),
@@ -456,7 +487,7 @@ func (e *Engine) decide(m int) {
 	var action int
 	if e.rng.Float64() < rho {
 		action = e.rng.Intn(NumActions * int(e.levels))
-		e.stats.Explorations++
+		e.ticks.explorations++
 	} else {
 		action = e.learner.Policy(m)
 	}
@@ -466,17 +497,17 @@ func (e *Engine) decide(m int) {
 // execute performs the selected (flattened) action.
 func (e *Engine) execute(m, action int) {
 	kind, level := e.split(action)
-	e.stats.ActionCount[kind]++
+	e.ticks.actions[kind]++
 	switch kind {
 	case QBackoff:
 		e.pend = pending{subslot: m, action: uint8(action)}
 		e.hasPend = true
 		e.overhear = false
 	case QCCA:
-		e.stats.LevelCount[level]++
+		e.levelCount[level]++
 		e.startCCA(m, action)
 	case QSend:
-		e.stats.LevelCount[level]++
+		e.levelCount[level]++
 		e.startTX(m, action)
 	}
 }
@@ -531,7 +562,7 @@ func (e *Engine) startTX(m, action int) {
 	if !e.base.Clock().FitsInCAP(now, cost) {
 		// Defer to the next CAP without a Q-update (802.15.4 rule: the
 		// transaction must complete before the CAP ends; DESIGN.md §6).
-		e.stats.Deferrals++
+		e.deferrals++
 		return
 	}
 	// The (m, action) context rides with the transmission as its context
@@ -564,10 +595,10 @@ func (e *Engine) TxDone(f *frame.Frame, ctx uint32, success bool) {
 			reward = RewardSendSuccess
 		}
 		reward += float64(level) * LevelSuccessBonus
-		e.stats.SuccessByLevel[level]++
+		e.successByLevel[level]++
 	case capturedOver:
 		reward = RewardCapturedOver
-		e.stats.CapturedOver++
+		e.capturedOver++
 	case kind == QSend:
 		reward = RewardSendFail
 	default:

@@ -144,28 +144,37 @@ func (d DropPolicy) String() string {
 	return "tail"
 }
 
-// Config assembles a Base. All reference fields are required.
+// Config assembles a Base. All reference fields are required. The fields a
+// QMA subslot tick reads (Kernel, Clock, NeighborStaleAfter, BarringRng)
+// lead, because Base keeps its Config inside the engine block's prefetched
+// prefix (see core.Engine).
 type Config struct {
-	// ID is the node's address.
-	ID frame.NodeID
 	// Kernel is the simulation kernel shared by the scenario.
 	Kernel *sim.Kernel
-	// Medium is the shared radio channel.
-	Medium *radio.Medium
 	// Clock is the shared superframe clock.
 	Clock *superframe.Clock
-	// QueueCap bounds the transmit queue (<=0 selects the paper's 8).
-	QueueCap int
-	// MaxRetries is NR (<0 selects DefaultMaxRetries; 0 means no retries).
-	MaxRetries int
-	// Router enables multi-hop forwarding (nil for single-hop scenarios).
-	Router Router
 	// NeighborStaleAfter bounds how long an overheard queue level stays in
 	// the §4.2 neighbour table (0 selects 16 superframes ≈ 2 s). Without
 	// expiry a saturated network deadlocks: every node remembers its
 	// neighbours' queues as full, the queue difference stays at zero and
 	// parameter-based exploration shuts down for everyone at once.
 	NeighborStaleAfter sim.Time
+	// BarringRng drives the node's access-class barring draws
+	// (internal/barring). It must be a deterministic stream private to this
+	// node. nil — the default — disables the barring gate entirely:
+	// AccessBarred returns immediately and never draws, so runs without
+	// barring stay byte-identical.
+	BarringRng *sim.Rand
+	// ID is the node's address.
+	ID frame.NodeID
+	// Medium is the shared radio channel.
+	Medium *radio.Medium
+	// QueueCap bounds the transmit queue (<=0 selects the paper's 8).
+	QueueCap int
+	// MaxRetries is NR (<0 selects DefaultMaxRetries; 0 means no retries).
+	MaxRetries int
+	// Router enables multi-hop forwarding (nil for single-hop scenarios).
+	Router Router
 	// OnSinkDeliver is invoked for every data frame that reaches its final
 	// sink at this node (after duplicate rejection). May be nil.
 	OnSinkDeliver func(f *frame.Frame)
@@ -204,12 +213,6 @@ type Config struct {
 	// kernels, and a run arena may be rewound (Scratch.Reset) only after
 	// every engine of the previous run is dropped.
 	Scratch *Scratch
-	// BarringRng drives the node's access-class barring draws
-	// (internal/barring). It must be a deterministic stream private to this
-	// node. nil — the default — disables the barring gate entirely:
-	// AccessBarred returns immediately and never draws, so runs without
-	// barring stay byte-identical.
-	BarringRng *sim.Rand
 	// Drop selects the transmit-queue overflow policy (zero: TailDrop, the
 	// pre-existing behaviour).
 	Drop DropPolicy
@@ -229,12 +232,10 @@ type neighborLevel struct {
 // Base is the shared MAC state machine. It is bound to one kernel and not
 // safe for concurrent use.
 type Base struct {
-	// The fields a QMA subslot tick reads come first (configuration, queue
-	// header, busyUntil, neighbours), so an idle tick touches few cache
-	// lines of the engine block that embeds this Base.
-	cfg Config
-
-	queue frame.Queue
+	// The fields a QMA subslot tick reads come first: busyUntil, the
+	// neighbours, the queue header and, leading cfg, the kernel, clock,
+	// neighbour staleness and barring stream. They sit in the engine
+	// block's prefetched prefix (see core.Engine).
 
 	// busyUntil marks the end of the node's current MAC activity
 	// (transmission, CCA, ACK wait or pending immediate ACK). Engines must
@@ -247,6 +248,10 @@ type Base struct {
 	// AvgNeighborQueue walks it on every QMA decision, and a node hears only
 	// its radio neighbourhood.
 	neighbors []neighborLevel
+
+	queue frame.Queue
+
+	cfg Config
 
 	// owner is the engine that embeds this Base; it receives every
 	// transmission outcome (Engine.TxDone).

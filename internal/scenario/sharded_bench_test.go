@@ -36,3 +36,31 @@ func BenchmarkRunShardedWorkers(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRunShardedCellSize measures how the cost of one event grows with
+// the size of a cell: a one-cell city at the city benchmark's traffic (0.03
+// pkt/s per device from 2 s) for N = 2,000, 7,000 and 10,000 devices. At
+// every subslot boundary each queued node ticks at the same instant, so a
+// large cell runs thousands of same-instant engine ticks whose engine
+// blocks no longer fit in cache. One op is one RunSharded call; the
+// reported metric is wall time per kernel event.
+func BenchmarkRunShardedCellSize(b *testing.B) {
+	for _, nodes := range []int{2000, 7000, 10000} {
+		b.Run(fmt.Sprintf("N=%d", nodes), func(b *testing.B) {
+			city := topo.NewCity(topo.CityConfig{Nodes: nodes, CellsX: 1, CellsY: 1, Seed: 1})
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				res := RunSharded(ShardedConfig{
+					City:     city,
+					Seed:     1,
+					Duration: 10 * sim.Second,
+					Rate:     0.03,
+					StartAt:  2 * sim.Second,
+					Parallel: 1,
+				})
+				events += res.Events
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
+	}
+}
