@@ -84,14 +84,14 @@ func BenchmarkQTableUpdate(b *testing.B) {
 		}
 	})
 	b.Run("fixedQ8.8", func(b *testing.B) {
-		t := qlearn.NewFixedTable(54, 3, qlearn.DefaultFixedParams())
+		t := qlearn.NewFixedTableOn(54, 3, qlearn.DefaultFixedParams(), nil)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			t.Update(i%54, i%3, 4, (i+1)%54)
 		}
 	})
 	b.Run("quant8bit", func(b *testing.B) {
-		t := qlearn.NewQuantTable(54, 3, qlearn.DefaultQuantParams())
+		t := qlearn.NewQuantTableOn(54, 3, qlearn.DefaultQuantParams(), nil)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			t.Update(i%54, i%3, 4, (i+1)%54)

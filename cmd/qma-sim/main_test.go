@@ -58,6 +58,8 @@ func TestSemanticFlagErrorsExitNonZero(t *testing.T) {
 		{"unknown mac", []string{"-mac", "token-ring"}, "unknown MAC"},
 		{"unknown topology", []string{"-topology", "moebius"}, "unknown topology"},
 		{"mac-opt unknown key", []string{"-mac", "unslotted", "-mac-opt", "warp=9", "-duration", "1"}, "warp"},
+		{"mac-opt learning rate out of range", []string{"-mac-opt", "alpha=2", "-duration", "1", "-warmup", "0"}, "alpha=2"},
+		{"noma learning rate out of range", []string{"-mac", "noma", "-capture-db", "6", "-mac-opt", "alpha=2", "-duration", "1", "-warmup", "0"}, "alpha=2"},
 		{"fault node out of range", []string{"-fault-outage", "99@10+5", "-duration", "1"}, "out of range"},
 		{"fault on dsme path", []string{"-dsme", "-fault-reboot", "0@1"}, "-fault-"},
 		{"fault on scale path", []string{"-scale", "50", "-fault-reboot", "0@1"}, "-fault-"},

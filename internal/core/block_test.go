@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -148,6 +149,7 @@ func TestRebootKeepsBlockPointers(t *testing.T) {
 // sharded city's profile. The Fig. 4 explorer runs with an all-zero table,
 // so no tick transmits and the loop must not allocate. One op is one tick.
 // The cases are QMA and the NOMA configuration with K=2 power levels.
+// The engines tick in a seeded order that differs from their memory order.
 func BenchmarkEngineTick(b *testing.B) {
 	b.Run("qma", func(b *testing.B) { benchEngineTick(b, 1) })
 	b.Run("noma-K=2", func(b *testing.B) { benchEngineTick(b, 2) })
@@ -158,16 +160,22 @@ func benchEngineTick(b *testing.B, levels int) {
 	cfg := blockMACConfig(tickEngines, &mac.Scratch{})
 	quiet := &qlearn.ParameterBased{Rho: make([]float64, len(qlearn.DefaultRhoTable()))}
 	k, clock := cfg(0).Kernel, cfg(0).Clock
-	for i := 0; i < tickEngines; i++ {
+	engines := make([]*Engine, tickEngines)
+	for i := range engines {
 		c := cfg(i)
 		ec := Options{Explorer: quiet, StartupSubslots: -1}.Config(c, sim.NewRandStream(1, uint64(i)))
 		if levels > 1 {
 			ec.Levels, ec.LevelStepDB, ec.CapturedOver = levels, 6, true
 		}
-		e := New(ec)
-		c.Medium.Attach(c.ID, e)
-		e.Enqueue(dataTo(0, c.ID, 1))
-		e.Start()
+		engines[i] = New(ec)
+		c.Medium.Attach(c.ID, engines[i])
+	}
+	// Arm the engines in a seeded permutation: each boundary then ticks them
+	// in an order unrelated to their addresses, as the city's cells do, and
+	// the hardware prefetcher cannot hide cold engine blocks.
+	for _, i := range rand.New(rand.NewSource(1)).Perm(tickEngines) {
+		engines[i].Enqueue(dataTo(0, frame.NodeID(i), 1))
+		engines[i].Start()
 	}
 	// run fires whole subslot boundaries until at least ticks events ran.
 	run := func(ticks uint64) {

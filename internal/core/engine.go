@@ -17,7 +17,8 @@ type Config struct {
 	// nil.
 	MAC mac.Config
 	// Table is the Q-value storage. Nil selects a float64 table with Learn
-	// parameters; pass a FixedTable or QuantTable for the embedded variants.
+	// parameters; pass an integer table (TableKind.NewTable) for the
+	// embedded variants.
 	Table qlearn.Table
 	// Learn are the hyperparameters used when Table is nil (zero value
 	// selects qlearn.DefaultParams).

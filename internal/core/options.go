@@ -99,10 +99,35 @@ func validateOptions(opts any) error {
 	if !ok {
 		return mac.OptionsError(ProtocolName, opts, Options{})
 	}
-	if o.Table > TableQuant {
-		return fmt.Errorf("core: unknown table kind %d", o.Table)
+	return o.Validate()
+}
+
+// Validate reports a descriptive error for options no engine can be built
+// from: an unknown table kind, or a non-zero Learn (zero selects the
+// paper's defaults) that qlearn.Params.Validate rejects. The NOMA protocol
+// builds on Options and validates through here too.
+func (opts Options) Validate() error {
+	if opts.Table > TableQuant {
+		return fmt.Errorf("core: unknown table kind %d", opts.Table)
+	}
+	if opts.Learn != (qlearn.Params{}) {
+		return opts.Learn.Validate()
 	}
 	return nil
+}
+
+// NewTable builds the Q-value storage of kind k for a states × actions
+// learner, carving the values from scratch (nil allocates privately). The
+// float64 table takes learn, which must be valid; the integer tables run
+// their width's default parameters, γ quantized to 230/256.
+func (k TableKind) NewTable(states, actions int, learn qlearn.Params, scratch *mac.Scratch) qlearn.Table {
+	switch k {
+	case TableFixed:
+		return qlearn.NewFixedTableOn(states, actions, qlearn.DefaultFixedParams(), scratch.Int16s(states*actions))
+	case TableQuant:
+		return qlearn.NewQuantTableOn(states, actions, qlearn.DefaultQuantParams(), scratch.Int8s(states*actions))
+	}
+	return qlearn.NewFloatTableOn(states, actions, learn, scratch.Float64s(states*actions))
 }
 
 // NewFromOptions builds a QMA engine over macCfg from scenario-level options.
@@ -111,26 +136,16 @@ func NewFromOptions(opts Options, macCfg mac.Config, rng *sim.Rand) *Engine {
 }
 
 // Config resolves scenario-level options into an engine Config over macCfg:
-// the table representation, the default hyperparameters and the
-// cautious-startup convention (scenario zero value = engine default, negative
-// = disabled). The power-level fields stay zero, which is QMA.
+// the table representation and the cautious-startup convention (scenario
+// zero value = engine default, negative = disabled). A zero Learn stays
+// zero for New to default. The power-level fields stay zero, which is QMA.
 func (opts Options) Config(macCfg mac.Config, rng *sim.Rand) Config {
-	subslots := macCfg.Clock.Config().Subslots
-	// TableFloat leaves table nil, so New builds the float64 table from learn
-	// inside the engine's own block.
+	// TableFloat leaves table nil, so New builds the float64 table from
+	// Learn inside the engine's own block.
 	var table qlearn.Table
-	learn := opts.Learn
-	if learn == (qlearn.Params{}) {
-		learn = qlearn.DefaultParams()
-	}
-	scratch := macCfg.Scratch
-	switch opts.Table {
-	case TableFixed:
-		table = qlearn.NewFixedTableOn(subslots, NumActions, qlearn.DefaultFixedParams(),
-			scratch.Int16s(subslots*NumActions))
-	case TableQuant:
-		table = qlearn.NewQuantTableOn(subslots, NumActions, qlearn.DefaultQuantParams(),
-			scratch.Int8s(subslots*NumActions))
+	if opts.Table != TableFloat {
+		subslots := macCfg.Clock.Config().Subslots
+		table = opts.Table.NewTable(subslots, NumActions, opts.Learn, macCfg.Scratch)
 	}
 	startup := opts.StartupSubslots
 	switch {
@@ -144,7 +159,7 @@ func (opts Options) Config(macCfg mac.Config, rng *sim.Rand) Config {
 	return Config{
 		MAC:             macCfg,
 		Table:           table,
-		Learn:           learn,
+		Learn:           opts.Learn,
 		Explorer:        opts.Explorer,
 		Rng:             rng,
 		StartupSubslots: startup,

@@ -150,16 +150,3 @@ func SuspendWindow(sfd, at, dur sim.Time) (from, until sim.Time, ok bool) {
 	}
 	return from, until, true
 }
-
-// SuspendedAt is the naive reference for SuspendWindow: it decides whether a
-// node that lost every beacon in [at, at+dur) is desynchronized at instant t
-// by walking the beacon grid directly. A node is desynchronized at t when
-// the most recent beacon at or before t was lost. The fuzz harness checks
-// SuspendWindow against this definition point by point.
-func SuspendedAt(sfd, at, dur, t sim.Time) bool {
-	if sfd <= 0 || dur <= 0 {
-		return false
-	}
-	lastBeacon := t - t%sfd
-	return lastBeacon >= at && lastBeacon < at+dur
-}

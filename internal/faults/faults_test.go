@@ -65,7 +65,7 @@ func TestValidate(t *testing.T) {
 }
 
 // checkWindowAgainstReference cross-checks SuspendWindow against the naive
-// per-instant SuspendedAt definition on every beacon-grid-aligned probe
+// per-instant suspendedAt definition on every beacon-grid-aligned probe
 // instant around the window.
 func checkWindowAgainstReference(t *testing.T, sfd, at, dur sim.Time) {
 	t.Helper()
@@ -84,7 +84,7 @@ func checkWindowAgainstReference(t *testing.T, sfd, at, dur sim.Time) {
 		step = 1
 	}
 	for probe := sim.Time(0); probe <= end; probe += step {
-		want := SuspendedAt(sfd, at, dur, probe)
+		want := suspendedAt(sfd, at, dur, probe)
 		got := ok && probe >= from && probe < until
 		if want != got {
 			t.Fatalf("sfd=%d at=%d dur=%d probe=%d: SuspendWindow says %v, reference says %v (window [%d,%d) ok=%v)",
@@ -118,8 +118,8 @@ func TestSuspendWindowMatchesReference(t *testing.T) {
 	if _, _, ok := SuspendWindow(sfd, 5, 0); ok {
 		t.Error("dur=0 accepted")
 	}
-	if SuspendedAt(0, 5, 5, 3) || SuspendedAt(sfd, 5, 0, 3) {
-		t.Error("degenerate SuspendedAt reports suspension")
+	if suspendedAt(0, 5, 5, 3) || suspendedAt(sfd, 5, 0, 3) {
+		t.Error("degenerate suspendedAt reports suspension")
 	}
 }
 
@@ -135,4 +135,17 @@ func FuzzSuspendWindow(f *testing.F) {
 		dur := sim.Time(durRaw%1000000) + 1
 		checkWindowAgainstReference(t, sfd, at, dur)
 	})
+}
+
+// suspendedAt is the naive reference for SuspendWindow: it decides whether a
+// node that lost every beacon in [at, at+dur) is desynchronized at instant t
+// by walking the beacon grid directly. A node is desynchronized at t when
+// the most recent beacon at or before t was lost. The fuzz harness checks
+// SuspendWindow against this definition point by point.
+func suspendedAt(sfd, at, dur, t sim.Time) bool {
+	if sfd <= 0 || dur <= 0 {
+		return false
+	}
+	lastBeacon := t - t%sfd
+	return lastBeacon >= at && lastBeacon < at+dur
 }

@@ -482,12 +482,6 @@ func (b *Base) AccessBarred() (barred bool, retryAt sim.Time) {
 	return true, b.barUntil
 }
 
-// Down reports whether the node is inside an outage window.
-func (b *Base) Down() bool { return b.downUntil > b.cfg.Kernel.Now() }
-
-// Desynced reports whether the node has lost beacon synchronization.
-func (b *Base) Desynced() bool { return b.desyncUntil > b.cfg.Kernel.Now() }
-
 // Reboot wipes the Base's volatile state as a power cycle would: the
 // transmit queue, the pending ACK wait, scheduled immediate ACKs, the
 // pending broadcast completions, the neighbour table and the

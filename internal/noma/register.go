@@ -67,12 +67,17 @@ func validateOptions(opts any) error {
 	if o.LevelStepDB < 0 {
 		return fmt.Errorf("noma: LevelStepDB=%v must not be negative", o.LevelStepDB)
 	}
-	if o.Learn != (qlearn.Params{}) {
-		if err := o.Learn.Validate(); err != nil {
-			return err
-		}
+	return o.qma().Validate()
+}
+
+// qma is the QMA engine options o shares with core.
+func (o Options) qma() core.Options {
+	return core.Options{
+		Learn:                o.Learn,
+		Explorer:             o.Explorer,
+		StartupSubslots:      o.StartupSubslots,
+		DisableStartupPunish: o.DisableStartupPunish,
 	}
-	return nil
 }
 
 // parseOptions maps -mac-opt key=value pairs onto Options. Learning
@@ -111,12 +116,7 @@ func adoptExplorer(opts any, explorer qlearn.Explorer) any {
 // options: the QMA engine resolved from the shared options by
 // core.Options.Config, with K power levels and captured-over shaping on.
 func NewFromOptions(opts Options, macCfg mac.Config, rng *sim.Rand) *core.Engine {
-	cfg := core.Options{
-		Learn:                opts.Learn,
-		Explorer:             opts.Explorer,
-		StartupSubslots:      opts.StartupSubslots,
-		DisableStartupPunish: opts.DisableStartupPunish,
-	}.Config(macCfg, rng)
+	cfg := opts.qma().Config(macCfg, rng)
 	cfg.Levels = cmp.Or(opts.Levels, DefaultLevels)
 	cfg.LevelStepDB = cmp.Or(opts.LevelStepDB, DefaultLevelStepDB)
 	cfg.CapturedOver = true

@@ -16,51 +16,44 @@ import (
 //     property tests below prove the formulations coincide (exactly in
 //     float, and up to the storage rails in fixed/quant).
 
-func TestFixedSetQNonFinite(t *testing.T) {
-	cases := []struct {
+// TestIntSetQNonFinite pins SetQ's rounding and saturation at both widths,
+// non-finite and far out-of-range inputs included.
+func TestIntSetQNonFinite(t *testing.T) {
+	type setCase struct {
 		in   float64
-		want int16
-	}{
-		{math.NaN(), 0},
-		{math.Inf(1), fixedMax},
-		{math.Inf(-1), fixedMin},
-		{1e12, fixedMax}, // finite but far past int16: must clamp, not wrap
-		{-1e12, fixedMin},
-		{200, fixedMax}, // 200·256 = 51200 > 32767
-		{-200, fixedMin},
-		{1.5, 384},
-		{-1.5, -384},
+		want int64
 	}
-	for _, tc := range cases {
-		tab := NewFixedTable(2, 2, DefaultFixedParams())
-		tab.SetQ(0, 0, tc.in)
-		if got := tab.Raw(0, 0); got != tc.want {
-			t.Errorf("FixedTable.SetQ(%v): raw %d, want %d", tc.in, got, tc.want)
-		}
+	cases := map[string][]setCase{
+		"fixed": {
+			{200, math.MaxInt16}, // 200·256 = 51200 > 32767
+			{-200, math.MinInt16},
+			{1.5, 384},
+			{-1.5, -384},
+		},
+		"quant": {
+			{100, math.MaxInt8}, // 100·4 = 400 > 127
+			{-100, math.MinInt8},
+			{1.25, 5},
+			{-1.25, -5},
+		},
 	}
-}
-
-func TestQuantSetQNonFinite(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want int8
-	}{
-		{math.NaN(), 0},
-		{math.Inf(1), quantMax},
-		{math.Inf(-1), quantMin},
-		{1e12, quantMax},
-		{-1e12, quantMin},
-		{100, quantMax}, // 100·4 = 400 > 127
-		{-100, quantMin},
-		{1.25, 5},
-		{-1.25, -5},
-	}
-	for _, tc := range cases {
-		tab := NewQuantTable(2, 2, DefaultQuantParams())
-		tab.SetQ(0, 0, tc.in)
-		if got := tab.Raw(0, 0); got != tc.want {
-			t.Errorf("QuantTable.SetQ(%v): raw %d, want %d", tc.in, got, tc.want)
-		}
+	for _, c := range intCases {
+		t.Run(c.name, func(t *testing.T) {
+			all := append([]setCase{
+				{math.NaN(), 0},
+				{math.Inf(1), c.max},
+				{math.Inf(-1), c.min},
+				{1e12, c.max}, // finite but far past the width: must clamp, not wrap
+				{-1e12, c.min},
+			}, cases[c.name]...)
+			for _, tc := range all {
+				tab := c.mk(2, 2, c.def)
+				tab.SetQ(0, 0, tc.in)
+				if got := tab.rawAt(0, 0); got != tc.want {
+					t.Errorf("SetQ(%v): raw %d, want %d", tc.in, got, tc.want)
+				}
+			}
+		})
 	}
 }
 
@@ -68,48 +61,39 @@ func TestQuantSetQNonFinite(t *testing.T) {
 // rewards and checks the outcome is the documented saturation, twice, on
 // independent tables — deterministic by value, not by accident.
 func TestUpdateNonFiniteRewardDeterministic(t *testing.T) {
-	for name, r := range map[string]float64{"nan": math.NaN(), "+inf": math.Inf(1), "-inf": math.Inf(-1)} {
-		var raws [2]int16
-		for i := range raws {
-			tab := NewFixedTable(2, 2, DefaultFixedParams())
-			tab.Update(0, 0, r, 1)
-			raws[i] = tab.Raw(0, 0)
+	for _, c := range intCases {
+		for name, r := range map[string]float64{"nan": math.NaN(), "+inf": math.Inf(1), "-inf": math.Inf(-1)} {
+			var raws [2]int64
+			for i := range raws {
+				tab := c.mk(2, 2, c.def)
+				tab.Update(0, 0, r, 1)
+				raws[i] = tab.rawAt(0, 0)
+			}
+			if raws[0] != raws[1] {
+				t.Errorf("%s reward %s: two identical updates stored %d and %d", c.name, name, raws[0], raws[1])
+			}
 		}
-		if raws[0] != raws[1] {
-			t.Errorf("fixed reward %s: two identical updates stored %d and %d", name, raws[0], raws[1])
+		// +Inf reward must drive the value to the positive rail, −Inf to the
+		// negative one, and NaN must act as reward 0 (quantize maps it there).
+		tab := c.mk(2, 2, c.def)
+		tab.Update(0, 0, math.Inf(1), 1)
+		if tab.rawAt(0, 0) != c.max {
+			t.Errorf("%s +Inf reward: raw %d, want %d", c.name, tab.rawAt(0, 0), c.max)
 		}
-		var raws8 [2]int8
-		for i := range raws8 {
-			tab := NewQuantTable(2, 2, DefaultQuantParams())
-			tab.Update(0, 0, r, 1)
-			raws8[i] = tab.Raw(0, 0)
+		// A −Inf reward does NOT slam the value to the negative rail: the QMA
+		// rule floors every decrease at old−ξ (Eq. 5), so the stored value
+		// decays by exactly ξ.
+		tab = c.mk(2, 2, c.def)
+		tab.Update(0, 0, math.Inf(-1), 1)
+		if want := int64(c.def.InitQ - c.def.Xi); tab.rawAt(0, 0) != want {
+			t.Errorf("%s -Inf reward: raw %d, want old-ξ = %d", c.name, tab.rawAt(0, 0), want)
 		}
-		if raws8[0] != raws8[1] {
-			t.Errorf("quant reward %s: two identical updates stored %d and %d", name, raws8[0], raws8[1])
+		nanTab, zeroTab := c.mk(2, 2, c.def), c.mk(2, 2, c.def)
+		nanTab.Update(0, 0, math.NaN(), 1)
+		zeroTab.Update(0, 0, 0, 1)
+		if nanTab.rawAt(0, 0) != zeroTab.rawAt(0, 0) {
+			t.Errorf("%s NaN reward stored %d, want the reward-0 result %d", c.name, nanTab.rawAt(0, 0), zeroTab.rawAt(0, 0))
 		}
-	}
-	// +Inf reward must drive the value to the positive rail, −Inf to the
-	// negative one, and NaN must act as reward 0 (quantize maps it there).
-	tab := NewFixedTable(2, 2, DefaultFixedParams())
-	tab.Update(0, 0, math.Inf(1), 1)
-	if tab.Raw(0, 0) != fixedMax {
-		t.Errorf("fixed +Inf reward: raw %d, want %d", tab.Raw(0, 0), fixedMax)
-	}
-	// A −Inf reward does NOT slam the value to the negative rail: the QMA
-	// rule floors every decrease at old−ξ (Eq. 5), so the stored value
-	// decays by exactly ξ.
-	tab = NewFixedTable(2, 2, DefaultFixedParams())
-	p := DefaultFixedParams()
-	tab.Update(0, 0, math.Inf(-1), 1)
-	if want := saturate16(int64(p.InitQ - p.Xi)); tab.Raw(0, 0) != want {
-		t.Errorf("fixed -Inf reward: raw %d, want old-ξ = %d", tab.Raw(0, 0), want)
-	}
-	nanTab := NewFixedTable(2, 2, DefaultFixedParams())
-	zeroTab := NewFixedTable(2, 2, DefaultFixedParams())
-	nanTab.Update(0, 0, math.NaN(), 1)
-	zeroTab.Update(0, 0, 0, 1)
-	if nanTab.Raw(0, 0) != zeroTab.Raw(0, 0) {
-		t.Errorf("fixed NaN reward stored %d, want the reward-0 result %d", nanTab.Raw(0, 0), zeroTab.Raw(0, 0))
 	}
 }
 
@@ -165,48 +149,33 @@ func TestFloatImprovedFlagEquivalence(t *testing.T) {
 // re-scan in Learner.Observe.
 func TestIntegerImprovedFlagMatchesPreSaturation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	fp := DefaultFixedParams()
-	ft := NewFixedTable(8, 3, fp)
-	for step := 0; step < 20000; step++ {
-		s, a, next := rng.Intn(8), rng.Intn(3), rng.Intn(8)
-		r := float64(rng.Intn(9) - 4)
-		if step%100 == 0 {
-			r = 500 // periodically slam into the positive rail
-		}
-		old := int64(ft.Raw(s, a))
-		rQ := int64(quantize(r, FixedOne))
-		target := rQ + (int64(fp.GammaNum)*int64(ft.maxRaw(next)))>>8
-		newV := old - (old >> fp.AlphaShift) + (target >> fp.AlphaShift)
-		_, improved := ft.Update(s, a, r, next)
-		if improved != (newV > old) {
-			t.Fatalf("fixed step %d: improved=%v, want newV>old=%v", step, improved, newV > old)
-		}
-		storedSat := int64(ft.Raw(s, a))
-		if improved != (storedSat > old) && !(improved && old == int64(ft.Raw(s, a)) && storedSat == fixedMax) {
-			t.Fatalf("fixed step %d: flag diverges from storedSat>old away from the rail (old=%d storedSat=%d)",
-				step, old, storedSat)
-		}
-	}
-	qp := DefaultQuantParams()
-	qt := NewQuantTable(8, 3, qp)
-	for step := 0; step < 20000; step++ {
-		s, a, next := rng.Intn(8), rng.Intn(3), rng.Intn(8)
-		r := float64(rng.Intn(9) - 4)
-		if step%100 == 0 {
-			r = 100
-		}
-		old := int64(qt.Raw(s, a))
-		rQ := int64(quantize(r, quantScale))
-		target := rQ + (int64(qp.GammaNum)*int64(qt.maxRaw(next)))>>8
-		newV := old - (old >> qp.AlphaShift) + (target >> qp.AlphaShift)
-		_, improved := qt.Update(s, a, r, next)
-		if improved != (newV > old) {
-			t.Fatalf("quant step %d: improved=%v, want newV>old=%v", step, improved, newV > old)
-		}
-		storedSat := int64(qt.Raw(s, a))
-		if improved != (storedSat > old) && !(improved && storedSat == quantMax) {
-			t.Fatalf("quant step %d: flag diverges from storedSat>old away from the rail (old=%d storedSat=%d)",
-				step, old, storedSat)
+	slam := map[string]float64{"fixed": 500, "quant": 100} // past each positive rail
+	for _, c := range intCases {
+		p := c.def
+		tab := c.mk(8, 3, p)
+		for step := 0; step < 20000; step++ {
+			s, a, next := rng.Intn(8), rng.Intn(3), rng.Intn(8)
+			r := float64(rng.Intn(9) - 4)
+			if step%100 == 0 {
+				r = slam[c.name]
+			}
+			old := tab.rawAt(s, a)
+			maxNext := tab.rawAt(next, 0)
+			for a2 := 1; a2 < 3; a2++ {
+				maxNext = max(maxNext, tab.rawAt(next, a2))
+			}
+			rQ := int64(quantize(r, c.scale))
+			target := rQ + (int64(p.GammaNum)*maxNext)>>8
+			newV := old - (old >> p.AlphaShift) + (target >> p.AlphaShift)
+			_, improved := tab.Update(s, a, r, next)
+			if improved != (newV > old) {
+				t.Fatalf("%s step %d: improved=%v, want newV>old=%v", c.name, step, improved, newV > old)
+			}
+			storedSat := tab.rawAt(s, a)
+			if improved != (storedSat > old) && !(improved && storedSat == c.max) {
+				t.Fatalf("%s step %d: flag diverges from storedSat>old away from the rail (old=%d storedSat=%d)",
+					c.name, step, old, storedSat)
+			}
 		}
 	}
 }
@@ -221,8 +190,8 @@ func TestIntegerImprovedFlagMatchesPreSaturation(t *testing.T) {
 func TestTableDifferentialDivergence(t *testing.T) {
 	p := Params{Alpha: 0.5, Gamma: 230.0 / 256.0, Xi: 2, InitQ: -10, Rule: RuleQMA}
 	ft := NewFloatTable(54, 3, p)
-	xt := NewFixedTable(54, 3, DefaultFixedParams())
-	qt := NewQuantTable(54, 3, DefaultQuantParams())
+	xt := NewFixedTableOn(54, 3, DefaultFixedParams(), nil)
+	qt := NewQuantTableOn(54, 3, DefaultQuantParams(), nil)
 	rng := rand.New(rand.NewSource(3))
 	var maxFixed, maxQuant float64
 	for step := 0; step < 30000; step++ {

@@ -5,10 +5,10 @@
 // table that resolves duplicate optima (Eq. 3), and the exploration
 // strategies of §4.2 (parameter-based, ε-greedy, constant).
 //
-// Value storage is pluggable behind the Table interface: a float64 table, a
-// fixed-point Q8.8 table for devices without a floating-point unit (§3.2),
-// and a saturating 8-bit table exercising the paper's future-work claim that
-// 2–8 bits per Q-value suffice (§7).
+// Value storage is pluggable behind the Table interface: a float64 table and
+// one integer table at two widths, fixed-point Q8.8 for devices without a
+// floating-point unit (§3.2) and saturating 8-bit storage exercising the
+// paper's future-work claim that 2–8 bits per Q-value suffice (§7).
 package qlearn
 
 import "fmt"
@@ -145,20 +145,26 @@ func (t *FloatTable) Init(states, actions int, p Params, backing []float64) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
+	*t = FloatTable{p: p, states: states, actions: actions, q: shapeBacking(states, actions, backing)}
+	t.Reset()
+}
+
+// shapeBacking checks a table's dimensions and returns its value storage:
+// backing, which must hold exactly states × actions elements, or a private
+// allocation when backing is nil. It panics on non-positive dimensions or a
+// mis-sized backing.
+func shapeBacking[V any](states, actions int, backing []V) []V {
 	if states <= 0 || actions <= 0 {
 		panic(fmt.Sprintf("qlearn: table dimensions %dx%d", states, actions))
 	}
 	if backing == nil {
-		backing = make([]float64, states*actions)
-	} else if len(backing) != states*actions {
+		return make([]V, states*actions)
+	}
+	if len(backing) != states*actions {
 		panic(fmt.Sprintf("qlearn: backing holds %d values, want %d", len(backing), states*actions))
 	}
-	*t = FloatTable{p: p, states: states, actions: actions, q: backing}
-	t.Reset()
+	return backing
 }
-
-// Params returns the table's hyperparameters.
-func (t *FloatTable) Params() Params { return t.p }
 
 // States implements Table.
 func (t *FloatTable) States() int { return t.states }
@@ -231,13 +237,3 @@ func (t *FloatTable) Reset() {
 
 // MemoryBytes implements Table: 8 bytes per entry.
 func (t *FloatTable) MemoryBytes() int { return len(t.q) * 8 }
-
-// Snapshot returns a copy of the Q-values as a [states][actions] matrix, for
-// inspection and golden tests (Fig. 5).
-func (t *FloatTable) Snapshot() [][]float64 {
-	out := make([][]float64, t.states)
-	for s := range out {
-		out[s] = append([]float64(nil), t.q[s*t.actions:(s+1)*t.actions]...)
-	}
-	return out
-}

@@ -45,18 +45,13 @@ func reevalTables() map[string]func(states, actions int) Table {
 			}
 		}
 	}
-	for _, xi := range []int32{2 * FixedOne, 0} {
-		p := DefaultFixedParams()
-		p.Xi = xi
-		out[fmt.Sprintf("fixed/xi=%d", xi)] = func(states, actions int) Table {
-			return NewFixedTable(states, actions, p)
-		}
-	}
-	for _, xi := range []int32{2 * quantScale, 0} {
-		p := DefaultQuantParams()
-		p.Xi = xi
-		out[fmt.Sprintf("quant/xi=%d", xi)] = func(states, actions int) Table {
-			return NewQuantTable(states, actions, p)
+	for _, c := range intCases {
+		for _, xi := range []int32{c.def.Xi, 0} {
+			p := c.def
+			p.Xi = xi
+			out[fmt.Sprintf("%s/xi=%d", c.name, xi)] = func(states, actions int) Table {
+				return c.mk(states, actions, p)
+			}
 		}
 	}
 	return out

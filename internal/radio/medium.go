@@ -267,10 +267,6 @@ func (m *Medium) Transmitting(id frame.NodeID) bool {
 	return m.txUntil[id] > m.k.Now()
 }
 
-// Receiving reports whether at least one decodable transmission currently
-// overlaps node id.
-func (m *Medium) Receiving(id frame.NodeID) bool { return m.rxCount[id] > 0 }
-
 // CCA performs a clear channel assessment at node id and reports true when
 // the channel the node is tuned to is clear. Busy means some ongoing
 // same-channel transmission is above the node's energy-detection threshold.
@@ -701,12 +697,6 @@ func (m *Medium) SetFadeUntil(id frame.NodeID, until sim.Time) {
 	if until > m.fadeUntil[id] {
 		m.fadeUntil[id] = until
 	}
-}
-
-// Present reports whether node id is currently part of the network (true
-// until a SetPresent(id, false)).
-func (m *Medium) Present(id frame.NodeID) bool {
-	return m.present == nil || m.present[id]
 }
 
 // SetPresent removes node id from the network (present == false) or rejoins

@@ -5,15 +5,15 @@ import (
 	"sync"
 )
 
-// This file is the dependency-driven counterpart to replicate.go's
-// fixed-index worker pool: RunPool keeps Workers(parallel) goroutines alive
-// for the whole workload and feeds them from a dynamic ready queue instead
-// of re-dispatching a fresh pool per phase. A completing job reports which
-// items its completion made ready, so irregular dependency graphs (the
-// sharded scheduler's per-cell epoch lattice) run without any global
-// barrier: a worker that finishes one item immediately picks up the
-// highest-priority ready item instead of idling until the slowest item of a
-// phase completes.
+// This file is the process's one worker pool: RunPool keeps
+// Workers(parallel) goroutines alive for the whole workload and feeds them
+// from a dynamic ready queue instead of re-dispatching a fresh pool per
+// phase; replicate.go's independent jobs run on it as items that push no
+// successors. A completing job reports which items its completion made
+// ready, so irregular dependency graphs (the sharded scheduler's per-cell
+// epoch lattice) run without any global barrier: a worker that finishes
+// one item immediately picks up the highest-priority ready item instead of
+// idling until the slowest item of a phase completes.
 //
 // Determinism is the caller's problem by design: the pool guarantees only
 // that every pushed item runs exactly once and that a job's writes
@@ -56,11 +56,12 @@ type pool struct {
 // item failed; it returns nil on full success.
 //
 // A panicking job is recorded as a RepError (Attempts 1) and aborts the pool:
-// unlike ForEachWorker's independent replications, an item is never retried,
-// because a job that panicked midway may have left state its dependants read
-// half-updated, and later items must not run against a broken dependency
-// (pending items are dropped, in-flight items finish). Callers treat a
-// non-nil error slice as fatal for the whole workload.
+// an item is never retried (the independent replications of ForEachWorker
+// retry inside their own job), because a job that panicked midway may have
+// left state its dependants read half-updated, and later items must not run
+// against a broken dependency (pending items are dropped, in-flight items
+// finish). Callers treat a non-nil error slice as fatal for the whole
+// workload.
 func RunPool(parallel int, initial []Item, job func(w, id int) []Item) []*RepError {
 	if len(initial) == 0 {
 		return nil
@@ -77,14 +78,16 @@ func RunPool(parallel int, initial []Item, job func(w, id int) []Item) []*RepErr
 		outstanding: len(initial),
 	}
 	p.cond = sync.NewCond(&p.mu)
+	// Worker 0 is the calling goroutine, so a one-worker pool starts none.
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
 			p.work(w, job)
 		}(w)
 	}
+	p.work(0, job)
 	wg.Wait()
 	sort.Slice(p.errs, func(a, b int) bool { return p.errs[a].Index < p.errs[b].Index })
 	return p.errs
@@ -133,9 +136,10 @@ func (p *pool) work(w int, job func(w, id int) []Item) {
 
 // take removes and returns the best ready item for worker w under p.mu:
 // the highest-priority item preferring w, else the highest-priority item
-// overall; ID breaks ties so selection is stable. The queue stays small
-// (bounded by the workload's ready width), so a linear scan beats heap
-// bookkeeping here.
+// overall; ID breaks ties so selection is stable. The queue holds at most
+// the workload's ready width (every job of an independent sweep, a cell
+// lattice's frontier), and a scan costs nanoseconds per entry against jobs
+// that each run a simulation, so it beats heap bookkeeping here.
 func (p *pool) take(w int) Item {
 	best, bestAff := -1, false
 	for i := range p.ready {

@@ -6,15 +6,15 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // This file is the replication engine behind every figure: independent
 // simulation runs (replications, and independent sweep points) are sharded
-// across a bounded worker pool. Determinism is by construction — each job is
-// addressed by its index, derives all randomness from its seed, and writes
-// only its own result slot; merging then walks the slots in index order, so
-// the output is byte-identical for any worker count.
+// across RunPool's workers as items that push no successors. Determinism is
+// by construction — each job is addressed by its index, derives all
+// randomness from its seed, and writes only its own result slot; merging
+// then walks the slots in index order, so the output is byte-identical for
+// any worker count.
 //
 // The pool is also the process's crash barrier: a panicking replication is
 // recovered, retried once (against e.g. a transient OOM kill of a goroutine
@@ -40,7 +40,8 @@ type RepError struct {
 	// Stack is the goroutine stack captured at the final panic.
 	Stack []byte
 	// Attempts is how many times the job was tried: 2 (initial + one retry)
-	// under ForEachWorker, 1 under RunPool, which never retries.
+	// for the independent jobs of ForEachWorker and ReplicateGridWorker, 1
+	// for a RunPool item, which is never retried.
 	Attempts int
 }
 
@@ -88,8 +89,8 @@ func runJob(w, i int, job func(w, i int)) *RepError {
 
 // ForEach runs job(0..n-1) on up to Workers(parallel) goroutines and waits
 // for all of them. Jobs must be independent and must confine their writes to
-// per-index state. With one worker (or n == 1) it degrades to a plain loop
-// on the calling goroutine.
+// per-index state. With one worker (or n == 1) every job runs on the calling
+// goroutine.
 //
 // A job that panics is retried once and, failing again, reported in the
 // returned slice (ordered by job index) instead of crashing the pool; its
@@ -104,33 +105,31 @@ func ForEach(n, parallel int, job func(i int)) []*RepError {
 // Jobs on the same w run strictly sequentially, which is what lets a job
 // reuse per-worker state (scratch arenas, frame pools) without locking. The
 // results must not depend on that state — each job stays addressed purely by
-// its index i.
+// its index i. Jobs are dispatched in index order.
 func ForEachWorker(n, parallel int, job func(w, i int)) []*RepError {
-	var next atomic.Int64
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{ID: i, Affinity: -1}
+	}
+	return runIndependent(parallel, items, job)
+}
+
+// runIndependent runs each item's job once on RunPool, pushing no
+// successors. The retry and the error record live inside the item's job,
+// so a job that panicked twice is reported, ordered by ID, instead of
+// aborting the pool.
+func runIndependent(parallel int, items []Item, job func(w, i int)) []*RepError {
 	var mu sync.Mutex
 	var errs []*RepError
-	work := func(w int) {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			if re := runJob(w, i, job); re != nil {
-				mu.Lock()
-				errs = append(errs, re)
-				mu.Unlock()
-			}
+	// runJob recovers every panic, so RunPool itself records none.
+	_ = RunPool(parallel, items, func(w, i int) []Item {
+		if re := runJob(w, i, job); re != nil {
+			mu.Lock()
+			errs = append(errs, re)
+			mu.Unlock()
 		}
-	}
-	if workers := min(Workers(parallel), n); workers <= 1 {
-		work(0)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				work(w)
-			}()
-		}
-		wg.Wait()
-	}
+		return nil
+	})
 	sort.Slice(errs, func(a, b int) bool { return errs[a].Index < errs[b].Index })
 	return errs
 }
@@ -145,10 +144,10 @@ func ForEachWorker(n, parallel int, job func(w, i int)) []*RepError {
 // Estimate per metric name per cell, merged in seed order, and must not
 // depend on the worker assignment.
 //
-// Cells are dispatched from the last one down, each in seed order. Sweeps
-// list their points from small to large, so the most expensive cells start
-// first and the cheap ones fill in behind them, instead of one large cell
-// starting last and running alone.
+// Cells are dispatched from the last one down (the cell is the item's
+// priority), each in seed order. Sweeps list their points from small to
+// large, so the most expensive cells start first and the cheap ones fill in
+// behind them, instead of one large cell starting last and running alone.
 //
 // A replication that panicked twice is excluded from its cell's merge (the
 // cell's Estimates simply average one fewer run) and reported in the error
@@ -157,18 +156,17 @@ func ForEachWorker(n, parallel int, job func(w, i int)) []*RepError {
 // the cell-major flat index cell·reps + seed.
 func ReplicateGridWorker(cells, reps, parallel int, fn func(w, cell int, seed uint64) map[string]float64) ([]map[string]Estimate, []*RepError) {
 	results := make([]map[string]float64, cells*reps)
-	// flat maps dispatch position j to the cell-major result index.
-	flat := func(j int) int { return (cells-1-j/reps)*reps + j%reps }
-	errs := ForEachWorker(cells*reps, parallel, func(w, j int) {
-		i := flat(j)
+	items := make([]Item, cells*reps)
+	for i := range items {
+		items[i] = Item{ID: i, Priority: uint64(i / reps), Affinity: -1}
+	}
+	errs := runIndependent(parallel, items, func(w, i int) {
 		results[i] = fn(w, i/reps, uint64(i%reps))
 	})
 	for _, e := range errs {
-		e.Index = flat(e.Index)
 		e.Cell = e.Index / reps
 		e.Seed = uint64(e.Index % reps)
 	}
-	sort.Slice(errs, func(a, b int) bool { return errs[a].Index < errs[b].Index })
 	out := make([]map[string]Estimate, cells)
 	for c := 0; c < cells; c++ {
 		out[c] = mergeRuns(results[c*reps : (c+1)*reps])

@@ -119,9 +119,6 @@ func (s *Series) Add(t, v float64) { s.points = append(s.points, Point{T: t, V: 
 // Len reports the number of samples.
 func (s *Series) Len() int { return len(s.points) }
 
-// Points returns the backing samples (callers must not mutate).
-func (s *Series) Points() []Point { return s.points }
-
 // At returns the i-th sample.
 func (s *Series) At(i int) Point { return s.points[i] }
 

@@ -34,18 +34,15 @@ func NewLearner(states, actions int, p LearnParams, kind TableKind, defaultActio
 	if defaultAction < 0 || defaultAction >= actions {
 		return nil, fmt.Errorf("qma: default action %d out of range [0,%d)", defaultAction, actions)
 	}
-	if _, err := kind.internal(); err != nil {
+	k, err := kind.internal()
+	if err != nil {
 		return nil, err
 	}
-	var table qlearn.Table
-	switch kind {
-	case TableFixed:
-		table = qlearn.NewFixedTable(states, actions, qlearn.DefaultFixedParams())
-	case TableQuant:
-		table = qlearn.NewQuantTable(states, actions, qlearn.DefaultQuantParams())
-	default:
-		table = qlearn.NewFloatTable(states, actions, p.internal())
+	learn := p.internal()
+	if err := learn.Validate(); err != nil {
+		return nil, fmt.Errorf("qma: %w", err)
 	}
+	table := k.NewTable(states, actions, learn, nil)
 	return &Learner{inner: qlearn.NewLearner(table, defaultAction), kind: kind}, nil
 }
 

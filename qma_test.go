@@ -427,6 +427,10 @@ func TestPublicDSMEScenario(t *testing.T) {
 	if _, err := (&qma.DSMEScenario{Topology: rings, DurationSeconds: 10, Table: qma.TableKind(256)}).Run(); err == nil {
 		t.Error("table kind 256 accepted")
 	}
+	bad := qma.LearnParams{Alpha: 2, Gamma: 0.9, Xi: 2, InitQ: -10}
+	if _, err := (&qma.DSMEScenario{Topology: rings, DurationSeconds: 10, Learn: bad}).Run(); err == nil || !strings.Contains(err.Error(), "alpha=2") {
+		t.Errorf("invalid learning parameters: err = %v, want an alpha=2 error", err)
+	}
 }
 
 func TestPublicLearner(t *testing.T) {
@@ -460,6 +464,9 @@ func TestPublicLearner(t *testing.T) {
 	}
 	if _, err := qma.NewLearner(2, 3, qma.LearnParams{}, qma.TableKind(256), 0); err == nil {
 		t.Error("accepted table kind 256")
+	}
+	if _, err := qma.NewLearner(2, 3, qma.LearnParams{Alpha: 2, Gamma: 0.9}, qma.TableFloat, 0); err == nil {
+		t.Error("accepted alpha=2")
 	}
 	if _, err := qma.NewLearner(2, 3, qma.LearnParams{}, qma.TableFloat, 5); err == nil {
 		t.Error("accepted out-of-range default action")

@@ -48,6 +48,16 @@ func TestScenarioValidateErrorPaths(t *testing.T) {
 		{"table kind wrapping to float", func(s *qma.Scenario) {
 			s.Table = qma.TableKind(256)
 		}, "unknown table kind"},
+		{"learning rate out of range", func(s *qma.Scenario) {
+			s.Learn = qma.LearnParams{Alpha: 2, Gamma: 0.9, Xi: 2, InitQ: -10}
+		}, "alpha=2"},
+		{"learning parameters via MAC options", func(s *qma.Scenario) {
+			s.MACOptions = map[string]string{"alpha": "2"}
+		}, "alpha=2"},
+		{"NOMA learning parameters", func(s *qma.Scenario) {
+			s.MAC, s.CaptureThresholdDB = "noma", 6
+			s.MACOptions = map[string]string{"xi": "-1"}
+		}, "xi=-1"},
 		{"GE negative sojourn", func(s *qma.Scenario) {
 			s.Dynamics = &qma.Dynamics{Channel: qma.GilbertElliott{MeanGoodSeconds: -1, MeanBadSeconds: 1}}
 		}, "must not be negative"},
