@@ -90,6 +90,27 @@ func TestSemanticFlagErrorsExitNonZero(t *testing.T) {
 	}
 }
 
+// TestIntegerTableLearnOverrides pins that an integer Q-table refuses
+// learning parameters it would silently ignore, while the table alone and
+// an override equal to the paper's value still run.
+func TestIntegerTableLearnOverrides(t *testing.T) {
+	short := []string{"-duration", "1", "-warmup", "0"}
+	cases := []struct {
+		opts []string
+		want int
+	}{
+		{[]string{"-mac-opt", "table=fixed", "-mac-opt", "alpha=0.3", "-mac-opt", "xi=0"}, 1},
+		{[]string{"-mac-opt", "table=fixed"}, 0},
+		{[]string{"-mac-opt", "table=fixed", "-mac-opt", "alpha=0.5"}, 0},
+	}
+	for _, tc := range cases {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(tc.opts, short...), &stdout, &stderr); code != tc.want {
+			t.Errorf("%v: exit %d, want %d; stderr: %s", tc.opts, code, tc.want, stderr.String())
+		}
+	}
+}
+
 // TestFaultFlagsReachTheRun wires a full fault script through the CLI on a
 // short run and checks it both executes and announces itself.
 func TestFaultFlagsReachTheRun(t *testing.T) {

@@ -562,7 +562,7 @@ func (e *Engine) startTX(m, action int) {
 	}
 	if !e.base.Clock().FitsInCAP(now, cost) {
 		// Defer to the next CAP without a Q-update (802.15.4 rule: the
-		// transaction must complete before the CAP ends; DESIGN.md §6).
+		// transaction must complete before the CAP ends).
 		e.deferrals++
 		return
 	}

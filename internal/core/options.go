@@ -103,15 +103,23 @@ func validateOptions(opts any) error {
 }
 
 // Validate reports a descriptive error for options no engine can be built
-// from: an unknown table kind, or a non-zero Learn (zero selects the
-// paper's defaults) that qlearn.Params.Validate rejects. The NOMA protocol
-// builds on Options and validates through here too.
+// from: an unknown table kind, a non-zero Learn (zero selects the paper's
+// defaults) that qlearn.Params.Validate rejects, or an integer table with a
+// Learn other than zero or qlearn.DefaultParams() — the integer tables run
+// their width's fixed parameters and would silently ignore it. The NOMA
+// protocol and qma.NewLearner validate through here too.
 func (opts Options) Validate() error {
 	if opts.Table > TableQuant {
 		return fmt.Errorf("core: unknown table kind %d", opts.Table)
 	}
-	if opts.Learn != (qlearn.Params{}) {
-		return opts.Learn.Validate()
+	if opts.Learn == (qlearn.Params{}) {
+		return nil
+	}
+	if err := opts.Learn.Validate(); err != nil {
+		return err
+	}
+	if opts.Table != TableFloat && opts.Learn != qlearn.DefaultParams() {
+		return fmt.Errorf("core: the integer tables run fixed learning parameters (α=0.5, γ=230/256, ξ=2, Q₀=−10); got %+v", opts.Learn)
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6 and Appendix A). Each runner returns one or more Tables —
 // plain rows ready for text rendering — so the same code backs the
-// qma-experiments binary, the benchmark harness and EXPERIMENTS.md.
+// qma-experiments binary, the benchmark harness and the golden digests.
 //
 // Runners accept a Mode so that `go test -bench` finishes in minutes (Quick)
 // while `qma-experiments -full` reproduces paper-scale parameters (Full):
@@ -110,7 +110,7 @@ type Table struct {
 	// Columns and Rows hold the payload.
 	Columns []string
 	Rows    [][]string
-	// Notes carry caveats and observations for EXPERIMENTS.md.
+	// Notes carry caveats and observations, printed below the rows.
 	Notes []string
 }
 

@@ -23,7 +23,7 @@ func init() {
 
 // testbedConfig builds a §6.2 run: every non-sink node streams Poisson
 // evaluation traffic towards the root over the routing tree, after a
-// management phase. Calibration (documented in EXPERIMENTS.md): the paper
+// management phase. Calibration: the paper
 // drives every FIT IoT-LAB node at δ=10 packets/s; our substrate confines
 // all traffic to the DSME CAP (half the airtime of a free-running testbed
 // radio), so we scale the rate to keep the offered load in the same
@@ -59,7 +59,8 @@ func testbedConfig(net *topo.Network, mk mac.Name, mode Mode, seed uint64) scena
 
 // runTestbedPDR regenerates the per-node PDR comparison of the FIT IoT-LAB
 // experiments (Fig. 18 tree, Fig. 19 star) with δ=10, QMA vs unslotted
-// CSMA/CA. The topologies substitute the physical testbed (DESIGN.md §3).
+// CSMA/CA. The topologies substitute the physical testbed: explicit graphs
+// reconstructed from the paper's tree and star (topo.Tree10, topo.Star17).
 func runTestbedPDR(mode Mode, net *topo.Network, id, kind string) []*Table {
 	t := &Table{
 		ID:      id,

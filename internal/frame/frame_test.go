@@ -37,7 +37,7 @@ func TestAckConstants(t *testing.T) {
 
 func TestDataFrameSpansTwoToThreeSubslots(t *testing.T) {
 	// The paper (§6.1.3) states transmissions span up to 3 subslots. With the
-	// 1120 µs subslot of DESIGN.md, a 50-byte-payload frame plus its ACK
+	// default 1120 µs (70-symbol) subslot, a 50-byte-payload frame plus its ACK
 	// exchange must fit in (2, 3] subslots.
 	const subslot = 1120
 	total := AirTime(50+21) + TurnaroundTime + AckDuration // 71-byte MPDU with header

@@ -632,8 +632,8 @@ func (b *Base) AvgNeighborQueue() float64 {
 
 // SendFrame transmits f now at the reference (maximum) power and reports
 // the outcome to the owner's Engine.TxDone exactly once: immediately after
-// the transmission for broadcasts (optimistic, no ACK exists — DESIGN.md §6
-// deviation 1), or after the ACK / ACK timeout for unicasts. It returns the
+// the transmission for broadcasts (optimistic: no ACK exists to report a
+// loss), or after the ACK / ACK timeout for unicasts. It returns the
 // instant the node becomes idle again. The caller must ensure the node is
 // not busy and the transaction fits in the CAP.
 func (b *Base) SendFrame(f *frame.Frame) sim.Time {

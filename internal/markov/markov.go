@@ -330,9 +330,9 @@ func simulateOne(p float64, rng *sim.Rand) int {
 }
 
 // PaperFig26 returns the (p, expected messages) pairs printed in the paper's
-// Fig. 26, for the comparison table in EXPERIMENTS.md. Note: solving the
-// paper's own Eq. 10 matrix reproduces these values only for large p; below
-// p≈0.7 the printed curve diverges from the printed matrix (see DESIGN.md).
+// Fig. 26, for the fig26 comparison table of qma-experiments. Note: solving
+// the paper's own Eq. 10 matrix reproduces these values only for large p;
+// below p≈0.7 the printed curve diverges from the printed matrix.
 func PaperFig26() map[float64]float64 {
 	return map[float64]float64{
 		0.1: 41.79, 0.2: 15.91, 0.3: 9.91, 0.4: 7.33, 0.5: 5.88,

@@ -50,7 +50,7 @@ func TestMonteCarloAgrees(t *testing.T) {
 
 // TestPaperHighPValues verifies the matrix reproduces the paper's printed
 // Fig. 26 values where the figure and the printed matrix agree (large p);
-// the low-p discrepancy is documented in DESIGN.md and EXPERIMENTS.md.
+// below p≈0.7 the printed curve diverges from the matrix (see PaperFig26).
 func TestPaperHighPValues(t *testing.T) {
 	for _, tc := range []struct{ p, want float64 }{
 		{1.0, 3.0}, {0.9, 3.33}, {0.8, 3.74},

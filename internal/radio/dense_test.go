@@ -15,7 +15,7 @@ import (
 // reference implementation, and drives it and the production Medium through
 // identical randomized scripts asserting identical per-node NodeStats,
 // identical delivery traces and identical CCA answers. It is the safety net
-// for the O(N + E) refactor: any behavioural drift in the CSR link arrays,
+// for the O(N + E) refactor: any behavioural drift in the per-node link rows,
 // the busy counters or the early-event expiry shows up as a trace diff.
 
 // denseTransmission mirrors the old transmission bookkeeping.
@@ -477,7 +477,7 @@ func checkLinkAgreement(t *testing.T, label string, topo Topology, src, dst fram
 
 // TestMediumMemoryIsLinear pins the acceptance criterion that no N×N
 // allocation hides under internal/radio: a 10,000-node sparse topology must
-// build a medium whose link arrays are sized by E, not N².
+// build a medium whose link rows are sized by E, not N².
 func TestMediumMemoryIsLinear(t *testing.T) {
 	const n = 10000
 	rng := sim.NewRand(42)
@@ -489,15 +489,19 @@ func TestMediumMemoryIsLinear(t *testing.T) {
 	pt := NewPathLossTopology(DefaultPathLossConfig(), pos)
 	k := sim.NewKernel()
 	m := NewMedium(k, pt, sim.NewRand(1))
-	edges := len(m.decodeArr)
+	edges, sensed := 0, 0
+	for i := range m.decode {
+		edges += len(m.decode[i])
+		sensed += len(m.sense[i])
+	}
 	if edges == 0 {
 		t.Fatal("degenerate topology: no edges")
 	}
 	if edges > n*60 {
-		t.Fatalf("decode CSR holds %d entries for %d nodes — not sparse", edges, n)
+		t.Fatalf("decode rows hold %d entries for %d nodes — not sparse", edges, n)
 	}
-	if len(m.senseArr) > edges {
-		t.Fatalf("sense CSR (%d) larger than decode CSR (%d)", len(m.senseArr), edges)
+	if sensed > edges {
+		t.Fatalf("sense rows (%d) larger than decode rows (%d)", sensed, edges)
 	}
 }
 

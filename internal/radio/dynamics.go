@@ -11,10 +11,10 @@ import (
 // Gilbert–Elliott burst-error process (per-link two-state Markov channel)
 // and the deterministic deep-fade windows scenarios use as controlled
 // disturbances. Node churn and mobility live in medium.go (incremental link
-// re-classification) and topology.go (dynamic position index); everything
-// here is strictly opt-in — with no dynamics configured the medium executes
-// the exact pre-dynamics code paths and consumes the exact same random
-// draws, so static scenarios stay byte-identical.
+// re-classification) and topology.go (the spatial index MoveNode edits);
+// everything here is strictly opt-in — with no dynamics configured the
+// medium consumes the exact same random draws, so static scenarios stay
+// byte-identical.
 
 // GilbertElliott parameterizes the two-state burst-error channel. Each link
 // (unordered node pair) evolves independently between a Good and a Bad state

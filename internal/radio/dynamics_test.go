@@ -300,7 +300,6 @@ func runDynScript(n int, script []dynOp, drv *dynMediumDriver, k *sim.Kernel) (t
 
 func indexedDynDriver(k *sim.Kernel, topo Topology, seed uint64, ge GilbertElliott, geSeed uint64) *dynMediumDriver {
 	m := NewMedium(k, topo, sim.NewRand(seed))
-	m.EnableDynamics()
 	if ge.Enabled() {
 		m.SetGilbertElliott(ge, geSeed)
 	}
@@ -446,7 +445,6 @@ func TestIncrementalLinkRowsMatchRebuild(t *testing.T) {
 		}
 		pt := NewPathLossTopology(cfg, pos)
 		m := NewMedium(sim.NewKernel(), pt, sim.NewRand(1))
-		m.EnableDynamics()
 		present := make([]bool, n)
 		for i := range present {
 			present[i] = true
@@ -519,7 +517,6 @@ func TestMoveNodeGridEdgeBands(t *testing.T) {
 	n := len(pos)
 	pt := NewPathLossTopology(DefaultPathLossConfig(), pos)
 	m := NewMedium(sim.NewKernel(), pt, sim.NewRand(1))
-	m.EnableDynamics()
 	present := make([]bool, n)
 	for i := range present {
 		present[i] = true
@@ -585,7 +582,6 @@ func TestBusyCountersBalanceUnderChurn(t *testing.T) {
 	pt := NewPathLossTopology(DefaultPathLossConfig(), pos)
 	k := sim.NewKernel()
 	m := NewMedium(k, pt, sim.NewRand(1))
-	m.EnableDynamics()
 	for i := 0; i < n; i++ {
 		m.Attach(frame.NodeID(i), HandlerFunc(func(*frame.Frame) {}))
 	}

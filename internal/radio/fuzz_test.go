@@ -63,7 +63,6 @@ func FuzzGraphTopologyLinks(f *testing.F) {
 		// medium; after every toggle the incrementally maintained rows must
 		// equal a naive re-classification over present nodes.
 		m := NewMedium(sim.NewKernel(), g, sim.NewRand(1))
-		m.EnableDynamics()
 		present := make([]bool, n)
 		for j := range present {
 			present[j] = true

@@ -93,10 +93,10 @@ func (s *NodeStats) Accumulate(o NodeStats) {
 // kernel and is not safe for concurrent use.
 //
 // Memory is O(N + E): the decode and sense link sets are materialized once
-// at construction as CSR-style flattened arrays (one shared backing slice
-// plus per-node offsets), and clear channel assessment reads a per-node,
-// per-channel busy counter maintained incrementally at transmission
-// start/end instead of scanning the set of ongoing transmissions.
+// at construction as per-node rows over one backing array per direction,
+// and clear channel assessment reads a per-node, per-channel busy counter
+// maintained incrementally at transmission start/end instead of scanning
+// the set of ongoing transmissions.
 type Medium struct {
 	k    *sim.Kernel
 	topo Topology
@@ -115,15 +115,12 @@ type Medium struct {
 	// inflight[i] are the transmissions currently decodable at node i.
 	inflight [][]*transmission
 
-	// decodeArr/decodeOff and senseArr/senseOff are the CSR link arrays:
-	// node i's decode-neighbours are decodeArr[decodeOff[i]:decodeOff[i+1]]
-	// (ascending), and analogously the nodes whose CCA senses i's
-	// transmissions. Sense links follow the transmit direction: senseArr
-	// under src lists the dst with topo.CanSense(src, dst).
-	decodeArr []frame.NodeID
-	decodeOff []int32
-	senseArr  []frame.NodeID
-	senseOff  []int32
+	// decode[i] lists node i's decode-neighbours and sense[i] the nodes whose
+	// CCA senses i's transmissions (topo.CanSense(i, dst)), both ascending.
+	// Each row is a full-capacity view into one backing array per direction
+	// that NewMedium builds; churn and mobility edit the rows in place, and
+	// an insert past a row's capacity reallocates only that row.
+	decode, sense [][]frame.NodeID
 
 	// busy[i][ch] counts ongoing transmissions a CCA at node i on channel ch
 	// detects. Inner slices grow to the highest channel actually used at i.
@@ -139,15 +136,11 @@ type Medium struct {
 	// the reference power is NodeStats.TxAirtime minus the listed rows.
 	txByPower [][]PowerAirtime
 
-	// Dynamics state, nil until EnableDynamics. dynDecode/dynSense shadow
-	// the CSR arrays with per-node rows that churn and mobility update
-	// incrementally in O(degree); present[i] is false while node i has left
-	// the network; fadeUntil[i] marks a scheduled deep fade at node i; ge is
-	// the optional Gilbert–Elliott burst-error process. All of it is opt-in:
-	// with no dynamics configured the hot paths take the exact static
-	// branches and consume the exact same random draws as before.
-	dynDecode [][]frame.NodeID
-	dynSense  [][]frame.NodeID
+	// Dynamics state, nil until the first SetFadeUntil, SetPresent or
+	// MoveNode: present[i] is false while node i has left the network;
+	// fadeUntil[i] marks a scheduled deep fade at node i; ge is the optional
+	// Gilbert–Elliott burst-error process. All of it is opt-in: with no
+	// dynamics configured the hot paths consume the exact same random draws.
 	present   []bool
 	fadeUntil []sim.Time
 	ge        *geProcess
@@ -200,34 +193,33 @@ type Medium struct {
 func NewMedium(k *sim.Kernel, topo Topology, rng *sim.Rand) *Medium {
 	n := topo.NumNodes()
 	m := &Medium{
-		k:         k,
-		topo:      topo,
-		rng:       rng,
-		handlers:  make([]Handler, n),
-		stats:     make([]NodeStats, n),
-		tuned:     make([]uint8, n),
-		txUntil:   make([]sim.Time, n),
-		rxCount:   make([]int, n),
-		inflight:  make([][]*transmission, n),
-		decodeOff: make([]int32, n+1),
-		senseOff:  make([]int32, n+1),
-		busy:      make([][]int32, n),
+		k:        k,
+		topo:     topo,
+		rng:      rng,
+		handlers: make([]Handler, n),
+		stats:    make([]NodeStats, n),
+		tuned:    make([]uint8, n),
+		txUntil:  make([]sim.Time, n),
+		rxCount:  make([]int, n),
+		inflight: make([][]*transmission, n),
+		busy:     make([][]int32, n),
 	}
-	var buf []frame.NodeID
+	var buf, decodeArr, senseArr []frame.NodeID
+	decodeEnd, senseEnd := make([]int32, n), make([]int32, n)
 	for src := frame.NodeID(0); int(src) < n; src++ {
 		buf = topo.AppendLinks(src, buf[:0])
 		for _, dst := range buf {
 			decode, sense := topo.ClassifyLink(src, dst)
 			if decode {
-				m.decodeArr = append(m.decodeArr, dst)
+				decodeArr = append(decodeArr, dst)
 			}
 			if sense {
-				m.senseArr = append(m.senseArr, dst)
+				senseArr = append(senseArr, dst)
 			}
 		}
-		m.decodeOff[src+1] = int32(len(m.decodeArr))
-		m.senseOff[src+1] = int32(len(m.senseArr))
+		decodeEnd[src], senseEnd[src] = int32(len(decodeArr)), int32(len(senseArr))
 	}
+	m.decode, m.sense = rowViews(decodeArr, decodeEnd), rowViews(senseArr, senseEnd)
 	m.endTXFn = func(a any) { m.endTX(a.(*transmission)) }
 	m.busyEndFn = func(a any) { m.busyEnd(a.(*transmission)) }
 	return m
@@ -322,7 +314,7 @@ func (m *Medium) StartTX(src frame.NodeID, f *frame.Frame, reduceDB float64) sim
 	// tuning check instead). A reduced-power frame additionally reaches only
 	// the decode links whose margin covers the reduction.
 	capture := m.captureDB > 0
-	for _, r := range m.decodeRow(src) {
+	for _, r := range m.decode[src] {
 		if reduceDB > 0 {
 			if _, decodeMargin, _ := m.topo.LinkSignal(src, r); decodeMargin < reduceDB {
 				continue
@@ -343,7 +335,7 @@ func (m *Medium) StartTX(src frame.NodeID, f *frame.Frame, reduceDB float64) sim
 	// counters balance even if dynamics rewrite the sense links mid-flight.
 	// A reduced-power frame stays below the energy-detection threshold of
 	// the sense links whose margin is smaller than the reduction.
-	for _, r := range m.senseRow(src) {
+	for _, r := range m.sense[src] {
 		if reduceDB > 0 {
 			if _, _, senseMargin := m.topo.LinkSignal(src, r); senseMargin < reduceDB {
 				continue
@@ -626,55 +618,38 @@ func (m *Medium) removeInflight(id frame.NodeID, t *transmission) {
 	}
 }
 
-// decodeRow returns the current decode links of src: the dynamic overlay
-// row once dynamics are enabled, the CSR view otherwise.
-func (m *Medium) decodeRow(src frame.NodeID) []frame.NodeID {
-	if m.dynDecode != nil {
-		return m.dynDecode[src]
-	}
-	return m.decodeArr[m.decodeOff[src]:m.decodeOff[src+1]]
-}
-
-// senseRow is decodeRow for the sense links.
-func (m *Medium) senseRow(src frame.NodeID) []frame.NodeID {
-	if m.dynSense != nil {
-		return m.dynSense[src]
-	}
-	return m.senseArr[m.senseOff[src]:m.senseOff[src+1]]
-}
-
 // DecodeNeighbors returns the ids that can decode transmissions from src in
 // ascending order (a view into the medium's link storage; callers must not
-// mutate it, and under dynamics it is only valid until the next churn or
-// mobility event).
-func (m *Medium) DecodeNeighbors(src frame.NodeID) []frame.NodeID {
-	return m.decodeRow(src)
-}
+// mutate it, and it is only valid until the next churn or mobility event).
+func (m *Medium) DecodeNeighbors(src frame.NodeID) []frame.NodeID { return m.decode[src] }
 
 // SenseNeighbors returns the ids whose CCA detects transmissions from src,
 // ascending (same ownership rules as DecodeNeighbors).
-func (m *Medium) SenseNeighbors(src frame.NodeID) []frame.NodeID {
-	return m.senseRow(src)
+func (m *Medium) SenseNeighbors(src frame.NodeID) []frame.NodeID { return m.sense[src] }
+
+// rowViews cuts arr into one full-capacity view per row, row i ending at
+// ends[i], so appending to a row can never overwrite its successor.
+func rowViews(arr []frame.NodeID, ends []int32) [][]frame.NodeID {
+	rows := make([][]frame.NodeID, len(ends))
+	lo := int32(0)
+	for i, hi := range ends {
+		rows[i] = arr[lo:hi:hi]
+		lo = hi
+	}
+	return rows
 }
 
-// EnableDynamics arms the medium for churn, mobility and fade scheduling by
-// materializing the CSR link arrays into per-node rows that can be updated
-// incrementally. It is idempotent, costs O(N + E) once, and changes no
-// behaviour by itself: the copied rows are identical to the CSR views.
-func (m *Medium) EnableDynamics() {
-	if m.dynDecode != nil {
+// armDynamics allocates the churn and fade state on first use; until then
+// every node is present and no fade is scheduled.
+func (m *Medium) armDynamics() {
+	if m.present != nil {
 		return
 	}
-	n := len(m.handlers)
-	m.dynDecode = make([][]frame.NodeID, n)
-	m.dynSense = make([][]frame.NodeID, n)
-	m.present = make([]bool, n)
-	m.fadeUntil = make([]sim.Time, n)
-	for i := 0; i < n; i++ {
-		m.dynDecode[i] = append([]frame.NodeID(nil), m.decodeArr[m.decodeOff[i]:m.decodeOff[i+1]]...)
-		m.dynSense[i] = append([]frame.NodeID(nil), m.senseArr[m.senseOff[i]:m.senseOff[i+1]]...)
+	m.present = make([]bool, len(m.handlers))
+	for i := range m.present {
 		m.present[i] = true
 	}
+	m.fadeUntil = make([]sim.Time, len(m.handlers))
 }
 
 // SetGilbertElliott installs the burst-error process over every link. All of
@@ -693,7 +668,7 @@ func (m *Medium) SetGilbertElliott(cfg GilbertElliott, seed uint64) {
 // (transmissions still occupy the air and collide as usual, which is what
 // makes a fade a learnable disturbance rather than a silent pause).
 func (m *Medium) SetFadeUntil(id frame.NodeID, until sim.Time) {
-	m.EnableDynamics()
+	m.armDynamics()
 	if until > m.fadeUntil[id] {
 		m.fadeUntil[id] = until
 	}
@@ -707,7 +682,7 @@ func (m *Medium) SetFadeUntil(id frame.NodeID, until sim.Time) {
 // at transmission start, so a node that leaves mid-frame still completes
 // those receptions and its raised busy counters still retire cleanly.
 func (m *Medium) SetPresent(id frame.NodeID, present bool) {
-	m.EnableDynamics()
+	m.armDynamics()
 	if m.present[id] == present {
 		return
 	}
@@ -715,11 +690,11 @@ func (m *Medium) SetPresent(id frame.NodeID, present bool) {
 	m.moveBufA = m.topo.AppendLinks(id, m.moveBufA[:0])
 	if !present {
 		for _, y := range m.moveBufA {
-			m.dynDecode[y] = sortedRemove(m.dynDecode[y], id)
-			m.dynSense[y] = sortedRemove(m.dynSense[y], id)
+			m.decode[y] = sortedRemove(m.decode[y], id)
+			m.sense[y] = sortedRemove(m.sense[y], id)
 		}
-		m.dynDecode[id] = m.dynDecode[id][:0]
-		m.dynSense[id] = m.dynSense[id][:0]
+		m.decode[id] = m.decode[id][:0]
+		m.sense[id] = m.sense[id][:0]
 		return
 	}
 	for _, y := range m.moveBufA {
@@ -739,7 +714,7 @@ func (m *Medium) MoveNode(id frame.NodeID, p Position) {
 	if !ok {
 		panic(fmt.Sprintf("radio: topology %T does not support MoveNode", m.topo))
 	}
-	m.EnableDynamics()
+	m.armDynamics()
 	m.moveBufA = pt.AppendLinks(id, m.moveBufA[:0])
 	pt.MoveNode(id, p)
 	m.moveBufB = pt.AppendLinks(id, m.moveBufB[:0])
@@ -766,15 +741,15 @@ func (m *Medium) MoveNode(id frame.NodeID, p Position) {
 }
 
 // reclassifyPair re-evaluates both directed links between x and y against
-// the current topology and updates the overlay rows to match. Both nodes
+// the current topology and updates the link rows to match. Both nodes
 // must be present.
 func (m *Medium) reclassifyPair(x, y frame.NodeID) {
 	decode, sense := m.topo.ClassifyLink(x, y)
-	m.dynDecode[x] = sortedSet(m.dynDecode[x], y, decode)
-	m.dynSense[x] = sortedSet(m.dynSense[x], y, sense)
+	m.decode[x] = sortedSet(m.decode[x], y, decode)
+	m.sense[x] = sortedSet(m.sense[x], y, sense)
 	decode, sense = m.topo.ClassifyLink(y, x)
-	m.dynDecode[y] = sortedSet(m.dynDecode[y], x, decode)
-	m.dynSense[y] = sortedSet(m.dynSense[y], x, sense)
+	m.decode[y] = sortedSet(m.decode[y], x, decode)
+	m.sense[y] = sortedSet(m.sense[y], x, sense)
 }
 
 // sortedSet inserts or removes id so that row contains id iff member,

@@ -198,3 +198,46 @@ func TestPathLossSymmetryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMediumTransmitSteadyStateDoesNotAllocate pins the transmit cycle —
+// StartTX, then Kernel.Run to the frame's end (busy retirement, delivery)
+// — at zero allocations on a path-loss medium, both fresh and after churn
+// and mobility have edited the link rows in place.
+func TestMediumTransmitSteadyStateDoesNotAllocate(t *testing.T) {
+	const side = 4 // a 4×4 grid 2 m apart, inside the ~5.8 m decode range
+	pos := make([]Position, 0, side*side)
+	for i := 0; i < side*side; i++ {
+		pos = append(pos, Position{X: float64(i%side) * 2, Y: float64(i/side) * 2})
+	}
+	pt := NewPathLossTopology(DefaultPathLossConfig(), pos)
+	k := sim.NewKernel()
+	m := NewMedium(k, pt, sim.NewRand(1))
+	n := pt.NumNodes()
+	for i := 0; i < n; i++ {
+		m.Attach(frame.NodeID(i), HandlerFunc(func(*frame.Frame) {}))
+	}
+	f := &frame.Frame{Kind: frame.Data, Dst: frame.Broadcast, MPDUBytes: 50}
+	src := 0
+	cycle := func() {
+		f.Src = frame.NodeID(src % n)
+		src++
+		k.Run(m.StartTX(f.Src, f, 0))
+	}
+	check := func(label string) {
+		t.Helper()
+		for i := 0; i < n; i++ { // grow every pooled slice to its high-water mark
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+			t.Errorf("%s: %v allocs per transmit cycle, want 0", label, allocs)
+		}
+	}
+	check("fresh")
+	if len(m.DecodeNeighbors(5)) == 0 {
+		t.Fatal("degenerate topology: node 5 decodes nobody")
+	}
+	m.SetPresent(5, false)
+	m.SetPresent(5, true)
+	m.MoveNode(6, Position{X: 5, Y: 1})
+	check("after churn and mobility")
+}

@@ -218,8 +218,12 @@ type PathLossTopology struct {
 	// from the link budget plus the maximum shadowing gain.
 	maxRange float64
 
-	// Uniform grid in CSR form: node ids sorted by cell, cellOff[c] ..
-	// cellOff[c+1] indexing cellNodes. reach is the number of neighboring
+	// Uniform grid over the construction-time bounding box: cells[c] holds
+	// the ids stored in cell c (any order), a full-capacity view into one
+	// backing array, so MoveNode relocates a node in O(cell occupancy) and
+	// an insert past a cell's capacity reallocates only that cell. Nodes
+	// that moved outside the box live in outside, which every query also
+	// scans (empty in static scenarios). reach is the number of neighboring
 	// cells (per axis, each direction) a range query must visit: 1 when the
 	// cell edge is >= maxRange, more when the cell edge was floored to keep
 	// the cell count O(N).
@@ -227,16 +231,8 @@ type PathLossTopology struct {
 	cell       float64
 	nx, ny     int
 	reach      int
-	cellOff    []int32
-	cellNodes  []frame.NodeID
-
-	// Dynamic index, nil until the first MoveNode: per-cell node slices
-	// replace the CSR grid so single nodes can be moved in O(degree), and
-	// nodes that wander outside the original bounding box live in the
-	// overflow list every query additionally scans (bounded by the number
-	// of out-of-bounds movers, zero in static scenarios).
-	dynCells   [][]frame.NodeID
-	dynOutside []frame.NodeID
+	cells      [][]frame.NodeID
+	outside    []frame.NodeID
 }
 
 var _ Topology = (*PathLossTopology)(nil)
@@ -283,7 +279,7 @@ func (t *PathLossTopology) buildGrid() {
 	n := len(t.pos)
 	if n == 0 {
 		t.cell, t.nx, t.ny, t.reach = 1, 1, 1, 1
-		t.cellOff = make([]int32, 2)
+		t.cells = make([][]frame.NodeID, 1)
 		return
 	}
 	minX, minY := math.Inf(1), math.Inf(1)
@@ -313,88 +309,36 @@ func (t *PathLossTopology) buildGrid() {
 	if t.reach < 1 {
 		t.reach = 1
 	}
-	// Counting sort into CSR: offsets, then fill.
-	cells := t.nx * t.ny
-	t.cellOff = make([]int32, cells+1)
+	// Counting sort into one backing array, then one view per cell: next[c]
+	// counts cell c's nodes, then holds its start and, after the fill, its
+	// end. Construction-time positions always bin in-grid: nx and ny derive
+	// from the same division.
+	next := make([]int32, t.nx*t.ny)
 	for _, p := range t.pos {
-		t.cellOff[t.cellIndex(p)+1]++
-	}
-	for c := 0; c < cells; c++ {
-		t.cellOff[c+1] += t.cellOff[c]
-	}
-	t.cellNodes = make([]frame.NodeID, n)
-	next := make([]int32, cells)
-	for id, p := range t.pos {
-		c := t.cellIndex(p)
-		t.cellNodes[t.cellOff[c]+next[c]] = frame.NodeID(id)
+		c, _ := t.storageCell(p)
 		next[c]++
 	}
-}
-
-// cellIndex maps a position to its grid cell.
-func (t *PathLossTopology) cellIndex(p Position) int {
-	cx := int((p.X - t.minX) / t.cell)
-	cy := int((p.Y - t.minY) / t.cell)
-	if cx >= t.nx {
-		cx = t.nx - 1
+	sum := int32(0)
+	for c, cnt := range next {
+		next[c], sum = sum, sum+cnt
 	}
-	if cy >= t.ny {
-		cy = t.ny - 1
+	arr := make([]frame.NodeID, n)
+	for id, p := range t.pos {
+		c, _ := t.storageCell(p)
+		arr[next[c]] = frame.NodeID(id)
+		next[c]++
 	}
-	return cy*t.nx + cx
+	t.cells = rowViews(arr, next)
 }
 
 // AppendLinks implements Topology: all nodes within maxRange of src,
-// found by scanning the grid cells that can intersect the range disk,
-// appended to buf in ascending id order. The topology holds no scratch of
-// its own, so concurrent calls (parallel replications sharing one topology)
-// are safe as long as each caller owns its buffer.
+// appended to buf in ascending id order. It scans the grid cells that can
+// intersect the range disk, centred on src's unclamped cell coordinates (a
+// mover may sit outside the original bounding box), plus the out-of-grid
+// list. The topology holds no scratch of its own, so concurrent calls
+// (parallel replications sharing one topology) are safe as long as each
+// caller owns its buffer.
 func (t *PathLossTopology) AppendLinks(src frame.NodeID, buf []frame.NodeID) []frame.NodeID {
-	if t.dynCells != nil {
-		return t.appendLinksDynamic(src, buf)
-	}
-	out := buf
-	start := len(out)
-	p := t.pos[src]
-	cx := int((p.X - t.minX) / t.cell)
-	cy := int((p.Y - t.minY) / t.cell)
-	if cx >= t.nx {
-		cx = t.nx - 1
-	}
-	if cy >= t.ny {
-		cy = t.ny - 1
-	}
-	for dy := -t.reach; dy <= t.reach; dy++ {
-		y := cy + dy
-		if y < 0 || y >= t.ny {
-			continue
-		}
-		for dx := -t.reach; dx <= t.reach; dx++ {
-			x := cx + dx
-			if x < 0 || x >= t.nx {
-				continue
-			}
-			c := y*t.nx + x
-			for _, id := range t.cellNodes[t.cellOff[c]:t.cellOff[c+1]] {
-				if id == src {
-					continue
-				}
-				if p.Distance(t.pos[id]) <= t.maxRange {
-					out = append(out, id)
-				}
-			}
-		}
-	}
-	slices.Sort(out[start:])
-	return out
-}
-
-// appendLinksDynamic is the AppendLinks query over the per-cell dynamic
-// index. The query center uses unclamped cell coordinates (a mover may sit
-// outside the original bounding box), intersected with the grid, plus a
-// scan of the out-of-bounds overflow list; the final distance check is the
-// same as the static path's.
-func (t *PathLossTopology) appendLinksDynamic(src frame.NodeID, buf []frame.NodeID) []frame.NodeID {
 	out := buf
 	start := len(out)
 	p := t.pos[src]
@@ -402,14 +346,14 @@ func (t *PathLossTopology) appendLinksDynamic(src frame.NodeID, buf []frame.Node
 	cy := cellCoord((p.Y-t.minY)/t.cell, t.ny, t.reach)
 	for y := max(0, cy-t.reach); y <= min(t.ny-1, cy+t.reach); y++ {
 		for x := max(0, cx-t.reach); x <= min(t.nx-1, cx+t.reach); x++ {
-			for _, id := range t.dynCells[y*t.nx+x] {
+			for _, id := range t.cells[y*t.nx+x] {
 				if id != src && p.Distance(t.pos[id]) <= t.maxRange {
 					out = append(out, id)
 				}
 			}
 		}
 	}
-	for _, id := range t.dynOutside {
+	for _, id := range t.outside {
 		if id != src && p.Distance(t.pos[id]) <= t.maxRange {
 			out = append(out, id)
 		}
@@ -432,14 +376,13 @@ func cellCoord(v float64, n, reach int) int {
 	return int(math.Floor(v))
 }
 
-// storageCell maps a position to the dynamic cell it is stored in, or
-// reports false for positions outside the grid (such nodes live in the
-// overflow list). The binning must stay strict: a position past the last
-// column/row may NOT be clamped into it, because appendLinksDynamic's query
-// window assumes every stored node lies inside its cell's true extent —
-// clamping would park a mover up to a full cell away from where queries
-// look and silently lose links. Construction-time positions always bin
-// in-grid (nx/ny are derived from the same division).
+// storageCell maps a position to the cell it is stored in, or reports
+// false for positions outside the grid (such nodes live in the out-of-grid
+// list). The binning must stay strict: a position past the last column/row
+// may NOT be clamped into it, because AppendLinks' query window assumes
+// every stored node lies inside its cell's true extent — clamping would
+// park a mover up to a full cell away from where queries look and silently
+// lose links.
 func (t *PathLossTopology) storageCell(p Position) (int, bool) {
 	if p.X < t.minX || p.Y < t.minY {
 		return 0, false
@@ -452,41 +395,22 @@ func (t *PathLossTopology) storageCell(p Position) (int, bool) {
 	return cy*t.nx + cx, true
 }
 
-// enableDynamicGrid converts the CSR cell index into per-cell slices (plus
-// the overflow list) so MoveNode can relocate single nodes. O(N) once;
-// static queries are unaffected until the first MoveNode.
-func (t *PathLossTopology) enableDynamicGrid() {
-	if t.dynCells != nil {
-		return
-	}
-	t.dynCells = make([][]frame.NodeID, t.nx*t.ny)
-	for id := range t.pos {
-		if c, ok := t.storageCell(t.pos[id]); ok {
-			t.dynCells[c] = append(t.dynCells[c], frame.NodeID(id))
-		} else {
-			t.dynOutside = append(t.dynOutside, frame.NodeID(id))
-		}
-	}
-}
-
-// MoveNode updates id's position and its slot in the dynamic cell index
+// MoveNode updates id's position and its slot in the cell index
 // (O(cell occupancy)). It does NOT touch any Medium built over the
 // topology — callers go through Medium.MoveNode, which re-classifies the
-// affected links incrementally. The first call converts the index; after
-// that the topology must no longer be shared across goroutines, which is
-// why scenario runners move nodes on a Clone.
+// affected links incrementally. A moved topology must no longer be shared
+// across goroutines, which is why scenario runners move nodes on a Clone.
 func (t *PathLossTopology) MoveNode(id frame.NodeID, p Position) {
-	t.enableDynamicGrid()
 	if c, ok := t.storageCell(t.pos[id]); ok {
-		t.dynCells[c] = removeID(t.dynCells[c], id)
+		t.cells[c] = removeID(t.cells[c], id)
 	} else {
-		t.dynOutside = removeID(t.dynOutside, id)
+		t.outside = removeID(t.outside, id)
 	}
 	t.pos[id] = p
 	if c, ok := t.storageCell(p); ok {
-		t.dynCells[c] = append(t.dynCells[c], id)
+		t.cells[c] = append(t.cells[c], id)
 	} else {
-		t.dynOutside = append(t.dynOutside, id)
+		t.outside = append(t.outside, id)
 	}
 }
 
@@ -504,7 +428,7 @@ func removeID(s []frame.NodeID, id frame.NodeID) []frame.NodeID {
 
 // Clone returns an independent copy of the topology (positions and index)
 // for runs that mutate node positions. The configuration is shared by
-// value; the clone starts in static-index mode.
+// value, and the clone's index is rebuilt over the current positions.
 func (t *PathLossTopology) Clone() *PathLossTopology {
 	return NewPathLossTopology(t.cfg, slices.Clone(t.pos))
 }

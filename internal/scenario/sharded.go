@@ -1,6 +1,6 @@
 // Sharded multi-cell execution: the mMTC scale-out path. A topo.City is run
-// as one sub-simulation per cell — each cell owns its kernel, medium, CSR
-// link arrays, busy counters, engines and traffic, so cells park on
+// as one sub-simulation per cell — each cell owns its kernel, medium,
+// link rows, busy counters, engines and traffic, so cells park on
 // different cores with zero shared mutable state. Cells advance in epochs
 // (one beacon interval by default); the edge-node transmissions recorded
 // during an epoch are mirrored into the neighbouring shards' busy
@@ -88,11 +88,6 @@ type ShardedConfig struct {
 	EventBudget uint64
 	// InvariantChecks enables the runtime self-checks in every cell.
 	InvariantChecks bool
-
-	// edgeTargets overrides the boundary-link enumeration (tests: the naive
-	// unsharded reference re-derives targets quadratically from positions).
-	// nil selects City.EdgeTargets.
-	edgeTargets func(cell int, src frame.NodeID) []topo.BoundaryTarget
 }
 
 // CellResult carries one cell's streamed aggregates. Memory is
@@ -256,13 +251,11 @@ type shardCell struct {
 }
 
 // shardedRun is one sharded simulation between its phases: built cells with
-// their edge observers installed, the result they fill, and the resolved
-// boundary enumeration.
+// their edge observers installed and the result they fill.
 type shardedRun struct {
-	cfg         ShardedConfig
-	cells       []*shardCell
-	res         *ShardedResult
-	edgeTargets func(cell int, src frame.NodeID) []topo.BoundaryTarget
+	cfg   ShardedConfig
+	cells []*shardCell
+	res   *ShardedResult
 }
 
 // ErrNoCity is the error ShardedConfig.Validate reports for a missing City.
@@ -308,10 +301,6 @@ func buildSharded(cfg ShardedConfig) *shardedRun {
 	}
 	epoch := cmp.Or(cfg.Epoch, superframe.DefaultConfig().SuperframeDuration())
 	window := cmp.Or(cfg.Window, sim.Second)
-	edgeTargets := cfg.edgeTargets
-	if edgeTargets == nil {
-		edgeTargets = cfg.City.EdgeTargets
-	}
 
 	city := cfg.City
 	cells := make([]*shardCell, city.NumCells())
@@ -322,7 +311,7 @@ func buildSharded(cfg ShardedConfig) *shardedRun {
 		Window:   window,
 	}
 
-	// Builds are heavy at mMTC scale (engines, CSR arrays), so they run on
+	// Builds are heavy at mMTC scale (engines, link rows), so they run on
 	// the worker pool too; each build writes only its own cell.
 	if errs := stats.ForEach(len(cells), cfg.Parallel, func(c int) {
 		sc := &shardCell{windows: stats.NewWindowed(window.Seconds())}
@@ -364,7 +353,7 @@ func buildSharded(cfg ShardedConfig) *shardedRun {
 		// changes no medium state, so interior-only cells (and 1-cell cities)
 		// stay byte-identical to the monolithic run.
 		sc.run.Medium.SetTxObserver(func(src frame.NodeID, channel uint8, start, end sim.Time) {
-			if len(edgeTargets(c, src)) == 0 {
+			if len(city.EdgeTargets(c, src)) == 0 {
 				return
 			}
 			sc.outbox = append(sc.outbox, edgeTX{src: src, channel: channel, start: start, end: end})
@@ -376,7 +365,7 @@ func buildSharded(cfg ShardedConfig) *shardedRun {
 		panic(fmt.Sprintf("scenario: sharded cell %d (cell seed %d) failed to build: %v\n%s",
 			c, cellSeed(cfg.Seed, c), errs[0].Value, errs[0].Stack))
 	}
-	return &shardedRun{cfg: cfg, cells: cells, res: res, edgeTargets: edgeTargets}
+	return &shardedRun{cfg: cfg, cells: cells, res: res}
 }
 
 // collectSharded folds every cell's streamed aggregates into the result.
@@ -434,19 +423,6 @@ func totalEpochs(duration, epoch sim.Time) int {
 func runShardedDep(s *shardedRun) {
 	cfg, cells, res := s.cfg, s.cells, s.res
 	epoch := res.EpochLen
-	neighbors := cfg.City.NeighborCells
-	if cfg.edgeTargets != nil {
-		// The boundary enumeration is overridden (tests), so the CSR-derived
-		// adjacency cannot be trusted to match it; fall back to the complete
-		// cell graph, which is conservative — extra dependencies only cost
-		// lookahead, never correctness. A cell listing itself is harmless:
-		// the readiness rule never finds a cell behind itself.
-		all := make([]int32, len(cells))
-		for c := range all {
-			all[c] = int32(c)
-		}
-		neighbors = func(int) []int32 { return all }
-	}
 	total := totalEpochs(cfg.Duration, epoch)
 	workers := min(stats.Workers(cfg.Parallel), len(cells))
 
@@ -514,7 +490,7 @@ func runShardedDep(s *shardedRun) {
 			byDst := map[int32][]foreignInj{}
 			var order []int32
 			for _, tx := range sc.outbox {
-				for _, tgt := range s.edgeTargets(c, tx.src) {
+				for _, tgt := range cfg.City.EdgeTargets(c, tx.src) {
 					if _, ok := byDst[tgt.Cell]; !ok {
 						order = append(order, tgt.Cell)
 					}
@@ -551,7 +527,7 @@ func runShardedDep(s *shardedRun) {
 			if queued[m] || exhausted[m] || done[m] >= total {
 				return
 			}
-			for _, n := range neighbors(m) {
+			for _, n := range cfg.City.NeighborCells(m) {
 				// A neighbour that can never reach done[m] epochs (budget ran
 				// out earlier) stops constraining m — it will produce no more
 				// batches, exactly like its empty epochs behind a barrier.
@@ -563,7 +539,7 @@ func runShardedDep(s *shardedRun) {
 			pushes = append(pushes, stats.Item{ID: m, Priority: prio[m], Affinity: lastWorker[m]})
 		}
 		consider(c)
-		for _, n := range neighbors(c) {
+		for _, n := range cfg.City.NeighborCells(c) {
 			consider(int(n))
 		}
 		return pushes

@@ -47,7 +47,7 @@ func runShardedBarrier(cfg ShardedConfig) *ShardedResult {
 		}
 		for c, sc := range s.cells {
 			for _, tx := range sc.outbox {
-				for _, tgt := range s.edgeTargets(c, tx.src) {
+				for _, tgt := range cfg.City.EdgeTargets(c, tx.src) {
 					if !exhausted(int(tgt.Cell)) {
 						inbox[tgt.Cell] = append(inbox[tgt.Cell], foreignInj{
 							node: tgt.Node, channel: tx.channel,

@@ -139,7 +139,6 @@ func barringBeacon(a any) {
 // mobility and fade events on the kernel. Events sharing an instant fire in
 // configuration order (the kernel's scheduling order is total).
 func armDynamics(kernel *sim.Kernel, medium *radio.Medium, d DynamicsConfig, seed uint64) {
-	medium.EnableDynamics()
 	if d.Gilbert.Enabled() {
 		medium.SetGilbertElliott(d.Gilbert, seed)
 	}

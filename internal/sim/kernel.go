@@ -54,9 +54,7 @@ func (e EventID) Cancel() {
 		return
 	}
 	s.canceled = true
-	s.fn = nil
-	s.fnArg = nil
-	s.arg = nil
+	s.fn, s.arg = nil, nil
 	k.canceledQueued++
 	k.maybeCompact()
 }
@@ -81,11 +79,12 @@ func (e EventID) Canceled() bool {
 // is odd while the slot is live and even while it is free, incrementing on
 // every allocation and every release so stale EventIDs can never match.
 type eventSlot struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	fnArg func(any)
-	arg   any
+	at  Time
+	seq uint64
+	// fn(arg) is the callback; At passes its closure as the arg of
+	// callClosure, so every event has this one form.
+	fn  func(any)
+	arg any
 	// next links the slot into its wheel bucket or coarse page (stored as
 	// idx+1; 0 terminates).
 	next     uint32
@@ -308,27 +307,19 @@ func (k *Kernel) At(t Time, fn func()) EventID {
 	if fn == nil {
 		panic(fmt.Sprintf("sim: nil event function (%s)", k.ctx()))
 	}
-	idx, s := k.alloc(t)
-	s.fn = fn
-	gen := s.gen
-	k.enqueue(idx, t, false)
-	return EventID{k: k, idx: idx, gen: gen}
+	return k.schedule(t, callClosure, fn, false)
 }
+
+// callClosure is the callback of every At event: its arg is the closure.
+// A func value is pointer-shaped, so boxing it in the arg does not allocate.
+func callClosure(fn any) { fn.(func())() }
 
 // AtCall enqueues fn(arg) to run at absolute time t. Unlike At it needs no
 // closure: hot paths keep one long-lived fn and pass per-event context
 // through arg (a pointer in an interface does not allocate), which keeps
 // scheduling entirely allocation-free.
 func (k *Kernel) AtCall(t Time, fn func(arg any), arg any) EventID {
-	if fn == nil {
-		panic(fmt.Sprintf("sim: nil event function (%s)", k.ctx()))
-	}
-	idx, s := k.alloc(t)
-	s.fnArg = fn
-	s.arg = arg
-	gen := s.gen
-	k.enqueue(idx, t, false)
-	return EventID{k: k, idx: idx, gen: gen}
+	return k.schedule(t, fn, arg, false)
 }
 
 // AtCallEarly is AtCall for state-expiry bookkeeping: the event fires at t
@@ -341,22 +332,18 @@ func (k *Kernel) AtCall(t Time, fn func(arg any), arg any) EventID {
 // order, but their position relative to normal events differs from plain
 // AtCall.
 func (k *Kernel) AtCallEarly(t Time, fn func(arg any), arg any) EventID {
+	return k.schedule(t, fn, arg, true)
+}
+
+// schedule takes a slot from the freelist (or grows the arena), stamps it
+// with t, the next sequence number and the callback, and files it into the
+// wheel. An empty queue lets the fine ring jump to the clock's page first,
+// so a kernel that idled across pages schedules straight into fine buckets
+// again.
+func (k *Kernel) schedule(t Time, fn func(any), arg any, early bool) EventID {
 	if fn == nil {
 		panic(fmt.Sprintf("sim: nil event function (%s)", k.ctx()))
 	}
-	idx, s := k.alloc(t)
-	s.fnArg = fn
-	s.arg = arg
-	s.early = true
-	gen := s.gen
-	k.enqueue(idx, t, true)
-	return EventID{k: k, idx: idx, gen: gen}
-}
-
-// alloc takes a slot from the freelist (or grows the arena), stamps it with
-// t and the next sequence number and returns it. The returned pointer is
-// only valid until the next alloc.
-func (k *Kernel) alloc(t Time) (uint32, *eventSlot) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: schedule into the past: at=%v (%s)", t, k.ctx()))
 	}
@@ -370,35 +357,25 @@ func (k *Kernel) alloc(t Time) (uint32, *eventSlot) {
 		idx = uint32(len(k.slots) - 1)
 	}
 	s := &k.slots[idx]
-	s.at = t
-	s.seq = k.seq
+	s.at, s.seq, s.fn, s.arg = t, k.seq, fn, arg
 	s.gen++ // odd: live
-	s.canceled = false
-	s.early = false
-	s.next = 0
-	return idx, s
+	s.canceled, s.early, s.next = false, early, 0
+	id := EventID{k: k, idx: idx, gen: s.gen}
+	if k.queued == 0 {
+		k.page = k.now >> fineBits
+	}
+	k.queued++
+	k.place(idx, t, early)
+	return id
 }
 
 // release returns a fired or compacted slot to the freelist, dropping the
 // callback (and everything it captures) immediately.
 func (k *Kernel) release(idx uint32) {
 	s := &k.slots[idx]
-	s.fn = nil
-	s.fnArg = nil
-	s.arg = nil
+	s.fn, s.arg = nil, nil
 	s.gen++ // even: free
 	k.free = append(k.free, idx)
-}
-
-// enqueue files a freshly allocated slot into the wheel. An empty queue
-// lets the fine ring jump to the clock's page first, so a kernel that idled
-// across pages schedules straight into fine buckets again.
-func (k *Kernel) enqueue(idx uint32, t Time, early bool) {
-	if k.queued == 0 {
-		k.page = k.now >> fineBits
-	}
-	k.queued++
-	k.place(idx, t, early)
 }
 
 // place files a slot by its page's distance from the fine ring: into its
@@ -734,15 +711,11 @@ func (k *Kernel) Run(until Time) {
 		// Copy out before releasing: the slot is recycled before the
 		// callback runs, so the callback may reuse it (and may grow the
 		// arena, invalidating s).
-		fn, fnArg, arg := s.fn, s.fnArg, s.arg
+		fn, arg := s.fn, s.arg
 		k.release(idx)
 		k.now = t
 		k.processed++
-		if fn != nil {
-			fn()
-		} else {
-			fnArg(arg)
-		}
+		fn(arg)
 	}
 	// A Run that ended on its own has fired everything up to until; one cut
 	// short must not pass a live event it left behind.

@@ -45,7 +45,8 @@ type Config struct {
 	Subslots int
 	// SubslotSymbols is the length of one subslot in PHY symbols. The default
 	// 70 symbols (1120 µs) leaves a 960 µs guard at the CAP end for the
-	// paper's SO=3 / 54-subslot configuration (DESIGN.md §5).
+	// paper's SO=3 / 54-subslot configuration (54 × 1120 µs of the
+	// 61,440 µs CAP).
 	SubslotSymbols int
 	// SymbolDuration is the PHY symbol time (16 µs for O-QPSK 2.4 GHz).
 	SymbolDuration sim.Time
@@ -248,7 +249,7 @@ func (c *Clock) CAPEnd(t sim.Time) sim.Time {
 
 // FitsInCAP reports whether an activity of duration d starting at t completes
 // before the CAP of t's superframe ends. Transactions that do not fit must be
-// deferred (802.15.4 rule; DESIGN.md §6.2).
+// deferred (802.15.4 rule).
 func (c *Clock) FitsInCAP(t sim.Time, d sim.Time) bool {
 	return c.InCAP(t) && t+d <= c.CAPEnd(t)
 }

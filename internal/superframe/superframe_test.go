@@ -26,7 +26,7 @@ func TestDefaultConfigMatchesPaperTiming(t *testing.T) {
 	if got, want := cfg.CAPDuration(), sim.Time(61440); got != want {
 		t.Errorf("CAPDuration = %v, want %v", got, want)
 	}
-	// 54 subslots of 1120 µs each, 960 µs guard (DESIGN.md §5).
+	// 54 subslots of 1120 µs each plus a 960 µs guard fill the CAP.
 	if got, want := cfg.SubslotDuration(), sim.Time(1120); got != want {
 		t.Errorf("SubslotDuration = %v, want %v", got, want)
 	}

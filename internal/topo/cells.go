@@ -107,7 +107,7 @@ type City struct {
 	// SenseRange is the cross-cell interference radius in meters: the largest
 	// distance at which the path-loss law still clears the energy-detection
 	// threshold (sensitivity + CCA margin) — the same predicate the
-	// single-medium CSR sense links are built from.
+	// single-medium sense links are built from.
 	SenseRange float64
 	// Cells holds one Network per cell, row-major (cell = y*CellsX + x).
 	Cells []*Network

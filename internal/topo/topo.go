@@ -96,7 +96,7 @@ func HiddenNode() *Network {
 // Tree10 is the Fig. 16 testbed tree: 10 nodes, depth 4, rooted at the
 // paper's node 28. The paper specifies the logical routing tree and that
 // parents, children and siblings interfere; the exact edge set below is our
-// reconstruction (documented in DESIGN.md): each node decodes its parent,
+// reconstruction: each node decodes its parent,
 // its children and its siblings, which leaves e.g. 41 hidden from 15 while
 // both can reach 18 — "the tree topology exhibits several hidden node
 // problems" (§6.2.1).

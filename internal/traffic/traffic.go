@@ -15,7 +15,7 @@ import (
 // evaluation: 80 bytes ≈ 2.75 ms on air, so a frame spans up to 3 subslots,
 // matching §6.1.3 ("transmissions span over up to 3 subslots"). The length
 // also calibrates the CSMA/CA congestion collapse of Fig. 7 to the paper's
-// rate range (see EXPERIMENTS.md).
+// rate range.
 const DefaultDataMPDU = 80
 
 // Enqueuer is where generated frames go (a mac.Engine or a dsme.Node).
@@ -174,7 +174,8 @@ func (s *Source) emit() {
 }
 
 // BroadcastSource emits periodic one-hop broadcasts — the route-discovery
-// traffic of the paper's DSME scenario (GPSR substitute, DESIGN.md §3).
+// traffic of the paper's DSME scenario (a substitute for its GPSR route
+// discovery).
 type BroadcastSource struct {
 	// Kernel drives generation; required.
 	Kernel *sim.Kernel

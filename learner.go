@@ -3,6 +3,7 @@ package qma
 import (
 	"fmt"
 
+	"qma/internal/core"
 	"qma/internal/qlearn"
 )
 
@@ -22,7 +23,8 @@ type Learner struct {
 // NewLearner builds an agent over a states × actions table. defaultAction
 // seeds the policy in every state (QMA uses its backoff action). The zero
 // LearnParams value selects the paper's hyperparameters. TableFixed and
-// TableQuant use integer-only arithmetic with γ quantized to 230/256. At
+// TableQuant use integer-only arithmetic with γ quantized to 230/256 and
+// accept only the paper's hyperparameters (zero or their exact values). At
 // most 256 actions are supported: the policy stores one byte per state.
 func NewLearner(states, actions int, p LearnParams, kind TableKind, defaultAction int) (*Learner, error) {
 	if states <= 0 || actions <= 0 {
@@ -39,7 +41,7 @@ func NewLearner(states, actions int, p LearnParams, kind TableKind, defaultActio
 		return nil, err
 	}
 	learn := p.internal()
-	if err := learn.Validate(); err != nil {
+	if err := (core.Options{Learn: learn, Table: k}).Validate(); err != nil {
 		return nil, fmt.Errorf("qma: %w", err)
 	}
 	table := k.NewTable(states, actions, learn, nil)

@@ -468,6 +468,14 @@ func TestPublicLearner(t *testing.T) {
 	if _, err := qma.NewLearner(2, 3, qma.LearnParams{Alpha: 2, Gamma: 0.9}, qma.TableFloat, 0); err == nil {
 		t.Error("accepted alpha=2")
 	}
+	// The integer tables run the paper's parameters only: an override would
+	// be silently ignored, so it is rejected, and the exact defaults pass.
+	if _, err := qma.NewLearner(2, 3, qma.LearnParams{Alpha: 0.3, Gamma: 0.9, Xi: 0, InitQ: -10}, qma.TableFixed, 0); err == nil || !strings.Contains(err.Error(), "integer tables") {
+		t.Errorf("fixed table with alpha=0.3: err = %v, want an integer-table error", err)
+	}
+	if _, err := qma.NewLearner(2, 3, qma.LearnParams{Alpha: 0.5, Gamma: 0.9, Xi: 2, InitQ: -10}, qma.TableQuant, 0); err != nil {
+		t.Errorf("quant table with the default parameters: %v", err)
+	}
 	if _, err := qma.NewLearner(2, 3, qma.LearnParams{}, qma.TableFloat, 5); err == nil {
 		t.Error("accepted out-of-range default action")
 	}

@@ -54,6 +54,13 @@ func TestScenarioValidateErrorPaths(t *testing.T) {
 		{"learning parameters via MAC options", func(s *qma.Scenario) {
 			s.MACOptions = map[string]string{"alpha": "2"}
 		}, "alpha=2"},
+		{"integer table with learning parameters", func(s *qma.Scenario) {
+			s.Table = qma.TableFixed
+			s.Learn = qma.LearnParams{Alpha: 0.3, Gamma: 0.9, Xi: 0, InitQ: -10}
+		}, "integer tables run fixed learning parameters"},
+		{"integer table with learning parameters via MAC options", func(s *qma.Scenario) {
+			s.MACOptions = map[string]string{"table": "quant", "alpha": "0.3", "xi": "0"}
+		}, "integer tables run fixed learning parameters"},
 		{"NOMA learning parameters", func(s *qma.Scenario) {
 			s.MAC, s.CaptureThresholdDB = "noma", 6
 			s.MACOptions = map[string]string{"xi": "-1"}
