@@ -73,8 +73,8 @@ type Config struct {
 	Variant Variant
 	// Rng drives the random retransmission backoff; required.
 	Rng *sim.Rand
-	// MinBE and MaxBE override the backoff exponents when positive.
-	MinBE, MaxBE int
+	// Options tunes the backoff (zero fields select the defaults).
+	Options
 }
 
 // Stats aggregates ALOHA-specific counters.
@@ -90,39 +90,29 @@ type Stats struct {
 	BusyWaits uint64
 }
 
-// step names the continuation an ALOHA transaction is waiting for.
-type step uint8
-
+// The steps an ALOHA transaction waits for (mac.Access.Await).
 const (
-	// stepRetry re-attempts access once an access-class barring backoff has
-	// passed.
-	stepRetry step = iota
 	// stepSend retries the pure-ALOHA transmit path after a busy wait, a
 	// deferral or a retransmission backoff.
-	stepSend
+	stepSend = iota
 	// stepSlot attempts the slotted-ALOHA transmission on a subslot
 	// boundary.
 	stepSlot
 )
 
-// Engine is one node's ALOHA MAC.
+// Engine is one node's ALOHA MAC. The embedded mac.Access runs its
+// transactions.
 type Engine struct {
-	base mac.Base
-	cfg  Config
+	mac.Access
+	cfg Config
 
 	stats Stats
 
-	// inTransaction guards against starting two concurrent transactions.
-	inTransaction bool
-
-	// f and step are the running transaction's context: its frame and the
-	// step the engine waits for, which next schedules through alohaResume.
-	f    *frame.Frame
-	step step
-	next mac.Continuation
+	// f is the running transaction's frame.
+	f *frame.Frame
 }
 
-var _ mac.Engine = (*Engine)(nil)
+var _ mac.Contender = (*Engine)(nil)
 
 // New assembles an engine from cfg, panicking on an invalid configuration
 // (scenario assembly is programmer-controlled).
@@ -130,71 +120,24 @@ func New(cfg Config) *Engine {
 	if cfg.Rng == nil {
 		panic("aloha: Rng is required")
 	}
-	if cfg.MAC.Clock == nil {
-		panic("aloha: MAC.Clock is required")
-	}
 	if cfg.MinBE <= 0 {
 		cfg.MinBE = DefaultMinBE
 	}
 	if cfg.MaxBE <= 0 {
 		cfg.MaxBE = DefaultMaxBE
 	}
-	if cfg.MAC.OnAccept != nil {
-		panic("aloha: MAC.OnAccept is owned by the engine")
-	}
 	e := &Engine{cfg: cfg}
-	cfg.MAC.OnAccept = e.kick
-	e.base.Init(cfg.MAC, e)
-	e.next.Init(cfg.MAC.Kernel, alohaResume, e)
+	e.Init(cfg.MAC, e)
 	return e
 }
-
-// Base implements mac.Engine.
-func (e *Engine) Base() *mac.Base { return &e.base }
-
-// Deliver implements radio.Handler by delegating to the shared receive path.
-func (e *Engine) Deliver(f *frame.Frame) { e.base.Deliver(f) }
 
 // EngineStats returns a copy of the ALOHA-specific counters.
 func (e *Engine) EngineStats() Stats { return e.stats }
 
-// Start implements mac.Engine.
-func (e *Engine) Start() { e.kick() }
-
-// Enqueue implements mac.Engine, starting a transaction when idle.
-func (e *Engine) Enqueue(f *frame.Frame) bool {
-	ok := e.base.Enqueue(f)
-	if ok {
-		e.kick()
-	}
-	return ok
-}
-
-// Reboot implements mac.Engine: wipe the shared MAC state and the
-// transaction flag, orphan the step in flight (it still fires, as a no-op,
-// so event counts do not depend on the reboot) and resume with whatever
-// traffic arrives next.
-func (e *Engine) Reboot() {
-	e.base.Reboot()
-	e.inTransaction = false
-	e.next.Orphan()
-	e.kick()
-}
-
-// kick starts a transaction for the queue head if none is running.
-func (e *Engine) kick() {
-	if e.inTransaction || e.base.Queue().Empty() {
-		return
-	}
-	if barred, retryAt := e.base.AccessBarred(); barred {
-		// Access-class barring: hold the transaction slot and retry once the
-		// barring backoff has passed (a fresh Bernoulli draw happens then).
-		e.inTransaction = true
-		e.await(retryAt, stepRetry)
-		return
-	}
-	e.inTransaction = true
-	e.f = e.base.Queue().Head()
+// BeginAccess implements mac.Contender: it takes on the queue head and
+// transmits it now (pure) or on the next subslot boundary (slotted).
+func (e *Engine) BeginAccess() {
+	e.f = e.Base().Queue().Head()
 	if e.cfg.Variant == Slotted {
 		e.armSlot()
 	} else {
@@ -202,63 +145,28 @@ func (e *Engine) kick() {
 	}
 }
 
-// alohaResume is the long-lived kernel callback behind every ALOHA step.
-func alohaResume(a any) { a.(*Engine).resume() }
-
-// await schedules step s of the running transaction at the absolute
-// instant t.
-func (e *Engine) await(t sim.Time, s step) {
-	e.step = s
-	e.next.At(t)
-}
-
-// resume runs the step the transaction was waiting for.
-func (e *Engine) resume() {
-	switch e.step {
-	case stepRetry:
-		e.inTransaction = false
-		e.kick()
-	case stepSend:
-		e.send()
-	case stepSlot:
+// ResumeAccess implements mac.Contender: it runs the step the transaction
+// was waiting for.
+func (e *Engine) ResumeAccess(step int) {
+	if step == stepSlot {
 		e.fireSlot()
+	} else {
+		e.send()
 	}
-}
-
-// transactionCost is the CAP time one attempt occupies: the frame itself
-// and, for unicasts, the ACK exchange.
-func (e *Engine) transactionCost(f *frame.Frame) sim.Time {
-	cost := f.Duration()
-	if !f.IsBroadcast() {
-		cost += frame.AckWait
-	}
-	return cost
-}
-
-// nextCAPStart reports the first CAP start at or after now: this
-// superframe's if the CAP has not begun yet, the next superframe's
-// otherwise.
-func (e *Engine) nextCAPStart(now sim.Time) sim.Time {
-	clk := e.base.Clock()
-	start := clk.CAPEnd(now) - clk.Config().CAPDuration()
-	if now >= start {
-		start = clk.SuperframeStart(now) + clk.Config().SuperframeDuration() + clk.Config().CAPStartOffset()
-	}
-	return start
 }
 
 // send is the pure-ALOHA transmit path: transmit now unless the node is
 // mid-activity or the transaction does not fit into the remaining CAP.
 func (e *Engine) send() {
-	now := e.base.Kernel().Now()
-	if e.base.Busy() {
+	now := e.Base().Kernel().Now()
+	if e.Base().Busy() {
 		e.stats.BusyWaits++
-		e.await(e.base.BusyUntil(), stepSend)
+		e.Await(e.Base().BusyUntil(), stepSend)
 		return
 	}
-	if !e.base.Clock().FitsInCAP(now, e.transactionCost(e.f)) {
+	if !e.Base().Clock().FitsInCAP(now, e.f.ExchangeDuration()) {
 		e.stats.Deferrals++
-		e.await(e.nextCAPStart(now), stepSend)
+		e.Await(e.Base().Clock().NextCAPStart(now), stepSend)
 		return
 	}
 	e.transmit(e.f)
@@ -267,18 +175,18 @@ func (e *Engine) send() {
 // armSlot schedules the slotted-ALOHA transmit attempt for the next subslot
 // boundary (rolling into the next CAP automatically).
 func (e *Engine) armSlot() {
-	e.await(e.base.Clock().NextSubslotStart(e.base.Kernel().Now()), stepSlot)
+	e.Await(e.Base().Clock().NextSubslotStart(e.Base().Kernel().Now()), stepSlot)
 }
 
 // fireSlot attempts a transmission exactly on a subslot boundary.
 func (e *Engine) fireSlot() {
-	now := e.base.Kernel().Now()
-	if e.base.Busy() {
+	now := e.Base().Kernel().Now()
+	if e.Base().Busy() {
 		e.stats.BusyWaits++
 		e.armSlot()
 		return
 	}
-	if !e.base.Clock().FitsInCAP(now, e.transactionCost(e.f)) {
+	if !e.Base().Clock().FitsInCAP(now, e.f.ExchangeDuration()) {
 		e.stats.Deferrals++
 		e.armSlot()
 		return
@@ -288,14 +196,13 @@ func (e *Engine) fireSlot() {
 
 // transmit puts f on the air; TxDone routes the outcome through the shared
 // retry policy.
-func (e *Engine) transmit(f *frame.Frame) { e.base.SendFrame(f) }
+func (e *Engine) transmit(f *frame.Frame) { e.Base().SendFrame(f) }
 
 // TxDone implements mac.Engine: a failed unicast retransmits after a random
 // binary exponential backoff until NR is exhausted.
 func (e *Engine) TxDone(f *frame.Frame, _ uint32, success bool) {
-	if e.base.FinishFrame(f, success) {
-		e.inTransaction = false
-		e.kick()
+	if e.Base().FinishFrame(f, success) {
+		e.Done()
 		return
 	}
 	e.backoff()
@@ -315,12 +222,12 @@ func (e *Engine) backoff() {
 	if e.cfg.Variant == Slotted {
 		// Skip a random number of subslot boundaries, pausing across CAP
 		// gaps automatically.
-		target := e.base.Kernel().Now()
+		target := e.Base().Kernel().Now()
 		for i := sim.Time(0); i < units; i++ {
-			target = e.base.Clock().NextSubslotStart(target)
+			target = e.Base().Clock().NextSubslotStart(target)
 		}
-		e.await(target, stepSlot)
+		e.Await(target, stepSlot)
 		return
 	}
-	e.await(e.base.Kernel().Now()+units*UnitBackoffPeriod, stepSend)
+	e.Await(e.Base().Kernel().Now()+units*UnitBackoffPeriod, stepSend)
 }

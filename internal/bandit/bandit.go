@@ -71,13 +71,8 @@ type Options struct {
 type Config struct {
 	// MAC configures the shared MAC base.
 	MAC mac.Config
-	// Picker selects the arm-selection rule.
-	Picker Picker
-	// Explorer supplies ε for the EpsilonGreedy picker (nil selects
-	// DefaultExplorer).
-	Explorer qlearn.Explorer
-	// UCBC is the UCB1 exploration constant (0 selects √2).
-	UCBC float64
+	// Options selects the picker and its exploration parameters.
+	Options
 	// Rng drives exploration decisions; required.
 	Rng *sim.Rand
 }
@@ -97,10 +92,11 @@ type Stats struct {
 	BusyWaits uint64
 }
 
-// Engine is one node's bandit MAC.
+// Engine is one node's bandit MAC. The embedded mac.Access runs its
+// pulls; the pulled arm is the step it awaits.
 type Engine struct {
-	base mac.Base
-	cfg  Config
+	mac.Access
+	cfg Config
 
 	// value and count hold the per-slot sample-mean reward estimates.
 	// Values start at 1 (optimistic for a {0,1} reward) so every slot is
@@ -111,17 +107,9 @@ type Engine struct {
 	total uint64
 
 	stats Stats
-
-	// pulling guards against two concurrent scheduled attempts.
-	pulling bool
-
-	// arm is the pending pull's arm, or barringRetry; next schedules the
-	// pull through banditResume.
-	arm  int
-	next mac.Continuation
 }
 
-var _ mac.Engine = (*Engine)(nil)
+var _ mac.Contender = (*Engine)(nil)
 
 // New assembles an engine from cfg, panicking on an invalid configuration.
 func New(cfg Config) *Engine {
@@ -137,9 +125,6 @@ func New(cfg Config) *Engine {
 	if cfg.UCBC == 0 {
 		cfg.UCBC = DefaultUCBC
 	}
-	if cfg.MAC.OnAccept != nil {
-		panic("bandit: MAC.OnAccept is owned by the engine")
-	}
 	subslots := cfg.MAC.Clock.Config().Subslots
 	e := &Engine{
 		cfg:   cfg,
@@ -149,17 +134,9 @@ func New(cfg Config) *Engine {
 	for i := range e.value {
 		e.value[i] = 1
 	}
-	cfg.MAC.OnAccept = e.kick
-	e.base.Init(cfg.MAC, e)
-	e.next.Init(cfg.MAC.Kernel, banditResume, e)
+	e.Init(cfg.MAC, e)
 	return e
 }
-
-// Base implements mac.Engine.
-func (e *Engine) Base() *mac.Base { return &e.base }
-
-// Deliver implements radio.Handler by delegating to the shared receive path.
-func (e *Engine) Deliver(f *frame.Frame) { e.base.Deliver(f) }
 
 // EngineStats returns a copy of the bandit-specific counters.
 func (e *Engine) EngineStats() Stats { return e.stats }
@@ -173,81 +150,35 @@ func (e *Engine) Counts() []uint64 { return append([]uint64(nil), e.count...) }
 // BestSlot reports the currently exploited arm (lowest index on ties).
 func (e *Engine) BestSlot() int { return e.argmaxValue() }
 
-// Start implements mac.Engine.
-func (e *Engine) Start() { e.kick() }
-
-// Enqueue implements mac.Engine, arming a pull when traffic arrives.
-func (e *Engine) Enqueue(f *frame.Frame) bool {
-	ok := e.base.Enqueue(f)
-	if ok {
-		e.kick()
-	}
-	return ok
-}
-
 // Reboot implements mac.Engine: wipe the per-slot reward estimates back
-// to their optimistic prior along with the shared MAC state, orphan the
-// pending pull (it still fires, as a no-op, so event counts do not depend
-// on the reboot), then resume with whatever traffic arrives next — the
-// bandit relearns from scratch.
+// to their optimistic prior along with the shared MAC state, then restart
+// the embedded mac.Access (the pending pull still fires, as a no-op, so event
+// counts do not depend on the reboot) — the bandit relearns from scratch.
 func (e *Engine) Reboot() {
-	e.base.Reboot()
+	e.Base().Reboot()
 	for i := range e.value {
 		e.value[i] = 1
 		e.count[i] = 0
 	}
 	e.total = 0
-	e.pulling = false
-	e.next.Orphan()
-	e.kick()
+	e.Restart()
 }
 
-// kick arms the next pull if none is pending and traffic waits.
-func (e *Engine) kick() {
-	if e.pulling || e.base.Queue().Empty() {
-		return
-	}
-	if barred, retryAt := e.base.AccessBarred(); barred {
-		// Access-class barring: hold the pull and retry once the barring
-		// backoff has passed (a fresh Bernoulli draw happens then).
-		e.pulling = true
-		e.arm = barringRetry
-		e.next.At(retryAt)
-		return
-	}
-	e.pulling = true
-	e.pull(e.pick())
-}
+// BeginAccess implements mac.Contender: it picks an arm and pulls it.
+func (e *Engine) BeginAccess() { e.pull(e.pick()) }
 
-// banditResume is the long-lived kernel callback behind every pull.
-func banditResume(a any) { a.(*Engine).resume() }
-
-// barringRetry marks a pending pull that re-attempts access once an
-// access-class barring backoff has passed.
-const barringRetry = -1
-
-// resume runs the pending pull: a barring retry or the arm's slot.
-func (e *Engine) resume() {
-	if e.arm == barringRetry {
-		e.pulling = false
-		e.kick()
-		return
-	}
-	e.fire()
-}
+// ResumeAccess implements mac.Contender: the pulled arm's slot has come.
+func (e *Engine) ResumeAccess(m int) { e.fire(m) }
 
 // pull schedules arm m for its next slot start.
-func (e *Engine) pull(m int) {
-	e.arm = m
-	e.next.At(e.nextSlotStart(m))
-}
+func (e *Engine) pull(m int) { e.Await(e.nextSlotStart(m), m) }
 
 // nextSlotStart reports the first strictly future start of subslot m.
 func (e *Engine) nextSlotStart(m int) sim.Time {
-	now := e.base.Kernel().Now()
-	t := e.base.Clock().SubslotStart(now, m)
+	now := e.Base().Kernel().Now()
+	t := e.Base().Clock().SubslotStart(now, m)
 	if t <= now {
-		t += e.base.Clock().Config().SuperframeDuration()
+		t += e.Base().Clock().Config().SuperframeDuration()
 	}
 	return t
 }
@@ -260,9 +191,9 @@ func (e *Engine) pick() int {
 		return e.pickUCB()
 	}
 	rho := e.cfg.Explorer.Rate(qlearn.ExploreContext{
-		Now:              e.base.Kernel().Now(),
-		QueueLevel:       e.base.Queue().Len(),
-		AvgNeighborQueue: e.base.AvgNeighborQueue(),
+		Now:              e.Base().Kernel().Now(),
+		QueueLevel:       e.Base().Queue().Len(),
+		AvgNeighborQueue: e.Base().AvgNeighborQueue(),
 	})
 	if e.cfg.Rng.Float64() < rho {
 		e.stats.Explorations++
@@ -305,39 +236,32 @@ func (e *Engine) update(m int, reward float64) {
 	e.value[m] += (reward - e.value[m]) / float64(e.count[m])
 }
 
-// fire attempts a transmission at the start of the pulled arm's subslot.
-func (e *Engine) fire() {
-	m := e.arm
-	f := e.base.Queue().Head()
+// fire attempts a transmission at the start of arm m's subslot.
+func (e *Engine) fire(m int) {
+	f := e.Base().Queue().Head()
 	if f == nil {
 		// The queue drained (frame dropped elsewhere); no reward.
-		e.pulling = false
-		e.kick()
+		e.Done()
 		return
 	}
-	now := e.base.Kernel().Now()
-	if e.base.Busy() {
+	now := e.Base().Kernel().Now()
+	if e.Base().Busy() {
 		// Mid-activity (ACK duty): retry the same arm next superframe
 		// without charging it a reward — the slot was never tried.
 		e.stats.BusyWaits++
 		e.pull(m)
 		return
 	}
-	cost := f.Duration()
-	if !f.IsBroadcast() {
-		cost += frame.AckWait
-	}
-	if !e.base.Clock().FitsInCAP(now, cost) {
+	if !e.Base().Clock().FitsInCAP(now, f.ExchangeDuration()) {
 		// The transaction cannot complete from this slot: reward 0 so the
 		// bandit learns to avoid slots hugging the CAP end, then pick
 		// again.
 		e.stats.Deferrals++
 		e.update(m, 0)
-		e.pulling = false
-		e.kick()
+		e.Done()
 		return
 	}
-	e.base.SendFrameAt(f, 0, uint32(m))
+	e.Base().SendFrameAt(f, 0, uint32(m))
 }
 
 // TxDone implements mac.Engine: the transmission's outcome is the pulled
@@ -348,7 +272,6 @@ func (e *Engine) TxDone(f *frame.Frame, m uint32, success bool) {
 		reward = 1
 	}
 	e.update(int(m), reward)
-	e.base.FinishFrame(f, success)
-	e.pulling = false
-	e.kick()
+	e.Base().FinishFrame(f, success)
+	e.Done()
 }

@@ -30,11 +30,9 @@ func newRig(t *testing.T, links [][2]int, n int, opts Options) *rig {
 	r := &rig{k: k, m: m, clock: clock}
 	for i := 0; i < n; i++ {
 		e := New(Config{
-			MAC:      mac.Config{ID: frame.NodeID(i), Kernel: k, Medium: m, Clock: clock, MaxRetries: -1},
-			Picker:   opts.Picker,
-			Explorer: opts.Explorer,
-			UCBC:     opts.UCBC,
-			Rng:      sim.NewRandStream(7, uint64(i)),
+			MAC:     mac.Config{ID: frame.NodeID(i), Kernel: k, Medium: m, Clock: clock, MaxRetries: -1},
+			Options: opts,
+			Rng:     sim.NewRandStream(7, uint64(i)),
 		})
 		r.engines = append(r.engines, e)
 		m.Attach(frame.NodeID(i), e)

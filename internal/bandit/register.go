@@ -21,9 +21,7 @@ func init() {
 			if opts != nil {
 				o = opts.(Options)
 			}
-			return New(Config{
-				MAC: cfg, Picker: o.Picker, Explorer: o.Explorer, UCBC: o.UCBC, Rng: rng,
-			})
+			return New(Config{MAC: cfg, Options: o, Rng: rng})
 		},
 	})
 }

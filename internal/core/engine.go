@@ -283,6 +283,24 @@ func (e *Engine) PolicyKinds() []int {
 	return policy
 }
 
+// PolicyString renders a policy of action kinds (PolicyKinds) one byte per
+// subslot: '.' for QBackoff, 'C' for QCCA and 'S' for QSend. A nil policy
+// renders as "".
+func PolicyString(policy []int) string {
+	b := make([]byte, len(policy))
+	for i, a := range policy {
+		switch Action(a) {
+		case QCCA:
+			b[i] = 'C'
+		case QSend:
+			b[i] = 'S'
+		default:
+			b[i] = '.'
+		}
+	}
+	return string(b)
+}
+
 // split decomposes a flattened action index kind·K + level. Comparing
 // against K and 2K keeps a division off the decision path.
 func (e *Engine) split(a int) (kind Action, level int) {
@@ -305,14 +323,9 @@ func (e *Engine) Deliver(f *frame.Frame) { e.base.Deliver(f) }
 // Start implements mac.Engine: it arms the subslot ticker.
 func (e *Engine) Start() { e.arm() }
 
-// Enqueue implements mac.Engine, re-arming the ticker when traffic arrives.
-func (e *Engine) Enqueue(f *frame.Frame) bool {
-	ok := e.base.Enqueue(f)
-	if ok {
-		e.arm()
-	}
-	return ok
-}
+// Enqueue implements mac.Engine; an accepted frame re-arms the ticker
+// through the Base's OnAccept hook.
+func (e *Engine) Enqueue(f *frame.Frame) bool { return e.base.Enqueue(f) }
 
 // CumulativePolicyQ reports Σ_m Q(m, π(m)), the Fig. 10 / Fig. 12 stability
 // metric.
@@ -556,11 +569,7 @@ func (e *Engine) startTX(m, action int) {
 		return
 	}
 	now := e.base.Kernel().Now()
-	cost := f.Duration()
-	if !f.IsBroadcast() {
-		cost += frame.AckWait
-	}
-	if !e.base.Clock().FitsInCAP(now, cost) {
+	if !e.base.Clock().FitsInCAP(now, f.ExchangeDuration()) {
 		// Defer to the next CAP without a Q-update (802.15.4 rule: the
 		// transaction must complete before the CAP ends).
 		e.deferrals++

@@ -129,6 +129,21 @@ func TestCautiousStartupObservesAndPunishes(t *testing.T) {
 	}
 }
 
+func TestPolicyString(t *testing.T) {
+	for _, c := range []struct {
+		policy []int
+		want   string
+	}{
+		{nil, ""},
+		{[]int{}, ""},
+		{[]int{int(QBackoff), int(QCCA), int(QSend), int(QBackoff)}, ".CS."},
+	} {
+		if got := PolicyString(c.policy); got != c.want {
+			t.Errorf("PolicyString(%v) = %q, want %q", c.policy, got, c.want)
+		}
+	}
+}
+
 func TestRewardConstantsMatchTable4(t *testing.T) {
 	// Eq. 6-8 / Tbl. 4 exact values.
 	if RewardBackoffOverhear != 2 || RewardBackoffIdle != 0 {

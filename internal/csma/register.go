@@ -41,10 +41,7 @@ func init() {
 				if opts != nil {
 					o = opts.(Options)
 				}
-				return New(Config{
-					MAC: cfg, Variant: reg.variant, Rng: rng,
-					MinBE: o.MinBE, MaxBE: o.MaxBE, MaxBackoffs: o.MaxBackoffs,
-				})
+				return New(Config{MAC: cfg, Variant: reg.variant, Rng: rng, Options: o})
 			},
 		})
 	}

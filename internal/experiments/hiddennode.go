@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"qma/internal/core"
 	"qma/internal/frame"
@@ -219,23 +218,6 @@ func RunAdaptability(mode Mode) []*Table {
 	return []*Table{t}
 }
 
-// policyString renders a node's per-subslot policy: '.'=QBackoff, 'C'=QCCA,
-// 'S'=QSend.
-func policyString(policy []int) string {
-	var b strings.Builder
-	for _, a := range policy {
-		switch core.Action(a) {
-		case core.QCCA:
-			b.WriteByte('C')
-		case core.QSend:
-			b.WriteByte('S')
-		default:
-			b.WriteByte('.')
-		}
-	}
-	return b.String()
-}
-
 // RunSlotUtilization regenerates Fig. 13–15: the subslot policies of nodes A
 // and C after the first exploration phase and at the end of the run, for
 // δ ∈ {1,10,100}. A collision-free schedule shows no subslot claimed by
@@ -277,10 +259,10 @@ func RunSlotUtilization(mode Mode) []*Table {
 		}
 		snap := results[2*idx]
 		fin := results[2*idx+1]
-		t.AddRow("A", fmt.Sprintf("after %s", c.snapshot), policyString(snap.Nodes[0].Policy))
-		t.AddRow("C", fmt.Sprintf("after %s", c.snapshot), policyString(snap.Nodes[2].Policy))
-		t.AddRow("A", "final", policyString(fin.Nodes[0].Policy))
-		t.AddRow("C", "final", policyString(fin.Nodes[2].Policy))
+		t.AddRow("A", fmt.Sprintf("after %s", c.snapshot), core.PolicyString(snap.Nodes[0].Policy))
+		t.AddRow("C", fmt.Sprintf("after %s", c.snapshot), core.PolicyString(snap.Nodes[2].Policy))
+		t.AddRow("A", "final", core.PolicyString(fin.Nodes[0].Policy))
+		t.AddRow("C", "final", core.PolicyString(fin.Nodes[2].Policy))
 		conflicts := 0
 		pa, pc := fin.Nodes[0].Policy, fin.Nodes[2].Policy
 		for m := range pa {

@@ -165,6 +165,15 @@ func (f *Frame) IsBroadcast() bool { return f.Dst == Broadcast }
 // Duration is the frame's on-air time.
 func (f *Frame) Duration() sim.Time { return AirTime(f.MPDUBytes) }
 
+// ExchangeDuration is the channel time one transmission of the frame
+// occupies: its air time plus, for a unicast, the ACK wait.
+func (f *Frame) ExchangeDuration() sim.Time {
+	if f.IsBroadcast() {
+		return f.Duration()
+	}
+	return f.Duration() + AckWait
+}
+
 // String summarizes the frame for logs and test failures.
 func (f *Frame) String() string {
 	return fmt.Sprintf("%s src=%d dst=%d seq=%d len=%dB", f.Kind, f.Src, f.Dst, f.Seq, f.MPDUBytes)

@@ -35,6 +35,17 @@ func TestAckConstants(t *testing.T) {
 	}
 }
 
+func TestExchangeDuration(t *testing.T) {
+	uni := &Frame{Dst: 1, MPDUBytes: 50}
+	if got, want := uni.ExchangeDuration(), AirTime(50)+AckWait; got != want {
+		t.Errorf("unicast ExchangeDuration = %v, want %v", got, want)
+	}
+	bc := &Frame{Dst: Broadcast, MPDUBytes: 50}
+	if got, want := bc.ExchangeDuration(), AirTime(50); got != want {
+		t.Errorf("broadcast ExchangeDuration = %v, want %v", got, want)
+	}
+}
+
 func TestDataFrameSpansTwoToThreeSubslots(t *testing.T) {
 	// The paper (§6.1.3) states transmissions span up to 3 subslots. With the
 	// default 1120 µs (70-symbol) subslot, a 50-byte-payload frame plus its ACK

@@ -31,7 +31,9 @@ type Router interface {
 }
 
 // Engine is the interface scenario builders wire to traffic generators and
-// the radio. Both the QMA engine and the CSMA/CA engines implement it.
+// the radio. Every registered protocol implements it: QMA (and NOMA, which
+// runs on QMA's engine) directly, CSMA/CA, ALOHA and the slot bandit
+// through the embedded Access.
 type Engine interface {
 	radio.Handler
 	// Start arms the engine's channel access on its kernel. It must be
@@ -195,9 +197,9 @@ type Config struct {
 	OnOverhear func(f *frame.Frame)
 	// OnAccept is invoked whenever the transmit queue accepts a frame —
 	// including frames the forwarding path enqueues internally. Engines
-	// install their channel-access trigger here; without it a node whose
-	// queue fills through forwarding alone would never start transmitting.
-	// May be nil.
+	// install their channel-access trigger here (Access installs its
+	// own); without it a node whose queue fills through forwarding
+	// alone would never start transmitting. May be nil.
 	OnAccept func()
 	// FramePool, when non-nil, recycles MAC-owned frames: immediate ACKs
 	// are returned to it after their on-air time, forwarded copies are

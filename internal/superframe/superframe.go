@@ -247,6 +247,17 @@ func (c *Clock) CAPEnd(t sim.Time) sim.Time {
 	return c.SuperframeStart(t) + c.cfpOff
 }
 
+// NextCAPStart reports the first CAP start strictly after t: the CAP start
+// of t's superframe while t lies before it, the next superframe's from that
+// instant on.
+func (c *Clock) NextCAPStart(t sim.Time) sim.Time {
+	capStart := c.SuperframeStart(t) + c.capOff
+	if t < capStart {
+		return capStart
+	}
+	return capStart + c.sfDur
+}
+
 // FitsInCAP reports whether an activity of duration d starting at t completes
 // before the CAP of t's superframe ends. Transactions that do not fit must be
 // deferred (802.15.4 rule).

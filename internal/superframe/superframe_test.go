@@ -181,6 +181,40 @@ func TestFitsInCAP(t *testing.T) {
 	}
 }
 
+// TestNextCAPStart pins the first CAP start strictly after t at every
+// position in the superframe, in the first superframe and a later one.
+func TestNextCAPStart(t *testing.T) {
+	c := defaultClock(t)
+	cfg := c.Config()
+	sf := cfg.SuperframeDuration()
+	capStart := cfg.CAPStartOffset()
+	guard := capStart + sim.Time(cfg.Subslots)*cfg.SubslotDuration()
+	capEnd := cfg.CFPStartOffset()
+	if guard >= capEnd {
+		t.Fatalf("default config leaves no CAP guard: subslots end at %v, CAP at %v", guard, capEnd)
+	}
+	for _, tc := range []struct {
+		name string
+		off  sim.Time // offset into the superframe
+		want sim.Time // offset from the superframe start
+	}{
+		{"superframe start", 0, capStart},
+		{"beacon slot", capStart - 1, capStart},
+		{"at the CAP start", capStart, sf + capStart},
+		{"mid-CAP", capStart + cfg.CAPDuration()/2, sf + capStart},
+		{"trailing guard", guard, sf + capStart},
+		{"at the CAP end", capEnd, sf + capStart},
+		{"CFP", capEnd + 1, sf + capStart},
+		{"last instant", sf - 1, sf + capStart},
+	} {
+		for _, base := range []sim.Time{0, 3 * sf} {
+			if got := c.NextCAPStart(base + tc.off); got != base+tc.want {
+				t.Errorf("%s of superframe at %v: NextCAPStart = %v, want %v", tc.name, base, got, base+tc.want)
+			}
+		}
+	}
+}
+
 func TestGTSIndexRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	seen := make(map[int]bool)

@@ -677,7 +677,7 @@ func (s *Scenario) Run() (*Result, error) {
 			Barred:           n.MAC.Barred,
 			DeadlineDrops:    n.MAC.DeadlineDrops,
 			Captured:         n.Radio.RxCaptured,
-			Policy:           policyString(n.Policy),
+			Policy:           core.PolicyString(n.Policy),
 			TableBytes:       n.TableBytes,
 			CumulativeQ:      points(n.CumQ),
 			ExplorationRate:  points(n.Rho),
@@ -686,24 +686,6 @@ func (s *Scenario) Run() (*Result, error) {
 		out.Nodes = append(out.Nodes, nr)
 	}
 	return out, nil
-}
-
-func policyString(policy []int) string {
-	if policy == nil {
-		return ""
-	}
-	b := make([]byte, len(policy))
-	for i, a := range policy {
-		switch a {
-		case 1:
-			b[i] = 'C'
-		case 2:
-			b[i] = 'S'
-		default:
-			b[i] = '.'
-		}
-	}
-	return string(b)
 }
 
 func points(s *stats.Series) []Point {
