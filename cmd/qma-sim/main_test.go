@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -163,6 +164,41 @@ func TestMMTCFlagRunsShardedCity(t *testing.T) {
 	// Two cell rows: one per cell of the 2x1 grid.
 	if got := strings.Count(out, "\n"); got < 8 {
 		t.Fatalf("suspiciously short output (%d lines):\n%s", got, out)
+	}
+}
+
+// TestDSMEFlagRunsGTSScenario runs the DSME GTS scenario on the smallest
+// ring and checks its five metric lines. Both ratios count each frame by
+// its creation instant, so neither may exceed 1.
+func TestDSMEFlagRunsGTSScenario(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{
+		"-topology", "rings1", "-dsme", "-duration", "30", "-warmup", "10", "-seed", "1",
+	}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d; stderr: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{
+		"secondary PDR", "GTS-request success", "(de)allocations/s", "primary PDR", "duplicate GTS",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+	for _, line := range strings.Split(out, "\n") {
+		for _, name := range []string{"secondary PDR", "GTS-request success"} {
+			if !strings.HasPrefix(line, name) {
+				continue
+			}
+			v, err := strconv.ParseFloat(strings.TrimSpace(strings.TrimPrefix(line, name)), 64)
+			if err != nil {
+				t.Fatalf("%s line %q: %v", name, line, err)
+			}
+			if v > 1 {
+				t.Errorf("%s = %v, a ratio above 1", name, v)
+			}
+		}
 	}
 }
 

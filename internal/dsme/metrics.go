@@ -10,9 +10,11 @@ import (
 // PDR), Fig. 22 (successful GTS-requests), the "(de)allocations per second"
 // claim and the primary-traffic PDR. One Metrics instance is shared by all
 // nodes of a run; the simulation is single-threaded, so plain counters
-// suffice. The measuring flag implements the warm-up window.
+// suffice. The measurement window opens at from: every frame counts by its
+// creation instant, so an acknowledgement or reception inside the window of
+// a frame sent before it counts neither as sent nor as delivered.
 type Metrics struct {
-	measuring bool
+	from sim.Time
 
 	// RequestsSent / RequestsAcked count GTS-request unicasts (Fig. 22).
 	RequestsSent, RequestsAcked uint64
@@ -30,30 +32,29 @@ type Metrics struct {
 	PrimaryDelaySum                    sim.Time
 }
 
-// SetMeasuring opens (or closes) the measurement window; counters only move
-// while it is open.
-func (m *Metrics) SetMeasuring(on bool) { m.measuring = on }
+// counts reports whether f was created inside the measurement window.
+func (m *Metrics) counts(f *frame.Frame) bool { return f.CreatedAt >= m.from }
 
-func (m *Metrics) noteRequestSent() {
-	if m.measuring {
+func (m *Metrics) noteRequestSent(f *frame.Frame) {
+	if m.counts(f) {
 		m.RequestsSent++
 	}
 }
 
-func (m *Metrics) noteRequestAcked() {
-	if m.measuring {
+func (m *Metrics) noteRequestAcked(f *frame.Frame) {
+	if m.counts(f) {
 		m.RequestsAcked++
 	}
 }
 
-func (m *Metrics) noteBroadcastSent() {
-	if m.measuring {
+func (m *Metrics) noteBroadcastSent(f *frame.Frame) {
+	if m.counts(f) {
 		m.BroadcastsSent++
 	}
 }
 
 func (m *Metrics) noteBroadcastReceived(f *frame.Frame, med *radio.Medium) {
-	if !m.measuring {
+	if !m.counts(f) {
 		return
 	}
 	if n := len(med.DecodeNeighbors(f.Src)); n > 0 {
@@ -61,20 +62,20 @@ func (m *Metrics) noteBroadcastReceived(f *frame.Frame, med *radio.Medium) {
 	}
 }
 
-func (m *Metrics) noteDuplicate() {
-	if m.measuring {
+func (m *Metrics) noteDuplicate(now sim.Time) {
+	if now >= m.from {
 		m.Duplicates++
 	}
 }
 
 func (m *Metrics) notePrimaryGenerated(f *frame.Frame) {
-	if m.measuring && f.Tag == frame.TagEval {
+	if m.counts(f) && f.Tag == frame.TagEval {
 		m.PrimaryGenerated++
 	}
 }
 
 func (m *Metrics) notePrimaryDelivered(f *frame.Frame, now sim.Time) {
-	if m.measuring && f.Tag == frame.TagEval {
+	if m.counts(f) && f.Tag == frame.TagEval {
 		m.PrimaryDelivered++
 		m.PrimaryDelaySum += now - f.CreatedAt
 	}

@@ -22,30 +22,38 @@ func metricsMedium(t *testing.T) *radio.Medium {
 
 func TestMetricsMeasuringGate(t *testing.T) {
 	med := metricsMedium(t)
-	m := &Metrics{}
-	bcast := &frame.Frame{Kind: frame.RouteDiscovery, Src: 0, Dst: frame.Broadcast}
-	data := &frame.Frame{Kind: frame.Data, Tag: frame.TagEval, CreatedAt: 1 * sim.Second}
+	m := &Metrics{from: 10 * sim.Second}
+	early := 9 * sim.Second
+	req := &frame.Frame{Kind: frame.GTSRequest, Src: 1, Dst: 0, CreatedAt: early}
+	bcast := &frame.Frame{Kind: frame.RouteDiscovery, Src: 0, Dst: frame.Broadcast, CreatedAt: early}
+	data := &frame.Frame{Kind: frame.Data, Tag: frame.TagEval, CreatedAt: early}
 
-	// Everything before SetMeasuring(true) must be ignored.
-	m.noteRequestSent()
-	m.noteRequestAcked()
-	m.noteBroadcastSent()
+	// Frames created before the window must be ignored, even when their
+	// ACK or reception lands inside it: a request sent before the window
+	// and acked inside it counts neither as sent nor as acked, so no ratio
+	// can exceed 1.
+	m.noteRequestSent(req)
+	m.noteRequestAcked(req)
+	m.noteBroadcastSent(bcast)
 	m.noteBroadcastReceived(bcast, med)
-	m.noteDuplicate()
+	m.noteDuplicate(early)
 	m.notePrimaryGenerated(data)
-	m.notePrimaryDelivered(data, 2*sim.Second)
-	if *m != (Metrics{}) {
-		t.Fatalf("counters moved while the measurement window was closed: %+v", *m)
+	m.notePrimaryDelivered(data, 11*sim.Second)
+	if *m != (Metrics{from: m.from}) {
+		t.Fatalf("counters moved for frames created before the window: %+v", *m)
 	}
 
-	m.SetMeasuring(true)
-	m.noteRequestSent()
-	m.noteRequestAcked()
-	m.noteDuplicate()
+	req.CreatedAt, data.CreatedAt = m.from, 11*sim.Second
+	m.noteRequestSent(req)
+	m.noteRequestAcked(req)
+	m.noteDuplicate(m.from)
 	m.notePrimaryGenerated(data)
-	m.notePrimaryDelivered(data, 3*sim.Second)
+	m.notePrimaryDelivered(data, 13*sim.Second)
 	if m.RequestsSent != 1 || m.RequestsAcked != 1 || m.Duplicates != 1 {
 		t.Fatalf("handshake counters: %+v", *m)
+	}
+	if r := m.RequestSuccessRatio(); r != 1 {
+		t.Fatalf("RequestSuccessRatio = %v, want 1", r)
 	}
 	if m.PrimaryGenerated != 1 || m.PrimaryDelivered != 1 {
 		t.Fatalf("primary counters: %+v", *m)
@@ -53,18 +61,10 @@ func TestMetricsMeasuringGate(t *testing.T) {
 	if got := m.PrimaryMeanDelay(); math.Abs(got-2.0) > 1e-9 {
 		t.Fatalf("PrimaryMeanDelay = %v, want 2s", got)
 	}
-
-	// Closing the window freezes the counters again.
-	m.SetMeasuring(false)
-	m.noteRequestSent()
-	if m.RequestsSent != 1 {
-		t.Fatal("counter moved after the window closed")
-	}
 }
 
 func TestMetricsPrimaryTagFilter(t *testing.T) {
 	m := &Metrics{}
-	m.SetMeasuring(true)
 	mgmt := &frame.Frame{Kind: frame.Data, Tag: frame.TagManagement}
 	m.notePrimaryGenerated(mgmt)
 	m.notePrimaryDelivered(mgmt, sim.Second)
@@ -76,10 +76,9 @@ func TestMetricsPrimaryTagFilter(t *testing.T) {
 func TestMetricsBroadcastDeliveryFraction(t *testing.T) {
 	med := metricsMedium(t)
 	m := &Metrics{}
-	m.SetMeasuring(true)
-	m.noteBroadcastSent()
 	// Node 0 has three decode-neighbours: each reception adds 1/3.
 	bcast := &frame.Frame{Kind: frame.RouteDiscovery, Src: 0, Dst: frame.Broadcast}
+	m.noteBroadcastSent(bcast)
 	m.noteBroadcastReceived(bcast, med)
 	m.noteBroadcastReceived(bcast, med)
 	if math.Abs(m.BroadcastsDelivered-2.0/3) > 1e-9 {
@@ -117,11 +116,11 @@ func TestMetricsRatiosWithZeroDenominators(t *testing.T) {
 
 func TestMetricsSecondaryPDRMixesRequestsAndBroadcasts(t *testing.T) {
 	m := &Metrics{}
-	m.SetMeasuring(true)
-	m.noteRequestSent()
-	m.noteRequestSent()
-	m.noteRequestAcked()
-	m.noteBroadcastSent()
+	req, bcast := &frame.Frame{Kind: frame.GTSRequest}, &frame.Frame{Kind: frame.GTSNotify}
+	m.noteRequestSent(req)
+	m.noteRequestSent(req)
+	m.noteRequestAcked(req)
+	m.noteBroadcastSent(bcast)
 	m.BroadcastsDelivered = 0.5
 	// (1 acked + 0.5 delivered) / (2 requests + 1 broadcast)
 	if got, want := m.SecondaryPDR(), 1.5/3; math.Abs(got-want) > 1e-9 {

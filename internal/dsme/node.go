@@ -31,24 +31,6 @@ type NodeConfig struct {
 	Sink frame.NodeID
 	// Rng drives slot picks; required, private to this node.
 	Rng *sim.Rand
-	// PrimaryQueueCap bounds the GTS data queue (<=0 selects the paper's 8).
-	PrimaryQueueCap int
-	// MaxRetries is NR for GTS data frames (0 selects 3, negative disables
-	// retransmissions).
-	MaxRetries int
-	// MaxTxSlots caps the slots one node may hold towards its parent
-	// (<=0 selects 7, one CFP's worth).
-	MaxTxSlots int
-	// ResponseTimeout and NotifyTimeout bound the handshake (defaults: 4
-	// superframes each — handshake messages contend in the CAP and may need
-	// several superframes under load).
-	ResponseTimeout, NotifyTimeout sim.Time
-	// ControlPeriod is the slot-controller evaluation interval (default: one
-	// multi-superframe).
-	ControlPeriod sim.Time
-	// NeighborExpiry is how long overheard allocations stay in the slot map
-	// without being refreshed (default: 64 superframes ≈ 7.9 s).
-	NeighborExpiry sim.Time
 	// Metrics aggregates network-wide counters; required.
 	Metrics *Metrics
 	// FramePool, when non-nil, recycles the node's frames: its immediate GTS
@@ -178,36 +160,11 @@ func NewNode(cfg NodeConfig) *Node {
 	if cfg.Kernel == nil || cfg.Medium == nil || cfg.Clock == nil || cfg.Rng == nil || cfg.Metrics == nil {
 		panic("dsme: Kernel, Medium, Clock, Rng and Metrics are required")
 	}
-	switch {
-	case cfg.MaxRetries == 0:
-		cfg.MaxRetries = mac.DefaultMaxRetries
-	case cfg.MaxRetries < 0:
-		cfg.MaxRetries = 0
-	}
-	if cfg.MaxTxSlots <= 0 {
-		cfg.MaxTxSlots = superframe.CFPSlots
-	}
-	sf := cfg.Clock.Config()
-	if cfg.ResponseTimeout <= 0 {
-		// Handshake messages contend in the CAP; during QMA's cold start a
-		// response can take seconds to get out (exploration-driven
-		// bootstrap), so the timeout is generous.
-		cfg.ResponseTimeout = 16 * sf.SuperframeDuration()
-	}
-	if cfg.NotifyTimeout <= 0 {
-		cfg.NotifyTimeout = 16 * sf.SuperframeDuration()
-	}
-	if cfg.ControlPeriod <= 0 {
-		cfg.ControlPeriod = sf.MultiframeDuration()
-	}
-	if cfg.NeighborExpiry <= 0 {
-		cfg.NeighborExpiry = 64 * sf.SuperframeDuration()
-	}
 	n := &Node{
 		cfg:       cfg,
-		slots:     NewSlotMap(sf),
+		slots:     NewSlotMap(cfg.Clock.Config()),
 		slotRecs:  make(map[int]*gtsSlot),
-		primary:   frame.NewQueue(cfg.PrimaryQueueCap),
+		primary:   frame.NewQueue(frame.DefaultQueueCap),
 		pending:   make(map[hsKey]*responderPending),
 		slotFails: make(map[int]int),
 		lastSeq:   make(map[frame.NodeID]uint32),
@@ -242,7 +199,8 @@ func (n *Node) Start() {
 	n.cap.Start()
 	if n.cfg.Parent >= 0 {
 		// Desynchronize controllers across nodes.
-		first := n.cfg.ControlPeriod + sim.Time(n.cfg.Rng.Intn(int(n.cfg.ControlPeriod)))
+		period := n.cfg.Clock.Config().MultiframeDuration()
+		first := period + sim.Time(n.cfg.Rng.Intn(int(period)))
 		n.cfg.Kernel.AtCall(first, nodeControlTick, n)
 	}
 }
@@ -454,11 +412,31 @@ func (n *Node) finishGTSData(f *frame.Frame, success bool) {
 		return
 	}
 	f.Retries++
-	if int(f.Retries) > n.cfg.MaxRetries {
+	if int(f.Retries) > mac.DefaultMaxRetries {
 		n.primary.Pop()
 		n.stats.GTSRetryDrops++
 		n.cfg.FramePool.Put(f)
 	}
+}
+
+// maxTxSlots caps the slots one node may hold towards its parent: one
+// CFP's worth.
+const maxTxSlots = superframe.CFPSlots
+
+// neighborExpirySuperframes is how long, in superframes, overheard
+// allocations stay in the slot map without being refreshed (64 ≈ 7.9 s).
+const neighborExpirySuperframes = 64
+
+// handshakeTimeoutSuperframes bounds each handshake wait, the requester's
+// for the response and the responder's for the notify: 16 superframes.
+// Handshake messages contend in the CAP; during QMA's cold start a response
+// can take seconds to get out (exploration-driven bootstrap), so the
+// timeout is generous.
+const handshakeTimeoutSuperframes = 16
+
+// handshakeTimeout is handshakeTimeoutSuperframes on the node's clock.
+func (n *Node) handshakeTimeout() sim.Time {
+	return handshakeTimeoutSuperframes * n.cfg.Clock.Config().SuperframeDuration()
 }
 
 // deadSlotThreshold is the number of consecutive unacknowledged data
@@ -487,19 +465,20 @@ func (n *Node) noteSlotOutcome(g superframe.GTS, success bool) {
 // nodeControlTick is the long-lived kernel callback of the slot controller.
 func nodeControlTick(a any) { a.(*Node).controlTick() }
 
-// controlTick evaluates slot demand once per control period and starts at
+// controlTick evaluates slot demand once per multi-superframe and starts at
 // most one handshake. Demand follows an EWMA of arrivals per
 // multi-superframe with a 30% provisioning margin, plus an extra slot while
 // the queue is backlogged — fluctuating primary traffic therefore causes a
 // continuous stream of (de)allocations, the paper's secondary-traffic
 // workload.
 func (n *Node) controlTick() {
-	n.cfg.Kernel.AtCall(n.cfg.Kernel.Now()+n.cfg.ControlPeriod, nodeControlTick, n)
-	n.slots.ExpireNeighbors(n.cfg.Kernel.Now() - n.cfg.NeighborExpiry)
+	sf := n.cfg.Clock.Config()
+	now := n.cfg.Kernel.Now()
+	n.cfg.Kernel.AtCall(now+sf.MultiframeDuration(), nodeControlTick, n)
+	n.slots.ExpireNeighbors(now - neighborExpirySuperframes*sf.SuperframeDuration())
 
-	perMSF := float64(n.arrivals) * float64(n.cfg.Clock.Config().MultiframeDuration()) / float64(n.cfg.ControlPeriod)
+	n.demand = 0.75*n.demand + 0.25*float64(n.arrivals)
 	n.arrivals = 0
-	n.demand = 0.75*n.demand + 0.25*perMSF
 
 	target := int(n.demand*1.3 + 0.999)
 	if n.primary.Len() >= 2 {
@@ -508,8 +487,8 @@ func (n *Node) controlTick() {
 	if n.primary.Len() > 0 && target < 1 {
 		target = 1
 	}
-	if target > n.cfg.MaxTxSlots {
-		target = n.cfg.MaxTxSlots
+	if target > maxTxSlots {
+		target = maxTxSlots
 	}
 
 	if n.hs != nil {
@@ -596,6 +575,7 @@ func (n *Node) command(kind frame.Kind, dst frame.NodeID, mpdu int, cmd frame.Co
 	f.Sink = dst
 	f.Seq = n.nextSeq()
 	f.MPDUBytes = mpdu
+	f.CreatedAt = n.cfg.Kernel.Now()
 	f.Cmd = cmd
 	return f
 }
@@ -613,7 +593,7 @@ func (n *Node) enqueueCommand(f *frame.Frame) bool {
 func (n *Node) sendRequest(hs *handshake) {
 	hs.req = n.command(frame.GTSRequest, n.cfg.Parent, RequestMPDU,
 		frame.Command{ID: hs.id, GTS: hs.gts, Deallocate: hs.deallocate})
-	n.cfg.Metrics.noteRequestSent()
+	n.cfg.Metrics.noteRequestSent(hs.req)
 	if !n.enqueueCommand(hs.req) {
 		hs.req = nil
 		n.requesterFail(hs)
@@ -634,8 +614,8 @@ func (n *Node) capFrameFinished(f *frame.Frame, acked bool) {
 		n.requesterFail(hs)
 		return
 	}
-	n.cfg.Metrics.noteRequestAcked()
-	hs.timer = n.cfg.Kernel.AtCall(n.cfg.Kernel.Now()+n.cfg.ResponseTimeout, responseTimeout, n)
+	n.cfg.Metrics.noteRequestAcked(f)
+	hs.timer = n.cfg.Kernel.AtCall(n.cfg.Kernel.Now()+n.handshakeTimeout(), responseTimeout, n)
 }
 
 // responseTimeout and notifyTimeout are the static kernel callbacks of the
@@ -705,7 +685,7 @@ func (n *Node) handleRequest(from frame.NodeID, req frame.Command) {
 			pend := n.newPending()
 			pend.key = hsKey{requester: from, id: req.ID}
 			pend.gts = req.GTS
-			pend.timer = n.cfg.Kernel.AtCall(n.cfg.Kernel.Now()+n.cfg.NotifyTimeout, notifyTimeout, pend)
+			pend.timer = n.cfg.Kernel.AtCall(n.cfg.Kernel.Now()+n.handshakeTimeout(), notifyTimeout, pend)
 			n.pending[pend.key] = pend
 		}
 	}
@@ -714,7 +694,7 @@ func (n *Node) handleRequest(from frame.NodeID, req frame.Command) {
 		Requester: from, Responder: n.cfg.ID,
 		Approved: approved, Deallocate: req.Deallocate,
 	})
-	n.cfg.Metrics.noteBroadcastSent()
+	n.cfg.Metrics.noteBroadcastSent(resp)
 	n.enqueueCommand(resp)
 }
 
@@ -771,7 +751,7 @@ func (n *Node) sendNotify(id uint32, g superframe.GTS, deallocate bool, responde
 		Requester: n.cfg.ID, Responder: responder,
 		Deallocate: deallocate,
 	})
-	n.cfg.Metrics.noteBroadcastSent()
+	n.cfg.Metrics.noteBroadcastSent(nf)
 	n.enqueueCommand(nf)
 }
 
@@ -807,7 +787,7 @@ func (n *Node) observeForeign(g superframe.GTS, allocated, deallocated bool) {
 	switch {
 	case allocated && (st == SlotTX || st == SlotRX):
 		n.stats.DuplicatesDetected++
-		n.cfg.Metrics.noteDuplicate()
+		n.cfg.Metrics.noteDuplicate(n.cfg.Kernel.Now())
 		if st == SlotTX && n.hs == nil {
 			n.startDeallocation(g)
 		} else if st == SlotRX {

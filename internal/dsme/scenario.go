@@ -2,7 +2,6 @@ package dsme
 
 import (
 	"fmt"
-	"time"
 
 	"qma/internal/barring"
 	"qma/internal/frame"
@@ -31,10 +30,8 @@ type ScenarioConfig struct {
 	Duration sim.Time
 	// Warmup opens the measurement window (the paper uses 200 s "to allow
 	// for network formation"); traffic, slot allocation and learning run
-	// from TrafficStart so the network has formed when measuring begins.
+	// from trafficStart so the network has formed when measuring begins.
 	Warmup sim.Time
-	// TrafficStart delays the primary sources (0 selects 5 s).
-	TrafficStart sim.Time
 	// Phases is the per-node primary rate schedule. Nil selects the paper's
 	// alternation of δ=1 and δ=10 packets/s every 5 s.
 	Phases []traffic.Phase
@@ -43,8 +40,6 @@ type ScenarioConfig struct {
 	// part of the secondary traffic and, being periodic, are exactly the
 	// kind of hidden pattern QMA learns.
 	BroadcastPeriod sim.Time
-	// MaxTxSlots caps the GTS a node may hold (0 selects the CFP width).
-	MaxTxSlots int
 	// Barring configures sink-side load-adaptive access-class barring for
 	// the CAP engines: the barring factor rides the (here: explicit DSME)
 	// beacon each beacon interval, and the nodes gate fresh CAP
@@ -52,11 +47,9 @@ type ScenarioConfig struct {
 	// byte-identical to a pre-barring build.
 	Barring barring.Config
 	// EventBudget truncates the run after this many kernel events when
-	// positive; WallBudget truncates it after this much real time. Both mark
-	// ScenarioResult.Truncated, like scenario.Config's fields of the same
-	// names.
+	// positive and marks ScenarioResult.Truncated, like scenario.Config's
+	// field of the same name.
 	EventBudget uint64
-	WallBudget  time.Duration
 	// InvariantChecks arms the kernel, medium and frame-pool runtime
 	// self-checks.
 	InvariantChecks bool
@@ -81,8 +74,8 @@ type ScenarioResult struct {
 	SlotsOwned []int
 	// Events is the number of kernel events the run processed.
 	Events uint64
-	// Truncated reports that the run was cut short by EventBudget or
-	// WallBudget before reaching Duration.
+	// Truncated reports that the run was cut short by EventBudget before
+	// reaching Duration.
 	Truncated bool
 }
 
@@ -99,7 +92,6 @@ func (cfg *ScenarioConfig) base() scenario.Config {
 		Duration:        cfg.Duration,
 		Barring:         cfg.Barring,
 		EventBudget:     cfg.EventBudget,
-		WallBudget:      cfg.WallBudget,
 		InvariantChecks: cfg.InvariantChecks,
 		Arena:           cfg.Arena,
 	}
@@ -119,6 +111,10 @@ func (cfg *ScenarioConfig) Validate() error {
 	return nil
 }
 
+// trafficStart is when the primary sources begin, after the route-discovery
+// broadcasts (from 2 s) have let the network form.
+const trafficStart = 5 * sim.Second
+
 // RunScenario executes a DSME data-collection run. It panics with the
 // Validate error on a bad configuration.
 func RunScenario(cfg ScenarioConfig) *ScenarioResult {
@@ -135,14 +131,11 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 	if cfg.BroadcastPeriod <= 0 {
 		cfg.BroadcastPeriod = 2 * sim.Second
 	}
-	if cfg.TrafficStart <= 0 {
-		cfg.TrafficStart = 5 * sim.Second
-	}
 
 	base := cfg.base()
 	sub := scenario.NewSubstrate(&base)
 	kernel := sub.Kernel
-	metrics := &Metrics{}
+	metrics := &Metrics{from: cfg.Warmup}
 
 	n := cfg.Network.NumNodes()
 	nodes := make([]*Node, n)
@@ -150,16 +143,15 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 	for i := 0; i < n; i++ {
 		id := frame.NodeID(i)
 		node := NewNode(NodeConfig{
-			ID:         id,
-			Kernel:     kernel,
-			Medium:     sub.Medium,
-			Clock:      sub.Clock,
-			Parent:     cfg.Network.Parent[i],
-			Sink:       cfg.Network.Sink,
-			Rng:        sim.NewRandStream(cfg.Seed, 5000+uint64(i)),
-			MaxTxSlots: cfg.MaxTxSlots,
-			Metrics:    metrics,
-			FramePool:  sub.Pool,
+			ID:        id,
+			Kernel:    kernel,
+			Medium:    sub.Medium,
+			Clock:     sub.Clock,
+			Parent:    cfg.Network.Parent[i],
+			Sink:      cfg.Network.Sink,
+			Rng:       sim.NewRandStream(cfg.Seed, 5000+uint64(i)),
+			Metrics:   metrics,
+			FramePool: sub.Pool,
 		})
 		engines[i] = proto.New(mac.Config{
 			ID:              id,
@@ -171,6 +163,10 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 			FramePool:       sub.Pool,
 			Scratch:         sub.Scratch,
 			BarringRng:      sub.BarringRng(id),
+			// The CAP engines try each GTS-request once (NR = 0, no
+			// retransmission), unlike scenario.Run's NR = 3; the fig21-22
+			// golden digest pins it.
+			MaxRetries: 0,
 		}, macOpts, sim.NewRandStream(cfg.Seed, uint64(i)))
 		node.AttachCAP(engines[i])
 		nodes[i] = node
@@ -186,16 +182,14 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 	// Secondary background traffic: periodic route-discovery broadcasts.
 	for i := 0; i < n; i++ {
 		b := &traffic.BroadcastSource{
-			Kernel:  kernel,
-			Rng:     sim.NewRandStream(cfg.Seed, 3000+uint64(i)),
-			Target:  engines[i],
-			Origin:  frame.NodeID(i),
-			Period:  cfg.BroadcastPeriod,
-			StartAt: 2 * sim.Second,
-			Pool:    sub.Pool,
-			OnGenerate: func(f *frame.Frame) {
-				metrics.noteBroadcastSent()
-			},
+			Kernel:     kernel,
+			Rng:        sim.NewRandStream(cfg.Seed, 3000+uint64(i)),
+			Target:     engines[i],
+			Origin:     frame.NodeID(i),
+			Period:     cfg.BroadcastPeriod,
+			StartAt:    2 * sim.Second,
+			Pool:       sub.Pool,
+			OnGenerate: metrics.noteBroadcastSent,
 		}
 		b.Start()
 	}
@@ -215,7 +209,7 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 			// here for clarity.
 			FirstHop: cfg.Network.Parent[i],
 			Phases:   cfg.Phases,
-			StartAt:  cfg.TrafficStart,
+			StartAt:  trafficStart,
 			Tag:      frame.TagEval,
 			Pool:     sub.Pool,
 		}
@@ -224,7 +218,6 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 
 	var before []NodeStats
 	kernel.At(cfg.Warmup, func() {
-		metrics.SetMeasuring(true)
 		before = make([]NodeStats, n)
 		for i, node := range nodes {
 			before[i] = node.Stats()

@@ -99,8 +99,12 @@ func baselineMACs() []mac.Name {
 
 // baselineConfig builds one run of the family: every routed non-sink node
 // streams Poisson(δ) evaluation traffic towards the sink after a low-rate
-// management phase, identically for every protocol under test.
-func baselineConfig(c baselineCase, mk mac.Name, mode Mode, seed uint64) scenario.Config {
+// management phase, identically for every protocol under test. mult scales
+// the evaluation rate and the per-source packet budget together over the
+// same generation window, so a higher multiplier offers proportionally more
+// packets into the same measurement interval (the overload family); at 1 the
+// run is the family's own.
+func baselineConfig(c baselineCase, mk mac.Name, mult float64, mode Mode, seed uint64) scenario.Config {
 	packets, warmup := mode.Packets, mode.Warmup
 	if c.packets > 0 {
 		packets = c.packets
@@ -131,8 +135,8 @@ func baselineConfig(c baselineCase, mk mac.Name, mode Mode, seed uint64) scenari
 		cfg.Traffic = append(cfg.Traffic,
 			scenario.TrafficSpec{Origin: id, Phases: []traffic.Phase{{Rate: 0.2}},
 				StartAt: 1 * sim.Second, Tag: frame.TagManagement},
-			scenario.TrafficSpec{Origin: id, Phases: []traffic.Phase{{Rate: c.delta}},
-				StartAt: warmup, MaxPackets: packets, Tag: frame.TagEval},
+			scenario.TrafficSpec{Origin: id, Phases: []traffic.Phase{{Rate: c.delta * mult}},
+				StartAt: warmup, MaxPackets: int(float64(packets)*mult + 0.5), Tag: frame.TagEval},
 		)
 	}
 	return cfg
@@ -160,7 +164,7 @@ func RunBaselines(mode Mode) []*Table {
 	est, repErrs := runGrid(len(cases)*len(macs), mode.Reps, mode.Parallel,
 		func(arena *scenario.Arena, cell int, seed uint64) map[string]float64 {
 			c, mk := cases[cell/len(macs)], macs[cell%len(macs)]
-			cfg := baselineConfig(c, mk, mode, seed)
+			cfg := baselineConfig(c, mk, 1, mode, seed)
 			cfg.Arena = arena
 			res := scenario.Run(cfg)
 			capOn := sim.Time(float64(cfg.Duration) * capDuty)

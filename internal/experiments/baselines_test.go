@@ -22,7 +22,7 @@ func TestFullHallTrackGatingAndBudgets(t *testing.T) {
 	}
 
 	mode := Full()
-	cfg := baselineConfig(c, scenario.QMA, mode, 1)
+	cfg := baselineConfig(c, scenario.QMA, 1, mode, 1)
 	if cfg.EventBudget == 0 {
 		t.Error("full hall config has no event budget")
 	}
@@ -37,7 +37,7 @@ func TestFullHallTrackGatingAndBudgets(t *testing.T) {
 	// Every registered protocol gets a budget: a profiled one or the
 	// conservative default for protocols the profile has not seen.
 	for _, mk := range baselineMACs() {
-		pc := baselineConfig(c, mk, mode, 1)
+		pc := baselineConfig(c, mk, 1, mode, 1)
 		if pc.EventBudget == 0 {
 			t.Errorf("protocol %s resolves to no event budget", mk)
 		}
@@ -52,7 +52,7 @@ func TestFullHallTrackGatingAndBudgets(t *testing.T) {
 		if qc.budgeted {
 			t.Errorf("quick case %s unexpectedly budgeted", qc.name)
 		}
-		if bc := baselineConfig(qc, scenario.QMA, Quick(), 1); bc.EventBudget != 0 {
+		if bc := baselineConfig(qc, scenario.QMA, 1, Quick(), 1); bc.EventBudget != 0 {
 			t.Errorf("quick case %s got event budget %d", qc.name, bc.EventBudget)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"qma/internal/sim"
 	"qma/internal/stats"
 	"qma/internal/topo"
-	"qma/internal/traffic"
 )
 
 func init() {
@@ -164,22 +163,8 @@ func burstFadeCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) m
 	fadeStart := warmup + 80*sim.Second
 	fadeLen := 5 * sim.Second
 	duration := fadeStart + fadeLen + 60*sim.Second
-	cfg := scenario.Config{
-		Network:  topo.HiddenNode(),
-		MAC:      mk,
-		Seed:     seed,
-		Duration: duration,
-		Traffic: []scenario.TrafficSpec{
-			{Origin: 0, Phases: []traffic.Phase{{Rate: 0.2}}, StartAt: 1 * sim.Second, Tag: frame.TagManagement},
-			{Origin: 2, Phases: []traffic.Phase{{Rate: 0.2}}, StartAt: 1 * sim.Second, Tag: frame.TagManagement},
-			{Origin: 0, Phases: []traffic.Phase{{Rate: 10}}, StartAt: warmup, Tag: frame.TagEval},
-			{Origin: 2, Phases: []traffic.Phase{{Rate: 10}}, StartAt: warmup, Tag: frame.TagEval},
-		},
-		MeasureFrom: warmup,
-		Dynamics: scenario.DynamicsConfig{
-			Fades: []scenario.FadeSpec{{Node: 1, At: fadeStart, Duration: fadeLen}},
-		},
-	}
+	cfg := streamFor(hiddenNodeConfig(mk, 10, mode, seed), duration)
+	cfg.Dynamics.Fades = []scenario.FadeSpec{{Node: 1, At: fadeStart, Duration: fadeLen}}
 	trace := newDynTrace(duration)
 	cfg.OnEvalGenerate, cfg.OnEvalDeliver = trace.hooks()
 	cfg.Arena = arena
@@ -195,36 +180,15 @@ func burstFadeCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) m
 // 18, dense id 1) leaving for 10 s and rejoining: two thirds of the origins
 // lose their route while it is away.
 func relayFailureCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) map[string]float64 {
-	const delta = 4.0
-	warmup := mode.Warmup + 20*sim.Second
+	cfg := testbedConfig(topo.Tree10(), mk, mode, seed)
+	warmup := cfg.MeasureFrom
 	leaveAt := warmup + 60*sim.Second
 	awayFor := 10 * sim.Second
 	duration := leaveAt + awayFor + 60*sim.Second
-	net := topo.Tree10()
-	cfg := scenario.Config{
-		Network:     net,
-		MAC:         mk,
-		Seed:        seed,
-		Duration:    duration,
-		MeasureFrom: warmup,
-		Dynamics: scenario.DynamicsConfig{
-			Churn: []scenario.ChurnSpec{
-				{Node: 1, At: leaveAt, Leave: true},
-				{Node: 1, At: leaveAt + awayFor, Leave: false},
-			},
-		},
-	}
-	for i := 0; i < net.NumNodes(); i++ {
-		id := frame.NodeID(i)
-		if id == net.Sink {
-			continue
-		}
-		cfg.Traffic = append(cfg.Traffic,
-			scenario.TrafficSpec{Origin: id, Phases: []traffic.Phase{{Rate: 0.5}},
-				StartAt: 1 * sim.Second, Tag: frame.TagManagement, MPDUBytes: 30},
-			scenario.TrafficSpec{Origin: id, Phases: []traffic.Phase{{Rate: delta}},
-				StartAt: warmup, Tag: frame.TagEval, MPDUBytes: 30},
-		)
+	cfg = streamFor(cfg, duration)
+	cfg.Dynamics.Churn = []scenario.ChurnSpec{
+		{Node: 1, At: leaveAt, Leave: true},
+		{Node: 1, At: leaveAt + awayFor, Leave: false},
 	}
 	trace := newDynTrace(duration)
 	cfg.OnEvalGenerate, cfg.OnEvalDeliver = trace.hooks()
@@ -243,19 +207,7 @@ func relayFailureCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64
 func gilbertCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64, bursty bool) map[string]float64 {
 	warmup := mode.Warmup
 	duration := warmup + 120*sim.Second
-	cfg := scenario.Config{
-		Network:  topo.HiddenNode(),
-		MAC:      mk,
-		Seed:     seed,
-		Duration: duration,
-		Traffic: []scenario.TrafficSpec{
-			{Origin: 0, Phases: []traffic.Phase{{Rate: 0.2}}, StartAt: 1 * sim.Second, Tag: frame.TagManagement},
-			{Origin: 2, Phases: []traffic.Phase{{Rate: 0.2}}, StartAt: 1 * sim.Second, Tag: frame.TagManagement},
-			{Origin: 0, Phases: []traffic.Phase{{Rate: 10}}, StartAt: warmup, Tag: frame.TagEval},
-			{Origin: 2, Phases: []traffic.Phase{{Rate: 10}}, StartAt: warmup, Tag: frame.TagEval},
-		},
-		MeasureFrom: warmup,
-	}
+	cfg := streamFor(hiddenNodeConfig(mk, 10, mode, seed), duration)
 	if bursty {
 		cfg.Dynamics.Gilbert = radio.GilbertElliott{
 			MeanGood: 8 * sim.Second,

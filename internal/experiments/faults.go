@@ -6,12 +6,9 @@ import (
 	"qma/internal/aloha"
 	"qma/internal/bandit"
 	"qma/internal/faults"
-	"qma/internal/frame"
 	"qma/internal/mac"
 	"qma/internal/scenario"
 	"qma/internal/sim"
-	"qma/internal/topo"
-	"qma/internal/traffic"
 )
 
 func init() {
@@ -24,7 +21,8 @@ func init() {
 // ACK path corrupts — how much does the learned schedule cost or save
 // relative to the memoryless baselines? It reuses the windowed-PDR machinery
 // of the dynamics family (dynTrace/analyze) and compares QMA against
-// CSMA/CA, slotted ALOHA and the slot bandit.
+// CSMA/CA, slotted ALOHA and the slot bandit. Every case is the hidden-node
+// run streaming δ=10 evaluation traffic, the fault striking at warmup+80 s.
 
 // faultMACs spans the learning spectrum: QMA (full Q-learning), the slot
 // bandit (stateful but simpler), and two memoryless baselines for which a
@@ -33,26 +31,6 @@ func faultMACs() []mac.Name {
 	return []mac.Name{
 		scenario.QMA, scenario.CSMAUnslotted,
 		aloha.ProtoSlotted, bandit.Proto,
-	}
-}
-
-// faultCaseConfig builds the family's shared hidden-node run: management
-// traffic from t≈0, δ=10 evaluation traffic from warmup, the fault striking
-// at warmup+80 s.
-func faultCaseConfig(mk mac.Name, mode Mode, seed uint64, duration sim.Time) scenario.Config {
-	warmup := mode.Warmup
-	return scenario.Config{
-		Network:  topo.HiddenNode(),
-		MAC:      mk,
-		Seed:     seed,
-		Duration: duration,
-		Traffic: []scenario.TrafficSpec{
-			{Origin: 0, Phases: []traffic.Phase{{Rate: 0.2}}, StartAt: 1 * sim.Second, Tag: frame.TagManagement},
-			{Origin: 2, Phases: []traffic.Phase{{Rate: 0.2}}, StartAt: 1 * sim.Second, Tag: frame.TagManagement},
-			{Origin: 0, Phases: []traffic.Phase{{Rate: 10}}, StartAt: warmup, Tag: frame.TagEval},
-			{Origin: 2, Phases: []traffic.Phase{{Rate: 10}}, StartAt: warmup, Tag: frame.TagEval},
-		},
-		MeasureFrom: warmup,
 	}
 }
 
@@ -79,7 +57,7 @@ func sinkOutageCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) 
 	at := warmup + 80*sim.Second
 	const dur = 5 * sim.Second
 	duration := at + dur + 60*sim.Second
-	cfg := faultCaseConfig(mk, mode, seed, duration)
+	cfg := streamFor(hiddenNodeConfig(mk, 10, mode, seed), duration)
 	cfg.Faults = faults.Schedule{
 		Outages: []faults.Outage{{Node: 1, At: at, Duration: dur, StopBeacons: true}},
 	}
@@ -107,7 +85,7 @@ func rebootCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) map[
 	warmup := mode.Warmup
 	at := warmup + 80*sim.Second
 	duration := at + 60*sim.Second
-	cfg := faultCaseConfig(mk, mode, seed, duration)
+	cfg := streamFor(hiddenNodeConfig(mk, 10, mode, seed), duration)
 	cfg.Faults = faults.Schedule{Reboots: []faults.Reboot{{Node: 0, At: at}}}
 	trace := newDynTrace(duration)
 	cfg.OnEvalGenerate, cfg.OnEvalDeliver = trace.hooks()
@@ -128,7 +106,7 @@ func ackCorruptionCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint6
 	at := warmup + 80*sim.Second
 	const dur = 5 * sim.Second
 	duration := at + dur + 60*sim.Second
-	cfg := faultCaseConfig(mk, mode, seed, duration)
+	cfg := streamFor(hiddenNodeConfig(mk, 10, mode, seed), duration)
 	cfg.Faults = faults.Schedule{AckCorruption: []faults.Window{{At: at, Duration: dur}}}
 	trace := newDynTrace(duration)
 	cfg.OnEvalGenerate, cfg.OnEvalDeliver = trace.hooks()

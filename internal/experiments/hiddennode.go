@@ -53,6 +53,16 @@ func hiddenNodeConfig(mk mac.Name, delta float64, mode Mode, seed uint64) scenar
 	}
 }
 
+// streamFor turns cfg into a run of duration d whose sources stream for the
+// whole run instead of stopping after their packet budget.
+func streamFor(cfg scenario.Config, d sim.Time) scenario.Config {
+	cfg.Duration = d
+	for i := range cfg.Traffic {
+		cfg.Traffic[i].MaxPackets = 0
+	}
+	return cfg
+}
+
 // RunHiddenNodeSweep regenerates Fig. 7 (PDR), Fig. 8 (average queue level)
 // and Fig. 9 (end-to-end delay) for nodes A and C of the hidden-node
 // scenario across packet generation rates.
@@ -157,12 +167,9 @@ func RunConvergence(mode Mode) []*Table {
 	deltas := []float64{1, 10, 100}
 	results := make([]*scenario.Result, len(deltas))
 	errs := stats.ForEach(len(deltas), mode.Parallel, func(i int) {
-		cfg := hiddenNodeConfig(scenario.QMA, deltas[i], mode, 1)
-		cfg.Duration = duration
+		// Stream for the whole run, as in Fig. 10.
+		cfg := streamFor(hiddenNodeConfig(scenario.QMA, deltas[i], mode, 1), duration)
 		cfg.SamplePeriod = 122880 * sim.Microsecond // one superframe
-		for j := range cfg.Traffic {
-			cfg.Traffic[j].MaxPackets = 0 // stream for the whole run, as in Fig. 10
-		}
 		results[i] = scenario.Run(cfg)
 	})
 	if len(errs) > 0 {
@@ -241,12 +248,7 @@ func RunSlotUtilization(mode Mode) []*Table {
 		if i%2 == 1 {
 			duration += 200 * sim.Second
 		}
-		cfg := hiddenNodeConfig(scenario.QMA, c.delta, mode, 1)
-		cfg.Duration = duration
-		for j := range cfg.Traffic {
-			cfg.Traffic[j].MaxPackets = 0
-		}
-		results[i] = scenario.Run(cfg)
+		results[i] = scenario.Run(streamFor(hiddenNodeConfig(scenario.QMA, c.delta, mode, 1), duration))
 	})
 	if len(errs) > 0 {
 		panic(errs[0]) // both runs of a case feed its table; no partial render

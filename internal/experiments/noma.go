@@ -59,7 +59,7 @@ func RunNoma(mode Mode) []*Table {
 	est, repErrs := runGrid(len(cases)*len(rows), mode.Reps, mode.Parallel,
 		func(arena *scenario.Arena, cell int, seed uint64) map[string]float64 {
 			c, row := cases[cell/len(rows)], rows[cell%len(rows)]
-			cfg := baselineConfig(c, row.mk, mode, seed)
+			cfg := baselineConfig(c, row.mk, 1, mode, seed)
 			cfg.MACOptions = row.opts
 			cfg.CaptureThresholdDB = row.captureDB
 			cfg.Arena = arena

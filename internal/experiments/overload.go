@@ -4,13 +4,9 @@ import (
 	"fmt"
 
 	"qma/internal/barring"
-	"qma/internal/frame"
 	"qma/internal/mac"
 	"qma/internal/scenario"
-	"qma/internal/sim"
 	"qma/internal/stats"
-	"qma/internal/topo"
-	"qma/internal/traffic"
 )
 
 func init() {
@@ -31,23 +27,10 @@ func init() {
 // value; anything below is a congestion collapse.
 const overloadRetention = 0.75
 
-// overloadCase is one topology of the sweep. delta is the per-source rate at
-// 1x load (the same operating points as the baselines family); mults is the
-// offered-load grid in multiples of delta.
-type overloadCase struct {
-	name  string
-	net   *topo.Network
-	delta float64
-	mults []float64
-}
-
-func overloadCases() []overloadCase {
-	return []overloadCase{
-		{"hidden-node", topo.HiddenNode(), 10, []float64{0.2, 1, 2, 3, 4}},
-		{"tree10", topo.Tree10(), 3, []float64{1, 3}},
-		{"factory-hall-40", topo.FactoryHall(topo.FactoryConfig{Nodes: 40, Seed: 42}), 2, []float64{1, 3}},
-	}
-}
+// overloadMults are the offered-load grids of the sweep in multiples of each
+// baselineCases topology's δ, in that order: the baselines family's
+// operating points are the 1x loads.
+var overloadMults = [][]float64{{0.2, 1, 2, 3, 4}, {1, 3}, {1, 3}}
 
 // overloadBarrings are the access-control variants under comparison: no
 // barring (the zero config — byte-identical to a pre-barring build) and the
@@ -63,37 +46,6 @@ func overloadBarrings() []struct {
 		{"off", barring.Config{}},
 		{"aimd", barring.Config{Policy: barring.PolicyAIMD}},
 	}
-}
-
-// overloadConfig builds one run: the baselines family's per-topology setup
-// with the evaluation rate scaled by mult over the same generation window,
-// so higher multipliers offer proportionally more packets into the same
-// measurement interval instead of finishing sooner.
-func overloadConfig(c overloadCase, mk mac.Name, bar barring.Config, mult float64, mode Mode, seed uint64) scenario.Config {
-	gen := sim.FromSeconds(float64(mode.Packets) / c.delta)
-	rate := c.delta * mult
-	perSource := int(float64(mode.Packets)*mult + 0.5)
-	cfg := scenario.Config{
-		Network:     c.net,
-		MAC:         mk,
-		Seed:        seed,
-		Duration:    mode.Warmup + gen + 30*sim.Second,
-		MeasureFrom: mode.Warmup,
-		Barring:     bar,
-	}
-	for i := 0; i < c.net.NumNodes(); i++ {
-		id := frame.NodeID(i)
-		if id == c.net.Sink || c.net.Depth(id) < 0 {
-			continue
-		}
-		cfg.Traffic = append(cfg.Traffic,
-			scenario.TrafficSpec{Origin: id, Phases: []traffic.Phase{{Rate: 0.2}},
-				StartAt: 1 * sim.Second, Tag: frame.TagManagement},
-			scenario.TrafficSpec{Origin: id, Phases: []traffic.Phase{{Rate: rate}},
-				StartAt: mode.Warmup, MaxPackets: perSource, Tag: frame.TagEval},
-		)
-	}
-	return cfg
 }
 
 // jainIndex is Jain's fairness index (Σx)²/(n·Σx²) over the per-origin
@@ -114,8 +66,9 @@ func jainIndex(xs []float64) float64 {
 
 // runOverloadCell executes one (topology, protocol, barring, mult) run and
 // condenses it into the family's metrics.
-func runOverloadCell(arena *scenario.Arena, c overloadCase, mk mac.Name, bar barring.Config, mult float64, mode Mode, seed uint64) map[string]float64 {
-	cfg := overloadConfig(c, mk, bar, mult, mode, seed)
+func runOverloadCell(arena *scenario.Arena, c baselineCase, mk mac.Name, bar barring.Config, mult float64, mode Mode, seed uint64) map[string]float64 {
+	cfg := baselineConfig(c, mk, mult, mode, seed)
+	cfg.Barring = bar
 	cfg.Arena = arena
 	trace := newDynTrace(cfg.Duration)
 	cfg.OnEvalGenerate, cfg.OnEvalDeliver = trace.hooks()
@@ -154,7 +107,7 @@ type overloadCell struct {
 // capture-less protocol, with and without AIMD access-class barring. One
 // table per topology plus a cross-topology stability-verdict table.
 func RunOverload(mode Mode) []*Table {
-	cases := overloadCases()
+	cases := baselineCases()
 	macs := baselineMACs()
 	bars := overloadBarrings()
 
@@ -162,7 +115,7 @@ func RunOverload(mode Mode) []*Table {
 	for ci := range cases {
 		for mi := range macs {
 			for bi := range bars {
-				for li := range cases[ci].mults {
+				for li := range overloadMults[ci] {
 					cells = append(cells, overloadCell{ci, mi, bi, li})
 				}
 			}
@@ -171,8 +124,7 @@ func RunOverload(mode Mode) []*Table {
 	ests, repErrs := runGrid(len(cells), mode.Reps, mode.Parallel,
 		func(arena *scenario.Arena, cell int, seed uint64) map[string]float64 {
 			cl := cells[cell]
-			c := cases[cl.caseIdx]
-			return runOverloadCell(arena, c, macs[cl.macIdx], bars[cl.barIdx].cfg, c.mults[cl.multIdx], mode, seed)
+			return runOverloadCell(arena, cases[cl.caseIdx], macs[cl.macIdx], bars[cl.barIdx].cfg, overloadMults[cl.caseIdx][cl.multIdx], mode, seed)
 		})
 	at := func(cl overloadCell) map[string]stats.Estimate {
 		for i, c := range cells {
@@ -195,7 +147,7 @@ func RunOverload(mode Mode) []*Table {
 			},
 		}
 		for mi, mk := range macs {
-			for li, mult := range c.mults {
+			for li, mult := range overloadMults[ci] {
 				off := at(overloadCell{ci, mi, 0, li})
 				on := at(overloadCell{ci, mi, 1, li})
 				t.AddRow(mk.String(), fmt.Sprintf("%gx", mult),
@@ -230,7 +182,7 @@ func RunOverload(mode Mode) []*Table {
 	}
 	for ci, c := range cases {
 		li1, li3 := -1, -1
-		for li, m := range c.mults {
+		for li, m := range overloadMults[ci] {
 			if m == 1 {
 				li1 = li
 			}

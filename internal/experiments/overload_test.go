@@ -35,10 +35,10 @@ func TestJainIndex(t *testing.T) {
 // interval — stays fixed and the overload is sustained rather than merely
 // front-loaded.
 func TestOverloadConfigScalesLoadNotWindow(t *testing.T) {
-	c := overloadCases()[0]
+	c := baselineCases()[0]
 	mode := Golden()
-	one := overloadConfig(c, "", overloadBarrings()[0].cfg, 1, mode, 1)
-	three := overloadConfig(c, "", overloadBarrings()[0].cfg, 3, mode, 1)
+	one := baselineConfig(c, "", 1, mode, 1)
+	three := baselineConfig(c, "", 3, mode, 1)
 	if one.Duration != three.Duration {
 		t.Errorf("duration changed with the multiplier: %v vs %v", one.Duration, three.Duration)
 	}

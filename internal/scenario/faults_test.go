@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"testing"
-	"time"
 
 	"qma/internal/faults"
 	"qma/internal/mac"
@@ -103,14 +102,6 @@ func TestEventBudgetTruncates(t *testing.T) {
 	full := faultConfig(QMA, 6, faults.Schedule{})
 	if Run(full).Truncated {
 		t.Error("unbudgeted run reports truncation")
-	}
-}
-
-func TestWallBudgetTruncates(t *testing.T) {
-	cfg := faultConfig(QMA, 6, faults.Schedule{})
-	cfg.WallBudget = time.Nanosecond // cannot finish 60 simulated seconds
-	if res := Run(cfg); !res.Truncated {
-		t.Fatal("nanosecond wall budget did not truncate the run")
 	}
 }
 

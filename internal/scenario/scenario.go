@@ -9,7 +9,6 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"qma/internal/barring"
 	"qma/internal/core"
@@ -140,13 +139,6 @@ type Config struct {
 	// power clears the sum of the interferers by this many dB (<= 0: capture
 	// disabled, every overlap collides — the byte-identical default).
 	CaptureThresholdDB float64
-	// Superframe overrides the DSME timing (zero value selects the default).
-	Superframe superframe.Config
-	// QueueCap bounds the transmit queues (0 selects the paper's 8).
-	QueueCap int
-	// MaxRetries is NR: 0 selects the standard's 3, negative disables
-	// retransmissions entirely.
-	MaxRetries int
 	// Seed selects the run's random streams; replications vary it.
 	Seed uint64
 	// Duration is the simulated time.
@@ -185,10 +177,9 @@ type Config struct {
 	// 16 superframes).
 	DropDeadline sim.Time
 	// EventBudget truncates the run after this many kernel events when
-	// positive; WallBudget truncates it after this much real time. Both mark
-	// Result.Truncated. Replicated sweeps use them to bound runaway runs.
+	// positive and marks Result.Truncated. Replicated sweeps use it to bound
+	// runaway runs.
 	EventBudget uint64
-	WallBudget  time.Duration
 	// SummaryOnly skips materializing the per-node NodeResult slice: the run
 	// accumulates only network-wide totals (generated, delivered, delay sum)
 	// into Result.Summary, so result memory is O(1) instead of O(N) — the
@@ -336,12 +327,9 @@ type NodeResult struct {
 	// ID is the dense node id, Label the paper's name for it.
 	ID    frame.NodeID
 	Label string
-	// Generated counts evaluation packets originated here; Delivered counts
-	// evaluation packets from this origin accepted at their sink; DelaySum
-	// accumulates their end-to-end delays.
-	Generated uint64
-	Delivered uint64
-	DelaySum  sim.Time
+	// Summary holds this origin's evaluation totals: packets generated
+	// here, those accepted at their sink and their end-to-end delay sum.
+	Summary
 	// AvgQueueLevel is the time-averaged transmit-queue occupancy since
 	// MeasureFrom (Fig. 8).
 	AvgQueueLevel float64
@@ -367,32 +355,39 @@ type NodeResult struct {
 	QueueSeries *stats.Series
 }
 
-// PDR reports Delivered/Generated for this origin (1 when nothing was
-// generated).
-func (n *NodeResult) PDR() float64 {
-	if n.Generated == 0 {
-		return 1
-	}
-	return float64(n.Delivered) / float64(n.Generated)
-}
-
-// MeanDelay reports the mean end-to-end delay of delivered evaluation
-// packets in seconds.
-func (n *NodeResult) MeanDelay() float64 {
-	if n.Delivered == 0 {
-		return 0
-	}
-	return (sim.Time(float64(n.DelaySum) / float64(n.Delivered))).Seconds()
-}
-
-// Summary holds the network-wide totals of a SummaryOnly run.
+// Summary is a delivery tally of evaluation traffic: one origin's, one
+// cell's, or a whole network's.
 type Summary struct {
-	// Generated counts evaluation packets originated anywhere; Delivered
-	// counts evaluation packets accepted at their sink; DelaySum accumulates
-	// the delivered packets' end-to-end delays.
+	// Generated counts evaluation packets originated; Delivered counts
+	// those accepted at their sink; DelaySum accumulates the delivered
+	// packets' end-to-end delays.
 	Generated uint64
 	Delivered uint64
 	DelaySum  sim.Time
+}
+
+// add folds o into s.
+func (s *Summary) add(o *Summary) {
+	s.Generated += o.Generated
+	s.Delivered += o.Delivered
+	s.DelaySum += o.DelaySum
+}
+
+// PDR reports Delivered/Generated (1 when nothing was generated).
+func (s Summary) PDR() float64 {
+	if s.Generated == 0 {
+		return 1
+	}
+	return float64(s.Delivered) / float64(s.Generated)
+}
+
+// MeanDelay reports the mean end-to-end delay of the delivered packets in
+// seconds (0 when none was delivered).
+func (s Summary) MeanDelay() float64 {
+	if s.Delivered == 0 {
+		return 0
+	}
+	return (sim.Time(float64(s.DelaySum) / float64(s.Delivered))).Seconds()
 }
 
 // Result is the outcome of one run.
@@ -410,44 +405,33 @@ type Result struct {
 	// Events is the number of kernel events the run processed — the
 	// denominator for events/second throughput reporting.
 	Events uint64
-	// Truncated reports that the run was cut short by Config.EventBudget or
-	// Config.WallBudget before reaching Duration.
+	// Truncated reports that the run was cut short by Config.EventBudget
+	// before reaching Duration.
 	Truncated bool
+}
+
+// total folds the run's evaluation tallies into one network-wide Summary.
+func (r *Result) total() Summary {
+	var t Summary
+	if r.Summary != nil {
+		t = *r.Summary
+	}
+	for i := range r.Nodes {
+		t.add(&r.Nodes[i].Summary)
+	}
+	return t
 }
 
 // NetworkPDR reports total delivered / total generated evaluation packets
 // across all origins (the headline Fig. 7 metric).
 func (r *Result) NetworkPDR() float64 {
-	var gen, del uint64
-	if r.Summary != nil {
-		gen, del = r.Summary.Generated, r.Summary.Delivered
-	}
-	for i := range r.Nodes {
-		gen += r.Nodes[i].Generated
-		del += r.Nodes[i].Delivered
-	}
-	if gen == 0 {
-		return 1
-	}
-	return float64(del) / float64(gen)
+	return r.total().PDR()
 }
 
 // MeanDelay reports the mean end-to-end delay over all delivered evaluation
 // packets, in seconds (Fig. 9).
 func (r *Result) MeanDelay() float64 {
-	var sum sim.Time
-	var n uint64
-	if r.Summary != nil {
-		sum, n = r.Summary.DelaySum, r.Summary.Delivered
-	}
-	for i := range r.Nodes {
-		sum += r.Nodes[i].DelaySum
-		n += r.Nodes[i].Delivered
-	}
-	if n == 0 {
-		return 0
-	}
-	return (sim.Time(float64(sum) / float64(n))).Seconds()
+	return r.total().MeanDelay()
 }
 
 // MeanQueueLevel reports the mean of the per-origin average queue levels for
@@ -605,20 +589,12 @@ func armFaults(kernel *sim.Kernel, clock *superframe.Clock, engines []mac.Engine
 }
 
 func (r *run) macConfig(id frame.NodeID) mac.Config {
-	retries := r.cfg.MaxRetries
-	switch {
-	case retries == 0:
-		retries = -1 // mac default (3)
-	case retries < 0:
-		retries = 0 // disabled
-	}
 	return mac.Config{
 		ID:           id,
 		Kernel:       r.Kernel,
 		Medium:       r.Medium,
 		Clock:        r.Clock,
-		QueueCap:     r.cfg.QueueCap,
-		MaxRetries:   retries,
+		MaxRetries:   mac.DefaultMaxRetries,
 		Router:       r.cfg.Network,
 		FramePool:    r.Pool,
 		Scratch:      r.Scratch,

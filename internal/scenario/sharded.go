@@ -98,10 +98,8 @@ type CellResult struct {
 	Cell   int
 	Nodes  int
 	Routed int
-	// Generated/Delivered/DelaySum are the cell's evaluation traffic totals.
-	Generated uint64
-	Delivered uint64
-	DelaySum  sim.Time
+	// Summary is the cell's evaluation traffic tally.
+	Summary
 	// Delay is the mergeable end-to-end delay digest (seconds).
 	Delay stats.Digest
 	// Windows are the per-window PDR/delay accumulators.
@@ -116,14 +114,6 @@ type CellResult struct {
 	// an exhausted per-cell event budget.
 	Events    uint64
 	Truncated bool
-}
-
-// PDR reports the cell's delivered/generated ratio (1 when idle).
-func (c *CellResult) PDR() float64 {
-	if c.Generated == 0 {
-		return 1
-	}
-	return float64(c.Delivered) / float64(c.Generated)
 }
 
 // ShardedResult is the outcome of one sharded run.
@@ -144,32 +134,24 @@ type ShardedResult struct {
 	Truncated bool
 }
 
+// total folds the cells' tallies into one network-wide Summary.
+func (r *ShardedResult) total() Summary {
+	var t Summary
+	for i := range r.Cells {
+		t.add(&r.Cells[i].Summary)
+	}
+	return t
+}
+
 // NetworkPDR reports total delivered / total generated across all cells.
 func (r *ShardedResult) NetworkPDR() float64 {
-	var gen, del uint64
-	for i := range r.Cells {
-		gen += r.Cells[i].Generated
-		del += r.Cells[i].Delivered
-	}
-	if gen == 0 {
-		return 1
-	}
-	return float64(del) / float64(gen)
+	return r.total().PDR()
 }
 
 // MeanDelay reports the mean end-to-end delay over all delivered evaluation
 // packets, in seconds.
 func (r *ShardedResult) MeanDelay() float64 {
-	var sum sim.Time
-	var n uint64
-	for i := range r.Cells {
-		sum += r.Cells[i].DelaySum
-		n += r.Cells[i].Delivered
-	}
-	if n == 0 {
-		return 0
-	}
-	return (sim.Time(float64(sum) / float64(n))).Seconds()
+	return r.total().MeanDelay()
 }
 
 // DelayDigest merges the per-cell delay digests into the network-wide
@@ -377,8 +359,7 @@ func collectSharded(s *shardedRun) *ShardedResult {
 		cr.Cell = c
 		cr.Nodes = s.cfg.City.Cells[c].NumNodes()
 		cr.Routed = sc.routed
-		sum := sc.run.result.Summary
-		cr.Generated, cr.Delivered, cr.DelaySum = sum.Generated, sum.Delivered, sum.DelaySum
+		cr.Summary = *sc.run.result.Summary
 		cr.Delay = sc.delay
 		cr.Windows = sc.windows.Windows()
 		for i := 0; i < cr.Nodes; i++ {

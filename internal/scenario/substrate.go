@@ -27,9 +27,9 @@ type Substrate struct {
 	barring barring.Config
 }
 
-// NewSubstrate assembles a run's substrate from cfg's Network, Superframe,
-// Seed, CaptureThresholdDB, Dynamics, EventBudget, WallBudget,
-// InvariantChecks, Arena and Barring. cfg must be valid.
+// NewSubstrate assembles a run's substrate from cfg's Network, Seed,
+// CaptureThresholdDB, Dynamics, EventBudget, InvariantChecks, Arena and
+// Barring on the default superframe layout. cfg must be valid.
 //
 // Stream layout: 0..n-1 engines, 1000 medium, 2000+i traffic, 3000+i
 // broadcasts, 4000+i access-barring gates (only drawn from when barring is
@@ -38,7 +38,7 @@ type Substrate struct {
 // consumer's stream stable when instrumentation is added or removed.
 func NewSubstrate(cfg *Config) *Substrate {
 	s := &Substrate{
-		Clock:   superframe.NewClock(cmp.Or(cfg.Superframe, superframe.DefaultConfig())),
+		Clock:   superframe.NewClock(superframe.DefaultConfig()),
 		seed:    cfg.Seed,
 		sink:    cfg.Network.Sink,
 		barring: cfg.Barring,
@@ -58,8 +58,8 @@ func NewSubstrate(cfg *Config) *Substrate {
 	if cfg.CaptureThresholdDB > 0 {
 		s.Medium.SetCaptureThreshold(cfg.CaptureThresholdDB)
 	}
-	if cfg.EventBudget > 0 || cfg.WallBudget > 0 {
-		s.Kernel.SetBudget(cfg.EventBudget, cfg.WallBudget)
+	if cfg.EventBudget > 0 {
+		s.Kernel.SetBudget(cfg.EventBudget)
 	}
 	if cfg.Dynamics.Enabled() {
 		armDynamics(s.Kernel, s.Medium, cfg.Dynamics, cfg.Seed)

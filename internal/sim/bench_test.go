@@ -55,11 +55,11 @@ func BenchmarkKernelSpread(b *testing.B) {
 	for i := 0; i < spreadPending; i++ {
 		k.AtCall(s.dist[(i*7)&4095], spreadFire, s)
 	}
-	k.SetBudget(20*spreadPending, 0) // warm the arena and every wheel level
+	k.SetBudget(20 * spreadPending) // warm the arena and every wheel level
 	k.RunAll()
 	b.ReportAllocs()
 	b.ResetTimer()
-	k.SetBudget(k.Processed()+uint64(b.N), 0)
+	k.SetBudget(k.Processed() + uint64(b.N))
 	k.RunAll()
 	b.StopTimer()
 	if k.Live() != spreadPending {

@@ -78,7 +78,7 @@ func (q realQueue) now() Time               { return q.k.Now() }
 func (q realQueue) run()                    { q.k.RunAll() }
 func (q realQueue) runUntil(until Time)     { q.k.Run(until) }
 func (q realQueue) stop()                   { q.k.Stop() }
-func (q realQueue) setBudget(events uint64) { q.k.SetBudget(events, 0) }
+func (q realQueue) setBudget(events uint64) { q.k.SetBudget(events) }
 
 // naiveEvent and naiveQueue are the reference implementation: an append-only
 // slice scanned linearly for the minimum of (at, early-first, seq).

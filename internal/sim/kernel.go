@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"time"
 	"unsafe"
 )
 
@@ -207,10 +206,9 @@ type Kernel struct {
 	// excluded); exposed for benchmarks and sanity checks.
 	processed uint64
 
-	// budgetEvents/budgetWall bound each Run call when positive (SetBudget);
-	// budgetHit latches that a Run stopped early on an exhausted budget.
+	// budgetEvents bounds the lifetime processed count when positive
+	// (SetBudget); budgetHit latches that a Run stopped early on it.
 	budgetEvents uint64
-	budgetWall   time.Duration
 	budgetHit    bool
 
 	// invariantChecks enables the opt-in runtime self-checks (time order on
@@ -262,19 +260,13 @@ func (k *Kernel) Processed() uint64 { return k.processed }
 func (k *Kernel) Live() int { return k.queued - k.canceledQueued }
 
 // SetBudget bounds the kernel's remaining work: once the lifetime processed
-// count reaches maxEvents (0 = unlimited), or a single Run call spends
-// maxWall of real time (0 = unlimited, checked every 4096 events), the run
-// stops early and BudgetExhausted reports true. The event budget is
-// cumulative across Run calls, so a driver stepping the kernel in epochs
-// (the sharded scheduler) truncates at the same event as one continuous
-// Run. This is the opt-in guard for replicated sweeps — a runaway
-// replication is truncated and marked instead of hanging the whole sweep.
-// An event budget keeps truncation deterministic; a wall-clock budget does
-// not.
-func (k *Kernel) SetBudget(maxEvents uint64, maxWall time.Duration) {
-	k.budgetEvents = maxEvents
-	k.budgetWall = maxWall
-}
+// count reaches maxEvents (0 = unlimited), the run stops early and
+// BudgetExhausted reports true. The budget is cumulative across Run calls,
+// so a driver stepping the kernel in epochs (the sharded scheduler)
+// truncates at the same event as one continuous Run. This is the opt-in
+// guard for replicated sweeps — a runaway replication is truncated and
+// marked, deterministically, instead of hanging the whole sweep.
+func (k *Kernel) SetBudget(maxEvents uint64) { k.budgetEvents = maxEvents }
 
 // BudgetExhausted reports whether any Run so far stopped early because a
 // SetBudget limit expired.
@@ -650,11 +642,6 @@ func (k *Kernel) Stop() { k.stopped = true }
 // past a live queued event.
 func (k *Kernel) Run(until Time) {
 	k.stopped = false
-	fired := uint64(0)
-	var wallStart time.Time
-	if k.budgetWall > 0 {
-		wallStart = time.Now()
-	}
 	cut := false
 	// burst counts the events dispatched so far at instant burstAt.
 	burstAt, burst := Time(-1), 0
@@ -662,8 +649,7 @@ func (k *Kernel) Run(until Time) {
 		if k.queued == 0 {
 			break
 		}
-		if k.budgetEvents > 0 && k.processed >= k.budgetEvents ||
-			k.budgetWall > 0 && fired&4095 == 4095 && time.Since(wallStart) > k.budgetWall {
+		if k.budgetEvents > 0 && k.processed >= k.budgetEvents {
 			k.budgetHit = true
 			cut = true
 			break
@@ -707,7 +693,6 @@ func (k *Kernel) Run(until Time) {
 		if k.invariantChecks && (s.at < k.now || s.at != t) {
 			panic(fmt.Sprintf("sim: event order violated: popped at=%v from the bucket of %v (%s)", s.at, t, k.ctx()))
 		}
-		fired++
 		// Copy out before releasing: the slot is recycled before the
 		// callback runs, so the callback may reuse it (and may grow the
 		// arena, invalidating s).

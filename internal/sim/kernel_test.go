@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestKernelRunsInTimestampOrder(t *testing.T) {
@@ -372,7 +371,7 @@ func TestKernelEventBudget(t *testing.T) {
 		}
 	}
 	k.Schedule(1, tick)
-	k.SetBudget(10, 0)
+	k.SetBudget(10)
 	k.RunAll()
 	if fired != 10 {
 		t.Fatalf("fired %d events under a 10-event budget", fired)
@@ -389,31 +388,10 @@ func TestKernelEventBudget(t *testing.T) {
 		t.Fatalf("second Run against an exhausted budget fired up to %d, want 10", fired)
 	}
 	// Raising the budget resumes the chain from where it stopped.
-	k.SetBudget(25, 0)
+	k.SetBudget(25)
 	k.RunAll()
 	if fired != 25 {
 		t.Fatalf("after raising the budget, fired up to %d, want 25", fired)
-	}
-}
-
-func TestKernelWallBudget(t *testing.T) {
-	k := NewKernel()
-	fired := 0
-	var tick func()
-	tick = func() {
-		fired++
-		if fired < 100000 {
-			k.Schedule(1, tick)
-		}
-	}
-	k.Schedule(1, tick)
-	k.SetBudget(0, time.Nanosecond)
-	k.RunAll()
-	if fired >= 100000 {
-		t.Fatal("nanosecond wall budget did not truncate")
-	}
-	if !k.BudgetExhausted() {
-		t.Fatal("BudgetExhausted() false after wall truncation")
 	}
 }
 
@@ -549,13 +527,13 @@ func TestKernelStopOrBudgetKeepsClockBeforeQueuedEvents(t *testing.T) {
 				})
 			}
 			if cut == "budget" {
-				k.SetBudget(2, 0)
+				k.SetBudget(2)
 			}
 			k.Run(100)
 			if len(fired) != 2 || k.Now() != 20 {
 				t.Fatalf("cut Run(100): fired %v, now %v; want 2 events and now=20", fired, k.Now())
 			}
-			k.SetBudget(0, 0)
+			k.SetBudget(0)
 			k.Run(100)
 			if len(fired) != 5 || k.Now() != 100 {
 				t.Fatalf("resumed Run(100): fired %v, now %v; want 5 events and now=100", fired, k.Now())

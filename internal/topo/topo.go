@@ -131,12 +131,13 @@ func Tree10() *Network {
 
 // StarConfig parameterizes Star17.
 type StarConfig struct {
-	// Radius is the leaf distance from the hub in meters.
-	Radius float64
 	// PathLoss configures the channel; the zero value selects the paper's
 	// star settings (3 dBm TX power, −90 dBm sensitivity, §6.2).
 	PathLoss radio.PathLossConfig
 }
+
+// starRadius is the Star17 leaf distance from the hub in meters.
+const starRadius = 3
 
 // Star17 is the Fig. 17 testbed star: 16 leaves around the paper's node 34.
 // It is built on the log-distance path-loss channel (our FIT IoT-LAB
@@ -144,9 +145,6 @@ type StarConfig struct {
 // every other, so CSMA/CA's CCA works and the PDR gap to QMA narrows
 // (§6.2.1).
 func Star17(cfg StarConfig) *Network {
-	if cfg.Radius <= 0 {
-		cfg.Radius = 3
-	}
 	if cfg.PathLoss == (radio.PathLossConfig{}) {
 		cfg.PathLoss = radio.DefaultPathLossConfig()
 		cfg.PathLoss.TxPowerDBm = 3
@@ -161,7 +159,7 @@ func Star17(cfg StarConfig) *Network {
 	pos[0] = radio.Position{X: 0, Y: 0}
 	for i := 1; i < n; i++ {
 		angle := 2 * math.Pi * float64(i-1) / float64(n-1)
-		pos[i] = radio.Position{X: cfg.Radius * math.Cos(angle), Y: cfg.Radius * math.Sin(angle)}
+		pos[i] = radio.Position{X: starRadius * math.Cos(angle), Y: starRadius * math.Sin(angle)}
 	}
 	parent := make([]frame.NodeID, n)
 	parent[0] = -1
@@ -262,8 +260,6 @@ type FactoryConfig struct {
 	// hall is sized so that a uniform deployment hits it on average
 	// (default 10). Denser halls contend harder, sparser halls route longer.
 	Degree float64
-	// Side overrides the hall edge length in meters (0 = derive from Degree).
-	Side float64
 	// PathLoss configures the channel (zero value = DefaultPathLossConfig).
 	PathLoss radio.PathLossConfig
 	// Seed draws the node placement; same seed, same hall.
@@ -289,14 +285,11 @@ func FactoryHall(cfg FactoryConfig) *Network {
 	if cfg.PathLoss == (radio.PathLossConfig{}) {
 		cfg.PathLoss = radio.DefaultPathLossConfig()
 	}
-	side := cfg.Side
-	if side <= 0 {
-		// Decode range R from the link budget; area = N·πR²/Degree gives an
-		// expected decode degree of ~Degree away from the hall edges.
-		budget := cfg.PathLoss.TxPowerDBm - cfg.PathLoss.ReferenceLossDB - cfg.PathLoss.SensitivityDBm
-		r := math.Pow(10, budget/(10*cfg.PathLoss.PathLossExponent))
-		side = r * math.Sqrt(math.Pi*float64(cfg.Nodes)/cfg.Degree)
-	}
+	// Decode range R from the link budget; area = N·πR²/Degree gives an
+	// expected decode degree of ~Degree away from the hall edges.
+	budget := cfg.PathLoss.TxPowerDBm - cfg.PathLoss.ReferenceLossDB - cfg.PathLoss.SensitivityDBm
+	r := math.Pow(10, budget/(10*cfg.PathLoss.PathLossExponent))
+	side := r * math.Sqrt(math.Pi*float64(cfg.Nodes)/cfg.Degree)
 	rng := sim.NewRandStream(cfg.Seed, 7001)
 	pos := make([]radio.Position, cfg.Nodes)
 	pos[0] = radio.Position{X: side / 2, Y: side / 2} // sink in the center

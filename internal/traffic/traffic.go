@@ -179,7 +179,8 @@ func (s *Source) emit() {
 type BroadcastSource struct {
 	// Kernel drives generation; required.
 	Kernel *sim.Kernel
-	// Rng jitters the period; required.
+	// Rng jitters the period uniformly by ±Period/4, desynchronizing nodes;
+	// required.
 	Rng *sim.Rand
 	// Target receives generated frames.
 	Target Enqueuer
@@ -187,9 +188,6 @@ type BroadcastSource struct {
 	Origin frame.NodeID
 	// Period is the mean broadcast interval; required > 0.
 	Period sim.Time
-	// Jitter is the uniform ± window around the period (defaults to
-	// Period/4 when zero, to desynchronize nodes).
-	Jitter sim.Time
 	// MPDUBytes overrides the 30-byte default when positive.
 	MPDUBytes int
 	// StartAt delays the first broadcast.
@@ -214,9 +212,6 @@ func (b *BroadcastSource) Start() {
 	if b.Period <= 0 {
 		panic(fmt.Sprintf("traffic: broadcast period %v must be positive", b.Period))
 	}
-	if b.Jitter == 0 {
-		b.Jitter = b.Period / 4
-	}
 	first := b.StartAt + sim.Time(b.Rng.Float64()*float64(b.Period))
 	b.Kernel.AtCall(first, broadcastTick, b)
 }
@@ -227,8 +222,8 @@ func broadcastTick(a any) { a.(*BroadcastSource).tick() }
 func (b *BroadcastSource) tick() {
 	b.emit()
 	gap := b.Period
-	if b.Jitter > 0 {
-		gap += sim.Time(b.Rng.Float64()*float64(2*b.Jitter)) - b.Jitter
+	if jitter := b.Period / 4; jitter > 0 {
+		gap += sim.Time(b.Rng.Float64()*float64(2*jitter)) - jitter
 	}
 	if gap < sim.Millisecond {
 		gap = sim.Millisecond

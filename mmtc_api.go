@@ -159,10 +159,6 @@ func (s *MMTCScenario) Run() (*MMTCResult, error) {
 	}
 	for i := range res.Cells {
 		c := &res.Cells[i]
-		mean := 0.0
-		if c.Delivered > 0 {
-			mean = (sim.Time(float64(c.DelaySum) / float64(c.Delivered))).Seconds()
-		}
 		out.Cells = append(out.Cells, MMTCCellResult{
 			Cell:             c.Cell,
 			Nodes:            c.Nodes,
@@ -170,7 +166,7 @@ func (s *MMTCScenario) Run() (*MMTCResult, error) {
 			Generated:        c.Generated,
 			Delivered:        c.Delivered,
 			PDR:              c.PDR(),
-			MeanDelaySeconds: mean,
+			MeanDelaySeconds: c.MeanDelay(),
 			EdgeTx:           c.EdgeTx,
 			ForeignBusy:      c.ForeignBusy,
 			Events:           c.Events,
