@@ -18,7 +18,7 @@ import (
 // frames, records and events; what remains is high-water growth that
 // saturates: a node's first use of a GTS grid coordinate (its slot record),
 // map and free-list growth, and the frame pool reaching its peak. That is
-// about 65 objects per simulated second with QMA and 55 with slotted
+// about 64 objects per simulated second with QMA and 45 with slotted
 // CSMA/CA, against some 35 000 kernel events; a per-transmission or
 // per-handshake allocation would add thousands.
 const maxMallocsPerSimSecond = 150

@@ -38,8 +38,8 @@ func TestHandshakesFromDistantIDsDoNotCollide(t *testing.T) {
 	metrics := &Metrics{}
 	newNode := func(id, parent frame.NodeID) (*Node, *capRecorder) {
 		n := NewNode(NodeConfig{
-			ID: id, Kernel: k, Medium: medium, Clock: clock,
-			Parent: parent, Sink: 0, Rng: sim.NewRandStream(1, uint64(id)), Metrics: metrics,
+			Config: mac.Config{ID: id, Kernel: k, Medium: medium, Clock: clock},
+			Parent: parent, Rng: sim.NewRandStream(1, uint64(id)), Metrics: metrics,
 		})
 		c := &capRecorder{}
 		n.AttachCAP(c)
@@ -80,5 +80,47 @@ func TestHandshakesFromDistantIDsDoNotCollide(t *testing.T) {
 		if st, p := parent.Slots().State(c.g), parent.Slots().Peer(c.g); st != SlotRX || p != c.peer {
 			t.Errorf("parent: %v is %v with peer %d, want rx with peer %d", c.g, st, p, c.peer)
 		}
+	}
+}
+
+// TestGTSLinkRetriesAndReturnsDeadSlot drives the GTS link's failure path:
+// node 1 owns one TX slot towards parent 0, but the topology has no links,
+// so no ACK ever arrives. Each of its two queued primary frames takes
+// NR + 1 = 4 attempts and is dropped; the eighth failure in a row makes the
+// dead-slot watchdog return the slot with a deallocation handshake.
+func TestGTSLinkRetriesAndReturnsDeadSlot(t *testing.T) {
+	k := sim.NewKernel()
+	cfg := superframe.DefaultConfig()
+	clock := superframe.NewClock(cfg)
+	medium := radio.NewMedium(k, radio.NewGraphTopology(2), sim.NewRand(1))
+	n := NewNode(NodeConfig{
+		Config: mac.Config{ID: 1, Kernel: k, Medium: medium, Clock: clock},
+		Parent: 0, Rng: sim.NewRand(2), Metrics: &Metrics{},
+	})
+	medium.Attach(1, n)
+	rec := &capRecorder{}
+	n.AttachCAP(rec) // not started: the slot controller stays idle
+
+	g := superframe.GTSFromIndex(cfg, 5)
+	n.Slots().Set(g, SlotTX, 0)
+	n.armSlot(g)
+	for seq := uint32(1); seq <= 2; seq++ {
+		f := &frame.Frame{Kind: frame.Data, Origin: 1, Sink: 0, Seq: seq, MPDUBytes: 80}
+		if !n.Enqueue(f) {
+			t.Fatalf("frame %d rejected", seq)
+		}
+	}
+	first := clock.NextGTSStart(0, g)
+	k.Run(first + 7*cfg.MultiframeDuration() + clock.GTSDuration())
+
+	if st := n.Base().Stats(); st.TxAttempts != 8 || st.TxFail != 8 || st.RetryDrops != 2 {
+		t.Errorf("link stats: %d attempts, %d failures, %d retry drops; want 8, 8, 2",
+			st.TxAttempts, st.TxFail, st.RetryDrops)
+	}
+	if got := n.Stats().DeallocStarted; got != 1 {
+		t.Errorf("watchdog started %d deallocations, want 1", got)
+	}
+	if len(rec.sent) != 1 || rec.sent[0].Kind != frame.GTSRequest || !rec.sent[0].Cmd.Deallocate || rec.sent[0].Cmd.GTS != g {
+		t.Fatalf("CAP got %+v, want one deallocation request for %v", rec.sent, g)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"qma/internal/frame"
 	"qma/internal/mac"
-	"qma/internal/radio"
 	"qma/internal/sim"
 	"qma/internal/superframe"
 )
@@ -17,36 +16,32 @@ const capChannel = 0
 // gtsChannel maps a slot coordinate to its radio channel.
 func gtsChannel(g superframe.GTS) uint8 { return uint8(g.Channel) + 1 }
 
+// gtsTxGuard delays a GTS transmission past the slot boundary by the
+// radio's 12-symbol RX/TX turnaround, so that the receiver's tuning event
+// at the same boundary has settled.
+const gtsTxGuard = 12 * frame.SymbolDuration
+
 // NodeConfig assembles a DSME node.
 type NodeConfig struct {
-	// ID is the node's address.
-	ID frame.NodeID
-	// Kernel, Medium and Clock are the scenario-shared substrates.
-	Kernel *sim.Kernel
-	Medium *radio.Medium
-	Clock  *superframe.Clock
+	// Config configures the node's GTS link, the mac.Base that carries its
+	// primary data; its ID, Kernel, Medium, Clock and FramePool serve the
+	// whole node. Router must lead towards the sink for multi-hop
+	// forwarding. NewNode sets MaxRetries to NR = 3 and installs
+	// OnSinkDeliver. The FramePool must stay symmetric, so the traffic
+	// source feeding the node must draw from the same pool; it may be
+	// shared with the CAP engines of the same kernel.
+	mac.Config
 	// Parent is the next hop towards the sink (-1 for the sink itself).
 	Parent frame.NodeID
-	// Sink is the data-collection root.
-	Sink frame.NodeID
 	// Rng drives slot picks; required, private to this node.
 	Rng *sim.Rand
 	// Metrics aggregates network-wide counters; required.
 	Metrics *Metrics
-	// FramePool, when non-nil, recycles the node's frames: its immediate GTS
-	// ACKs, its handshake commands, the GTS data frames it forwards and the
-	// primary frames it finishes. The pool must stay symmetric, so the
-	// traffic source feeding the node's primary queue must draw from the
-	// same pool. It may be shared with the CAP engines of the same kernel.
-	FramePool *frame.Pool
 }
 
-// NodeStats are per-node DSME counters.
+// NodeStats are per-node DSME counters. The GTS link's own counters are
+// its mac.Stats (Node.Base).
 type NodeStats struct {
-	// PrimaryEnqueued and PrimaryQueueDrops account the GTS data queue.
-	PrimaryEnqueued, PrimaryQueueDrops uint64
-	// GTSTxAttempts/GTSTxSuccess/GTSRetryDrops account GTS data delivery.
-	GTSTxAttempts, GTSTxSuccess, GTSRetryDrops uint64
 	// GTSIdle counts owned TX slots that passed without a queued packet.
 	GTSIdle uint64
 	// AllocStarted/AllocCompleted/AllocFailed and the Dealloc versions count
@@ -90,87 +85,84 @@ type hsKey struct {
 	id        uint32
 }
 
-// gtsSlot is the record of one GTS this node has owned. It carries the
-// slot's scheduled start and, for a TX slot, the data transmission awaiting
-// its acknowledgement, so the slot start, slot end, GTS transmit and ACK
-// timeout events all schedule through AtCall with the record as argument.
-// Records are created when a slot is first armed and reused whenever the
-// node owns the slot again.
+// gtsSlot is the record of one GTS this node has owned, so the slot start,
+// slot end and GTS transmit events all schedule through AtCall with the
+// record as argument. Records are created when a slot is first armed and
+// reused whenever the node owns the slot again; their grid index is the
+// context word of the slot's data transmissions.
 type gtsSlot struct {
 	n     *Node
 	g     superframe.GTS
+	idx   int
 	ch    uint8
 	start sim.EventID
-
-	// The data frame sent in this slot's latest occurrence, the peer and
-	// sequence number its ACK must carry, and the ACK deadline.
-	ackFrame *frame.Frame
-	ackPeer  frame.NodeID
-	ackSeq   uint32
-	ackTimer sim.EventID
+	// fails counts consecutive failed data transmissions in this TX slot;
+	// deadSlotThreshold failures in a row mean the receiver is gone (e.g.
+	// it rolled the slot back after a duplicate detection) and the slot is
+	// returned.
+	fails int
 }
 
 // Node is one DSME device: it owns the primary (GTS) data path and drives
 // GTS (de)allocation handshakes as secondary traffic through its CAP MAC.
 // It implements radio.Handler, demultiplexing GTS-channel frames from CAP
 // frames before the CAP engine sees them.
+//
+// The GTS data path is a mac.Engine over an embedded mac.Base, the same
+// link layer the CAP engines run on: immediate ACKs, duplicate rejection,
+// forwarding, the ACK timeout and the NR retry policy are the Base's. The
+// node contributes only the access timing (one frame per owned TX slot)
+// and the dead-slot watchdog its TxDone feeds.
 type Node struct {
-	cfg NodeConfig
-	cap mac.Engine
+	link mac.Base
+	cap  mac.Engine
+
+	parent  frame.NodeID
+	rng     *sim.Rand
+	metrics *Metrics
 
 	slots *SlotMap
 	// slotRecs holds the record of every slot the node has armed, by grid
 	// index.
 	slotRecs map[int]*gtsSlot
 
-	primary *frame.Queue
-	seq     uint32
-	hsSeq   uint32
+	seq   uint32
+	hsSeq uint32
 
 	// hs is the running handshake (&hsRec), nil when none runs.
 	hs       *handshake
 	hsRec    handshake
 	pending  map[hsKey]*responderPending
 	pendFree []*responderPending
-	// ackWait is the slot whose data transmission awaits its ACK.
-	ackWait  *gtsSlot
-	lastSeq  map[frame.NodeID]uint32
-	arrivals int
+	// arrivals is the link's Enqueued+QueueDrops at the last control tick:
+	// the controller's demand follows the primary frames offered to the
+	// link, fresh and forwarded, dropped ones included.
+	arrivals uint64
 	demand   float64
-	// slotFails counts consecutive failed data transmissions per owned TX
-	// slot; deadSlotThreshold failures in a row mean the receiver is gone
-	// (e.g. it rolled the slot back after a duplicate detection) and the
-	// slot is returned.
-	slotFails map[int]int
-
-	// ackStartFn/ackDoneFn are long-lived callbacks for the GTS immediate-ACK
-	// path, scheduled via Kernel.AtCall so acknowledging costs no closure
-	// allocations (mirrors mac.Base's CAP ACK path).
-	ackStartFn func(any)
-	ackDoneFn  func(any)
 
 	stats NodeStats
 }
 
-var _ radio.Handler = (*Node)(nil)
+var _ mac.Engine = (*Node)(nil)
 
 // NewNode builds the node. The CAP engine is attached afterwards with
 // AttachCAP because its mac.Config needs the node's command hook.
 func NewNode(cfg NodeConfig) *Node {
-	if cfg.Kernel == nil || cfg.Medium == nil || cfg.Clock == nil || cfg.Rng == nil || cfg.Metrics == nil {
-		panic("dsme: Kernel, Medium, Clock, Rng and Metrics are required")
+	if cfg.Rng == nil || cfg.Metrics == nil {
+		panic("dsme: Rng and Metrics are required")
 	}
 	n := &Node{
-		cfg:       cfg,
-		slots:     NewSlotMap(cfg.Clock.Config()),
-		slotRecs:  make(map[int]*gtsSlot),
-		primary:   frame.NewQueue(frame.DefaultQueueCap),
-		pending:   make(map[hsKey]*responderPending),
-		slotFails: make(map[int]int),
-		lastSeq:   make(map[frame.NodeID]uint32),
+		parent:   cfg.Parent,
+		rng:      cfg.Rng,
+		metrics:  cfg.Metrics,
+		slotRecs: make(map[int]*gtsSlot),
+		pending:  make(map[hsKey]*responderPending),
 	}
-	n.ackStartFn = func(a any) { n.transmitGTSAck(a.(*frame.Frame)) }
-	n.ackDoneFn = func(a any) { n.cfg.FramePool.Put(a.(*frame.Frame)) }
+	link := cfg.Config
+	link.MaxRetries = mac.DefaultMaxRetries
+	link.OnSinkDeliver = n.primaryDelivered
+	n.link.Init(link, n)
+	n.slots = NewSlotMap(link.Clock.Config())
 	return n
 }
 
@@ -185,6 +177,13 @@ func (n *Node) AttachCAP(e mac.Engine) { n.cap = e }
 // CAP returns the attached CAP engine.
 func (n *Node) CAP() mac.Engine { return n.cap }
 
+// Base implements mac.Engine: the GTS link.
+func (n *Node) Base() *mac.Base { return &n.link }
+
+// Reboot implements mac.Engine by power-cycling the GTS link. DSME runs
+// inject no faults, so the slot map and handshakes are left alone.
+func (n *Node) Reboot() { n.link.Reboot() }
+
 // Slots exposes the slot map for tests and reporting.
 func (n *Node) Slots() *SlotMap { return n.slots }
 
@@ -194,47 +193,41 @@ func (n *Node) Stats() NodeStats { return n.stats }
 // Start arms the CAP engine and the slot controller.
 func (n *Node) Start() {
 	if n.cap == nil {
-		panic(fmt.Sprintf("dsme: node %d has no CAP engine attached", n.cfg.ID))
+		panic(fmt.Sprintf("dsme: node %d has no CAP engine attached", n.link.ID()))
 	}
 	n.cap.Start()
-	if n.cfg.Parent >= 0 {
+	if n.parent >= 0 {
 		// Desynchronize controllers across nodes.
-		period := n.cfg.Clock.Config().MultiframeDuration()
-		first := period + sim.Time(n.cfg.Rng.Intn(int(period)))
-		n.cfg.Kernel.AtCall(first, nodeControlTick, n)
+		period := n.link.Clock().Config().MultiframeDuration()
+		first := period + sim.Time(n.rng.Intn(int(period)))
+		n.link.Kernel().AtCall(first, nodeControlTick, n)
 	}
 }
 
-// Enqueue implements traffic.Enqueuer for primary data: frames queue for GTS
-// transmission towards the parent.
+// Enqueue implements traffic.Enqueuer for primary data: frames queue on the
+// GTS link for transmission towards the parent.
 func (n *Node) Enqueue(f *frame.Frame) bool {
-	if n.cfg.Parent < 0 {
+	if n.parent < 0 {
 		return false
 	}
-	f.Src = n.cfg.ID
-	f.Dst = n.cfg.Parent
-	n.arrivals++
-	n.cfg.Metrics.notePrimaryGenerated(f)
-	if !n.primary.Push(f) {
-		n.stats.PrimaryQueueDrops++
-		return false
-	}
-	n.stats.PrimaryEnqueued++
-	return true
+	f.Src = n.link.ID()
+	f.Dst = n.parent
+	n.metrics.notePrimaryGenerated(f)
+	return n.link.Enqueue(f)
 }
 
-// Deliver implements radio.Handler: GTS-channel frames belong to the primary
-// path, everything else goes to the CAP engine (after broadcast-delivery
+// Deliver implements radio.Handler: GTS-channel frames belong to the GTS
+// link, everything else goes to the CAP engine (after broadcast-delivery
 // accounting for the secondary PDR metric).
 func (n *Node) Deliver(f *frame.Frame) {
 	if f.Channel != capChannel {
-		n.deliverGTS(f)
+		n.link.Deliver(f)
 		return
 	}
 	if f.IsBroadcast() {
 		switch f.Kind {
 		case frame.GTSResponse, frame.GTSNotify, frame.RouteDiscovery:
-			n.cfg.Metrics.noteBroadcastReceived(f, n.cfg.Medium)
+			n.metrics.noteBroadcastReceived(f, n.link.Medium())
 		}
 	}
 	n.cap.Deliver(f)
@@ -242,90 +235,23 @@ func (n *Node) Deliver(f *frame.Frame) {
 
 // ---- Primary path: GTS data ----------------------------------------------
 
-func (n *Node) deliverGTS(f *frame.Frame) {
-	switch {
-	case f.Kind == frame.Ack && f.Dst == n.cfg.ID:
-		w := n.ackWait
-		if w == nil || w.ackPeer != f.Src || w.ackSeq != f.Seq {
-			return
-		}
-		n.ackWait = nil
-		w.ackTimer.Cancel()
-		n.noteSlotOutcome(w.g, true)
-		n.finishGTSData(w.ackFrame, true)
-	case f.Kind == frame.Data && f.Dst == n.cfg.ID:
-		n.ackGTSData(f)
-		if n.isDuplicate(f) {
-			return
-		}
-		if n.cfg.ID == n.cfg.Sink {
-			n.cfg.Metrics.notePrimaryDelivered(f, n.cfg.Kernel.Now())
-			return
-		}
-		fwd := n.cfg.FramePool.Get()
-		fwd.Kind = frame.Data
-		fwd.Src = n.cfg.ID
-		fwd.Dst = n.cfg.Parent
-		fwd.Origin = f.Origin
-		fwd.Sink = f.Sink
-		fwd.Seq = f.Seq
-		fwd.MPDUBytes = f.MPDUBytes
-		fwd.Tag = f.Tag
-		fwd.CreatedAt = f.CreatedAt
-		n.arrivals++
-		if !n.primary.Push(fwd) {
-			n.stats.PrimaryQueueDrops++
-			n.cfg.FramePool.Put(fwd)
-		}
-	}
+// primaryDelivered is the GTS link's OnSinkDeliver hook.
+func (n *Node) primaryDelivered(f *frame.Frame) {
+	n.metrics.notePrimaryDelivered(f, n.link.Kernel().Now())
 }
 
-func (n *Node) isDuplicate(f *frame.Frame) bool {
-	if last, ok := n.lastSeq[f.Origin]; ok && f.Seq <= last {
-		return true
-	}
-	n.lastSeq[f.Origin] = f.Seq
-	return false
-}
-
-func (n *Node) ackGTSData(f *frame.Frame) {
-	ack := n.cfg.FramePool.Get()
-	ack.Kind = frame.Ack
-	ack.Src = n.cfg.ID
-	ack.Dst = f.Src
-	ack.Origin = n.cfg.ID
-	ack.Sink = f.Src
-	ack.Seq = f.Seq
-	ack.MPDUBytes = frame.AckMPDUBytes
-	ack.Channel = f.Channel
-	n.cfg.Kernel.AtCall(n.cfg.Kernel.Now()+frame.TurnaroundTime, n.ackStartFn, ack)
-}
-
-// transmitGTSAck puts a prepared GTS ACK on the air and arranges its return
-// to the frame pool once the transmission (and delivery) has ended.
-func (n *Node) transmitGTSAck(ack *frame.Frame) {
-	if n.cfg.Medium.Transmitting(n.cfg.ID) {
-		n.cfg.FramePool.Put(ack)
-		return
-	}
-	txEnd := n.cfg.Medium.StartTX(n.cfg.ID, ack, 0)
-	n.cfg.Kernel.AtCall(txEnd, n.ackDoneFn, ack)
-}
-
-// gtsSlotStart, gtsSlotEnd, gtsSlotTransmit and gtsAckTimeout are the
-// long-lived kernel callbacks of the GTS path; the slot record is the event
-// argument.
+// gtsSlotStart, gtsSlotEnd and gtsSlotTransmit are the long-lived kernel
+// callbacks of the GTS path; the slot record is the event argument.
 func gtsSlotStart(a any)    { r := a.(*gtsSlot); r.n.slotStart(r) }
 func gtsSlotEnd(a any)      { r := a.(*gtsSlot); r.n.slotEnd(r) }
 func gtsSlotTransmit(a any) { r := a.(*gtsSlot); r.n.gtsTransmit(r) }
-func gtsAckTimeout(a any)   { r := a.(*gtsSlot); r.n.gtsAckTimeout(r) }
 
 // armSlot schedules the next occurrence of an owned slot.
 func (n *Node) armSlot(g superframe.GTS) {
-	idx := g.Index(n.cfg.Clock.Config())
+	idx := g.Index(n.link.Clock().Config())
 	r := n.slotRecs[idx]
 	if r == nil {
-		r = &gtsSlot{n: n, g: g, ch: gtsChannel(g)}
+		r = &gtsSlot{n: n, g: g, idx: idx, ch: gtsChannel(g)}
 		n.slotRecs[idx] = r
 	}
 	n.rearm(r)
@@ -334,13 +260,13 @@ func (n *Node) armSlot(g superframe.GTS) {
 // rearm schedules r's next occurrence, replacing a pending one.
 func (n *Node) rearm(r *gtsSlot) {
 	r.start.Cancel()
-	at := n.cfg.Clock.NextGTSStart(n.cfg.Kernel.Now(), r.g)
-	r.start = n.cfg.Kernel.AtCall(at, gtsSlotStart, r)
+	at := n.link.Clock().NextGTSStart(n.link.Kernel().Now(), r.g)
+	r.start = n.link.Kernel().AtCall(at, gtsSlotStart, r)
 }
 
 // disarmSlot cancels the pending occurrence of a slot.
 func (n *Node) disarmSlot(g superframe.GTS) {
-	if r := n.slotRecs[g.Index(n.cfg.Clock.Config())]; r != nil {
+	if r := n.slotRecs[g.Index(n.link.Clock().Config())]; r != nil {
 		r.start.Cancel()
 	}
 }
@@ -351,72 +277,46 @@ func (n *Node) slotStart(r *gtsSlot) {
 	if st != SlotTX && st != SlotRX {
 		return // ownership was lost; the chain dies here
 	}
-	n.cfg.Medium.SetTuned(n.cfg.ID, r.ch)
-	now := n.cfg.Kernel.Now()
-	n.cfg.Kernel.AtCall(now+n.cfg.Clock.GTSDuration(), gtsSlotEnd, r)
+	n.link.Medium().SetTuned(n.link.ID(), r.ch)
+	now := n.link.Kernel().Now()
+	n.link.Kernel().AtCall(now+n.link.Clock().GTSDuration(), gtsSlotEnd, r)
 	if st == SlotTX {
-		// Transmit after a turnaround-sized guard so that the receiver's
-		// tuning event at the same slot boundary has settled.
-		n.cfg.Kernel.AtCall(now+frame.TurnaroundTime, gtsSlotTransmit, r)
+		n.link.Kernel().AtCall(now+gtsTxGuard, gtsSlotTransmit, r)
 	}
 }
 
 // slotEnd retunes to the CAP channel at the end of an owned GTS occurrence
 // and arms the next one while the node still owns the slot.
 func (n *Node) slotEnd(r *gtsSlot) {
-	if n.cfg.Medium.Tuned(n.cfg.ID) == r.ch {
-		n.cfg.Medium.SetTuned(n.cfg.ID, capChannel)
+	if n.link.Medium().Tuned(n.link.ID()) == r.ch {
+		n.link.Medium().SetTuned(n.link.ID(), capChannel)
 	}
 	if s := n.slots.State(r.g); s == SlotTX || s == SlotRX {
 		n.rearm(r)
 	}
 }
 
-// gtsTransmit sends the primary queue head in the owned slot ("a single
-// packet is transmitted per GTS", §6.3).
+// gtsTransmit sends the link's queue head in the owned slot ("a single
+// packet is transmitted per GTS", §6.3), with the slot's grid index as the
+// transmission's context word.
 func (n *Node) gtsTransmit(r *gtsSlot) {
 	if n.slots.State(r.g) != SlotTX {
 		return
 	}
-	f := n.primary.Head()
+	f := n.link.Queue().Head()
 	if f == nil {
 		n.stats.GTSIdle++
 		return
 	}
 	f.Channel = r.ch
-	n.stats.GTSTxAttempts++
-	txEnd := n.cfg.Medium.StartTX(n.cfg.ID, f, 0)
-	r.ackFrame, r.ackPeer, r.ackSeq = f, f.Dst, f.Seq
-	r.ackTimer = n.cfg.Kernel.AtCall(txEnd+frame.AckWait, gtsAckTimeout, r)
-	n.ackWait = r
+	n.link.SendFrameAt(f, 0, uint32(r.idx))
 }
 
-// gtsAckTimeout fails the data transmission of r's latest occurrence when
-// its ACK deadline passes unanswered.
-func (n *Node) gtsAckTimeout(r *gtsSlot) {
-	n.ackWait = nil
-	n.noteSlotOutcome(r.g, false)
-	n.finishGTSData(r.ackFrame, false)
-}
-
-// finishGTSData applies the retry policy to the primary queue head. A frame
-// that leaves the queue, delivered or dropped, returns to the frame pool.
-func (n *Node) finishGTSData(f *frame.Frame, success bool) {
-	if n.primary.Head() != f {
-		return
-	}
-	if success {
-		n.stats.GTSTxSuccess++
-		n.primary.Pop()
-		n.cfg.FramePool.Put(f)
-		return
-	}
-	f.Retries++
-	if int(f.Retries) > mac.DefaultMaxRetries {
-		n.primary.Pop()
-		n.stats.GTSRetryDrops++
-		n.cfg.FramePool.Put(f)
-	}
+// TxDone implements mac.Engine: the outcome of a GTS data transmission
+// feeds the dead-slot watchdog of its slot, then the link's retry policy.
+func (n *Node) TxDone(f *frame.Frame, ctx uint32, success bool) {
+	n.noteSlotOutcome(n.slotRecs[int(ctx)], success)
+	n.link.FinishFrame(f, success)
 }
 
 // maxTxSlots caps the slots one node may hold towards its parent: one
@@ -436,7 +336,7 @@ const handshakeTimeoutSuperframes = 16
 
 // handshakeTimeout is handshakeTimeoutSuperframes on the node's clock.
 func (n *Node) handshakeTimeout() sim.Time {
-	return handshakeTimeoutSuperframes * n.cfg.Clock.Config().SuperframeDuration()
+	return handshakeTimeoutSuperframes * n.link.Clock().Config().SuperframeDuration()
 }
 
 // deadSlotThreshold is the number of consecutive unacknowledged data
@@ -446,17 +346,16 @@ func (n *Node) handshakeTimeout() sim.Time {
 // asymmetries.
 const deadSlotThreshold = 8
 
-// noteSlotOutcome feeds the dead-slot watchdog.
-func (n *Node) noteSlotOutcome(g superframe.GTS, success bool) {
-	idx := g.Index(n.cfg.Clock.Config())
+// noteSlotOutcome feeds the dead-slot watchdog of slot r.
+func (n *Node) noteSlotOutcome(r *gtsSlot, success bool) {
 	if success {
-		n.slotFails[idx] = 0
+		r.fails = 0
 		return
 	}
-	n.slotFails[idx]++
-	if n.slotFails[idx] >= deadSlotThreshold && n.hs == nil && n.slots.State(g) == SlotTX {
-		n.slotFails[idx] = 0
-		n.startDeallocation(g)
+	r.fails++
+	if r.fails >= deadSlotThreshold && n.hs == nil && n.slots.State(r.g) == SlotTX {
+		r.fails = 0
+		n.startDeallocation(r.g)
 	}
 }
 
@@ -472,19 +371,22 @@ func nodeControlTick(a any) { a.(*Node).controlTick() }
 // continuous stream of (de)allocations, the paper's secondary-traffic
 // workload.
 func (n *Node) controlTick() {
-	sf := n.cfg.Clock.Config()
-	now := n.cfg.Kernel.Now()
-	n.cfg.Kernel.AtCall(now+sf.MultiframeDuration(), nodeControlTick, n)
+	sf := n.link.Clock().Config()
+	now := n.link.Kernel().Now()
+	n.link.Kernel().AtCall(now+sf.MultiframeDuration(), nodeControlTick, n)
 	n.slots.ExpireNeighbors(now - neighborExpirySuperframes*sf.SuperframeDuration())
 
-	n.demand = 0.75*n.demand + 0.25*float64(n.arrivals)
-	n.arrivals = 0
+	st := n.link.Stats()
+	arrivals := st.Enqueued + st.QueueDrops
+	n.demand = 0.75*n.demand + 0.25*float64(arrivals-n.arrivals)
+	n.arrivals = arrivals
 
+	queued := n.link.Queue().Len()
 	target := int(n.demand*1.3 + 0.999)
-	if n.primary.Len() >= 2 {
+	if queued >= 2 {
 		target++
 	}
-	if n.primary.Len() > 0 && target < 1 {
+	if queued > 0 && target < 1 {
 		target = 1
 	}
 	if target > maxTxSlots {
@@ -498,11 +400,11 @@ func (n *Node) controlTick() {
 	switch {
 	case own < target:
 		n.startAllocation()
-	case own > target+1 && own > 0 && n.primary.Empty():
+	case own > target+1 && own > 0 && queued == 0:
 		// Oversupplied by more than the hysteresis slack and drained: give a
 		// slot back. The slack keeps steady-state traffic from thrashing
 		// between allocate and deallocate on Poisson noise.
-		g, _ := n.slots.Nth(SlotTX, n.cfg.Rng.Intn(own))
+		g, _ := n.slots.Nth(SlotTX, n.rng.Intn(own))
 		n.startDeallocation(g)
 	}
 }
@@ -515,7 +417,7 @@ func (n *Node) timeConflict(g superframe.GTS) bool { return n.slots.TimeTaken(g)
 // pickFreeSlot draws a random free, time-conflict-free slot.
 func (n *Node) pickFreeSlot() (superframe.GTS, bool) {
 	for attempt := 0; attempt < 8; attempt++ {
-		g, ok := n.slots.PickFree(n.cfg.Rng.Intn(1 << 20))
+		g, ok := n.slots.PickFree(n.rng.Intn(1 << 20))
 		if !ok {
 			return superframe.GTS{}, false
 		}
@@ -544,7 +446,7 @@ func (n *Node) startAllocation() {
 	}
 	hs := n.beginHandshake(g, false)
 	n.stats.AllocStarted++
-	n.slots.Set(g, SlotPending, n.cfg.Parent)
+	n.slots.Set(g, SlotPending, n.parent)
 	n.sendRequest(hs)
 }
 
@@ -567,15 +469,15 @@ func (n *Node) beginHandshake(g superframe.GTS, deallocate bool) *handshake {
 // command takes a pooled frame and fills in a broadcast or unicast GTS
 // command from this node.
 func (n *Node) command(kind frame.Kind, dst frame.NodeID, mpdu int, cmd frame.Command) *frame.Frame {
-	f := n.cfg.FramePool.Get()
+	f := n.link.FramePool().Get()
 	f.Kind = kind
-	f.Src = n.cfg.ID
+	f.Src = n.link.ID()
 	f.Dst = dst
-	f.Origin = n.cfg.ID
+	f.Origin = n.link.ID()
 	f.Sink = dst
 	f.Seq = n.nextSeq()
 	f.MPDUBytes = mpdu
-	f.CreatedAt = n.cfg.Kernel.Now()
+	f.CreatedAt = n.link.Kernel().Now()
 	f.Cmd = cmd
 	return f
 }
@@ -586,14 +488,14 @@ func (n *Node) enqueueCommand(f *frame.Frame) bool {
 	if n.cap.Enqueue(f) {
 		return true
 	}
-	n.cfg.FramePool.Put(f)
+	n.link.FramePool().Put(f)
 	return false
 }
 
 func (n *Node) sendRequest(hs *handshake) {
-	hs.req = n.command(frame.GTSRequest, n.cfg.Parent, RequestMPDU,
+	hs.req = n.command(frame.GTSRequest, n.parent, RequestMPDU,
 		frame.Command{ID: hs.id, GTS: hs.gts, Deallocate: hs.deallocate})
-	n.cfg.Metrics.noteRequestSent(hs.req)
+	n.metrics.noteRequestSent(hs.req)
 	if !n.enqueueCommand(hs.req) {
 		hs.req = nil
 		n.requesterFail(hs)
@@ -614,8 +516,8 @@ func (n *Node) capFrameFinished(f *frame.Frame, acked bool) {
 		n.requesterFail(hs)
 		return
 	}
-	n.cfg.Metrics.noteRequestAcked(f)
-	hs.timer = n.cfg.Kernel.AtCall(n.cfg.Kernel.Now()+n.handshakeTimeout(), responseTimeout, n)
+	n.metrics.noteRequestAcked(f)
+	hs.timer = n.link.Kernel().AtCall(n.link.Kernel().Now()+n.handshakeTimeout(), responseTimeout, n)
 }
 
 // responseTimeout and notifyTimeout are the static kernel callbacks of the
@@ -659,7 +561,7 @@ func (n *Node) requesterFail(hs *handshake) {
 func (n *Node) handleCommand(f *frame.Frame) {
 	switch f.Kind {
 	case frame.GTSRequest:
-		if f.Dst == n.cfg.ID {
+		if f.Dst == n.link.ID() {
 			n.handleRequest(f.Src, f.Cmd)
 		}
 	case frame.GTSResponse:
@@ -685,16 +587,16 @@ func (n *Node) handleRequest(from frame.NodeID, req frame.Command) {
 			pend := n.newPending()
 			pend.key = hsKey{requester: from, id: req.ID}
 			pend.gts = req.GTS
-			pend.timer = n.cfg.Kernel.AtCall(n.cfg.Kernel.Now()+n.handshakeTimeout(), notifyTimeout, pend)
+			pend.timer = n.link.Kernel().AtCall(n.link.Kernel().Now()+n.handshakeTimeout(), notifyTimeout, pend)
 			n.pending[pend.key] = pend
 		}
 	}
 	resp := n.command(frame.GTSResponse, frame.Broadcast, ResponseMPDU, frame.Command{
 		ID: req.ID, GTS: req.GTS,
-		Requester: from, Responder: n.cfg.ID,
+		Requester: from, Responder: n.link.ID(),
 		Approved: approved, Deallocate: req.Deallocate,
 	})
-	n.cfg.Metrics.noteBroadcastSent(resp)
+	n.metrics.noteBroadcastSent(resp)
 	n.enqueueCommand(resp)
 }
 
@@ -711,7 +613,7 @@ func (n *Node) newPending() *responderPending {
 // handleResponse serves both the requester (continue the handshake) and
 // overhearing neighbours (update the slot map, detect duplicates).
 func (n *Node) handleResponse(resp frame.Command) {
-	if resp.Requester == n.cfg.ID {
+	if resp.Requester == n.link.ID() {
 		hs := n.hs
 		if hs == nil || hs.id != resp.ID {
 			return
@@ -748,16 +650,16 @@ func (n *Node) handleResponse(resp frame.Command) {
 func (n *Node) sendNotify(id uint32, g superframe.GTS, deallocate bool, responder frame.NodeID) {
 	nf := n.command(frame.GTSNotify, frame.Broadcast, NotifyMPDU, frame.Command{
 		ID: id, GTS: g,
-		Requester: n.cfg.ID, Responder: responder,
+		Requester: n.link.ID(), Responder: responder,
 		Deallocate: deallocate,
 	})
-	n.cfg.Metrics.noteBroadcastSent(nf)
+	n.metrics.noteBroadcastSent(nf)
 	n.enqueueCommand(nf)
 }
 
 // handleNotify finalizes the responder side and updates overhearers.
 func (n *Node) handleNotify(nf frame.Command) {
-	if nf.Responder == n.cfg.ID {
+	if nf.Responder == n.link.ID() {
 		key := hsKey{requester: nf.Requester, id: nf.ID}
 		pend := n.pending[key]
 		if pend != nil {
@@ -787,7 +689,7 @@ func (n *Node) observeForeign(g superframe.GTS, allocated, deallocated bool) {
 	switch {
 	case allocated && (st == SlotTX || st == SlotRX):
 		n.stats.DuplicatesDetected++
-		n.cfg.Metrics.noteDuplicate(n.cfg.Kernel.Now())
+		n.metrics.noteDuplicate(n.link.Kernel().Now())
 		if st == SlotTX && n.hs == nil {
 			n.startDeallocation(g)
 		} else if st == SlotRX {
@@ -795,7 +697,7 @@ func (n *Node) observeForeign(g superframe.GTS, allocated, deallocated bool) {
 			n.slots.Clear(g)
 		}
 	case allocated:
-		n.slots.MarkNeighbor(g, n.cfg.Kernel.Now())
+		n.slots.MarkNeighbor(g, n.link.Kernel().Now())
 	case deallocated && st == SlotNeighbor:
 		n.slots.Clear(g)
 	}

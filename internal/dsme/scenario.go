@@ -70,6 +70,9 @@ type ScenarioResult struct {
 	Nodes []NodeStats
 	// CAP are the per-node MAC counters of the CAP engines.
 	CAP []mac.Stats
+	// GTS are the per-node MAC counters of the GTS links, which carry the
+	// primary data.
+	GTS []mac.Stats
 	// SlotsOwned is the final number of TX slots per node.
 	SlotsOwned []int
 	// Events is the number of kernel events the run processed.
@@ -142,32 +145,25 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 	engines := make([]mac.Engine, n)
 	for i := 0; i < n; i++ {
 		id := frame.NodeID(i)
+		// The GTS link and the CAP engine share the substrate fields. Only
+		// the CAP engine draws from the barring stream.
+		shared := sub.MACConfig(id)
+		link := shared
+		link.Router = cfg.Network
 		node := NewNode(NodeConfig{
-			ID:        id,
-			Kernel:    kernel,
-			Medium:    sub.Medium,
-			Clock:     sub.Clock,
-			Parent:    cfg.Network.Parent[i],
-			Sink:      cfg.Network.Sink,
-			Rng:       sim.NewRandStream(cfg.Seed, 5000+uint64(i)),
-			Metrics:   metrics,
-			FramePool: sub.Pool,
+			Config:  link,
+			Parent:  cfg.Network.Parent[i],
+			Rng:     sim.NewRandStream(cfg.Seed, scenario.StreamDSME+uint64(i)),
+			Metrics: metrics,
 		})
-		engines[i] = proto.New(mac.Config{
-			ID:              id,
-			Kernel:          kernel,
-			Medium:          sub.Medium,
-			Clock:           sub.Clock,
-			OnCommand:       node.CommandHook(),
-			OnFrameFinished: node.capFrameFinished,
-			FramePool:       sub.Pool,
-			Scratch:         sub.Scratch,
-			BarringRng:      sub.BarringRng(id),
-			// The CAP engines try each GTS-request once (NR = 0, no
-			// retransmission), unlike scenario.Run's NR = 3; the fig21-22
-			// golden digest pins it.
-			MaxRetries: 0,
-		}, macOpts, sim.NewRandStream(cfg.Seed, uint64(i)))
+		capCfg := shared
+		capCfg.OnCommand = node.CommandHook()
+		capCfg.OnFrameFinished = node.capFrameFinished
+		// The CAP engines try each GTS-request once (NR = 0, no
+		// retransmission), unlike scenario.Run's NR = 3; the fig21-22
+		// golden digest pins it.
+		capCfg.MaxRetries = 0
+		engines[i] = proto.New(capCfg, macOpts, sim.NewRandStream(cfg.Seed, uint64(i)))
 		node.AttachCAP(engines[i])
 		nodes[i] = node
 		sub.Medium.Attach(id, node)
@@ -183,7 +179,7 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 	for i := 0; i < n; i++ {
 		b := &traffic.BroadcastSource{
 			Kernel:     kernel,
-			Rng:        sim.NewRandStream(cfg.Seed, 3000+uint64(i)),
+			Rng:        sim.NewRandStream(cfg.Seed, scenario.StreamBroadcast+uint64(i)),
 			Target:     engines[i],
 			Origin:     frame.NodeID(i),
 			Period:     cfg.BroadcastPeriod,
@@ -201,7 +197,7 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 		}
 		src := &traffic.Source{
 			Kernel: kernel,
-			Rng:    sim.NewRandStream(cfg.Seed, 2000+uint64(i)),
+			Rng:    sim.NewRandStream(cfg.Seed, scenario.StreamTraffic+uint64(i)),
 			Target: nodes[i],
 			Origin: frame.NodeID(i),
 			Sink:   cfg.Network.Sink,
@@ -230,6 +226,7 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 		Metrics:    *metrics,
 		Nodes:      make([]NodeStats, n),
 		CAP:        make([]mac.Stats, n),
+		GTS:        make([]mac.Stats, n),
 		SlotsOwned: make([]int, n),
 		Events:     kernel.Processed(),
 		Truncated:  kernel.BudgetExhausted(),
@@ -238,6 +235,7 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 	for i, node := range nodes {
 		res.Nodes[i] = node.Stats()
 		res.CAP[i] = node.CAP().Base().Stats()
+		res.GTS[i] = node.Base().Stats()
 		res.SlotsOwned[i] = node.Slots().Count(SlotTX)
 		completed += res.Nodes[i].AllocCompleted + res.Nodes[i].DeallocCompleted
 		if before != nil {

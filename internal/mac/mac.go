@@ -1,11 +1,13 @@
 // Package mac provides the channel-access-independent half of a MAC layer:
 // transmit queue management, immediate acknowledgements, retransmission and
 // drop bookkeeping, duplicate rejection, multi-hop forwarding and the
-// queue-level statistics the paper's figures report. The QMA engine
-// (internal/core) and the CSMA/CA baselines (internal/csma) embed Base and
-// contribute only their channel access discipline, which keeps the
-// comparison between the schemes honest: everything except access timing is
-// shared code.
+// queue-level statistics the paper's figures report. Every registered
+// protocol embeds Base — the QMA engine (internal/core) directly, CSMA/CA,
+// ALOHA and the slot bandit through Access — and contributes only its
+// channel access discipline, which keeps the comparison between the schemes
+// honest: everything except access timing is shared code. A DSME node
+// (internal/dsme) embeds a Base for its GTS data path too, so the primary
+// data in the allocated slots runs on the same link layer as the CAP.
 package mac
 
 import (
@@ -33,7 +35,8 @@ type Router interface {
 // Engine is the interface scenario builders wire to traffic generators and
 // the radio. Every registered protocol implements it: QMA (and NOMA, which
 // runs on QMA's engine) directly, CSMA/CA, ALOHA and the slot bandit
-// through the embedded Access.
+// through the embedded Access. A DSME node implements it for its GTS data
+// path.
 type Engine interface {
 	radio.Handler
 	// Start arms the engine's channel access on its kernel. It must be
@@ -371,6 +374,9 @@ func (b *Base) Medium() *radio.Medium { return b.cfg.Medium }
 
 // Clock returns the superframe clock.
 func (b *Base) Clock() *superframe.Clock { return b.cfg.Clock }
+
+// FramePool returns the frame pool (nil when frames are not recycled).
+func (b *Base) FramePool() *frame.Pool { return b.cfg.FramePool }
 
 // Queue returns the transmit queue.
 func (b *Base) Queue() *frame.Queue { return &b.queue }

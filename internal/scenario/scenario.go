@@ -589,35 +589,28 @@ func armFaults(kernel *sim.Kernel, clock *superframe.Clock, engines []mac.Engine
 }
 
 func (r *run) macConfig(id frame.NodeID) mac.Config {
-	return mac.Config{
-		ID:           id,
-		Kernel:       r.Kernel,
-		Medium:       r.Medium,
-		Clock:        r.Clock,
-		MaxRetries:   mac.DefaultMaxRetries,
-		Router:       r.cfg.Network,
-		FramePool:    r.Pool,
-		Scratch:      r.Scratch,
-		BarringRng:   r.BarringRng(id),
-		Drop:         r.cfg.DropPolicy,
-		DropDeadline: r.cfg.DropDeadline,
-		OnSinkDeliver: func(f *frame.Frame) {
-			if f.Tag != frame.TagEval || f.Kind != frame.Data {
-				return
-			}
-			if s := r.result.Summary; s != nil {
-				s.Delivered++
-				s.DelaySum += r.Kernel.Now() - f.CreatedAt
-			} else {
-				origin := &r.result.Nodes[f.Origin]
-				origin.Delivered++
-				origin.DelaySum += r.Kernel.Now() - f.CreatedAt
-			}
-			if r.cfg.OnEvalDeliver != nil {
-				r.cfg.OnEvalDeliver(f.Origin, f.CreatedAt, r.Kernel.Now())
-			}
-		},
+	cfg := r.MACConfig(id)
+	cfg.MaxRetries = mac.DefaultMaxRetries
+	cfg.Router = r.cfg.Network
+	cfg.Drop = r.cfg.DropPolicy
+	cfg.DropDeadline = r.cfg.DropDeadline
+	cfg.OnSinkDeliver = func(f *frame.Frame) {
+		if f.Tag != frame.TagEval || f.Kind != frame.Data {
+			return
+		}
+		if s := r.result.Summary; s != nil {
+			s.Delivered++
+			s.DelaySum += r.Kernel.Now() - f.CreatedAt
+		} else {
+			origin := &r.result.Nodes[f.Origin]
+			origin.Delivered++
+			origin.DelaySum += r.Kernel.Now() - f.CreatedAt
+		}
+		if r.cfg.OnEvalDeliver != nil {
+			r.cfg.OnEvalDeliver(f.Origin, f.CreatedAt, r.Kernel.Now())
+		}
 	}
+	return cfg
 }
 
 func (r *run) buildEngine(id frame.NodeID) mac.Engine {
@@ -642,7 +635,7 @@ func (r *run) buildTraffic() {
 		}
 		src := &traffic.Source{
 			Kernel:     r.Kernel,
-			Rng:        sim.NewRandStream(r.cfg.Seed, 2000+uint64(spec.Origin)+uint64(spec.Tag)*500),
+			Rng:        sim.NewRandStream(r.cfg.Seed, StreamTraffic+uint64(spec.Origin)+uint64(spec.Tag)*500),
 			Target:     r.engines[spec.Origin],
 			Origin:     spec.Origin,
 			Sink:       r.cfg.Network.Sink,
@@ -672,7 +665,7 @@ func (r *run) buildTraffic() {
 	for _, spec := range r.cfg.Broadcasts {
 		b := &traffic.BroadcastSource{
 			Kernel:  r.Kernel,
-			Rng:     sim.NewRandStream(r.cfg.Seed, 3000+uint64(spec.Origin)),
+			Rng:     sim.NewRandStream(r.cfg.Seed, StreamBroadcast+uint64(spec.Origin)),
 			Target:  r.engines[spec.Origin],
 			Origin:  spec.Origin,
 			Period:  spec.Period,

@@ -27,15 +27,28 @@ type Substrate struct {
 	barring barring.Config
 }
 
+// The random stream layout of a run: engine i draws from stream i, every
+// other consumer from a fixed offset (plus the node index where it is per
+// node), and the Gilbert–Elliott process derives per-link streams of its
+// own from the seed. Fixed offsets keep every consumer's stream stable when
+// instrumentation is added or removed.
+const (
+	// StreamMedium is the medium's stream.
+	StreamMedium = 1000
+	// StreamTraffic+i (+500 per traffic tag) drives node i's data source.
+	StreamTraffic = 2000
+	// StreamBroadcast+i drives node i's route-discovery broadcasts.
+	StreamBroadcast = 3000
+	// StreamBarring+i drives node i's access-barring gate, drawn from only
+	// when barring is configured.
+	StreamBarring = 4000
+	// StreamDSME+i drives DSME node i's slot controller.
+	StreamDSME = 5000
+)
+
 // NewSubstrate assembles a run's substrate from cfg's Network, Seed,
 // CaptureThresholdDB, Dynamics, EventBudget, InvariantChecks, Arena and
 // Barring on the default superframe layout. cfg must be valid.
-//
-// Stream layout: 0..n-1 engines, 1000 medium, 2000+i traffic, 3000+i
-// broadcasts, 4000+i access-barring gates (only drawn from when barring is
-// configured), 5000+i DSME nodes; the Gilbert–Elliott process derives
-// per-link streams of its own from the seed. Fixed offsets keep every
-// consumer's stream stable when instrumentation is added or removed.
 func NewSubstrate(cfg *Config) *Substrate {
 	s := &Substrate{
 		Clock:   superframe.NewClock(superframe.DefaultConfig()),
@@ -54,7 +67,7 @@ func NewSubstrate(cfg *Config) *Substrate {
 		// stays shareable across parallel replications.
 		topology = topology.(*radio.PathLossTopology).Clone()
 	}
-	s.Medium = radio.NewMedium(s.Kernel, topology, sim.NewRandStream(cfg.Seed, 1000))
+	s.Medium = radio.NewMedium(s.Kernel, topology, sim.NewRandStream(cfg.Seed, StreamMedium))
 	if cfg.CaptureThresholdDB > 0 {
 		s.Medium.SetCaptureThreshold(cfg.CaptureThresholdDB)
 	}
@@ -72,14 +85,24 @@ func NewSubstrate(cfg *Config) *Substrate {
 	return s
 }
 
-// BarringRng returns node id's access-barring stream, or nil when barring
-// is off: a zero-valued barring config must leave every node's stream set —
-// and therefore the whole run — byte-identical to a pre-barring build.
-func (s *Substrate) BarringRng(id frame.NodeID) *sim.Rand {
-	if !s.barring.Enabled() {
-		return nil
+// MACConfig returns the fields of node id's mac.Config that every MAC of a
+// run shares: its address, the kernel, medium, clock, frame pool and slab,
+// and its access-barring stream. The stream is nil when barring is off: a
+// zero-valued barring config must leave every node's stream set — and
+// therefore the whole run — byte-identical to a pre-barring build.
+func (s *Substrate) MACConfig(id frame.NodeID) mac.Config {
+	cfg := mac.Config{
+		ID:        id,
+		Kernel:    s.Kernel,
+		Medium:    s.Medium,
+		Clock:     s.Clock,
+		FramePool: s.Pool,
+		Scratch:   s.Scratch,
 	}
-	return sim.NewRandStream(s.seed, 4000+uint64(id))
+	if s.barring.Enabled() {
+		cfg.BarringRng = sim.NewRandStream(s.seed, StreamBarring+uint64(id))
+	}
+	return cfg
 }
 
 // ArmBarring installs the sink-side access-class barring loop over engines,

@@ -18,6 +18,9 @@ import (
 // rate range.
 const DefaultDataMPDU = 80
 
+// BroadcastMPDU is the MPDU length of a route-discovery broadcast.
+const BroadcastMPDU = 30
+
 // Enqueuer is where generated frames go (a mac.Engine or a dsme.Node).
 type Enqueuer interface {
 	Enqueue(f *frame.Frame) bool
@@ -188,8 +191,6 @@ type BroadcastSource struct {
 	Origin frame.NodeID
 	// Period is the mean broadcast interval; required > 0.
 	Period sim.Time
-	// MPDUBytes overrides the 30-byte default when positive.
-	MPDUBytes int
 	// StartAt delays the first broadcast.
 	StartAt sim.Time
 	// OnGenerate is called for every generated frame. May be nil.
@@ -234,10 +235,6 @@ func (b *BroadcastSource) tick() {
 func (b *BroadcastSource) emit() {
 	b.generated++
 	b.seq++
-	mpdu := b.MPDUBytes
-	if mpdu <= 0 {
-		mpdu = 30
-	}
 	f := b.Pool.Get()
 	f.Kind = frame.RouteDiscovery
 	f.Src = b.Origin
@@ -245,7 +242,7 @@ func (b *BroadcastSource) emit() {
 	f.Origin = b.Origin
 	f.Sink = frame.Broadcast
 	f.Seq = b.seq
-	f.MPDUBytes = mpdu
+	f.MPDUBytes = BroadcastMPDU
 	f.CreatedAt = b.Kernel.Now()
 	if b.OnGenerate != nil {
 		b.OnGenerate(f)
