@@ -38,7 +38,7 @@ func TestHandshakesFromDistantIDsDoNotCollide(t *testing.T) {
 	metrics := &Metrics{}
 	newNode := func(id, parent frame.NodeID) (*Node, *capRecorder) {
 		n := NewNode(NodeConfig{
-			Config: mac.Config{ID: id, Kernel: k, Medium: medium, Clock: clock},
+			ID: id, Kernel: k, Medium: medium, Clock: clock,
 			Parent: parent, Rng: sim.NewRandStream(1, uint64(id)), Metrics: metrics,
 		})
 		c := &capRecorder{}
@@ -94,7 +94,7 @@ func TestGTSLinkRetriesAndReturnsDeadSlot(t *testing.T) {
 	clock := superframe.NewClock(cfg)
 	medium := radio.NewMedium(k, radio.NewGraphTopology(2), sim.NewRand(1))
 	n := NewNode(NodeConfig{
-		Config: mac.Config{ID: 1, Kernel: k, Medium: medium, Clock: clock},
+		ID: 1, Kernel: k, Medium: medium, Clock: clock,
 		Parent: 0, Rng: sim.NewRand(2), Metrics: &Metrics{},
 	})
 	medium.Attach(1, n)

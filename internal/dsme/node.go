@@ -5,6 +5,7 @@ import (
 
 	"qma/internal/frame"
 	"qma/internal/mac"
+	"qma/internal/radio"
 	"qma/internal/sim"
 	"qma/internal/superframe"
 )
@@ -16,27 +17,29 @@ const capChannel = 0
 // gtsChannel maps a slot coordinate to its radio channel.
 func gtsChannel(g superframe.GTS) uint8 { return uint8(g.Channel) + 1 }
 
-// gtsTxGuard delays a GTS transmission past the slot boundary by the
-// radio's 12-symbol RX/TX turnaround, so that the receiver's tuning event
-// at the same boundary has settled.
-const gtsTxGuard = 12 * frame.SymbolDuration
-
 // NodeConfig assembles a DSME node.
 type NodeConfig struct {
-	// Config configures the node's GTS link, the mac.Base that carries its
-	// primary data; its ID, Kernel, Medium, Clock and FramePool serve the
-	// whole node. Router must lead towards the sink for multi-hop
-	// forwarding. NewNode sets MaxRetries to NR = 3 and installs
-	// OnSinkDeliver. The FramePool must stay symmetric, so the traffic
-	// source feeding the node must draw from the same pool; it may be
-	// shared with the CAP engines of the same kernel.
-	mac.Config
+	// ID is the node's address.
+	ID frame.NodeID
+	// Kernel, Medium and Clock are the scenario-shared substrates.
+	Kernel *sim.Kernel
+	Medium *radio.Medium
+	Clock  *superframe.Clock
 	// Parent is the next hop towards the sink (-1 for the sink itself).
 	Parent frame.NodeID
 	// Rng drives slot picks; required, private to this node.
 	Rng *sim.Rand
 	// Metrics aggregates network-wide counters; required.
 	Metrics *Metrics
+	// FramePool, when non-nil, recycles the node's frames: its handshake
+	// commands and, through the GTS link, its ACKs, the data frames it
+	// forwards and the primary frames it finishes. The pool must stay
+	// symmetric, so the traffic source feeding the node must draw from the
+	// same pool. It may be shared with the CAP engines of the same kernel.
+	FramePool *frame.Pool
+	// Scratch, when non-nil, slab-allocates the GTS link's transmit queue
+	// (see mac.Config.Scratch).
+	Scratch *mac.Scratch
 }
 
 // NodeStats are per-node DSME counters. The GTS link's own counters are
@@ -110,7 +113,8 @@ type gtsSlot struct {
 //
 // The GTS data path is a mac.Engine over an embedded mac.Base, the same
 // link layer the CAP engines run on: immediate ACKs, duplicate rejection,
-// forwarding, the ACK timeout and the NR retry policy are the Base's. The
+// forwarding (the node is the link's Router: every hop leads to its
+// parent), the ACK timeout and the NR retry policy are the Base's. The
 // node contributes only the access timing (one frame per owned TX slot)
 // and the dead-slot watchdog its TxDone feeds.
 type Node struct {
@@ -126,7 +130,9 @@ type Node struct {
 	// index.
 	slotRecs map[int]*gtsSlot
 
-	seq   uint32
+	seq uint32
+	// hsSeq numbers this node's handshakes. The numbers are unique per
+	// requester only; responders key them by (requester, id).
 	hsSeq uint32
 
 	// hs is the running handshake (&hsRec), nil when none runs.
@@ -143,13 +149,16 @@ type Node struct {
 	stats NodeStats
 }
 
-var _ mac.Engine = (*Node)(nil)
+var (
+	_ mac.Engine = (*Node)(nil)
+	_ mac.Router = (*Node)(nil)
+)
 
 // NewNode builds the node. The CAP engine is attached afterwards with
 // AttachCAP because its mac.Config needs the node's command hook.
 func NewNode(cfg NodeConfig) *Node {
-	if cfg.Rng == nil || cfg.Metrics == nil {
-		panic("dsme: Rng and Metrics are required")
+	if cfg.Kernel == nil || cfg.Medium == nil || cfg.Clock == nil || cfg.Rng == nil || cfg.Metrics == nil {
+		panic("dsme: Kernel, Medium, Clock, Rng and Metrics are required")
 	}
 	n := &Node{
 		parent:   cfg.Parent,
@@ -158,11 +167,18 @@ func NewNode(cfg NodeConfig) *Node {
 		slotRecs: make(map[int]*gtsSlot),
 		pending:  make(map[hsKey]*responderPending),
 	}
-	link := cfg.Config
-	link.MaxRetries = mac.DefaultMaxRetries
-	link.OnSinkDeliver = n.primaryDelivered
-	n.link.Init(link, n)
-	n.slots = NewSlotMap(link.Clock.Config())
+	n.link.Init(mac.Config{
+		ID:            cfg.ID,
+		Kernel:        cfg.Kernel,
+		Medium:        cfg.Medium,
+		Clock:         cfg.Clock,
+		FramePool:     cfg.FramePool,
+		Scratch:       cfg.Scratch,
+		MaxRetries:    mac.DefaultMaxRetries,
+		Router:        n,
+		OnSinkDeliver: n.primaryDelivered,
+	}, n)
+	n.slots = NewSlotMap(cfg.Clock.Config())
 	return n
 }
 
@@ -235,6 +251,12 @@ func (n *Node) Deliver(f *frame.Frame) {
 
 // ---- Primary path: GTS data ----------------------------------------------
 
+// NextHop implements mac.Router for the GTS link: every primary frame
+// travels towards the node's parent.
+func (n *Node) NextHop(_, _ frame.NodeID) (frame.NodeID, bool) {
+	return n.parent, n.parent >= 0
+}
+
 // primaryDelivered is the GTS link's OnSinkDeliver hook.
 func (n *Node) primaryDelivered(f *frame.Frame) {
 	n.metrics.notePrimaryDelivered(f, n.link.Kernel().Now())
@@ -281,7 +303,9 @@ func (n *Node) slotStart(r *gtsSlot) {
 	now := n.link.Kernel().Now()
 	n.link.Kernel().AtCall(now+n.link.Clock().GTSDuration(), gtsSlotEnd, r)
 	if st == SlotTX {
-		n.link.Kernel().AtCall(now+gtsTxGuard, gtsSlotTransmit, r)
+		// Transmit after a turnaround-sized guard so that the receiver's
+		// tuning event at the same slot boundary has settled.
+		n.link.Kernel().AtCall(now+frame.TurnaroundTime, gtsSlotTransmit, r)
 	}
 }
 
@@ -409,19 +433,15 @@ func (n *Node) controlTick() {
 	}
 }
 
-// timeConflict reports whether the node already holds or negotiates a slot
-// at the same (superframe, slot) time coordinate — one radio cannot serve
-// two channels at once.
-func (n *Node) timeConflict(g superframe.GTS) bool { return n.slots.TimeTaken(g) }
-
-// pickFreeSlot draws a random free, time-conflict-free slot.
+// pickFreeSlot draws a random free slot at a time coordinate where the node
+// holds or negotiates no other — one radio cannot serve two channels at once.
 func (n *Node) pickFreeSlot() (superframe.GTS, bool) {
 	for attempt := 0; attempt < 8; attempt++ {
 		g, ok := n.slots.PickFree(n.rng.Intn(1 << 20))
 		if !ok {
 			return superframe.GTS{}, false
 		}
-		if !n.timeConflict(g) {
+		if !n.slots.TimeTaken(g) {
 			return g, true
 		}
 	}
@@ -429,13 +449,6 @@ func (n *Node) pickFreeSlot() (superframe.GTS, bool) {
 }
 
 func (n *Node) nextSeq() uint32 { n.seq++; return n.seq }
-
-// nextHsID numbers this node's handshakes. The numbers are unique per
-// requester only; responders key them by (requester, id).
-func (n *Node) nextHsID() uint32 {
-	n.hsSeq++
-	return n.hsSeq
-}
 
 // startAllocation begins the 3-way handshake for a fresh slot (Fig. 24).
 func (n *Node) startAllocation() {
@@ -461,7 +474,8 @@ func (n *Node) startDeallocation(g superframe.GTS) {
 // beginHandshake resets the node's handshake record for a fresh handshake
 // over g and makes it the running one.
 func (n *Node) beginHandshake(g superframe.GTS, deallocate bool) *handshake {
-	n.hsRec = handshake{id: n.nextHsID(), gts: g, deallocate: deallocate}
+	n.hsSeq++
+	n.hsRec = handshake{id: n.hsSeq, gts: g, deallocate: deallocate}
 	n.hs = &n.hsRec
 	return n.hs
 }
@@ -580,7 +594,7 @@ func (n *Node) handleRequest(from frame.NodeID, req frame.Command) {
 			n.slots.Clear(req.GTS)
 		}
 	} else {
-		if n.slots.State(req.GTS) != SlotFree || n.timeConflict(req.GTS) {
+		if n.slots.State(req.GTS) != SlotFree || n.slots.TimeTaken(req.GTS) {
 			approved = false
 		} else {
 			n.slots.Set(req.GTS, SlotPending, from)

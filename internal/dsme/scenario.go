@@ -145,18 +145,18 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 	engines := make([]mac.Engine, n)
 	for i := 0; i < n; i++ {
 		id := frame.NodeID(i)
-		// The GTS link and the CAP engine share the substrate fields. Only
-		// the CAP engine draws from the barring stream.
-		shared := sub.MACConfig(id)
-		link := shared
-		link.Router = cfg.Network
 		node := NewNode(NodeConfig{
-			Config:  link,
-			Parent:  cfg.Network.Parent[i],
-			Rng:     sim.NewRandStream(cfg.Seed, scenario.StreamDSME+uint64(i)),
-			Metrics: metrics,
+			ID:        id,
+			Kernel:    kernel,
+			Medium:    sub.Medium,
+			Clock:     sub.Clock,
+			Parent:    cfg.Network.Parent[i],
+			Rng:       sim.NewRandStream(cfg.Seed, scenario.StreamDSME+uint64(i)),
+			Metrics:   metrics,
+			FramePool: sub.Pool,
+			Scratch:   sub.Scratch,
 		})
-		capCfg := shared
+		capCfg := sub.MACConfig(id)
 		capCfg.OnCommand = node.CommandHook()
 		capCfg.OnFrameFinished = node.capFrameFinished
 		// The CAP engines try each GTS-request once (NR = 0, no
