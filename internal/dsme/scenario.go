@@ -53,10 +53,6 @@ type ScenarioConfig struct {
 	// InvariantChecks arms the kernel, medium and frame-pool runtime
 	// self-checks.
 	InvariantChecks bool
-	// Arena, when non-nil, recycles the run's frame pool and per-node
-	// hot-state slab across back-to-back runs of one worker (see
-	// scenario.Config.Arena). Results are byte-identical with or without it.
-	Arena *scenario.Arena
 }
 
 // ScenarioResult carries the §6.3 metrics.
@@ -96,7 +92,6 @@ func (cfg *ScenarioConfig) base() scenario.Config {
 		Barring:         cfg.Barring,
 		EventBudget:     cfg.EventBudget,
 		InvariantChecks: cfg.InvariantChecks,
-		Arena:           cfg.Arena,
 	}
 }
 
@@ -119,7 +114,8 @@ func (cfg *ScenarioConfig) Validate() error {
 const trafficStart = 5 * sim.Second
 
 // RunScenario executes a DSME data-collection run. It panics with the
-// Validate error on a bad configuration.
+// Validate error on a bad configuration. Once the result is collected, the
+// run's storage goes to the next run to recycle (scenario.Substrate.Release).
 func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 	if err := cfg.Validate(); err != nil {
 		panic("dsme: " + err.Error())
@@ -246,5 +242,6 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 	if measured > 0 {
 		res.AllocationsPerSecond = float64(completed) / measured.Seconds()
 	}
+	sub.Release()
 	return res
 }

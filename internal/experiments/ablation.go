@@ -4,6 +4,7 @@ import (
 	"qma/internal/qlearn"
 	"qma/internal/scenario"
 	"qma/internal/sim"
+	"qma/internal/stats"
 )
 
 func init() {
@@ -51,11 +52,10 @@ func RunAblations(mode Mode) []*Table {
 		{"policy re-evaluation on decay", scenario.QMAOptions{ReevalOnDecay: true}},
 	}
 
-	ests, repErrs := runGrid(len(variants), mode.Reps, mode.Parallel,
-		func(arena *scenario.Arena, cell int, seed uint64) map[string]float64 {
+	ests, repErrs := stats.ReplicateGrid(len(variants), mode.Reps, mode.Parallel,
+		func(cell int, seed uint64) map[string]float64 {
 			cfg := hiddenNodeConfig(scenario.QMA, 25, mode, seed)
 			cfg.QMA = variants[cell].opts
-			cfg.Arena = arena
 			res := scenario.Run(cfg)
 			return map[string]float64{
 				"pdr":   res.NetworkPDR(),

@@ -8,6 +8,7 @@ import (
 	"qma/internal/mac"
 	"qma/internal/scenario"
 	"qma/internal/sim"
+	"qma/internal/stats"
 	"qma/internal/superframe"
 	"qma/internal/topo"
 	"qma/internal/traffic"
@@ -161,11 +162,10 @@ func RunBaselines(mode Mode) []*Table {
 
 	// One grid cell per (topology, protocol) pair; the whole family shares
 	// one worker pool.
-	est, repErrs := runGrid(len(cases)*len(macs), mode.Reps, mode.Parallel,
-		func(arena *scenario.Arena, cell int, seed uint64) map[string]float64 {
+	est, repErrs := stats.ReplicateGrid(len(cases)*len(macs), mode.Reps, mode.Parallel,
+		func(cell int, seed uint64) map[string]float64 {
 			c, mk := cases[cell/len(macs)], macs[cell%len(macs)]
 			cfg := baselineConfig(c, mk, 1, mode, seed)
-			cfg.Arena = arena
 			res := scenario.Run(cfg)
 			capOn := sim.Time(float64(cfg.Duration) * capDuty)
 			var attempts, mj, delivered float64

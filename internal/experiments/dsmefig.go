@@ -6,6 +6,7 @@ import (
 	"qma/internal/dsme"
 	"qma/internal/mac"
 	"qma/internal/scenario"
+	"qma/internal/stats"
 	"qma/internal/topo"
 )
 
@@ -38,8 +39,8 @@ func RunDSMEScalability(mode Mode) []*Table {
 	}
 
 	// One grid cell per (node count, MAC) point, sharded across one pool.
-	ests, repErrs := runGrid(len(counts)*len(macs), mode.Reps, mode.Parallel,
-		func(arena *scenario.Arena, cell int, seed uint64) map[string]float64 {
+	ests, repErrs := stats.ReplicateGrid(len(counts)*len(macs), mode.Reps, mode.Parallel,
+		func(cell int, seed uint64) map[string]float64 {
 			count, mk := counts[cell/len(macs)], macs[cell%len(macs)]
 			res := dsme.RunScenario(dsme.ScenarioConfig{
 				Network:  topo.RingsForCount(count),
@@ -47,7 +48,6 @@ func RunDSMEScalability(mode Mode) []*Table {
 				Seed:     seed,
 				Duration: mode.DSMEDuration,
 				Warmup:   mode.DSMEWarmup,
-				Arena:    arena,
 			})
 			return map[string]float64{
 				"secondary": res.Metrics.SecondaryPDR(),

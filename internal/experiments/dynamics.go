@@ -158,7 +158,7 @@ func dynMACs() []mac.Name {
 // burstFadeCase runs the hidden-node scenario with a deep fade at the sink:
 // management traffic from t≈0, δ=10 evaluation traffic from warmup, the
 // sink unreachable for 5 s mid-run.
-func burstFadeCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) map[string]float64 {
+func burstFadeCase(mk mac.Name, mode Mode, seed uint64) map[string]float64 {
 	warmup := mode.Warmup
 	fadeStart := warmup + 80*sim.Second
 	fadeLen := 5 * sim.Second
@@ -167,7 +167,6 @@ func burstFadeCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) m
 	cfg.Dynamics.Fades = []scenario.FadeSpec{{Node: 1, At: fadeStart, Duration: fadeLen}}
 	trace := newDynTrace(duration)
 	cfg.OnEvalGenerate, cfg.OnEvalDeliver = trace.hooks()
-	cfg.Arena = arena
 	scenario.Run(cfg)
 	m := trace.analyze(warmup, fadeStart, fadeStart+fadeLen, duration)
 	return map[string]float64{
@@ -179,7 +178,7 @@ func burstFadeCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) m
 // relayFailureCase runs the testbed tree with its depth-1 relay (paper node
 // 18, dense id 1) leaving for 10 s and rejoining: two thirds of the origins
 // lose their route while it is away.
-func relayFailureCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) map[string]float64 {
+func relayFailureCase(mk mac.Name, mode Mode, seed uint64) map[string]float64 {
 	cfg := testbedConfig(topo.Tree10(), mk, mode, seed)
 	warmup := cfg.MeasureFrom
 	leaveAt := warmup + 60*sim.Second
@@ -192,7 +191,6 @@ func relayFailureCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64
 	}
 	trace := newDynTrace(duration)
 	cfg.OnEvalGenerate, cfg.OnEvalDeliver = trace.hooks()
-	cfg.Arena = arena
 	scenario.Run(cfg)
 	m := trace.analyze(warmup, leaveAt, leaveAt+awayFor, duration)
 	return map[string]float64{
@@ -204,7 +202,7 @@ func relayFailureCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64
 // gilbertCase runs the hidden-node scenario over a bursty Gilbert–Elliott
 // channel (mean 8 s good / 0.4 s bad, bad state losing every frame) and
 // reports how much delivery ratio each MAC retains relative to dynamics-off.
-func gilbertCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64, bursty bool) map[string]float64 {
+func gilbertCase(mk mac.Name, mode Mode, seed uint64, bursty bool) map[string]float64 {
 	warmup := mode.Warmup
 	duration := warmup + 120*sim.Second
 	cfg := streamFor(hiddenNodeConfig(mk, 10, mode, seed), duration)
@@ -215,7 +213,6 @@ func gilbertCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64, bur
 			LossBad:  1,
 		}
 	}
-	cfg.Arena = arena
 	res := scenario.Run(cfg)
 	return map[string]float64{"pdr": res.NetworkPDR(), "delay": res.MeanDelay()}
 }
@@ -245,18 +242,18 @@ func RunDynamics(mode Mode) []*Table {
 	// Cell layout: per MAC, four independent runs — fade, churn, GE-off,
 	// GE-on — all sharded over one pool.
 	const cases = 4
-	ests, repErrs := runGrid(len(macs)*cases, mode.Reps, mode.Parallel,
-		func(arena *scenario.Arena, cell int, seed uint64) map[string]float64 {
+	ests, repErrs := stats.ReplicateGrid(len(macs)*cases, mode.Reps, mode.Parallel,
+		func(cell int, seed uint64) map[string]float64 {
 			mk := macs[cell/cases]
 			switch cell % cases {
 			case 0:
-				return burstFadeCase(arena, mk, mode, seed)
+				return burstFadeCase(mk, mode, seed)
 			case 1:
-				return relayFailureCase(arena, mk, mode, seed)
+				return relayFailureCase(mk, mode, seed)
 			case 2:
-				return gilbertCase(arena, mk, mode, seed, false)
+				return gilbertCase(mk, mode, seed, false)
 			default:
-				return gilbertCase(arena, mk, mode, seed, true)
+				return gilbertCase(mk, mode, seed, true)
 			}
 		})
 	for mi, mk := range macs {

@@ -14,27 +14,9 @@ import (
 	"sort"
 	"strings"
 
-	"qma/internal/scenario"
 	"qma/internal/sim"
 	"qma/internal/stats"
 )
-
-// runGrid is the experiments' stats.ReplicateGridWorker: it threads one
-// scenario.Arena per worker into the replications, so the back-to-back runs
-// of a sweep recycle their frame pools and per-node hot-state slabs instead
-// of re-allocating them thousands of times. Arenas are invisible to the
-// simulation (results are byte-identical with or without them); fn must pass
-// the arena into its run's config and nothing else.
-func runGrid(cells, reps, parallel int, fn func(arena *scenario.Arena, cell int, seed uint64) map[string]float64) ([]map[string]stats.Estimate, []*stats.RepError) {
-	arenas := make([]*scenario.Arena, stats.Workers(parallel))
-	return stats.ReplicateGridWorker(cells, reps, parallel,
-		func(w, cell int, seed uint64) map[string]float64 {
-			if arenas[w] == nil {
-				arenas[w] = scenario.NewArena()
-			}
-			return fn(arenas[w], cell, seed)
-		})
-}
 
 // Mode scales an experiment between bench-friendly and paper-scale runs.
 type Mode struct {

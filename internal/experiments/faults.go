@@ -9,6 +9,7 @@ import (
 	"qma/internal/mac"
 	"qma/internal/scenario"
 	"qma/internal/sim"
+	"qma/internal/stats"
 )
 
 func init() {
@@ -52,7 +53,7 @@ func (d *dynTrace) windowPDR(from, until sim.Time) float64 {
 // senders can neither deliver nor stay synchronized. Everything they
 // generate during the window is lost or queued; the metrics capture how fast
 // each MAC drains the backlog once the sink returns.
-func sinkOutageCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) map[string]float64 {
+func sinkOutageCase(mk mac.Name, mode Mode, seed uint64) map[string]float64 {
 	warmup := mode.Warmup
 	at := warmup + 80*sim.Second
 	const dur = 5 * sim.Second
@@ -63,7 +64,6 @@ func sinkOutageCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) 
 	}
 	trace := newDynTrace(duration)
 	cfg.OnEvalGenerate, cfg.OnEvalDeliver = trace.hooks()
-	cfg.Arena = arena
 	res := scenario.Run(cfg)
 	m := trace.analyze(warmup, at, at+dur, duration)
 	var suppressed float64
@@ -81,7 +81,7 @@ func sinkOutageCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) 
 // state vanish and it re-enters cautious startup. The lost/recovery columns
 // are the relearning cost — for the memoryless baselines the reboot only
 // drops the queue.
-func rebootCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) map[string]float64 {
+func rebootCase(mk mac.Name, mode Mode, seed uint64) map[string]float64 {
 	warmup := mode.Warmup
 	at := warmup + 80*sim.Second
 	duration := at + 60*sim.Second
@@ -89,7 +89,6 @@ func rebootCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) map[
 	cfg.Faults = faults.Schedule{Reboots: []faults.Reboot{{Node: 0, At: at}}}
 	trace := newDynTrace(duration)
 	cfg.OnEvalGenerate, cfg.OnEvalDeliver = trace.hooks()
-	cfg.Arena = arena
 	scenario.Run(cfg)
 	// The disturbance is instantaneous: recovery is measured from the reboot.
 	m := trace.analyze(warmup, at, at, duration)
@@ -101,7 +100,7 @@ func rebootCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) map[
 // ackCorruptionCase corrupts every ACK on the air for 5 s: data still gets
 // through, but every transmitter sees timeouts, retries and (for the
 // learners) punishments for subslots that did nothing wrong.
-func ackCorruptionCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint64) map[string]float64 {
+func ackCorruptionCase(mk mac.Name, mode Mode, seed uint64) map[string]float64 {
 	warmup := mode.Warmup
 	at := warmup + 80*sim.Second
 	const dur = 5 * sim.Second
@@ -110,7 +109,6 @@ func ackCorruptionCase(arena *scenario.Arena, mk mac.Name, mode Mode, seed uint6
 	cfg.Faults = faults.Schedule{AckCorruption: []faults.Window{{At: at, Duration: dur}}}
 	trace := newDynTrace(duration)
 	cfg.OnEvalGenerate, cfg.OnEvalDeliver = trace.hooks()
-	cfg.Arena = arena
 	res := scenario.Run(cfg)
 	m := trace.analyze(warmup, at, at+dur, duration)
 	var corrupted float64
@@ -147,16 +145,16 @@ func RunFaults(mode Mode) []*Table {
 
 	// Cell layout: per MAC, three independent fault runs sharded over one pool.
 	const cases = 3
-	ests, repErrs := runGrid(len(macs)*cases, mode.Reps, mode.Parallel,
-		func(arena *scenario.Arena, cell int, seed uint64) map[string]float64 {
+	ests, repErrs := stats.ReplicateGrid(len(macs)*cases, mode.Reps, mode.Parallel,
+		func(cell int, seed uint64) map[string]float64 {
 			mk := macs[cell/cases]
 			switch cell % cases {
 			case 0:
-				return sinkOutageCase(arena, mk, mode, seed)
+				return sinkOutageCase(mk, mode, seed)
 			case 1:
-				return rebootCase(arena, mk, mode, seed)
+				return rebootCase(mk, mode, seed)
 			default:
-				return ackCorruptionCase(arena, mk, mode, seed)
+				return ackCorruptionCase(mk, mode, seed)
 			}
 		})
 	for mi, mk := range macs {

@@ -83,11 +83,10 @@ func RunHiddenNodeSweep(mode Mode) []*Table {
 	// pool instead of parallelizing only within a point's few replications.
 	deltas := sweepDeltas(mode)
 	macs := sweepMACs()
-	est, repErrs := runGrid(len(deltas)*len(macs), mode.Reps, mode.Parallel,
-		func(arena *scenario.Arena, cell int, seed uint64) map[string]float64 {
+	est, repErrs := stats.ReplicateGrid(len(deltas)*len(macs), mode.Reps, mode.Parallel,
+		func(cell int, seed uint64) map[string]float64 {
 			delta, mk := deltas[cell/len(macs)], macs[cell%len(macs)]
 			cfg := hiddenNodeConfig(mk, delta, mode, seed)
-			cfg.Arena = arena
 			res := scenario.Run(cfg)
 			return map[string]float64{
 				"pdr":   res.NetworkPDR(),

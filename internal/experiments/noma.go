@@ -8,6 +8,7 @@ import (
 	"qma/internal/noma"
 	"qma/internal/scenario"
 	"qma/internal/sim"
+	"qma/internal/stats"
 	"qma/internal/superframe"
 )
 
@@ -56,13 +57,12 @@ func RunNoma(mode Mode) []*Table {
 	profile := energy.AT86RF231()
 	capDuty := float64(superframe.DefaultConfig().CAPDuration()) / float64(superframe.DefaultConfig().SuperframeDuration())
 
-	est, repErrs := runGrid(len(cases)*len(rows), mode.Reps, mode.Parallel,
-		func(arena *scenario.Arena, cell int, seed uint64) map[string]float64 {
+	est, repErrs := stats.ReplicateGrid(len(cases)*len(rows), mode.Reps, mode.Parallel,
+		func(cell int, seed uint64) map[string]float64 {
 			c, row := cases[cell/len(rows)], rows[cell%len(rows)]
 			cfg := baselineConfig(c, row.mk, 1, mode, seed)
 			cfg.MACOptions = row.opts
 			cfg.CaptureThresholdDB = row.captureDB
-			cfg.Arena = arena
 			res := scenario.Run(cfg)
 			capOn := sim.Time(float64(cfg.Duration) * capDuty)
 			var attempts, mj, delivered, captured float64

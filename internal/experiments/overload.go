@@ -66,10 +66,9 @@ func jainIndex(xs []float64) float64 {
 
 // runOverloadCell executes one (topology, protocol, barring, mult) run and
 // condenses it into the family's metrics.
-func runOverloadCell(arena *scenario.Arena, c baselineCase, mk mac.Name, bar barring.Config, mult float64, mode Mode, seed uint64) map[string]float64 {
+func runOverloadCell(c baselineCase, mk mac.Name, bar barring.Config, mult float64, mode Mode, seed uint64) map[string]float64 {
 	cfg := baselineConfig(c, mk, mult, mode, seed)
 	cfg.Barring = bar
-	cfg.Arena = arena
 	trace := newDynTrace(cfg.Duration)
 	cfg.OnEvalGenerate, cfg.OnEvalDeliver = trace.hooks()
 	res := scenario.Run(cfg)
@@ -121,10 +120,10 @@ func RunOverload(mode Mode) []*Table {
 			}
 		}
 	}
-	ests, repErrs := runGrid(len(cells), mode.Reps, mode.Parallel,
-		func(arena *scenario.Arena, cell int, seed uint64) map[string]float64 {
+	ests, repErrs := stats.ReplicateGrid(len(cells), mode.Reps, mode.Parallel,
+		func(cell int, seed uint64) map[string]float64 {
 			cl := cells[cell]
-			return runOverloadCell(arena, cases[cl.caseIdx], macs[cl.macIdx], bars[cl.barIdx].cfg, overloadMults[cl.caseIdx][cl.multIdx], mode, seed)
+			return runOverloadCell(cases[cl.caseIdx], macs[cl.macIdx], bars[cl.barIdx].cfg, overloadMults[cl.caseIdx][cl.multIdx], mode, seed)
 		})
 	at := func(cl overloadCell) map[string]stats.Estimate {
 		for i, c := range cells {

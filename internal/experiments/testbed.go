@@ -8,6 +8,7 @@ import (
 	"qma/internal/mac"
 	"qma/internal/scenario"
 	"qma/internal/sim"
+	"qma/internal/stats"
 	"qma/internal/superframe"
 	"qma/internal/topo"
 	"qma/internal/traffic"
@@ -72,10 +73,9 @@ func runTestbedPDR(mode Mode, net *topo.Network, id, kind string) []*Table {
 	// (keyed by node id) so each replication writes only its own result
 	// slot — the previous version mutated a shared accumulator from inside
 	// the replication goroutines, a data race.
-	est, repErrs := runGrid(len(macs), mode.Reps, mode.Parallel,
-		func(arena *scenario.Arena, cell int, seed uint64) map[string]float64 {
+	est, repErrs := stats.ReplicateGrid(len(macs), mode.Reps, mode.Parallel,
+		func(cell int, seed uint64) map[string]float64 {
 			cfg := testbedConfig(net, macs[cell], mode, seed)
-			cfg.Arena = arena
 			res := scenario.Run(cfg)
 			out := make(map[string]float64)
 			for _, n := range res.Nodes {
@@ -117,10 +117,9 @@ func RunEnergyParity(mode Mode) []*Table {
 	profile := energy.AT86RF231()
 	capDuty := float64(superframe.DefaultConfig().CAPDuration()) / float64(superframe.DefaultConfig().SuperframeDuration())
 	macs := []mac.Name{scenario.QMA, scenario.CSMAUnslotted}
-	ests, repErrs := runGrid(len(macs), mode.Reps, mode.Parallel,
-		func(arena *scenario.Arena, cell int, seed uint64) map[string]float64 {
+	ests, repErrs := stats.ReplicateGrid(len(macs), mode.Reps, mode.Parallel,
+		func(cell int, seed uint64) map[string]float64 {
 			cfg := testbedConfig(net, macs[cell], mode, seed)
-			cfg.Arena = arena
 			res := scenario.Run(cfg)
 			var attempts, airtime, mj, delivered float64
 			for _, n := range res.Nodes {

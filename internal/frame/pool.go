@@ -1,36 +1,35 @@
 package frame
 
 // Pool recycles Frame objects within one simulation. Like the kernel's event
-// arena it is single-threaded by design: every replicated run owns a private
-// kernel and a private pool, so no locking or sync.Pool machinery is needed,
-// and recycling stays deterministic.
+// arena it is single-threaded by design: a run owns its kernel and its pool
+// until it ends (a later run may then take both over), so no locking is
+// needed, and recycling stays deterministic.
 //
 // All methods are nil-receiver safe: a nil *Pool degrades to plain heap
 // allocation with no recycling, so pooling is strictly opt-in for callers
 // that can prove their frames' lifecycles end.
 type Pool struct {
 	free []*Frame
-	// idle, when non-nil, is the opt-in double-release detector: the set of
-	// frames currently resting in the pool (SetChecks).
-	idle map[*Frame]bool
+	// out, when non-nil, is the opt-in release checker: the set of frames
+	// this pool has handed out and not yet taken back (SetChecks).
+	out map[*Frame]bool
 }
 
-// SetChecks toggles the opt-in double-release detector: with checks on, Put
-// panics when handed a frame that is already idle in the pool — the bug that
-// otherwise surfaces much later as two live users of one recycled frame.
-// Tests and fuzz harnesses enable it; it costs one map operation per Get and
-// Put. No-op on a nil pool.
+// SetChecks toggles the opt-in release checker: with checks on, the pool
+// tracks the frames it hands out, and Put panics when handed a frame that is
+// not out — one it never handed out, or one already returned. Either bug
+// otherwise surfaces much later, as a pool that grows on every run or as two
+// live users of one recycled frame. Turn checks on before the first Get of a
+// run: a frame handed out before that counts as foreign. Tests and fuzz
+// harnesses enable it; it costs one map operation per Get and Put. No-op on
+// a nil pool.
 func (p *Pool) SetChecks(on bool) {
 	if p == nil {
 		return
 	}
-	if !on {
-		p.idle = nil
-		return
-	}
-	p.idle = make(map[*Frame]bool, len(p.free))
-	for _, f := range p.free {
-		p.idle[f] = true
+	p.out = nil
+	if on {
+		p.out = make(map[*Frame]bool)
 	}
 }
 
@@ -39,31 +38,34 @@ func (p *Pool) Get() *Frame {
 	if p == nil {
 		return &Frame{}
 	}
+	var f *Frame
 	if n := len(p.free); n > 0 {
-		f := p.free[n-1]
+		f = p.free[n-1]
 		p.free = p.free[:n-1]
-		if p.idle != nil {
-			delete(p.idle, f)
-		}
 		*f = Frame{}
-		return f
+	} else {
+		f = &Frame{}
 	}
-	return &Frame{}
+	if p.out != nil {
+		p.out[f] = true
+	}
+	return f
 }
 
-// Put returns f to the pool. The caller asserts that no reference to f
-// survives the call: the frame will be zeroed and handed out again by a
-// later Get. Putting a frame that was not allocated by Get is allowed (the
-// pool simply grows). Put(nil) and calls on a nil pool are no-ops.
+// Put returns f to the pool. The caller asserts that f came from this
+// pool's Get and that no reference to it survives the call: the frame will
+// be zeroed and handed out again by a later Get. Without checks a frame
+// from elsewhere is absorbed (the pool simply grows). Put(nil) and calls on
+// a nil pool are no-ops.
 func (p *Pool) Put(f *Frame) {
 	if p == nil || f == nil {
 		return
 	}
-	if p.idle != nil {
-		if p.idle[f] {
-			panic("frame: double release of a pooled frame")
+	if p.out != nil {
+		if !p.out[f] {
+			panic("frame: release of a frame the pool has not handed out (foreign or already released)")
 		}
-		p.idle[f] = true
+		delete(p.out, f)
 	}
 	p.free = append(p.free, f)
 }

@@ -73,6 +73,48 @@ func TestPoolDoubleReleaseDetector(t *testing.T) {
 	p.Put(p.Get()) // must not panic
 }
 
+// TestPoolChecksRejectForeignFrame pins the other half of the release
+// checker: with checks on, Put panics on a frame the pool never handed out —
+// a heap-built frame, one from another pool, or one handed out before the
+// checks were turned on — and leaves the pool as it was.
+func TestPoolChecksRejectForeignFrame(t *testing.T) {
+	early := &Pool{}
+	before := early.Get()
+	early.SetChecks(true)
+	other := &Pool{}
+	for name, tc := range map[string]struct {
+		p *Pool
+		f *Frame
+	}{
+		"heap-built":       {&Pool{}, &Frame{Kind: Data}},
+		"other pool":       {&Pool{}, other.Get()},
+		"before SetChecks": {early, before},
+	} {
+		tc.p.SetChecks(true)
+		if tc.p != early {
+			tc.p.Put(tc.p.Get()) // its own frames still cycle
+		}
+		size := tc.p.Size()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Put of a foreign frame did not panic", name)
+				}
+			}()
+			tc.p.Put(tc.f)
+		}()
+		if tc.p.Size() != size {
+			t.Errorf("%s: the rejected frame joined the pool", name)
+		}
+	}
+	// Without checks a foreign frame is absorbed.
+	p := &Pool{}
+	p.Put(&Frame{})
+	if p.Size() != 1 {
+		t.Errorf("unchecked pool holds %d frames after a foreign Put, want 1", p.Size())
+	}
+}
+
 func TestPoolSteadyStateDoesNotAllocate(t *testing.T) {
 	p := &Pool{}
 	p.Put(p.Get()) // warm one slot

@@ -132,9 +132,10 @@ func RegisteredList() string {
 	return strings.Join(parts, ", ")
 }
 
-// Build resolves name (canonical or alias), validates opts and constructs an
-// engine. It is the single entry point scenario builders go through; an
-// unknown name or rejected options return a descriptive error.
+// Build resolves name (canonical or alias), validates opts and constructs one
+// engine; an unknown name or rejected options return a descriptive error. It
+// suits callers that build a single engine: the scenario runners, which
+// build many, validate once with ValidateOptions and then call New per node.
 func Build(name string, cfg Config, opts any, rng *sim.Rand) (Engine, error) {
 	p, ok := Lookup(name)
 	if !ok {

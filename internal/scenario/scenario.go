@@ -191,12 +191,6 @@ type Config struct {
 	// InvariantChecks enables the runtime self-checks of the kernel, the
 	// medium and the frame pool for this run (tests and fuzz harnesses).
 	InvariantChecks bool
-	// Arena, when non-nil, recycles the run's frame pool and per-node
-	// hot-state slab. Replicated sweeps pass one Arena per worker so
-	// back-to-back runs stop re-allocating their node state; results are
-	// byte-identical with or without it. The Arena must not be shared by
-	// concurrent runs.
-	Arena *Arena
 	// OnEvalGenerate and OnEvalDeliver observe evaluation traffic as it is
 	// generated and as it reaches the sink — the dynamics experiments use
 	// them to compute windowed PDR and post-disturbance recovery times.
@@ -229,6 +223,8 @@ func (cfg *Config) Validate() error {
 			return fmt.Errorf("traffic at node %d has no phases", tr.Origin)
 		case tr.Origin == net.Sink:
 			return fmt.Errorf("traffic origin %d is the sink", tr.Origin)
+		case tr.StartAt < 0:
+			return fmt.Errorf("traffic at node %d starts in the past", tr.Origin)
 		}
 		if _, ok := net.NextHop(tr.Origin, net.Sink); !ok {
 			return fmt.Errorf("traffic origin %d has no route to the sink", tr.Origin)
@@ -240,6 +236,9 @@ func (cfg *Config) Validate() error {
 		}
 		if b.Period <= 0 {
 			return fmt.Errorf("broadcast at node %d needs a positive period", b.Origin)
+		}
+		if b.StartAt < 0 {
+			return fmt.Errorf("broadcast at node %d starts in the past", b.Origin)
 		}
 	}
 	if err := cfg.Dynamics.validate(net.Topology); err != nil {
@@ -462,9 +461,14 @@ type run struct {
 
 // Run executes the scenario and returns its metrics. It panics with the
 // Config.Validate error on configuration errors (scenario assembly is
-// programmer-controlled) but never on simulation behaviour.
+// programmer-controlled) but never on simulation behaviour. Once the metrics
+// are collected, the run's storage goes to the next run to recycle.
 func Run(cfg Config) *Result {
-	return RunWithEngines(cfg).Result
+	r := build(cfg)
+	r.Kernel.Run(cfg.Duration)
+	r.collect()
+	r.Release()
+	return r.result
 }
 
 // Output bundles a Result with the live engines for post-run inspection
@@ -474,7 +478,8 @@ type Output struct {
 	Engines []mac.Engine
 }
 
-// RunWithEngines is Run, additionally exposing the engines.
+// RunWithEngines is Run, additionally exposing the engines. It keeps the
+// run's storage, because the engines' Q-tables and queues live on in it.
 func RunWithEngines(cfg Config) *Output {
 	r := build(cfg)
 	r.Kernel.Run(cfg.Duration)

@@ -14,7 +14,8 @@ import (
 // Substrate is what every run stands on: the kernel, the superframe clock,
 // the medium, and the frame pool and per-node slab the engines draw from.
 // Run and the DSME runner both build it with NewSubstrate, so the stream
-// layout, budget, invariant checks, arena and barring loop are written once.
+// layout, budget, invariant checks, storage recycling and barring loop are
+// written once.
 type Substrate struct {
 	Kernel  *sim.Kernel
 	Clock   *superframe.Clock
@@ -22,6 +23,7 @@ type Substrate struct {
 	Pool    *frame.Pool
 	Scratch *mac.Scratch
 
+	arena   *arena // the recycled storage behind Kernel, Pool and Scratch
 	seed    uint64
 	sink    frame.NodeID
 	barring barring.Config
@@ -47,19 +49,20 @@ const (
 )
 
 // NewSubstrate assembles a run's substrate from cfg's Network, Seed,
-// CaptureThresholdDB, Dynamics, EventBudget, InvariantChecks, Arena and
-// Barring on the default superframe layout. cfg must be valid.
+// CaptureThresholdDB, Dynamics, EventBudget, InvariantChecks and Barring on
+// the default superframe layout. Its kernel, frame pool and slab recycle the
+// storage of an earlier run that called Release. cfg must be valid.
 func NewSubstrate(cfg *Config) *Substrate {
+	a := takeArena()
 	s := &Substrate{
+		Kernel:  a.kernel,
 		Clock:   superframe.NewClock(superframe.DefaultConfig()),
+		Pool:    &a.pool,
+		Scratch: &a.scratch,
+		arena:   a,
 		seed:    cfg.Seed,
 		sink:    cfg.Network.Sink,
 		barring: cfg.Barring,
-	}
-	if cfg.Arena != nil {
-		s.Kernel, s.Pool, s.Scratch = cfg.Arena.Begin()
-	} else {
-		s.Kernel, s.Pool, s.Scratch = sim.NewKernel(), &frame.Pool{}, &mac.Scratch{}
 	}
 	topology := cfg.Network.Topology
 	if len(cfg.Dynamics.Moves) > 0 {
@@ -83,6 +86,18 @@ func NewSubstrate(cfg *Config) *Substrate {
 		s.Pool.SetChecks(true)
 	}
 	return s
+}
+
+// Release hands the run's kernel, frame pool and slab to a later run to
+// recycle. A runner calls it once its result is collected: the later run
+// rewinds the slab under the engines and zeroes the frames, so nothing of
+// this run but the kernel's counters may be read afterwards. Calls after
+// the first are no-ops.
+func (s *Substrate) Release() {
+	if s.arena != nil {
+		arenas.Put(s.arena)
+		s.arena = nil
+	}
 }
 
 // MACConfig returns the fields of node id's mac.Config that every MAC of a

@@ -51,6 +51,7 @@ func TestConfigValidateRules(t *testing.T) {
 		{"negative traffic origin", func(c *Config) { c.Traffic[0].Origin = -1 }, "out of range"},
 		{"traffic without phases", func(c *Config) { c.Traffic[0].Phases = nil }, "no phases"},
 		{"traffic from the sink", func(c *Config) { c.Traffic[0].Origin = 1 }, "is the sink"},
+		{"traffic starting in the past", func(c *Config) { c.Traffic[0].StartAt = -1 }, "traffic at node 0 starts in the past"},
 		{"unrouted traffic origin", func(c *Config) {
 			c.Network = unroutedNet
 			c.Traffic[0].Origin = 2
@@ -61,6 +62,9 @@ func TestConfigValidateRules(t *testing.T) {
 		{"broadcast without period", func(c *Config) {
 			c.Broadcasts = []BroadcastSpec{{Origin: 0}}
 		}, "positive period"},
+		{"broadcast starting in the past", func(c *Config) {
+			c.Broadcasts = []BroadcastSpec{{Origin: 0, Period: sim.Second, StartAt: -3 * sim.Second}}
+		}, "broadcast at node 0 starts in the past"},
 		{"GE negative sojourn", func(c *Config) {
 			c.Dynamics.Gilbert = radio.GilbertElliott{MeanGood: -1, MeanBad: sim.Second}
 		}, "must not be negative"},

@@ -77,7 +77,7 @@ func (q realQueue) schedule(at Time, early bool, fn func()) func() {
 func (q realQueue) now() Time               { return q.k.Now() }
 func (q realQueue) run()                    { q.k.RunAll() }
 func (q realQueue) runUntil(until Time)     { q.k.Run(until) }
-func (q realQueue) stop()                   { q.k.Stop() }
+func (q realQueue) processed() uint64       { return q.k.Processed() }
 func (q realQueue) setBudget(events uint64) { q.k.SetBudget(events) }
 
 // naiveEvent and naiveQueue are the reference implementation: an append-only
@@ -92,12 +92,11 @@ type naiveEvent struct {
 }
 
 type naiveQueue struct {
-	events    []*naiveEvent
-	seq       uint64
-	t         Time
-	stopped   bool
-	budget    uint64 // lifetime event budget, 0 = unlimited
-	processed uint64
+	events []*naiveEvent
+	seq    uint64
+	t      Time
+	budget uint64 // lifetime event budget, 0 = unlimited
+	fired  uint64
 }
 
 func (q *naiveQueue) schedule(at Time, early bool, fn func()) func() {
@@ -110,7 +109,7 @@ func (q *naiveQueue) schedule(at Time, early bool, fn func()) func() {
 func (q *naiveQueue) now() Time { return q.t }
 
 func (q *naiveQueue) run()                    { q.runUntil(Never) }
-func (q *naiveQueue) stop()                   { q.stopped = true }
+func (q *naiveQueue) processed() uint64       { return q.fired }
 func (q *naiveQueue) setBudget(events uint64) { q.budget = events }
 
 // next returns the earliest live event by (at, early-first, seq), or nil.
@@ -130,18 +129,17 @@ func (q *naiveQueue) next() *naiveEvent {
 }
 
 // runUntil is the reference for Kernel.Run: fire in order while the budget
-// lasts and nobody stopped, then move the clock to until unless a live
-// event at or before until remains.
+// lasts, then move the clock to until unless a live event at or before
+// until remains.
 func (q *naiveQueue) runUntil(until Time) {
-	q.stopped = false
-	for !q.stopped && (q.budget == 0 || q.processed < q.budget) {
+	for q.budget == 0 || q.fired < q.budget {
 		best := q.next()
 		if best == nil || best.at > until {
 			break
 		}
 		best.fired = true
 		q.t = best.at
-		q.processed++
+		q.fired++
 		best.fn()
 	}
 	if until != Never && q.t < until {
@@ -218,9 +216,9 @@ func FuzzKernelScheduleCancel(f *testing.F) {
 // timing wheel. Schedule distances are log-uniform from 0 to 2^27 µs, so
 // programs reach the fine ring, the coarse ring and the overflow heap; and
 // the program steps the clock with Run(until), scheduling between steps as
-// the sharded runner's foreign-busy exchange does, stops mid-instant, runs
-// under an event budget and mass-cancels into compaction. The clock after
-// every step is part of the trace.
+// the sharded runner's foreign-busy exchange does, cuts a Run short
+// mid-instant, runs under an event budget and mass-cancels into compaction.
+// The clock after every step is part of the trace.
 //
 // Input: byte 0 is the event budget (0 = none, else 4 events per unit),
 // then 6-byte ops: kind, distance bit length, 24 distance bits, extra.
@@ -252,7 +250,7 @@ const (
 	hFireSchedule             // its firing schedules a child at now+distance (early if extra is odd)
 	hFireCancel               // its firing cancels event extra % created
 	hStep                     // Run(now+distance), then the clock goes into the trace
-	hFireStop                 // its firing calls Stop
+	hFireCut                  // its firing spends the budget, cutting the current Run short
 	hBurstOrMassCancel        // extra < 128: extra%32+1 events, extra>>5 µs apart; else cancel 3 of every 4 events
 	hKinds
 )
@@ -285,9 +283,9 @@ func horizonSeeds() [][]byte {
 			hOp(hEarly, 0, 0, 0), hOp(hSchedule, 1, 1, 0), hOp(hStep, 13, 8191, 0),
 			hOp(hEarly, 12, 100, 0), hOp(hFireSchedule, 12, 100, 0), hOp(hStep, 16, all, 0),
 			hOp(hEarly, 3, 7, 0), hOp(hStep, 0, 0, 0)),
-		// Stop mid-instant: a burst at one instant with a stopping event in
+		// A cut mid-instant: a burst at one instant with a cutting event in
 		// the middle, then a step and a resume.
-		cat(0, hOp(hBurstOrMassCancel, 12, 777, 3), hOp(hFireStop, 12, 777, 0),
+		cat(0, hOp(hBurstOrMassCancel, 12, 777, 3), hOp(hFireCut, 12, 777, 0),
 			hOp(hBurstOrMassCancel, 12, 777, 4), hOp(hEarly, 12, 777, 0), hOp(hStep, 20, all, 0),
 			hOp(hSchedule, 0, 0, 0), hOp(hStep, 20, all, 0)),
 		// Budget and compaction: four bursts across pages, three quarters
@@ -307,12 +305,12 @@ func horizonSeeds() [][]byte {
 // reference fast.
 const maxHorizonEvents = 1000
 
-// stepQueue is a fuzzQueue that also runs to a bound, stops and budgets.
+// stepQueue is a fuzzQueue that also runs to a bound and budgets.
 type stepQueue interface {
 	fuzzQueue
 	runUntil(until Time)
-	stop()
 	setBudget(events uint64)
+	processed() uint64
 }
 
 // runHorizonProgram executes a horizon program against one implementation
@@ -323,9 +321,10 @@ func runHorizonProgram(data []byte, q stepQueue) []fireRec {
 	if len(data) == 0 {
 		return nil
 	}
-	if data[0] > 0 {
-		q.setBudget(4 * uint64(data[0]))
-	}
+	// A cut sets the budget to the events fired so far; the next Run
+	// restores the program's budget, so a cut ends only the Run it hit.
+	budget := 4 * uint64(data[0])
+	q.setBudget(budget)
 	var cancels []func()
 	cancel := func(i int) {
 		if len(cancels) > 0 {
@@ -345,8 +344,8 @@ func runHorizonProgram(data []byte, q stepQueue) []fireRec {
 				create(hSchedule+extra&1, q.now()+dist, 0, 0)
 			case hFireCancel:
 				cancel(int(extra))
-			case hFireStop:
-				q.stop()
+			case hFireCut:
+				q.setBudget(q.processed())
 			}
 		}
 		cancels = append(cancels, q.schedule(at, kind == hEarly, fire))
@@ -360,6 +359,7 @@ func runHorizonProgram(data []byte, q stepQueue) []fireRec {
 		case hCancel:
 			cancel(int(extra))
 		case hStep:
+			q.setBudget(budget)
 			q.runUntil(at)
 			trace = append(trace, fireRec{idx: -1, at: q.now()})
 		case hBurstOrMassCancel:
@@ -378,6 +378,7 @@ func runHorizonProgram(data []byte, q stepQueue) []fireRec {
 			create(kind, at, dist, extra)
 		}
 	}
+	q.setBudget(budget)
 	q.runUntil(Never)
 	return append(trace, fireRec{idx: -1, at: q.now()})
 }

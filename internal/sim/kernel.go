@@ -193,9 +193,8 @@ type Kernel struct {
 	fineOcc   occupancy
 	coarseOcc occupancy
 
-	now     Time
-	seq     uint64
-	stopped bool
+	now Time
+	seq uint64
 	// queued counts events that are scheduled but have not yet fired or
 	// been dropped, cancelled ones included.
 	queued int
@@ -603,8 +602,8 @@ func (k *Kernel) compactChain(head uint32, removed *int) (newHead, tail, early u
 }
 
 // liveBy reports whether a live (not cancelled) event is queued at or
-// before until. Only a Run cut short by Stop or a budget asks, so a plain
-// scan of the whole wheel is affordable.
+// before until. Only a Run cut short by its budget asks, so a plain scan of
+// the whole wheel is affordable.
 func (k *Kernel) liveBy(until Time) bool {
 	live := func(n uint32) bool {
 		for ; n != 0; n = k.slots[n-1].next {
@@ -632,23 +631,16 @@ func (k *Kernel) liveBy(until Time) bool {
 	return false
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
 // Run executes events in timestamp order until the queue is empty or the
 // next event lies strictly after `until`. The clock is left at the time of
 // the last executed event, or at `until` once nothing queued remains at or
-// before it, so a Run cut short by Stop or a budget never moves the clock
-// past a live queued event.
+// before it, so a Run cut short by the budget never moves the clock past a
+// live queued event.
 func (k *Kernel) Run(until Time) {
-	k.stopped = false
 	cut := false
 	// burst counts the events dispatched so far at instant burstAt.
 	burstAt, burst := Time(-1), 0
-	for !k.stopped {
-		if k.queued == 0 {
-			break
-		}
+	for k.queued > 0 {
 		if k.budgetEvents > 0 && k.processed >= k.budgetEvents {
 			k.budgetHit = true
 			cut = true
@@ -704,7 +696,7 @@ func (k *Kernel) Run(until Time) {
 	}
 	// A Run that ended on its own has fired everything up to until; one cut
 	// short must not pass a live event it left behind.
-	if until != Never && k.now < until && (!cut && !k.stopped || !k.liveBy(until)) {
+	if until != Never && k.now < until && (!cut || !k.liveBy(until)) {
 		k.now = until
 	}
 }

@@ -149,36 +149,6 @@ func TestKernelLazyCompaction(t *testing.T) {
 	}
 }
 
-func TestKernelStopMidRun(t *testing.T) {
-	k := NewKernel()
-	var fired []Time
-	for i := 1; i <= 5; i++ {
-		i := i
-		k.Schedule(Time(i*10), func() {
-			fired = append(fired, k.Now())
-			if i == 2 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run(Never)
-	if len(fired) != 2 || k.Now() != 20 {
-		t.Fatalf("Stop mid-run: fired %v, now %v; want 2 events and now=20", fired, k.Now())
-	}
-	// Scheduling and resuming after a Stop must pick up where it left off.
-	k.Schedule(5, func() { fired = append(fired, k.Now()) })
-	k.Run(Never)
-	want := []Time{10, 20, 25, 30, 40, 50}
-	if len(fired) != len(want) {
-		t.Fatalf("resume: fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Errorf("resume: fired[%d] = %v, want %v", i, fired[i], want[i])
-		}
-	}
-}
-
 func TestKernelAtCall(t *testing.T) {
 	k := NewKernel()
 	type ctx struct{ hits int }
@@ -265,28 +235,6 @@ func TestKernelEventsScheduleEvents(t *testing.T) {
 	}
 	if k.Now() != 99*7 {
 		t.Errorf("Now() = %v, want %v", k.Now(), Time(99*7))
-	}
-}
-
-func TestKernelStop(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	for i := 0; i < 10; i++ {
-		k.Schedule(Time(i), func() {
-			count++
-			if count == 3 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run(Never)
-	if count != 3 {
-		t.Errorf("Stop: fired %d, want 3", count)
-	}
-	// Run may be resumed afterwards.
-	k.Run(Never)
-	if count != 10 {
-		t.Errorf("resume after Stop: fired %d, want 10", count)
 	}
 }
 
@@ -507,49 +455,41 @@ func TestKernelAtCallEarlyCancel(t *testing.T) {
 	}
 }
 
-// A Run cut short by Stop or by the event budget must leave the clock at the
-// last fired event while later events at or before `until` are still
-// queued; only a Run that fired everything up to `until` advances to it.
-// With invariant checks on, resuming would otherwise panic on an event
-// behind the clock.
+// A Run cut short by the event budget must leave the clock at the last
+// fired event while later events at or before `until` are still queued;
+// only a Run that fired everything up to `until` advances to it. With
+// invariant checks on, resuming would otherwise panic on an event behind
+// the clock.
 func TestKernelStopOrBudgetKeepsClockBeforeQueuedEvents(t *testing.T) {
-	for _, cut := range []string{"stop", "budget"} {
-		t.Run(cut, func(t *testing.T) {
-			k := NewKernel()
-			k.SetInvariantChecks(true)
-			var fired []Time
-			for _, at := range []Time{10, 20, 30, 40, 50} {
-				k.At(at, func() {
-					fired = append(fired, k.Now())
-					if cut == "stop" && k.Now() == 20 {
-						k.Stop()
-					}
-				})
-			}
-			if cut == "budget" {
-				k.SetBudget(2)
-			}
-			k.Run(100)
-			if len(fired) != 2 || k.Now() != 20 {
-				t.Fatalf("cut Run(100): fired %v, now %v; want 2 events and now=20", fired, k.Now())
-			}
-			k.SetBudget(0)
-			k.Run(100)
-			if len(fired) != 5 || k.Now() != 100 {
-				t.Fatalf("resumed Run(100): fired %v, now %v; want 5 events and now=100", fired, k.Now())
-			}
-		})
-	}
-	// A Stop from the last live event at or before until, with only a
+	t.Run("budget", func(t *testing.T) {
+		k := NewKernel()
+		k.SetInvariantChecks(true)
+		var fired []Time
+		for _, at := range []Time{10, 20, 30, 40, 50} {
+			k.At(at, func() { fired = append(fired, k.Now()) })
+		}
+		k.SetBudget(2)
+		k.Run(100)
+		if len(fired) != 2 || k.Now() != 20 {
+			t.Fatalf("cut Run(100): fired %v, now %v; want 2 events and now=20", fired, k.Now())
+		}
+		k.SetBudget(0)
+		k.Run(100)
+		if len(fired) != 5 || k.Now() != 100 {
+			t.Fatalf("resumed Run(100): fired %v, now %v; want 5 events and now=100", fired, k.Now())
+		}
+	})
+	// A budget spent on the last live event at or before until, with only a
 	// cancelled entry and a later event left, still reaches until.
 	k := NewKernel()
 	k.SetInvariantChecks(true)
-	k.At(10, k.Stop)
+	k.SetBudget(1)
+	k.At(10, func() {})
 	k.At(20, func() {}).Cancel()
 	k.At(200, func() {})
 	k.Run(100)
 	if k.Now() != 100 {
-		t.Fatalf("Stop with nothing live left before until: now %v, want 100", k.Now())
+		t.Fatalf("budget spent with nothing live left before until: now %v, want 100", k.Now())
 	}
 }
 

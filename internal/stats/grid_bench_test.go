@@ -12,13 +12,12 @@ import (
 	"qma/internal/topo"
 )
 
-// BenchmarkReplicateGridWorkers measures ReplicateGridWorker on a
-// fig21-22-shaped grid: one cell per (ring size, MAC) point over the 7-,
-// 19-, 43- and 91-node DSME rings and three MACs, 2 replications each, one
-// arena per worker, at 1, 2 and 4 workers. One op is the whole sweep. The
-// cells' costs grow with the ring size, so the sub-benchmarks show what the
-// largest-first dispatch buys across cores.
-func BenchmarkReplicateGridWorkers(b *testing.B) {
+// BenchmarkReplicateGrid measures ReplicateGrid on a fig21-22-shaped grid:
+// one cell per (ring size, MAC) point over the 7-, 19-, 43- and 91-node DSME
+// rings and three MACs, 2 replications each, at 1, 2 and 4 workers. One op
+// is the whole sweep. The cells' costs grow with the ring size, so the
+// sub-benchmarks show what the largest-first dispatch buys across cores.
+func BenchmarkReplicateGrid(b *testing.B) {
 	counts := topo.RingNodeCounts()
 	nets := make([]*topo.Network, len(counts))
 	for i, n := range counts {
@@ -29,19 +28,14 @@ func BenchmarkReplicateGridWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				arenas := make([]*scenario.Arena, stats.Workers(workers))
-				ests, errs := stats.ReplicateGridWorker(len(nets)*len(macs), 2, workers,
-					func(w, cell int, seed uint64) map[string]float64 {
-						if arenas[w] == nil {
-							arenas[w] = scenario.NewArena()
-						}
+				ests, errs := stats.ReplicateGrid(len(nets)*len(macs), 2, workers,
+					func(cell int, seed uint64) map[string]float64 {
 						res := dsme.RunScenario(dsme.ScenarioConfig{
 							Network:  nets[cell/len(macs)],
 							MAC:      macs[cell%len(macs)],
 							Seed:     seed,
 							Duration: 60 * sim.Second,
 							Warmup:   20 * sim.Second,
-							Arena:    arenas[w],
 						})
 						return map[string]float64{"requests": res.Metrics.RequestSuccessRatio()}
 					})

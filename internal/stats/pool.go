@@ -20,7 +20,7 @@ import (
 // happen-before the execution of every item it pushed (the push and the
 // dequeue synchronize on the pool lock). Callers that want byte-identical
 // results across worker counts must make each item's effect independent of
-// execution order, exactly like ForEachWorker jobs.
+// execution order, exactly like ForEach jobs.
 
 // Item is one schedulable unit of work for RunPool.
 type Item struct {
@@ -33,7 +33,7 @@ type Item struct {
 	// Affinity is the preferred worker index (-1 = any): a worker first
 	// takes the best ready item that prefers it, and only then the best
 	// ready item overall. Callers use it to re-run an item on the worker
-	// whose cache already holds the item's state (arena affinity).
+	// whose cache already holds the item's state (cache affinity).
 	Affinity int
 }
 
@@ -56,8 +56,8 @@ type pool struct {
 // item failed; it returns nil on full success.
 //
 // A panicking job is recorded as a RepError (Attempts 1) and aborts the pool:
-// an item is never retried (the independent replications of ForEachWorker
-// retry inside their own job), because a job that panicked midway may have
+// an item is never retried (the independent replications of ForEach and
+// ReplicateGrid retry inside their own job), because a job that panicked midway may have
 // left state its dependants read half-updated, and later items must not run
 // against a broken dependency (pending items are dropped, in-flight items
 // finish). Callers treat a non-nil error slice as fatal for the whole

@@ -107,7 +107,7 @@ func TestRunPoolAffinityPreference(t *testing.T) {
 	}
 }
 
-// TestRunPoolRetriesOnce pins RunPool's retry policy: unlike ForEachWorker,
+// TestRunPoolRetriesOnce pins RunPool's retry policy: unlike ForEach,
 // which retries a replication once, a pool item runs exactly once. A panic
 // on the first attempt — even a transient one — is never retried, on one
 // worker or several, and surfaces as a one-attempt RepError.

@@ -27,21 +27,21 @@ import (
 // everything needed for a single-threaded repro: the sweep cell, the seed,
 // the recovered panic value and the stack of the final attempt.
 type RepError struct {
-	// Cell is the sweep point (set by ReplicateGridWorker; 0 under the
-	// plain pools, whose callers address jobs by Index).
+	// Cell is the sweep point (set by ReplicateGrid; 0 under ForEach,
+	// whose callers address jobs by Index).
 	Cell int
-	// Seed is the replication seed (set by ReplicateGridWorker, like Cell).
+	// Seed is the replication seed (set by ReplicateGrid, like Cell).
 	Seed uint64
-	// Index is the flat job index: the dispatch index under the plain
-	// pools, cell·reps + seed under ReplicateGridWorker.
+	// Index is the flat job index: the job index under ForEach,
+	// cell·reps + seed under ReplicateGrid.
 	Index int
 	// Value is the recovered panic value.
 	Value any
 	// Stack is the goroutine stack captured at the final panic.
 	Stack []byte
 	// Attempts is how many times the job was tried: 2 (initial + one retry)
-	// for the independent jobs of ForEachWorker and ReplicateGridWorker, 1
-	// for a RunPool item, which is never retried.
+	// for the independent jobs of ForEach and ReplicateGrid, 1 for a
+	// RunPool item, which is never retried.
 	Attempts int
 }
 
@@ -73,14 +73,14 @@ func capturePanic(i int, fn func()) (re *RepError) {
 	return nil
 }
 
-// runJob executes job(w, i) with one retry: replications are independent, so
+// runJob executes job(i) with one retry: replications are independent, so
 // re-running one cannot disturb another. It returns nil on success and the
 // second attempt's RepError when both attempts panicked.
-func runJob(w, i int, job func(w, i int)) *RepError {
-	if capturePanic(i, func() { job(w, i) }) == nil {
+func runJob(i int, job func(i int)) *RepError {
+	if capturePanic(i, func() { job(i) }) == nil {
 		return nil
 	}
-	re := capturePanic(i, func() { job(w, i) })
+	re := capturePanic(i, func() { job(i) })
 	if re != nil {
 		re.Attempts = 2
 	}
@@ -95,18 +95,8 @@ func runJob(w, i int, job func(w, i int)) *RepError {
 // A job that panics is retried once and, failing again, reported in the
 // returned slice (ordered by job index) instead of crashing the pool; its
 // result slot is simply never written. A nil return means every job
-// completed.
+// completed. Jobs are dispatched in index order.
 func ForEach(n, parallel int, job func(i int)) []*RepError {
-	return ForEachWorker(n, parallel, func(_, i int) { job(i) })
-}
-
-// ForEachWorker is ForEach with a worker identity: job additionally receives
-// the index w of the worker goroutine executing it, 0 <= w < Workers(parallel).
-// Jobs on the same w run strictly sequentially, which is what lets a job
-// reuse per-worker state (scratch arenas, frame pools) without locking. The
-// results must not depend on that state — each job stays addressed purely by
-// its index i. Jobs are dispatched in index order.
-func ForEachWorker(n, parallel int, job func(w, i int)) []*RepError {
 	items := make([]Item, n)
 	for i := range items {
 		items[i] = Item{ID: i, Affinity: -1}
@@ -118,12 +108,12 @@ func ForEachWorker(n, parallel int, job func(w, i int)) []*RepError {
 // successors. The retry and the error record live inside the item's job,
 // so a job that panicked twice is reported, ordered by ID, instead of
 // aborting the pool.
-func runIndependent(parallel int, items []Item, job func(w, i int)) []*RepError {
+func runIndependent(parallel int, items []Item, job func(i int)) []*RepError {
 	var mu sync.Mutex
 	var errs []*RepError
 	// runJob recovers every panic, so RunPool itself records none.
-	_ = RunPool(parallel, items, func(w, i int) []Item {
-		if re := runJob(w, i, job); re != nil {
+	_ = RunPool(parallel, items, func(_, i int) []Item {
+		if re := runJob(i, job); re != nil {
 			mu.Lock()
 			errs = append(errs, re)
 			mu.Unlock()
@@ -134,15 +124,13 @@ func runIndependent(parallel int, items []Item, job func(w, i int)) []*RepError 
 	return errs
 }
 
-// ReplicateGridWorker shards a whole sweep — cells independent experiment
+// ReplicateGrid shards a whole sweep — cells independent experiment
 // points, reps replications each — across one worker pool, so parallelism
 // is not throttled by the replication count of a single point (Quick mode
 // runs only 3 replications per point, far fewer than a modern machine has
-// cores). fn(w, cell, seed) must be independent across all (cell, seed)
-// pairs; w is the worker executing the replication (see ForEachWorker), so
-// a sweep can reuse one arena per worker across its runs. The result is one
-// Estimate per metric name per cell, merged in seed order, and must not
-// depend on the worker assignment.
+// cores). fn(cell, seed) must be independent across all (cell, seed) pairs.
+// The result is one Estimate per metric name per cell, merged in seed order,
+// so it does not depend on which worker ran which replication.
 //
 // Cells are dispatched from the last one down (the cell is the item's
 // priority), each in seed order. Sweeps list their points from small to
@@ -154,14 +142,14 @@ func runIndependent(parallel int, items []Item, job func(w, i int)) []*RepError 
 // slice with its exact cell and seed, so the sweep of every other point
 // completes and the crash stays reproducible single-threaded. Index is then
 // the cell-major flat index cell·reps + seed.
-func ReplicateGridWorker(cells, reps, parallel int, fn func(w, cell int, seed uint64) map[string]float64) ([]map[string]Estimate, []*RepError) {
+func ReplicateGrid(cells, reps, parallel int, fn func(cell int, seed uint64) map[string]float64) ([]map[string]Estimate, []*RepError) {
 	results := make([]map[string]float64, cells*reps)
 	items := make([]Item, cells*reps)
 	for i := range items {
 		items[i] = Item{ID: i, Priority: uint64(i / reps), Affinity: -1}
 	}
-	errs := runIndependent(parallel, items, func(w, i int) {
-		results[i] = fn(w, i/reps, uint64(i%reps))
+	errs := runIndependent(parallel, items, func(i int) {
+		results[i] = fn(i/reps, uint64(i%reps))
 	})
 	for _, e := range errs {
 		e.Cell = e.Index / reps

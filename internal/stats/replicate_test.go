@@ -29,13 +29,6 @@ func TestForEachEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// replicateGrid runs ReplicateGridWorker for an fn that ignores the worker
-// identity, the shape of every sweep without per-worker state.
-func replicateGrid(cells, reps, parallel int, fn func(cell int, seed uint64) map[string]float64) ([]map[string]Estimate, []*RepError) {
-	return ReplicateGridWorker(cells, reps, parallel,
-		func(_, cell int, seed uint64) map[string]float64 { return fn(cell, seed) })
-}
-
 // TestReplicateSeedOrder pins that per-seed results land in seed order when
 // replications are sharded: job i writes slot i, whatever worker ran it.
 func TestReplicateSeedOrder(t *testing.T) {
@@ -58,9 +51,9 @@ func TestReplicateManyDeterministicAcrossParallelism(t *testing.T) {
 			"b": float64(seed) / 7,
 		}
 	}
-	want, _ := replicateGrid(1, 13, 1, fn)
+	want, _ := ReplicateGrid(1, 13, 1, fn)
 	for _, parallel := range []int{2, 5, 0} {
-		got, _ := replicateGrid(1, 13, parallel, fn)
+		got, _ := ReplicateGrid(1, 13, parallel, fn)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("parallel=%d: estimates differ: %v vs %v", parallel, got, want)
 		}
@@ -71,9 +64,9 @@ func TestReplicateGridDeterministicAcrossParallelism(t *testing.T) {
 	fn := func(cell int, seed uint64) map[string]float64 {
 		return map[string]float64{"v": float64(cell)*100 + math.Cos(float64(seed))}
 	}
-	want, _ := replicateGrid(5, 4, 1, fn)
+	want, _ := ReplicateGrid(5, 4, 1, fn)
 	for _, parallel := range []int{3, 16, 0} {
-		got, _ := replicateGrid(5, 4, parallel, fn)
+		got, _ := ReplicateGrid(5, 4, parallel, fn)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("parallel=%d: grid estimates differ", parallel)
 		}
@@ -95,7 +88,7 @@ func TestReplicateGridDeterministicAcrossParallelism(t *testing.T) {
 // hands out the last cell first and works down, each cell's seeds in order.
 func TestReplicateGridDispatchesLargestCellsFirst(t *testing.T) {
 	var order [][2]int
-	est, errs := replicateGrid(3, 2, 1, func(cell int, seed uint64) map[string]float64 {
+	est, errs := ReplicateGrid(3, 2, 1, func(cell int, seed uint64) map[string]float64 {
 		order = append(order, [2]int{cell, int(seed)})
 		return map[string]float64{"cell": float64(cell)}
 	})
@@ -122,7 +115,7 @@ func TestReplicateGridDispatchesLargestCellsFirst(t *testing.T) {
 func TestReplicateGridSurvivesPanickingReplication(t *testing.T) {
 	const cells, reps = 10, 10
 	for _, parallel := range []int{1, 4, 0} {
-		est, errs := replicateGrid(cells, reps, parallel, func(cell int, seed uint64) map[string]float64 {
+		est, errs := ReplicateGrid(cells, reps, parallel, func(cell int, seed uint64) map[string]float64 {
 			if cell == 7 && seed == 3 {
 				panic("protocol stub exploded")
 			}

@@ -190,7 +190,7 @@ func TestReplicateOrderAndParallelism(t *testing.T) {
 }
 
 func TestReplicateMany(t *testing.T) {
-	grid, _ := replicateGrid(1, 4, 0, func(_ int, seed uint64) map[string]float64 {
+	grid, _ := ReplicateGrid(1, 4, 0, func(_ int, seed uint64) map[string]float64 {
 		return map[string]float64{"a": float64(seed), "b": 2}
 	})
 	est := grid[0]

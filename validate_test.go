@@ -36,6 +36,12 @@ func TestScenarioValidateErrorPaths(t *testing.T) {
 		{"negative broadcast period", func(s *qma.Scenario) {
 			s.Broadcasts = []qma.Broadcast{{Origin: 0, PeriodSeconds: -2}}
 		}, "positive period"},
+		{"traffic starting in the past", func(s *qma.Scenario) {
+			s.Traffic[0].StartSeconds = -1
+		}, "starts in the past"},
+		{"broadcast starting in the past", func(s *qma.Scenario) {
+			s.Broadcasts = []qma.Broadcast{{Origin: 0, PeriodSeconds: 1, StartSeconds: -3}}
+		}, "starts in the past"},
 		{"unregistered MAC", func(s *qma.Scenario) {
 			s.MAC = "token-ring"
 		}, "unknown MAC"},
