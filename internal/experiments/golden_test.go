@@ -26,13 +26,17 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden digests")
 
-// goldenIDs are the experiments covered by committed digests: the headline
-// hidden-node sweep, a testbed figure, the DSME scalability family, the
-// large-N scale family, the dynamics family, the cross-protocol baselines
-// family, the capture-enabled NOMA power-level family, the fault-injection
-// family, the overload/access-barring family and the multi-cell sharded
-// mMTC family.
-var goldenIDs = []string{"fig07-09", "fig18", "fig21-22", "scale", "dynamics", "baselines", "noma", "faults", "overload", "mmtc"}
+// goldenIDs are the experiments covered by committed digests, every
+// registered family: the paper's figures (hidden-node sweep, testbed,
+// DSME scalability and the Markov model), the Q-table kinds of the
+// ablation, the energy model, the large-N scale family, the dynamics
+// family, the cross-protocol baselines family, the capture-enabled NOMA
+// power-level family, the fault-injection family, the overload/access-
+// barring family and the multi-cell sharded mMTC family.
+var goldenIDs = []string{
+	"fig07-09", "fig10-11", "fig12", "fig13-15", "fig18", "fig19", "fig21-22", "fig26",
+	"ablation", "energy", "scale", "dynamics", "baselines", "noma", "faults", "overload", "mmtc",
+}
 
 // goldenDigest is the committed JSON shape.
 type goldenDigest struct {
