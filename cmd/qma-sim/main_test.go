@@ -61,6 +61,12 @@ func TestSemanticFlagErrorsExitNonZero(t *testing.T) {
 		{"mac-opt unknown key", []string{"-mac", "unslotted", "-mac-opt", "warp=9", "-duration", "1"}, "warp"},
 		{"mac-opt learning rate out of range", []string{"-mac-opt", "alpha=2", "-duration", "1", "-warmup", "0"}, "alpha=2"},
 		{"noma learning rate out of range", []string{"-mac", "noma", "-capture-db", "6", "-mac-opt", "alpha=2", "-duration", "1", "-warmup", "0"}, "alpha=2"},
+		{"mac-opt penalty NaN", []string{"-mac-opt", "xi=NaN", "-duration", "1", "-warmup", "0"}, "xi=NaN"},
+		{"mac-opt learning rate NaN", []string{"-mac-opt", "alpha=NaN", "-duration", "1", "-warmup", "0"}, "alpha=NaN"},
+		{"mac-opt initial Q infinite", []string{"-mac-opt", "initq=Inf", "-duration", "1", "-warmup", "0"}, "initq=+Inf"},
+		{"bandit UCB constant NaN", []string{"-mac", "bandit", "-mac-opt", "ucbc=NaN", "-duration", "1", "-warmup", "0"}, "UCBC"},
+		{"noma level step NaN", []string{"-mac", "noma", "-capture-db", "6", "-mac-opt", "step=NaN", "-duration", "1", "-warmup", "0"}, "LevelStepDB=NaN"},
+		{"barring factor NaN", []string{"-barring", "fixed", "-barring-p", "NaN", "-duration", "1", "-warmup", "0"}, "P=NaN"},
 		{"fault node out of range", []string{"-fault-outage", "99@10+5", "-duration", "1"}, "out of range"},
 		{"fault on dsme path", []string{"-dsme", "-fault-reboot", "0@1"}, "-fault-"},
 		{"fault on scale path", []string{"-scale", "50", "-fault-reboot", "0@1"}, "-fault-"},

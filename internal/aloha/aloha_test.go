@@ -32,7 +32,7 @@ func newRig(t *testing.T, links [][2]int, n int, variant Variant, cfgs []mac.Con
 		if i < len(cfgs) {
 			mc = cfgs[i]
 		}
-		mc.ID, mc.Kernel, mc.Medium, mc.Clock, mc.MaxRetries = frame.NodeID(i), k, m, clock, -1
+		mc.ID, mc.Kernel, mc.Medium, mc.Clock, mc.MaxRetries = frame.NodeID(i), k, m, clock, mac.DefaultMaxRetries
 		e := New(Config{MAC: mc, Variant: variant, Rng: sim.NewRandStream(7, uint64(i))})
 		r.engines = append(r.engines, e)
 		m.Attach(frame.NodeID(i), e)
@@ -81,12 +81,12 @@ func TestSlottedAlignsToSubslotBoundaries(t *testing.T) {
 	m := radio.NewMedium(k, g, sim.NewRand(7))
 	clock := superframe.NewClock(superframe.DefaultConfig())
 	sender := New(Config{
-		MAC:     mac.Config{ID: 0, Kernel: k, Medium: m, Clock: clock, MaxRetries: -1},
+		MAC:     mac.Config{ID: 0, Kernel: k, Medium: m, Clock: clock, MaxRetries: mac.DefaultMaxRetries},
 		Variant: Slotted,
 		Rng:     sim.NewRandStream(7, 0),
 	})
 	sink := New(Config{
-		MAC: mac.Config{ID: 1, Kernel: k, Medium: m, Clock: clock, MaxRetries: -1,
+		MAC: mac.Config{ID: 1, Kernel: k, Medium: m, Clock: clock, MaxRetries: mac.DefaultMaxRetries,
 			OnSinkDeliver: func(g *frame.Frame) { starts = append(starts, k.Now()-g.Duration()) }},
 		Variant: Slotted,
 		Rng:     sim.NewRandStream(7, 1),
@@ -122,12 +122,12 @@ func TestPureTransmitsImmediately(t *testing.T) {
 	m := radio.NewMedium(k, g, sim.NewRand(7))
 	clock := superframe.NewClock(superframe.DefaultConfig())
 	sender := New(Config{
-		MAC:     mac.Config{ID: 0, Kernel: k, Medium: m, Clock: clock, MaxRetries: -1},
+		MAC:     mac.Config{ID: 0, Kernel: k, Medium: m, Clock: clock, MaxRetries: mac.DefaultMaxRetries},
 		Variant: Pure,
 		Rng:     sim.NewRandStream(7, 0),
 	})
 	sink := New(Config{
-		MAC: mac.Config{ID: 1, Kernel: k, Medium: m, Clock: clock, MaxRetries: -1,
+		MAC: mac.Config{ID: 1, Kernel: k, Medium: m, Clock: clock, MaxRetries: mac.DefaultMaxRetries,
 			OnSinkDeliver: func(*frame.Frame) { deliveredAt = k.Now() }},
 		Variant: Pure,
 		Rng:     sim.NewRandStream(7, 1),

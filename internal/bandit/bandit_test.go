@@ -30,7 +30,7 @@ func newRig(t *testing.T, links [][2]int, n int, opts Options) *rig {
 	r := &rig{k: k, m: m, clock: clock}
 	for i := 0; i < n; i++ {
 		e := New(Config{
-			MAC:     mac.Config{ID: frame.NodeID(i), Kernel: k, Medium: m, Clock: clock, MaxRetries: -1},
+			MAC:     mac.Config{ID: frame.NodeID(i), Kernel: k, Medium: m, Clock: clock, MaxRetries: mac.DefaultMaxRetries},
 			Options: opts,
 			Rng:     sim.NewRandStream(7, uint64(i)),
 		})

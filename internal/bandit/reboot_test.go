@@ -65,7 +65,7 @@ func TestRebootOrphansBarringRetry(t *testing.T) {
 	clock := superframe.NewClock(superframe.DefaultConfig())
 	var engines []*Engine
 	for i := 0; i < 2; i++ {
-		mc := mac.Config{ID: frame.NodeID(i), Kernel: k, Medium: m, Clock: clock, MaxRetries: -1}
+		mc := mac.Config{ID: frame.NodeID(i), Kernel: k, Medium: m, Clock: clock, MaxRetries: mac.DefaultMaxRetries}
 		if i == 0 {
 			mc.BarringRng = sim.NewRandStream(9, 0)
 		}

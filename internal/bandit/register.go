@@ -2,6 +2,7 @@ package bandit
 
 import (
 	"fmt"
+	"math"
 
 	"qma/internal/mac"
 	"qma/internal/qlearn"
@@ -82,8 +83,8 @@ func validateOptions(opts any) error {
 	if o.Picker > UCB1 {
 		return fmt.Errorf("bandit: unknown picker %d", o.Picker)
 	}
-	if o.UCBC < 0 {
-		return fmt.Errorf("bandit: UCBC must not be negative, got %g", o.UCBC)
+	if !(o.UCBC >= 0 && o.UCBC <= math.MaxFloat64) {
+		return fmt.Errorf("bandit: UCBC must be finite and non-negative, got %g", o.UCBC)
 	}
 	return nil
 }

@@ -127,7 +127,8 @@ type Config struct {
 func (c *Config) Enabled() bool { return c.Policy != PolicyOff }
 
 // Validate reports a descriptive error when the config is not realizable.
-// A disabled config is always valid.
+// A disabled config is always valid. Each range check is written as the
+// range the value must lie in, so NaN fails it.
 func (c *Config) Validate() error {
 	if !c.Enabled() {
 		return nil
@@ -137,13 +138,13 @@ func (c *Config) Validate() error {
 	default:
 		return fmt.Errorf("barring: unknown policy %q (want fixed, aimd or pid)", c.Policy)
 	}
-	if c.P < 0 || c.P > 1 {
+	if !(c.P >= 0 && c.P <= 1) {
 		return fmt.Errorf("barring: factor P=%v outside [0,1]", c.P)
 	}
-	if c.Target < 0 || c.Target >= 1 {
+	if !(c.Target >= 0 && c.Target < 1) {
 		return fmt.Errorf("barring: target collision ratio %v outside [0,1)", c.Target)
 	}
-	if c.MinP < 0 || c.MinP > 1 {
+	if !(c.MinP >= 0 && c.MinP <= 1) {
 		return fmt.Errorf("barring: admission floor MinP=%v outside [0,1]", c.MinP)
 	}
 	if c.Interval < 0 {
@@ -265,16 +266,4 @@ type Beacon struct {
 	P float64
 	// Backoff is how long a barred node waits before redrawing.
 	Backoff sim.Time
-}
-
-// Replay runs a fresh controller for cfg over a congestion trace and returns
-// the factor after each observation. It is the pure reference the fuzz
-// harness checks invariants against.
-func Replay(cfg Config, trace []Observation) []float64 {
-	ctrl := New(cfg)
-	out := make([]float64, len(trace))
-	for i, o := range trace {
-		out[i] = ctrl.Update(o)
-	}
-	return out
 }

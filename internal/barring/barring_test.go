@@ -26,6 +26,9 @@ func TestValidateRejectsBadKnobs(t *testing.T) {
 		{Policy: PolicyAIMD, MinP: 2},
 		{Policy: PolicyPID, Interval: -sim.Second},
 		{Policy: PolicyPID, Backoff: -1},
+		{Policy: PolicyFixed, P: math.NaN()},
+		{Policy: PolicyAIMD, Target: math.NaN()},
+		{Policy: PolicyAIMD, MinP: math.NaN()},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -168,7 +171,7 @@ func FuzzBarringControl(f *testing.F) {
 		}
 
 		floor := cfg.minP()
-		out := Replay(cfg, trace)
+		out := replay(cfg, trace)
 		for i, p := range out {
 			if p < 0 || p > 1 || math.IsNaN(p) {
 				t.Fatalf("step %d: factor %v escaped [0,1] (policy %s)", i, p, cfg.Policy)
@@ -177,7 +180,7 @@ func FuzzBarringControl(f *testing.F) {
 				t.Fatalf("step %d: factor %v under the %v floor (policy %s)", i, p, floor, cfg.Policy)
 			}
 		}
-		again := Replay(cfg, trace)
+		again := replay(cfg, trace)
 		for i := range out {
 			if out[i] != again[i] {
 				t.Fatalf("step %d: replay diverged: %v vs %v", i, out[i], again[i])
@@ -206,4 +209,16 @@ func FuzzBarringControl(f *testing.F) {
 			}
 		}
 	})
+}
+
+// replay runs a fresh controller for cfg over a congestion trace and returns
+// the factor after each observation. It is the pure reference the fuzz
+// harness checks invariants against.
+func replay(cfg Config, trace []Observation) []float64 {
+	ctrl := New(cfg)
+	out := make([]float64, len(trace))
+	for i, o := range trace {
+		out[i] = ctrl.Update(o)
+	}
+	return out
 }

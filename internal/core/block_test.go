@@ -91,7 +91,7 @@ func TestTickFieldsInPrefetchedPrefix(t *testing.T) {
 	}
 	// mac.Base's fields are unexported, so their offsets come from reflect.
 	base := reflect.TypeOf(e.base)
-	for _, name := range []string{"busyUntil", "neighbors", "queue"} {
+	for _, name := range []string{"busyUntil", "staleAfter", "neighbors", "queue"} {
 		f, ok := base.FieldByName(name)
 		if !ok {
 			t.Fatalf("mac.Base has no field %s", name)
@@ -106,7 +106,6 @@ func TestTickFieldsInPrefetchedPrefix(t *testing.T) {
 	fields = append(fields,
 		field{"base.cfg.Kernel", at + unsafe.Offsetof(c.Kernel), unsafe.Sizeof(c.Kernel)},
 		field{"base.cfg.Clock", at + unsafe.Offsetof(c.Clock), unsafe.Sizeof(c.Clock)},
-		field{"base.cfg.NeighborStaleAfter", at + unsafe.Offsetof(c.NeighborStaleAfter), unsafe.Sizeof(c.NeighborStaleAfter)},
 		field{"base.cfg.BarringRng", at + unsafe.Offsetof(c.BarringRng), unsafe.Sizeof(c.BarringRng)},
 	)
 	for _, f := range fields {

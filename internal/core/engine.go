@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"qma/internal/frame"
 	"qma/internal/mac"
@@ -45,7 +46,8 @@ type Config struct {
 	// Table, when set, must hold NumActions·K actions.
 	Levels int
 	// LevelStepDB is the power reduction per level: level ℓ transmits
-	// ℓ·LevelStepDB dB below the reference power. It must not be negative.
+	// ℓ·LevelStepDB dB below the reference power. It must be finite and
+	// non-negative.
 	LevelStepDB float64
 	// CapturedOver turns on the captured-over reward shaping: a failed
 	// transmission during whose ACK wait a foreign ACK was overheard earns
@@ -217,8 +219,8 @@ func New(cfg Config) *Engine {
 	if cfg.Levels < 0 || cfg.Levels > MaxLevels {
 		panic(fmt.Sprintf("core: Levels=%d out of [0,%d]", cfg.Levels, MaxLevels))
 	}
-	if cfg.LevelStepDB < 0 {
-		panic(fmt.Sprintf("core: LevelStepDB=%v must not be negative", cfg.LevelStepDB))
+	if !(cfg.LevelStepDB >= 0 && cfg.LevelStepDB <= math.MaxFloat64) {
+		panic(fmt.Sprintf("core: LevelStepDB=%v must be finite and non-negative", cfg.LevelStepDB))
 	}
 	levels := max(cfg.Levels, 1)
 	actions := NumActions * levels

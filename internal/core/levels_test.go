@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"qma/internal/frame"
+	"qma/internal/mac"
 	"qma/internal/qlearn"
 	"qma/internal/sim"
 )
@@ -16,7 +17,7 @@ import (
 func newLevelsRig(t *testing.T, links [][2]int, n, levels, startupSubslots int) *rig {
 	t.Helper()
 	return newRig(t, links, n, func(_ int, c *Config) {
-		c.MAC.MaxRetries = -1
+		c.MAC.MaxRetries = mac.DefaultMaxRetries
 		c.Levels = levels
 		c.LevelStepDB = 6
 		c.CapturedOver = true
@@ -108,7 +109,7 @@ func TestCaptureOffBothFail(t *testing.T) {
 // yet takes the full send-failure punishment.
 func TestCapturedOverNeedsShaping(t *testing.T) {
 	r := newRig(t, [][2]int{{0, 1}, {1, 2}}, 3, func(_ int, c *Config) {
-		c.MAC.MaxRetries = -1
+		c.MAC.MaxRetries = mac.DefaultMaxRetries
 		c.Levels = 2
 		c.LevelStepDB = 6
 		c.StartupSubslots = 1 << 20

@@ -23,23 +23,20 @@ type PowerStep struct {
 	MilliAmp float64
 }
 
-// Profile holds the current draws of a transceiver state machine.
+// Profile holds the current draws of a transceiver state machine. The TX
+// draw has one model, the radio's programmable power steps; a profile must
+// list at least one.
 type Profile struct {
 	// Name identifies the radio.
 	Name string
-	// TxMilliAmp is the draw while transmitting at maximum power (the
-	// backwards-compatible flat model used when TxSteps is empty).
-	TxMilliAmp float64
 	// RxMilliAmp is the draw while listening or receiving.
 	RxMilliAmp float64
 	// IdleMilliAmp is the draw with the transceiver off (MCU still up).
 	IdleMilliAmp float64
 	// SupplyVolt is the supply voltage.
 	SupplyVolt float64
-	// TxSteps, when non-empty, maps the radio's discrete TX power settings
-	// to supply currents in descending DBm order; TxSteps[0] must match
-	// TxMilliAmp so flat accounting and step accounting agree at maximum
-	// power.
+	// TxSteps maps the radio's discrete TX power settings to supply
+	// currents in descending DBm order; TxSteps[0] is the maximum power.
 	TxSteps []PowerStep
 }
 
@@ -50,7 +47,7 @@ type Profile struct {
 // +3 dBm to the −17 dBm minimum.
 func AT86RF231() Profile {
 	return Profile{
-		Name: "AT86RF231", TxMilliAmp: 14.0, RxMilliAmp: 12.3, IdleMilliAmp: 0.4, SupplyVolt: 3.0,
+		Name: "AT86RF231", RxMilliAmp: 12.3, IdleMilliAmp: 0.4, SupplyVolt: 3.0,
 		TxSteps: []PowerStep{
 			{DBm: 3, MilliAmp: 14.0},
 			{DBm: 0, MilliAmp: 12.7},
@@ -67,12 +64,8 @@ func AT86RF231() Profile {
 // the draw of the weakest programmable step still delivering at least dbm
 // (the radio rounds a requested power up to the next setting). Requests
 // above the strongest step draw the maximum; below the weakest, the
-// minimum setting's draw (the radio cannot go lower). Profiles without
-// TxSteps draw TxMilliAmp at every power.
+// minimum setting's draw (the radio cannot go lower).
 func (p Profile) TxMilliAmpAt(dbm float64) float64 {
-	if len(p.TxSteps) == 0 {
-		return p.TxMilliAmp
-	}
 	for i := len(p.TxSteps) - 1; i >= 0; i-- {
 		if p.TxSteps[i].DBm >= dbm {
 			return p.TxSteps[i].MilliAmp
@@ -81,15 +74,10 @@ func (p Profile) TxMilliAmpAt(dbm float64) float64 {
 	return p.TxSteps[0].MilliAmp
 }
 
-// MaxTxDBm reports the strongest programmable output power (TxSteps[0]), or
-// 0 for profiles without steps. It is the reference power the radio layer's
-// per-transmission reductions are counted from.
-func (p Profile) MaxTxDBm() float64 {
-	if len(p.TxSteps) == 0 {
-		return 0
-	}
-	return p.TxSteps[0].DBm
-}
+// MaxTxDBm reports the strongest programmable output power (TxSteps[0]). It
+// is the reference power the radio layer's per-transmission reductions are
+// counted from.
+func (p Profile) MaxTxDBm() float64 { return p.TxSteps[0].DBm }
 
 // Report is the per-node energy breakdown over a run.
 type Report struct {
@@ -120,9 +108,9 @@ func (r Report) String() string {
 // Account computes the energy report for one node: the transceiver listens
 // during every CAP of the run except while transmitting, and is off
 // otherwise. capOn is the cumulative CAP residency (duration × CAP duty
-// cycle for always-associated nodes). TX is charged flat at TxMilliAmp —
-// correct for single-power runs transmitting at maximum power; power-diverse
-// runs use AccountPowered with the medium's airtime breakdown.
+// cycle for always-associated nodes). TX is charged at the maximum power's
+// draw — correct for single-power runs; power-diverse runs use
+// AccountPowered with the medium's airtime breakdown.
 func Account(p Profile, total, capOn sim.Time, radioStats radio.NodeStats) Report {
 	return AccountPowered(p, total, capOn, radioStats, p.MaxTxDBm(), nil)
 }
@@ -131,9 +119,8 @@ func Account(p Profile, total, capOn sim.Time, radioStats radio.NodeStats) Repor
 // byPower is the node's airtime breakdown (radio.Medium.TxAirtimeByPower;
 // ReduceDB counts down from refDBm, the absolute output power the radio
 // layer's reference corresponds to — Profile.MaxTxDBm for hardware driven at
-// full power). A nil byPower charges all of radioStats.TxAirtime at refDBm;
-// with an empty TxSteps table every power collapses to the flat TxMilliAmp,
-// making Account a special case.
+// full power). A nil byPower charges all of radioStats.TxAirtime at refDBm,
+// which makes Account a special case.
 func AccountPowered(p Profile, total, capOn sim.Time, radioStats radio.NodeStats, refDBm float64, byPower []radio.PowerAirtime) Report {
 	tx := radioStats.TxAirtime
 	listen := capOn - tx

@@ -51,8 +51,7 @@ func TestAccountClampsNegatives(t *testing.T) {
 
 // TestTxMilliAmpAtSteps pins the datasheet-step TX draw model: requested
 // powers round up to the next programmable setting, the extremes clamp, and
-// the maximum setting matches the flat TxMilliAmp so single-power accounting
-// is unchanged.
+// the maximum setting draws the datasheet's 14 mA at +3 dBm.
 func TestTxMilliAmpAtSteps(t *testing.T) {
 	p := AT86RF231()
 	cases := []struct{ dbm, want float64 }{
@@ -71,12 +70,8 @@ func TestTxMilliAmpAtSteps(t *testing.T) {
 			t.Errorf("TxMilliAmpAt(%g) = %g, want %g", c.dbm, got, c.want)
 		}
 	}
-	if p.TxMilliAmpAt(p.MaxTxDBm()) != p.TxMilliAmp {
-		t.Error("maximum step draw differs from the flat TxMilliAmp")
-	}
-	flat := Profile{TxMilliAmp: 11, RxMilliAmp: 1, SupplyVolt: 3}
-	if flat.TxMilliAmpAt(-7) != 11 {
-		t.Error("profiles without TxSteps must fall back to the flat draw")
+	if p.MaxTxDBm() != 3 || p.TxMilliAmpAt(p.MaxTxDBm()) != 14.0 {
+		t.Errorf("maximum step = %g dBm at %g mA, want 3 dBm at 14 mA", p.MaxTxDBm(), p.TxMilliAmpAt(p.MaxTxDBm()))
 	}
 }
 

@@ -36,8 +36,8 @@ func RunAblations(mode Mode) []*Table {
 	paperLearn := qlearn.DefaultParams()
 	noXi := paperLearn
 	noXi.Xi = 0
-	optimistic := paperLearn
-	optimistic.Rule = qlearn.RuleOptimistic
+	// Eq. 2 is Eq. 5 at α=1 and ξ=0, bit for bit.
+	optimistic := qlearn.Params{Alpha: 1, Gamma: paperLearn.Gamma, Xi: 0, InitQ: paperLearn.InitQ}
 	variants := []variant{
 		{"paper defaults (parameter-based, float, ξ=2, startup)", scenario.QMAOptions{}},
 		{"ε-greedy exploration (ε₀=0.3, half-life 30 s)", scenario.QMAOptions{

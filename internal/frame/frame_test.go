@@ -115,11 +115,8 @@ func TestQueueDropAccounting(t *testing.T) {
 	if q.Push(&Frame{Seq: 3}) {
 		t.Error("Push above capacity accepted")
 	}
-	if q.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1", q.Dropped())
-	}
-	if q.Enqueued() != 2 {
-		t.Errorf("Enqueued = %d, want 2", q.Enqueued())
+	if q.Len() != 2 || q.At(1).Seq != 2 {
+		t.Errorf("rejected Push changed the queue: len %d", q.Len())
 	}
 	if !q.Full() {
 		t.Error("queue at capacity should be Full")
@@ -127,30 +124,15 @@ func TestQueueDropAccounting(t *testing.T) {
 }
 
 func TestQueueDefaultCapacity(t *testing.T) {
-	q := NewQueue(0)
-	if q.Cap() != DefaultQueueCap {
-		t.Errorf("default capacity = %d, want %d", q.Cap(), DefaultQueueCap)
-	}
-	q2 := NewQueue(-5)
-	if q2.Cap() != DefaultQueueCap {
-		t.Errorf("negative capacity = %d, want %d", q2.Cap(), DefaultQueueCap)
-	}
-}
-
-func TestQueuePushFront(t *testing.T) {
-	q := NewQueue(2)
-	q.Push(&Frame{Seq: 2})
-	q.Push(&Frame{Seq: 3})
-	q.PushFront(&Frame{Seq: 1}) // succeeds even at capacity
-	if q.Len() != 3 {
-		t.Fatalf("Len after PushFront = %d, want 3", q.Len())
-	}
-	if q.Head().Seq != 1 {
-		t.Errorf("Head after PushFront = %d, want 1", q.Head().Seq)
-	}
-	got := []uint32{q.Pop().Seq, q.Pop().Seq, q.Pop().Seq}
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("order after PushFront = %v", got)
+	for _, capacity := range []int{0, -5} {
+		q := NewQueue(capacity)
+		n := 0
+		for q.Push(&Frame{}) {
+			n++
+		}
+		if n != DefaultQueueCap {
+			t.Errorf("NewQueue(%d) holds %d frames, want %d", capacity, n, DefaultQueueCap)
+		}
 	}
 }
 
@@ -162,23 +144,27 @@ func TestQueueClear(t *testing.T) {
 	if !q.Empty() {
 		t.Error("queue not empty after Clear")
 	}
-	if q.Enqueued() != 2 {
-		t.Error("Clear should not reset accounting")
-	}
 }
 
-// Property: a queue never exceeds its capacity and Len+Dropped bookkeeping
-// is consistent under arbitrary push/pop sequences.
+// Property: a queue never exceeds its capacity, Push rejects exactly when
+// it is full, and Len equals accepted minus popped frames under arbitrary
+// push/pop sequences.
 func TestQueueInvariants(t *testing.T) {
 	prop := func(ops []bool, capSeed uint8) bool {
 		capacity := int(capSeed%8) + 1
 		q := NewQueue(capacity)
-		popped := uint64(0)
+		accepted, popped := 0, 0
 		var seq uint32
 		for _, push := range ops {
 			if push {
 				seq++
-				q.Push(&Frame{Seq: seq})
+				full := q.Full()
+				if q.Push(&Frame{Seq: seq}) == full {
+					return false
+				}
+				if !full {
+					accepted++
+				}
 			} else if q.Pop() != nil {
 				popped++
 			}
@@ -186,7 +172,7 @@ func TestQueueInvariants(t *testing.T) {
 				return false
 			}
 		}
-		return uint64(q.Len()) == q.Enqueued()-popped
+		return q.Len() == accepted-popped
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

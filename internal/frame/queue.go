@@ -4,16 +4,13 @@ package frame
 // Fig. 4: "ρ = 0.3 is used for the maximum queue level of 8 packets").
 const DefaultQueueCap = 8
 
-// Queue is a bounded FIFO transmit queue with drop accounting. The zero
-// value is not usable; construct with NewQueue. Queue is not safe for
-// concurrent use (the simulation is sequential).
+// Queue is a bounded FIFO transmit queue. It keeps no counters: the MAC
+// layer's Stats count accepted and rejected frames. The zero value is not
+// usable; construct with NewQueue. Queue is not safe for concurrent use
+// (the simulation is sequential).
 type Queue struct {
 	items []*Frame
 	cap   int
-	// Dropped counts frames rejected because the queue was full.
-	dropped uint64
-	// enqueued counts accepted frames.
-	enqueued uint64
 }
 
 // NewQueue returns an empty queue holding at most capacity frames.
@@ -26,20 +23,17 @@ func NewQueue(capacity int) *Queue {
 }
 
 // NewQueueOn is NewQueue using buf as the item storage (a slab slice from a
-// run arena). buf must hold at least capacity+1 elements — PushFront may
-// momentarily exceed the bound — and must not be shared with another queue.
+// run arena). buf must hold at least capacity elements and must not be
+// shared with another queue.
 func NewQueueOn(capacity int, buf []*Frame) *Queue {
 	if capacity <= 0 {
 		capacity = DefaultQueueCap
 	}
-	if len(buf) < capacity+1 {
+	if len(buf) < capacity {
 		return NewQueue(capacity)
 	}
 	return &Queue{items: buf[:0], cap: capacity}
 }
-
-// Cap reports the maximum number of frames the queue holds.
-func (q *Queue) Cap() int { return q.cap }
 
 // Len reports the current occupancy.
 func (q *Queue) Len() int { return len(q.items) }
@@ -50,31 +44,13 @@ func (q *Queue) Empty() bool { return len(q.items) == 0 }
 // Full reports whether the queue is at capacity.
 func (q *Queue) Full() bool { return len(q.items) >= q.cap }
 
-// Dropped reports how many frames were rejected by Push because the queue
-// was full.
-func (q *Queue) Dropped() uint64 { return q.dropped }
-
-// Enqueued reports how many frames were accepted in total.
-func (q *Queue) Enqueued() uint64 { return q.enqueued }
-
 // Push appends f if space remains and reports whether it was accepted.
 func (q *Queue) Push(f *Frame) bool {
 	if q.Full() {
-		q.dropped++
 		return false
 	}
 	q.items = append(q.items, f)
-	q.enqueued++
 	return true
-}
-
-// PushFront re-inserts f at the head (used when a transaction must be
-// deferred without counting as a drop). Unlike Push it succeeds even at
-// capacity, because the frame was already accounted for.
-func (q *Queue) PushFront(f *Frame) {
-	q.items = append(q.items, nil)
-	copy(q.items[1:], q.items)
-	q.items[0] = f
 }
 
 // Head returns the frame at the front without removing it, or nil when

@@ -150,20 +150,15 @@ func (d DropPolicy) String() string {
 }
 
 // Config assembles a Base. All reference fields are required. The fields a
-// QMA subslot tick reads (Kernel, Clock, NeighborStaleAfter, BarringRng)
-// lead, because Base keeps its Config inside the engine block's prefetched
-// prefix (see core.Engine).
+// QMA subslot tick reads (Kernel, Clock, BarringRng) lead, because Base
+// keeps its Config inside the engine block's prefetched prefix (see
+// core.Engine). The transmit queue always holds the paper's
+// frame.DefaultQueueCap frames.
 type Config struct {
 	// Kernel is the simulation kernel shared by the scenario.
 	Kernel *sim.Kernel
 	// Clock is the shared superframe clock.
 	Clock *superframe.Clock
-	// NeighborStaleAfter bounds how long an overheard queue level stays in
-	// the §4.2 neighbour table (0 selects 16 superframes ≈ 2 s). Without
-	// expiry a saturated network deadlocks: every node remembers its
-	// neighbours' queues as full, the queue difference stays at zero and
-	// parameter-based exploration shuts down for everyone at once.
-	NeighborStaleAfter sim.Time
 	// BarringRng drives the node's access-class barring draws
 	// (internal/barring). It must be a deterministic stream private to this
 	// node. nil — the default — disables the barring gate entirely:
@@ -174,9 +169,9 @@ type Config struct {
 	ID frame.NodeID
 	// Medium is the shared radio channel.
 	Medium *radio.Medium
-	// QueueCap bounds the transmit queue (<=0 selects the paper's 8).
-	QueueCap int
-	// MaxRetries is NR (<0 selects DefaultMaxRetries; 0 means no retries).
+	// MaxRetries is NR: a unicast frame is dropped after MaxRetries failed
+	// retransmissions (DefaultMaxRetries in the paper's runs; 0 means no
+	// retries).
 	MaxRetries int
 	// Router enables multi-hop forwarding (nil for single-hop scenarios).
 	Router Router
@@ -221,8 +216,8 @@ type Config struct {
 	// Drop selects the transmit-queue overflow policy (zero: TailDrop, the
 	// pre-existing behaviour).
 	Drop DropPolicy
-	// DropDeadline is the DeadlineDrop age limit (0 selects 16 superframes
-	// ≈ 2 s, the neighbour-staleness horizon).
+	// DropDeadline is the DeadlineDrop age limit (0 selects the
+	// neighbour-staleness horizon, 16 superframes ≈ 2 s).
 	DropDeadline sim.Time
 }
 
@@ -238,14 +233,21 @@ type neighborLevel struct {
 // safe for concurrent use.
 type Base struct {
 	// The fields a QMA subslot tick reads come first: busyUntil, the
-	// neighbours, the queue header and, leading cfg, the kernel, clock,
-	// neighbour staleness and barring stream. They sit in the engine
-	// block's prefetched prefix (see core.Engine).
+	// neighbour staleness horizon, the neighbours, the queue header and,
+	// leading cfg, the kernel, clock and barring stream. They sit in the
+	// engine block's prefetched prefix (see core.Engine).
 
 	// busyUntil marks the end of the node's current MAC activity
 	// (transmission, CCA, ACK wait or pending immediate ACK). Engines must
 	// not start new activity before it passes.
 	busyUntil sim.Time
+
+	// staleAfter bounds how long an overheard queue level stays in the
+	// §4.2 neighbour table: 16 superframes ≈ 2 s. Without expiry a
+	// saturated network deadlocks: every node remembers its neighbours'
+	// queues as full, the queue difference stays at zero and
+	// parameter-based exploration shuts down for everyone at once.
+	staleAfter sim.Time
 
 	// neighbors holds the most recently overheard queue level per neighbour
 	// (piggybacked in every frame, §4.2) with its reception time, one entry
@@ -340,24 +342,16 @@ func (b *Base) Init(cfg Config, owner Engine) {
 	if cfg.Kernel == nil || cfg.Medium == nil || cfg.Clock == nil || owner == nil {
 		panic("mac: Kernel, Medium, Clock and owner are required")
 	}
-	if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.NeighborStaleAfter <= 0 {
-		cfg.NeighborStaleAfter = 16 * cfg.Clock.Config().SuperframeDuration()
-	}
+	stale := 16 * cfg.Clock.Config().SuperframeDuration()
 	if cfg.DropDeadline <= 0 {
-		cfg.DropDeadline = 16 * cfg.Clock.Config().SuperframeDuration()
-	}
-	qcap := cfg.QueueCap
-	if qcap <= 0 {
-		qcap = frame.DefaultQueueCap
+		cfg.DropDeadline = stale
 	}
 	*b = Base{
-		cfg:   cfg,
-		queue: *frame.NewQueueOn(qcap, cfg.Scratch.Frames(qcap+1)),
-		owner: owner,
-		barP:  1,
+		staleAfter: stale,
+		cfg:        cfg,
+		queue:      *frame.NewQueueOn(frame.DefaultQueueCap, cfg.Scratch.Frames(frame.DefaultQueueCap)),
+		owner:      owner,
+		barP:       1,
 	}
 	b.ackStartFn = func(a any) { b.transmitAck(a.(*frame.Frame)) }
 	b.ackDoneFn = func(a any) { b.cfg.FramePool.Put(a.(*frame.Frame)) }
@@ -557,16 +551,14 @@ func (b *Base) Enqueue(f *frame.Frame) bool {
 
 // makeRoom applies the DropOldest/DeadlineDrop eviction to a full queue.
 // Index 0 — the in-service head an engine may be transmitting right now — is
-// never evicted, so a queue of capacity 1 degrades to tail-drop. Evicted
-// frames leave the MAC permanently: the OnFrameFinished hook sees them fail
-// and they return to the frame pool exactly once, like any other drop.
+// never evicted. Evicted frames leave the MAC permanently: the
+// OnFrameFinished hook sees them fail and they return to the frame pool
+// exactly once, like any other drop.
 func (b *Base) makeRoom() {
 	switch b.cfg.Drop {
 	case DropOldest:
-		if b.queue.Len() > 1 {
-			b.evict(1)
-			b.stats.QueueDrops++
-		}
+		b.evict(1)
+		b.stats.QueueDrops++
 	case DeadlineDrop:
 		cutoff := b.cfg.Kernel.Now() - b.cfg.DropDeadline
 		// Walk back-to-front so removals do not shift unvisited indices.
@@ -614,11 +606,12 @@ func (b *Base) ResetQueueIntegral() {
 
 // AvgNeighborQueue reports the mean of the recently overheard queue levels
 // of all neighbours, 0 when nothing fresh was overheard (§4.2). Entries
-// older than NeighborStaleAfter are evicted: silence from a neighbour means
-// its advertised queue level is no longer trustworthy, and keeping it would
-// freeze parameter-based exploration in a saturated network.
+// older than the staleness horizon (16 superframes) are evicted: silence
+// from a neighbour means its advertised queue level is no longer
+// trustworthy, and keeping it would freeze parameter-based exploration in
+// a saturated network.
 func (b *Base) AvgNeighborQueue() float64 {
-	cutoff := b.cfg.Kernel.Now() - b.cfg.NeighborStaleAfter
+	cutoff := b.cfg.Kernel.Now() - b.staleAfter
 	// The levels are uint8, so the float64 sum is exact and the mean does
 	// not depend on the entry order the swap-removal leaves behind.
 	var sum float64

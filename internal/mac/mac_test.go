@@ -36,10 +36,10 @@ func newRig(t *testing.T, n int, cfgs []Config) *rig {
 	clock := superframe.NewClock(superframe.DefaultConfig())
 	r := &rig{k: k, m: m}
 	for i := 0; i < n; i++ {
-		cfg := Config{ID: frame.NodeID(i), Kernel: k, Medium: m, Clock: clock, MaxRetries: -1}
+		cfg := Config{ID: frame.NodeID(i), Kernel: k, Medium: m, Clock: clock, MaxRetries: DefaultMaxRetries}
 		if i < len(cfgs) {
 			c := cfgs[i]
-			c.ID, c.Kernel, c.Medium, c.Clock, c.MaxRetries = frame.NodeID(i), k, m, clock, -1
+			c.ID, c.Kernel, c.Medium, c.Clock, c.MaxRetries = frame.NodeID(i), k, m, clock, DefaultMaxRetries
 			cfg = c
 		}
 		e := newNullEngine(cfg)
@@ -419,13 +419,11 @@ func TestForwardingFullQueueDropsOnce(t *testing.T) {
 	router := tableRouter{1: 0}
 	r := newRig(t, 3, []Config{
 		{FramePool: pool},
-		{Router: router, FramePool: pool, QueueCap: 1},
+		{Router: router, FramePool: pool},
 		{FramePool: pool},
 	})
-	// Fill node 1's single-slot queue so the forwarded copy cannot fit.
-	if !r.bases[1].Enqueue(testData(1, 0, 9)) {
-		t.Fatal("priming enqueue failed")
-	}
+	// Fill node 1's queue so the forwarded copy cannot fit.
+	fillQueue(t, r.bases[1], 9, 0)
 	f := testData(2, 1, 1)
 	f.Sink = 0
 	r.bases[1].Deliver(f)
@@ -451,7 +449,7 @@ func TestDropOldestEvictsBehindHead(t *testing.T) {
 	var doneOld *bool
 	f1, f2, f3 := testData(0, 0, 1), pool.Get(), testData(0, 0, 3)
 	*f2 = *testData(0, 0, 2)
-	r := newRig(t, 1, []Config{{FramePool: pool, QueueCap: 2, Drop: DropOldest,
+	r := newRig(t, 1, []Config{{FramePool: pool, Drop: DropOldest,
 		OnFrameFinished: func(f *frame.Frame, ok bool) {
 			if f == f2 {
 				doneOld = &ok
@@ -460,12 +458,13 @@ func TestDropOldestEvictsBehindHead(t *testing.T) {
 	b := r.bases[0]
 	b.Enqueue(f1)
 	b.Enqueue(f2)
+	fillQueue(t, b, 10, 0)
 	if !b.Enqueue(f3) {
 		t.Fatal("drop-oldest enqueue rejected the arrival")
 	}
 	st := b.Stats()
-	if st.QueueDrops != 1 || st.Enqueued != 3 {
-		t.Errorf("stats = %+v, want 1 queue drop and 3 enqueued", st)
+	if want := uint64(frame.DefaultQueueCap + 1); st.QueueDrops != 1 || st.Enqueued != want {
+		t.Errorf("stats = %+v, want 1 queue drop and %d enqueued", st, want)
 	}
 	if doneOld == nil || *doneOld {
 		t.Errorf("evicted frame's OnFrameFinished = %v, want failure", doneOld)
@@ -474,20 +473,9 @@ func TestDropOldestEvictsBehindHead(t *testing.T) {
 	if h := b.Queue().Head(); h == nil || h.Seq != 1 {
 		t.Fatalf("queue head = %+v, want seq 1", h)
 	}
-	if b.Queue().Len() != 2 || b.Queue().At(1).Seq != 3 {
-		t.Fatalf("queue tail wrong: len %d", b.Queue().Len())
-	}
-}
-
-func TestDropOldestCapacityOneDegradesToTailDrop(t *testing.T) {
-	r := newRig(t, 1, []Config{{QueueCap: 1, Drop: DropOldest}})
-	b := r.bases[0]
-	b.Enqueue(testData(0, 0, 1))
-	if b.Enqueue(testData(0, 0, 2)) {
-		t.Fatal("capacity-1 queue must tail-drop (head is in service)")
-	}
-	if st := b.Stats(); st.QueueDrops != 1 {
-		t.Errorf("QueueDrops = %d, want 1", st.QueueDrops)
+	q := b.Queue()
+	if q.Len() != frame.DefaultQueueCap || q.At(1).Seq != 10 || q.At(q.Len()-1).Seq != 3 {
+		t.Fatalf("queue wrong after eviction: len %d, second seq %d, tail seq %d", q.Len(), q.At(1).Seq, q.At(q.Len()-1).Seq)
 	}
 }
 
@@ -495,13 +483,14 @@ func TestDeadlineDropEvictsExpired(t *testing.T) {
 	pool := &frame.Pool{}
 	pool.SetChecks(true)
 	deadline := sim.Time(100)
-	r := newRig(t, 1, []Config{{FramePool: pool, QueueCap: 2, Drop: DeadlineDrop, DropDeadline: deadline}})
+	r := newRig(t, 1, []Config{{FramePool: pool, Drop: DeadlineDrop, DropDeadline: deadline}})
 	b := r.bases[0]
 	f1, f2 := testData(0, 0, 1), pool.Get()
 	*f2 = *testData(0, 0, 2)
 	b.Enqueue(f1)
 	b.Enqueue(f2) // CreatedAt 0
 	r.k.Run(200)  // both queued frames are now past the deadline
+	fillQueue(t, b, 10, r.k.Now())
 	fresh := testData(0, 0, 3)
 	fresh.CreatedAt = r.k.Now()
 	if !b.Enqueue(fresh) {
@@ -514,6 +503,20 @@ func TestDeadlineDropEvictsExpired(t *testing.T) {
 	// Only the non-head expired frame goes; the in-service head stays.
 	if h := b.Queue().Head(); h == nil || h.Seq != 1 {
 		t.Fatalf("queue head = %+v, want seq 1", h)
+	}
+}
+
+// fillQueue enqueues frames with consecutive sequence numbers from seq,
+// created at createdAt, until b's transmit queue is full.
+func fillQueue(t *testing.T, b *Base, seq uint32, createdAt sim.Time) {
+	t.Helper()
+	for !b.Queue().Full() {
+		f := testData(b.ID(), 0, seq)
+		f.CreatedAt = createdAt
+		if !b.Enqueue(f) {
+			t.Fatalf("filling enqueue of seq %d rejected", seq)
+		}
+		seq++
 	}
 }
 

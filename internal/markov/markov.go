@@ -32,14 +32,14 @@ func (c *Chain) Validate() error {
 		}
 		sum := 0.0
 		for _, v := range row {
-			if v < 0 || v > 1 {
+			if !(v >= 0 && v <= 1) {
 				return fmt.Errorf("markov: Q[%d] contains non-probability %v", i, v)
 			}
 			sum += v
 		}
 		if i < len(c.R) {
 			for _, v := range c.R[i] {
-				if v < 0 || v > 1 {
+				if !(v >= 0 && v <= 1) {
 					return fmt.Errorf("markov: R[%d] contains non-probability %v", i, v)
 				}
 				sum += v
@@ -126,23 +126,6 @@ func (c *Chain) fundamentalInto(aug, n [][]float64) error {
 	return nil
 }
 
-// ExpectedSteps computes S = N·1 (Eq. 12): ExpectedSteps()[i] is the
-// expected number of transient-state visits (including the start) before
-// absorption when starting in state i.
-func (c *Chain) ExpectedSteps() ([]float64, error) {
-	n, err := c.Fundamental()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(n))
-	for i, row := range n {
-		for _, v := range row {
-			out[i] += v
-		}
-	}
-	return out, nil
-}
-
 // AbsorptionProbs computes B = N·R: AbsorptionProbs()[i][k] is the
 // probability of ending in absorbing state k when starting in transient
 // state i.
@@ -189,7 +172,7 @@ func HandshakeChain(p float64) *Chain {
 // fillHandshakeChain writes the Eq. 10 transition probabilities into the
 // (possibly reused) matrices of c.
 func fillHandshakeChain(c *Chain, p float64) {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		panic(fmt.Sprintf("markov: p=%v out of [0,1]", p))
 	}
 	q, r := c.Q, c.R
@@ -259,8 +242,9 @@ func ExpectedHandshakeMessages(p float64) float64 {
 	if err := ws.chain.fundamentalInto(ws.aug, ws.n); err != nil {
 		return math.Inf(1)
 	}
-	// Only the start state's expectation is needed: ExpectedSteps()[0] is
-	// the sum of the fundamental matrix's first row (same summation order).
+	// Only the start state's expectation is needed: the expected number of
+	// transient-state visits before absorption, S = N·1 (Eq. 12), is for
+	// the start state the sum of the fundamental matrix's first row.
 	s0 := 0.0
 	for _, v := range ws.n[0] {
 		s0 += v

@@ -23,7 +23,7 @@ func macConfig(n int) func(id int) mac.Config {
 	m := radio.NewMedium(k, g, sim.NewRand(1))
 	clock := superframe.NewClock(superframe.DefaultConfig())
 	return func(id int) mac.Config {
-		return mac.Config{ID: frame.NodeID(id), Kernel: k, Medium: m, Clock: clock, MaxRetries: -1}
+		return mac.Config{ID: frame.NodeID(id), Kernel: k, Medium: m, Clock: clock, MaxRetries: mac.DefaultMaxRetries}
 	}
 }
 

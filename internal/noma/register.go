@@ -3,6 +3,7 @@ package noma
 import (
 	"cmp"
 	"fmt"
+	"math"
 
 	"qma/internal/core"
 	"qma/internal/mac"
@@ -64,8 +65,8 @@ func validateOptions(opts any) error {
 	if o.Levels < 0 || o.Levels > MaxLevels {
 		return fmt.Errorf("noma: Levels=%d out of [0,%d] (0 = default %d)", o.Levels, MaxLevels, DefaultLevels)
 	}
-	if o.LevelStepDB < 0 {
-		return fmt.Errorf("noma: LevelStepDB=%v must not be negative", o.LevelStepDB)
+	if !(o.LevelStepDB >= 0 && o.LevelStepDB <= math.MaxFloat64) {
+		return fmt.Errorf("noma: LevelStepDB=%v must be finite and non-negative", o.LevelStepDB)
 	}
 	return o.qma().Validate()
 }

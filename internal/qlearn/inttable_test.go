@@ -102,7 +102,7 @@ func TestFixedReplaysFigure5(t *testing.T) {
 	ft := NewIntTable(4, 3, fp, nil)
 	lf := NewLearner(ft, figB)
 
-	p := Params{Alpha: 1, Gamma: 1, Xi: 2, InitQ: -10, Rule: RuleQMA}
+	p := Params{Alpha: 1, Gamma: 1, Xi: 2, InitQ: -10}
 	rt := NewFloatTable(4, 3, p)
 	lr := NewLearner(rt, figB)
 
@@ -133,7 +133,7 @@ func TestFixedReplaysFigure5(t *testing.T) {
 // γ = 230/256 and asserts bounded divergence (the quantization error
 // contracts geometrically under α=0.5, γ≈0.9).
 func TestFixedTracksFloat(t *testing.T) {
-	p := Params{Alpha: 0.5, Gamma: 230.0 / 256.0, Xi: 2, InitQ: -10, Rule: RuleQMA}
+	p := Params{Alpha: 0.5, Gamma: 230.0 / 256.0, Xi: 2, InitQ: -10}
 	prop := func(seed int64) bool {
 		ft := NewFixedTableOn(6, 3, DefaultFixedParams(), nil)
 		rt := NewFloatTable(6, 3, p)

@@ -78,7 +78,7 @@ func (l *Learner) Updates() uint64 { return l.updates }
 
 // Observe applies one experience tuple: action a was taken in state s, the
 // environment paid reward r and the agent arrived in state next. The value
-// table is updated per its rule and the policy per Eq. 3: π(s) switches only
+// table is updated per Eq. 5 and the policy per Eq. 3: π(s) switches only
 // to an action whose stored Q-value is strictly greater than the current
 // policy's. Ties keep the incumbent, which is what lets multiple agents
 // settle on the same optimum. It returns the stored Q-value for (s, a).
@@ -95,9 +95,10 @@ func (l *Learner) Observe(s, a int, r float64, next int) float64 {
 // value strictly exceeds the incumbent's, the smallest index among equals.
 // That is ArgMax(s) whenever MaxQ(s) beats the incumbent, so the common case
 // costs two table reads. The exception is a NaN in the row's first entry,
-// which only a FloatTable can hold (RuleStandard stores NaN for a NaN
-// reward): MaxQ and ArgMax then stop at that entry, so the row is scanned
-// explicitly, skipping NaNs as the strict comparison does everywhere else.
+// which only SetQ can plant in a FloatTable (Eq. 5 keeps Q − ξ whenever its
+// newly computed value is NaN): MaxQ and ArgMax then stop at that entry, so
+// the row is scanned explicitly, skipping NaNs as the strict comparison does
+// everywhere else.
 func (l *Learner) reevaluate(s int) {
 	inc := int(l.policy[s])
 	incQ := l.table.Q(s, inc)

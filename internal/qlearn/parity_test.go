@@ -98,44 +98,28 @@ func TestUpdateNonFiniteRewardDeterministic(t *testing.T) {
 }
 
 // TestFloatImprovedFlagEquivalence proves, over random update streams for
-// every rule/ξ combination, that FloatTable's stored > old formulation of
-// the Eq. 3 improved flag coincides with the newV > old formulation the
-// integer tables use. The key case is RuleQMA: stored = max(newV, old−ξ)
-// with ξ ≥ 0, so stored > old exactly when newV > old.
+// several ξ, that FloatTable's stored > old formulation of the Eq. 3
+// improved flag coincides with the newV > old formulation the integer
+// tables use: stored = max(newV, old−ξ) with ξ ≥ 0, so stored > old exactly
+// when newV > old.
 func TestFloatImprovedFlagEquivalence(t *testing.T) {
-	type combo struct {
-		rule UpdateRule
-		xi   float64
-	}
-	combos := []combo{
-		{RuleStandard, 0}, {RuleStandard, 2},
-		{RuleOptimistic, 0}, {RuleOptimistic, 2},
-		{RuleQMA, 0}, {RuleQMA, 0.5}, {RuleQMA, 2},
-	}
 	rng := rand.New(rand.NewSource(7))
-	for _, c := range combos {
-		p := Params{Alpha: 0.5, Gamma: 0.9, Xi: c.xi, InitQ: -10, Rule: c.rule}
+	for _, xi := range []float64{0, 0.5, 2} {
+		p := Params{Alpha: 0.5, Gamma: 0.9, Xi: xi, InitQ: -10}
 		tab := NewFloatTable(8, 3, p)
 		for step := 0; step < 5000; step++ {
 			s, a, next := rng.Intn(8), rng.Intn(3), rng.Intn(8)
 			r := float64(rng.Intn(9) - 4)
 			old := tab.Q(s, a)
-			target := r + p.Gamma*tab.MaxQ(next)
-			var newV float64
-			switch c.rule {
-			case RuleStandard, RuleQMA:
-				newV = (1-p.Alpha)*old + p.Alpha*target
-			case RuleOptimistic:
-				newV = target
-			}
+			newV := (1-p.Alpha)*old + p.Alpha*(r+p.Gamma*tab.MaxQ(next))
 			stored, improved := tab.Update(s, a, r, next)
 			if improved != (newV > old) {
-				t.Fatalf("rule=%v xi=%v step %d: improved=%v but newV>old=%v (old=%v newV=%v)",
-					c.rule, c.xi, step, improved, newV > old, old, newV)
+				t.Fatalf("xi=%v step %d: improved=%v but newV>old=%v (old=%v newV=%v)",
+					xi, step, improved, newV > old, old, newV)
 			}
 			if improved != (stored > old) {
-				t.Fatalf("rule=%v xi=%v step %d: improved=%v but stored>old=%v (old=%v stored=%v)",
-					c.rule, c.xi, step, improved, stored > old, old, stored)
+				t.Fatalf("xi=%v step %d: improved=%v but stored>old=%v (old=%v stored=%v)",
+					xi, step, improved, stored > old, old, stored)
 			}
 		}
 	}
@@ -188,7 +172,7 @@ func TestIntegerImprovedFlagMatchesPreSaturation(t *testing.T) {
 // error proportional to the resolution, so fixed stays within a few
 // hundredths and quant within a couple of units on bounded rewards.
 func TestTableDifferentialDivergence(t *testing.T) {
-	p := Params{Alpha: 0.5, Gamma: 230.0 / 256.0, Xi: 2, InitQ: -10, Rule: RuleQMA}
+	p := Params{Alpha: 0.5, Gamma: 230.0 / 256.0, Xi: 2, InitQ: -10}
 	ft := NewFloatTable(54, 3, p)
 	xt := NewFixedTableOn(54, 3, DefaultFixedParams(), nil)
 	qt := NewQuantTableOn(54, 3, DefaultQuantParams(), nil)

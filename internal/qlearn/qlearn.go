@@ -1,9 +1,11 @@
 // Package qlearn implements the distributed, cooperative multi-agent
-// Q-learning core of the paper (§3): the Lauer/Riedmiller optimistic update
-// for cooperative multi-agent systems, the paper's extension for stochastic
-// environments (penalty ξ and learning rate α, Eq. 4/5), the separate policy
-// table that resolves duplicate optima (Eq. 3), and the exploration
-// strategies of §4.2 (parameter-based, ε-greedy, constant).
+// Q-learning core of the paper (§3): one update rule, the paper's Eq. 5,
+// which extends the Lauer/Riedmiller optimistic update for stochastic
+// environments with a penalty ξ and a learning rate α; the separate policy
+// table that resolves duplicate optima (Eq. 3); and the exploration
+// strategies of §4.2 (parameter-based, ε-greedy, constant). The plain
+// optimistic update, Eq. 2, is Eq. 5 at α=1 and ξ=0 bit for bit, which is
+// how the ablation runs it.
 //
 // Value storage is pluggable behind the Table interface: a float64 table and
 // one integer table at two widths, fixed-point Q8.8 for devices without a
@@ -11,37 +13,10 @@
 // paper's future-work claim that 2–8 bits per Q-value suffice (§7).
 package qlearn
 
-import "fmt"
-
-// UpdateRule selects which Bellman-style update a table applies.
-type UpdateRule uint8
-
-const (
-	// RuleQMA is the paper's Eq. 5: optimistic max with penalty ξ and
-	// learning rate α. This is what QMA runs.
-	RuleQMA UpdateRule = iota
-	// RuleOptimistic is the original Lauer/Riedmiller Eq. 2: keep the maximum
-	// of the stored and newly computed value (ξ=0, α=1). It is vulnerable to
-	// stochastic outcomes (Tbl. 3) and exists for unit tests and ablations.
-	RuleOptimistic
-	// RuleStandard is plain Watkins Q-learning, Eq. 1. It does not achieve
-	// multi-agent cooperation (Tbl. 1) and exists for tests and ablations.
-	RuleStandard
+import (
+	"fmt"
+	"math"
 )
-
-// String implements fmt.Stringer.
-func (r UpdateRule) String() string {
-	switch r {
-	case RuleQMA:
-		return "qma"
-	case RuleOptimistic:
-		return "optimistic"
-	case RuleStandard:
-		return "standard"
-	default:
-		return fmt.Sprintf("UpdateRule(%d)", uint8(r))
-	}
-}
 
 // Params holds the learning hyperparameters. The zero value is not useful;
 // start from DefaultParams.
@@ -53,40 +28,40 @@ type Params struct {
 	Gamma float64
 	// Xi is the penalty ξ subtracted when an update would lower the stored
 	// value (Eq. 4/5); it makes the optimistic rule track stochastic
-	// environments. Ignored by RuleOptimistic and RuleStandard.
+	// environments. With ξ=0 and α=1 the update is Eq. 2.
 	Xi float64
 	// InitQ is the initial Q-value. Conceptually −∞; the paper initializes
-	// to −10, any value below the largest punishment works (§4.1).
+	// to −10, any value below the largest punishment works (§4.1). It must
+	// be finite.
 	InitQ float64
-	// Rule selects the update rule; the zero value is RuleQMA.
-	Rule UpdateRule
 }
 
 // DefaultParams returns the hyperparameters of the paper's evaluation:
 // α=0.5, γ=0.9, ξ=2, Q₀=−10, Eq. 5 updates.
 func DefaultParams() Params {
-	return Params{Alpha: 0.5, Gamma: 0.9, Xi: 2, InitQ: -10, Rule: RuleQMA}
+	return Params{Alpha: 0.5, Gamma: 0.9, Xi: 2, InitQ: -10}
 }
 
-// Validate reports a descriptive error for unusable hyperparameters.
+// Validate reports a descriptive error for unusable hyperparameters. Each
+// check is written as the range the value must lie in, so NaN fails it.
 func (p Params) Validate() error {
 	switch {
-	case p.Alpha <= 0 || p.Alpha > 1:
+	case !(p.Alpha > 0 && p.Alpha <= 1):
 		return fmt.Errorf("qlearn: alpha=%v out of (0,1]", p.Alpha)
-	case p.Gamma < 0 || p.Gamma > 1:
+	case !(p.Gamma >= 0 && p.Gamma <= 1):
 		return fmt.Errorf("qlearn: gamma=%v out of [0,1]", p.Gamma)
-	case p.Xi < 0:
-		return fmt.Errorf("qlearn: xi=%v must be non-negative", p.Xi)
-	case p.Rule > RuleStandard:
-		return fmt.Errorf("qlearn: unknown rule %d", p.Rule)
+	case !(p.Xi >= 0 && p.Xi <= math.MaxFloat64):
+		return fmt.Errorf("qlearn: xi=%v must be finite and non-negative", p.Xi)
+	case !(math.Abs(p.InitQ) <= math.MaxFloat64):
+		return fmt.Errorf("qlearn: initq=%v must be finite", p.InitQ)
 	}
 	return nil
 }
 
-// Table stores Q-values for a finite state × action space and applies the
-// configured update rule. Implementations are not safe for concurrent use;
-// each agent owns its private table (the whole point of the paper's
-// distributed algorithm is that no global table exists at runtime).
+// Table stores Q-values for a finite state × action space and applies
+// Eq. 5. Implementations are not safe for concurrent use; each agent owns
+// its private table (the whole point of the paper's distributed algorithm
+// is that no global table exists at runtime).
 type Table interface {
 	// States reports the number of states.
 	States() int
@@ -97,8 +72,8 @@ type Table interface {
 	Q(s, a int) float64
 	// SetQ overwrites the stored value (used by cautious startup and tests).
 	SetQ(s, a int, v float64)
-	// Update applies the table's rule for reward r observed after taking a in
-	// s and landing in next. It returns the resulting stored value and
+	// Update applies Eq. 5 for reward r observed after taking a in s and
+	// landing in next. It returns the resulting stored value and
 	// whether the newly computed target strictly exceeded the previous stored
 	// value (the Eq. 3 policy-improvement condition).
 	Update(s, a int, r float64, next int) (stored float64, improved bool)
@@ -204,25 +179,15 @@ func (t *FloatTable) ArgMax(s int) int {
 	return best
 }
 
-// Update implements Table.
+// Update implements Table with Eq. 5:
+// Q(s,a) ← max(Q(s,a) − ξ, (1−α)·Q(s,a) + α·(r + γ·max Q(next))).
 func (t *FloatTable) Update(s, a int, r float64, next int) (float64, bool) {
 	old := t.Q(s, a)
 	target := r + t.p.Gamma*t.MaxQ(next)
-	var stored float64
-	switch t.p.Rule {
-	case RuleStandard: // Eq. 1
-		stored = (1-t.p.Alpha)*old + t.p.Alpha*target
-	case RuleOptimistic: // Eq. 2
-		stored = old
-		if target > stored {
-			stored = target
-		}
-	default: // RuleQMA, Eq. 5
-		newV := (1-t.p.Alpha)*old + t.p.Alpha*target
-		stored = old - t.p.Xi
-		if newV > stored {
-			stored = newV
-		}
+	newV := (1-t.p.Alpha)*old + t.p.Alpha*target
+	stored := old - t.p.Xi
+	if newV > stored {
+		stored = newV
 	}
 	t.SetQ(s, a, stored)
 	return stored, stored > old

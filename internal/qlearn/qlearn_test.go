@@ -2,6 +2,7 @@ package qlearn
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -15,7 +16,13 @@ func TestParamsValidate(t *testing.T) {
 		{Alpha: 0.5, Gamma: -0.1},
 		{Alpha: 0.5, Gamma: 1.1},
 		{Alpha: 0.5, Gamma: 0.9, Xi: -1},
-		{Alpha: 0.5, Gamma: 0.9, Rule: RuleStandard + 1},
+		{Alpha: math.NaN(), Gamma: 0.9},
+		{Alpha: 0.5, Gamma: math.NaN()},
+		{Alpha: 0.5, Gamma: 0.9, Xi: math.NaN()},
+		{Alpha: 0.5, Gamma: 0.9, Xi: math.Inf(1)},
+		{Alpha: 0.5, Gamma: 0.9, InitQ: math.NaN()},
+		{Alpha: 0.5, Gamma: 0.9, InitQ: math.Inf(1)},
+		{Alpha: 0.5, Gamma: 0.9, InitQ: math.Inf(-1)},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -37,25 +44,10 @@ func TestNewFloatTablePanics(t *testing.T) {
 	}
 }
 
-func TestStandardRuleIsEq1(t *testing.T) {
-	p := Params{Alpha: 0.5, Gamma: 0.9, InitQ: 0, Rule: RuleStandard}
-	tb := NewFloatTable(2, 2, p)
-	tb.SetQ(1, 0, 10) // max of next state
-	stored, improved := tb.Update(0, 0, 4, 1)
-	// (1-0.5)*0 + 0.5*(4 + 0.9*10) = 6.5
-	if math.Abs(stored-6.5) > 1e-12 || !improved {
-		t.Fatalf("Eq.1 update = (%v, %v), want (6.5, true)", stored, improved)
-	}
-	// A lower target moves the value down under Eq. 1.
-	stored, improved = tb.Update(0, 0, -3, 1)
-	// 0.5*6.5 + 0.5*(-3+9) = 6.25
-	if math.Abs(stored-6.25) > 1e-12 || improved {
-		t.Fatalf("Eq.1 second update = (%v, %v), want (6.25, false)", stored, improved)
-	}
-}
-
+// TestOptimisticRuleIsEq2 runs Eq. 5 at α=1, ξ=0, where it is the plain
+// optimistic update of Eq. 2: Q(s,a) ← max(Q(s,a), r + γ·max Q(next)).
 func TestOptimisticRuleIsEq2(t *testing.T) {
-	p := Params{Alpha: 1, Gamma: 1, InitQ: -10, Rule: RuleOptimistic}
+	p := Params{Alpha: 1, Gamma: 1, Xi: 0, InitQ: -10}
 	tb := NewFloatTable(2, 2, p)
 	stored, improved := tb.Update(0, 0, 4, 1)
 	if stored != -6 || !improved { // 4 + max(-10,-10) = -6 > -10
@@ -68,8 +60,39 @@ func TestOptimisticRuleIsEq2(t *testing.T) {
 	}
 }
 
+// TestEq5AtAlphaOneXiZeroIsEq2Bitwise drives Eq. 5 at α=1, ξ=0 and an
+// Eq. 2 oracle through identical random streams at several γ and compares
+// every stored value bit for bit, which is what lets the ablation's "pure
+// optimistic rule" row run on the one production rule.
+func TestEq5AtAlphaOneXiZeroIsEq2Bitwise(t *testing.T) {
+	for _, gamma := range []float64{0, 0.5, 0.9, 1} {
+		p := Params{Alpha: 1, Gamma: gamma, Xi: 0, InitQ: -10}
+		tab := NewFloatTable(6, 3, p)
+		ref := make([]float64, 6*3)
+		for i := range ref {
+			ref[i] = p.InitQ
+		}
+		rng := rand.New(rand.NewSource(int64(gamma*10) + 1))
+		for step := 0; step < 50000; step++ {
+			s, a, next := rng.Intn(6), rng.Intn(3), rng.Intn(6)
+			r := rng.Float64()*8 - 4
+			if rng.Intn(4) == 0 {
+				r = float64(rng.Intn(9) - 4)
+			}
+			maxNext := max(ref[next*3], ref[next*3+1], ref[next*3+2])
+			if target := r + gamma*maxNext; target > ref[s*3+a] { // Eq. 2
+				ref[s*3+a] = target
+			}
+			stored, _ := tab.Update(s, a, r, next)
+			if math.Float64bits(stored) != math.Float64bits(ref[s*3+a]) {
+				t.Fatalf("γ=%v step %d: Eq. 5 stored %v, Eq. 2 %v", gamma, step, stored, ref[s*3+a])
+			}
+		}
+	}
+}
+
 func TestQMARuleAppliesPenalty(t *testing.T) {
-	p := Params{Alpha: 1, Gamma: 1, Xi: 2, InitQ: -10, Rule: RuleQMA}
+	p := Params{Alpha: 1, Gamma: 1, Xi: 2, InitQ: -10}
 	tb := NewFloatTable(2, 2, p)
 	// Collision: newV = -3 + (-10) = -13 < -10, so the value decays by ξ
 	// instead (the Fig. 5 "-12 not -13" case).
@@ -85,12 +108,12 @@ func TestQMARuleAppliesPenalty(t *testing.T) {
 }
 
 // TestStochasticEnvironmentEscape reproduces the §3.1.1 / Tbl. 3 argument:
-// under the pure optimistic rule an agent that once saw a lucky success
+// under the pure optimistic rule (Eq. 2, run as Eq. 5 at α=1, ξ=0) an agent that once saw a lucky success
 // keeps Q high despite repeated collisions, while the ξ-penalty rule decays
 // the value until another action wins.
 func TestStochasticEnvironmentEscape(t *testing.T) {
-	mk := func(rule UpdateRule) *Learner {
-		p := Params{Alpha: 0.5, Gamma: 0, Xi: 2, InitQ: -10, Rule: rule}
+	mk := func(alpha, xi float64) *Learner {
+		p := Params{Alpha: alpha, Gamma: 0, Xi: xi, InitQ: -10}
 		return NewLearner(NewFloatTable(1, 2, p), 0)
 	}
 	// Action 1 ("acquire") succeeds once, then collides forever. Action 0
@@ -104,10 +127,10 @@ func TestStochasticEnvironmentEscape(t *testing.T) {
 		}
 		return l.Policy(0)
 	}
-	if got := run(mk(RuleOptimistic)); got != 1 {
+	if got := run(mk(1, 0)); got != 1 {
 		t.Errorf("optimistic rule: policy = %d, want 1 (stuck on acquire, the Tbl. 3 failure)", got)
 	}
-	if got := run(mk(RuleQMA)); got != 0 {
+	if got := run(mk(0.5, 2)); got != 0 {
 		t.Errorf("QMA rule: policy = %d, want 0 (escaped via ξ penalty)", got)
 	}
 }
@@ -116,7 +139,7 @@ func TestStochasticEnvironmentEscape(t *testing.T) {
 // two actions reach the same optimal value, the policy must stay with the
 // action that reached it first.
 func TestDuplicateOptimaPolicyStability(t *testing.T) {
-	p := Params{Alpha: 1, Gamma: 0, Xi: 0, InitQ: -10, Rule: RuleQMA}
+	p := Params{Alpha: 1, Gamma: 0, Xi: 0, InitQ: -10}
 	l := NewLearner(NewFloatTable(1, 2, p), 0)
 	l.Observe(0, 0, 10, 0)
 	if l.Policy(0) != 0 {
@@ -136,7 +159,7 @@ func TestDuplicateOptimaPolicyStability(t *testing.T) {
 }
 
 func TestLearnerReevalOnDecay(t *testing.T) {
-	p := Params{Alpha: 1, Gamma: 0, Xi: 2, InitQ: -10, Rule: RuleQMA}
+	p := Params{Alpha: 1, Gamma: 0, Xi: 2, InitQ: -10}
 	l := NewLearner(NewFloatTable(1, 2, p), 0)
 	l.Observe(0, 1, 4, 0) // π switches to 1 (Q=4)
 	l.Observe(0, 0, 0, 0) // Q(0)=0
@@ -168,7 +191,7 @@ func TestLearnerReevalOnDecay(t *testing.T) {
 }
 
 func TestCumulativePolicyQ(t *testing.T) {
-	p := Params{Alpha: 1, Gamma: 0, Xi: 0, InitQ: -10, Rule: RuleQMA}
+	p := Params{Alpha: 1, Gamma: 0, Xi: 0, InitQ: -10}
 	l := NewLearner(NewFloatTable(3, 2, p), 0)
 	if got := l.CumulativePolicyQ(); got != -30 {
 		t.Fatalf("initial cumulative = %v, want -30", got)
@@ -232,7 +255,7 @@ type figStep struct {
 // α=1, γ=1, ξ=2, Q₀=−10) and checks every Q-table snapshot the figure
 // prints after each frame.
 func TestFigure5Replay(t *testing.T) {
-	p := Params{Alpha: 1, Gamma: 1, Xi: 2, InitQ: -10, Rule: RuleQMA}
+	p := Params{Alpha: 1, Gamma: 1, Xi: 2, InitQ: -10}
 
 	type nodeCase struct {
 		name   string
@@ -345,7 +368,7 @@ func TestFigure5Replay(t *testing.T) {
 // subslot 2 (they never improved there) but adopt the successful
 // transmission subslots.
 func TestFigure5PolicyEvolution(t *testing.T) {
-	p := Params{Alpha: 1, Gamma: 1, Xi: 2, InitQ: -10, Rule: RuleQMA}
+	p := Params{Alpha: 1, Gamma: 1, Xi: 2, InitQ: -10}
 	tb := NewFloatTable(4, 3, p)
 	l := NewLearner(tb, figB)
 	// n1 frame 1.

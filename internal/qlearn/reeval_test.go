@@ -32,17 +32,35 @@ func (l *scanLearner) observe(s, a int, r float64, next int) float64 {
 	return stored
 }
 
-// reevalTables returns twin-constructor factories for every table kind and
-// float update rule, including γ = 0 so 0·(−Inf) targets appear.
+// eq1Table is plain Watkins Q-learning (Eq. 1) over a FloatTable's
+// storage, a table kind only the tests build: unlike Eq. 5 it stores NaN
+// for a NaN reward, so the policy oracle also meets rows whose first entry
+// turned NaN through Update rather than SetQ.
+type eq1Table struct{ *FloatTable }
+
+func (t eq1Table) Update(s, a int, r float64, next int) (float64, bool) {
+	old := t.Q(s, a)
+	stored := (1-t.p.Alpha)*old + t.p.Alpha*(r+t.p.Gamma*t.MaxQ(next))
+	t.SetQ(s, a, stored)
+	return stored, stored > old
+}
+
+// reevalTables returns twin-constructor factories for every table kind:
+// the float table at the paper's parameters ("qma") and at α=1, ξ=0, where
+// Eq. 5 is the optimistic Eq. 2, the test-only Eq. 1 table ("standard"),
+// each also at γ = 0 so 0·(−Inf) targets appear, and both integer widths.
 func reevalTables() map[string]func(states, actions int) Table {
 	out := map[string]func(states, actions int) Table{}
-	for _, rule := range []UpdateRule{RuleQMA, RuleOptimistic, RuleStandard} {
+	optimistic := Params{Alpha: 1, Gamma: 0.9, Xi: 0, InitQ: -10}
+	for name, base := range map[string]Params{"qma": DefaultParams(), "optimistic": optimistic, "standard": DefaultParams()} {
 		for _, gamma := range []float64{0.9, 0} {
-			p := DefaultParams()
-			p.Rule, p.Gamma = rule, gamma
-			out[fmt.Sprintf("float/%s/gamma=%v", rule, gamma)] = func(states, actions int) Table {
-				return NewFloatTable(states, actions, p)
+			p := base
+			p.Gamma = gamma
+			mk := func(states, actions int) Table { return NewFloatTable(states, actions, p) }
+			if name == "standard" {
+				mk = func(states, actions int) Table { return eq1Table{NewFloatTable(states, actions, p)} }
 			}
+			out[fmt.Sprintf("float/%s/gamma=%v", name, gamma)] = mk
 		}
 	}
 	for _, c := range intCases {
@@ -123,16 +141,10 @@ func TestObservePolicyMatchesScan(t *testing.T) {
 // yet Eq. 3 must still move π to the best non-NaN action above the
 // incumbent.
 func TestObservePolicyNaNFirstEntry(t *testing.T) {
-	p := DefaultParams()
-	p.Rule = RuleStandard
-	l := NewLearner(NewFloatTable(2, 3, p), 2)
-	l.Observe(0, 0, math.NaN(), 1) // RuleStandard stores the NaN
-	if q := l.Table().Q(0, 0); !math.IsNaN(q) {
-		t.Fatalf("Q(0,0) = %v, want NaN", q)
-	}
+	l := NewLearner(NewFloatTable(2, 3, DefaultParams()), 2)
+	l.Table().SetQ(0, 0, math.NaN())
 	l.Table().SetQ(0, 1, 5)
-	l.SetReevalOnDecay(true)
-	l.Observe(0, 2, 0, 1) // lowers the incumbent to -9.5 and re-evaluates
+	l.Observe(0, 2, 0, 1) // raises the incumbent to -9.5 and re-evaluates
 	if got := l.Policy(0); got != 1 {
 		t.Errorf("π(0) = %d with row %v, want 1 (NaN skipped, 5 > incumbent)", got, row(l.Table(), 0))
 	}

@@ -267,7 +267,7 @@ func (d *DynamicsConfig) validate(t radio.Topology) error {
 		return errors.New("Gilbert–Elliott sojourn times must not be negative")
 	case (g.MeanGood > 0) != (g.MeanBad > 0):
 		return errors.New("Gilbert–Elliott needs both MeanGoodSeconds and MeanBadSeconds (or neither)")
-	case g.LossGood < 0 || g.LossGood > 1 || g.LossBad < 0 || g.LossBad > 1:
+	case !(g.LossGood >= 0 && g.LossGood <= 1 && g.LossBad >= 0 && g.LossBad <= 1):
 		return errors.New("Gilbert–Elliott loss probabilities must lie in [0,1]")
 	}
 	n := t.NumNodes()

@@ -4,10 +4,7 @@
 // delivery on a virtual clock with reproducible randomness.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a point on the simulation clock, measured in integer microseconds
 // since the start of the run. Integer microseconds are exact for every
@@ -27,10 +24,6 @@ const Never Time = 1<<63 - 1
 
 // Seconds converts t to floating point seconds, for reporting only.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Std converts t to a time.Duration for interoperability with callers that
-// format durations.
-func (t Time) Std() time.Duration { return time.Duration(t) * time.Microsecond }
 
 // String renders the time as seconds with microsecond precision.
 func (t Time) String() string {

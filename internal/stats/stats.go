@@ -93,15 +93,6 @@ func (r *Running) Estimate() Estimate {
 	return Estimate{Mean: r.Mean(), CI: r.CI95(), N: r.n}
 }
 
-// Summarize computes an Estimate over a slice of per-replication values.
-func Summarize(values []float64) Estimate {
-	var r Running
-	for _, v := range values {
-		r.Add(v)
-	}
-	return r.Estimate()
-}
-
 // Point is one sample of a time series.
 type Point struct {
 	T float64 // seconds

@@ -32,6 +32,9 @@ func TestCI95KnownCase(t *testing.T) {
 	if r.Estimate().N != 5 {
 		t.Error("estimate N wrong")
 	}
+	if got, want := r.Estimate().String(), "3.0000 ± 1.9629 (n=5)"; got != want {
+		t.Errorf("Estimate renders %q, want %q", got, want)
+	}
 }
 
 func TestCI95Degenerate(t *testing.T) {
@@ -199,16 +202,6 @@ func TestReplicateMany(t *testing.T) {
 	}
 	if est["b"].Mean != 2 || est["b"].CI != 0 {
 		t.Errorf("b = %+v", est["b"])
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	e := Summarize([]float64{1, 2, 3})
-	if e.Mean != 2 || e.N != 3 {
-		t.Errorf("estimate = %+v", e)
-	}
-	if e.String() == "" {
-		t.Error("empty string rendering")
 	}
 }
 

@@ -76,9 +76,9 @@ func (cfg *CityConfig) Validate() error {
 		return fmt.Errorf("topo: City Degree %g must be positive and finite (0 selects 10)", cfg.Degree)
 	case c.PathLoss.ShadowSigmaDB != 0:
 		return errors.New("topo: City requires PathLoss.ShadowSigmaDB = 0 (cross-cell shadowing is undefined)")
-	case c.PathLoss.PathLossExponent <= 0:
+	case !(c.PathLoss.PathLossExponent > 0):
 		return errors.New("topo: City requires a positive PathLossExponent")
-	case c.HotspotFraction < 0 || c.HotspotFraction >= 1:
+	case !(c.HotspotFraction >= 0 && c.HotspotFraction < 1):
 		return fmt.Errorf("topo: City HotspotFraction must be in [0,1), got %g", c.HotspotFraction)
 	case c.HotspotFraction > 0 && (c.HotspotCell < 0 || c.HotspotCell >= cells):
 		return fmt.Errorf("topo: City HotspotCell %d out of range for %d cells", c.HotspotCell, cells)

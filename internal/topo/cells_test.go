@@ -215,6 +215,9 @@ func TestCityHotspot(t *testing.T) {
 func TestCityConfigValidation(t *testing.T) {
 	shadowed := CityConfig{Nodes: 100, CellsX: 2, CellsY: 1, PathLoss: radio.DefaultPathLossConfig()}
 	shadowed.PathLoss.ShadowSigmaDB = 2
+	nanExponent := CityConfig{Nodes: 100, CellsX: 2, CellsY: 1, PathLoss: radio.DefaultPathLossConfig()}
+	nanExponent.PathLoss.ShadowSigmaDB = 0
+	nanExponent.PathLoss.PathLossExponent = math.NaN()
 	cases := []struct {
 		name    string
 		cfg     CityConfig
@@ -226,8 +229,10 @@ func TestCityConfigValidation(t *testing.T) {
 		{"negative degree", CityConfig{Nodes: 100, Degree: -1}, "Degree -1"},
 		{"NaN degree", CityConfig{Nodes: 100, Degree: math.NaN()}, "Degree NaN"},
 		{"hotspot fraction", CityConfig{Nodes: 100, CellsX: 2, CellsY: 1, HotspotFraction: 1}, "HotspotFraction"},
+		{"NaN hotspot fraction", CityConfig{Nodes: 100, CellsX: 2, CellsY: 1, HotspotFraction: math.NaN()}, "HotspotFraction"},
 		{"hotspot cell", CityConfig{Nodes: 100, CellsX: 2, CellsY: 1, HotspotCell: 2, HotspotFraction: 0.5}, "HotspotCell 2"},
 		{"shadowing", shadowed, "ShadowSigmaDB"},
+		{"NaN path-loss exponent", nanExponent, "PathLossExponent"},
 	}
 	// Each case breaks one rule: Validate names it, BuildCity returns exactly
 	// that error before placing a node, and NewCity panics with it.

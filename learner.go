@@ -86,7 +86,7 @@ func ExplorationRate(queueLevel int, avgNeighborQueue float64) float64 {
 // DSME 3-way GTS handshake completes, for a per-message success probability
 // p (paper Appendix A.1, Fig. 26).
 func ExpectedHandshakeMessages(p float64) (float64, error) {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return 0, fmt.Errorf("qma: p=%v out of [0,1]", p)
 	}
 	return markovExpected(p), nil

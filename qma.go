@@ -154,7 +154,7 @@ func (p LearnParams) internal() qlearn.Params {
 	if p == (LearnParams{}) {
 		return qlearn.DefaultParams()
 	}
-	return qlearn.Params{Alpha: p.Alpha, Gamma: p.Gamma, Xi: p.Xi, InitQ: p.InitQ, Rule: qlearn.RuleQMA}
+	return qlearn.Params{Alpha: p.Alpha, Gamma: p.Gamma, Xi: p.Xi, InitQ: p.InitQ}
 }
 
 // Explorer selects an exploration strategy (paper §4.2).

@@ -509,6 +509,9 @@ func TestPublicHandshakeExpectation(t *testing.T) {
 	if _, err := qma.ExpectedHandshakeMessages(1.5); err == nil {
 		t.Error("accepted p > 1")
 	}
+	if _, err := qma.ExpectedHandshakeMessages(math.NaN()); err == nil {
+		t.Error("accepted p = NaN")
+	}
 }
 
 func TestTopologyConstructors(t *testing.T) {

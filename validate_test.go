@@ -1,6 +1,7 @@
 package qma_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,6 +68,23 @@ func TestScenarioValidateErrorPaths(t *testing.T) {
 		{"integer table with learning parameters via MAC options", func(s *qma.Scenario) {
 			s.MACOptions = map[string]string{"table": "quant", "alpha": "0.3", "xi": "0"}
 		}, "integer tables run fixed learning parameters"},
+		{"NaN penalty", func(s *qma.Scenario) {
+			s.Learn = qma.LearnParams{Alpha: 0.5, Gamma: 0.9, Xi: math.NaN(), InitQ: -10}
+		}, "xi=NaN"},
+		{"NaN learning rate via MAC options", func(s *qma.Scenario) {
+			s.MACOptions = map[string]string{"alpha": "NaN"}
+		}, "alpha=NaN"},
+		{"infinite initial Q", func(s *qma.Scenario) {
+			s.Learn = qma.LearnParams{Alpha: 0.5, Gamma: 0.9, Xi: 2, InitQ: math.Inf(1)}
+		}, "initq=+Inf"},
+		{"NaN UCB constant", func(s *qma.Scenario) {
+			s.MAC = "bandit"
+			s.MACOptions = map[string]string{"ucbc": "NaN"}
+		}, "UCBC"},
+		{"NaN NOMA level step", func(s *qma.Scenario) {
+			s.MAC, s.CaptureThresholdDB = "noma", 6
+			s.MACOptions = map[string]string{"step": "NaN"}
+		}, "LevelStepDB=NaN"},
 		{"NOMA learning parameters", func(s *qma.Scenario) {
 			s.MAC, s.CaptureThresholdDB = "noma", 6
 			s.MACOptions = map[string]string{"xi": "-1"}
@@ -77,6 +95,10 @@ func TestScenarioValidateErrorPaths(t *testing.T) {
 		{"GE one-sided sojourn", func(s *qma.Scenario) {
 			s.Dynamics = &qma.Dynamics{Channel: qma.GilbertElliott{MeanGoodSeconds: 5}}
 		}, "both MeanGoodSeconds and MeanBadSeconds"},
+		{"GE loss NaN", func(s *qma.Scenario) {
+			s.Dynamics = &qma.Dynamics{Channel: qma.GilbertElliott{
+				MeanGoodSeconds: 5, MeanBadSeconds: 1, LossGood: math.NaN()}}
+		}, "[0,1]"},
 		{"GE loss out of range", func(s *qma.Scenario) {
 			s.Dynamics = &qma.Dynamics{Channel: qma.GilbertElliott{
 				MeanGoodSeconds: 5, MeanBadSeconds: 1, LossBad: 1.5}}
@@ -132,6 +154,12 @@ func TestScenarioValidateErrorPaths(t *testing.T) {
 		{"barring factor out of range", func(s *qma.Scenario) {
 			s.Barring = &qma.Barring{Policy: "fixed", P: 1.5}
 		}, "outside [0,1]"},
+		{"barring factor NaN", func(s *qma.Scenario) {
+			s.Barring = &qma.Barring{Policy: "fixed", P: math.NaN()}
+		}, "outside [0,1]"},
+		{"barring floor NaN", func(s *qma.Scenario) {
+			s.Barring = &qma.Barring{Policy: "aimd", MinP: math.NaN()}
+		}, "MinP=NaN"},
 		{"barring target out of range", func(s *qma.Scenario) {
 			s.Barring = &qma.Barring{Policy: "aimd", Target: 1}
 		}, "outside [0,1)"},
