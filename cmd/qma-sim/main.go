@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -120,8 +121,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if plainOnly && (*scale > 0 || *useDSME || *mmtc > 0) {
 		return fail(fmt.Errorf("-dynamics/-ge-bad, -fault-* and -barring/-drop-policy are only supported on the plain contention path (not -scale, -dsme or -mmtc)"))
 	}
-	if *loadMult <= 0 {
-		return fail(fmt.Errorf("-load-mult %g must be positive", *loadMult))
+	if !(*loadMult > 0 && *loadMult <= math.MaxFloat64) {
+		return fail(fmt.Errorf("-load-mult %g must be positive and finite", *loadMult))
 	}
 	rate := *delta * *loadMult
 

@@ -67,6 +67,12 @@ func TestSemanticFlagErrorsExitNonZero(t *testing.T) {
 		{"bandit UCB constant NaN", []string{"-mac", "bandit", "-mac-opt", "ucbc=NaN", "-duration", "1", "-warmup", "0"}, "UCBC"},
 		{"noma level step NaN", []string{"-mac", "noma", "-capture-db", "6", "-mac-opt", "step=NaN", "-duration", "1", "-warmup", "0"}, "LevelStepDB=NaN"},
 		{"barring factor NaN", []string{"-barring", "fixed", "-barring-p", "NaN", "-duration", "1", "-warmup", "0"}, "P=NaN"},
+		{"delta NaN", []string{"-delta", "NaN", "-duration", "1", "-warmup", "0"}, "phase rate NaN"},
+		{"delta infinite", []string{"-delta", "Inf", "-duration", "1", "-warmup", "0"}, "phase rate +Inf"},
+		{"load multiplier NaN", []string{"-load-mult", "NaN", "-duration", "1", "-warmup", "0"}, "-load-mult NaN"},
+		{"capture threshold NaN", []string{"-capture-db", "NaN", "-duration", "1", "-warmup", "0"}, "capture threshold NaN"},
+		{"bandit epsilon start NaN", []string{"-mac", "bandit", "-mac-opt", "eps0=NaN", "-duration", "1", "-warmup", "0"}, "eps0=NaN"},
+		{"bandit epsilon start above 1", []string{"-mac", "bandit", "-mac-opt", "eps0=5", "-duration", "1", "-warmup", "0"}, "eps0=5"},
 		{"fault node out of range", []string{"-fault-outage", "99@10+5", "-duration", "1"}, "out of range"},
 		{"fault on dsme path", []string{"-dsme", "-fault-reboot", "0@1"}, "-fault-"},
 		{"fault on scale path", []string{"-scale", "50", "-fault-reboot", "0@1"}, "-fault-"},

@@ -86,5 +86,5 @@ func validateOptions(opts any) error {
 	if !(o.UCBC >= 0 && o.UCBC <= math.MaxFloat64) {
 		return fmt.Errorf("bandit: UCBC must be finite and non-negative, got %g", o.UCBC)
 	}
-	return nil
+	return qlearn.ValidateExplorer(o.Explorer)
 }

@@ -1,6 +1,7 @@
 package bandit
 
 import (
+	"math"
 	"testing"
 
 	"qma/internal/qlearn"
@@ -72,6 +73,11 @@ func TestValidateOptions(t *testing.T) {
 	}
 	if err := validateOptions(Options{UCBC: -1}); err == nil {
 		t.Error("negative UCBC accepted")
+	}
+	for _, eps0 := range []float64{math.NaN(), -0.1, 5} {
+		if err := validateOptions(Options{Explorer: &qlearn.EpsilonGreedy{Eps0: eps0}}); err == nil {
+			t.Errorf("ε-greedy eps0=%v accepted", eps0)
+		}
 	}
 	if err := validateOptions("x"); err == nil {
 		t.Error("foreign options type accepted")

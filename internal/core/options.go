@@ -103,7 +103,8 @@ func validateOptions(opts any) error {
 }
 
 // Validate reports a descriptive error for options no engine can be built
-// from: an unknown table kind, a non-zero Learn (zero selects the paper's
+// from: an unknown table kind, an Explorer qlearn.ValidateExplorer rejects,
+// a non-zero Learn (zero selects the paper's
 // defaults) that qlearn.Params.Validate rejects, or an integer table with a
 // Learn other than zero or qlearn.DefaultParams() — the integer tables run
 // their width's fixed parameters and would silently ignore it. The NOMA
@@ -111,6 +112,9 @@ func validateOptions(opts any) error {
 func (opts Options) Validate() error {
 	if opts.Table > TableQuant {
 		return fmt.Errorf("core: unknown table kind %d", opts.Table)
+	}
+	if err := qlearn.ValidateExplorer(opts.Explorer); err != nil {
+		return err
 	}
 	if opts.Learn == (qlearn.Params{}) {
 		return nil

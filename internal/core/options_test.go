@@ -64,6 +64,9 @@ func TestRegistryEntry(t *testing.T) {
 	if err := p.Validate(Options{Table: TableQuant + 1}); err == nil {
 		t.Error("Validate accepted an unknown table kind")
 	}
+	if err := p.Validate(Options{Explorer: qlearn.Constant{Eps: 2}}); err == nil {
+		t.Error("Validate accepted an exploration rate above 1")
+	}
 	if err := p.Validate(42); err == nil {
 		t.Error("Validate accepted foreign options")
 	}

@@ -57,7 +57,7 @@ func RunScale(mode Mode) []*Table {
 			}
 			cand = pt.AppendLinks(id, cand[:0])
 			for _, j := range cand {
-				if pt.CanDecode(id, j) {
+				if radio.Decodes(pt, id, j) {
 					edges++
 				}
 			}

@@ -123,29 +123,6 @@ func TestQueueDropAccounting(t *testing.T) {
 	}
 }
 
-func TestQueueDefaultCapacity(t *testing.T) {
-	for _, capacity := range []int{0, -5} {
-		q := NewQueue(capacity)
-		n := 0
-		for q.Push(&Frame{}) {
-			n++
-		}
-		if n != DefaultQueueCap {
-			t.Errorf("NewQueue(%d) holds %d frames, want %d", capacity, n, DefaultQueueCap)
-		}
-	}
-}
-
-func TestQueueClear(t *testing.T) {
-	q := NewQueue(4)
-	q.Push(&Frame{})
-	q.Push(&Frame{})
-	q.Clear()
-	if !q.Empty() {
-		t.Error("queue not empty after Clear")
-	}
-}
-
 // Property: a queue never exceeds its capacity, Push rejects exactly when
 // it is full, and Len equals accepted minus popped frames under arbitrary
 // push/pop sequences.

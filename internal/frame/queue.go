@@ -13,12 +13,8 @@ type Queue struct {
 	cap   int
 }
 
-// NewQueue returns an empty queue holding at most capacity frames.
-// capacity <= 0 selects DefaultQueueCap.
+// NewQueue returns an empty queue holding at most capacity (> 0) frames.
 func NewQueue(capacity int) *Queue {
-	if capacity <= 0 {
-		capacity = DefaultQueueCap
-	}
 	return &Queue{items: make([]*Frame, 0, capacity), cap: capacity}
 }
 
@@ -26,9 +22,6 @@ func NewQueue(capacity int) *Queue {
 // run arena). buf must hold at least capacity elements and must not be
 // shared with another queue.
 func NewQueueOn(capacity int, buf []*Frame) *Queue {
-	if capacity <= 0 {
-		capacity = DefaultQueueCap
-	}
 	if len(buf) < capacity {
 		return NewQueue(capacity)
 	}
@@ -88,12 +81,4 @@ func (q *Queue) RemoveAt(i int) *Frame {
 	q.items[len(q.items)-1] = nil
 	q.items = q.items[:len(q.items)-1]
 	return f
-}
-
-// Clear removes all queued frames (used between experiment phases).
-func (q *Queue) Clear() {
-	for i := range q.items {
-		q.items[i] = nil
-	}
-	q.items = q.items[:0]
 }

@@ -1,6 +1,7 @@
 package qlearn
 
 import (
+	"fmt"
 	"math"
 
 	"qma/internal/sim"
@@ -83,7 +84,7 @@ func (p *ParameterBased) Rate(ctx ExploreContext) float64 {
 type EpsilonGreedy struct {
 	// Eps0 is the initial exploration probability.
 	Eps0 float64
-	// HalfLife is the time over which ε halves; non-positive disables decay.
+	// HalfLife is the time over which ε halves; zero disables decay.
 	HalfLife sim.Time
 	// Min is the exploration floor.
 	Min float64
@@ -113,6 +114,31 @@ var _ Explorer = (*Constant)(nil)
 
 // Rate implements Explorer.
 func (c Constant) Rate(ExploreContext) float64 { return c.Eps }
+
+// ValidateExplorer reports an error for an exploration strategy no engine
+// can run: an ε-greedy Eps0 or Min, or a Constant Eps, outside [0,1] (NaN
+// included), or a negative ε-greedy HalfLife. nil and the other strategies
+// pass.
+func ValidateExplorer(e Explorer) error {
+	switch x := e.(type) {
+	case *EpsilonGreedy:
+		switch {
+		case !(x.Eps0 >= 0 && x.Eps0 <= 1):
+			return fmt.Errorf("qlearn: ε-greedy eps0=%v out of [0,1]", x.Eps0)
+		case !(x.Min >= 0 && x.Min <= 1):
+			return fmt.Errorf("qlearn: ε-greedy min=%v out of [0,1]", x.Min)
+		case x.HalfLife < 0:
+			return fmt.Errorf("qlearn: ε-greedy halflife=%v must not be negative", x.HalfLife)
+		}
+	case *Constant:
+		return ValidateExplorer(*x)
+	case Constant:
+		if !(x.Eps >= 0 && x.Eps <= 1) {
+			return fmt.Errorf("qlearn: constant eps=%v out of [0,1]", x.Eps)
+		}
+	}
+	return nil
+}
 
 // None never explores; useful for replaying fixed policies in tests.
 type None struct{}

@@ -104,3 +104,23 @@ func TestConstantAndNone(t *testing.T) {
 		t.Errorf("None.Rate = %v, want 0", got)
 	}
 }
+
+// TestValidateExplorer pins the one range check of the explorer parameters:
+// probabilities in [0,1] and a non-negative half-life, NaN rejected.
+func TestValidateExplorer(t *testing.T) {
+	nan := math.NaN()
+	for _, e := range []Explorer{nil, None{}, NewParameterBased(), Constant{Eps: 0}, &Constant{Eps: 1},
+		&EpsilonGreedy{Eps0: 1, Min: 0}, &EpsilonGreedy{Eps0: 0.3, HalfLife: 30 * sim.Second, Min: 0.02}} {
+		if err := ValidateExplorer(e); err != nil {
+			t.Errorf("%#v rejected: %v", e, err)
+		}
+	}
+	for _, e := range []Explorer{Constant{Eps: nan}, Constant{Eps: 1.5}, &Constant{Eps: -0.1},
+		&EpsilonGreedy{Eps0: nan}, &EpsilonGreedy{Eps0: 5}, &EpsilonGreedy{Eps0: -1},
+		&EpsilonGreedy{Eps0: 0.3, Min: nan}, &EpsilonGreedy{Eps0: 0.3, Min: 2},
+		&EpsilonGreedy{Eps0: 0.3, HalfLife: -sim.Second}} {
+		if err := ValidateExplorer(e); err == nil {
+			t.Errorf("%#v accepted", e)
+		}
+	}
+}

@@ -66,11 +66,12 @@ func newDenseMedium(k *sim.Kernel, topo Topology, rng *sim.Rand) *denseMedium {
 			if src == dst {
 				continue
 			}
-			s, d := frame.NodeID(src), frame.NodeID(dst)
-			if topo.CanDecode(s, d) {
+			d := frame.NodeID(dst)
+			decode, sense := classify(topo, frame.NodeID(src), d)
+			if decode {
 				m.decodeNbrs[src] = append(m.decodeNbrs[src], d)
 			}
-			m.senseNbrs[src][dst] = topo.CanSense(s, d)
+			m.senseNbrs[src][dst] = sense
 		}
 	}
 	return m
@@ -427,51 +428,41 @@ func TestPathLossTopologyMatchesDenseMatrix(t *testing.T) {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				si, sj := frame.NodeID(i), frame.NodeID(j)
-				if got := pt.RSSI(si, sj); got != rssi[i][j] {
-					t.Fatalf("trial %d: RSSI(%d,%d) = %v, dense %v", trial, i, j, got, rssi[i][j])
+				if got := pt.rssi(si, sj); i != j && got != rssi[i][j] {
+					t.Fatalf("trial %d: rssi(%d,%d) = %v, dense %v", trial, i, j, got, rssi[i][j])
 				}
 				wantDecode := i != j && rssi[i][j] >= cfg.SensitivityDBm
 				wantSense := i != j && rssi[i][j] >= cfg.SensitivityDBm+cfg.CCAMarginDB
-				if got := pt.CanDecode(si, sj); got != wantDecode {
-					t.Fatalf("trial %d: CanDecode(%d,%d) = %v, dense %v", trial, i, j, got, wantDecode)
+				if decode, sense := classify(pt, si, sj); decode != wantDecode || sense != wantSense {
+					t.Fatalf("trial %d: link (%d,%d) decode/sense = %v/%v, dense %v/%v",
+						trial, i, j, decode, sense, wantDecode, wantSense)
 				}
-				if got := pt.CanSense(si, sj); got != wantSense {
-					t.Fatalf("trial %d: CanSense(%d,%d) = %v, dense %v", trial, i, j, got, wantSense)
-				}
-				checkLinkAgreement(t, fmt.Sprintf("trial %d", trial), pt, si, sj)
 			}
 			// The grid enumeration must contain every decodable/sensable dst.
-			links := pt.AppendLinks(frame.NodeID(i), nil)
-			member := make(map[frame.NodeID]bool, len(links))
-			for k2, id := range links {
-				member[id] = true
-				if k2 > 0 && links[k2-1] >= id {
-					t.Fatalf("trial %d: Links(%d) not ascending: %v", trial, i, links)
-				}
-			}
-			for j := 0; j < n; j++ {
-				sj := frame.NodeID(j)
-				if (pt.CanDecode(frame.NodeID(i), sj) || pt.CanSense(frame.NodeID(i), sj)) && !member[sj] {
-					t.Fatalf("trial %d: Links(%d) misses linked node %d", trial, i, j)
-				}
-			}
+			checkLinkAgreement(t, fmt.Sprintf("trial %d", trial), pt, frame.NodeID(i))
 		}
 	}
 }
 
-// checkLinkAgreement fails unless ClassifyLink and LinkSignal's margins at
-// delta 0 agree with CanDecode/CanSense on the ordered pair (src, dst) —
-// the Topology contract the Medium's link build and its reduced-power
-// filter rely on.
-func checkLinkAgreement(t *testing.T, label string, topo Topology, src, dst frame.NodeID) {
+// checkLinkAgreement fails unless AppendLinks(src) is strictly ascending,
+// excludes src and contains every dst whose LinkSignal decode or sense
+// margin is non-negative — the superset the Medium's link build filters.
+// Since src is never a candidate, a self-link with a non-negative margin
+// fails too.
+func checkLinkAgreement(t *testing.T, label string, topo Topology, src frame.NodeID) {
 	t.Helper()
-	decode, sense := topo.CanDecode(src, dst), topo.CanSense(src, dst)
-	if d, s := topo.ClassifyLink(src, dst); d != decode || s != sense {
-		t.Fatalf("%s: ClassifyLink(%d,%d) = (%v,%v), predicates (%v,%v)", label, src, dst, d, s, decode, sense)
+	links := topo.AppendLinks(src, nil)
+	member := make(map[frame.NodeID]bool, len(links))
+	for k, id := range links {
+		member[id] = true
+		if id == src || (k > 0 && links[k-1] >= id) {
+			t.Fatalf("%s: AppendLinks(%d) = %v is not ascending and self-free", label, src, links)
+		}
 	}
-	if _, dm, sm := topo.LinkSignal(src, dst); (dm >= 0) != decode || (sm >= 0) != sense {
-		t.Fatalf("%s: LinkSignal(%d,%d) margins (%v,%v) disagree with predicates (%v,%v) at delta 0",
-			label, src, dst, dm, sm, decode, sense)
+	for dst := frame.NodeID(0); int(dst) < topo.NumNodes(); dst++ {
+		if _, dm, sm := topo.LinkSignal(src, dst); (dm >= 0 || sm >= 0) && !member[dst] {
+			t.Fatalf("%s: AppendLinks(%d) misses %d (margins %v, %v)", label, src, dst, dm, sm)
+		}
 	}
 }
 

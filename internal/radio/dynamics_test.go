@@ -105,11 +105,12 @@ func (m *naiveDynMedium) startTX(src frame.NodeID, f *frame.Frame) sim.Time {
 			if d == src || !m.present[d] {
 				continue
 			}
-			if m.topo.CanDecode(src, d) && m.tuned[d] == f.Channel {
+			decode, sense := classify(m.topo, src, d)
+			if decode && m.tuned[d] == f.Channel {
 				t.receivers = append(t.receivers, d)
 				t.corrupt = append(t.corrupt, false)
 			}
-			if m.topo.CanSense(src, d) {
+			if sense {
 				t.sensed = append(t.sensed, d)
 			}
 		}
@@ -382,7 +383,7 @@ func TestDifferentialChurnGraphMedium(t *testing.T) {
 			func() Topology {
 				g2 := NewGraphTopology(n)
 				for i := 0; i < n; i++ {
-					for _, j := range g.Neighbors(frame.NodeID(i)) {
+					for _, j := range g.AppendLinks(frame.NodeID(i), nil) {
 						g2.AddLink(frame.NodeID(i), j)
 					}
 				}
@@ -481,10 +482,11 @@ func assertRowsMatchRebuild(t *testing.T, label string, m *Medium, topo Topology
 				if d == s || !present[dst] {
 					continue
 				}
-				if topo.CanDecode(s, d) {
+				decode, sense := classify(topo, s, d)
+				if decode {
 					wantDecode = append(wantDecode, d)
 				}
-				if topo.CanSense(s, d) {
+				if sense {
 					wantSense = append(wantSense, d)
 				}
 			}
@@ -521,7 +523,7 @@ func TestMoveNodeGridEdgeBands(t *testing.T) {
 	for i := range present {
 		present[i] = true
 	}
-	cell := pt.cell
+	cell := pt.grid.cell
 	// Probe offsets in cells beyond each edge: inside the last cell, in
 	// the one-cell band just outside (the regression case), and far out.
 	offsets := []float64{-0.4, 0.2, 0.7, 1.3, 2.5}
@@ -539,7 +541,7 @@ func TestMoveNodeGridEdgeBands(t *testing.T) {
 			// Partner just inside decode range of a, towards the lattice.
 			q := Position{X: p.X * 0.97, Y: p.Y * 0.97}
 			m.MoveNode(b, q)
-			if pt.CanDecode(a, b) != containsID(m.DecodeNeighbors(a), b) {
+			if Decodes(pt, a, b) != containsID(m.DecodeNeighbors(a), b) {
 				t.Fatalf("edge %d off %.1f: decode row disagrees with predicate", ei, off)
 			}
 			assertRowsMatchRebuild(t, fmt.Sprintf("edge %d off %.1f", ei, off), m, pt, present)

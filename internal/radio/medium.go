@@ -116,7 +116,7 @@ type Medium struct {
 	inflight [][]*transmission
 
 	// decode[i] lists node i's decode-neighbours and sense[i] the nodes whose
-	// CCA senses i's transmissions (topo.CanSense(i, dst)), both ascending.
+	// CCA senses i's transmissions (see classify), both ascending.
 	// Each row is a full-capacity view into one backing array per direction
 	// that NewMedium builds; churn and mobility edit the rows in place, and
 	// an insert past a row's capacity reallocates only that row.
@@ -186,10 +186,10 @@ type Medium struct {
 // probabilistic link loss and must be private to this medium.
 //
 // Construction enumerates each node's candidate links through
-// Topology.AppendLinks and classifies them with Topology.ClassifyLink, so it
-// runs in O(N + E). The link arrays are computed at the reference (maximum)
-// power; a reduced-power transmission filters its receiver and sensed sets
-// through Topology.LinkSignal's margins at StartTX.
+// Topology.AppendLinks and classifies them by Topology.LinkSignal's margins,
+// so it runs in O(N + E). The link arrays are computed at the reference
+// (maximum) power; a reduced-power transmission filters its receiver and
+// sensed sets through the same margins at StartTX.
 func NewMedium(k *sim.Kernel, topo Topology, rng *sim.Rand) *Medium {
 	n := topo.NumNodes()
 	m := &Medium{
@@ -209,7 +209,7 @@ func NewMedium(k *sim.Kernel, topo Topology, rng *sim.Rand) *Medium {
 	for src := frame.NodeID(0); int(src) < n; src++ {
 		buf = topo.AppendLinks(src, buf[:0])
 		for _, dst := range buf {
-			decode, sense := topo.ClassifyLink(src, dst)
+			decode, sense := classify(topo, src, dst)
 			if decode {
 				decodeArr = append(decodeArr, dst)
 			}
@@ -629,8 +629,8 @@ func (m *Medium) SenseNeighbors(src frame.NodeID) []frame.NodeID { return m.sens
 
 // rowViews cuts arr into one full-capacity view per row, row i ending at
 // ends[i], so appending to a row can never overwrite its successor.
-func rowViews(arr []frame.NodeID, ends []int32) [][]frame.NodeID {
-	rows := make([][]frame.NodeID, len(ends))
+func rowViews[ID GridID](arr []ID, ends []int32) [][]ID {
+	rows := make([][]ID, len(ends))
 	lo := int32(0)
 	for i, hi := range ends {
 		rows[i] = arr[lo:hi:hi]
@@ -744,10 +744,10 @@ func (m *Medium) MoveNode(id frame.NodeID, p Position) {
 // the current topology and updates the link rows to match. Both nodes
 // must be present.
 func (m *Medium) reclassifyPair(x, y frame.NodeID) {
-	decode, sense := m.topo.ClassifyLink(x, y)
+	decode, sense := classify(m.topo, x, y)
 	m.decode[x] = sortedSet(m.decode[x], y, decode)
 	m.sense[x] = sortedSet(m.sense[x], y, sense)
-	decode, sense = m.topo.ClassifyLink(y, x)
+	decode, sense = classify(m.topo, y, x)
 	m.decode[y] = sortedSet(m.decode[y], x, decode)
 	m.sense[y] = sortedSet(m.sense[y], x, sense)
 }

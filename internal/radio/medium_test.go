@@ -167,19 +167,19 @@ func TestPathLossTopologyLinkBudget(t *testing.T) {
 	pos := []Position{{0, 0}, {5, 0}, {100, 0}}
 	pt := NewPathLossTopology(cfg, pos)
 	// 5 m: loss = 40 + 30*log10(5) ≈ 61 dB → RSSI ≈ -70 dBm > -72: decodable.
-	if !pt.CanDecode(0, 1) {
-		t.Errorf("5 m link should decode (RSSI %.1f)", pt.RSSI(0, 1))
+	if !Decodes(pt, 0, 1) {
+		t.Errorf("5 m link should decode (RSSI %.1f)", pt.rssi(0, 1))
 	}
 	// 100 m: loss = 40 + 60 = 100 dB → RSSI -109: dead.
-	if pt.CanDecode(0, 2) {
-		t.Errorf("100 m link should not decode (RSSI %.1f)", pt.RSSI(0, 2))
+	if Decodes(pt, 0, 2) {
+		t.Errorf("100 m link should not decode (RSSI %.1f)", pt.rssi(0, 2))
 	}
 	// Sensing threshold sits CCAMarginDB above sensitivity.
-	if pt.CanSense(0, 1) != (pt.RSSI(0, 1) >= cfg.SensitivityDBm+cfg.CCAMarginDB) {
-		t.Error("CanSense inconsistent with margin")
+	if _, sense := classify(pt, 0, 1); sense != (pt.rssi(0, 1) >= cfg.SensitivityDBm+cfg.CCAMarginDB) {
+		t.Error("sense predicate inconsistent with margin")
 	}
 	// No self-links.
-	if pt.CanDecode(1, 1) {
+	if Decodes(pt, 1, 1) {
 		t.Error("self-link decodable")
 	}
 }
@@ -192,7 +192,7 @@ func TestPathLossSymmetryProperty(t *testing.T) {
 		pos := []Position{{float64(ax), float64(ay)}, {float64(bx), float64(by)}}
 		pt := NewPathLossTopology(cfg, pos)
 		// Frozen shadowing must be symmetric per link.
-		return pt.RSSI(0, 1) == pt.RSSI(1, 0)
+		return pt.rssi(0, 1) == pt.rssi(1, 0)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"qma/internal/barring"
 	"qma/internal/core"
@@ -136,8 +137,9 @@ type Config struct {
 	MACOptions any
 	// CaptureThresholdDB enables receiver-side SINR capture on the medium:
 	// the strongest of several overlapping frames still decodes when its
-	// power clears the sum of the interferers by this many dB (<= 0: capture
+	// power clears the sum of the interferers by this many dB (0: capture
 	// disabled, every overlap collides — the byte-identical default).
+	// Validate rejects a negative or non-finite threshold.
 	CaptureThresholdDB float64
 	// Seed selects the run's random streams; replications vary it.
 	Seed uint64
@@ -212,6 +214,8 @@ func (cfg *Config) Validate() error {
 		return errors.New("SummaryOnly is incompatible with sampled series (per-node series need per-node results)")
 	case cfg.DropDeadline < 0:
 		return fmt.Errorf("drop deadline %v must not be negative", cfg.DropDeadline)
+	case !(cfg.CaptureThresholdDB >= 0 && cfg.CaptureThresholdDB <= math.MaxFloat64):
+		return fmt.Errorf("capture threshold %g dB must be finite and non-negative (0 disables capture)", cfg.CaptureThresholdDB)
 	}
 	net := cfg.Network
 	n := net.NumNodes()
@@ -225,6 +229,14 @@ func (cfg *Config) Validate() error {
 			return fmt.Errorf("traffic origin %d is the sink", tr.Origin)
 		case tr.StartAt < 0:
 			return fmt.Errorf("traffic at node %d starts in the past", tr.Origin)
+		}
+		for _, p := range tr.Phases {
+			switch {
+			case !(p.Rate >= 0 && p.Rate <= math.MaxFloat64):
+				return fmt.Errorf("traffic at node %d: phase rate %g must be finite and non-negative", tr.Origin, p.Rate)
+			case p.Duration < 0:
+				return fmt.Errorf("traffic at node %d: phase duration %v must not be negative", tr.Origin, p.Duration)
+			}
 		}
 		if _, ok := net.NextHop(tr.Origin, net.Sink); !ok {
 			return fmt.Errorf("traffic origin %d has no route to the sink", tr.Origin)

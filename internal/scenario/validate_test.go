@@ -52,6 +52,13 @@ func TestConfigValidateRules(t *testing.T) {
 		{"traffic without phases", func(c *Config) { c.Traffic[0].Phases = nil }, "no phases"},
 		{"traffic from the sink", func(c *Config) { c.Traffic[0].Origin = 1 }, "is the sink"},
 		{"traffic starting in the past", func(c *Config) { c.Traffic[0].StartAt = -1 }, "traffic at node 0 starts in the past"},
+		{"NaN phase rate", func(c *Config) { c.Traffic[0].Phases[0].Rate = math.NaN() }, "phase rate NaN"},
+		{"infinite phase rate", func(c *Config) { c.Traffic[0].Phases[0].Rate = math.Inf(1) }, "phase rate +Inf"},
+		{"negative phase rate", func(c *Config) { c.Traffic[0].Phases[0].Rate = -1 }, "phase rate -1"},
+		{"negative phase duration", func(c *Config) { c.Traffic[0].Phases[0].Duration = -sim.Second }, "phase duration"},
+		{"NaN capture threshold", func(c *Config) { c.CaptureThresholdDB = math.NaN() }, "capture threshold NaN"},
+		{"infinite capture threshold", func(c *Config) { c.CaptureThresholdDB = math.Inf(1) }, "capture threshold +Inf"},
+		{"negative capture threshold", func(c *Config) { c.CaptureThresholdDB = -2 }, "capture threshold -2"},
 		{"unrouted traffic origin", func(c *Config) {
 			c.Network = unroutedNet
 			c.Traffic[0].Origin = 2

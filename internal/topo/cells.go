@@ -165,22 +165,20 @@ func (c *City) EdgeNodes(cell int) int {
 	return n
 }
 
-// senseRange computes the largest distance at which CanSense holds under
-// the log-distance law (no shadowing), mirroring PathLossTopology's
-// thresholds: rssi = Tx − RefLoss − 10·exp·log10(d) ≥ Sensitivity + CCAMargin.
+// senseRange computes the largest distance at which a link is sensed under
+// the log-distance law (no shadowing): the range of the energy-detection
+// threshold, Sensitivity + CCAMargin.
 func senseRange(cfg radio.PathLossConfig) float64 {
-	budget := cfg.TxPowerDBm - cfg.ReferenceLossDB - (cfg.SensitivityDBm + cfg.CCAMarginDB)
-	d := math.Pow(10, budget/(10*cfg.PathLossExponent))
 	// Same clamp-and-inflate as the topology's rangeBound: distances below
 	// 0.1 m are clamped by the RSSI law, and the tiny inflation keeps nodes
 	// sitting exactly on the threshold circle inside the range.
-	return math.Max(d, 0.1) * (1 + 1e-9)
+	return math.Max(cfg.Range(cfg.SensitivityDBm+cfg.CCAMarginDB), 0.1) * (1 + 1e-9)
 }
 
 // NewCity builds the cell-partitioned deployment. Construction is
 // O(N + E + B) — uniform placement over the city rectangle, per-cell
 // PathLossTopology + BFS (the FactoryHall construction per cell), and a
-// uniform-grid sweep for the boundary links — so million-node cities build
+// radio.Grid sweep for the boundary links — so million-node cities build
 // in seconds. It panics on configuration errors: unsupported shadowing, too
 // few nodes, or a cell exceeding the 16-bit local id space (use more cells).
 func NewCity(cfg CityConfig) *City {
@@ -204,8 +202,7 @@ func BuildCity(cfg CityConfig) (*City, error) {
 
 	// Area from the decode range and the target degree, exactly like
 	// FactoryHall; square cells tile it.
-	budget := cfg.PathLoss.TxPowerDBm - cfg.PathLoss.ReferenceLossDB - cfg.PathLoss.SensitivityDBm
-	r := math.Pow(10, budget/(10*cfg.PathLoss.PathLossExponent))
+	r := cfg.PathLoss.Range(cfg.PathLoss.SensitivityDBm)
 	area := math.Pi * r * r * float64(cfg.Nodes) / cfg.Degree
 	cellSide := math.Sqrt(area / float64(cells))
 	c := &City{
@@ -232,11 +229,14 @@ func BuildCity(cfg CityConfig) (*City, error) {
 			Y: (float64(cy) + 0.5) * c.CellH,
 		})
 	}
-	// global[i] locates device i (and, first, each sink) for the boundary
-	// sweep: position plus (cell, local) identity.
-	global := make([]placed, 0, cfg.Nodes)
+	// Global index i (each sink first, then the devices in draw order) has
+	// position pos[i] and (cell, local) identity at[i], for the boundary
+	// sweep.
+	pos := make([]radio.Position, 0, cfg.Nodes)
+	at := make([]cellLocal, 0, cfg.Nodes)
 	for cell := 0; cell < cells; cell++ {
-		global = append(global, placed{cellPos[cell][0], int32(cell), 0})
+		pos = append(pos, cellPos[cell][0])
+		at = append(at, cellLocal{int32(cell), 0})
 	}
 	for i := 0; i < devices; i++ {
 		var p radio.Position
@@ -255,7 +255,8 @@ func BuildCity(cfg CityConfig) (*City, error) {
 		cx := min(int(p.X/c.CellW), cfg.CellsX-1)
 		cy := min(int(p.Y/c.CellH), cfg.CellsY-1)
 		cell := cy*cfg.CellsX + cx
-		global = append(global, placed{p, int32(cell), int32(len(cellPos[cell]))})
+		pos = append(pos, p)
+		at = append(at, cellLocal{int32(cell), int32(len(cellPos[cell]))})
 		cellPos[cell] = append(cellPos[cell], p)
 	}
 
@@ -274,92 +275,38 @@ func BuildCity(cfg CityConfig) (*City, error) {
 		}
 	}
 
-	c.buildBoundary(global)
+	c.buildBoundary(pos, at)
 	return c, nil
 }
 
-// placed locates one node for the boundary sweep: position plus its
-// (cell, local) identity in the partition.
-type placed struct {
-	pos   radio.Position
-	cell  int32
-	local int32
-}
+// cellLocal is one node's (cell, local id) identity in the partition.
+type cellLocal struct{ cell, local int32 }
 
 // buildBoundary enumerates the directed cross-cell sense links with a
-// uniform grid over the whole city keyed by global (int) indices — the
+// radio.Grid over the whole city keyed by global (int32) indices — the
 // per-cell topologies cannot answer cross-cell queries, and a city-wide
 // PathLossTopology cannot exist above 32767 nodes. A directed link src→dst
 // exists iff the two nodes live in different cells and their distance is
-// within SenseRange; distance is symmetric, so every link has its reverse.
-func (c *City) buildBoundary(global []placed) {
+// within SenseRange (the grid query's exact filter); distance is symmetric,
+// so every link has its reverse.
+func (c *City) buildBoundary(pos []radio.Position, at []cellLocal) {
 	cells := len(c.Cells)
-	n := len(global)
-	bin := c.SenseRange
-	// Floor the bin edge so the grid never exceeds ~4N bins (tiny ranges),
-	// widening the scan reach instead — the same trade PathLossTopology's
-	// grid makes.
-	if floor := math.Sqrt(c.Width * c.Height / (4 * float64(n))); bin < floor {
-		bin = floor
-	}
-	reach := int(math.Ceil(c.SenseRange / bin))
-	nx := int(c.Width/bin) + 1
-	ny := int(c.Height/bin) + 1
-	binOf := func(p radio.Position) (int, int) {
-		bx := min(int(p.X/bin), nx-1)
-		by := min(int(p.Y/bin), ny-1)
-		return bx, by
-	}
-	// Counting-sort the nodes into bin CSR.
-	binOff := make([]int32, nx*ny+1)
-	for i := range global {
-		bx, by := binOf(global[i].pos)
-		binOff[by*nx+bx+1]++
-	}
-	for b := 0; b < nx*ny; b++ {
-		binOff[b+1] += binOff[b]
-	}
-	binNodes := make([]int32, n)
-	next := make([]int32, nx*ny)
-	for i := range global {
-		bx, by := binOf(global[i].pos)
-		b := by*nx + bx
-		binNodes[binOff[b]+next[b]] = int32(i)
-		next[b]++
-	}
+	grid := radio.NewGrid[int32](pos, c.SenseRange)
 
 	type link struct {
 		src frame.NodeID
 		dst BoundaryTarget
 	}
 	perCell := make([][]link, cells)
-	for i := range global {
-		u := &global[i]
-		bx, by := binOf(u.pos)
-		for dy := -reach; dy <= reach; dy++ {
-			y := by + dy
-			if y < 0 || y >= ny {
-				continue
-			}
-			for dx := -reach; dx <= reach; dx++ {
-				x := bx + dx
-				if x < 0 || x >= nx {
-					continue
-				}
-				b := y*nx + x
-				for _, j := range binNodes[binOff[b]:binOff[b+1]] {
-					v := &global[j]
-					if v.cell == u.cell {
-						continue
-					}
-					if u.pos.Distance(v.pos) > c.SenseRange {
-						continue
-					}
-					perCell[u.cell] = append(perCell[u.cell], link{
-						src: frame.NodeID(u.local),
-						dst: BoundaryTarget{Cell: v.cell, Node: frame.NodeID(v.local)},
-					})
-				}
+	var near []int32
+	for i, u := range at {
+		near = grid.AppendNear(int32(i), near[:0])
+		for _, j := range near {
+			if v := at[j]; v.cell != u.cell {
+				perCell[u.cell] = append(perCell[u.cell], link{
+					src: frame.NodeID(u.local),
+					dst: BoundaryTarget{Cell: v.cell, Node: frame.NodeID(v.local)},
+				})
 			}
 		}
 	}

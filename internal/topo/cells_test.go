@@ -82,8 +82,7 @@ func TestCitySingleCellHasNoBoundary(t *testing.T) {
 
 // TestCityBoundaryMatchesBruteForce cross-checks the grid-swept boundary
 // enumeration against a quadratic all-pairs reference over several seeds and
-// grid shapes: a directed link src→dst must exist iff the nodes live in
-// different cells within SenseRange, and the link set must be symmetric.
+// grid shapes.
 func TestCityBoundaryMatchesBruteForce(t *testing.T) {
 	for _, tc := range []struct {
 		nodes, cx, cy int
@@ -94,53 +93,87 @@ func TestCityBoundaryMatchesBruteForce(t *testing.T) {
 		{150, 4, 1, 3},
 	} {
 		city := NewCity(CityConfig{Nodes: tc.nodes, CellsX: tc.cx, CellsY: tc.cy, Seed: tc.seed})
-		type key struct {
-			sc int32
-			sn frame.NodeID
-			dc int32
-			dn frame.NodeID
+		checkBoundaryMatchesBruteForce(t, fmt.Sprintf("%+v", tc), city)
+		if city.BoundaryLinks() == 0 {
+			t.Errorf("%+v: expected some boundary links in a multi-cell city", tc)
 		}
-		want := map[key]bool{}
-		for ac, an := range city.Cells {
-			for bc, bn := range city.Cells {
-				if ac == bc {
-					continue
-				}
-				for i, pi := range an.Positions {
-					for j, pj := range bn.Positions {
-						if pi.Distance(pj) <= city.SenseRange {
-							want[key{int32(ac), frame.NodeID(i), int32(bc), frame.NodeID(j)}] = true
-						}
+	}
+}
+
+// FuzzCityBoundary checks the boundary CSR against the brute-force sweep on
+// random cities: 20–400 nodes, grids of 1–3 × 1–3 cells, an optional
+// hotspot, any degree in 1–40 and any seed.
+func FuzzCityBoundary(f *testing.F) {
+	f.Add(uint16(380), uint8(2), uint8(2), uint8(3), uint8(70), uint8(10), uint64(1))
+	f.Add(uint16(20), uint8(3), uint8(3), uint8(0), uint8(0), uint8(40), uint64(2))
+	f.Add(uint16(217), uint8(1), uint8(3), uint8(1), uint8(95), uint8(1), uint64(3))
+	f.Fuzz(func(t *testing.T, nodes uint16, cx, cy, hotCell, hotPercent, degree uint8, seed uint64) {
+		cfg := CityConfig{
+			Nodes:  20 + int(nodes)%381,
+			CellsX: 1 + int(cx)%3,
+			CellsY: 1 + int(cy)%3,
+			Degree: float64(1 + degree%40),
+			Seed:   seed,
+		}
+		cfg.HotspotCell = int(hotCell) % (cfg.CellsX * cfg.CellsY)
+		cfg.HotspotFraction = float64(hotPercent%100) / 100
+		city, err := BuildCity(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		checkBoundaryMatchesBruteForce(t, fmt.Sprintf("%+v", cfg), city)
+	})
+}
+
+// checkBoundaryMatchesBruteForce fails unless the city's boundary CSR holds
+// exactly the directed links of a quadratic all-pairs sweep — src→dst iff
+// the nodes live in different cells within SenseRange — with no duplicate,
+// every link's reverse present and BoundaryLinks counting them.
+func checkBoundaryMatchesBruteForce(t *testing.T, label string, city *City) {
+	t.Helper()
+	type key struct {
+		sc int32
+		sn frame.NodeID
+		dc int32
+		dn frame.NodeID
+	}
+	want := map[key]bool{}
+	for ac, an := range city.Cells {
+		for bc, bn := range city.Cells {
+			if ac == bc {
+				continue
+			}
+			for i, pi := range an.Positions {
+				for j, pj := range bn.Positions {
+					if pi.Distance(pj) <= city.SenseRange {
+						want[key{int32(ac), frame.NodeID(i), int32(bc), frame.NodeID(j)}] = true
 					}
 				}
 			}
 		}
-		got := map[key]bool{}
-		links := 0
-		for cell, net := range city.Cells {
-			for s := 0; s < net.NumNodes(); s++ {
-				for _, tgt := range city.EdgeTargets(cell, frame.NodeID(s)) {
-					got[key{int32(cell), frame.NodeID(s), tgt.Cell, tgt.Node}] = true
-					links++
-				}
+	}
+	got := map[key]bool{}
+	links := 0
+	for cell, net := range city.Cells {
+		for s := 0; s < net.NumNodes(); s++ {
+			for _, tgt := range city.EdgeTargets(cell, frame.NodeID(s)) {
+				got[key{int32(cell), frame.NodeID(s), tgt.Cell, tgt.Node}] = true
+				links++
 			}
 		}
-		if links != city.BoundaryLinks() {
-			t.Errorf("%+v: CSR lists %d links, BoundaryLinks reports %d", tc, links, city.BoundaryLinks())
-		}
-		if len(got) != links {
-			t.Errorf("%+v: %d duplicate boundary links", tc, links-len(got))
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%+v: grid enumeration (%d links) differs from brute force (%d links)", tc, len(got), len(want))
-		}
-		for k := range got {
-			if !got[key{k.dc, k.dn, k.sc, k.sn}] {
-				t.Errorf("%+v: link %+v has no reverse", tc, k)
-			}
-		}
-		if city.BoundaryLinks() == 0 {
-			t.Errorf("%+v: expected some boundary links in a multi-cell city", tc)
+	}
+	if links != city.BoundaryLinks() {
+		t.Errorf("%s: CSR lists %d links, BoundaryLinks reports %d", label, links, city.BoundaryLinks())
+	}
+	if len(got) != links {
+		t.Errorf("%s: %d duplicate boundary links", label, links-len(got))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: grid enumeration (%d links) differs from brute force (%d links)", label, len(got), len(want))
+	}
+	for k := range got {
+		if !got[key{k.dc, k.dn, k.sc, k.sn}] {
+			t.Errorf("%s: link %+v has no reverse", label, k)
 		}
 	}
 }

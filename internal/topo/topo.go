@@ -223,7 +223,7 @@ func Rings(rings int) *Network {
 			if ringOf[j] != ringOf[i]-1 {
 				continue
 			}
-			if !g.CanDecode(frame.NodeID(i), frame.NodeID(j)) {
+			if !radio.Decodes(g, frame.NodeID(i), frame.NodeID(j)) {
 				continue
 			}
 			if d := pos[i].Distance(pos[j]); d < bestDist {
@@ -233,7 +233,7 @@ func Rings(rings int) *Network {
 		if best < 0 {
 			// Fall back to the nearest decodable node closer to the center.
 			for j := 0; j < n; j++ {
-				if ringOf[j] >= ringOf[i] || !g.CanDecode(frame.NodeID(i), frame.NodeID(j)) {
+				if ringOf[j] >= ringOf[i] || !radio.Decodes(g, frame.NodeID(i), frame.NodeID(j)) {
 					continue
 				}
 				if d := pos[i].Distance(pos[j]); d < bestDist {
@@ -287,8 +287,7 @@ func FactoryHall(cfg FactoryConfig) *Network {
 	}
 	// Decode range R from the link budget; area = N·πR²/Degree gives an
 	// expected decode degree of ~Degree away from the hall edges.
-	budget := cfg.PathLoss.TxPowerDBm - cfg.PathLoss.ReferenceLossDB - cfg.PathLoss.SensitivityDBm
-	r := math.Pow(10, budget/(10*cfg.PathLoss.PathLossExponent))
+	r := cfg.PathLoss.Range(cfg.PathLoss.SensitivityDBm)
 	side := r * math.Sqrt(math.Pi*float64(cfg.Nodes)/cfg.Degree)
 	rng := sim.NewRandStream(cfg.Seed, 7001)
 	pos := make([]radio.Position, cfg.Nodes)
@@ -311,9 +310,9 @@ func FactoryHall(cfg FactoryConfig) *Network {
 // bfsTree builds a min-hop routing tree by BFS from node 0 over the decode
 // links, using the grid-backed neighbor enumeration (O(N + E) total). A
 // child's frames must be decodable at its parent, so the edge direction is
-// CanDecode(child, parent). Frontier and candidate order are deterministic
-// (ascending ids), so the same positions always yield the same tree; nodes
-// outside the sink's component stay detached (Parent −1).
+// radio.Decodes(pt, child, parent). Frontier and candidate order are
+// deterministic (ascending ids), so the same positions always yield the same
+// tree; nodes outside the sink's component stay detached (Parent −1).
 func bfsTree(pt *radio.PathLossTopology, n int) []frame.NodeID {
 	parent := make([]frame.NodeID, n)
 	for i := range parent {
@@ -329,7 +328,7 @@ func bfsTree(pt *radio.PathLossTopology, n int) []frame.NodeID {
 		queue = queue[1:]
 		cand = pt.AppendLinks(p, cand[:0])
 		for _, c := range cand {
-			if visited[c] || !pt.CanDecode(c, p) {
+			if visited[c] || !radio.Decodes(pt, c, p) {
 				continue
 			}
 			visited[c] = true

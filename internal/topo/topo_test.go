@@ -14,10 +14,10 @@ func TestHiddenNodeStructure(t *testing.T) {
 		t.Fatalf("nodes=%d sink=%d", n.NumNodes(), n.Sink)
 	}
 	top := n.Topology
-	if !top.CanDecode(0, 1) || !top.CanDecode(2, 1) {
+	if !radio.Decodes(top, 0, 1) || !radio.Decodes(top, 2, 1) {
 		t.Error("A and C must reach B")
 	}
-	if top.CanDecode(0, 2) || top.CanSense(0, 2) {
+	if _, decodeMargin, senseMargin := top.LinkSignal(0, 2); decodeMargin >= 0 || senseMargin >= 0 {
 		t.Error("A and C must be hidden from each other")
 	}
 	if hop, ok := n.NextHop(0, 1); !ok || hop != 1 {
@@ -59,10 +59,10 @@ func TestTree10Structure(t *testing.T) {
 	}
 	// Siblings decode each other, cousins do not: 41(3) and 59(5) sit in
 	// different subtrees.
-	if !n.Topology.CanDecode(3, 4) {
+	if !radio.Decodes(n.Topology, 3, 4) {
 		t.Error("siblings 41/36 must decode each other")
 	}
-	if n.Topology.CanDecode(3, 5) {
+	if radio.Decodes(n.Topology, 3, 5) {
 		t.Error("41 and 59 must be hidden from each other")
 	}
 }
@@ -79,7 +79,7 @@ func TestStar17AllPairsConnected(t *testing.T) {
 			if i == j {
 				continue
 			}
-			if !n.Topology.CanDecode(frame.NodeID(i), frame.NodeID(j)) {
+			if !radio.Decodes(n.Topology, frame.NodeID(i), frame.NodeID(j)) {
 				t.Fatalf("star nodes %d and %d cannot hear each other", i, j)
 			}
 		}
@@ -119,7 +119,7 @@ func TestRingsSpatialReuse(t *testing.T) {
 	hidden := 0
 	for i := 0; i < n.NumNodes(); i++ {
 		for j := i + 1; j < n.NumNodes(); j++ {
-			if !n.Topology.CanDecode(frame.NodeID(i), frame.NodeID(j)) {
+			if !radio.Decodes(n.Topology, frame.NodeID(i), frame.NodeID(j)) {
 				hidden++
 			}
 		}
@@ -175,7 +175,7 @@ func TestFactoryHallStructure(t *testing.T) {
 				}
 				// The parent must decode the child's transmissions and sit
 				// one hop closer to the sink (BFS min-hop property).
-				if !n.Topology.CanDecode(frame.NodeID(i), n.Parent[i]) {
+				if !radio.Decodes(n.Topology, frame.NodeID(i), n.Parent[i]) {
 					t.Fatalf("FactoryHall(%d): node %d cannot reach its parent", nodes, i)
 				}
 				if pd := n.Depth(n.Parent[i]); pd != d-1 {
@@ -222,7 +222,7 @@ func TestFactoryHallDensityKnob(t *testing.T) {
 		for i := 0; i < n.NumNodes(); i++ {
 			cand = pt.AppendLinks(frame.NodeID(i), cand[:0])
 			for _, j := range cand {
-				if pt.CanDecode(frame.NodeID(i), j) {
+				if radio.Decodes(pt, frame.NodeID(i), j) {
 					total++
 				}
 			}

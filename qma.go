@@ -251,7 +251,8 @@ type Scenario struct {
 	// CaptureThresholdDB enables receiver-side SINR capture: the strongest
 	// of several overlapping frames still decodes when its received power
 	// exceeds the sum of the interferers by this many dB. 0 (the default)
-	// disables capture; overlaps then collide exactly as before.
+	// disables capture; overlaps then collide exactly as before. A
+	// negative or non-finite threshold is an error.
 	CaptureThresholdDB float64
 	// Seed selects the random streams; vary it across replications.
 	Seed uint64
@@ -560,11 +561,6 @@ func (s *Scenario) config() (scenario.Config, error) {
 		Barring:            s.Barring.internal(),
 		DropDeadline:       sim.FromSeconds(s.DropDeadlineSeconds),
 		SummaryOnly:        s.SummaryOnly,
-	}
-	// The scenario layer reads any threshold <= 0 as "capture disabled"; the
-	// public contract names 0 as the off switch and rejects negatives.
-	if s.CaptureThresholdDB < 0 {
-		return cfg, fmt.Errorf("qma: CaptureThresholdDB=%g must not be negative (0 disables capture)", s.CaptureThresholdDB)
 	}
 	var err error
 	if cfg.MACOptions, err = s.macOptions(); err != nil {

@@ -43,6 +43,25 @@ func TestScenarioValidateErrorPaths(t *testing.T) {
 		{"broadcast starting in the past", func(s *qma.Scenario) {
 			s.Broadcasts = []qma.Broadcast{{Origin: 0, PeriodSeconds: 1, StartSeconds: -3}}
 		}, "starts in the past"},
+		{"NaN traffic rate", func(s *qma.Scenario) {
+			s.Traffic[0].Phases[0].Rate = math.NaN()
+		}, "phase rate NaN"},
+		{"negative phase duration", func(s *qma.Scenario) {
+			s.Traffic[0].Phases = append(s.Traffic[0].Phases, qma.Phase{Rate: 1, Seconds: -1})
+		}, "phase duration"},
+		{"NaN capture threshold", func(s *qma.Scenario) {
+			s.CaptureThresholdDB = math.NaN()
+		}, "capture threshold NaN"},
+		{"NaN ε-greedy start", func(s *qma.Scenario) {
+			s.Explorer = &qma.Explorer{Kind: "epsilon", Eps0: math.NaN(), HalfLifeSeconds: 30}
+		}, "eps0=NaN"},
+		{"constant exploration rate above 1", func(s *qma.Scenario) {
+			s.Explorer = &qma.Explorer{Kind: "constant", Eps0: 5}
+		}, "eps=5"},
+		{"NaN bandit ε-greedy start", func(s *qma.Scenario) {
+			s.MAC = "bandit"
+			s.MACOptions = map[string]string{"eps0": "NaN"}
+		}, "eps0=NaN"},
 		{"unregistered MAC", func(s *qma.Scenario) {
 			s.MAC = "token-ring"
 		}, "unknown MAC"},
