@@ -63,15 +63,18 @@ func BenchmarkDynamicsFamily(b *testing.B)           { runExperiment(b, "dynamic
 
 // Microbenchmarks.
 
-// BenchmarkKernelEvent measures raw event scheduling + dispatch.
+// BenchmarkKernelEvent measures raw event scheduling + dispatch of a static
+// no-op callback, the kernel's one event form.
 func BenchmarkKernelEvent(b *testing.B) {
 	k := sim.NewKernel()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		k.Schedule(1, func() {})
+		k.AtCall(k.Now()+1, noopEvent, nil)
 		k.Run(k.Now() + 1)
 	}
 }
+
+func noopEvent(any) {}
 
 // BenchmarkQTableUpdate measures one Eq. 5 update per representation — the
 // per-decision cost on an embedded device.
@@ -128,7 +131,7 @@ func BenchmarkMediumTransmit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f.Src = frame.NodeID(i % 10)
 		m.StartTX(f.Src, f, 0)
-		k.RunAll()
+		k.Run(sim.Never)
 	}
 }
 

@@ -10,6 +10,17 @@ import (
 	"qma/internal/superframe"
 )
 
+// atFunc schedules fn at t as the kernel's one event form, a static
+// callback over a record: here the record is the closure.
+func atFunc(k *sim.Kernel, t sim.Time, fn func()) sim.EventID { return k.AtCall(t, callFunc, fn) }
+
+// afterFunc schedules fn d after the current instant.
+func afterFunc(k *sim.Kernel, d sim.Time, fn func()) sim.EventID {
+	return k.AtCall(k.Now()+d, callFunc, fn)
+}
+
+func callFunc(fn any) { fn.(func())() }
+
 type rig struct {
 	k       *sim.Kernel
 	m       *radio.Medium
@@ -51,7 +62,7 @@ func TestDeliversOnIdleChannel(t *testing.T) {
 			r := newRig(t, [][2]int{{0, 1}}, 2, v, nil)
 			for i := 0; i < 20; i++ {
 				f := dataTo(1, 0, uint32(i+1))
-				r.k.Schedule(sim.Time(i)*100*sim.Millisecond, func() { r.engines[0].Enqueue(f) })
+				afterFunc(r.k, sim.Time(i)*100*sim.Millisecond, func() { r.engines[0].Enqueue(f) })
 			}
 			r.k.Run(5 * sim.Second)
 			s := r.engines[0].Base().Stats()
@@ -97,7 +108,7 @@ func TestSlottedAlignsToSubslotBoundaries(t *testing.T) {
 	sink.Start()
 	for i := 0; i < 10; i++ {
 		f := dataTo(1, 0, uint32(i+1))
-		k.Schedule(sim.Time(i)*37*sim.Millisecond, func() { sender.Enqueue(f) })
+		afterFunc(k, sim.Time(i)*37*sim.Millisecond, func() { sender.Enqueue(f) })
 	}
 	k.Run(2 * sim.Second)
 	if len(starts) != 10 {
@@ -138,7 +149,7 @@ func TestPureTransmitsImmediately(t *testing.T) {
 	sink.Start()
 	f := dataTo(1, 0, 1)
 	at := clock.NextSubslotStart(0) + 333 // mid-CAP, off the slot grid
-	k.At(at, func() { sender.Enqueue(f) })
+	atFunc(k, at, func() { sender.Enqueue(f) })
 	k.Run(1 * sim.Second)
 	if want := at + f.Duration(); deliveredAt != want {
 		t.Errorf("delivered at %v, want %v (immediate transmission)", deliveredAt, want)
@@ -186,7 +197,7 @@ func TestTransactionsRespectCAPBoundary(t *testing.T) {
 			if v == Slotted {
 				at = capEnd - 3000
 			}
-			r.k.At(at, func() { r.engines[0].Enqueue(dataTo(1, 0, 1)) })
+			atFunc(r.k, at, func() { r.engines[0].Enqueue(dataTo(1, 0, 1)) })
 			r.k.Run(capEnd + 100)
 			if got := r.engines[0].Base().Stats().TxAttempts; got != 0 {
 				t.Fatalf("transmitted %d frames across the CAP boundary", got)

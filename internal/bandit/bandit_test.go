@@ -11,6 +11,17 @@ import (
 	"qma/internal/superframe"
 )
 
+// atFunc schedules fn at t as the kernel's one event form, a static
+// callback over a record: here the record is the closure.
+func atFunc(k *sim.Kernel, t sim.Time, fn func()) sim.EventID { return k.AtCall(t, callFunc, fn) }
+
+// afterFunc schedules fn d after the current instant.
+func afterFunc(k *sim.Kernel, d sim.Time, fn func()) sim.EventID {
+	return k.AtCall(k.Now()+d, callFunc, fn)
+}
+
+func callFunc(fn any) { fn.(func())() }
+
 type rig struct {
 	k       *sim.Kernel
 	m       *radio.Medium
@@ -49,7 +60,7 @@ func TestDeliversOnIdleChannel(t *testing.T) {
 	r := newRig(t, [][2]int{{0, 1}}, 2, Options{})
 	for i := 0; i < 20; i++ {
 		f := dataTo(1, 0, uint32(i+1))
-		r.k.Schedule(sim.Time(i)*100*sim.Millisecond, func() { r.engines[0].Enqueue(f) })
+		afterFunc(r.k, sim.Time(i)*100*sim.Millisecond, func() { r.engines[0].Enqueue(f) })
 	}
 	r.k.Run(8 * sim.Second)
 	s := r.engines[0].Base().Stats()
@@ -74,7 +85,7 @@ func TestUCBTriesEveryArmOnce(t *testing.T) {
 	sfd := r.clock.Config().SuperframeDuration()
 	for i := 0; i < subslots+10; i++ {
 		f := dataTo(1, 0, uint32(i+1))
-		r.k.Schedule(sim.Time(i)*sfd, func() { r.engines[0].Enqueue(f) })
+		afterFunc(r.k, sim.Time(i)*sfd, func() { r.engines[0].Enqueue(f) })
 	}
 	r.k.Run(sim.Time(subslots+16) * sfd)
 	counts := r.engines[0].Counts()
@@ -150,7 +161,7 @@ func TestCAPEndSlotsArePunished(t *testing.T) {
 		f := dataTo(1, 0, uint32(i+1))
 		// A fat frame: its transaction cannot complete from the last slots.
 		f.MPDUBytes = 120
-		r.k.Schedule(sim.Time(i)*sfd, func() { r.engines[0].Enqueue(f) })
+		afterFunc(r.k, sim.Time(i)*sfd, func() { r.engines[0].Enqueue(f) })
 	}
 	r.k.Run(sim.Time(subslots+16) * sfd)
 	es := r.engines[0].EngineStats()

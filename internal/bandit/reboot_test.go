@@ -24,7 +24,7 @@ func TestRebootOrphansPendingPull(t *testing.T) {
 	// passed, so the post-reboot pull (arm 0, the freshly reset bandit's
 	// argmax) waits for the next superframe — past the stale pull's slot.
 	const arrival = 10 * sim.Millisecond
-	r.k.At(arrival, func() { e.Enqueue(dataTo(1, 0, 2)) })
+	atFunc(r.k, arrival, func() { e.Enqueue(dataTo(1, 0, 2)) })
 	live := r.clock.SubslotStart(arrival, 0)
 	if live <= arrival {
 		live += r.clock.Config().SuperframeDuration()

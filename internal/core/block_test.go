@@ -26,24 +26,32 @@ func blockMACConfig(n int, scratch *mac.Scratch) func(id int) mac.Config {
 	}
 }
 
-// TestNewFromOptionsHeapObjects pins what one QMA node costs the heap on a
-// warmed run arena. The five objects are the engine block itself, the two
-// MAC hooks it installs (OnOverhear, OnAccept) and the two immediate-ACK
-// callbacks of its mac.Base. The MAC base, learner, float64 table header
-// and RNG live inside the block; the Q row, π and the queue buffer come
-// from the arena; the default explorer is shared by every engine.
+// TestNewFromOptionsHeapObjects pins what a QMA node costs the heap on a
+// warmed run arena, building a network's worth of engines on one slab. The
+// three objects per node are the engine block itself and the two MAC hooks
+// it installs (OnOverhear, OnAccept). The MAC base, learner, float64 table
+// header and RNG live inside the block; the Q row, π and the queue buffer
+// come from the arena; the default explorer is shared by every engine, and
+// every kernel callback is a package-level function, so no node carries a
+// closure of its own.
 func TestNewFromOptionsHeapObjects(t *testing.T) {
-	const want = 5
+	const nodes, want = 64, 3
 	scratch := &mac.Scratch{}
-	cfg := blockMACConfig(1, scratch)(0)
+	cfg := blockMACConfig(nodes, scratch)
+	cfgs := make([]mac.Config, nodes)
+	for i := range cfgs {
+		cfgs[i] = cfg(i)
+	}
 	rng := sim.NewRand(1)
 	// AllocsPerRun's warm-up call carves the arena's blocks.
-	got := testing.AllocsPerRun(50, func() {
+	got := testing.AllocsPerRun(20, func() {
 		scratch.Reset()
-		NewFromOptions(Options{}, cfg, rng)
+		for _, c := range cfgs {
+			NewFromOptions(Options{}, c, rng)
+		}
 	})
-	if got != want {
-		t.Errorf("NewFromOptions allocates %v heap objects, want %d", got, want)
+	if got != nodes*want {
+		t.Errorf("building %d engines allocates %v heap objects, want %d per engine", nodes, got, want)
 	}
 }
 

@@ -9,6 +9,12 @@ import (
 	"qma/internal/sim"
 )
 
+// atFunc schedules fn at t as the kernel's one event form, a static
+// callback over a record: here the record is the closure.
+func atFunc(k *sim.Kernel, t sim.Time, fn func()) sim.EventID { return k.AtCall(t, callFunc, fn) }
+
+func callFunc(fn any) { fn.(func())() }
+
 // newLevelsRig wires n engines with K power levels 6 dB apart and
 // captured-over shaping, the NOMA configuration, over an explicit graph. A
 // large startupSubslots keeps the engines in cautious startup (observation
@@ -46,7 +52,7 @@ func TestCaptureSharingDeterministic(t *testing.T) {
 
 	at := r.clock.SubslotStart(0, 5)
 	sendAt := func(e *Engine, level int) {
-		r.k.At(at, func() { e.execute(5, 2*2+level) })
+		atFunc(r.k, at, func() { e.execute(5, 2*2+level) })
 	}
 	sendAt(r.engines[0], 0)
 	sendAt(r.engines[2], 1)
@@ -86,8 +92,8 @@ func TestCaptureOffBothFail(t *testing.T) {
 	r.engines[0].Enqueue(dataTo(1, 0, 1))
 	r.engines[2].Enqueue(dataTo(1, 2, 1))
 	at := r.clock.SubslotStart(0, 5)
-	r.k.At(at, func() { r.engines[0].execute(5, 2*2+0) })
-	r.k.At(at, func() { r.engines[2].execute(5, 2*2+1) })
+	atFunc(r.k, at, func() { r.engines[0].execute(5, 2*2+0) })
+	atFunc(r.k, at, func() { r.engines[2].execute(5, 2*2+1) })
 	r.k.Run(at + 10*sim.Millisecond)
 
 	if got := r.engines[1].Base().Stats().Delivered; got != 0 {
@@ -118,8 +124,8 @@ func TestCapturedOverNeedsShaping(t *testing.T) {
 	r.engines[0].Enqueue(dataTo(1, 0, 1))
 	r.engines[2].Enqueue(dataTo(1, 2, 1))
 	at := r.clock.SubslotStart(0, 5)
-	r.k.At(at, func() { r.engines[0].execute(5, 2*2+0) })
-	r.k.At(at, func() { r.engines[2].execute(5, 2*2+1) })
+	atFunc(r.k, at, func() { r.engines[0].execute(5, 2*2+0) })
+	atFunc(r.k, at, func() { r.engines[2].execute(5, 2*2+1) })
 	r.k.Run(at + 10*sim.Millisecond)
 
 	weak := r.engines[2]
@@ -141,7 +147,7 @@ func TestSuccessBonusPerLevel(t *testing.T) {
 	r := newLevelsRig(t, [][2]int{{0, 1}}, 2, 3, 1<<20)
 	r.engines[0].Enqueue(dataTo(1, 0, 1))
 	at := r.clock.SubslotStart(0, 3)
-	r.k.At(at, func() { r.engines[0].execute(3, 2*3+2) })
+	atFunc(r.k, at, func() { r.engines[0].execute(3, 2*3+2) })
 	r.k.Run(at + 10*sim.Millisecond)
 
 	e := r.engines[0]
@@ -201,7 +207,7 @@ func TestCCAActionTransmitsOnIdleAndBacksOffOnBusy(t *testing.T) {
 	e := r.engines[0]
 	e.Enqueue(dataTo(1, 0, 1))
 	at := r.clock.SubslotStart(0, 4)
-	r.k.At(at, func() { e.execute(4, 1*2+1) })
+	atFunc(r.k, at, func() { e.execute(4, 1*2+1) })
 	r.k.Run(at + 10*sim.Millisecond)
 	if s := e.Base().Stats(); s.TxSuccess != 1 {
 		t.Fatalf("idle-channel CCA action: %+v, want one success", s)
@@ -217,8 +223,8 @@ func TestCCAActionTransmitsOnIdleAndBacksOffOnBusy(t *testing.T) {
 	e2.Enqueue(dataTo(1, 0, 1))
 	jam := &frame.Frame{Kind: frame.Data, Src: 1, Dst: frame.Broadcast, MPDUBytes: 60}
 	at2 := r2.clock.SubslotStart(0, 4)
-	r2.k.At(at2, func() { r2.m.StartTX(1, jam, 0) })
-	r2.k.At(at2, func() { e2.execute(4, 1*2+0) })
+	atFunc(r2.k, at2, func() { r2.m.StartTX(1, jam, 0) })
+	atFunc(r2.k, at2, func() { e2.execute(4, 1*2+0) })
 	r2.k.Run(at2 + 10*sim.Millisecond)
 	if s := e2.Base().Stats(); s.TxAttempts != 0 {
 		t.Fatalf("busy-channel CCA action transmitted anyway: %+v", s)
@@ -237,7 +243,7 @@ func TestStartupPunishesEveryLevel(t *testing.T) {
 	e := r.engines[0]
 	jam := &frame.Frame{Kind: frame.Data, Src: 1, Dst: frame.Broadcast, MPDUBytes: 20}
 	at := r.clock.SubslotStart(0, 2)
-	r.k.At(at+sim.Microsecond, func() { r.m.StartTX(1, jam, 0) })
+	atFunc(r.k, at+sim.Microsecond, func() { r.m.StartTX(1, jam, 0) })
 	r.k.Run(r.clock.SubslotStart(0, 4))
 
 	tab := e.Learner().Table()

@@ -10,6 +10,17 @@ import (
 	"qma/internal/superframe"
 )
 
+// atFunc schedules fn at t as the kernel's one event form, a static
+// callback over a record: here the record is the closure.
+func atFunc(k *sim.Kernel, t sim.Time, fn func()) sim.EventID { return k.AtCall(t, callFunc, fn) }
+
+// afterFunc schedules fn d after the current instant.
+func afterFunc(k *sim.Kernel, d sim.Time, fn func()) sim.EventID {
+	return k.AtCall(k.Now()+d, callFunc, fn)
+}
+
+func callFunc(fn any) { fn.(func())() }
+
 type rig struct {
 	k       *sim.Kernel
 	m       *radio.Medium
@@ -50,7 +61,7 @@ func TestDeliversOnIdleChannel(t *testing.T) {
 			r := newRig(t, [][2]int{{0, 1}}, 2, v)
 			for i := 0; i < 20; i++ {
 				f := dataTo(1, 0, uint32(i+1))
-				r.k.Schedule(sim.Time(i)*100*sim.Millisecond, func() { r.engines[0].Enqueue(f) })
+				afterFunc(r.k, sim.Time(i)*100*sim.Millisecond, func() { r.engines[0].Enqueue(f) })
 			}
 			r.k.Run(5 * sim.Second)
 			s := r.engines[0].Base().Stats()
@@ -86,8 +97,8 @@ func TestCCADefersToOngoingTransmission(t *testing.T) {
 	// A long broadcast from node 2 occupies the channel.
 	long := &frame.Frame{Kind: frame.Data, Src: 2, Dst: frame.Broadcast, Origin: 2, Sink: frame.Broadcast, Seq: 1, MPDUBytes: 120}
 	capStart := r.clock.NextSubslotStart(0)
-	r.k.At(capStart, func() { r.m.StartTX(2, long, 0) })
-	r.k.At(capStart+10, func() { r.engines[0].Enqueue(dataTo(1, 0, 1)) })
+	atFunc(r.k, capStart, func() { r.m.StartTX(2, long, 0) })
+	atFunc(r.k, capStart+10, func() { r.engines[0].Enqueue(dataTo(1, 0, 1)) })
 	r.k.Run(1 * sim.Second)
 	s := r.engines[0].Base().Stats()
 	es := r.engines[0].EngineStats()
@@ -122,7 +133,7 @@ func TestTransactionsRespectCAPBoundary(t *testing.T) {
 	r := newRig(t, [][2]int{{0, 1}}, 2, Slotted)
 	// Enqueue right before the CAP ends: the transaction must defer.
 	capEnd := r.clock.CAPEnd(r.clock.NextSubslotStart(0))
-	r.k.At(capEnd-500, func() { r.engines[0].Enqueue(dataTo(1, 0, 1)) })
+	atFunc(r.k, capEnd-500, func() { r.engines[0].Enqueue(dataTo(1, 0, 1)) })
 	r.k.Run(capEnd + 100)
 	if got := r.engines[0].Base().Stats().TxAttempts; got != 0 {
 		t.Fatalf("transmitted %d frames across the CAP boundary", got)
@@ -166,7 +177,7 @@ func TestBackoffExhaustionDropsFrame(t *testing.T) {
 				jammer := frame.NodeID(2 + i%2)
 				f := &frame.Frame{Kind: frame.Data, Src: jammer, Dst: frame.Broadcast,
 					Origin: jammer, Sink: frame.Broadcast, Seq: uint32(i + 1), MPDUBytes: 120}
-				r.k.At(sim.Time(i)*3*sim.Millisecond, func() { r.m.StartTX(jammer, f, 0) })
+				atFunc(r.k, sim.Time(i)*3*sim.Millisecond, func() { r.m.StartTX(jammer, f, 0) })
 			}
 			r.engines[0].Enqueue(dataTo(1, 0, 1))
 			r.k.Run(600 * sim.Millisecond)
@@ -218,7 +229,7 @@ func TestSlottedCWRequiresTwoClearBoundaries(t *testing.T) {
 			}
 			seq++
 			f.Seq = seq
-			r.k.At(start, func() { r.m.StartTX(2, f, 0) })
+			atFunc(r.k, start, func() { r.m.StartTX(2, f, 0) })
 		}
 	}
 	r.engines[0].Enqueue(dataTo(1, 0, 1))

@@ -113,6 +113,20 @@ func (cfg *ScenarioConfig) Validate() error {
 // broadcasts (from 2 s) have let the network form.
 const trafficStart = 5 * sim.Second
 
+// warmup is the end-of-warm-up event's record: the nodes, and their
+// counters at that instant once it has fired.
+type warmup struct {
+	nodes  []*Node
+	before []NodeStats
+}
+
+func snapshotWarmup(arg any) {
+	w := arg.(*warmup)
+	for _, node := range w.nodes {
+		w.before = append(w.before, node.Stats())
+	}
+}
+
 // RunScenario executes a DSME data-collection run. It panics with the
 // Validate error on a bad configuration. Once the result is collected, the
 // run's storage goes to the next run to recycle (scenario.Substrate.Release).
@@ -208,13 +222,8 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 		src.Start()
 	}
 
-	var before []NodeStats
-	kernel.At(cfg.Warmup, func() {
-		before = make([]NodeStats, n)
-		for i, node := range nodes {
-			before[i] = node.Stats()
-		}
-	})
+	warm := &warmup{nodes: nodes}
+	kernel.AtCall(cfg.Warmup, snapshotWarmup, warm)
 
 	kernel.Run(cfg.Duration)
 
@@ -234,8 +243,8 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 		res.GTS[i] = node.Base().Stats()
 		res.SlotsOwned[i] = node.Slots().Count(SlotTX)
 		completed += res.Nodes[i].AllocCompleted + res.Nodes[i].DeallocCompleted
-		if before != nil {
-			completed -= before[i].AllocCompleted + before[i].DeallocCompleted
+		if warm.before != nil {
+			completed -= warm.before[i].AllocCompleted + warm.before[i].DeallocCompleted
 		}
 	}
 	measured := cfg.Duration - cfg.Warmup

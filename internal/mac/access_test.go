@@ -65,7 +65,7 @@ func broadcast(seq uint32) *frame.Frame {
 func TestAccessKickOnEmptyQueueDoesNothing(t *testing.T) {
 	e, k := newContender(Config{})
 	e.Start()
-	k.RunAll()
+	k.Run(sim.Never)
 	if len(e.begins) != 0 || k.Processed() != 0 {
 		t.Fatalf("begins=%v events=%d on an empty queue, want none", e.begins, k.Processed())
 	}
@@ -79,7 +79,7 @@ func TestAccessDoneRekicksWhileFramesWait(t *testing.T) {
 	for i := uint32(1); i <= 3; i++ {
 		e.Enqueue(broadcast(i))
 	}
-	k.RunAll()
+	k.Run(sim.Never)
 	if len(e.begins) != 3 || e.resumes != 3 {
 		t.Fatalf("begins=%v resumes=%d, want 3 transactions", e.begins, e.resumes)
 	}
@@ -112,7 +112,7 @@ func TestAccessBarredKickHoldsSlot(t *testing.T) {
 		t.Fatal("the barred attempt did not draw exactly once")
 	}
 	e.Base().SetBarring(1, 0) // the gate opens before the retry
-	k.RunAll()
+	k.Run(sim.Never)
 	if len(e.begins) != 2 || e.begins[0] != backoff {
 		t.Fatalf("begins=%v, want the retry to begin at %v and the second frame after it", e.begins, backoff)
 	}
@@ -126,7 +126,7 @@ func TestAccessBarredKickHoldsSlot(t *testing.T) {
 func TestAccessRebootOrphansPendingStep(t *testing.T) {
 	clean, k := newContender(Config{})
 	clean.Enqueue(broadcast(1))
-	k.RunAll()
+	k.Run(sim.Never)
 	cleanEvents := k.Processed()
 
 	e, k := newContender(Config{})
@@ -136,7 +136,7 @@ func TestAccessRebootOrphansPendingStep(t *testing.T) {
 		t.Fatalf("begins=%v queue=%d after the reboot", e.begins, e.Base().Queue().Len())
 	}
 	e.Enqueue(broadcast(2))
-	k.RunAll()
+	k.Run(sim.Never)
 	if len(e.begins) != 2 || e.resumes != 1 || e.Base().Stats().TxSuccess != 1 {
 		t.Fatalf("begins=%v resumes=%d stats=%+v, want only the post-reboot step to run",
 			e.begins, e.resumes, e.Base().Stats())
@@ -159,7 +159,7 @@ func TestAccessRebootOrphansPendingStep(t *testing.T) {
 	b.Enqueue(broadcast(1))
 	b.Reboot()
 	b.Enqueue(broadcast(2))
-	k.RunAll()
+	k.Run(sim.Never)
 	if len(b.begins) != 1 || b.begins[0] != 0 || b.resumes != 1 {
 		t.Fatalf("begins=%v resumes=%d, want one transaction from the reboot instant", b.begins, b.resumes)
 	}
@@ -195,10 +195,10 @@ func TestAccessSteadyStateDoesNotAllocate(t *testing.T) {
 	e.begins = make([]sim.Time, 0, 2048)
 	f := broadcast(1)
 	e.Enqueue(f)
-	k.RunAll()
+	k.Run(sim.Never)
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.Enqueue(f)
-		k.RunAll()
+		k.Run(sim.Never)
 	})
 	if allocs != 0 {
 		t.Errorf("one transaction allocates %.1f objects, want 0", allocs)

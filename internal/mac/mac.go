@@ -287,10 +287,12 @@ type Base struct {
 	bcastFrame [2]*frame.Frame
 	bcastEv    [2]sim.EventID
 
-	// ackEvents are the scheduled-but-not-yet-transmitted immediate ACKs,
-	// tracked so Reboot can cancel them. Pruned lazily on every sendAck, the
-	// slice holds at most a handful of entries.
-	ackEvents []sim.EventID
+	// acksOwed are the immediate ACKs not yet transmitted, a FIFO: each
+	// starts TurnaroundTime after its reception ends, so they fire in the
+	// order owed. Reboot cancels them. ackOnAir is the ACK on the air, one
+	// slot: transmitAck skips an ACK while the node is transmitting.
+	acksOwed []owedAck
+	ackOnAir *frame.Frame
 
 	// downUntil, desyncUntil and ackCorruptUntil carry the fault-injection
 	// horizons (internal/faults): while down the node neither transmits nor
@@ -326,12 +328,12 @@ type Base struct {
 	qlIntegralStart sim.Time
 	qlLastChange    sim.Time
 	qlIntegral      float64
+}
 
-	// ackStartFn/ackDoneFn are long-lived callbacks for the immediate-ACK
-	// path, scheduled via Kernel.AtCall so acknowledging costs no closure
-	// allocations.
-	ackStartFn func(any)
-	ackDoneFn  func(any)
+// owedAck is one prepared immediate ACK and its start event.
+type owedAck struct {
+	f  *frame.Frame
+	ev sim.EventID
 }
 
 // Init validates cfg and initialises b in place. Engines embed Base by
@@ -353,8 +355,6 @@ func (b *Base) Init(cfg Config, owner Engine) {
 		owner:      owner,
 		barP:       1,
 	}
-	b.ackStartFn = func(a any) { b.transmitAck(a.(*frame.Frame)) }
-	b.ackDoneFn = func(a any) { b.cfg.FramePool.Put(a.(*frame.Frame)) }
 }
 
 // ID reports the node address.
@@ -505,10 +505,10 @@ func (b *Base) Reboot() {
 		b.bcastEv[i].Cancel()
 	}
 	b.bcastFrame, b.bcastEv, b.bcastHead = [2]*frame.Frame{}, [2]sim.EventID{}, 0
-	for _, ev := range b.ackEvents {
-		ev.Cancel()
+	for _, a := range b.acksOwed {
+		a.ev.Cancel()
 	}
-	b.ackEvents = b.ackEvents[:0]
+	b.acksOwed = b.acksOwed[:0]
 	b.noteQueueChange()
 	// Drain by count: the OnFrameFinished hook may legitimately enqueue a
 	// fresh frame (e.g. a retried handshake), which the post-reboot node
@@ -910,28 +910,19 @@ func (b *Base) sendAck(f *frame.Frame) {
 	ack.MPDUBytes = frame.AckMPDUBytes
 	ack.Channel = f.Channel
 	b.ExtendBusy(ackStart + frame.AckDuration)
-	b.trackAck(b.cfg.Kernel.AtCall(ackStart, b.ackStartFn, ack))
+	ev := b.cfg.Kernel.AtCall(ackStart, transmitAck, b)
+	b.acksOwed = append(b.acksOwed, owedAck{ack, ev})
 }
 
-// trackAck remembers a scheduled immediate-ACK event so Reboot can cancel
-// it, lazily pruning entries that already fired. A node rarely owes more
-// than one ACK at a time, so the prune is O(1) in practice and the slice
-// never regrows after warm-up.
-func (b *Base) trackAck(ev sim.EventID) {
-	n := 0
-	for _, e := range b.ackEvents {
-		if e.Pending() {
-			b.ackEvents[n] = e
-			n++
-		}
-	}
-	b.ackEvents = append(b.ackEvents[:n], ev)
-}
-
-// transmitAck puts a prepared immediate ACK on the air and arranges its
+// transmitAck puts the oldest owed immediate ACK on the air and arranges its
 // return to the frame pool once the transmission (and therefore delivery,
 // which the medium performs first at the same instant) has ended.
-func (b *Base) transmitAck(ack *frame.Frame) {
+func transmitAck(arg any) {
+	b := arg.(*Base)
+	ack := b.acksOwed[0].f
+	n := copy(b.acksOwed, b.acksOwed[1:])
+	b.acksOwed[n] = owedAck{}
+	b.acksOwed = b.acksOwed[:n]
 	// Skip the ACK if the node somehow started transmitting meanwhile
 	// (cannot normally happen: a node transmitting during the reception
 	// would have corrupted it), or if an outage began in the turnaround gap
@@ -941,6 +932,14 @@ func (b *Base) transmitAck(ack *frame.Frame) {
 		return
 	}
 	b.stats.AcksSent++
+	b.ackOnAir = ack
 	txEnd := b.cfg.Medium.StartTX(b.cfg.ID, ack, 0)
-	b.cfg.Kernel.AtCall(txEnd, b.ackDoneFn, ack)
+	b.cfg.Kernel.AtCall(txEnd, ackDone, b)
+}
+
+// ackDone returns the ACK that just left the air to the frame pool.
+func ackDone(arg any) {
+	b := arg.(*Base)
+	b.cfg.FramePool.Put(b.ackOnAir)
+	b.ackOnAir = nil
 }

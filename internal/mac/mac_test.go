@@ -9,6 +9,17 @@ import (
 	"qma/internal/superframe"
 )
 
+// atFunc schedules fn at t as the kernel's one event form, a static
+// callback over a record: here the record is the closure.
+func atFunc(k *sim.Kernel, t sim.Time, fn func()) sim.EventID { return k.AtCall(t, callFunc, fn) }
+
+// afterFunc schedules fn d after the current instant.
+func afterFunc(k *sim.Kernel, d sim.Time, fn func()) sim.EventID {
+	return k.AtCall(k.Now()+d, callFunc, fn)
+}
+
+func callFunc(fn any) { fn.(func())() }
+
 // rig wires two Bases over a 2-node link (plus an optional third hidden
 // node) for direct MAC-layer tests. Each Base is owned by a nullEngine that
 // hands the transmission outcomes to the test.
@@ -61,7 +72,7 @@ func TestUnicastIsAcknowledged(t *testing.T) {
 	var outcome *bool
 	r.bases[0].Enqueue(f)
 	r.send(0, f, func(ok bool) { outcome = &ok })
-	r.k.RunAll()
+	r.k.Run(sim.Never)
 	if outcome == nil || !*outcome {
 		t.Fatalf("unicast outcome = %v, want success", outcome)
 	}
@@ -81,7 +92,7 @@ func TestUnicastWithoutReceiverTimesOut(t *testing.T) {
 	r.bases[0].Enqueue(f)
 	at := r.k.Now()
 	r.send(0, f, func(ok bool) { outcome = &ok })
-	r.k.RunAll()
+	r.k.Run(sim.Never)
 	if outcome == nil || *outcome {
 		t.Fatalf("outcome = %v, want failure", outcome)
 	}
@@ -97,7 +108,7 @@ func TestBroadcastSucceedsWithoutAck(t *testing.T) {
 	var outcome *bool
 	r.bases[0].Enqueue(f)
 	r.send(0, f, func(ok bool) { outcome = &ok })
-	r.k.RunAll()
+	r.k.Run(sim.Never)
 	if outcome == nil || !*outcome {
 		t.Fatalf("broadcast outcome = %v, want optimistic success", outcome)
 	}
@@ -126,9 +137,9 @@ func TestBroadcastOutcomesKeepTheirContext(t *testing.T) {
 	r.engines[0].onTx = func(f *frame.Frame, ctx uint32, ok bool) { got = append(got, outcome{f, ctx, ok}) }
 	// Scheduled before a goes on the air, this event precedes a's
 	// completion at a's end.
-	r.k.At(a.Duration(), func() { r.bases[0].SendFrameAt(b, 0, 22) })
+	atFunc(r.k, a.Duration(), func() { r.bases[0].SendFrameAt(b, 0, 22) })
 	r.bases[0].SendFrameAt(a, 0, 11)
-	r.k.RunAll()
+	r.k.Run(sim.Never)
 	want := []outcome{{a, 11, true}, {b, 22, true}}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("outcomes = %+v, want %+v", got, want)
@@ -203,7 +214,7 @@ func TestDuplicateRejection(t *testing.T) {
 					r.bases[1].Reboot()
 				}
 				r.bases[1].Deliver(testData(0, 1, st.seq))
-				r.k.RunAll()
+				r.k.Run(sim.Never)
 			}
 			st := r.bases[1].Stats()
 			if st.Delivered != tc.delivered || st.Duplicates != tc.dup {
@@ -242,13 +253,13 @@ func TestDuplicateRejectionUnderRetransmission(t *testing.T) {
 				return
 			}
 			// Retry once the fade is over and the node is idle again.
-			r.k.At(sender.BusyUntil()+5*sim.Millisecond, send)
+			atFunc(r.k, sender.BusyUntil()+5*sim.Millisecond, send)
 		})
 	}
 	send()
 	// The data frame delivers at its airtime end; fade the sender from just
 	// after that until past the ACK arrival, so only the ACK is lost.
-	r.k.At(f.Duration()+1*sim.Microsecond, func() {
+	atFunc(r.k, f.Duration()+1*sim.Microsecond, func() {
 		r.m.SetFadeUntil(0, f.Duration()+frame.TurnaroundTime+frame.AckDuration+10*sim.Microsecond)
 	})
 	r.k.Run(1 * sim.Second)
@@ -308,7 +319,7 @@ func TestQueueLevelIntegral(t *testing.T) {
 	b.ResetQueueIntegral()
 	b.Enqueue(testData(0, 0, 1))
 	// One frame queued for 1000 µs, then a second joins for another 1000 µs.
-	r.k.Schedule(1000, func() { b.Enqueue(testData(0, 0, 2)) })
+	afterFunc(r.k, 1000, func() { b.Enqueue(testData(0, 0, 2)) })
 	r.k.Run(2000)
 	got := b.AvgQueueLevel()
 	if got < 1.49 || got > 1.51 { // (1*1000 + 2*1000) / 2000

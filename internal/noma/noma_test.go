@@ -13,6 +13,15 @@ import (
 	"qma/internal/superframe"
 )
 
+// afterFunc schedules fn d after the current instant as the kernel's one
+// event form, a static callback over a record: here the record is the
+// closure.
+func afterFunc(k *sim.Kernel, d sim.Time, fn func()) sim.EventID {
+	return k.AtCall(k.Now()+d, callFunc, fn)
+}
+
+func callFunc(fn any) { fn.(func())() }
+
 // macConfig wires node id of an n-node chain 0–1–…–(n-1) on a fresh kernel.
 func macConfig(n int) func(id int) mac.Config {
 	g := radio.NewGraphTopology(n)
@@ -43,7 +52,7 @@ func TestEndToEndDelivery(t *testing.T) {
 	k := cfg(0).Kernel
 	for i := 0; i < 20; i++ {
 		f := &frame.Frame{Kind: frame.Data, Src: 0, Dst: 1, Origin: 0, Sink: 1, Seq: uint32(i + 1), MPDUBytes: 40}
-		k.Schedule(sim.Time(i)*100*sim.Millisecond, func() { engines[0].Enqueue(f) })
+		afterFunc(k, sim.Time(i)*100*sim.Millisecond, func() { engines[0].Enqueue(f) })
 	}
 	k.Run(10 * sim.Second)
 	if s := engines[0].Base().Stats(); s.TxSuccess != 20 {

@@ -30,8 +30,8 @@ func TestCaptureEqualPowersNeverCapture(t *testing.T) {
 	for _, threshold := range []float64{0.1, 6, 20} {
 		r := captureRig(t, threshold)
 		r.m.StartTX(0, dataFrame(0, 0), 0)
-		r.k.Schedule(frame.AirTime(20)/2, func() { r.m.StartTX(2, dataFrame(2, 0), 0) })
-		r.k.RunAll()
+		afterFunc(r.k, frame.AirTime(20)/2, func() { r.m.StartTX(2, dataFrame(2, 0), 0) })
+		r.k.Run(sim.Never)
 		if len(r.recvd[1]) != 0 {
 			t.Errorf("threshold %v: equal-power overlap delivered %d frames, want 0", threshold, len(r.recvd[1]))
 		}
@@ -60,8 +60,8 @@ func TestCaptureStrongerFrameSurvives(t *testing.T) {
 		label := fmt.Sprintf("gap=%v threshold=%v", tc.gapDB, tc.threshold)
 		r := captureRig(t, tc.threshold)
 		r.m.StartTX(2, dataFrame(2, 0), tc.gapDB) // weak frame first
-		r.k.Schedule(frame.AirTime(20)/4, func() { r.m.StartTX(0, dataFrame(0, 0), 0) })
-		r.k.RunAll()
+		afterFunc(r.k, frame.AirTime(20)/4, func() { r.m.StartTX(0, dataFrame(0, 0), 0) })
+		r.k.Run(sim.Never)
 		st := r.m.Stats(1)
 		if tc.captured {
 			if len(r.recvd[1]) != 1 || r.recvd[1][0].Src != 0 {
@@ -87,8 +87,8 @@ func TestCaptureStrongerFrameSurvives(t *testing.T) {
 func TestCaptureLateStrongFrameWins(t *testing.T) {
 	r := captureRig(t, 6)
 	r.m.StartTX(2, dataFrame(2, 0), 10) // weak, starts first
-	r.k.Schedule(frame.AirTime(20)/2, func() { r.m.StartTX(0, dataFrame(0, 0), 0) })
-	r.k.RunAll()
+	afterFunc(r.k, frame.AirTime(20)/2, func() { r.m.StartTX(0, dataFrame(0, 0), 0) })
+	r.k.Run(sim.Never)
 	if len(r.recvd[1]) != 1 || r.recvd[1][0].Src != 0 {
 		t.Fatalf("delivered %v, want only the late strong frame", r.recvd[1])
 	}
@@ -101,10 +101,10 @@ func TestCaptureWinnerBeatenInItsTail(t *testing.T) {
 	r := newRig(t, 4, [][2]int{{0, 1}, {1, 2}, {1, 3}})
 	r.m.SetCaptureThreshold(6)
 	quarter := frame.AirTime(20) / 4
-	r.m.StartTX(2, dataFrame(2, 0), 14)                                    // weakest
-	r.k.Schedule(quarter, func() { r.m.StartTX(3, dataFrame(3, 0), 7) })   // captures over 2
-	r.k.Schedule(2*quarter, func() { r.m.StartTX(0, dataFrame(0, 0), 0) }) // beats 3's tail
-	r.k.RunAll()
+	r.m.StartTX(2, dataFrame(2, 0), 14)                                      // weakest
+	afterFunc(r.k, quarter, func() { r.m.StartTX(3, dataFrame(3, 0), 7) })   // captures over 2
+	afterFunc(r.k, 2*quarter, func() { r.m.StartTX(0, dataFrame(0, 0), 0) }) // beats 3's tail
+	r.k.Run(sim.Never)
 	if len(r.recvd[1]) != 1 || r.recvd[1][0].Src != 0 {
 		t.Fatalf("delivered %v, want only the final strongest frame", r.recvd[1])
 	}
@@ -124,8 +124,8 @@ func TestCaptureAggregateInterference(t *testing.T) {
 	r.m.SetCaptureThreshold(6)
 	r.m.StartTX(2, dataFrame(2, 0), 6)
 	r.m.StartTX(3, dataFrame(3, 0), 6)
-	r.k.Schedule(frame.AirTime(20)/4, func() { r.m.StartTX(0, dataFrame(0, 0), 0) })
-	r.k.RunAll()
+	afterFunc(r.k, frame.AirTime(20)/4, func() { r.m.StartTX(0, dataFrame(0, 0), 0) })
+	r.k.Run(sim.Never)
 	if len(r.recvd[1]) != 0 {
 		t.Fatalf("delivered %v, want none (aggregate interference)", r.recvd[1])
 	}
@@ -139,8 +139,8 @@ func TestCaptureAckOverData(t *testing.T) {
 	r := captureRig(t, 6)
 	ack := &frame.Frame{Kind: frame.Ack, Src: 0, Dst: frame.Broadcast, MPDUBytes: frame.AckMPDUBytes, Channel: 0}
 	r.m.StartTX(2, dataFrame(2, 0), 10) // weak DATA, long
-	r.k.Schedule(frame.AirTime(20)/8, func() { r.m.StartTX(0, ack, 0) })
-	r.k.RunAll()
+	afterFunc(r.k, frame.AirTime(20)/8, func() { r.m.StartTX(0, ack, 0) })
+	r.k.Run(sim.Never)
 	if len(r.recvd[1]) != 1 || r.recvd[1][0].Kind != frame.Ack {
 		t.Fatalf("delivered %v, want only the strong ACK", r.recvd[1])
 	}
@@ -156,8 +156,8 @@ func TestCaptureHalfDuplexNotRescued(t *testing.T) {
 	r := captureRig(t, 6)
 	r.m.StartTX(1, dataFrame(1, 0), 0) // receiver busy transmitting
 	r.m.StartTX(2, dataFrame(2, 0), 20)
-	r.k.Schedule(frame.AirTime(20)/4, func() { r.m.StartTX(0, dataFrame(0, 0), 0) })
-	r.k.RunAll()
+	afterFunc(r.k, frame.AirTime(20)/4, func() { r.m.StartTX(0, dataFrame(0, 0), 0) })
+	r.k.Run(sim.Never)
 	if len(r.recvd[1]) != 0 {
 		t.Fatalf("delivered %v at a half-duplex receiver, want none", r.recvd[1])
 	}
@@ -194,7 +194,7 @@ func TestReducedPowerShrinksReach(t *testing.T) {
 		}
 		m.StartTX(0, dataFrame(0, 0), reduceDB)
 		busyAt1 = !m.CCA(1)
-		k.RunAll()
+		k.Run(sim.Never)
 		return m.Stats(1).RxDelivered, m.Stats(2).RxDelivered, busyAt1
 	}
 
@@ -228,8 +228,8 @@ func TestCaptureOnPathLossRSSIGap(t *testing.T) {
 	}
 	m.SetCaptureThreshold(10)
 	m.StartTX(2, dataFrame(2, 0), 0)
-	k.Schedule(frame.AirTime(20)/2, func() { m.StartTX(0, dataFrame(0, 0), 0) })
-	k.RunAll()
+	afterFunc(k, frame.AirTime(20)/2, func() { m.StartTX(0, dataFrame(0, 0), 0) })
+	k.Run(sim.Never)
 	if m.Stats(1).RxCaptured != 1 {
 		t.Errorf("receiver stats: %+v, want one captured reception", m.Stats(1))
 	}
@@ -293,13 +293,13 @@ func TestTxAirtimeByPower(t *testing.T) {
 	}
 	air := frame.AirTime(20)
 	r.m.StartTX(0, dataFrame(0, 0), 0)
-	r.k.RunAll()
+	r.k.Run(sim.Never)
 	r.m.StartTX(0, dataFrame(0, 0), 8)
-	r.k.RunAll()
+	r.k.Run(sim.Never)
 	r.m.StartTX(0, dataFrame(0, 0), 8)
-	r.k.RunAll()
+	r.k.Run(sim.Never)
 	r.m.StartTX(0, dataFrame(0, 0), 16)
-	r.k.RunAll()
+	r.k.Run(sim.Never)
 	got := r.m.TxAirtimeByPower(0)
 	want := []PowerAirtime{{0, air}, {8, 2 * air}, {16, air}}
 	if len(got) != len(want) {

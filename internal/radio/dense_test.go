@@ -118,7 +118,7 @@ func (m *denseMedium) startTX(src frame.NodeID, f *frame.Frame) sim.Time {
 		m.rxCount[r]++
 		m.inflight[r] = append(m.inflight[r], t)
 	}
-	m.k.At(end, func() { m.endTX(t) })
+	atFunc(m.k, end, func() { m.endTX(t) })
 	return end
 }
 
@@ -233,7 +233,7 @@ func runScript(topo Topology, seed uint64, script []diffOp,
 	}
 	for _, op := range script {
 		op := op
-		k.At(op.at, func() {
+		atFunc(k, op.at, func() {
 			switch op.kind {
 			case 0:
 				if transmitting(op.node) {
@@ -252,7 +252,7 @@ func runScript(topo Topology, seed uint64, script []diffOp,
 			}
 		})
 	}
-	k.RunAll()
+	k.Run(sim.Never)
 	stats = make([]NodeStats, n)
 	for i := range stats {
 		stats[i] = stat(frame.NodeID(i))
@@ -374,10 +374,10 @@ func TestDifferentialCCAAtExactTransmissionEnd(t *testing.T) {
 	var midBusy, atEndClear bool
 	// The CCA probes are scheduled before StartTX runs, so their heap
 	// sequence numbers are lower than the busy-expiry event's.
-	k.At(end/2, func() { midBusy = !m.CCA(1) })
-	k.At(end, func() { atEndClear = m.CCA(1) })
-	k.At(0, func() { m.StartTX(0, f, 0) })
-	k.RunAll()
+	atFunc(k, end/2, func() { midBusy = !m.CCA(1) })
+	atFunc(k, end, func() { atEndClear = m.CCA(1) })
+	atFunc(k, 0, func() { m.StartTX(0, f, 0) })
+	k.Run(sim.Never)
 	if !midBusy {
 		t.Error("CCA mid-transmission reported clear")
 	}

@@ -128,7 +128,7 @@ func (m *naiveDynMedium) startTX(src frame.NodeID, f *frame.Frame) sim.Time {
 		m.rxCount[r]++
 		m.inflight[r] = append(m.inflight[r], t)
 	}
-	m.k.At(end, func() { m.endTX(t) })
+	atFunc(m.k, end, func() { m.endTX(t) })
 	return end
 }
 
@@ -264,7 +264,7 @@ func runDynScript(n int, script []dynOp, drv *dynMediumDriver, k *sim.Kernel) (t
 	}
 	for _, op := range script {
 		op := op
-		k.At(op.at, func() {
+		atFunc(k, op.at, func() {
 			switch op.kind {
 			case 0:
 				if drv.transmitting(op.node) {
@@ -291,7 +291,7 @@ func runDynScript(n int, script []dynOp, drv *dynMediumDriver, k *sim.Kernel) (t
 			}
 		})
 	}
-	k.RunAll()
+	k.Run(sim.Never)
 	stats = make([]NodeStats, n)
 	for i := range stats {
 		stats[i] = drv.stats(frame.NodeID(i))

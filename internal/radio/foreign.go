@@ -29,11 +29,31 @@ type TxObserver func(src frame.NodeID, channel uint8, start, end sim.Time)
 func (m *Medium) SetTxObserver(fn TxObserver) { m.txObserver = fn }
 
 // foreignTX mirrors one remote transmission into a single local node's busy
-// accounting. Instances are pooled on the medium.
+// accounting. Instances are pooled on their medium m.
 type foreignTX struct {
+	m       *Medium
 	node    frame.NodeID
 	channel uint8
 	end     sim.Time
+}
+
+// foreignStart raises the node's busy counter and schedules foreignEnd.
+func foreignStart(arg any) {
+	ft := arg.(*foreignTX)
+	ft.m.busyAdd(ft.node, ft.channel, 1)
+	ft.m.k.AtCallEarly(ft.end, foreignEnd, ft)
+}
+
+// foreignEnd lowers the counter again and returns the record to the pool.
+func foreignEnd(arg any) {
+	ft := arg.(*foreignTX)
+	m := ft.m
+	m.busyAdd(ft.node, ft.channel, -1)
+	if m.invariantChecks && m.busy[ft.node][ft.channel] < 0 {
+		panic(fmt.Sprintf("radio: busy counter of node %d channel %d went negative at %v (foreign)",
+			ft.node, ft.channel, m.k.Now()))
+	}
+	m.foreignPool = append(m.foreignPool, ft)
 }
 
 // ScheduleForeignBusy mirrors a remote shard's transmission into this
@@ -53,29 +73,13 @@ func (m *Medium) ScheduleForeignBusy(node frame.NodeID, channel uint8, start, en
 	if now := m.k.Now(); start < now {
 		panic(fmt.Sprintf("radio: foreign busy for node %d scheduled in the past (start %v, now %v)", node, start, now))
 	}
-	if m.foreignStartFn == nil {
-		m.foreignStartFn = func(a any) {
-			ft := a.(*foreignTX)
-			m.busyAdd(ft.node, ft.channel, 1)
-			m.k.AtCallEarly(ft.end, m.foreignEndFn, ft)
-		}
-		m.foreignEndFn = func(a any) {
-			ft := a.(*foreignTX)
-			m.busyAdd(ft.node, ft.channel, -1)
-			if m.invariantChecks && m.busy[ft.node][ft.channel] < 0 {
-				panic(fmt.Sprintf("radio: busy counter of node %d channel %d went negative at %v (foreign)",
-					ft.node, ft.channel, m.k.Now()))
-			}
-			m.foreignPool = append(m.foreignPool, ft)
-		}
-	}
 	var ft *foreignTX
 	if n := len(m.foreignPool); n > 0 {
 		ft = m.foreignPool[n-1]
 		m.foreignPool = m.foreignPool[:n-1]
 	} else {
-		ft = &foreignTX{}
+		ft = &foreignTX{m: m}
 	}
 	ft.node, ft.channel, ft.end = node, channel, end
-	m.k.AtCall(start, m.foreignStartFn, ft)
+	m.k.AtCall(start, foreignStart, ft)
 }

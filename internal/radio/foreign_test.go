@@ -34,9 +34,9 @@ func TestScheduleForeignBusyRaisesCCA(t *testing.T) {
 	var got []probe
 	for _, at := range []sim.Time{start - 1, start, end - 1, end, end + 1} {
 		at := at
-		k.At(at, func() { got = append(got, probe{at, m.CCA(1)}) })
+		atFunc(k, at, func() { got = append(got, probe{at, m.CCA(1)}) })
 	}
-	k.RunAll()
+	k.Run(sim.Never)
 	// Half-open [start, end): busy exactly on [start, end-1], clear at end —
 	// the same semantics a local sense link gets from StartTX/busyEnd.
 	want := []bool{true, false, false, true, true}
@@ -52,9 +52,9 @@ func TestScheduleForeignBusyIgnoresEmptyAndPoolsInstances(t *testing.T) {
 	m.ScheduleForeignBusy(0, 0, 5*sim.Millisecond, 5*sim.Millisecond) // empty: ignored
 	for i := 0; i < 3; i++ {
 		at := sim.Time(i) * 10 * sim.Millisecond
-		k.At(at, func() { m.ScheduleForeignBusy(0, 0, at+1*sim.Millisecond, at+3*sim.Millisecond) })
+		atFunc(k, at, func() { m.ScheduleForeignBusy(0, 0, at+1*sim.Millisecond, at+3*sim.Millisecond) })
 	}
-	k.RunAll()
+	k.Run(sim.Never)
 	if len(m.foreignPool) != 1 {
 		t.Fatalf("foreign pool holds %d instances after sequential injections, want 1 (recycled)", len(m.foreignPool))
 	}
@@ -65,8 +65,8 @@ func TestScheduleForeignBusyIgnoresEmptyAndPoolsInstances(t *testing.T) {
 
 func TestScheduleForeignBusyPastPanics(t *testing.T) {
 	k, m := foreignTestMedium(t)
-	k.At(10*sim.Millisecond, func() {})
-	k.RunAll()
+	atFunc(k, 10*sim.Millisecond, func() {})
+	k.Run(sim.Never)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling foreign busy in the past should panic")
@@ -90,8 +90,8 @@ func TestTxObserverSeesTransmissions(t *testing.T) {
 	f.Kind = frame.Data
 	f.Src, f.Dst = 0, 1
 	var end sim.Time
-	k.At(3*sim.Millisecond, func() { end = m.StartTX(0, f, 0) })
-	k.RunAll()
+	atFunc(k, 3*sim.Millisecond, func() { end = m.StartTX(0, f, 0) })
+	k.Run(sim.Never)
 	if len(seen) != 1 {
 		t.Fatalf("observer saw %d transmissions, want 1", len(seen))
 	}

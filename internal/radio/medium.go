@@ -23,9 +23,11 @@ type HandlerFunc func(f *frame.Frame)
 func (h HandlerFunc) Deliver(f *frame.Frame) { h(f) }
 
 // transmission tracks one frame on the air. Transmissions are pooled by
-// their medium: endTX returns them (with their slices' capacity) to the
-// freelist, so a steady-state simulation stops allocating per transmission.
+// their medium m, set when the pool first allocates one: endTX returns them
+// (with their slices' capacity) to the freelist, so a steady-state
+// simulation stops allocating per transmission.
 type transmission struct {
+	m       *Medium
 	src     frame.NodeID
 	f       *frame.Frame
 	channel uint8
@@ -148,25 +150,16 @@ type Medium struct {
 	// SetPresent, retained across calls.
 	moveBufA, moveBufB []frame.NodeID
 
-	// txPool recycles transmission structs; endTXFn is the long-lived
-	// callback StartTX schedules through Kernel.AtCall so ending a
-	// transmission needs no per-call closure. busyEndFn retires the busy
-	// counters via AtCallEarly: it runs before every normal event sharing
-	// the end timestamp, so a CCA at exactly t.end already sees the channel
-	// clear — the same half-open [start, end) semantics the former scan over
-	// the active set implemented with its strict `end > now` check.
-	txPool    []*transmission
-	endTXFn   func(any)
-	busyEndFn func(any)
+	// txPool recycles transmission records, which StartTX schedules through
+	// the static callbacks busyEnd and endTX.
+	txPool []*transmission
 
 	// txObserver, when set, observes every transmission start (the sharded
-	// runner's edge-transmission recorder); foreignPool and the foreign
-	// start/end callbacks back ScheduleForeignBusy, the cross-shard
-	// busy-mirroring primitive. See foreign.go.
-	txObserver     TxObserver
-	foreignPool    []*foreignTX
-	foreignStartFn func(any)
-	foreignEndFn   func(any)
+	// runner's edge-transmission recorder); foreignPool recycles the records
+	// of ScheduleForeignBusy, the cross-shard busy-mirroring primitive. See
+	// foreign.go.
+	txObserver  TxObserver
+	foreignPool []*foreignTX
 
 	// invariantChecks enables the opt-in runtime self-checks (busy counters
 	// must never go negative). Tests and fuzz harnesses enable them.
@@ -220,8 +213,6 @@ func NewMedium(k *sim.Kernel, topo Topology, rng *sim.Rand) *Medium {
 		decodeEnd[src], senseEnd[src] = int32(len(decodeArr)), int32(len(senseArr))
 	}
 	m.decode, m.sense = rowViews(decodeArr, decodeEnd), rowViews(senseArr, senseEnd)
-	m.endTXFn = func(a any) { m.endTX(a.(*transmission)) }
-	m.busyEndFn = func(a any) { m.busyEnd(a.(*transmission)) }
 	return m
 }
 
@@ -368,8 +359,8 @@ func (m *Medium) StartTX(src frame.NodeID, f *frame.Frame, reduceDB float64) sim
 		m.inflight[r] = append(m.inflight[r], t)
 	}
 
-	m.k.AtCallEarly(end, m.busyEndFn, t)
-	m.k.AtCall(end, m.endTXFn, t)
+	m.k.AtCallEarly(end, busyEnd, t)
+	m.k.AtCall(end, endTX, t)
 	if m.txObserver != nil {
 		m.txObserver(src, f.Channel, now, end)
 	}
@@ -508,10 +499,12 @@ func (m *Medium) busyAdd(id frame.NodeID, ch uint8, delta int32) {
 }
 
 // busyEnd lowers the busy counters a transmission raised. It runs as an
-// early event at t.end, before endTX and before any same-timestamp CCA. It
-// walks the sensed set captured at transmission start, not the current sense
-// links, so churn and mobility cannot unbalance the counters.
-func (m *Medium) busyEnd(t *transmission) {
+// early event at t.end, before endTX and before any same-timestamp CCA (the
+// half-open [start, end) semantics). It walks the sensed set captured at
+// transmission start, so churn and mobility cannot unbalance the counters.
+func busyEnd(arg any) {
+	t := arg.(*transmission)
+	m := t.m
 	for _, r := range t.sensed {
 		m.busy[r][t.channel]--
 		if m.invariantChecks && m.busy[r][t.channel] < 0 {
@@ -534,7 +527,7 @@ func (m *Medium) getTransmission() *transmission {
 		m.txPool = m.txPool[:n-1]
 		return t
 	}
-	return &transmission{}
+	return &transmission{m: m}
 }
 
 // putTransmission resets t and returns it to the pool.
@@ -561,7 +554,9 @@ func (m *Medium) corruptAllAt(id frame.NodeID) {
 
 // endTX finalizes a transmission: removes it from the air and delivers it to
 // every receiver whose copy survived.
-func (m *Medium) endTX(t *transmission) {
+func endTX(arg any) {
+	t := arg.(*transmission)
+	m := t.m
 	now := m.k.Now()
 	for i, r := range t.receivers {
 		m.rxCount[r]--

@@ -44,7 +44,7 @@ func BenchmarkMediumLargeN(b *testing.B) {
 					}
 					m.CCA(frame.NodeID((id + 5) % n))
 				}
-				k.RunAll()
+				k.Run(sim.Never)
 			}
 		})
 	}

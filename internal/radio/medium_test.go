@@ -8,6 +8,17 @@ import (
 	"qma/internal/sim"
 )
 
+// atFunc schedules fn at t as the kernel's one event form, a static
+// callback over a record: here the record is the closure.
+func atFunc(k *sim.Kernel, t sim.Time, fn func()) sim.EventID { return k.AtCall(t, callFunc, fn) }
+
+// afterFunc schedules fn d after the current instant.
+func afterFunc(k *sim.Kernel, d sim.Time, fn func()) sim.EventID {
+	return k.AtCall(k.Now()+d, callFunc, fn)
+}
+
+func callFunc(fn any) { fn.(func())() }
+
 // rig builds a kernel+medium over an explicit graph and collects deliveries.
 type rig struct {
 	k     *sim.Kernel
@@ -39,7 +50,7 @@ func dataFrame(src frame.NodeID, ch uint8) *frame.Frame {
 func TestDeliveryToDecodeNeighbors(t *testing.T) {
 	r := newRig(t, 3, [][2]int{{0, 1}, {1, 2}}) // chain: 0-1-2
 	r.m.StartTX(0, dataFrame(0, 0), 0)
-	r.k.RunAll()
+	r.k.Run(sim.Never)
 	if len(r.recvd[1]) != 1 {
 		t.Errorf("node 1 received %d frames, want 1", len(r.recvd[1]))
 	}
@@ -55,8 +66,8 @@ func TestDeliveryToDecodeNeighbors(t *testing.T) {
 func TestOverlappingTransmissionsCollide(t *testing.T) {
 	r := newRig(t, 3, [][2]int{{0, 1}, {1, 2}}) // hidden pair 0,2 at 1
 	r.m.StartTX(0, dataFrame(0, 0), 0)
-	r.k.Schedule(frame.AirTime(20)/2, func() { r.m.StartTX(2, dataFrame(2, 0), 0) })
-	r.k.RunAll()
+	afterFunc(r.k, frame.AirTime(20)/2, func() { r.m.StartTX(2, dataFrame(2, 0), 0) })
+	r.k.Run(sim.Never)
 	if len(r.recvd[1]) != 0 {
 		t.Errorf("node 1 decoded %d frames despite the collision", len(r.recvd[1]))
 	}
@@ -69,8 +80,8 @@ func TestBackToBackTransmissionsDoNotCollide(t *testing.T) {
 	r := newRig(t, 2, [][2]int{{0, 1}})
 	f := dataFrame(0, 0)
 	end := r.m.StartTX(0, f, 0)
-	r.k.At(end, func() { r.m.StartTX(0, dataFrame(0, 0), 0) })
-	r.k.RunAll()
+	atFunc(r.k, end, func() { r.m.StartTX(0, dataFrame(0, 0), 0) })
+	r.k.Run(sim.Never)
 	if len(r.recvd[1]) != 2 {
 		t.Errorf("node 1 received %d frames, want 2", len(r.recvd[1]))
 	}
@@ -81,7 +92,7 @@ func TestHalfDuplexReceiverLosesFrame(t *testing.T) {
 	// Node 1 starts transmitting; node 0's simultaneous frame is lost at 1.
 	r.m.StartTX(1, dataFrame(1, 0), 0)
 	r.m.StartTX(0, dataFrame(0, 0), 0)
-	r.k.RunAll()
+	r.k.Run(sim.Never)
 	if len(r.recvd[1]) != 0 {
 		t.Errorf("transmitting node decoded a frame")
 	}
@@ -114,7 +125,7 @@ func TestChannelSeparation(t *testing.T) {
 	r.m.SetTuned(1, 2)
 	r.m.StartTX(0, dataFrame(0, 2), 0)
 	r.m.StartTX(2, dataFrame(2, 5), 0)
-	r.k.RunAll()
+	r.k.Run(sim.Never)
 	if len(r.recvd[1]) != 1 || r.recvd[1][0].Src != 0 {
 		t.Errorf("node 1 received %v, want exactly the channel-2 frame", r.recvd[1])
 	}
@@ -125,8 +136,8 @@ func TestRetuningAwayLosesFrame(t *testing.T) {
 	r.m.SetTuned(1, 4)
 	r.m.StartTX(0, dataFrame(0, 4), 0)
 	// Receiver retunes away mid-flight.
-	r.k.Schedule(10, func() { r.m.SetTuned(1, 0) })
-	r.k.RunAll()
+	afterFunc(r.k, 10, func() { r.m.SetTuned(1, 0) })
+	r.k.Run(sim.Never)
 	if len(r.recvd[1]) != 0 {
 		t.Error("frame decoded despite the receiver retuning away")
 	}
@@ -142,7 +153,7 @@ func TestFadingLoss(t *testing.T) {
 	m.Attach(0, HandlerFunc(func(*frame.Frame) {}))
 	m.Attach(1, HandlerFunc(func(*frame.Frame) { got++ }))
 	m.StartTX(0, dataFrame(0, 0), 0)
-	k.RunAll()
+	k.Run(sim.Never)
 	if got != 0 {
 		t.Errorf("frame delivered despite LossProb=1")
 	}

@@ -20,12 +20,13 @@ import (
 // hands them out and slab slices are zeroed when carved, so a run behaves
 // byte-identically whether its arena is fresh or warm — which is what keeps
 // results independent of the worker count. Each run still gets a kernel of
-// its own (sim.Kernel.Recycle), so the previous run's kernel stays readable
-// for its counters.
+// its own: Release hands the run's kernel storage to a new kernel
+// (sim.Kernel.Recycle), so the finished run's kernel stays readable for its
+// counters while an idle arena references nothing of that run.
 type arena struct {
 	pool    frame.Pool
 	scratch mac.Scratch
-	kernel  *sim.Kernel // the previous run's, whose storage the next run takes over
+	kernel  *sim.Kernel // empty, over the storage of the arena's previous run
 }
 
 // arenas holds the arenas no run is using. A sync.Pool hands each to one
@@ -33,9 +34,8 @@ type arena struct {
 var arenas = new(sync.Pool)
 
 // takeArena returns an arena readied for a new run: the slab rewinds (every
-// engine of the arena's previous run is gone by now), the frame pool keeps
-// its free list — recycled frames are zeroed on Get — and a new kernel takes
-// over the previous one's event storage.
+// engine of the arena's previous run is gone by now) and the frame pool keeps
+// its free list — recycled frames are zeroed on Get.
 func takeArena() *arena {
 	a, _ := arenas.Get().(*arena)
 	if a == nil {
@@ -45,6 +45,5 @@ func takeArena() *arena {
 	// Drop the frame tracking a previous checked run left behind; the new
 	// run re-enables it when it wants checks.
 	a.pool.SetChecks(false)
-	a.kernel = a.kernel.Recycle()
 	return a
 }

@@ -2,8 +2,10 @@ package scenario
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"qma/internal/core"
 	"qma/internal/frame"
@@ -181,5 +183,34 @@ func TestConcurrentRunsShareThePool(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("seed %d: the concurrent run diverged from the sequential one", i)
 		}
+	}
+}
+
+// TestReleasedArenaDropsTheRun pins that an idle pooled arena keeps nothing
+// of the run that handed it back: Release recycles the kernel, whose queued
+// events would otherwise keep the finished run's engines (and through them
+// its medium and records) reachable for as long as the arena sits in the
+// pool. One GC leaves the arena in the pool's victim cache, so only a
+// released kernel lets the engine go.
+func TestReleasedArenaDropsTheRun(t *testing.T) {
+	useEmptyArenaPool(t)
+	cfg := arenaConfig(3)
+	cfg.Duration = 10 * sim.Second
+	for i := range cfg.Traffic {
+		cfg.Traffic[i].MaxPackets = 0 // the run ends with traffic still queued
+	}
+	engine := func() weak.Pointer[core.Engine] {
+		r := build(cfg)
+		r.Kernel.Run(cfg.Duration)
+		if r.Kernel.Live() == 0 {
+			t.Fatal("the run left no event queued")
+		}
+		r.collect()
+		r.Release()
+		return weak.Make(r.qma[0])
+	}()
+	runtime.GC()
+	if engine.Value() != nil {
+		t.Error("a released arena keeps the finished run's engine reachable")
 	}
 }

@@ -539,11 +539,7 @@ func build(cfg Config) *run {
 	}
 	r.ArmBarring(r.engines)
 	if cfg.MeasureFrom > 0 {
-		r.Kernel.At(cfg.MeasureFrom, func() {
-			for _, e := range r.engines {
-				e.Base().ResetQueueIntegral()
-			}
-		})
+		r.Kernel.AtCall(cfg.MeasureFrom, act, &action{kind: actMeasure, engines: r.engines})
 	}
 	r.buildTraffic()
 	if cfg.SamplePeriod > 0 {
@@ -552,20 +548,69 @@ func build(cfg Config) *run {
 	return r
 }
 
+// action is one set-up-time event of a run's script (a fault, a dynamics
+// change or the start of measurement): the kernel callback act over a record
+// of its own, scheduled in script order where the script is armed.
+type action struct {
+	kind    uint8 // actDown, ...
+	node    frame.NodeID
+	until   sim.Time       // the down, desync, ACK-corruption or fade horizon
+	to      radio.Position // a move's destination
+	leave   bool           // a churn event's direction
+	engines []mac.Engine   // for the fault kinds and actMeasure
+	medium  *radio.Medium  // for the dynamics kinds
+}
+
+const (
+	actDown = iota
+	actDesync
+	actReboot
+	actCorruptAcks
+	actMeasure
+	actFade
+	actChurn
+	actMove
+)
+
+// act is the kernel callback of every scripted action.
+func act(arg any) {
+	a := arg.(*action)
+	switch a.kind {
+	case actDown:
+		a.engines[a.node].Base().SetDownUntil(a.until)
+	case actDesync:
+		a.engines[a.node].Base().SetDesyncUntil(a.until)
+	case actReboot:
+		a.engines[a.node].Reboot()
+	case actCorruptAcks:
+		for _, e := range a.engines {
+			e.Base().CorruptAcksUntil(a.until)
+		}
+	case actMeasure:
+		for _, e := range a.engines {
+			e.Base().ResetQueueIntegral()
+		}
+	case actFade:
+		a.medium.SetFadeUntil(a.node, a.until)
+	case actChurn:
+		a.medium.SetPresent(a.node, !a.leave)
+	case actMove:
+		a.medium.MoveNode(a.node, a.to)
+	}
+}
+
 // armFaults schedules the deterministic fault script on the kernel. Nodes
 // are addressed through their shared mac.Base; reboots go through
 // mac.Engine.Reboot, which wipes the engine's own protocol state on top of
-// the Base's. Beacon
-// semantics: beacons are implicit in this simulator — every node
-// synchronizes through the shared superframe clock, with a notional beacon
-// at each superframe start — so losing beacons becomes a channel-access
-// suspension over the beacon-aligned window faults.SuspendWindow derives.
+// the Base's. Beacon semantics: beacons are implicit in this simulator —
+// every node synchronizes through the shared superframe clock, with a
+// notional beacon at each superframe start — so losing beacons becomes a
+// channel-access suspension over the beacon-aligned window
+// faults.SuspendWindow derives.
 func armFaults(kernel *sim.Kernel, clock *superframe.Clock, engines []mac.Engine, s faults.Schedule) {
 	sfd := clock.Config().SuperframeDuration()
 	for _, o := range s.Outages {
-		o := o
-		end := o.At + o.Duration
-		kernel.At(o.At, func() { engines[o.Node].Base().SetDownUntil(end) })
+		kernel.AtCall(o.At, act, &action{kind: actDown, node: frame.NodeID(o.Node), until: o.At + o.Duration, engines: engines})
 		if !o.StopBeacons {
 			continue
 		}
@@ -576,32 +621,21 @@ func armFaults(kernel *sim.Kernel, clock *superframe.Clock, engines []mac.Engine
 			continue
 		}
 		for i := range engines {
-			if i == o.Node {
-				continue
+			if i != o.Node {
+				kernel.AtCall(from, act, &action{kind: actDesync, node: frame.NodeID(i), until: until, engines: engines})
 			}
-			b := engines[i].Base()
-			kernel.At(from, func() { b.SetDesyncUntil(until) })
 		}
 	}
 	for _, rb := range s.Reboots {
-		kernel.At(rb.At, engines[rb.Node].Reboot)
+		kernel.AtCall(rb.At, act, &action{kind: actReboot, node: frame.NodeID(rb.Node), engines: engines})
 	}
 	for _, w := range s.AckCorruption {
-		w := w
-		end := w.At + w.Duration
-		kernel.At(w.At, func() {
-			for _, e := range engines {
-				e.Base().CorruptAcksUntil(end)
-			}
-		})
+		kernel.AtCall(w.At, act, &action{kind: actCorruptAcks, until: w.At + w.Duration, engines: engines})
 	}
 	for _, bl := range s.BeaconLoss {
-		from, until, ok := faults.SuspendWindow(sfd, bl.At, bl.Duration)
-		if !ok {
-			continue
+		if from, until, ok := faults.SuspendWindow(sfd, bl.At, bl.Duration); ok {
+			kernel.AtCall(from, act, &action{kind: actDesync, node: frame.NodeID(bl.Node), until: until, engines: engines})
 		}
-		b := engines[bl.Node].Base()
-		kernel.At(from, func() { b.SetDesyncUntil(until) })
 	}
 }
 

@@ -269,11 +269,11 @@ func (cfg *ShardedConfig) Validate() error {
 // propagates instead of being dropped, naming the cell, its epoch and its
 // cell seed.
 //
-// Unlike Run it does not Release its cells' storage. A pooled arena holds
-// its slab and its last kernel, whose queued events still reference the
-// finished cell's engines and medium, until a later run takes it, and a
-// city parks one per cell: handing them back raised the 20k-node
-// city-20k-hot benchmark's peak RSS from 82–83 MB to 129 MB.
+// Unlike Run it does not Release its cells' storage: a city would park one
+// pooled arena per cell. That raised city-20k-hot's peak RSS from 82–83 MB
+// to 129 MB while a released arena kept its last kernel and, through its
+// queued events, the cell's engines; since Release recycles the kernel, it
+// is unmeasured.
 func RunSharded(cfg ShardedConfig) *ShardedResult {
 	s := buildSharded(cfg)
 	runShardedDep(s)

@@ -195,7 +195,7 @@ func init() {
 				if o.AtBuild {
 					panic("injected build fault")
 				}
-				cfg.Kernel.At(o.At, func() { panic("injected epoch fault") })
+				cfg.Kernel.AtCall(o.At, func(any) { panic("injected epoch fault") }, nil)
 			}
 			e, err := mac.Build("aloha", cfg, nil, rng)
 			if err != nil {

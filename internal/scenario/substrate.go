@@ -89,12 +89,14 @@ func NewSubstrate(cfg *Config) *Substrate {
 }
 
 // Release hands the run's kernel, frame pool and slab to a later run to
-// recycle. A runner calls it once its result is collected: the later run
-// rewinds the slab under the engines and zeroes the frames, so nothing of
-// this run but the kernel's counters may be read afterwards. Calls after
-// the first are no-ops.
+// recycle. A runner calls it once its result is collected: the kernel's
+// storage moves to a new kernel at once, dropping every queued event, and
+// the later run rewinds the slab under the engines and zeroes the frames, so
+// nothing of this run but the kernel's counters may be read afterwards.
+// Calls after the first are no-ops.
 func (s *Substrate) Release() {
 	if s.arena != nil {
+		s.arena.kernel = s.Kernel.Recycle()
 		arenas.Put(s.arena)
 		s.arena = nil
 	}
@@ -181,12 +183,12 @@ func armDynamics(kernel *sim.Kernel, medium *radio.Medium, d DynamicsConfig, see
 		medium.SetGilbertElliott(d.Gilbert, seed)
 	}
 	for _, f := range d.Fades {
-		kernel.At(f.At, func() { medium.SetFadeUntil(f.Node, f.At+f.Duration) })
+		kernel.AtCall(f.At, act, &action{kind: actFade, node: f.Node, until: f.At + f.Duration, medium: medium})
 	}
 	for _, c := range d.Churn {
-		kernel.At(c.At, func() { medium.SetPresent(c.Node, !c.Leave) })
+		kernel.AtCall(c.At, act, &action{kind: actChurn, node: c.Node, leave: c.Leave, medium: medium})
 	}
 	for _, mv := range d.Moves {
-		kernel.At(mv.At, func() { medium.MoveNode(mv.Node, mv.To) })
+		kernel.AtCall(mv.At, act, &action{kind: actMove, node: mv.Node, to: mv.To, medium: medium})
 	}
 }

@@ -14,21 +14,6 @@ import (
 // external test package so it can also pin allocation-free behaviour of
 // packages that themselves import sim (markov below).
 
-func TestScheduleRunSteadyStateDoesNotAllocate(t *testing.T) {
-	k := NewKernel()
-	fn := func() {}
-	// Warm the arena and heap capacity.
-	k.Schedule(1, fn)
-	k.Run(k.Now() + 1)
-	allocs := testing.AllocsPerRun(1000, func() {
-		k.Schedule(1, fn)
-		k.Run(k.Now() + 1)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Schedule+Run allocates %.1f objects per event, want 0", allocs)
-	}
-}
-
 func TestAtCallSteadyStateDoesNotAllocate(t *testing.T) {
 	k := NewKernel()
 	type ctx struct{ n int }
@@ -50,9 +35,9 @@ func TestAtCallSteadyStateDoesNotAllocate(t *testing.T) {
 
 func TestCancelSteadyStateDoesNotAllocate(t *testing.T) {
 	k := NewKernel()
-	fn := func() {}
+	fn := func(any) {}
 	allocs := testing.AllocsPerRun(1000, func() {
-		ev := k.Schedule(1, fn)
+		ev := k.AtCall(k.Now()+1, fn, nil)
 		ev.Cancel()
 		k.Run(k.Now() + 1)
 	})
@@ -87,11 +72,11 @@ func TestWheelLevelsSteadyStateDoNotAllocate(t *testing.T) {
 		fn := func(any) {}
 		k.AtCall(k.Now()+level.d, fn, nil)
 		k.AtCallEarly(k.Now()+level.d, fn, nil)
-		k.RunAll()
+		k.Run(Never)
 		allocs := testing.AllocsPerRun(1000, func() {
 			k.AtCall(k.Now()+level.d, fn, nil)
 			k.AtCallEarly(k.Now()+level.d, fn, nil)
-			k.RunAll()
+			k.Run(Never)
 		})
 		if allocs != 0 {
 			t.Errorf("%s level: steady-state schedule+fire allocates %.1f objects per round, want 0", level.name, allocs)

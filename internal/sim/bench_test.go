@@ -56,11 +56,11 @@ func BenchmarkKernelSpread(b *testing.B) {
 		k.AtCall(s.dist[(i*7)&4095], spreadFire, s)
 	}
 	k.SetBudget(20 * spreadPending) // warm the arena and every wheel level
-	k.RunAll()
+	k.Run(Never)
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.SetBudget(k.Processed() + uint64(b.N))
-	k.RunAll()
+	k.Run(Never)
 	b.StopTimer()
 	if k.Live() != spreadPending {
 		b.Fatalf("pending population drifted to %d, want %d", k.Live(), spreadPending)

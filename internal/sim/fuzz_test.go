@@ -61,21 +61,21 @@ func (q realQueue) schedule(at Time, early bool, fn func()) func() {
 	if early {
 		id = q.k.AtCallEarly(at, wrap, nil)
 	} else {
-		id = q.k.At(at, fn)
+		id = q.k.AtCall(at, wrap, nil)
 	}
 	if r := q.reach; r != nil {
 		r.coarse = r.coarse || q.k.coarseOcc.sum != 0
 		r.far = r.far || len(q.k.far) > 0
 		return func() {
-			before := q.k.Pending()
+			before := q.k.queued
 			id.Cancel()
-			r.compacted = r.compacted || q.k.Pending() < before
+			r.compacted = r.compacted || q.k.queued < before
 		}
 	}
 	return id.Cancel
 }
 func (q realQueue) now() Time               { return q.k.Now() }
-func (q realQueue) run()                    { q.k.RunAll() }
+func (q realQueue) run()                    { q.k.Run(Never) }
 func (q realQueue) runUntil(until Time)     { q.k.Run(until) }
 func (q realQueue) processed() uint64       { return q.k.Processed() }
 func (q realQueue) setBudget(events uint64) { q.k.SetBudget(events) }

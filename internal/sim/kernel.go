@@ -7,7 +7,7 @@ import (
 )
 
 // EventID is a generation-counted handle to a scheduled callback, returned
-// by Kernel.Schedule, Kernel.At and Kernel.AtCall. It is a small value (not
+// by Kernel.AtCall and Kernel.AtCallEarly. It is a small value (not
 // a pointer into the kernel's event storage), so the kernel is free to
 // recycle the underlying slot after the event fires or is compacted away:
 // a stale handle becomes inert rather than aliasing a newer event. The zero
@@ -41,8 +41,8 @@ func (e EventID) Pending() bool {
 
 // Cancel prevents the event from firing. Cancelling an already fired,
 // already cancelled or recycled event — or the zero EventID — is a no-op.
-// The event's callback (and everything it captures) is released immediately;
-// the queue entry itself is dropped lazily.
+// The event's record is released immediately; the queue entry itself is
+// dropped lazily.
 func (e EventID) Cancel() {
 	if !e.live() {
 		return
@@ -58,30 +58,13 @@ func (e EventID) Cancel() {
 	k.maybeCompact()
 }
 
-// Canceled reports whether Cancel was called before the event fired. After
-// the kernel recycles the slot for a newer event the answer degrades to
-// false (the handle is stale and carries no history).
-func (e EventID) Canceled() bool {
-	if e.k == nil || int(e.idx) >= len(e.k.slots) {
-		return false
-	}
-	s := &e.k.slots[e.idx]
-	// gen == e.gen: still queued (possibly cancelled, awaiting compaction).
-	// gen == e.gen+1: freed but not yet reused; the flag still describes us.
-	if s.gen != e.gen && s.gen != e.gen+1 {
-		return false
-	}
-	return s.canceled
-}
-
 // eventSlot is one arena entry. Slots are recycled through a freelist; gen
 // is odd while the slot is live and even while it is free, incrementing on
 // every allocation and every release so stale EventIDs can never match.
 type eventSlot struct {
 	at  Time
 	seq uint64
-	// fn(arg) is the callback; At passes its closure as the arg of
-	// callClosure, so every event has this one form.
+	// fn(arg) is the callback: a static function over its context record.
 	fn  func(any)
 	arg any
 	// next links the slot into its wheel bucket or coarse page (stored as
@@ -230,7 +213,7 @@ func NewKernel() *Kernel {
 // Processed, BudgetExhausted), its handles go inert, and it must not
 // schedule or run again. The new kernel behaves exactly like NewKernel's.
 func (k *Kernel) Recycle() *Kernel {
-	clear(k.slots) // drop every callback the old run still references
+	clear(k.slots) // drop every record the old run still references
 	clear(k.fine)
 	clear(k.coarse)
 	n := &Kernel{
@@ -247,9 +230,6 @@ func (k *Kernel) Recycle() *Kernel {
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// Pending reports the number of queued (possibly cancelled) events.
-func (k *Kernel) Pending() int { return k.queued }
 
 // Processed reports how many events have fired so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
@@ -283,32 +263,11 @@ func (k *Kernel) ctx() string {
 	return fmt.Sprintf("now=%v processed=%d live=%d", k.now, k.processed, k.Live())
 }
 
-// Schedule enqueues fn to run after delay d (d must be >= 0) and returns a
-// cancellable handle.
-func (k *Kernel) Schedule(d Time, fn func()) EventID {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d (%s)", d, k.ctx()))
-	}
-	return k.At(k.now+d, fn)
-}
-
-// At enqueues fn to run at absolute time t (t must not be in the past) and
-// returns a cancellable handle.
-func (k *Kernel) At(t Time, fn func()) EventID {
-	if fn == nil {
-		panic(fmt.Sprintf("sim: nil event function (%s)", k.ctx()))
-	}
-	return k.schedule(t, callClosure, fn, false)
-}
-
-// callClosure is the callback of every At event: its arg is the closure.
-// A func value is pointer-shaped, so boxing it in the arg does not allocate.
-func callClosure(fn any) { fn.(func())() }
-
-// AtCall enqueues fn(arg) to run at absolute time t. Unlike At it needs no
-// closure: hot paths keep one long-lived fn and pass per-event context
-// through arg (a pointer in an interface does not allocate), which keeps
-// scheduling entirely allocation-free.
+// AtCall enqueues fn(arg) to run at absolute time t (t must not be in the
+// past) and returns a cancellable handle. fn is a package-level function and
+// arg the record it acts on (a pointer in an interface does not allocate),
+// so scheduling is allocation-free and every event can be named by its
+// callback and record.
 func (k *Kernel) AtCall(t Time, fn func(arg any), arg any) EventID {
 	return k.schedule(t, fn, arg, false)
 }
@@ -361,7 +320,7 @@ func (k *Kernel) schedule(t Time, fn func(any), arg any, early bool) EventID {
 }
 
 // release returns a fired or compacted slot to the freelist, dropping the
-// callback (and everything it captures) immediately.
+// callback's record immediately.
 func (k *Kernel) release(idx uint32) {
 	s := &k.slots[idx]
 	s.fn, s.arg = nil, nil
@@ -728,7 +687,3 @@ func prefetchContext(arg *any) {
 		prefetchLines(p, ContextPrefetchBytes/64)
 	}
 }
-
-// RunAll executes every queued event regardless of timestamp. Intended for
-// tests; scenario code should bound runs with Run(until).
-func (k *Kernel) RunAll() { k.Run(Never) }

@@ -6,14 +6,23 @@ import (
 	"testing/quick"
 )
 
+// atFunc schedules fn at t through the kernel's one event form, a static
+// callback over a record: here the record is the closure itself.
+func atFunc(k *Kernel, t Time, fn func()) EventID { return k.AtCall(t, callFunc, fn) }
+
+// afterFunc schedules fn d after the current instant.
+func afterFunc(k *Kernel, d Time, fn func()) EventID { return atFunc(k, k.Now()+d, fn) }
+
+func callFunc(fn any) { fn.(func())() }
+
 func TestKernelRunsInTimestampOrder(t *testing.T) {
 	k := NewKernel()
 	var got []Time
 	for _, d := range []Time{50, 10, 30, 20, 40} {
 		d := d
-		k.Schedule(d, func() { got = append(got, k.Now()) })
+		afterFunc(k, d, func() { got = append(got, k.Now()) })
 	}
-	k.RunAll()
+	k.Run(Never)
 	want := []Time{10, 20, 30, 40, 50}
 	if len(got) != len(want) {
 		t.Fatalf("fired %d events, want %d", len(got), len(want))
@@ -30,9 +39,9 @@ func TestKernelSameInstantFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.Schedule(100, func() { order = append(order, i) })
+		afterFunc(k, 100, func() { order = append(order, i) })
 	}
-	k.RunAll()
+	k.Run(Never)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-instant events fired out of scheduling order: %v", order)
@@ -43,14 +52,14 @@ func TestKernelSameInstantFIFO(t *testing.T) {
 func TestKernelCancel(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	ev := k.Schedule(5, func() { fired = true })
+	ev := afterFunc(k, 5, func() { fired = true })
 	ev.Cancel()
-	k.RunAll()
+	k.Run(Never)
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	if !ev.Canceled() {
-		t.Error("Canceled() = false after Cancel")
+	if ev.Pending() {
+		t.Error("Pending() = true after Cancel")
 	}
 	if k.Processed() != 0 {
 		t.Errorf("Processed() = %d, want 0", k.Processed())
@@ -59,29 +68,26 @@ func TestKernelCancel(t *testing.T) {
 
 func TestKernelCancelIsIdempotent(t *testing.T) {
 	k := NewKernel()
-	ev := k.Schedule(1, func() {})
+	ev := afterFunc(k, 1, func() {})
 	ev.Cancel()
 	ev.Cancel()
 	var zero EventID
 	zero.Cancel() // must not panic
-	if zero.Canceled() || zero.Pending() || zero.At() != 0 {
+	if zero.Pending() || zero.At() != 0 {
 		t.Error("zero EventID must be inert")
 	}
-	k.RunAll()
+	k.Run(Never)
 }
 
 func TestKernelCancelAfterFire(t *testing.T) {
 	k := NewKernel()
 	fired := 0
-	ev := k.Schedule(5, func() { fired++ })
-	k.RunAll()
+	ev := afterFunc(k, 5, func() { fired++ })
+	k.Run(Never)
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
 	}
 	ev.Cancel() // must be a no-op on an already fired event
-	if ev.Canceled() {
-		t.Error("Canceled() = true after a post-fire Cancel")
-	}
 	if ev.Pending() {
 		t.Error("Pending() = true after fire")
 	}
@@ -93,19 +99,19 @@ func TestKernelCancelAfterFire(t *testing.T) {
 func TestKernelStaleHandleDoesNotCancelReusedSlot(t *testing.T) {
 	k := NewKernel()
 	// Fire one event so its arena slot returns to the freelist.
-	stale := k.Schedule(1, func() {})
-	k.RunAll()
+	stale := afterFunc(k, 1, func() {})
+	k.Run(Never)
 	// The next event reuses the slot; the stale handle must not reach it.
 	fired := false
-	fresh := k.Schedule(1, func() { fired = true })
+	fresh := afterFunc(k, 1, func() { fired = true })
 	stale.Cancel()
-	if stale.Pending() || stale.Canceled() {
+	if stale.Pending() {
 		t.Error("stale handle reports live state")
 	}
 	if !fresh.Pending() {
 		t.Error("fresh event lost its pending state to a stale Cancel")
 	}
-	k.RunAll()
+	k.Run(Never)
 	if !fired {
 		t.Error("stale Cancel suppressed a reused slot's event")
 	}
@@ -114,12 +120,12 @@ func TestKernelStaleHandleDoesNotCancelReusedSlot(t *testing.T) {
 func TestKernelCancelReleasesClosure(t *testing.T) {
 	k := NewKernel()
 	big := make([]byte, 1<<20)
-	ev := k.Schedule(1000, func() { _ = big[0] })
+	ev := afterFunc(k, 1000, func() { _ = big[0] })
 	ev.Cancel()
 	// The kernel must have dropped its reference to the closure at Cancel
 	// time, even though the queue entry drains lazily. We cannot observe the
 	// GC directly here; assert the visible half: the event cannot fire.
-	k.RunAll()
+	k.Run(Never)
 	if k.Processed() != 0 {
 		t.Errorf("Processed() = %d, want 0", k.Processed())
 	}
@@ -131,7 +137,7 @@ func TestKernelLazyCompaction(t *testing.T) {
 	ids := make([]EventID, 0, n)
 	fired := 0
 	for i := 0; i < n; i++ {
-		ids = append(ids, k.Schedule(Time(i+1), func() { fired++ }))
+		ids = append(ids, afterFunc(k, Time(i+1), func() { fired++ }))
 	}
 	// Cancel everything but every 10th event; compaction must shrink the
 	// queue well below n long before the clock drains past the timestamps.
@@ -140,10 +146,10 @@ func TestKernelLazyCompaction(t *testing.T) {
 			ev.Cancel()
 		}
 	}
-	if p := k.Pending(); p > n/5 {
-		t.Errorf("Pending() = %d after mass cancellation, want compaction below %d", p, n/5)
+	if p := k.queued; p > n/5 {
+		t.Errorf("queued = %d after mass cancellation, want compaction below %d", p, n/5)
 	}
-	k.RunAll()
+	k.Run(Never)
 	if fired != n/10 {
 		t.Errorf("fired = %d, want %d", fired, n/10)
 	}
@@ -157,7 +163,7 @@ func TestKernelAtCall(t *testing.T) {
 	k.AtCall(3, fn, c)
 	ev := k.AtCall(5, fn, c)
 	ev.Cancel()
-	k.RunAll()
+	k.Run(Never)
 	if c.hits != 1 {
 		t.Errorf("AtCall hits = %d, want 1", c.hits)
 	}
@@ -173,14 +179,14 @@ func TestKernelSameInstantOrderWithCancels(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 20; i++ {
 			n := round*20 + i
-			ids = append(ids, k.Schedule(100, func() { order = append(order, n) }))
+			ids = append(ids, afterFunc(k, 100, func() { order = append(order, n) }))
 		}
 		// Cancel half of the newest batch to churn the freelist.
 		for i := 0; i < 10; i++ {
 			ids[round*20+2*i].Cancel()
 		}
 	}
-	k.RunAll()
+	k.Run(Never)
 	for i := 1; i < len(order); i++ {
 		if order[i] <= order[i-1] {
 			t.Fatalf("same-instant events fired out of scheduling order: %v", order)
@@ -194,9 +200,9 @@ func TestKernelSameInstantOrderWithCancels(t *testing.T) {
 func TestKernelRunUntilBoundary(t *testing.T) {
 	k := NewKernel()
 	var fired []Time
-	k.Schedule(10, func() { fired = append(fired, 10) })
-	k.Schedule(20, func() { fired = append(fired, 20) })
-	k.Schedule(30, func() { fired = append(fired, 30) })
+	afterFunc(k, 10, func() { fired = append(fired, 10) })
+	afterFunc(k, 20, func() { fired = append(fired, 20) })
+	afterFunc(k, 30, func() { fired = append(fired, 30) })
 	k.Run(20) // inclusive boundary
 	if len(fired) != 2 {
 		t.Fatalf("Run(20) fired %d events, want 2 (boundary inclusive)", len(fired))
@@ -225,11 +231,11 @@ func TestKernelEventsScheduleEvents(t *testing.T) {
 	tick = func() {
 		count++
 		if count < 100 {
-			k.Schedule(7, tick)
+			afterFunc(k, 7, tick)
 		}
 	}
-	k.Schedule(0, tick)
-	k.RunAll()
+	afterFunc(k, 0, tick)
+	k.Run(Never)
 	if count != 100 {
 		t.Errorf("chained ticks = %d, want 100", count)
 	}
@@ -240,35 +246,25 @@ func TestKernelEventsScheduleEvents(t *testing.T) {
 
 func TestKernelPanicsOnPastSchedule(t *testing.T) {
 	k := NewKernel()
-	k.Schedule(10, func() {})
-	k.RunAll()
+	afterFunc(k, 10, func() {})
+	k.Run(Never)
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling into the past did not panic")
 		}
 	}()
-	k.At(5, func() {})
-}
-
-func TestKernelPanicsOnNegativeDelay(t *testing.T) {
-	k := NewKernel()
-	defer func() {
-		if recover() == nil {
-			t.Error("negative delay did not panic")
-		}
-	}()
-	k.Schedule(-1, func() {})
+	atFunc(k, 5, func() {})
 }
 
 // TestKernelPanicMessagesCarryContext pins that scheduling-misuse panics
 // name the kernel time and live-event count — the difference between a
-// reproducible bug report and a bare "negative delay" from somewhere inside
+// reproducible bug report and a bare "schedule into the past" from somewhere inside
 // a million-event run.
 func TestKernelPanicMessagesCarryContext(t *testing.T) {
 	check := func(name string, f func(k *Kernel)) {
 		k := NewKernel()
-		k.Schedule(10, func() {})
-		k.Schedule(20, func() {})
+		afterFunc(k, 10, func() {})
+		afterFunc(k, 20, func() {})
 		k.Run(15)
 		defer func() {
 			v := recover()
@@ -289,15 +285,14 @@ func TestKernelPanicMessagesCarryContext(t *testing.T) {
 		}()
 		f(k)
 	}
-	check("negative delay", func(k *Kernel) { k.Schedule(-1, func() {}) })
-	check("nil function", func(k *Kernel) { k.Schedule(1, nil) })
-	check("past schedule", func(k *Kernel) { k.At(5, func() {}) })
+	check("nil function", func(k *Kernel) { k.AtCall(k.Now()+1, nil, nil) })
+	check("past schedule", func(k *Kernel) { atFunc(k, 5, func() {}) })
 }
 
 func TestKernelLive(t *testing.T) {
 	k := NewKernel()
-	a := k.Schedule(10, func() {})
-	k.Schedule(20, func() {})
+	a := afterFunc(k, 10, func() {})
+	afterFunc(k, 20, func() {})
 	if got := k.Live(); got != 2 {
 		t.Fatalf("Live() = %d, want 2", got)
 	}
@@ -315,12 +310,12 @@ func TestKernelEventBudget(t *testing.T) {
 	tick = func() {
 		fired++
 		if fired < 100 {
-			k.Schedule(1, tick)
+			afterFunc(k, 1, tick)
 		}
 	}
-	k.Schedule(1, tick)
+	afterFunc(k, 1, tick)
 	k.SetBudget(10)
-	k.RunAll()
+	k.Run(Never)
 	if fired != 10 {
 		t.Fatalf("fired %d events under a 10-event budget", fired)
 	}
@@ -331,13 +326,13 @@ func TestKernelEventBudget(t *testing.T) {
 	// the same exhausted budget makes no progress (this is what lets the
 	// sharded scheduler's epoch-sized Runs truncate at the same event as one
 	// continuous Run would).
-	k.RunAll()
+	k.Run(Never)
 	if fired != 10 {
 		t.Fatalf("second Run against an exhausted budget fired up to %d, want 10", fired)
 	}
 	// Raising the budget resumes the chain from where it stopped.
 	k.SetBudget(25)
-	k.RunAll()
+	k.Run(Never)
 	if fired != 25 {
 		t.Fatalf("after raising the budget, fired up to %d, want 25", fired)
 	}
@@ -348,9 +343,9 @@ func TestKernelInvariantChecksAcceptHealthyRuns(t *testing.T) {
 	k.SetInvariantChecks(true)
 	n := 0
 	for i := 0; i < 500; i++ {
-		k.Schedule(Time(i%7), func() { n++ })
+		afterFunc(k, Time(i%7), func() { n++ })
 	}
-	k.RunAll()
+	k.Run(Never)
 	if n != 500 {
 		t.Fatalf("processed %d events, want 500", n)
 	}
@@ -363,9 +358,9 @@ func TestKernelOrderProperty(t *testing.T) {
 		k := NewKernel()
 		var fired []Time
 		for _, d := range delays {
-			k.Schedule(Time(d), func() { fired = append(fired, k.Now()) })
+			afterFunc(k, Time(d), func() { fired = append(fired, k.Now()) })
 		}
-		k.RunAll()
+		k.Run(Never)
 		if len(fired) != len(delays) {
 			return false
 		}
@@ -411,12 +406,12 @@ func TestKernelAtCallEarlyFiresBeforeNormalEventsAtSameInstant(t *testing.T) {
 	var got []string
 	push := func(s string) func(any) { return func(any) { got = append(got, s) } }
 	// A normal event scheduled long before the early one must still yield.
-	k.At(10, func() { got = append(got, "normal-1") })
+	atFunc(k, 10, func() { got = append(got, "normal-1") })
 	k.AtCall(10, push("normal-2"), nil)
 	k.AtCallEarly(10, push("early-1"), nil)
-	k.At(10, func() { got = append(got, "normal-3") })
+	atFunc(k, 10, func() { got = append(got, "normal-3") })
 	k.AtCallEarly(10, push("early-2"), nil)
-	k.RunAll()
+	k.Run(Never)
 	want := []string{"early-1", "early-2", "normal-1", "normal-2", "normal-3"}
 	if len(got) != len(want) {
 		t.Fatalf("fired %v, want %v", got, want)
@@ -433,9 +428,9 @@ func TestKernelAtCallEarlyKeepsTimestampOrder(t *testing.T) {
 	var got []Time
 	fn := func(any) { got = append(got, k.Now()) }
 	k.AtCallEarly(20, fn, nil)
-	k.At(10, func() { got = append(got, k.Now()) })
+	atFunc(k, 10, func() { got = append(got, k.Now()) })
 	k.AtCallEarly(5, fn, nil)
-	k.RunAll()
+	k.Run(Never)
 	if len(got) != 3 || got[0] != 5 || got[1] != 10 || got[2] != 20 {
 		t.Fatalf("fired at %v, want [5 10 20]", got)
 	}
@@ -446,7 +441,7 @@ func TestKernelAtCallEarlyCancel(t *testing.T) {
 	fired := false
 	ev := k.AtCallEarly(10, func(any) { fired = true }, nil)
 	ev.Cancel()
-	k.RunAll()
+	k.Run(Never)
 	if fired {
 		t.Error("cancelled early event fired")
 	}
@@ -466,7 +461,7 @@ func TestKernelStopOrBudgetKeepsClockBeforeQueuedEvents(t *testing.T) {
 		k.SetInvariantChecks(true)
 		var fired []Time
 		for _, at := range []Time{10, 20, 30, 40, 50} {
-			k.At(at, func() { fired = append(fired, k.Now()) })
+			atFunc(k, at, func() { fired = append(fired, k.Now()) })
 		}
 		k.SetBudget(2)
 		k.Run(100)
@@ -484,9 +479,9 @@ func TestKernelStopOrBudgetKeepsClockBeforeQueuedEvents(t *testing.T) {
 	k := NewKernel()
 	k.SetInvariantChecks(true)
 	k.SetBudget(1)
-	k.At(10, func() {})
-	k.At(20, func() {}).Cancel()
-	k.At(200, func() {})
+	atFunc(k, 10, func() {})
+	atFunc(k, 20, func() {}).Cancel()
+	atFunc(k, 200, func() {})
 	k.Run(100)
 	if k.Now() != 100 {
 		t.Fatalf("budget spent with nothing live left before until: now %v, want 100", k.Now())
@@ -503,16 +498,16 @@ func TestKernelRunDoesNotRebasePastUntil(t *testing.T) {
 		k.SetInvariantChecks(true)
 		var fired []Time
 		record := func() { fired = append(fired, k.Now()) }
-		k.At(1, record)
-		k.At(far, record)
+		atFunc(k, 1, record)
+		atFunc(k, far, record)
 		const until = 100
 		k.Run(until)
 		if k.Now() != until {
 			t.Fatalf("far=%v: Run(%v) left the clock at %v", far, until, k.Now())
 		}
-		k.At(until+1, record)
+		atFunc(k, until+1, record)
 		k.AtCallEarly(until+1, func(any) { record() }, nil)
-		k.RunAll()
+		k.Run(Never)
 		want := []Time{1, until + 1, until + 1, far}
 		if len(fired) != len(want) {
 			t.Fatalf("far=%v: fired %v, want %v", far, fired, want)
@@ -556,7 +551,7 @@ func TestKernelWheelLevels(t *testing.T) {
 	k.Run(target - 1)
 	k.AtCall(target, rec("fine-normal"), nil)
 	k.AtCallEarly(target, rec("fine-early"), nil)
-	k.RunAll()
+	k.Run(Never)
 	want := []string{"fine", "coarse", "far-early", "coarse-early", "fine-early", "far-normal", "coarse-normal", "fine-normal"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("fired %v, want %v", got, want)
@@ -568,24 +563,24 @@ func TestKernelWheelLevels(t *testing.T) {
 func TestKernelRecycle(t *testing.T) {
 	old := NewKernel()
 	for _, at := range []Time{3, 5000, 3 * Second, 30 * Second} {
-		old.At(at, func() {})
+		atFunc(old, at, func() {})
 	}
-	stale := old.At(7, func() {})
+	stale := atFunc(old, 7, func() {})
 	old.Run(4 * Second)
 	k := old.Recycle()
 	if old.Processed() != 4 || old.Now() != 4*Second {
 		t.Fatalf("old kernel: processed %d, now %v", old.Processed(), old.Now())
 	}
 	stale.Cancel()
-	if stale.Pending() || stale.Canceled() {
+	if stale.Pending() {
 		t.Fatal("a recycled kernel's handle is not inert")
 	}
 	var fired []Time
 	for _, at := range []Time{9, 9000, 40 * Second} {
-		k.At(at, func() { fired = append(fired, k.Now()) })
+		atFunc(k, at, func() { fired = append(fired, k.Now()) })
 	}
-	k.RunAll()
-	if k.Now() != 40*Second || len(fired) != 3 || k.Processed() != 3 || k.Pending() != 0 {
-		t.Fatalf("recycled kernel: fired %v, now %v, processed %d, pending %d", fired, k.Now(), k.Processed(), k.Pending())
+	k.Run(Never)
+	if k.Now() != 40*Second || len(fired) != 3 || k.Processed() != 3 || k.queued != 0 {
+		t.Fatalf("recycled kernel: fired %v, now %v, processed %d, pending %d", fired, k.Now(), k.Processed(), k.queued)
 	}
 }
